@@ -1,7 +1,6 @@
 package pier
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -37,8 +36,6 @@ func (s *schemaPayload) WireSize() int {
 	}
 	return n
 }
-
-func init() { gob.Register(&schemaPayload{}) }
 
 // RegisterTable publishes a table schema into the DHT catalog with the
 // given lifetime (zero = a long default). Any node can then plan SQL

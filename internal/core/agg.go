@@ -1,7 +1,5 @@
 package core
 
-import "encoding/gob"
-
 // AggState is the mergeable partial state of one aggregate on one node.
 // PIER computes aggregates the parallel-database way (§7 "Hierarchical
 // aggregation"): each node folds its local rows into an AggState, puts
@@ -94,5 +92,3 @@ func (s *AggState) Final(kind AggKind) Value {
 func (s *AggState) WireSize() int {
 	return 26 + ValueSize(s.MinV) + ValueSize(s.MaxV)
 }
-
-func init() { gob.Register(&AggState{}) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"pier/internal/env"
@@ -9,7 +8,7 @@ import (
 
 // Expr is a scalar expression evaluated against a row of values. Plans
 // carry expressions across the network, so every implementation is a
-// concrete, gob-registered type with a wire size.
+// concrete, wire-registered type with a wire size.
 type Expr interface {
 	Eval(row []Value) Value
 	WireSize() int
@@ -263,15 +262,4 @@ func Truthy(v Value) bool {
 	default:
 		return true
 	}
-}
-
-func init() {
-	gob.Register(&Col{})
-	gob.Register(&Const{})
-	gob.Register(&Cmp{})
-	gob.Register(&And{})
-	gob.Register(&Or{})
-	gob.Register(&Not{})
-	gob.Register(&Arith{})
-	gob.Register(&Call{})
 }

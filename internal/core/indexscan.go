@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strconv"
 
@@ -180,5 +179,3 @@ func (eng *Engine) IndexContacts(id uint64) (int, bool) {
 	}
 	return c.contacted, true
 }
-
-func init() { gob.Register(&IndexRangeScan{}) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"sync"
 
 	"pier/internal/core/bloom"
@@ -171,17 +170,4 @@ func (m *partialAgg) WireSize() int {
 		n += s.WireSize()
 	}
 	return n
-}
-
-func init() {
-	gob.Register(&queryMsg{})
-	gob.Register(&resultMsg{})
-	gob.Register(&sideTuple{})
-	gob.Register(&miniTuple{})
-	gob.Register(&bloomPut{})
-	gob.Register(&bloomDist{})
-	gob.Register(&cancelMsg{})
-	gob.Register(&creditMsg{})
-	gob.Register(&partialAgg{})
-	gob.Register(&bloom.Filter{})
 }

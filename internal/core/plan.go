@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"time"
 
 	"pier/internal/env"
@@ -258,5 +257,3 @@ func (p *Plan) WireSize() int {
 	n += 4 * (len(p.GroupBy) + 2*len(p.Aggs))
 	return n
 }
-
-func init() { gob.Register(&Plan{}) }

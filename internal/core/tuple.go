@@ -6,7 +6,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"strings"
@@ -220,13 +219,4 @@ func sign(x int) int {
 	default:
 		return 0
 	}
-}
-
-func init() {
-	gob.Register(&Tuple{})
-	// Concrete value types carried inside the Vals []any slices.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(true)
 }

@@ -1,9 +1,7 @@
 package core
 
-// Binary wire codecs for the query processor's message vocabulary,
-// mirroring the gob.Register calls in messages.go, tuple.go, expr.go,
-// plan.go, and agg.go. Gob remains only as the fallback reference the
-// codec tests compare against; the real transport encodes with these.
+// Binary wire codecs for the query processor's message vocabulary
+// (types in messages.go, tuple.go, expr.go, plan.go, and agg.go).
 
 import (
 	"pier/internal/core/bloom"

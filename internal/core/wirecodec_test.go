@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -147,11 +146,23 @@ func randPlan(r *rand.Rand) *Plan {
 	return p
 }
 
+// drainResultMsgPool empties resultMsgPool (sync.Pool drops its contents
+// over two collections). Decode fills pooled shells, and a shell that an
+// earlier test recycled carries an empty non-nil Tuples slice, which
+// reflect.DeepEqual tells apart from the nil a zero-tuple frame is built
+// with; the round-trip tests must not depend on whether a collection
+// happened to run since.
+func drainResultMsgPool() {
+	runtime.GC()
+	runtime.GC()
+}
+
 // TestWireRoundTrip is the codec property test for every message type
 // the query processor registers: random instances survive
-// decode(encode(m)) bit-exactly, agree with the gob fallback, and obey
-// the documented size relation to WireSize().
+// decode(encode(m)) bit-exactly and obey the documented size relation
+// to WireSize().
 func TestWireRoundTrip(t *testing.T) {
+	drainResultMsgPool()
 	wiretest.RoundTrip(t, 1, 200, []wiretest.Gen{
 		{Name: "queryMsg", Make: func(r *rand.Rand) env.Message {
 			return &queryMsg{ID: r.Uint64(), Initiator: wiretest.ShortAddr(r), Trace: r.Intn(2) == 0, Plan: randPlan(r)}
@@ -227,6 +238,7 @@ func TestWireRoundTrip(t *testing.T) {
 // models int64 values as 9 bytes while a full-range zigzag varint plus
 // tag can take 11).
 func TestWireExtremeValues(t *testing.T) {
+	drainResultMsgPool()
 	msgs := []env.Message{
 		&Tuple{Rel: "r", Vals: []Value{int64(math.MinInt64), int64(math.MaxInt64), math.Inf(1), "", nil}},
 		&AggState{Count: math.MaxInt64, SumI: math.MinInt64, SumF: math.Inf(-1), Seen: true, MinV: int64(math.MinInt64), MaxV: int64(math.MaxInt64)},
@@ -319,10 +331,7 @@ func TestNestingBombFailsCleanly(t *testing.T) {
 }
 
 // BenchmarkWireCodec measures encode+decode of representative PIER
-// messages, binary codec vs the gob baseline. Gob pays its per-stream
-// type dictionary on every frame here, exactly as the pre-batching
-// transport did (one encoder per peer, but the dominant cost is the
-// reflection walk per message).
+// messages.
 func BenchmarkWireCodec(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	msgs := map[string]env.Message{
@@ -343,21 +352,6 @@ func BenchmarkWireCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(len(buf)))
-			}
-		})
-		b.Run(name+"/gob", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				envelope := struct{ M env.Message }{M: m}
-				if err := gob.NewEncoder(&buf).Encode(&envelope); err != nil {
-					b.Fatal(err)
-				}
-				var out struct{ M env.Message }
-				if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(buf.Len()))
 			}
 		})
 	}

@@ -1,20 +1,6 @@
 package can
 
-import (
-	"encoding/gob"
-
-	"pier/internal/env"
-)
-
-func init() {
-	gob.Register(&lookupMsg{})
-	gob.Register(&lookupReply{})
-	gob.Register(&joinReq{})
-	gob.Register(&joinReply{})
-	gob.Register(&neighborUpdate{})
-	gob.Register(&takeoverNotice{})
-	gob.Register(&leaveNotice{})
-}
+import "pier/internal/env"
 
 func zonesWireSize(zs []Zone) int {
 	n := 2

@@ -1,8 +1,8 @@
 package can
 
-// Binary wire codecs for the CAN control protocol, mirroring the
-// gob.Register calls in messages.go. Neighbor maps are encoded with
-// sorted keys so the encoding is deterministic.
+// Binary wire codecs for the CAN control protocol (message types in
+// messages.go). Neighbor maps are encoded with sorted keys so the
+// encoding is deterministic.
 
 import (
 	"sort"

@@ -1,21 +1,6 @@
 package chord
 
-import (
-	"encoding/gob"
-
-	"pier/internal/env"
-)
-
-func init() {
-	gob.Register(&findSuccMsg{})
-	gob.Register(&findSuccReply{})
-	gob.Register(&getPredMsg{})
-	gob.Register(&getPredReply{})
-	gob.Register(&notifyMsg{})
-	gob.Register(&pingMsg{})
-	gob.Register(&pongMsg{})
-	gob.Register(&leaveMsg{})
-}
+import "pier/internal/env"
 
 // findSuccMsg is routed around the ring toward successor(ID).
 type findSuccMsg struct {

@@ -1,7 +1,7 @@
 package chord
 
-// Binary wire codecs for the Chord control protocol, mirroring the
-// gob.Register calls in messages.go.
+// Binary wire codecs for the Chord control protocol (message types in
+// messages.go).
 
 import (
 	"pier/internal/env"

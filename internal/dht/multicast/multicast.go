@@ -9,7 +9,6 @@
 package multicast
 
 import (
-	"encoding/gob"
 	"time"
 
 	"pier/internal/dht"
@@ -28,8 +27,6 @@ type FloodMsg struct {
 func (m *FloodMsg) WireSize() int {
 	return env.HeaderSize + env.AddrSize + 8 + 4*len(m.Hint) + m.Payload.WireSize()
 }
-
-func init() { gob.Register(&FloodMsg{}) }
 
 // Flooder implements multicast for one node.
 type Flooder struct {

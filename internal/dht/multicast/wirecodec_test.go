@@ -1,7 +1,6 @@
 package multicast
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -17,7 +16,6 @@ type floodPayload struct{ S string }
 func (p *floodPayload) WireSize() int { return env.StringSize(p.S) }
 
 func init() {
-	gob.Register(&floodPayload{})
 	wire.Register(204, &floodPayload{},
 		func(e *wire.Encoder, m env.Message) { e.String(m.(*floodPayload).S) },
 		func(d *wire.Decoder) env.Message { return &floodPayload{S: d.String()} })

@@ -1,7 +1,6 @@
 package provider
 
 import (
-	"encoding/gob"
 	"time"
 
 	"pier/internal/dht/storage"
@@ -86,13 +85,3 @@ type nsPayload struct {
 }
 
 func (m *nsPayload) WireSize() int { return env.StringSize(m.NS) + m.Payload.WireSize() }
-
-func init() {
-	gob.Register(&putMsg{})
-	gob.Register(&putThrottleMsg{})
-	gob.Register(&getMsg{})
-	gob.Register(&getReply{})
-	gob.Register(&transferMsg{})
-	gob.Register(&nsPayload{})
-	gob.Register(&storage.Item{})
-}

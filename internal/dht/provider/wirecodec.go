@@ -1,7 +1,7 @@
 package provider
 
-// Binary wire codecs for the provider's put/get/transfer protocol,
-// mirroring the gob.Register calls in messages.go.
+// Binary wire codecs for the provider's put/get/transfer protocol
+// (message types in messages.go).
 
 import (
 	"pier/internal/dht/storage"

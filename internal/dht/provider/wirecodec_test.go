@@ -1,7 +1,6 @@
 package provider
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,7 +18,6 @@ type provPayload struct{ N int64 }
 func (p *provPayload) WireSize() int { return 8 }
 
 func init() {
-	gob.Register(&provPayload{})
 	wire.Register(203, &provPayload{},
 		func(e *wire.Encoder, m env.Message) { e.Varint(m.(*provPayload).N) },
 		func(d *wire.Decoder) env.Message { return &provPayload{N: d.Varint()} })

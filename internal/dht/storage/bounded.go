@@ -103,8 +103,12 @@ func (b *Bounded) SetEvictHook(f func(*Item)) { b.onEvict = f }
 // Store inserts the item, then enforces the namespace quota and total
 // budget, evicting victims (possibly the item just stored) as needed.
 func (b *Bounded) Store(it *Item) {
+	before := b.m.count
 	b.m.Store(it)
 	b.push(it)
+	if b.m.count == before { // replaced an item, whose entry is now stale
+		b.retire(it.Namespace)
+	}
 	b.enforceNS(it.Namespace, it)
 	b.enforceTotal(it)
 }
@@ -116,7 +120,11 @@ func (b *Bounded) Retrieve(namespace, resourceID string) []*Item {
 
 // Remove deletes the exact identity, reporting whether it existed.
 func (b *Bounded) Remove(namespace, resourceID string, instanceID int64) bool {
-	return b.m.Remove(namespace, resourceID, instanceID)
+	if !b.m.Remove(namespace, resourceID, instanceID) {
+		return false
+	}
+	b.retire(namespace)
+	return true
 }
 
 // Scan iterates a namespace's live items in sorted order.
@@ -138,7 +146,13 @@ func (b *Bounded) TotalLen() int { return b.m.TotalLen() }
 func (b *Bounded) NextExpiry() (time.Time, bool) { return b.m.NextExpiry() }
 
 // SweepExpired removes and returns every expired item.
-func (b *Bounded) SweepExpired() []*Item { return b.m.SweepExpired() }
+func (b *Bounded) SweepExpired() []*Item {
+	out := b.m.SweepExpired()
+	for _, it := range out {
+		b.retire(it.Namespace)
+	}
+	return out
+}
 
 // Usage reports in-memory byte occupancy.
 func (b *Bounded) Usage() Usage { return b.m.Usage() }
@@ -195,7 +209,7 @@ func (b *Bounded) enforceNS(namespace string, incoming *Item) {
 	}
 	// Expired-but-unswept items are reclaimed first; only then are
 	// live victims chosen.
-	b.m.SweepExpired()
+	b.SweepExpired()
 	for b.m.nsBytes[namespace] > q {
 		if !b.evictOne(namespace, incoming) {
 			return
@@ -211,7 +225,7 @@ func (b *Bounded) enforceTotal(incoming *Item) {
 	if budget <= 0 || b.m.bytes <= budget {
 		return
 	}
-	b.m.SweepExpired()
+	b.SweepExpired()
 	for b.m.bytes > budget {
 		ns, ok := b.largestNamespace(false)
 		if !ok {
@@ -271,7 +285,8 @@ func (b *Bounded) evictOne(namespace string, incoming *Item) bool {
 
 // push records the item as a future eviction candidate. A re-store of
 // the same identity leaves a stale entry behind, skipped at pop time
-// by pointer identity against the currently stored item.
+// by pointer identity against the currently stored item and swept out
+// by retire.
 func (b *Bounded) push(it *Item) {
 	h := b.victims[it.Namespace]
 	if h == nil {
@@ -280,6 +295,46 @@ func (b *Bounded) push(it *Item) {
 	}
 	b.seq++
 	heap.Push(h, victimEntry{it: it, seq: b.seq})
+}
+
+// retire notes that one of the namespace's heap entries went stale: its
+// item was replaced, removed or swept. The heap goes with the
+// namespace's last item, and is compacted once stale entries outnumber
+// live ones (and there are enough of them to matter) — otherwise a
+// namespace that stays under quota never pops, and its heap would keep
+// one entry, and the replaced item behind it, per put. The sweep is
+// O(heap) but at least halves it, and pop order is unchanged because
+// victimEntry.less is a total order (seq is unique): any valid heap
+// over the same live set pops the same sequence.
+func (b *Bounded) retire(namespace string) {
+	const minStale = 64
+	h := b.victims[namespace]
+	if h == nil {
+		return
+	}
+	if _, ok := b.m.spaces[namespace]; !ok {
+		delete(b.victims, namespace)
+		return
+	}
+	h.stale++
+	if h.stale < minStale || h.stale <= h.Len()-h.stale {
+		return
+	}
+	keep := h.entries[:0]
+	for _, e := range h.entries {
+		if b.current(e) {
+			keep = append(keep, e)
+		}
+	}
+	clear(h.entries[len(keep):]) // let the swept items go
+	h.entries, h.stale = keep, 0
+	heap.Init(h)
+}
+
+// current reports whether the heap entry still describes the stored item.
+func (b *Bounded) current(e victimEntry) bool {
+	cur, ok := b.m.get(e.it.Namespace, e.it.ResourceID, e.it.InstanceID)
+	return ok && cur == e.it
 }
 
 // popVictim returns the best live eviction candidate in the namespace,
@@ -291,12 +346,13 @@ func (b *Bounded) popVictim(namespace string) *Item {
 	}
 	for h.Len() > 0 {
 		e := heap.Pop(h).(victimEntry)
-		if cur, ok := b.m.get(e.it.Namespace, e.it.ResourceID, e.it.InstanceID); ok && cur == e.it {
+		if b.current(e) {
 			if h.Len() == 0 {
 				delete(b.victims, namespace)
 			}
 			return e.it
 		}
+		h.stale--
 	}
 	delete(b.victims, namespace)
 	return nil
@@ -326,17 +382,22 @@ func (e victimEntry) less(o victimEntry) bool {
 	}
 }
 
-type victimHeap []victimEntry
+// victimHeap is one namespace's eviction candidates. stale counts the
+// entries retire was told about and popVictim has not yet discarded.
+type victimHeap struct {
+	entries []victimEntry
+	stale   int
+}
 
-func (h victimHeap) Len() int           { return len(h) }
-func (h victimHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h victimHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *victimHeap) Push(x any)        { *h = append(*h, x.(victimEntry)) }
+func (h *victimHeap) Len() int           { return len(h.entries) }
+func (h *victimHeap) Less(i, j int) bool { return h.entries[i].less(h.entries[j]) }
+func (h *victimHeap) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+func (h *victimHeap) Push(x any)         { h.entries = append(h.entries, x.(victimEntry)) }
 func (h *victimHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+	n := len(h.entries)
+	e := h.entries[n-1]
+	h.entries[n-1] = victimEntry{} // do not keep the popped item reachable
+	h.entries = h.entries[:n-1]
 	return e
 }
 

@@ -209,3 +209,31 @@ func TestBoundedEvictionDeterministic(t *testing.T) {
 		t.Fatalf("eviction schedule not deterministic:\n%v\n%v", a, bb)
 	}
 }
+
+// TestBoundedVictimHeapStaysBounded: a namespace that never goes over
+// quota never pops its victim heap, so steady renews must not grow it —
+// nor keep the replaced and expired items reachable through it.
+func TestBoundedVictimHeapStaysBounded(t *testing.T) {
+	const items, renews = 50, 2000
+	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": 1 << 30}})
+	for round := 0; round < renews; round++ {
+		c.t = c.t.Add(time.Second)
+		for i := int64(0); i < items; i++ {
+			b.Store(sizedItem("r", fmt.Sprint(i), i, 10, c.t.Add(time.Minute)))
+		}
+		b.SweepExpired() // the provider's expiry timer; nothing is due
+		if n := b.victims["r"].Len(); n > 2*items+64 {
+			t.Fatalf("round %d: victim heap holds %d entries for %d live items", round, n, items)
+		}
+	}
+	if st := b.Stats(); st.ItemsEvicted != 0 || st.PutsDropped != 0 {
+		t.Fatalf("namespace went over quota, test is vacuous: %+v", st)
+	}
+	c.t = c.t.Add(time.Hour)
+	if swept := b.SweepExpired(); len(swept) != items {
+		t.Fatalf("swept %d items, want %d", len(swept), items)
+	}
+	if h := b.victims["r"]; h != nil {
+		t.Fatalf("victim heap still holds %d entries for an empty namespace", h.Len())
+	}
+}

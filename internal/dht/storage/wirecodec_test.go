@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,10 +18,6 @@ type itemPayload struct{ S string }
 func (p *itemPayload) WireSize() int { return env.StringSize(p.S) }
 
 func init() {
-	// The transport-facing registrations normally live in the provider
-	// package; this test binary does not link it.
-	gob.Register(&Item{})
-	gob.Register(&itemPayload{})
 	wire.Register(202, &itemPayload{},
 		func(e *wire.Encoder, m env.Message) { e.String(m.(*itemPayload).S) },
 		func(d *wire.Decoder) env.Message { return &itemPayload{S: d.String()} })

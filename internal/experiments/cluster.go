@@ -17,7 +17,7 @@ import (
 //
 // The paper used 64 shared PCs on a 1 Gbps switch; here the nodes are
 // real TCP processes multiplexed over loopback — the same code path
-// through net.Conn, gob framing, and per-node event loops.
+// through net.Conn, wire framing, and per-node event loops.
 type ClusterConfig struct {
 	Sizes    []int
 	SPerNode int

@@ -1,12 +1,10 @@
 package index
 
-// Binary wire codecs (and the gob fallback registrations) for the index
-// subsystem's three payload types — entries and markers stored in trie
-// nodes, definitions stored in DefNS and multicast as announces.
+// Binary wire codecs for the index subsystem's three payload types —
+// entries and markers stored in trie nodes, definitions stored in DefNS
+// and multicast as announces.
 
 import (
-	"encoding/gob"
-
 	"pier/internal/core"
 	"pier/internal/env"
 	"pier/internal/wire"
@@ -20,9 +18,6 @@ const (
 )
 
 func init() {
-	gob.Register(&Entry{})
-	gob.Register(&Marker{})
-	gob.Register(&Def{})
 
 	wire.Register(tagEntry, &Entry{},
 		func(e *wire.Encoder, m env.Message) {

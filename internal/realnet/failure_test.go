@@ -309,24 +309,37 @@ func TestBatchingCoalesces(t *testing.T) {
 }
 
 // TestUnencodableMessageDropped: a message type without a wire codec is
-// dropped frame-by-frame without poisoning the connection.
+// dropped frame-by-frame without poisoning the connection — exactly one
+// drop, exactly one frame sent, and the encodable frame arrives on the
+// connection the unencodable one was queued for.
 func TestUnencodableMessageDropped(t *testing.T) {
 	a := listen(t, Config{}, 1)
 	b := listen(t, Config{}, 2)
 	var got atomic.Int64
 	b.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
+	p, err := a.peer(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.Send(b.Addr(), rawMsg{})        // no codec: dropped
 	a.Send(b.Addr(), &echoMsg{N: 42}) // same connection still healthy
 	deadline := time.Now().Add(5 * time.Second)
-	for got.Load() == 0 && time.Now().Before(deadline) {
+	// FramesSent is counted after the flush returns, so it can trail the
+	// receiver's handler.
+	for (got.Load() == 0 || a.Stats().FramesSent == 0) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got.Load() != 1 {
 		t.Fatalf("got %d messages, want just the encodable one", got.Load())
 	}
-	if a.Stats().Drops == 0 {
-		t.Fatal("unencodable message not counted as a drop")
+	if s := a.Stats(); s.Drops != 1 || s.FramesSent != 1 {
+		t.Fatalf("Drops=%d FramesSent=%d, want 1 and 1", s.Drops, s.FramesSent)
+	}
+	select {
+	case <-p.dead:
+		t.Fatal("connection that carried the unencodable frame was torn down")
+	default:
 	}
 }
 

@@ -11,8 +11,7 @@
 // single write when the queue goes empty, the batch reaches
 // MaxBatchBytes, or MaxBatchDelay elapses — so a burst of small
 // soft-state messages (renews, miniTuples, partial aggregates) costs one
-// syscall instead of one per frame. The legacy gob codec is retained
-// behind Config.Codec as the benchmark baseline.
+// syscall instead of one per frame.
 //
 // Each node owns one listener, one event-loop goroutine that serializes
 // all node logic, and one writer goroutine per peer connection. Sends
@@ -25,7 +24,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -39,32 +37,16 @@ import (
 	"pier/internal/wire"
 )
 
-// Codec selects the frame encoding.
-type Codec int
-
-const (
-	// CodecBinary is the length-prefixed binary wire protocol (default).
-	CodecBinary Codec = iota
-	// CodecGob is the legacy reflection-driven gob stream, kept as the
-	// baseline for transport benchmarks and fallback tests.
-	CodecGob
-)
-
 // Config tunes the transport. The zero value gives the production
-// defaults: binary codec, batching with a 64 KiB flush threshold and no
-// added delay, 16 MiB frame cap.
+// defaults: batching with a 64 KiB flush threshold and no added delay,
+// 16 MiB frame cap.
 type Config struct {
-	// Codec selects the frame encoding. All nodes of a deployment must
-	// agree.
-	Codec Codec
-
 	// MaxFrameBytes rejects inbound frames larger than this; the
-	// connection carrying one is dropped (binary codec only — gob has no
-	// framing to enforce). Default 16 MiB.
+	// connection carrying one is dropped. Default 16 MiB.
 	MaxFrameBytes int
 
 	// MaxBatchBytes flushes the write batch once it holds at least this
-	// many bytes. Default 64 KiB.
+	// many bytes (1 gives a write per frame). Default 64 KiB.
 	MaxBatchBytes int
 
 	// MaxBatchDelay, when positive, lets the writer wait up to this long
@@ -73,10 +55,6 @@ type Config struct {
 	// soon as the outbound queue drains — coalescing without added
 	// latency.
 	MaxBatchDelay time.Duration
-
-	// NoBatch flushes every frame with its own write (the syscall-per-
-	// frame baseline the batching benchmarks compare against).
-	NoBatch bool
 
 	// OutboxLen is the per-peer outbound queue; sends beyond it drop.
 	// Default 1024.
@@ -312,18 +290,6 @@ func (n *Node) peer(to env.Addr) (*peer, error) {
 	return p, nil
 }
 
-// frameWriter buffers encoded frames and flushes them as one write.
-// appendFrame reports ok=false for a frame that could not be encoded
-// (dropped); a non-nil error poisons the stream and kills the
-// connection.
-type frameWriter interface {
-	appendFrame(f *frame) (ok bool, err error)
-	buffered() int
-	flush() (bytes int, err error)
-	// release returns pooled buffers; the writer must not be used after.
-	release()
-}
-
 // retainBytes caps how much buffer capacity the per-peer writer and
 // per-connection reader keep between frames: one near-MaxFrameBytes
 // message must not pin tens of megabytes per peer for the lifetime of a
@@ -370,8 +336,9 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// binaryWriter frames with the wire codec: uvarint payload length, then
-// sender address, then the tagged message. Its batch buffer and encode
+// binaryWriter buffers encoded frames and flushes them as one write. It
+// frames with the wire codec: uvarint payload length, then sender
+// address, then the tagged message. Its batch buffer and encode
 // scratch come from bufPool, so short-lived peers do not each grow
 // their own buffers from zero; every frame is encoded into the reused
 // scratch — there is no intermediate Marshal allocation.
@@ -386,21 +353,24 @@ func newBinaryWriter(conn net.Conn, max int) *binaryWriter {
 	return &binaryWriter{conn: conn, max: max, bufp: getBuf(0), scratchp: getBuf(0)}
 }
 
-func (w *binaryWriter) appendFrame(f *frame) (bool, error) {
+// appendFrame adds f to the batch; it reports false for a frame that
+// could not be encoded or is oversized, which is dropped without
+// touching the stream.
+func (w *binaryWriter) appendFrame(f *frame) bool {
 	e := wire.NewEncoder((*w.scratchp)[:0])
 	e.Addr(f.From)
 	e.Message(f.Msg)
 	payload := e.Bytes()
 	*w.scratchp = shrink(payload) // recycle the buffer for the next frame
 	if e.Err() != nil {
-		return false, nil // unencodable message: drop the frame, keep the stream
+		return false // unencodable message: drop the frame, keep the stream
 	}
 	if len(payload) > w.max {
-		return false, nil // oversized: the receiver would reject it anyway
+		return false // oversized: the receiver would reject it anyway
 	}
 	*w.bufp = binary.AppendUvarint(*w.bufp, uint64(len(payload)))
 	*w.bufp = append(*w.bufp, payload...)
-	return true, nil
+	return true
 }
 
 func (w *binaryWriter) buffered() int { return len(*w.bufp) }
@@ -414,71 +384,11 @@ func (w *binaryWriter) flush() (int, error) {
 	return bytes, err
 }
 
+// release returns the pooled buffers; the writer must not be used after.
 func (w *binaryWriter) release() {
 	putBuf(w.bufp)
 	putBuf(w.scratchp)
 	w.bufp, w.scratchp = nil, nil
-}
-
-// gobWriter streams frames through one persistent gob encoder into a
-// buffered writer; a flush per batch preserves the batching semantics.
-type gobWriter struct {
-	cw  *countingWriter
-	bw  *bufio.Writer
-	enc *gob.Encoder
-	// last is cw.n at the previous flush; the delta per flush also
-	// captures bytes bufio pushed out mid-batch when its buffer filled.
-	last uint64
-}
-
-func newGobWriter(conn net.Conn) *gobWriter {
-	cw := &countingWriter{w: conn}
-	bw := bufio.NewWriter(cw)
-	return &gobWriter{cw: cw, bw: bw, enc: gob.NewEncoder(bw)}
-}
-
-func (w *gobWriter) appendFrame(f *frame) (bool, error) {
-	// A gob encode error may leave partial data in the stream, so it is
-	// fatal to the connection — the pre-codec transport behaved the same.
-	if err := w.enc.Encode(f); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// buffered reports the bytes accumulated in the current batch,
-// including what bufio already auto-flushed to the socket when its
-// 4 KiB internal buffer filled — otherwise MaxBatchBytes could never
-// trigger for gob and one batch could span the whole queue.
-func (w *gobWriter) buffered() int {
-	return int(w.cw.n-w.last) + w.bw.Buffered()
-}
-
-func (w *gobWriter) flush() (int, error) {
-	err := w.bw.Flush()
-	bytes := int(w.cw.n - w.last)
-	w.last = w.cw.n
-	return bytes, err
-}
-
-func (w *gobWriter) release() {} // no pooled buffers
-
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-func (n *Node) newFrameWriter(conn net.Conn) frameWriter {
-	if n.cfg.Codec == CodecGob {
-		return newGobWriter(conn)
-	}
-	return newBinaryWriter(conn, n.cfg.MaxFrameBytes)
 }
 
 // writer dials the peer and drains its outbound queue into batched
@@ -521,21 +431,12 @@ func (n *Node) writer(to env.Addr, p *peer) {
 		return
 	default:
 	}
-	fw := n.newFrameWriter(conn)
+	fw := newBinaryWriter(conn, n.cfg.MaxFrameBytes)
 	defer fw.release()
 	for {
 		select {
 		case f := <-p.out:
-			frames, fatal := n.fillBatch(fw, f, p)
-			if fatal {
-				// A poisoned stream (gob encode error) must not flush:
-				// the batch's frames were never delivered, so they are
-				// drops, and partial encoder output must not reach the
-				// peer.
-				n.drops.Add(uint64(frames))
-				teardown()
-				return
-			}
+			frames := n.fillBatch(fw, f, p)
 			bytes, err := fw.flush()
 			n.bytesSent.Add(uint64(bytes))
 			if err != nil {
@@ -558,11 +459,10 @@ func (n *Node) writer(to env.Addr, p *peer) {
 
 // fillBatch encodes f and keeps draining the queue until the batch is
 // full, the queue is empty (plus the optional MaxBatchDelay grace), or
-// the node shuts down. It reports how many frames entered the batch and
-// whether the stream was poisoned.
-func (n *Node) fillBatch(fw frameWriter, f *frame, p *peer) (frames int, fatal bool) {
-	appendOne := func(f *frame) bool {
-		ok, err := fw.appendFrame(f)
+// the node shuts down. It reports how many frames entered the batch.
+func (n *Node) fillBatch(fw *binaryWriter, f *frame, p *peer) (frames int) {
+	appendOne := func(f *frame) {
+		ok := fw.appendFrame(f)
 		// Encoded (or dropped) either way, the writer held the last
 		// reference to the outbound message: this is the recycle point
 		// for pooled messages. The loopback self path never reaches
@@ -570,23 +470,13 @@ func (n *Node) fillBatch(fw frameWriter, f *frame, p *peer) (frames int, fatal b
 		if rec, pooled := f.Msg.(env.Recycler); pooled {
 			rec.Recycle()
 		}
-		if err != nil {
-			// The frame that poisoned the stream is itself discarded;
-			// frames already in the batch are counted by the caller.
+		if ok {
+			frames++
+		} else {
 			n.drops.Add(1)
-			fatal = true
-			return false
 		}
-		if !ok {
-			n.drops.Add(1)
-			return true
-		}
-		frames++
-		return true
 	}
-	if !appendOne(f) || n.cfg.NoBatch {
-		return frames, fatal
-	}
+	appendOne(f)
 	var deadline <-chan time.Time
 	var timer *time.Timer
 	defer func() {
@@ -597,12 +487,10 @@ func (n *Node) fillBatch(fw frameWriter, f *frame, p *peer) (frames int, fatal b
 	for fw.buffered() < n.cfg.MaxBatchBytes {
 		select {
 		case f2 := <-p.out:
-			if !appendOne(f2) {
-				return frames, fatal
-			}
+			appendOne(f2)
 		default:
 			if n.cfg.MaxBatchDelay <= 0 {
-				return frames, fatal
+				return frames
 			}
 			if timer == nil {
 				timer = time.NewTimer(n.cfg.MaxBatchDelay)
@@ -610,24 +498,19 @@ func (n *Node) fillBatch(fw frameWriter, f *frame, p *peer) (frames int, fatal b
 			}
 			select {
 			case f2 := <-p.out:
-				if !appendOne(f2) {
-					return frames, fatal
-				}
+				appendOne(f2)
 			case <-deadline:
-				return frames, fatal
+				return frames
 			case <-n.done:
-				return frames, fatal
+				return frames
 			}
 		}
 	}
-	return frames, fatal
+	return frames
 }
 
-// frameReader decodes one frame per call; any error ends the connection.
-type frameReader interface {
-	readFrame() (*frame, int, error)
-}
-
+// binaryReader decodes one frame per readFrame call; any error ends the
+// connection.
 type binaryReader struct {
 	br  *bufio.Reader
 	max int
@@ -694,39 +577,6 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-type gobReader struct {
-	cr  *countingReader
-	dec *gob.Decoder
-}
-
-type countingReader struct {
-	r io.Reader
-	n uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-func (r *gobReader) readFrame() (*frame, int, error) {
-	before := r.cr.n
-	var f frame
-	if err := r.dec.Decode(&f); err != nil {
-		return nil, 0, err
-	}
-	return &f, int(r.cr.n - before), nil
-}
-
-func (n *Node) newFrameReader(conn net.Conn) frameReader {
-	if n.cfg.Codec == CodecGob {
-		cr := &countingReader{r: conn}
-		return &gobReader{cr: cr, dec: gob.NewDecoder(bufio.NewReader(cr))}
-	}
-	return newBinaryReader(conn, n.cfg.MaxFrameBytes)
-}
-
 func (n *Node) accept() {
 	defer n.wg.Done()
 	for {
@@ -750,7 +600,7 @@ func (n *Node) reader(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.mu.Unlock()
 	}()
-	fr := n.newFrameReader(conn)
+	fr := newBinaryReader(conn, n.cfg.MaxFrameBytes)
 	for {
 		f, bytes, err := fr.readFrame()
 		if err != nil {

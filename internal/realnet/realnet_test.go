@@ -1,7 +1,6 @@
 package realnet
 
 import (
-	"encoding/gob"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ type echoMsg struct{ N int }
 func (m *echoMsg) WireSize() int { return 16 }
 
 func init() {
-	gob.Register(&echoMsg{})
 	wire.Register(201, &echoMsg{},
 		func(e *wire.Encoder, m env.Message) { e.Int(m.(*echoMsg).N) },
 		func(d *wire.Decoder) env.Message { return &echoMsg{N: d.Int()} })
@@ -103,7 +101,7 @@ func TestAfterAndDo(t *testing.T) {
 
 func TestCANJoinOverTCP(t *testing.T) {
 	// The critical cross-package path: CAN protocol messages (with maps,
-	// zones, nested types) must survive gob framing.
+	// zones, nested types) must survive wire framing.
 	mk := func(seed int64) (*Node, *can.Router) {
 		n, err := Listen("127.0.0.1:0", seed)
 		if err != nil {

@@ -1,14 +1,12 @@
 package realnet
 
-// Loopback throughput of the codec × batching combinations, for the
-// small soft-state messages (miniTuple-shaped renews) that dominate
-// PIER's traffic. The acceptance bar for the binary codec + batching is
-// >= 2x the frames/sec of the unbatched gob baseline:
+// Loopback throughput with and without write batching, for the small
+// soft-state messages (miniTuple-shaped renews) that dominate PIER's
+// traffic:
 //
 //	go test ./internal/realnet -bench BenchmarkRealnetThroughput -benchtime 100000x
 
 import (
-	"encoding/gob"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,7 +27,6 @@ func (m *renewMsg) WireSize() int {
 }
 
 func init() {
-	gob.Register(&renewMsg{})
 	wire.Register(202, &renewMsg{},
 		func(e *wire.Encoder, m env.Message) {
 			t := m.(*renewMsg)
@@ -104,17 +101,11 @@ func waitAtLeast(b *testing.B, got *atomic.Int64, n int64) {
 }
 
 // BenchmarkRealnetThroughput compares frames/sec on loopback TCP.
-// "gob/frame-per-write" is the pre-codec transport: a fresh reflection
-// walk per message and one syscall per frame.
+// "binary/frame-per-write" is the syscall-per-frame baseline: a
+// one-byte flush threshold ends every batch after its first frame.
 func BenchmarkRealnetThroughput(b *testing.B) {
-	b.Run("gob/frame-per-write", func(b *testing.B) {
-		benchThroughput(b, Config{Codec: CodecGob, NoBatch: true})
-	})
-	b.Run("gob/batched", func(b *testing.B) {
-		benchThroughput(b, Config{Codec: CodecGob})
-	})
 	b.Run("binary/frame-per-write", func(b *testing.B) {
-		benchThroughput(b, Config{NoBatch: true})
+		benchThroughput(b, Config{MaxBatchBytes: 1})
 	})
 	b.Run("binary/batched", func(b *testing.B) {
 		benchThroughput(b, Config{})

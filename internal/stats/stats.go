@@ -33,7 +33,6 @@ package stats
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/fnv"
 	"strconv"
 	"strings"
@@ -177,10 +176,6 @@ func (s *Summary) TableStats() opt.TableStats {
 		ts.DistinctJoinKeys = s.Keys.Estimate()
 	}
 	return ts
-}
-
-func init() {
-	gob.Register(&Summary{})
 }
 
 // Measurable reports whether a namespace is covered by the catalog:

@@ -23,8 +23,8 @@ func randSpan(r *rand.Rand) *Span {
 }
 
 // TestSpanWireRoundTrip is the codec property test for the trace span
-// frame (tag 120): random spans survive decode(encode(m)) bit-exactly,
-// agree with the gob fallback, and obey the WireSize relation.
+// frame (tag 120): random spans survive decode(encode(m)) bit-exactly
+// and obey the WireSize relation.
 func TestSpanWireRoundTrip(t *testing.T) {
 	wiretest.RoundTrip(t, 1, 300, []wiretest.Gen{
 		{Name: "Span", Make: func(r *rand.Rand) env.Message { return randSpan(r) }},

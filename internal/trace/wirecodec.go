@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/gob"
-
 	"pier/internal/env"
 	"pier/internal/wire"
 )
@@ -12,7 +10,6 @@ import (
 const tagSpan byte = 120
 
 func init() {
-	gob.Register(&Span{})
 	wire.Register(tagSpan, &Span{},
 		func(e *wire.Encoder, m env.Message) {
 			s := m.(*Span)

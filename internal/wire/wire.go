@@ -1,14 +1,12 @@
 // Package wire is the binary wire codec for PIER's real-network
-// transport. The simulator never serializes (it passes pointers and
-// charges WireSize against the receiver's link); the real transport used
-// to serialize with encoding/gob, whose reflection walk and per-stream
-// type dictionaries dominate the cost of PIER's small soft-state
-// messages (renews, miniTuples, partial aggregates). This package
-// replaces gob with an explicit, registry-driven encoding:
+// transport, the one encoding every node, CLI and experiment speaks. The
+// simulator never serializes (it passes pointers and charges WireSize
+// against the receiver's link); the real transport frames every message
+// with this explicit, registry-driven encoding, sized for PIER's small
+// soft-state messages (renews, miniTuples, partial aggregates):
 //
 //   - every message type registers a one-byte type tag plus hand-written
-//     encode/decode functions (Register), mirroring the gob.Register
-//     calls that already exist next to each message definition;
+//     encode/decode functions (Register) next to its definition;
 //   - a message on the wire is its tag followed by its body; tag 0 is a
 //     nil message, so nested env.Message fields (multicast payloads,
 //     stored items) encode recursively;
@@ -91,7 +89,7 @@ var (
 // on the wire by tag. proto is a value of the concrete type (typically a
 // nil-free pointer such as &miniTuple{}). Tag 0 is reserved for nil.
 // Register panics on tag or type collisions — codecs are wired up in
-// package init functions, exactly like gob.Register.
+// package init functions.
 func Register(tag byte, proto env.Message, enc EncodeFunc, dec DecodeFunc) {
 	if tag == 0 {
 		panic("wire: tag 0 is reserved for nil messages")

@@ -1,14 +1,10 @@
 // Package wiretest holds the shared property-test harness for wire
 // codecs. Each message package owns unexported message types, so it runs
-// the same battery over its own generators: binary round-trips must be
-// lossless, the encoding must agree with the gob fallback (gob survives
-// only as this reference implementation), and the encoded size must obey
-// the documented relation to WireSize().
+// the same battery over its own generators: round-trips must be lossless
+// and the encoded size must obey the documented relation to WireSize().
 package wiretest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,16 +20,11 @@ import (
 type Gen struct {
 	Name string
 	Make func(r *rand.Rand) env.Message
-
-	// SkipSizeCheck exempts the type from the WireSize relation (for
-	// types whose WireSize deliberately undercounts, none so far).
-	SkipSizeCheck bool
 }
 
 // RoundTrip asserts, for n random instances per generator:
 //
-//	decode(encode(m)) deep-equals m,
-//	gob-decode(gob-encode(m)) deep-equals m (fallback equivalence), and
+//	decode(encode(m)) deep-equals m, and
 //	len(encode(m)) <= m.WireSize() + env.HeaderSize.
 func RoundTrip(t *testing.T, seed int64, n int, gens []Gen) {
 	t.Helper()
@@ -53,35 +44,13 @@ func RoundTrip(t *testing.T, seed int64, n int, gens []Gen) {
 				if !reflect.DeepEqual(got, m) {
 					t.Fatalf("#%d: binary round trip\n got %#v\nwant %#v", i, got, m)
 				}
-				if gg := gobRoundTrip(t, m); !reflect.DeepEqual(gg, m) {
-					t.Fatalf("#%d: gob fallback round trip\n got %#v\nwant %#v", i, gg, m)
-				}
-				if !g.SkipSizeCheck {
-					if max := m.WireSize() + env.HeaderSize; len(b) > max {
-						t.Fatalf("#%d: encoded %d bytes > WireSize %d + HeaderSize %d (%#v)",
-							i, len(b), m.WireSize(), env.HeaderSize, m)
-					}
+				if max := m.WireSize() + env.HeaderSize; len(b) > max {
+					t.Fatalf("#%d: encoded %d bytes > WireSize %d + HeaderSize %d (%#v)",
+						i, len(b), m.WireSize(), env.HeaderSize, m)
 				}
 			}
 		})
 	}
-}
-
-// gobRoundTrip pushes the message through the gob fallback. Messages are
-// wrapped in an interface-typed envelope, as the old transport framed
-// them, so gob records the concrete type.
-func gobRoundTrip(t *testing.T, m env.Message) env.Message {
-	t.Helper()
-	var buf bytes.Buffer
-	env1 := struct{ M env.Message }{M: m}
-	if err := gob.NewEncoder(&buf).Encode(&env1); err != nil {
-		t.Fatalf("gob encode %#v: %v", m, err)
-	}
-	var env2 struct{ M env.Message }
-	if err := gob.NewDecoder(&buf).Decode(&env2); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	return env2.M
 }
 
 // Letters for random identifiers.

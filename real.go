@@ -36,9 +36,13 @@ var ErrJoinTimeout = errors.New("pier: join timed out")
 // Real deployments churn: nodes join and leave while queries run, and
 // directed-flood pruning assumes stabilized neighbor state. Real nodes
 // therefore always use robust (full) flooding; the directed optimization
-// is for stabilized simulation experiments.
+// is for stabilized simulation experiments. They also run for as long as
+// the process does, so they always delete soft state at its lifetime
+// instead of only filtering it on access; lazy expiry is for simulations
+// that must quiesce.
 func StartNode(addr string, landmark env.Addr, seed int64, opts Options) (*RealNode, error) {
 	opts.ProviderConfig.RobustMulticast = true
+	opts.ProviderConfig.ActiveExpiry = true
 	if opts.EngineConfig.DispatchShards == 0 {
 		// Real nodes spread result-channel processing across the
 		// cores; the simulator keeps the single-shard inline mode its
@@ -218,30 +222,3 @@ func (rn *RealNode) StorageStats() StorageStats {
 // RefreshStats runs one catalog maintenance tick from the event loop.
 // See Node.RefreshStats.
 func (rn *RealNode) RefreshStats() { rn.Do(func() { rn.Node.RefreshStats() }) }
-
-// Deprecated aliases for the pre-Session surface, kept for one release.
-
-// PublishSync publishes a tuple from the node's event loop.
-//
-// Deprecated: Publish is now event-loop-safe on RealNode; call it
-// directly.
-func (rn *RealNode) PublishSync(table, rid string, iid int64, t *Tuple, lifetime time.Duration) {
-	rn.Publish(table, rid, iid, t, lifetime)
-}
-
-// QuerySync starts a query from the node's event loop and returns its
-// id.
-//
-// Deprecated: Query is now event-loop-safe on RealNode; call it
-// directly.
-func (rn *RealNode) QuerySync(p *Plan, fn ResultFunc) (uint64, error) {
-	return rn.Query(p, fn)
-}
-
-// ExecSync runs a DDL statement from the node's event loop.
-//
-// Deprecated: Exec is now event-loop-safe on RealNode; call it
-// directly.
-func (rn *RealNode) ExecSync(src string, cat Catalog) error {
-	return rn.Exec(src, cat)
-}

@@ -285,3 +285,25 @@ func TestRealNetAdaptiveStrategyChoice(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 }
+
+// TestRealNodeFreesExpiredSoftState: a real node runs until the process
+// exits, so it must delete expired items on its own — with default
+// options, and without a read to trigger the lazy filter.
+func TestRealNodeFreesExpiredSoftState(t *testing.T) {
+	nd := startCluster(t, 1)[0]
+	stored := func() (n int) {
+		nd.Do(func() { n = nd.Provider().Store().TotalLen() })
+		return n
+	}
+	nd.Publish("T", "k1", 1, &Tuple{Rel: "T", Vals: []Value{int64(7)}}, 200*time.Millisecond)
+	if stored() != 1 {
+		t.Fatalf("stored %d items after a local publish, want 1", stored())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for stored() != 0 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := stored(); n != 0 {
+		t.Fatalf("%d expired items still held 5s after a 200ms lifetime", n)
+	}
+}
