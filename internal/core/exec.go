@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -38,8 +41,8 @@ type exec struct {
 	// probing node, not once per pair.
 	fetchCache [2]map[string]*fetchEntry
 
-	partials  map[string]*partialGroup
-	dirty     map[string]bool
+	partials  map[groupKey]*partialGroup
+	dirty     []*partialGroup // fed since the last flushPartials
 	flushStop func()
 
 	// Result channel state: output tuples accumulate in resBuf and are
@@ -54,6 +57,7 @@ type exec struct {
 	// lock is uncontended and free of ordering effects.
 	resMu    sync.Mutex
 	resBuf   []resultItem
+	resHead  int       // resBuf[:resHead] has shipped; the buffer is resBuf[resHead:]
 	resSent  int64     // result tuples shipped so far
 	resLimit int64     // cumulative credit limit (flow control off: unused)
 	resFlush env.Timer // pending size/interval flush
@@ -84,10 +88,18 @@ type fetchEntry struct {
 	waiters []func([]*Tuple)
 }
 
+// groupKey names one group of one window in an executor's partials.
+type groupKey struct {
+	window int
+	gkey   string
+}
+
 type partialGroup struct {
 	window int
 	group  []Value
 	states []*AggState
+	rid    string // "<window>|<group key>", the resourceID flushPartials puts under
+	dirty  bool
 }
 
 func newExec(eng *Engine, m *queryMsg) *exec {
@@ -104,8 +116,7 @@ func newExec(eng *Engine, m *queryMsg) *exec {
 		nq:        fmt.Sprintf("q%x", m.ID),
 		aggNS:     fmt.Sprintf("q%x.agg", m.ID),
 		startAt:   eng.env.Now(),
-		partials:  make(map[string]*partialGroup),
-		dirty:     make(map[string]bool),
+		partials:  make(map[groupKey]*partialGroup),
 		// The bootstrap credit window is implicit: the initiator's
 		// ledger assumes every sender starts with one ResultCredit
 		// window, so no registration round-trip is needed before the
@@ -288,7 +299,7 @@ func (ex *exec) emit(t *Tuple, window int) {
 		ex.resFirstBuf = ex.eng.env.Now()
 	}
 	ex.resBuf = append(ex.resBuf, resultItem{w: window, t: t})
-	if len(ex.resBuf) >= cfg.ResultBatch {
+	if len(ex.resBuf)-ex.resHead >= cfg.ResultBatch {
 		ex.flushResultsLocked(false)
 		ex.resMu.Unlock()
 		return
@@ -318,14 +329,15 @@ func (ex *exec) flushResults(force bool) {
 // when the credit window is exhausted (unless force — the stop-flush).
 // Frames come from the shared pool and their Tuples slices reuse
 // recycled capacity; the buffer keeps its backing array across flush
-// cycles so a steady result stream stops allocating once warm.
+// cycles so a steady result stream stops allocating once warm. A flush
+// costs O(tuples shipped) however many stay buffered behind a stall.
 func (ex *exec) flushResultsLocked(force bool) {
 	if ex.resFlush != nil {
 		ex.resFlush.Stop()
 		ex.resFlush = nil
 	}
 	credit := int64(ex.eng.cfg.ResultCredit)
-	start := 0
+	start := ex.resHead
 	for start < len(ex.resBuf) {
 		n := len(ex.resBuf) - start
 		if n > ex.eng.cfg.ResultBatch {
@@ -334,7 +346,7 @@ func (ex *exec) flushResultsLocked(force bool) {
 		if credit > 0 && !force {
 			avail := ex.resLimit - ex.resSent
 			if avail <= 0 {
-				ex.compactResBuf(start)
+				ex.shippedResBuf(start)
 				ex.stallResultsLocked()
 				return
 			}
@@ -376,25 +388,30 @@ func (ex *exec) flushResultsLocked(force bool) {
 		}
 		ex.eng.env.Send(ex.initiator, rm)
 	}
-	ex.compactResBuf(start)
+	ex.shippedResBuf(start)
 	if ex.resStall != nil {
 		ex.resStall.Stop()
 		ex.resStall = nil
 	}
 }
 
-// compactResBuf drops the first n (shipped) items, keeping the rest
-// and the backing array for the next burst. Vacated slots are cleared
-// so shipped tuples are not pinned, and an array grown by one giant
-// burst is released rather than retained forever.
-func (ex *exec) compactResBuf(n int) {
-	m := copy(ex.resBuf, ex.resBuf[n:])
-	clear(ex.resBuf[m:])
-	if m == 0 && cap(ex.resBuf) > 4096 {
+// shippedResBuf advances the buffer's head to n. Shipped slots are
+// cleared so their tuples are not pinned; the rest stay where they are,
+// and the backing array is reused from its start once the buffer
+// empties — unless one giant burst grew it, in which case it is
+// released rather than retained forever.
+func (ex *exec) shippedResBuf(n int) {
+	clear(ex.resBuf[ex.resHead:n])
+	ex.resHead = n
+	if n < len(ex.resBuf) {
+		return
+	}
+	ex.resHead = 0
+	if cap(ex.resBuf) > 4096 {
 		ex.resBuf = nil
 		return
 	}
-	ex.resBuf = ex.resBuf[:m]
+	ex.resBuf = ex.resBuf[:0]
 }
 
 // stallResultsLocked arms the credit stall-refresh: if no grant
@@ -882,8 +899,7 @@ func (ex *exec) onBloomDist(m *bloomDist) {
 
 func (ex *exec) aggFeed(row *Tuple, w int) {
 	p := ex.plan
-	gkey := JoinKeyString(row, p.GroupBy)
-	key := fmt.Sprintf("%d|%s", w, gkey)
+	key := groupKey{window: w, gkey: JoinKeyString(row, p.GroupBy)}
 	pg, ok := ex.partials[key]
 	if !ok {
 		group := make([]Value, len(p.GroupBy))
@@ -894,14 +910,17 @@ func (ex *exec) aggFeed(row *Tuple, w int) {
 		for i := range states {
 			states[i] = &AggState{}
 		}
-		pg = &partialGroup{window: w, group: group, states: states}
+		pg = &partialGroup{window: w, group: group, states: states, rid: strconv.Itoa(w) + "|" + key.gkey}
 		ex.partials[key] = pg
 	}
 	for i, a := range p.Aggs {
 		// At returns nil for COUNT(*)'s -1 and for hostile indexes alike.
 		pg.states[i].Update(row.At(a.Col))
 	}
-	ex.dirty[key] = true
+	if !pg.dirty {
+		pg.dirty = true
+		ex.dirty = append(ex.dirty, pg)
+	}
 	// Joins and streams keep feeding groups; flush periodically.
 	if len(p.Tables) == 2 || p.Continuous {
 		ex.ensureFlusher()
@@ -936,22 +955,24 @@ func (ex *exec) stateLifetime() time.Duration {
 // per-node instanceID makes the put a replace, so repeated flushes of a
 // monotonically growing state are idempotent at the collector.
 func (ex *exec) flushPartials() {
-	for _, key := range env.SortedKeys(ex.dirty) {
-		pg := ex.partials[key]
+	dirty := ex.dirty
+	ex.dirty = nil
+	slices.SortFunc(dirty, func(a, b *partialGroup) int { return cmp.Compare(a.rid, b.rid) })
+	for _, pg := range dirty {
+		pg.dirty = false
 		states := make([]*AggState, len(pg.states))
 		for i, s := range pg.states {
 			c := *s
 			states[i] = &c
 		}
-		rid := key
+		rid := pg.rid
 		if f := ex.plan.AggFanout; f > 0 {
 			// Level-1 site: this node's partials combine at one of f
 			// intermediate sites for the group.
-			rid = fmt.Sprintf("%s\x1e%d", key, ex.eng.nodeIID%int64(f))
+			rid = fmt.Sprintf("%s\x1e%d", rid, ex.eng.nodeIID%int64(f))
 		}
 		ex.eng.prov.Put(ex.aggNS, rid, ex.eng.nodeIID,
 			&partialAgg{Window: pg.window, Group: pg.group, States: states}, ex.stateLifetime())
-		delete(ex.dirty, key)
 	}
 }
 

@@ -18,7 +18,6 @@ package storage
 
 import (
 	"container/heap"
-	"sort"
 	"time"
 )
 
@@ -177,7 +176,7 @@ func (b *Bounded) OverHighWater(namespace string) bool {
 		}
 	}
 	if q := b.quotaFor(namespace); q > 0 {
-		if float64(b.m.nsBytes[namespace]) >= b.cfg.HighWater*float64(q) {
+		if float64(b.m.nsBytes(namespace)) >= b.cfg.HighWater*float64(q) {
 			return true
 		}
 	}
@@ -204,13 +203,13 @@ func (b *Bounded) quotaFor(namespace string) int64 {
 // as a dropped put).
 func (b *Bounded) enforceNS(namespace string, incoming *Item) {
 	q := b.quotaFor(namespace)
-	if q <= 0 || b.m.nsBytes[namespace] <= q {
+	if q <= 0 || b.m.nsBytes(namespace) <= q {
 		return
 	}
 	// Expired-but-unswept items are reclaimed first; only then are
 	// live victims chosen.
 	b.SweepExpired()
-	for b.m.nsBytes[namespace] > q {
+	for b.m.nsBytes(namespace) > q {
 		if !b.evictOne(namespace, incoming) {
 			return
 		}
@@ -246,16 +245,11 @@ func (b *Bounded) largestNamespace(includeReserved bool) (string, bool) {
 		bytes int64
 		found bool
 	)
-	names := make([]string, 0, len(b.m.nsBytes))
-	for ns := range b.m.nsBytes {
-		names = append(names, ns)
-	}
-	sort.Strings(names)
-	for _, ns := range names {
+	for _, ns := range b.m.Namespaces() {
 		if b.reserved[ns] && !includeReserved {
 			continue
 		}
-		if v := b.m.nsBytes[ns]; !found || v > bytes {
+		if v := b.m.nsBytes(ns); !found || v > bytes {
 			best, bytes, found = ns, v, true
 		}
 	}

@@ -527,6 +527,12 @@ func (s *Spill) scanMerged(namespace string, f func(*Item) bool) {
 		return a.InstanceID < b.InstanceID
 	})
 	for _, it := range items {
+		// An earlier callback may have removed or replaced the item.
+		if cur, ok := s.b.m.get(namespace, it.ResourceID, it.InstanceID); ok {
+			it = cur
+		} else if _, ok := s.ref(namespace, it.ResourceID, it.InstanceID); !ok {
+			continue
+		}
 		if !f(it) {
 			return
 		}

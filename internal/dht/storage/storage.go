@@ -5,8 +5,9 @@
 package storage
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 	"time"
 
 	"pier/internal/dht"
@@ -44,46 +45,134 @@ func (it *Item) WireSize() int {
 // Store interface for the locking contract (event-loop confinement;
 // the engine's sharded result dispatch never touches storage).
 type Manager struct {
-	now     func() time.Time
-	spaces  map[string]map[string]map[int64]*Item
-	exp     expHeap
-	count   int
-	bytes   int64
-	nsBytes map[string]int64
+	now    func() time.Time
+	spaces map[string]*space
+	exp    expHeap
+	count  int
+	bytes  int64
+}
+
+// space is one namespace's items, kept so that a scan is a walk and
+// never a sort. slots finds a resourceID in O(1); order lists the slots
+// sorted by resourceID as of the last merge; fresh is the unsorted tail
+// of slots created since. A slot whose last instance was removed leaves
+// slots at once but stays in order/fresh, empty, until the next merge
+// (dead counts them). order's backing array is never written once
+// published — merge builds a new one — so a scan walks the header it
+// loaded at its start whatever its callback does to the store.
+type space struct {
+	slots map[string]*slot
+	order []*slot
+	fresh []*slot
+	dead  int
+	items int
+	bytes int64
+}
+
+// slot holds the instances stored under one resourceID, sorted by
+// instanceID. There is almost always exactly one, which lives in the
+// slot itself (one) rather than in a second allocation.
+type slot struct {
+	rid   string
+	insts []*Item
+	one   [1]*Item
+}
+
+// find returns the index of the instance, or where it would be inserted.
+func (sl *slot) find(iid int64) (int, bool) {
+	lo, hi := 0, len(sl.insts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sl.insts[mid].InstanceID < iid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(sl.insts) && sl.insts[lo].InstanceID == iid
+}
+
+// after returns the index of the first instance above iid.
+func (sl *slot) after(iid int64) int {
+	i, ok := sl.find(iid)
+	if ok {
+		i++
+	}
+	return i
+}
+
+// minDead is the number of emptied slots below which a removal never
+// triggers a merge.
+const minDead = 64
+
+// merge rebuilds order: the surviving slots of the old order and the
+// sorted fresh tail, in one pass. Scan calls it when there are fresh
+// slots, Remove when emptied slots outnumber live ones (a namespace
+// that is never scanned must not keep them forever), so its cost is
+// amortised over the stores and removes since the previous merge.
+func (sp *space) merge() {
+	fresh := sp.fresh[:0]
+	for _, sl := range sp.fresh {
+		if len(sl.insts) > 0 {
+			fresh = append(fresh, sl)
+		}
+	}
+	slices.SortFunc(fresh, func(a, b *slot) int { return cmp.Compare(a.rid, b.rid) })
+	order := make([]*slot, 0, len(sp.slots))
+	i := 0
+	for _, sl := range sp.order {
+		if len(sl.insts) == 0 {
+			continue
+		}
+		for i < len(fresh) && fresh[i].rid < sl.rid {
+			order = append(order, fresh[i])
+			i++
+		}
+		order = append(order, sl)
+	}
+	sp.order = append(order, fresh[i:]...)
+	sp.fresh, sp.dead = nil, 0
 }
 
 // New creates a storage manager that reads the clock through now.
-// The namespace maps are allocated lazily at the first Store: most
-// simulated nodes never hold an item, and a nil map reads as empty.
+// Everything is allocated lazily at the first Store: most simulated
+// nodes never hold an item, and a nil map reads as empty.
 func New(now func() time.Time) *Manager {
 	return &Manager{now: now}
 }
 
 // Store inserts the item, replacing any existing item with the same
 // (namespace, resourceID, instanceID) — which is exactly what a renew
-// does (§3.2.3).
+// does (§3.2.3). A new resourceID costs a map insert and an append; a
+// renew touches neither order nor fresh.
 func (m *Manager) Store(it *Item) {
-	if m.spaces == nil {
-		m.spaces = make(map[string]map[string]map[int64]*Item)
-	}
-	ns, ok := m.spaces[it.Namespace]
-	if !ok {
+	sp := m.spaces[it.Namespace]
+	if sp == nil {
 		// Namespaces are created implicitly when the first item is put.
-		ns = make(map[string]map[int64]*Item)
-		m.spaces[it.Namespace] = ns
+		if m.spaces == nil {
+			m.spaces = make(map[string]*space)
+		}
+		sp = &space{slots: make(map[string]*slot)}
+		m.spaces[it.Namespace] = sp
 	}
-	rid, ok := ns[it.ResourceID]
-	if !ok {
-		rid = make(map[int64]*Item)
-		ns[it.ResourceID] = rid
+	sl := sp.slots[it.ResourceID]
+	if sl == nil {
+		sl = &slot{rid: it.ResourceID}
+		sl.insts = sl.one[:0]
+		sp.slots[it.ResourceID] = sl
+		sp.fresh = append(sp.fresh, sl)
 	}
-	if old, existed := rid[it.InstanceID]; existed {
-		m.charge(it.Namespace, -int64(old.WireSize()))
+	size := int64(it.WireSize())
+	if i, ok := sl.find(it.InstanceID); ok {
+		size -= int64(sl.insts[i].WireSize())
+		sl.insts[i] = it
 	} else {
+		sl.insts = slices.Insert(sl.insts, i, it)
 		m.count++
+		sp.items++
 	}
-	rid[it.InstanceID] = it
-	m.charge(it.Namespace, int64(it.WireSize()))
+	sp.bytes += size
+	m.bytes += size
 	if !it.Expires.IsZero() {
 		heap.Push(&m.exp, expEntry{at: it.Expires, it: it})
 	}
@@ -92,50 +181,46 @@ func (m *Manager) Store(it *Item) {
 // Retrieve returns the live items stored under (namespace, resourceID).
 // Like any index get, it is key-based and may return multiple items.
 func (m *Manager) Retrieve(namespace, resourceID string) []*Item {
-	ns := m.spaces[namespace]
-	if ns == nil {
-		return nil
-	}
-	rid := ns[resourceID]
-	if len(rid) == 0 {
+	_, sl := m.slot(namespace, resourceID)
+	if sl == nil {
 		return nil
 	}
 	now := m.now()
-	out := make([]*Item, 0, len(rid))
-	for _, it := range rid {
-		if it.expired(now) {
-			continue
+	out := make([]*Item, 0, len(sl.insts))
+	for _, it := range sl.insts {
+		if !it.expired(now) {
+			out = append(out, it)
 		}
-		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].InstanceID < out[j].InstanceID })
 	return out
 }
 
 // Remove deletes the item with the exact identity, reporting whether it
 // existed.
 func (m *Manager) Remove(namespace, resourceID string, instanceID int64) bool {
-	ns := m.spaces[namespace]
-	if ns == nil {
+	sp, sl := m.slot(namespace, resourceID)
+	if sl == nil {
 		return false
 	}
-	rid := ns[resourceID]
-	if rid == nil {
-		return false
-	}
-	it, ok := rid[instanceID]
+	i, ok := sl.find(instanceID)
 	if !ok {
 		return false
 	}
-	delete(rid, instanceID)
+	size := int64(sl.insts[i].WireSize())
+	sl.insts = slices.Delete(sl.insts, i, i+1)
 	m.count--
-	m.charge(namespace, -int64(it.WireSize()))
-	if len(rid) == 0 {
-		delete(ns, resourceID)
+	sp.items--
+	sp.bytes -= size
+	m.bytes -= size
+	if len(sl.insts) > 0 {
+		return true
 	}
-	if len(ns) == 0 {
+	delete(sp.slots, resourceID)
+	if len(sp.slots) == 0 {
 		// Namespaces are destroyed when the last item goes (§3.2.3).
 		delete(m.spaces, namespace)
+	} else if sp.dead++; sp.dead >= minDead && sp.dead > len(sp.slots) {
+		sp.merge()
 	}
 	return true
 }
@@ -145,6 +230,8 @@ func (m *Manager) Remove(namespace, resourceID string, instanceID int64) bool {
 // stops early if f returns false. The deterministic order matters:
 // scans feed message-emitting paths (rehashes, handoffs, summaries),
 // and a seed-replayable simulation needs identical send order per run.
+// A scan of a namespace whose set of resourceIDs has not changed since
+// the previous scan sorts nothing and allocates nothing.
 func (m *Manager) Scan(namespace string, f func(*Item) bool) {
 	m.scanSpace(m.spaces[namespace], f)
 }
@@ -153,56 +240,53 @@ func (m *Manager) Scan(namespace string, f func(*Item) bool) {
 // (used for handoff after a location-map change).
 func (m *Manager) ScanAll(f func(*Item) bool) {
 	for _, ns := range m.Namespaces() {
-		stopped := false
-		m.scanSpace(m.spaces[ns], func(it *Item) bool {
-			ok := f(it)
-			stopped = !ok
-			return ok
-		})
-		if stopped {
+		if !m.scanSpace(m.spaces[ns], f) {
 			return
 		}
 	}
 }
 
-// scanSpace iterates one namespace's live items in sorted order.
-func (m *Manager) scanSpace(space map[string]map[int64]*Item, f func(*Item) bool) {
-	if len(space) == 0 {
-		return
+// scanSpace iterates one namespace's live items in sorted order under
+// the re-entrancy contract of Store.Scan, reporting false if f stopped
+// it early.
+func (m *Manager) scanSpace(sp *space, f func(*Item) bool) bool {
+	if sp == nil {
+		return true
+	}
+	if len(sp.fresh) > 0 {
+		sp.merge()
 	}
 	now := m.now()
-	for _, rid := range env.SortedKeys(space) {
-		insts := space[rid]
-		for _, iid := range env.SortedKeys(insts) {
-			it := insts[iid]
-			if it.expired(now) {
-				continue
+	for _, sl := range sp.order {
+		for i := 0; i < len(sl.insts); {
+			it := sl.insts[i]
+			if !it.expired(now) && !f(it) {
+				return false
 			}
-			if !f(it) {
-				return
+			// f may have stored or removed instances of this resourceID:
+			// resume after the one just visited, wherever it is now.
+			if i < len(sl.insts) && sl.insts[i] == it {
+				i++
+			} else {
+				i = sl.after(it.InstanceID)
 			}
 		}
 	}
+	return true
 }
 
 // Namespaces lists the namespaces with at least one item.
 func (m *Manager) Namespaces() []string {
-	out := make([]string, 0, len(m.spaces))
-	for ns := range m.spaces {
-		out = append(out, ns)
-	}
-	sort.Strings(out)
-	return out
+	return env.SortedKeys(m.spaces)
 }
 
 // Len returns the number of items (live or not yet swept) in a
 // namespace.
 func (m *Manager) Len(namespace string) int {
-	n := 0
-	for _, rid := range m.spaces[namespace] {
-		n += len(rid)
+	if sp := m.spaces[namespace]; sp != nil {
+		return sp.items
 	}
-	return n
+	return 0
 }
 
 // TotalLen returns the number of items across all namespaces.
@@ -211,9 +295,9 @@ func (m *Manager) TotalLen() int { return m.count }
 // Usage reports in-memory byte occupancy (charged at Item.WireSize),
 // maintained incrementally on every store/replace/remove.
 func (m *Manager) Usage() Usage {
-	by := make(map[string]int64, len(m.nsBytes))
-	for ns, b := range m.nsBytes {
-		by[ns] = b
+	by := make(map[string]int64, len(m.spaces))
+	for ns, sp := range m.spaces {
+		by[ns] = sp.bytes
 	}
 	return Usage{Bytes: m.bytes, ByNamespace: by}
 }
@@ -222,28 +306,32 @@ func (m *Manager) Usage() Usage {
 // so they are always zero.
 func (m *Manager) Stats() Stats { return Stats{} }
 
-// charge adjusts the byte accounting for a namespace by delta.
-func (m *Manager) charge(namespace string, delta int64) {
-	m.bytes += delta
-	b := m.nsBytes[namespace] + delta
-	if b == 0 {
-		delete(m.nsBytes, namespace)
-	} else {
-		if m.nsBytes == nil {
-			m.nsBytes = make(map[string]int64)
-		}
-		m.nsBytes[namespace] = b
+// nsBytes returns the bytes charged to a namespace.
+func (m *Manager) nsBytes(namespace string) int64 {
+	if sp := m.spaces[namespace]; sp != nil {
+		return sp.bytes
 	}
+	return 0
 }
 
 // get returns the stored item with the exact identity, ignoring expiry.
 func (m *Manager) get(namespace, resourceID string, instanceID int64) (*Item, bool) {
-	rid := m.spaces[namespace][resourceID]
-	if rid == nil {
-		return nil, false
+	if _, sl := m.slot(namespace, resourceID); sl != nil {
+		if i, ok := sl.find(instanceID); ok {
+			return sl.insts[i], true
+		}
 	}
-	it, ok := rid[instanceID]
-	return it, ok
+	return nil, false
+}
+
+// slot returns the namespace and the slot holding the resourceID's
+// instances; the slot is nil if there are none.
+func (m *Manager) slot(namespace, resourceID string) (*space, *slot) {
+	sp := m.spaces[namespace]
+	if sp == nil {
+		return nil, nil
+	}
+	return sp, sp.slots[resourceID]
 }
 
 // NextExpiry reports the earliest pending expiry time, if any.
@@ -281,11 +369,7 @@ func (m *Manager) SweepExpired() []*Item {
 
 // current reports whether the heap entry still describes the stored item.
 func (m *Manager) current(e expEntry) bool {
-	ns := m.spaces[e.it.Namespace]
-	if ns == nil {
-		return false
-	}
-	cur, ok := ns[e.it.ResourceID][e.it.InstanceID]
+	cur, ok := m.get(e.it.Namespace, e.it.ResourceID, e.it.InstanceID)
 	return ok && cur == e.it && cur.Expires.Equal(e.at)
 }
 

@@ -33,6 +33,19 @@ type Store interface {
 	// Scan iterates a namespace's live items in sorted (resourceID,
 	// instanceID) order — the provider's lscan. Stops early when f
 	// returns false.
+	//
+	// f may call Store, Remove, Retrieve and Scan (of this or another
+	// namespace) on the same store: a rehash puts from inside a scan,
+	// and a put into a bounded store evicts. Every item that was live
+	// when the scan started and is still stored when its turn comes is
+	// visited exactly once, in order (a replaced item as its
+	// replacement); an item removed before its turn is not visited; an
+	// item stored during the scan under a resourceID the namespace did
+	// not hold is not visited, and one stored as a new instance of an
+	// existing resourceID may or may not be. The one exception is the
+	// Spill store: an item that a callback's own put evicts to disk
+	// before its turn is skipped by a scan that started with nothing
+	// of that namespace on disk.
 	Scan(namespace string, f func(*Item) bool)
 	// ScanAll iterates every live item across namespaces in sorted
 	// order.
