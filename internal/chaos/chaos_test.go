@@ -202,6 +202,18 @@ func TestChaosFloodPinnedSeed(t *testing.T) {
 	if f.OracleLive == 0 || f.Matched >= f.OracleLive {
 		t.Errorf("quota did not reduce the flood result set: kept %d of %d", f.Matched, f.OracleLive)
 	}
+	// What the retired BENCH_0.json flood record gated for seed 1, at
+	// its 25% budget: the bounded run kept 128 flood results (floor 96)
+	// and the faulted run moved 60 812 900 simulated bytes (ceiling
+	// 76 000 000). Both replay exactly per seed; 128 and 60 810 444 at
+	// 9548a4f, the last commit with that file.
+	t.Logf("flood kept %d of %d oracle results; faulted run moved %d bytes", f.Matched, f.OracleLive, rep.Stats.Bytes)
+	if f.Matched < 96 {
+		t.Errorf("bounded run kept %d flood results, want >= 96", f.Matched)
+	}
+	if rep.Stats.Bytes > 76_000_000 {
+		t.Errorf("faulted run moved %d bytes, want <= 76000000", rep.Stats.Bytes)
+	}
 	if len(rep.PerQueryRecall) != rep.Cfg.Queries+1 {
 		t.Errorf("recall recorded for %d queries, want %d (mix + flood scan)",
 			len(rep.PerQueryRecall), rep.Cfg.Queries+1)

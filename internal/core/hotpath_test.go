@@ -84,6 +84,10 @@ func bigResultFrame(tb testing.TB) []byte {
 	return b
 }
 
+// raceEnabled is set by race_test.go when the test binary is built with
+// -race, which changes sync.Pool's retention and so the alloc counts.
+var raceEnabled bool
+
 // TestResultFrameDecodeAllocs gates the zero-copy decode path: one
 // pooled frame shell plus the two slab blocks (tuples, values) per
 // 32-tuple frame, with relation and repeated string values served
@@ -107,9 +111,18 @@ func TestResultFrameDecodeAllocs(t *testing.T) {
 		}
 		m.(*resultMsg).Recycle()
 	})
-	// Slab (tuples) + slab (values) + shell-internal growth slack.
-	if allocs > 8 {
-		t.Fatalf("decode of 32-tuple frame: %.1f allocs, want <= 8", allocs)
+	// Slab (tuples) + slab (values): 2.0 measured. The limit was 8 while
+	// BENCH_1.json's allocs_per_op record (2.0, failing CI above 2.5)
+	// was the real gate; with that ledger retired this is the gate, so
+	// it holds the measured value. Under the race detector sync.Pool
+	// drops a quarter of its Puts, so the frame shell is reallocated on
+	// some runs (3-4 measured) and only the old slack can be asserted.
+	limit := 2.0
+	if raceEnabled {
+		limit = 8
+	}
+	if allocs > limit {
+		t.Fatalf("decode of 32-tuple frame: %.1f allocs, want <= %.0f", allocs, limit)
 	}
 }
 

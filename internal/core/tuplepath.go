@@ -1,9 +1,12 @@
 package core
 
-// The tuple-path measurement hook: the experiments package (and
-// pier-bench) compare the result-frame codec disciplines through
-// exported API without reaching into the engine's unexported message
-// types. Two disciplines are measured over the same frame:
+// The tuple-path measurement hook: benchmark/layers.go reads the
+// shipping discipline's allocations per frame and decode rate from it
+// (tcp-scan's core.encode/decode_allocs_per_frame and
+// core.decode_tuples_per_s) through exported API, without reaching into
+// the engine's unexported message types, and
+// TestTuplePathPooledAllocRatio holds the two disciplines' ratio. Two
+// disciplines are measured over the same frame:
 //
 //   - baseline: the pre-pooling path — every frame Marshal-ed into a
 //     fresh buffer and Unmarshal-ed by a fresh decoder with no intern
@@ -15,7 +18,7 @@ package core
 //
 // Allocation counts per frame are deterministic for a pinned frame
 // shape, so they can gate in CI; tuple rates are wall-clock and are
-// reported for trajectory only.
+// informational.
 
 import (
 	"fmt"

@@ -1,10 +1,6 @@
-package experiments
+package core
 
-import (
-	"testing"
-
-	"pier/internal/core"
-)
+import "testing"
 
 // TestTuplePathPooledAllocRatio pins the PR's acceptance criterion in
 // its in-process form: the pooled+interned codec discipline must cost
@@ -13,11 +9,11 @@ import (
 // Allocation counts are deterministic for the pinned frame shape, so
 // this is gate-stable.
 func TestTuplePathPooledAllocRatio(t *testing.T) {
-	baseline, err := core.MeasureTuplePath(32, 8, false)
+	baseline, err := MeasureTuplePath(32, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := core.MeasureTuplePath(32, 8, true)
+	pooled, err := MeasureTuplePath(32, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,23 +25,5 @@ func TestTuplePathPooledAllocRatio(t *testing.T) {
 	if base < 5*opt {
 		t.Fatalf("pooled path allocs/frame %.1f vs baseline %.1f: ratio %.1fx, want >= 5x",
 			opt, base, base/opt)
-	}
-}
-
-// TestTuplePathLoopbackScan runs the 2-node loopback TCP scan at a
-// small scale and requires full recall: every published tuple passing
-// the filter must reach the initiator through the pooled, sharded
-// result path.
-func TestTuplePathLoopbackScan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP deployment")
-	}
-	cfg := TuplePathConfig{TuplesPerFrame: 32, Frames: 8, ScanTuples: 400, Seed: 31}
-	received, expected, _, _ := loopbackScan(cfg)
-	if expected == 0 {
-		t.Fatal("scan workload produced no expected results")
-	}
-	if received < expected {
-		t.Fatalf("loopback scan delivered %d/%d tuples", received, expected)
 	}
 }

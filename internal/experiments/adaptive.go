@@ -11,9 +11,7 @@ package experiments
 // strategy without being told anything.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -49,7 +47,6 @@ func DefaultAdaptive(full bool) AdaptiveConfig {
 // and the exact expected result count.
 type AdaptiveWorkload struct {
 	Key   string
-	Label string
 	Build func(cfg AdaptiveConfig) (R, S []*core.Tuple, plan *core.Plan, expected int)
 }
 
@@ -60,86 +57,15 @@ type AdaptiveRun struct {
 	Received   int
 	Expected   int
 	TimeToLast time.Duration
-	TrafficMB  float64
 	StrategyMB float64
-}
-
-// BenchRecord is the machine-readable form of one benchmark run,
-// emitted by pier-bench -json so per-PR perf trajectories can be
-// tracked from BENCH_*.json files.
-type BenchRecord struct {
-	Scenario      string  `json:"scenario"`
-	Workload      string  `json:"workload"`
-	Strategy      string  `json:"strategy"`
-	Adaptive      bool    `json:"adaptive"`
-	Nodes         int     `json:"nodes"`
-	Results       int     `json:"results"`
-	Expected      int     `json:"expected"`
-	TrafficBytes  int64   `json:"traffic_bytes"`
-	StrategyBytes int64   `json:"strategy_bytes"`
-	TimeToLastSec float64 `json:"time_to_last_sec"`
-	ResultsPerSec float64 `json:"results_per_sec"`
-	// NodesContacted is the range scenario's comparison metric: trie
-	// nodes visited by an index traversal, or the multicast reach of a
-	// full scan. Zero for scenarios that do not measure it.
-	NodesContacted int `json:"nodes_contacted,omitempty"`
-	// ResultFrames and ResultTuples are the incast scenario's
-	// comparison metric: resultMsg frames shipped toward the initiator
-	// and the tuples they carried. Zero for scenarios that do not
-	// measure them.
-	ResultFrames int64 `json:"result_frames,omitempty"`
-	ResultTuples int64 `json:"result_tuples,omitempty"`
-	// AllocsPerOp is the tuplepath scenario's gate metric: heap
-	// allocations per result frame through one codec discipline,
-	// deterministic for a pinned frame shape (measured with GOMAXPROCS
-	// pinned, like testing.AllocsPerRun). Zero for scenarios that do
-	// not measure it.
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// TuplesPerSec is the wall-clock tuple rate of the measured path
-	// (codec loop or loopback TCP scan). Like ResultsPerSec it tracks
-	// host load as much as code, so it is recorded for the per-PR
-	// trajectory but never gated.
-	TuplesPerSec float64 `json:"tuples_per_sec,omitempty"`
-	// SimEventsPerSec is the simscale scenario's simulator event
-	// throughput. Wall-clock: recorded for the per-PR trajectory, never
-	// gated.
-	SimEventsPerSec float64 `json:"sim_events_per_sec,omitempty"`
-	// BytesPerSimNode is the simscale scenario's measured heap cost per
-	// simulated node (GC-settled ReadMemStats delta over the node
-	// count). Allocation volume for a pinned build is deterministic
-	// enough to gate against the committed baseline.
-	BytesPerSimNode int64 `json:"bytes_per_simulated_node,omitempty"`
-}
-
-// WriteBenchJSON writes records as an indented JSON array (empty array,
-// not null, when no scenario produced records).
-func WriteBenchJSON(w io.Writer, records []BenchRecord) error {
-	if records == nil {
-		records = []BenchRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(records)
 }
 
 // AdaptiveWorkloads returns the three operating points.
 func AdaptiveWorkloads() []AdaptiveWorkload {
 	return []AdaptiveWorkload{
-		{
-			Key:   "uniform",
-			Label: "uniform pkey join (inner hashed on join attr)",
-			Build: buildUniform,
-		},
-		{
-			Key:   "skewed",
-			Label: "skewed many-to-many join, small tuples",
-			Build: buildSkewed,
-		},
-		{
-			Key:   "selective",
-			Label: "sparse-match join (Bloom-favoring)",
-			Build: buildSelective,
-		},
+		{Key: "uniform", Build: buildUniform},     // pkey join, inner hashed on the join attribute
+		{Key: "skewed", Build: buildSkewed},       // many-to-many join of small tuples
+		{Key: "selective", Build: buildSelective}, // sparse-match join, Bloom-favoring
 	}
 }
 
@@ -326,9 +252,7 @@ func RunAdaptiveCase(cfg AdaptiveConfig, w AdaptiveWorkload, fixed core.Strategy
 	if len(arrivals) > 0 {
 		res.TimeToLast = arrivals[len(arrivals)-1]
 	}
-	stats := sn.Net.Totals()
-	res.TrafficMB = float64(stats.Bytes) / 1e6
-	res.StrategyMB = float64(stats.Bytes-int64(resultBytes)) / 1e6
+	res.StrategyMB = float64(sn.Net.Totals().Bytes-int64(resultBytes)) / 1e6
 	return res
 }
 
@@ -354,9 +278,8 @@ func (r AdaptiveResult) BestFixed() (AdaptiveRun, bool) {
 	return best, ok
 }
 
-// Adaptive runs the full comparison and renders both the printable
-// table and the machine-readable records.
-func Adaptive(cfg AdaptiveConfig) ([]AdaptiveResult, *Table, []BenchRecord) {
+// Adaptive runs the full comparison and renders the printable table.
+func Adaptive(cfg AdaptiveConfig) ([]AdaptiveResult, *Table) {
 	var results []AdaptiveResult
 	for _, w := range AdaptiveWorkloads() {
 		_, _, plan, _ := w.Build(cfg)
@@ -374,7 +297,6 @@ func Adaptive(cfg AdaptiveConfig) ([]AdaptiveResult, *Table, []BenchRecord) {
 			cfg.Nodes, cfg.STuples, 10*cfg.STuples),
 		Headers: []string{"workload", "strategy", "recall", "strategy MB", "to last (s)"},
 	}
-	var records []BenchRecord
 	row := func(w AdaptiveWorkload, run AdaptiveRun) {
 		name := run.Strategy.String()
 		if run.Adaptive {
@@ -386,22 +308,6 @@ func Adaptive(cfg AdaptiveConfig) ([]AdaptiveResult, *Table, []BenchRecord) {
 			fmt.Sprintf("%.3f", run.StrategyMB),
 			secs(run.TimeToLast),
 		})
-		rec := BenchRecord{
-			Scenario:      "adaptive",
-			Workload:      w.Key,
-			Strategy:      run.Strategy.String(),
-			Adaptive:      run.Adaptive,
-			Nodes:         cfg.Nodes,
-			Results:       run.Received,
-			Expected:      run.Expected,
-			TrafficBytes:  int64(run.TrafficMB * 1e6),
-			StrategyBytes: int64(run.StrategyMB * 1e6),
-			TimeToLastSec: run.TimeToLast.Seconds(),
-		}
-		if s := run.TimeToLast.Seconds(); s > 0 {
-			rec.ResultsPerSec = float64(run.Received) / s
-		}
-		records = append(records, rec)
 	}
 	for _, res := range results {
 		for _, run := range res.Fixed {
@@ -409,5 +315,5 @@ func Adaptive(cfg AdaptiveConfig) ([]AdaptiveResult, *Table, []BenchRecord) {
 		}
 		row(res.Workload, res.Adaptive)
 	}
-	return results, tbl, records
+	return results, tbl
 }

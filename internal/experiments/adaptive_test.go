@@ -12,10 +12,7 @@ import (
 // strategy (by strategy traffic, the Figure 4 metric) on at least two
 // of the three bench workloads — and must never lose results.
 func TestAdaptivePlannerMatchesOrBeatsBestFixed(t *testing.T) {
-	results, tbl, records := Adaptive(DefaultAdaptive(false))
-	if len(records) == 0 {
-		t.Fatal("no bench records emitted")
-	}
+	results, tbl := Adaptive(DefaultAdaptive(false))
 	wins := 0
 	chosen := map[core.Strategy]bool{}
 	for _, res := range results {

@@ -133,3 +133,19 @@ func RangeChaosScenario(seed int64, full bool) *chaos.Report {
 	}
 	return chaos.Run(cfg)
 }
+
+// FloodScenario runs the pinned-seed publish-flood scenario: a hot
+// namespace flooded far past a per-node byte quota, with the unbounded
+// oracle run defining what a node with enough memory would answer. The
+// report carries the quota, backpressure, and forgetting invariants;
+// TestChaosFloodPinnedSeed (internal/chaos) additionally pins how many
+// flood results the bounded run keeps and what the faulted run may
+// cost in traffic at seed 1.
+func FloodScenario(seed int64, full bool) *chaos.Report {
+	cfg := chaos.DefaultFlood(seed)
+	if full {
+		cfg.Nodes = 128
+		cfg.PublishFlood = 3000
+	}
+	return chaos.Run(cfg)
+}

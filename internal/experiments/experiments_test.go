@@ -117,6 +117,19 @@ func TestTransitStubSlowerThanFullMesh(t *testing.T) {
 	}
 }
 
+// TestTransitStubSweepStopsAt4096: Figure 7 ends where the paper's
+// transit-stub simulator did (§5.7), whatever sizes the caller passes —
+// the cap is Scalability's, so no runner can forget it. The oversized
+// point is skipped, not run, which is why this test is cheap.
+func TestTransitStubSweepStopsAt4096(t *testing.T) {
+	cfg := ScalabilityConfig{Sizes: []int{2, 10000}, ComputeSeries: []int{1}, SPerNode: 2, Seed: 1}
+	cfg.TransitStub = true
+	tbl := Scalability(cfg)
+	if len(tbl.Rows) != 1 || tbl.Rows[0][0] != "2" {
+		t.Fatalf("transit-stub sweep rows %v, want only n=2", tbl.Rows)
+	}
+}
+
 func TestTablesRender(t *testing.T) {
 	tab := &Table{
 		Title:   "demo",

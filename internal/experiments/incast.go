@@ -90,8 +90,8 @@ type IncastRun struct {
 }
 
 // Incast runs the sweep — per-tuple baseline first, then the batched
-// channel — and renders the comparison plus machine-readable records.
-func Incast(cfg IncastConfig) ([]IncastRun, *Table, []BenchRecord) {
+// channel — and renders the comparison.
+func Incast(cfg IncastConfig) ([]IncastRun, *Table) {
 	cfg = cfg.Norm()
 	baseline := runIncast(cfg, false)
 	batched := runIncast(cfg, true)
@@ -108,7 +108,6 @@ func Incast(cfg IncastConfig) ([]IncastRun, *Table, []BenchRecord) {
 			baseline.Frames, batched.Frames, ratio),
 		Headers: []string{"mode", "frames", "tuples", "tuples/frame", "grants", "stalls", "recv", "expected", "init in MB", "t(s)"},
 	}
-	var records []BenchRecord
 	for _, r := range runs {
 		mode := "per-tuple"
 		if r.Batched {
@@ -125,24 +124,8 @@ func Incast(cfg IncastConfig) ([]IncastRun, *Table, []BenchRecord) {
 			fmt.Sprint(r.Received), fmt.Sprint(r.Expected),
 			fmt.Sprintf("%.2f", r.InitiatorInMB), secs(r.TimeToLast),
 		})
-		rec := BenchRecord{
-			Scenario:      "incast",
-			Workload:      fmt.Sprintf("scan sel=%.2f", cfg.Sel),
-			Strategy:      mode,
-			Nodes:         cfg.Nodes,
-			Results:       r.Received,
-			Expected:      r.Expected,
-			TrafficBytes:  int64(r.InitiatorInMB * 1e6),
-			TimeToLastSec: r.TimeToLast.Seconds(),
-			ResultFrames:  int64(r.Frames),
-			ResultTuples:  int64(r.Tuples),
-		}
-		if s := rec.TimeToLastSec; s > 0 {
-			rec.ResultsPerSec = float64(r.Received) / s
-		}
-		records = append(records, rec)
 	}
-	return runs, tbl, records
+	return runs, tbl
 }
 
 // runIncast measures one delivery mode on a fresh deployment of the

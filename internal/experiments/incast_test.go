@@ -8,7 +8,7 @@ import "testing"
 // per-tuple baseline, with recall unchanged on both sides.
 func TestIncastBatchingReducesResultFrames(t *testing.T) {
 	cfg := DefaultIncast(false)
-	runs, tbl, records := Incast(cfg)
+	runs, tbl := Incast(cfg)
 	t.Log(tbl.Title + " — " + tbl.Note)
 	baseline, batched := runs[0], runs[1]
 
@@ -31,10 +31,5 @@ func TestIncastBatchingReducesResultFrames(t *testing.T) {
 	// Both modes shipped every result exactly once (lossless network).
 	if batched.Tuples != baseline.Tuples {
 		t.Fatalf("batched shipped %d tuples, baseline %d", batched.Tuples, baseline.Tuples)
-	}
-	for _, rec := range records {
-		if rec.Scenario != "incast" || rec.ResultFrames == 0 {
-			t.Fatalf("malformed bench record: %+v", rec)
-		}
 	}
 }

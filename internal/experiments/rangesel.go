@@ -66,9 +66,8 @@ type RangeSelRun struct {
 	TimeToLast     time.Duration
 }
 
-// RangeSelectivity runs the sweep and renders the comparison table plus
-// machine-readable records.
-func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table, []BenchRecord) {
+// RangeSelectivity runs the sweep and renders the comparison table.
+func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table) {
 	sn, vals := buildRangeDeployment(cfg)
 
 	tbl := &Table{
@@ -78,7 +77,6 @@ func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table, []BenchRecord)
 		Headers: []string{"selectivity", "idx nodes", "scan nodes", "idx MB", "scan MB", "idx t(s)", "scan t(s)", "idx recv", "scan recv", "expected"},
 	}
 	var runs []RangeSelRun
-	var records []BenchRecord
 	for _, sel := range cfg.Selectivities {
 		cut := int64(sel * rangeDomain)
 		expected := 0
@@ -98,29 +96,8 @@ func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table, []BenchRecord)
 			fmt.Sprint(idxRun.Received), fmt.Sprint(scanRun.Received),
 			fmt.Sprint(expected),
 		})
-		for _, r := range []RangeSelRun{idxRun, scanRun} {
-			strategy := "full-scan"
-			if r.Index {
-				strategy = "index-scan"
-			}
-			rec := BenchRecord{
-				Scenario:       "range",
-				Workload:       fmt.Sprintf("sel=%.3f", sel),
-				Strategy:       strategy,
-				Nodes:          cfg.Nodes,
-				Results:        r.Received,
-				Expected:       r.Expected,
-				TrafficBytes:   int64(r.TrafficMB * 1e6),
-				TimeToLastSec:  r.TimeToLast.Seconds(),
-				NodesContacted: r.NodesContacted,
-			}
-			if s := rec.TimeToLastSec; s > 0 {
-				rec.ResultsPerSec = float64(r.Received) / s
-			}
-			records = append(records, rec)
-		}
 	}
-	return runs, tbl, records
+	return runs, tbl
 }
 
 // buildRangeDeployment loads and indexes the table, returning the

@@ -23,7 +23,8 @@ type ScalabilityConfig struct {
 	// tuples). The n≥100k point shrinks it so the 11×SPerNode×n loaded
 	// tuples fit in memory.
 	PadBytes int
-	// TransitStub switches to the Figure-7 topology.
+	// TransitStub switches to the Figure-7 topology; sizes above
+	// maxTransitStubNodes are then skipped.
 	TransitStub bool
 	Seed        int64
 }
@@ -60,6 +61,11 @@ func XLScalability() ScalabilityConfig {
 	}
 }
 
+// maxTransitStubNodes is where Figure 7 ends: the paper's transit-stub
+// simulator "tops out at 4096 nodes" (§5.7), so the sweep stops there
+// whatever Sizes says.
+const maxTransitStubNodes = 4096
+
 // Scalability runs the sweep and returns the figure's series as a table:
 // one row per network size, one column per computation-node series.
 func Scalability(cfg ScalabilityConfig) *Table {
@@ -80,6 +86,9 @@ func Scalability(cfg ScalabilityConfig) *Table {
 		}
 	}
 	for _, n := range cfg.Sizes {
+		if cfg.TransitStub && n > maxTransitStubNodes {
+			continue
+		}
 		row := []string{fmt.Sprint(n)}
 		for _, k := range cfg.ComputeSeries {
 			if k > n {

@@ -307,3 +307,88 @@ func TestRealNodeFreesExpiredSoftState(t *testing.T) {
 		t.Fatalf("%d expired items still held 5s after a 200ms lifetime", n)
 	}
 }
+
+// TestRealNetLoopbackScan streams a multi-frame result set through the
+// credit window over real sockets — the only tier-1 test that does: two
+// loopback TCP nodes, 400 tuples of S spread across them, and a
+// 50%-selective scan whose every matching tuple must reach the
+// initiator through the pooled, sharded result path. (benchmark/'s
+// tcp-scan measures the same path at 150k tuples, outside tier-1.)
+func TestRealNetLoopbackScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP deployment")
+	}
+	nodes := startCluster(t, 2)
+
+	// Puts are asynchronous fire-and-forget sends, and the transport
+	// drops frames beyond the per-peer outbox like a congested
+	// datagram network would — so load in chunks, letting the store
+	// absorb each one before issuing the next, and wait for the whole
+	// load before querying.
+	tables := workload.Generate(workload.Config{STuples: 400, Seed: 40, PadBytes: 64})
+	loadDeadline := time.Now().Add(30 * time.Second)
+	const chunk = 256
+	for off := 0; off < len(tables.S); off += chunk {
+		end := min(off+chunk, len(tables.S))
+		for i, s := range tables.S[off:end] {
+			nodes[(off+i)%2].Publish("S", core.ValueString(s.Vals[workload.SPkey]), int64(off+i), s, 10*time.Minute)
+		}
+		for time.Now().Before(loadDeadline) {
+			stored := 0
+			for _, nd := range nodes {
+				nd.Do(func() { stored += nd.Provider().Store().TotalLen() })
+			}
+			if stored >= end {
+				break
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	_, c2, _ := workload.Constants(0.5, 0.5, 0.5)
+	expected := 0
+	for _, s := range tables.S {
+		if v, ok := s.Vals[workload.SNum2].(int64); ok && v > c2 {
+			expected++
+		}
+	}
+	if expected == 0 {
+		t.Fatal("scan workload produced no expected results")
+	}
+	plan := &core.Plan{
+		Tables: []core.TableRef{{
+			NS:     "S",
+			Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
+			RIDCol: workload.SPkey,
+		}},
+		Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
+		TTL:    10 * time.Minute,
+	}
+
+	var mu sync.Mutex
+	received := 0
+	id, err := nodes[0].Query(plan, func(*core.Tuple, int) {
+		mu.Lock()
+		received++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodes[0].Cancel(id)
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		mu.Lock()
+		cnt := received
+		mu.Unlock()
+		if cnt >= expected {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if received < expected {
+		t.Fatalf("loopback scan delivered %d/%d tuples", received, expected)
+	}
+}
