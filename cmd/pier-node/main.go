@@ -241,7 +241,7 @@ func main() {
 	opts := pier.DefaultOptions()
 	opts.Stats.Interval = cfg.StatsInterval
 	if cfg.Quota > 0 {
-		opts.ProviderConfig.Quota = storage.BoundedConfig{DefaultQuota: cfg.Quota}
+		opts.ProviderConfig.Quota = storage.QuotaConfig{DefaultQuota: cfg.Quota}
 	}
 	if cfg.SpillDir != "" {
 		if cfg.Quota <= 0 {

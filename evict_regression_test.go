@@ -223,10 +223,10 @@ func TestRenewPromotesSpilledItemThroughProvider(t *testing.T) {
 	// bind it lazily and swap in the simulated clock (the log is empty,
 	// so nothing reads the placeholder).
 	now := time.Now
-	sp, err := storage.NewSpill(func() time.Time { return now() },
-		storage.BoundedConfig{Quotas: map[string]int64{"K": 1 << 10}}, t.TempDir())
+	sp, err := storage.Open(func() time.Time { return now() },
+		storage.QuotaConfig{Quotas: map[string]int64{"K": 1 << 10}}, t.TempDir())
 	if err != nil {
-		t.Fatalf("NewSpill: %v", err)
+		t.Fatalf("storage.Open: %v", err)
 	}
 	opts := DefaultOptions()
 	opts.ProviderConfig.Store = sp

@@ -398,7 +398,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		// define what a node with enough memory would have answered, so
 		// the recall gap is exactly the cost of the quota. Backoffs are
 		// deterministic (no jitter), keeping the replay hash stable.
-		opts.ProviderConfig.Quota = storage.BoundedConfig{Quotas: map[string]int64{FloodNS: cfg.FloodQuota}}
+		opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{FloodNS: cfg.FloodQuota}}
 		opts.ProviderConfig.ThrottleRetries = 2
 		opts.ProviderConfig.ThrottleDelay = 2 * time.Second
 	}

@@ -50,13 +50,13 @@ type Config struct {
 	PutRetryDelay time.Duration
 
 	// Quota bounds the local store with per-namespace byte quotas and
-	// eviction. The zero value keeps the unbounded in-memory manager.
-	Quota storage.BoundedConfig
+	// eviction. The zero value leaves it unbounded.
+	Quota storage.QuotaConfig
 
-	// Store injects a pre-built storage backend (e.g. the disk-spill
-	// tier, whose construction can fail and so happens before New).
-	// When set it wins over Quota.
-	Store storage.Store
+	// Store is a storage manager opened before the node exists: one
+	// with a spill log, whose opening can fail and so happens before
+	// New. When set it is used as it is and Quota is ignored.
+	Store *storage.Manager
 
 	// ThrottleRetries bounds how many times a put may bounce off an
 	// over-quota owner before it is stored anyway (the final attempt
@@ -82,12 +82,11 @@ func DefaultConfig() Config {
 
 // Provider is the per-node provider layer.
 type Provider struct {
-	env      env.Env
-	rt       dht.Router
-	store    storage.Store
-	pressure storage.PressureReporter // non-nil when the store reports it
-	flood    *multicast.Flooder
-	cfg      Config
+	env   env.Env
+	rt    dht.Router
+	store *storage.Manager
+	flood *multicast.Flooder
+	cfg   Config
 
 	nonce       uint64
 	pendingGets map[uint64]*pendingGet
@@ -128,11 +127,7 @@ func New(e env.Env, rt dht.Router, cfg Config) *Provider {
 	}
 	st := cfg.Store
 	if st == nil {
-		if cfg.Quota.Enabled() {
-			st = storage.NewBounded(e.Now, cfg.Quota)
-		} else {
-			st = storage.New(e.Now)
-		}
+		st, _ = storage.Open(e.Now, cfg.Quota, "") // no spill log: nothing that can fail
 	}
 	// The subscription and bookkeeping maps are allocated lazily at
 	// first insert; they are usually empty on an idle node and nil maps
@@ -144,16 +139,15 @@ func New(e env.Env, rt dht.Router, cfg Config) *Provider {
 		flood: multicast.New(e, rt),
 		cfg:   cfg,
 	}
-	p.pressure, _ = st.(storage.PressureReporter)
 	p.flood.SetRobust(cfg.RobustMulticast)
 	p.flood.OnDeliver(p.deliverMulticast)
 	rt.OnLocationMapChange(p.scheduleHandoff)
 	return p
 }
 
-// Store returns the underlying storage backend (read-mostly access for
+// Store returns the node's storage manager (read-mostly access for
 // tests and stats).
-func (p *Provider) Store() storage.Store { return p.store }
+func (p *Provider) Store() *storage.Manager { return p.store }
 
 // StorageStats are the provider's soft-state pressure counters: the
 // store's eviction/spill totals plus the put-path throttle counts.
@@ -217,7 +211,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 	if p.rt.Owns(k) {
 		// Local stores self-throttle with the same bounded backoff a
 		// remote owner would impose, then admit unconditionally.
-		if attempt < p.maxBounces() && p.pressure != nil && p.pressure.OverHighWater(it.Namespace) {
+		if attempt < p.maxBounces() && p.store.OverHighWater(it.Namespace) {
 			p.putsDelayed++
 			p.env.After(p.throttleBackoff(attempt), func() { p.putItem(it, retries, attempt+1) })
 			return
@@ -439,7 +433,7 @@ func (p *Provider) HandleMessage(from env.Addr, m env.Message) bool {
 // alive under sustained pressure.
 func (p *Provider) onPut(from env.Addr, m *putMsg) {
 	ns := m.Item.Namespace
-	if m.Attempt < p.maxBounces() && p.pressure != nil && p.pressure.OverHighWater(ns) {
+	if m.Attempt < p.maxBounces() && p.store.OverHighWater(ns) {
 		p.putsThrottled++
 		p.env.Send(from, &putThrottleMsg{
 			Item:       m.Item,

@@ -77,7 +77,7 @@ func throttleTestQuota() int64 {
 
 func TestOverQuotaPutsAreThrottledThenAdmitted(t *testing.T) {
 	pcfg := DefaultConfig()
-	pcfg.Quota = storage.BoundedConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
+	pcfg.Quota = storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
 	pcfg.ThrottleDelay = time.Second
 	tn := newTestNet(t, 8, pcfg)
 
@@ -113,7 +113,7 @@ func TestOverQuotaPutsAreThrottledThenAdmitted(t *testing.T) {
 
 func TestLocalPutsSelfThrottle(t *testing.T) {
 	pcfg := DefaultConfig()
-	pcfg.Quota = storage.BoundedConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
+	pcfg.Quota = storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
 	pcfg.ThrottleDelay = time.Second
 	tn := newTestNet(t, 1, pcfg) // single node owns everything
 	tn.envs[0].Post(func() {
@@ -137,7 +137,7 @@ func TestLocalPutsSelfThrottle(t *testing.T) {
 func TestThrottleDeterministic(t *testing.T) {
 	run := func() (int64, int64, int) {
 		pcfg := DefaultConfig()
-		pcfg.Quota = storage.BoundedConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
+		pcfg.Quota = storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
 		pcfg.ThrottleDelay = time.Second
 		tn := newTestNet(t, 8, pcfg)
 		owner := tn.sm.OwnerOf("hot", "k")

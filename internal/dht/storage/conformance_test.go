@@ -1,10 +1,9 @@
 package storage
 
-// The Store conformance suite: every behavior the provider relies on —
-// store, replace-is-renew, lazy expiry, sweep, deterministic scan
-// order, and byte accounting exact to WireSize — checked identically
-// against all three implementations through one harness. A future
-// backend added to forEachStore gets the whole contract for free.
+// The conformance suite: every behavior the provider relies on — store,
+// replace-is-renew, lazy expiry, sweep, deterministic scan order, and
+// byte accounting exact to WireSize — checked identically against the
+// three configurations of the one Manager through one harness.
 
 import (
 	"fmt"
@@ -15,47 +14,51 @@ import (
 	"time"
 )
 
-// wideBounds configures the bounded and spill stores so generously that
-// conformance behavior must match the unbounded manager exactly.
-var wideBounds = BoundedConfig{DefaultQuota: 1 << 30, TotalBudget: 1 << 31}
+// wideQuota is a quota so generous that behavior under it must match
+// the unbounded manager exactly.
+var wideQuota = QuotaConfig{DefaultQuota: 1 << 30}
 
-// forEachStore runs f once per Store implementation, each with a fresh
-// store and its own fake clock.
-func forEachStore(t *testing.T, f func(t *testing.T, s Store, c *clock)) {
+// forEachStore runs f once per configuration, each with a fresh manager
+// and its own fake clock.
+func forEachStore(t *testing.T, f func(t *testing.T, s *Manager, c *clock)) {
 	t.Helper()
-	forEachStoreWith(t, wideBounds, f)
+	forEachStoreWith(t, wideQuota, f)
 }
 
-// forEachStoreWith is forEachStore with the bounded and spill stores
-// under cfg (the manager has no bounds to configure).
-func forEachStoreWith(t *testing.T, cfg BoundedConfig, f func(t *testing.T, s Store, c *clock)) {
+// forEachStoreWith runs f against the unbounded manager ("manager"),
+// one under the quota cfg ("bounded"), and one under cfg with a spill
+// log ("spill").
+func forEachStoreWith(t *testing.T, cfg QuotaConfig, f func(t *testing.T, s *Manager, c *clock)) {
 	t.Helper()
-	impls := []struct {
-		name string
-		make func(t *testing.T, c *clock) Store
-	}{
-		{"manager", func(t *testing.T, c *clock) Store { return New(c.now) }},
-		{"bounded", func(t *testing.T, c *clock) Store { return NewBounded(c.now, cfg) }},
-		{"spill", func(t *testing.T, c *clock) Store {
-			sp, err := NewSpill(c.now, cfg, t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { sp.Close() })
-			return sp
-		}},
-	}
-	for _, impl := range impls {
-		impl := impl
-		t.Run(impl.name, func(t *testing.T) {
+	for _, name := range []string{"manager", "bounded", "spill"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
 			c := &clock{t: time.Unix(0, 0)}
-			f(t, impl.make(t, c), c)
+			switch name {
+			case "manager":
+				f(t, New(c.now), c)
+			case "bounded":
+				f(t, openTest(t, c, cfg, ""), c)
+			case "spill":
+				f(t, openTest(t, c, cfg, t.TempDir()), c)
+			}
 		})
 	}
 }
 
+// openTest opens a manager on the fake clock, closed with the test.
+func openTest(t *testing.T, c *clock, cfg QuotaConfig, spillDir string) *Manager {
+	t.Helper()
+	m, err := Open(c.now, cfg, spillDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
 func TestConformanceStoreRetrieveRemove(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		exp := c.t.Add(time.Hour)
 		s.Store(item("r", "k1", 2, exp))
 		s.Store(item("r", "k1", 1, exp))
@@ -74,7 +77,7 @@ func TestConformanceStoreRetrieveRemove(t *testing.T) {
 }
 
 func TestConformanceReplaceIsRenew(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		s.Store(item("r", "k", 1, c.t.Add(time.Minute)))
 		s.Store(item("r", "k", 1, c.t.Add(10*time.Minute)))
 		if s.TotalLen() != 1 {
@@ -92,7 +95,7 @@ func TestConformanceReplaceIsRenew(t *testing.T) {
 }
 
 func TestConformanceExpiry(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		s.Store(item("r", "a", 1, c.t.Add(time.Minute)))
 		s.Store(item("r", "b", 1, c.t.Add(time.Hour)))
 		s.Store(&Item{Namespace: "r", ResourceID: "imm", InstanceID: 1, Payload: payload{5}})
@@ -117,7 +120,7 @@ func TestConformanceExpiry(t *testing.T) {
 }
 
 func TestConformanceScanOrderDeterministic(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		r := rand.New(rand.NewSource(7))
 		var want []string
 		for _, rid := range []string{"a", "b", "c", "d"} {
@@ -161,7 +164,7 @@ func TestConformanceScanOrderDeterministic(t *testing.T) {
 }
 
 func TestConformanceUsageExactToWireSize(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		sized := func(ns, rid string, iid int64, size int, exp time.Time) *Item {
 			return &Item{Namespace: ns, ResourceID: rid, InstanceID: iid, Payload: payload{size}, Expires: exp}
 		}
@@ -203,7 +206,7 @@ func TestConformanceUsageExactToWireSize(t *testing.T) {
 }
 
 func TestConformanceStatsZeroWithoutPressure(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		for i := 0; i < 20; i++ {
 			s.Store(item("r", fmt.Sprint(i), 1, c.t.Add(time.Hour)))
 		}
@@ -218,7 +221,7 @@ func TestConformanceStatsZeroWithoutPressure(t *testing.T) {
 // remove, clock advance + sweep) against a reference map, asserting
 // retrieval sets, item counts, and byte accounting stay exact.
 func TestConformanceProperty(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		type modelItem struct {
 			size    int
 			expires time.Time

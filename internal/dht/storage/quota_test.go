@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"pier/internal/env"
 )
 
-func newTestBounded(cfg BoundedConfig) (*Bounded, *clock) {
+func newTestBounded(cfg QuotaConfig) (*Manager, *clock) {
 	c := &clock{t: time.Unix(0, 0)}
-	return NewBounded(c.now, cfg), c
+	m, _ := Open(c.now, cfg, "") // no spill log: nothing to fail
+	return m, c
 }
 
 func sizedItem(ns, rid string, iid int64, size int, exp time.Time) *Item {
@@ -20,7 +23,7 @@ func TestBoundedEvictsExpiredFirst(t *testing.T) {
 	// quota fits exactly three of them.
 	probe := sizedItem("r", "xxxx", 0, 10, time.Time{})
 	quota := int64(3 * probe.WireSize())
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": quota}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "dead", 1, 10, c.t.Add(time.Minute)))
 	b.Store(sizedItem("r", "live", 1, 10, c.t.Add(time.Hour)))
 	c.t = c.t.Add(2 * time.Minute) // "dead" expires but is not swept
@@ -39,7 +42,7 @@ func TestBoundedEvictsExpiredFirst(t *testing.T) {
 func TestBoundedEvictsNearestToExpiry(t *testing.T) {
 	probe := sizedItem("r", "xxxx", 0, 10, time.Time{})
 	quota := int64(2 * probe.WireSize())
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": quota}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "far0", 1, 10, c.t.Add(10*time.Hour)))
 	b.Store(sizedItem("r", "near", 1, 10, c.t.Add(time.Hour)))
 	b.Store(sizedItem("r", "mid0", 1, 10, c.t.Add(5*time.Hour)))
@@ -58,7 +61,7 @@ func TestBoundedEvictsNearestToExpiry(t *testing.T) {
 func TestBoundedImmortalLRUAndRenewRefreshes(t *testing.T) {
 	probe := sizedItem("r", "x", 0, 10, time.Time{})
 	quota := int64(2 * probe.WireSize())
-	b, _ := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": quota}})
+	b, _ := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "a", 1, 10, time.Time{}))
 	b.Store(sizedItem("r", "b", 1, 10, time.Time{}))
 	// Renewing "a" makes "b" the coldest immortal item.
@@ -75,7 +78,7 @@ func TestBoundedImmortalLRUAndRenewRefreshes(t *testing.T) {
 func TestBoundedExpiringEvictedBeforeImmortal(t *testing.T) {
 	probe := sizedItem("r", "xxx", 0, 10, time.Time{})
 	quota := int64(2 * probe.WireSize())
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": quota}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "imm", 1, 10, time.Time{}))
 	b.Store(sizedItem("r", "exp", 1, 10, c.t.Add(100*time.Hour)))
 	b.Store(sizedItem("r", "new", 1, 10, time.Time{}))
@@ -90,7 +93,7 @@ func TestBoundedExpiringEvictedBeforeImmortal(t *testing.T) {
 func TestBoundedIncomingItemCanBeDropped(t *testing.T) {
 	probe := sizedItem("r", "x", 0, 10, time.Time{})
 	quota := int64(2 * probe.WireSize())
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": quota}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "a", 1, 10, c.t.Add(10*time.Hour)))
 	b.Store(sizedItem("r", "b", 1, 10, c.t.Add(10*time.Hour)))
 	// The incoming item expires soonest, so it is its own victim.
@@ -107,7 +110,7 @@ func TestBoundedIncomingItemCanBeDropped(t *testing.T) {
 func TestBoundedReservedNamespacesExemptFromDefaultQuota(t *testing.T) {
 	probe := sizedItem("pier.stats", "x", 0, 10, time.Time{})
 	quota := int64(probe.WireSize()) // default quota fits one item
-	b, c := newTestBounded(BoundedConfig{DefaultQuota: quota})
+	b, c := newTestBounded(QuotaConfig{DefaultQuota: quota})
 	for i := int64(0); i < 10; i++ {
 		b.Store(sizedItem("pier.stats", fmt.Sprint(i), i, 10, c.t.Add(time.Hour)))
 		b.Store(sizedItem("pier.index.def", fmt.Sprint(i), i, 10, c.t.Add(time.Hour)))
@@ -121,30 +124,9 @@ func TestBoundedReservedNamespacesExemptFromDefaultQuota(t *testing.T) {
 	}
 }
 
-func TestBoundedTotalBudgetDrainsDataBeforeReserved(t *testing.T) {
-	data := sizedItem("tuples", "x", 0, 50, time.Time{})
-	res := sizedItem("pier.stats", "x", 0, 10, time.Time{})
-	budget := int64(2*data.WireSize() + 2*res.WireSize())
-	b, c := newTestBounded(BoundedConfig{TotalBudget: budget})
-	b.Store(sizedItem("pier.stats", "s1", 1, 10, c.t.Add(time.Hour)))
-	b.Store(sizedItem("pier.stats", "s2", 2, 10, c.t.Add(time.Hour)))
-	for i := int64(0); i < 4; i++ {
-		b.Store(sizedItem("tuples", fmt.Sprint(i), i, 50, c.t.Add(time.Hour)))
-	}
-	if b.Len("pier.stats") != 2 {
-		t.Fatalf("reserved catalog drained while data namespace had items: stats=%d", b.Len("pier.stats"))
-	}
-	if got := b.Usage().Bytes; got > budget {
-		t.Fatalf("usage %d exceeds total budget %d", got, budget)
-	}
-	if ev := b.Stats().EvictedByNS; ev["tuples"] == 0 || ev["pier.stats"] != 0 {
-		t.Fatalf("eviction fell on the wrong namespace: %v", ev)
-	}
-}
-
 func TestBoundedNeverExceedsQuota(t *testing.T) {
 	quota := int64(500)
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": quota}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	for i := int64(0); i < 200; i++ {
 		b.Store(sizedItem("r", fmt.Sprint(i%17), i%3, int(i%90)+5, c.t.Add(time.Duration(i%7+1)*time.Minute)))
 		if got := b.Usage().ByNamespace["r"]; got > quota {
@@ -159,7 +141,7 @@ func TestBoundedNeverExceedsQuota(t *testing.T) {
 func TestBoundedOverHighWater(t *testing.T) {
 	probe := sizedItem("r", "x", 0, 80, time.Time{})
 	one := int64(probe.WireSize())
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": 4 * one}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": 4 * one}})
 	if b.OverHighWater("r") {
 		t.Fatal("empty namespace over high water")
 	}
@@ -183,18 +165,32 @@ func TestBoundedOverHighWater(t *testing.T) {
 }
 
 func TestBoundedEvictionDeterministic(t *testing.T) {
+	// The schedule is observed from outside: after every store, which of
+	// the identities the store held before it are gone.
 	run := func() []string {
-		b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": 400}})
+		b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": 400}})
+		held := func() map[string]bool {
+			ids := map[string]bool{}
+			b.ScanAll(func(it *Item) bool {
+				ids[fmt.Sprintf("%s/%d", it.ResourceID, it.InstanceID)] = true
+				return true
+			})
+			return ids
+		}
 		var evicted []string
-		b.SetEvictHook(func(it *Item) {
-			evicted = append(evicted, fmt.Sprintf("%s/%d@%d", it.ResourceID, it.InstanceID, it.Expires.Unix()))
-		})
 		for i := int64(0); i < 100; i++ {
 			exp := time.Time{}
 			if i%3 != 0 {
 				exp = c.t.Add(time.Duration(i%11+1) * time.Minute)
 			}
+			before := held()
 			b.Store(sizedItem("r", fmt.Sprint(i%13), i%5, int(i%60)+10, exp))
+			after := held()
+			for _, id := range env.SortedKeys(before) {
+				if !after[id] {
+					evicted = append(evicted, fmt.Sprintf("%d:%s", i, id))
+				}
+			}
 			if i%25 == 24 {
 				c.t = c.t.Add(90 * time.Second)
 			}
@@ -215,14 +211,14 @@ func TestBoundedEvictionDeterministic(t *testing.T) {
 // nor keep the replaced and expired items reachable through it.
 func TestBoundedVictimHeapStaysBounded(t *testing.T) {
 	const items, renews = 50, 2000
-	b, c := newTestBounded(BoundedConfig{Quotas: map[string]int64{"r": 1 << 30}})
+	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": 1 << 30}})
 	for round := 0; round < renews; round++ {
 		c.t = c.t.Add(time.Second)
 		for i := int64(0); i < items; i++ {
 			b.Store(sizedItem("r", fmt.Sprint(i), i, 10, c.t.Add(time.Minute)))
 		}
 		b.SweepExpired() // the provider's expiry timer; nothing is due
-		if n := b.victims["r"].Len(); n > 2*items+64 {
+		if n := b.quota.victims["r"].Len(); n > 2*items+64 {
 			t.Fatalf("round %d: victim heap holds %d entries for %d live items", round, n, items)
 		}
 	}
@@ -233,7 +229,7 @@ func TestBoundedVictimHeapStaysBounded(t *testing.T) {
 	if swept := b.SweepExpired(); len(swept) != items {
 		t.Fatalf("swept %d items, want %d", len(swept), items)
 	}
-	if h := b.victims["r"]; h != nil {
+	if h := b.quota.victims["r"]; h != nil {
 		t.Fatalf("victim heap still holds %d entries for an empty namespace", h.Len())
 	}
 }

@@ -1,8 +1,8 @@
 package storage
 
-// The scan contract (Store.Scan's doc comment): what a callback may do
-// to the store it is scanning and what the scan then visits, checked
-// against all three implementations; the allocation gates that keep a
+// The scan contract (Manager.Scan's doc comment): what a callback may
+// do to the store it is scanning and what the scan then visits, checked
+// against all three configurations; the allocation gates that keep a
 // steady-state scan a plain walk; and the scan benchmark.
 
 import (
@@ -11,11 +11,12 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // scanIDs scans the namespace, running visit (if not nil) from inside
 // the callback, and returns what was visited as "rid/iid".
-func scanIDs(s Store, ns string, visit func(it *Item)) []string {
+func scanIDs(s *Manager, ns string, visit func(it *Item)) []string {
 	var got []string
 	s.Scan(ns, func(it *Item) bool {
 		got = append(got, fmt.Sprintf("%s/%d", it.ResourceID, it.InstanceID))
@@ -35,7 +36,7 @@ func wantIDs(t *testing.T, what string, got []string, want ...string) {
 }
 
 func TestConformanceScanCallbackRemoves(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		exp := c.t.Add(time.Hour)
 		load := func() {
 			for _, rid := range []string{"a", "b", "c"} {
@@ -87,7 +88,7 @@ func TestConformanceScanCallbackRemoves(t *testing.T) {
 }
 
 func TestConformanceScanCallbackStores(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		exp := c.t.Add(time.Hour)
 		for _, rid := range []string{"b", "d", "f"} {
 			s.Store(item("t", rid, 1, exp))
@@ -124,7 +125,7 @@ func TestConformanceScanCallbackStores(t *testing.T) {
 }
 
 func TestConformanceNestedScan(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		exp := c.t.Add(time.Hour)
 		for _, rid := range []string{"b", "d"} {
 			s.Store(item("t", rid, 1, exp))
@@ -153,77 +154,65 @@ func TestConformanceNestedScan(t *testing.T) {
 	})
 }
 
-// inMemory reports whether the store's memory tier holds the identity.
-func inMemory(s Store, ns, rid string, iid int64) bool {
-	var m *Manager
-	switch st := s.(type) {
-	case *Manager:
-		m = st
-	case *Bounded:
-		m = st.m
-	case *Spill:
-		m = st.b.m
-	}
-	_, ok := m.get(ns, rid, iid)
+// stored reports whether the manager holds the identity, in memory or on
+// disk.
+func stored(s *Manager, ns, rid string, iid int64) bool {
+	_, ok := s.get(ns, rid, iid)
 	return ok
 }
 
 func TestConformanceEvictionInsideScanCallback(t *testing.T) {
 	// Room for about ten items per namespace: the puts made from inside
 	// the scan evict the nearest-to-expiry items, which are the ones the
-	// scan has not reached yet.
+	// scan has not reached yet. With a spill log they go to disk and the
+	// scan still owes each of them its visit.
 	sz := int64(spillItem("t", "r00", 1, 8, time.Time{}).WireSize())
-	forEachStoreWith(t, BoundedConfig{DefaultQuota: 10 * sz}, func(t *testing.T, s Store, c *clock) {
+	forEachStoreWith(t, QuotaConfig{DefaultQuota: 10 * sz}, func(t *testing.T, s *Manager, c *clock) {
 		const n = 10
 		for i := 0; i < n; i++ {
 			s.Store(spillItem("t", fmt.Sprintf("r%02d", i), 1, 8, c.t.Add(time.Duration(2*n-i)*time.Minute)))
 			s.Store(spillItem("u", fmt.Sprintf("r%02d", i), 1, 8, c.t.Add(time.Duration(2*n-i)*time.Minute)))
 		}
-		var got []string
+		// next is the item the scan owes the next visit to: the first one
+		// after the last visited that is still stored. Only the callback
+		// changes the store, so it is exact.
+		next, visited := "r00", 0
 		s.Scan("t", func(it *Item) bool {
-			if !inMemory(s, "t", it.ResourceID, it.InstanceID) {
-				t.Fatalf("visited %s, which is no longer stored", it.ResourceID)
+			if it.ResourceID != next {
+				t.Fatalf("visited %s, want %q: every item still stored at its turn, once, in order", it.ResourceID, next)
 			}
-			got = append(got, it.ResourceID)
+			visited++
 			// What a rehash does: a put into the scanned namespace and
 			// one into another, each over quota.
 			s.Store(spillItem("t", "x"+it.ResourceID, 1, 8, c.t.Add(time.Hour)))
 			s.Store(spillItem("u", "x"+it.ResourceID, 1, 8, c.t.Add(time.Hour)))
+			next = ""
+			for i := n - 1; i >= 0; i-- {
+				if rid := fmt.Sprintf("r%02d", i); rid > it.ResourceID && stored(s, "t", rid, 1) {
+					next = rid
+				}
+			}
 			return true
 		})
-		if !sort.StringsAreSorted(got) {
-			t.Fatalf("scan order %v is not sorted", got)
+		if next != "" {
+			t.Fatalf("the scan ended after %d visits with %s still stored", visited, next)
 		}
-		seen := map[string]bool{}
-		for _, rid := range got {
-			if seen[rid] {
-				t.Fatalf("%s visited twice in %v", rid, got)
-			}
-			seen[rid] = true
-		}
-		for i := 0; i < n; i++ {
-			rid := fmt.Sprintf("r%02d", i)
-			if inMemory(s, "t", rid, 1) && !seen[rid] {
-				t.Fatalf("%s is still stored but the scan skipped it: %v", rid, got)
-			}
-		}
-		if _, unbounded := s.(*Manager); !unbounded && s.Stats().ItemsEvicted == 0 {
+		st := s.Stats()
+		if s.quota != nil && st.ItemsEvicted == 0 {
 			t.Fatal("the callback's puts evicted nothing: the test exercises no eviction")
+		}
+		if s.log != nil && (st.SpilledLive == 0 || visited != n) {
+			t.Fatalf("with a spill log every item stays stored: %d visits, stats %+v", visited, st)
 		}
 	})
 }
 
 func TestSpillScanSkipsItemsRemovedFromEitherTier(t *testing.T) {
-	// With items of the namespace already on disk the spill store scans a
-	// merged snapshot of both tiers; a removal from inside the callback
-	// must still be honoured, whichever tier held the item.
+	// A removal from inside the callback must be honoured whether the
+	// item was in memory or on disk.
 	c := &clock{t: time.Unix(0, 0)}
 	sz := int64(spillItem("t", "a", 1, 8, time.Time{}).WireSize())
-	sp, err := NewSpill(c.now, BoundedConfig{DefaultQuota: 3 * sz}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
+	sp := openTest(t, c, QuotaConfig{DefaultQuota: 3 * sz}, t.TempDir())
 	for i, rid := range []string{"a", "b", "c", "d", "e", "f"} {
 		sp.Store(spillItem("t", rid, 1, 8, c.t.Add(time.Duration(i+1)*time.Minute)))
 	}
@@ -236,7 +225,7 @@ func TestSpillScanSkipsItemsRemovedFromEitherTier(t *testing.T) {
 			sp.Remove("t", "e", 1) // in memory
 		}
 	})
-	wantIDs(t, "merged scan", got, "a/1", "c/1", "d/1", "f/1")
+	wantIDs(t, "scan", got, "a/1", "c/1", "d/1", "f/1")
 }
 
 func TestConformanceScanUnderChurn(t *testing.T) {
@@ -245,7 +234,7 @@ func TestConformanceScanUnderChurn(t *testing.T) {
 	// a scan in between (so the merge runs from inside Remove); scans
 	// fold in fresh tails that already hold emptied slots. Every scan is
 	// compared with a sorted model.
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		r := rand.New(rand.NewSource(5))
 		model := map[string]time.Time{} // "rid/iid" -> expiry
 		check := func(step int) {
@@ -324,7 +313,7 @@ func TestNeverScannedNamespaceDropsEmptiedSlots(t *testing.T) {
 }
 
 func TestScanOfUnchangedNamespaceDoesNotAllocate(t *testing.T) {
-	forEachStore(t, func(t *testing.T, s Store, c *clock) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
 		const n = 10_000
 		for i := 0; i < n; i++ {
 			s.Store(item("t", fmt.Sprint(i), 1, c.t.Add(time.Hour)))
@@ -355,10 +344,21 @@ func TestScanOfUnchangedNamespaceDoesNotAllocate(t *testing.T) {
 	})
 }
 
+// TestManagerSizeWithoutOptionalParts: most simulated nodes hold an idle,
+// unbounded manager, so the quota and the spill log may cost it one
+// pointer each and nothing else (seven words before they moved in).
+func TestManagerSizeWithoutOptionalParts(t *testing.T) {
+	if got, max := unsafe.Sizeof(Manager{}), 9*unsafe.Sizeof(uintptr(0)); got > max {
+		t.Fatalf("Manager is %d bytes, want at most %d", got, max)
+	}
+}
+
 // BenchmarkStoreScan measures lscan at a benchmark node's size (tcp-scan
 // holds ~37 500 tuples a node): cold is the first scan after a bulk
 // load (sort and merge every slot), steady the scan every later query
-// pays, after-100-inserts the scan that follows a trickle of puts.
+// pays, after-100-inserts the scan that follows a trickle of puts,
+// steady-spilled the steady scan of a namespace with a few items on
+// disk (a walk plus one load each, not a sort of the namespace).
 func BenchmarkStoreScan(b *testing.B) {
 	const n = 37_500
 	load := func() *Manager {
@@ -405,6 +405,34 @@ func BenchmarkStoreScan(b *testing.B) {
 				m.Store(item("t", fmt.Sprintf("new%d-%d", i, k), 1, time.Unix(3600, 0)))
 			}
 			b.StartTimer()
+			m.Scan("t", f)
+		}
+		perItem(b)
+	})
+	b.Run("steady-spilled", func(b *testing.B) {
+		// The same load under a quota a few items short of it, so the
+		// first few stored end up on disk.
+		items, total := make([]*Item, n), 0
+		for i := range items {
+			items[i] = spillItem("t", fmt.Sprintf("%x", uint32(i)*2654435761), 1, 2, time.Unix(3600, 0))
+			total += items[i].WireSize()
+		}
+		m, err := Open(func() time.Time { return time.Unix(0, 0) },
+			QuotaConfig{DefaultQuota: int64(total - 8*items[n-1].WireSize())}, b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		for _, it := range items {
+			m.Store(it)
+		}
+		if got := m.Stats().SpilledLive; got < 4 || got > 16 {
+			b.Fatalf("%d items on disk, want about 8", got)
+		}
+		m.Scan("t", f)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			m.Scan("t", f)
 		}
 		perItem(b)

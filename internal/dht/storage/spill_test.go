@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,15 +17,17 @@ func spillItem(ns, rid string, iid int64, pad int, exp time.Time) *Item {
 		Payload: &itemPayload{S: strings.Repeat("x", pad)}, Expires: exp}
 }
 
-func newTestSpill(t *testing.T, cfg BoundedConfig, dir string) (*Spill, *clock) {
+func newTestSpill(t *testing.T, cfg QuotaConfig, dir string) (*Manager, *clock) {
 	t.Helper()
 	c := &clock{t: time.Unix(0, 0)}
-	s, err := NewSpill(c.now, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s, c
+	return openTest(t, c, cfg, dir), c
+}
+
+// onDisk reports whether the identity is stored with its payload in the
+// spill log.
+func onDisk(s *Manager, ns, rid string, iid int64) bool {
+	it, ok := s.get(ns, rid, iid)
+	return ok && it.disk() != nil
 }
 
 // smallQuota returns a quota fitting exactly n items of the given pad
@@ -34,7 +37,7 @@ func smallQuota(n, pad, ridLen int) int64 {
 }
 
 func TestSpillOverflowsToDiskAndMerges(t *testing.T) {
-	cfg := BoundedConfig{Quotas: map[string]int64{"f": smallQuota(2, 40, 1)}}
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(2, 40, 1)}}
 	s, c := newTestSpill(t, cfg, t.TempDir())
 	for i := int64(0); i < 5; i++ {
 		s.Store(spillItem("f", fmt.Sprint(i), i, 40, c.t.Add(time.Hour)))
@@ -67,7 +70,7 @@ func TestSpillOverflowsToDiskAndMerges(t *testing.T) {
 }
 
 func TestSpillRenewPromotesBackToMemory(t *testing.T) {
-	cfg := BoundedConfig{Quotas: map[string]int64{"f": smallQuota(2, 40, 1)}}
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(2, 40, 1)}}
 	s, c := newTestSpill(t, cfg, t.TempDir())
 	for i := int64(0); i < 4; i++ {
 		s.Store(spillItem("f", fmt.Sprint(i), i, 40, c.t.Add(time.Hour)))
@@ -84,14 +87,7 @@ func TestSpillRenewPromotesBackToMemory(t *testing.T) {
 	if len(got) != 1 || !got[0].Expires.Equal(c.t.Add(2*time.Hour)) {
 		t.Fatalf("after renew: %v", got)
 	}
-	inMem := false
-	s.b.Scan("f", func(it *Item) bool {
-		if it.ResourceID == "0" {
-			inMem = true
-		}
-		return true
-	})
-	if !inMem {
+	if onDisk(s, "f", "0", 0) {
 		t.Fatal("renewed item not promoted to the memory tier")
 	}
 	if s.TotalLen() != 4 {
@@ -100,7 +96,7 @@ func TestSpillRenewPromotesBackToMemory(t *testing.T) {
 }
 
 func TestSpillExpiry(t *testing.T) {
-	cfg := BoundedConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 4)}}
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 4)}}
 	s, c := newTestSpill(t, cfg, t.TempDir())
 	s.Store(spillItem("f", "soon", 1, 40, c.t.Add(time.Minute)))
 	s.Store(spillItem("f", "late", 2, 40, c.t.Add(time.Hour)))
@@ -125,9 +121,9 @@ func TestSpillExpiry(t *testing.T) {
 
 func TestSpillRestartReloadsAndDropsExpired(t *testing.T) {
 	dir := t.TempDir()
-	cfg := BoundedConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 4)}}
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 4)}}
 	c := &clock{t: time.Unix(0, 0)}
-	s, err := NewSpill(c.now, cfg, dir)
+	s, err := Open(c.now, cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +137,7 @@ func TestSpillRestartReloadsAndDropsExpired(t *testing.T) {
 	}
 
 	c.t = c.t.Add(10 * time.Minute) // "dies" expires while down
-	s2, err := NewSpill(c.now, cfg, dir)
+	s2, err := Open(c.now, cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +167,7 @@ func got0(items []*Item) (*Item, bool) {
 }
 
 func TestSpillRemoveReachesDiskTier(t *testing.T) {
-	cfg := BoundedConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 1)}}
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 1)}}
 	s, c := newTestSpill(t, cfg, t.TempDir())
 	s.Store(spillItem("f", "a", 1, 40, c.t.Add(time.Hour)))
 	s.Store(spillItem("f", "b", 2, 40, c.t.Add(2*time.Hour)))
@@ -189,7 +185,7 @@ func TestSpillRemoveReachesDiskTier(t *testing.T) {
 
 func TestSpillCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := BoundedConfig{Quotas: map[string]int64{"f": smallQuota(1, 200, 1)}}
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 200, 1)}}
 	s, c := newTestSpill(t, cfg, dir)
 	// Churn the same identities so the log accumulates dead records.
 	for round := 0; round < 30; round++ {
@@ -202,7 +198,7 @@ func TestSpillCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.compact(); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.Stat(path)
@@ -218,7 +214,133 @@ func TestSpillCompaction(t *testing.T) {
 			t.Fatalf("item %d lost by compaction: %v", i, got)
 		}
 	}
-	if s.deadBytes != 0 {
-		t.Fatalf("deadBytes = %d after compact, want 0", s.deadBytes)
+	if s.log.deadBytes != 0 {
+		t.Fatalf("deadBytes = %d after compact, want 0", s.log.deadBytes)
+	}
+}
+
+func TestSpillCompactionDropsUnreadableRecordFromEveryCount(t *testing.T) {
+	dir := t.TempDir()
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 1)}}
+	s, c := newTestSpill(t, cfg, dir)
+	for i := int64(0); i < 4; i++ {
+		s.Store(spillItem("f", fmt.Sprint(i), i, 40, c.t.Add(time.Hour)))
+	}
+	if got := s.Stats().SpilledLive; got != 3 {
+		t.Fatalf("SpilledLive = %d, want 3 of the 4 items on disk", got)
+	}
+	// Damage the first record (the wire tag of its item) behind the
+	// store's back: compaction cannot read it and has to let it go.
+	f, err := os.OpenFile(filepath.Join(dir, spillLogName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, 2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+	visited := len(scanIDs(s, "f", nil))
+	if s.TotalLen() != 3 || s.Len("f") != 3 || s.Stats().SpilledLive != 2 || visited != 3 {
+		t.Fatalf("after compaction dropped 1 of 4 items: TotalLen=%d Len=%d SpilledLive=%d, scan visits %d; want 3, 3, 2 (one item is in memory), 3",
+			s.TotalLen(), s.Len("f"), s.Stats().SpilledLive, visited)
+	}
+}
+
+func TestSpillTornTailIsCutOffNotReplayedLater(t *testing.T) {
+	// A log of one good record and one torn by a crash mid-append, whose
+	// payload — the publisher's bytes — holds the image of a put record
+	// for f/ghost exactly where the record after the next append will
+	// start. If replay only sets the append offset and leaves the tail in
+	// the file, the restart after that append parses the ghost.
+	dir := t.TempDir()
+	cfg := QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 40, 1)}}
+	exp := time.Unix(3600, 0)
+	rec := func(it *Item) []byte {
+		b, err := encodeRecord(recPut, it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	victim := spillItem("f", "v", 1, 40, exp) // what the test spills after the first restart
+	torn := []byte{recPut, 0xff, 0xff, 0x03}  // claims 65535 bytes of body that never made it
+	torn = append(torn, make([]byte, len(rec(victim))-len(torn))...)
+	torn = append(torn, rec(spillItem("f", "ghost", 7, 40, exp))...)
+	log := append(rec(spillItem("f", "a", 1, 40, exp)), torn...)
+	if err := os.WriteFile(filepath.Join(dir, spillLogName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := &clock{t: time.Unix(0, 0)}
+	s, err := Open(c.now, cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.TotalLen() != 1 || len(s.Retrieve("f", "a")) != 1 {
+		t.Fatalf("replay of the intact record: TotalLen = %d, f/a = %v", s.TotalLen(), s.Retrieve("f", "a"))
+	}
+	s.Store(victim)
+	s.Store(spillItem("f", "w", 2, 40, exp.Add(time.Hour)))
+	if !onDisk(s, "f", "v", 1) {
+		t.Fatal("the victim did not spill; the test appends nothing")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(c.now, cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Retrieve("f", "ghost"); len(got) != 0 {
+		t.Fatalf("bytes of the torn tail were replayed as a record: %v", got)
+	}
+	if s2.TotalLen() != 2 || len(s2.Retrieve("f", "a")) != 1 || len(s2.Retrieve("f", "v")) != 1 {
+		t.Fatalf("after the second restart: TotalLen = %d, want f/a and f/v", s2.TotalLen())
+	}
+}
+
+// TestSpillLogGoldenBytes pins the file format to the bytes the Spill
+// store wrote before the stores were merged, so a directory written by
+// an older node still replays: one put record and one tombstone.
+func TestSpillLogGoldenBytes(t *testing.T) {
+	const (
+		put  = "0018200166016102008080c58bc6d101ca087878787878787878" // f/a/1, expires 1h after the epoch, payload "xxxxxxxx"
+		tomb = "01082001660161020100"                                 // f/a/1
+	)
+	dir := t.TempDir()
+	path := filepath.Join(dir, spillLogName)
+	s, c := newTestSpill(t, QuotaConfig{Quotas: map[string]int64{"f": smallQuota(1, 8, 1)}}, dir)
+	logHex := func() string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(b)
+	}
+	s.Store(spillItem("f", "a", 1, 8, time.Unix(3600, 0)))
+	s.Store(spillItem("f", "b", 2, 8, time.Unix(7200, 0)))
+	if got := logHex(); got != put {
+		t.Fatalf("put record\n got %s\nwant %s", got, put)
+	}
+	s.Remove("f", "a", 1)
+	if got := logHex(); got != put+tomb {
+		t.Fatalf("put record and tombstone\n got %s\nwant %s", got, put+tomb)
+	}
+
+	// And the other way: the old bytes replay.
+	raw, _ := hex.DecodeString(put + tomb + put)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTest(t, c, QuotaConfig{}, dir)
+	got := s2.Retrieve("f", "a")
+	if s2.TotalLen() != 1 || len(got) != 1 || got[0].InstanceID != 1 || !got[0].Expires.Equal(time.Unix(3600, 0)) ||
+		got[0].Payload.(*itemPayload).S != "xxxxxxxx" {
+		t.Fatalf("replay of put, tombstone, put: TotalLen = %d, f/a = %+v", s2.TotalLen(), got)
 	}
 }

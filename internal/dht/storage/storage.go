@@ -1,12 +1,23 @@
 // Package storage implements the paper's storage manager (§3.2.2,
-// Table 2): temporary, main-memory storage for DHT-based data while the
-// node is connected. Every item carries a lifetime; soft state means an
-// item not renewed within its lifetime is deleted (§3.2.3).
+// Table 2): temporary storage for DHT-based data while the node is
+// connected. Every item carries a lifetime; soft state means an item not
+// renewed within its lifetime is deleted (§3.2.3).
+//
+// There is one store, Manager, over one index: namespace, resourceID,
+// instances, kept in scan order. New returns it as the paper describes
+// it, unbounded and in main memory. Open attaches up to two optional
+// parts: a quota (quota.go), which evicts soft state instead of growing
+// without bound, and a spill log (spill.go), which keeps what the quota
+// evicts on disk instead of discarding it. An item on disk keeps its
+// index entry — identity and expiry in memory, the payload a reference
+// into the log — so every read is the same walk of the same index, plus
+// a load for the entries that are on disk.
 package storage
 
 import (
 	"cmp"
 	"container/heap"
+	"maps"
 	"slices"
 	"time"
 
@@ -40,16 +51,59 @@ func (it *Item) WireSize() int {
 	return n
 }
 
-// Manager is the per-node storage manager: the unbounded in-memory
-// Store implementation. It is not internally synchronized — see the
-// Store interface for the locking contract (event-loop confinement;
-// the engine's sharded result dispatch never touches storage).
+// Manager is the per-node soft-state store (§3.2.2–§3.2.3): items carry
+// lifetimes, a re-Store of the same (namespace, resourceID, instanceID)
+// is a renew, and unrenewed items expire.
+//
+// Locking contract: a Manager is NOT internally synchronized. It is
+// confined to its node's event loop — every call site (provider
+// puts/gets/handoff, index maintenance, stats refresh) runs as an event
+// on that loop. The engine's sharded result dispatch
+// (internal/core/dispatch.go) processes only result and credit frames
+// on its shards and never touches storage, so event-loop confinement
+// holds even with DispatchShards > 1. Cross-thread access must go
+// through the node's event queue (e.g. Session.Do on real nodes).
 type Manager struct {
 	now    func() time.Time
 	spaces map[string]*space
 	exp    expHeap
 	count  int
 	bytes  int64
+	quota  *quota    // nil: unbounded
+	log    *spillLog // nil: what the quota evicts is discarded
+}
+
+// Usage is a point-in-time byte occupancy report. ByNamespace is a
+// fresh copy per call; callers may keep or mutate it.
+type Usage struct {
+	// Bytes is total in-memory occupancy across namespaces.
+	Bytes int64
+	// ByNamespace maps namespace -> in-memory bytes.
+	ByNamespace map[string]int64
+}
+
+// Stats counts what a store under a quota has forgotten or displaced.
+// Without a quota nothing is ever evicted and every field is zero.
+type Stats struct {
+	// ItemsEvicted counts items evicted to enforce a quota (not
+	// counting normal lifetime expiry).
+	ItemsEvicted int64
+	// BytesEvicted is the WireSize sum of evicted items.
+	BytesEvicted int64
+	// ItemsSpilled counts evictions that were written to the spill log
+	// instead of discarded.
+	ItemsSpilled int64
+	// BytesSpilled is the WireSize sum of spilled items.
+	BytesSpilled int64
+	// PutsDropped counts stores whose incoming item itself was the
+	// eviction victim.
+	PutsDropped int64
+	// SpilledLive is the current number of items resident on disk (a
+	// gauge, unlike the cumulative counters above).
+	SpilledLive int
+	// EvictedByNS maps namespace -> items evicted from it (fresh copy
+	// per call).
+	EvictedByNS map[string]int64
 }
 
 // space is one namespace's items, kept so that a scan is a walk and
@@ -134,18 +188,60 @@ func (sp *space) merge() {
 	sp.fresh, sp.dead = nil, 0
 }
 
-// New creates a storage manager that reads the clock through now.
-// Everything is allocated lazily at the first Store: most simulated
-// nodes never hold an item, and a nil map reads as empty.
+// New creates an unbounded, memory-only storage manager that reads the
+// clock through now. Everything is allocated lazily at the first Store:
+// most simulated nodes never hold an item, and a nil map reads as empty.
 func New(now func() time.Time) *Manager {
 	return &Manager{now: now}
+}
+
+// Open creates a storage manager with its optional parts attached:
+// byte quotas if cfg sets any, and a spill log in the directory spillDir
+// (created if missing, replayed if it holds a log) unless spillDir is
+// empty. Without a directory there is nothing that can fail and the
+// error is nil. A manager with a spill log must be Closed.
+func Open(now func() time.Time, cfg QuotaConfig, spillDir string) (*Manager, error) {
+	m := New(now)
+	m.quota = newQuota(cfg)
+	if spillDir != "" {
+		if err := m.openLog(spillDir); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// Close closes the spill log, if there is one. The manager must not be
+// used afterwards.
+func (m *Manager) Close() error {
+	if m.log == nil {
+		return nil
+	}
+	return m.log.f.Close()
 }
 
 // Store inserts the item, replacing any existing item with the same
 // (namespace, resourceID, instanceID) — which is exactly what a renew
 // does (§3.2.3). A new resourceID costs a map insert and an append; a
-// renew touches neither order nor fresh.
+// renew touches neither order nor fresh. Under a quota the store then
+// evicts from the item's namespace — possibly the item itself — until
+// it fits again; a renew of an item on disk brings it back to memory.
 func (m *Manager) Store(it *Item) {
+	old := m.put(it)
+	if m.quota != nil {
+		m.pushVictim(it)
+	}
+	if old != nil {
+		m.forget(old)
+	}
+	if m.quota != nil {
+		m.enforce(it)
+	}
+}
+
+// put links the item into the index, returning the entry of the same
+// identity it replaced, if any, and queues its expiry.
+func (m *Manager) put(it *Item) (old *Item) {
 	sp := m.spaces[it.Namespace]
 	if sp == nil {
 		// Namespaces are created implicitly when the first item is put.
@@ -162,9 +258,10 @@ func (m *Manager) Store(it *Item) {
 		sp.slots[it.ResourceID] = sl
 		sp.fresh = append(sp.fresh, sl)
 	}
-	size := int64(it.WireSize())
+	size := charge(it)
 	if i, ok := sl.find(it.InstanceID); ok {
-		size -= int64(sl.insts[i].WireSize())
+		old = sl.insts[i]
+		size -= charge(old)
 		sl.insts[i] = it
 	} else {
 		sl.insts = slices.Insert(sl.insts, i, it)
@@ -176,10 +273,50 @@ func (m *Manager) Store(it *Item) {
 	if !it.Expires.IsZero() {
 		heap.Push(&m.exp, expEntry{at: it.Expires, it: it})
 	}
+	return old
 }
 
-// Retrieve returns the live items stored under (namespace, resourceID).
-// Like any index get, it is key-based and may return multiple items.
+// disk returns where the payload of an index entry lies in the spill
+// log, or nil for an entry that is an item in memory.
+func (it *Item) disk() *diskRef {
+	ref, _ := it.Payload.(*diskRef)
+	return ref
+}
+
+// charge is what an index entry counts for in Usage and against a
+// quota: the item's WireSize, or nothing once its payload is on disk.
+func charge(it *Item) int64 {
+	if it.disk() != nil {
+		return 0
+	}
+	return int64(it.WireSize())
+}
+
+// load returns the item an index entry stands for: the entry itself, or
+// for an entry on disk the item read back from the log (nil if its
+// record no longer reads).
+func (m *Manager) load(it *Item) *Item {
+	if it.disk() == nil {
+		return it
+	}
+	return m.log.read(it)
+}
+
+// forget settles an entry that left the index by a replace, a remove or
+// an expiry (an eviction pops its own victim): its victim-heap entry is
+// stale now, or its record in the log dead.
+func (m *Manager) forget(it *Item) {
+	if ref := it.disk(); ref != nil {
+		m.log.tombstone(it, ref)
+		m.maybeCompact()
+	} else if m.quota != nil {
+		m.retire(it.Namespace)
+	}
+}
+
+// Retrieve returns the live items stored under (namespace, resourceID),
+// sorted by instanceID. Like any index get, it is key-based and may
+// return multiple items.
 func (m *Manager) Retrieve(namespace, resourceID string) []*Item {
 	_, sl := m.slot(namespace, resourceID)
 	if sl == nil {
@@ -188,7 +325,10 @@ func (m *Manager) Retrieve(namespace, resourceID string) []*Item {
 	now := m.now()
 	out := make([]*Item, 0, len(sl.insts))
 	for _, it := range sl.insts {
-		if !it.expired(now) {
+		if it.expired(now) {
+			continue
+		}
+		if it = m.load(it); it != nil {
 			out = append(out, it)
 		}
 	}
@@ -206,23 +346,37 @@ func (m *Manager) Remove(namespace, resourceID string, instanceID int64) bool {
 	if !ok {
 		return false
 	}
-	size := int64(sl.insts[i].WireSize())
+	it := sl.insts[i]
+	m.unlinkAt(sp, sl, i)
+	m.forget(it)
+	return true
+}
+
+// unlink takes the entry out of the index.
+func (m *Manager) unlink(it *Item) {
+	sp, sl := m.slot(it.Namespace, it.ResourceID)
+	i, _ := sl.find(it.InstanceID)
+	m.unlinkAt(sp, sl, i)
+}
+
+func (m *Manager) unlinkAt(sp *space, sl *slot, i int) {
+	it := sl.insts[i]
+	size := charge(it)
 	sl.insts = slices.Delete(sl.insts, i, i+1)
 	m.count--
 	sp.items--
 	sp.bytes -= size
 	m.bytes -= size
 	if len(sl.insts) > 0 {
-		return true
+		return
 	}
-	delete(sp.slots, resourceID)
+	delete(sp.slots, sl.rid)
 	if len(sp.slots) == 0 {
 		// Namespaces are destroyed when the last item goes (§3.2.3).
-		delete(m.spaces, namespace)
+		delete(m.spaces, it.Namespace)
 	} else if sp.dead++; sp.dead >= minDead && sp.dead > len(sp.slots) {
 		sp.merge()
 	}
-	return true
 }
 
 // Scan iterates the live local items of a namespace — the provider's
@@ -231,7 +385,18 @@ func (m *Manager) Remove(namespace, resourceID string, instanceID int64) bool {
 // scans feed message-emitting paths (rehashes, handoffs, summaries),
 // and a seed-replayable simulation needs identical send order per run.
 // A scan of a namespace whose set of resourceIDs has not changed since
-// the previous scan sorts nothing and allocates nothing.
+// the previous scan sorts nothing and, with nothing on disk, allocates
+// nothing.
+//
+// f may call Store, Remove, Retrieve and Scan (of this or another
+// namespace) on the same manager: a rehash puts from inside a scan,
+// and a put under a quota evicts. Every item that was live when the
+// scan started and is still stored, in memory or on disk, when its turn
+// comes is visited exactly once, in order (a replaced item as its
+// replacement); an item removed before its turn is not visited; an item
+// stored during the scan under a resourceID the namespace did not hold
+// is not visited, and one stored as a new instance of an existing
+// resourceID may or may not be.
 func (m *Manager) Scan(namespace string, f func(*Item) bool) {
 	m.scanSpace(m.spaces[namespace], f)
 }
@@ -247,8 +412,8 @@ func (m *Manager) ScanAll(f func(*Item) bool) {
 }
 
 // scanSpace iterates one namespace's live items in sorted order under
-// the re-entrancy contract of Store.Scan, reporting false if f stopped
-// it early.
+// the re-entrancy contract of Scan, reporting false if f stopped it
+// early.
 func (m *Manager) scanSpace(sp *space, f func(*Item) bool) bool {
 	if sp == nil {
 		return true
@@ -260,8 +425,10 @@ func (m *Manager) scanSpace(sp *space, f func(*Item) bool) bool {
 	for _, sl := range sp.order {
 		for i := 0; i < len(sl.insts); {
 			it := sl.insts[i]
-			if !it.expired(now) && !f(it) {
-				return false
+			if !it.expired(now) {
+				if v := m.load(it); v != nil && !f(v) {
+					return false
+				}
 			}
 			// f may have stored or removed instances of this resourceID:
 			// resume after the one just visited, wherever it is now.
@@ -275,13 +442,13 @@ func (m *Manager) scanSpace(sp *space, f func(*Item) bool) bool {
 	return true
 }
 
-// Namespaces lists the namespaces with at least one item.
+// Namespaces lists the namespaces with at least one item, sorted.
 func (m *Manager) Namespaces() []string {
 	return env.SortedKeys(m.spaces)
 }
 
-// Len returns the number of items (live or not yet swept) in a
-// namespace.
+// Len returns the number of items (live or not yet swept, in memory or
+// on disk) in a namespace.
 func (m *Manager) Len(namespace string) int {
 	if sp := m.spaces[namespace]; sp != nil {
 		return sp.items
@@ -292,8 +459,10 @@ func (m *Manager) Len(namespace string) int {
 // TotalLen returns the number of items across all namespaces.
 func (m *Manager) TotalLen() int { return m.count }
 
-// Usage reports in-memory byte occupancy (charged at Item.WireSize),
-// maintained incrementally on every store/replace/remove.
+// Usage reports in-memory byte occupancy, charged at Item.WireSize (the
+// simulator's byte model) and maintained incrementally on every
+// store/replace/remove. Items on disk are not counted: they are exactly
+// the bytes a quota pushed out of memory.
 func (m *Manager) Usage() Usage {
 	by := make(map[string]int64, len(m.spaces))
 	for ns, sp := range m.spaces {
@@ -302,9 +471,19 @@ func (m *Manager) Usage() Usage {
 	return Usage{Bytes: m.bytes, ByNamespace: by}
 }
 
-// Stats reports eviction counters. The unbounded manager never evicts,
-// so they are always zero.
-func (m *Manager) Stats() Stats { return Stats{} }
+// Stats reports the cumulative eviction, drop and spill counters since
+// the manager was created.
+func (m *Manager) Stats() Stats {
+	var s Stats
+	if q := m.quota; q != nil {
+		s = q.stats
+		s.EvictedByNS = maps.Clone(s.EvictedByNS)
+	}
+	if l := m.log; l != nil {
+		s.ItemsSpilled, s.BytesSpilled, s.SpilledLive = l.spilledItems, l.spilledBytes, l.live
+	}
+	return s
+}
 
 // nsBytes returns the bytes charged to a namespace.
 func (m *Manager) nsBytes(namespace string) int64 {
@@ -314,7 +493,7 @@ func (m *Manager) nsBytes(namespace string) int64 {
 	return 0
 }
 
-// get returns the stored item with the exact identity, ignoring expiry.
+// get returns the index entry with the exact identity, ignoring expiry.
 func (m *Manager) get(namespace, resourceID string, instanceID int64) (*Item, bool) {
 	if _, sl := m.slot(namespace, resourceID); sl != nil {
 		if i, ok := sl.find(instanceID); ok {
@@ -338,7 +517,7 @@ func (m *Manager) slot(namespace, resourceID string) (*space, *slot) {
 func (m *Manager) NextExpiry() (time.Time, bool) {
 	for len(m.exp) > 0 {
 		e := m.exp[0]
-		if m.current(e) {
+		if m.current(e.it) {
 			return e.at, true
 		}
 		heap.Pop(&m.exp) // stale entry from a replace/renew/remove
@@ -353,7 +532,7 @@ func (m *Manager) SweepExpired() []*Item {
 	var out []*Item
 	for len(m.exp) > 0 {
 		e := m.exp[0]
-		if !m.current(e) {
+		if !m.current(e.it) {
 			heap.Pop(&m.exp)
 			continue
 		}
@@ -361,16 +540,22 @@ func (m *Manager) SweepExpired() []*Item {
 			break
 		}
 		heap.Pop(&m.exp)
+		it := m.load(e.it) // before the remove: its tombstone may compact the log
 		m.Remove(e.it.Namespace, e.it.ResourceID, e.it.InstanceID)
-		out = append(out, e.it)
+		if it != nil {
+			out = append(out, it)
+		}
 	}
 	return out
 }
 
-// current reports whether the heap entry still describes the stored item.
-func (m *Manager) current(e expEntry) bool {
-	cur, ok := m.get(e.it.Namespace, e.it.ResourceID, e.it.InstanceID)
-	return ok && cur == e.it && cur.Expires.Equal(e.at)
+// current reports whether the item a heap entry (of the expiry heap or
+// a victim heap) was pushed for is still the index entry of its
+// identity: a replace, a remove, an expiry or a spill leaves the entry
+// behind, stale.
+func (m *Manager) current(it *Item) bool {
+	cur, ok := m.get(it.Namespace, it.ResourceID, it.InstanceID)
+	return ok && cur == it
 }
 
 func (it *Item) expired(now time.Time) bool {

@@ -120,13 +120,13 @@ type Options struct {
 	// lookups and accept entries; set Index.Interval to enable the
 	// periodic split/merge/heal pass that keeps them balanced).
 	Index index.Config
-	// SpillDir, when non-empty, backs the quota-bounded store with a
-	// disk-spill tier rooted at this directory: quota evictions append
-	// to a compacting log instead of being discarded, and reads merge
-	// both tiers. Real nodes only (StartNode); simulated networks
-	// ignore it — the simulator's byte-charging model counts memory.
-	// Pair it with ProviderConfig.Quota, which defines the pressure the
-	// spill tier absorbs.
+	// SpillDir, when non-empty, attaches a spill log in this directory
+	// to the node's store: what the quota evicts is appended to a
+	// compacting log instead of being discarded, stays visible to every
+	// read, and survives a restart. Real nodes only (StartNode);
+	// simulated networks ignore it — the simulator's byte-charging
+	// model counts memory. Pair it with ProviderConfig.Quota: without a
+	// quota nothing is ever evicted, so nothing spills.
 	SpillDir string
 }
 
@@ -217,10 +217,11 @@ func (n *Node) RefreshStats() { n.stats.Refresh() }
 type StorageStats = provider.StorageStats
 
 // StorageStats reports this node's storage pressure counters: items
-// and bytes evicted to hold namespace quotas, items diverted to the
-// disk-spill tier, and puts throttled, delayed, or dropped by the
-// put-path admission control. Counters are monotone; diff two
-// snapshots to attribute pressure to a workload.
+// and bytes evicted to hold namespace quotas, how many of those went to
+// the spill log instead of being discarded, and puts throttled,
+// delayed, or dropped by the put-path admission control. Counters are
+// monotone (SpilledLive, the number of items on disk now, is the one
+// gauge); diff two snapshots to attribute pressure to a workload.
 func (n *Node) StorageStats() StorageStats { return n.provider.StorageStats() }
 
 // QueryStats reports the node engine's result-channel counters:

@@ -54,12 +54,12 @@ func StartNode(addr string, landmark env.Addr, seed int64, opts Options) (*RealN
 		return nil, err
 	}
 	if opts.SpillDir != "" && opts.ProviderConfig.Store == nil {
-		sp, err := storage.NewSpill(tr.Now, opts.ProviderConfig.Quota, opts.SpillDir)
+		st, err := storage.Open(tr.Now, opts.ProviderConfig.Quota, opts.SpillDir)
 		if err != nil {
 			tr.Close()
 			return nil, err
 		}
-		opts.ProviderConfig.Store = sp
+		opts.ProviderConfig.Store = st
 	}
 	n := buildNode(tr, opts)
 	rn := &RealNode{Node: n, transport: tr, landmark: landmark}
@@ -105,14 +105,12 @@ func (rn *RealNode) WaitJoin(timeout time.Duration) error {
 
 // Close shuts the transport down, then stops the engine's dispatch
 // shards (transport first, so no new work arrives while they drain)
-// and closes the disk-spill store if one is attached (after the
-// transport, so no event-loop callback can touch the log mid-close).
+// and closes the store's spill log if it has one (after the transport,
+// so no event-loop callback can touch the log mid-close).
 func (rn *RealNode) Close() {
 	rn.transport.Close()
 	rn.engine.Close()
-	if c, ok := rn.provider.Store().(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
+	_ = rn.provider.Store().Close() // soft state: nothing to do about a failed close
 }
 
 // Session implementation: each method shadows the embedded *Node's and

@@ -38,7 +38,7 @@ func TestSpillSmokeRestartExpiryAndPromotion(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.ProviderConfig.Quota = storage.BoundedConfig{Quotas: map[string]int64{"K": 2 << 10}}
+	opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{"K": 2 << 10}}
 	opts.ProviderConfig.ThrottleDelay = 50 * time.Millisecond
 	opts.SpillDir = dir
 
