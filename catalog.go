@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"pier/internal/dht/storage"
-	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // The DHT-backed catalog: the paper notes that once added, "the catalog
@@ -26,16 +26,7 @@ type schemaPayload struct {
 }
 
 // WireSize implements env.Message.
-func (s *schemaPayload) WireSize() int {
-	n := env.StringSize(s.Key) + 3
-	for _, c := range s.Cols {
-		n += env.StringSize(c)
-	}
-	for _, ix := range s.Indexes {
-		n += env.StringSize(ix.Name) + env.StringSize(ix.Col)
-	}
-	return n
-}
+func (s *schemaPayload) WireSize() int { return wire.Size(s) }
 
 // RegisterTable publishes a table schema into the DHT catalog with the
 // given lifetime (zero = a long default). Any node can then plan SQL

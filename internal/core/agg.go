@@ -1,5 +1,7 @@
 package core
 
+import "pier/internal/wire"
+
 // AggState is the mergeable partial state of one aggregate on one node.
 // PIER computes aggregates the parallel-database way (§7 "Hierarchical
 // aggregation"): each node folds its local rows into an AggState, puts
@@ -88,7 +90,5 @@ func (s *AggState) Final(kind AggKind) Value {
 	}
 }
 
-// WireSize sizes the state for partial-aggregate puts.
-func (s *AggState) WireSize() int {
-	return 26 + ValueSize(s.MinV) + ValueSize(s.MaxV)
-}
+// WireSize implements env.Message.
+func (s *AggState) WireSize() int { return wire.Size(s) }

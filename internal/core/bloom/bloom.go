@@ -8,6 +8,8 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+
+	"pier/internal/wire"
 )
 
 // Filter is a fixed-size Bloom filter with K hash functions derived by
@@ -116,6 +118,27 @@ func (f *Filter) FillRatio() float64 {
 	return float64(set) / float64(len(f.Bits)*64)
 }
 
-// WireSize implements env.Message sizing for filters shipped in puts and
+// tagFilter is the wire tag owned by this package (see the tag table in
+// package wire).
+const tagFilter byte = 24
+
+func init() {
+	wire.Register(tagFilter, func(c *wire.Codec, f *Filter) {
+		c.Int(&f.K)
+		// Validated plans keep K within [1, 64] (Plan.Validate clamps
+		// BloomHashes) and New never allocates an empty bit array; a
+		// frame claiming otherwise would divide by zero (or spin for 2^60
+		// hashes) inside Test/Add on the event loop.
+		if c.Decoding() && (f.K < 1 || f.K > 64) {
+			c.Fail("bloom filter hash count out of range")
+		}
+		c.Words(&f.Bits)
+		if c.Decoding() && len(f.Bits) == 0 {
+			c.Fail("empty bloom filter")
+		}
+	})
+}
+
+// WireSize implements env.Message for filters shipped in puts and
 // multicasts.
-func (f *Filter) WireSize() int { return 8 + len(f.Bits)*8 }
+func (f *Filter) WireSize() int { return wire.Size(f) }

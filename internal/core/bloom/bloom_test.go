@@ -133,7 +133,8 @@ func TestCapacitySizing(t *testing.T) {
 	if f.K < 3 || f.K > 10 {
 		t.Fatalf("k = %d out of expected range", f.K)
 	}
-	if f.WireSize() != 8+len(f.Bits)*8 {
+	// Tag, K, a two-byte word count, then fixed 8-byte words.
+	if f.WireSize() != 4+len(f.Bits)*8 {
 		t.Fatal("wire size mismatch")
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // Expr is a scalar expression evaluated against a row of values. Plans
@@ -29,7 +29,7 @@ func (c *Col) Eval(row []Value) Value {
 }
 
 // WireSize implements Expr.
-func (c *Col) WireSize() int { return 3 }
+func (c *Col) WireSize() int { return wire.Size(c) }
 
 func (c *Col) String() string { return fmt.Sprintf("$%d", c.Idx) }
 
@@ -40,7 +40,7 @@ type Const struct{ V Value }
 func (c *Const) Eval([]Value) Value { return c.V }
 
 // WireSize implements Expr.
-func (c *Const) WireSize() int { return 1 + ValueSize(c.V) }
+func (c *Const) WireSize() int { return wire.Size(c) }
 
 func (c *Const) String() string { return ValueString(c.V) }
 
@@ -87,7 +87,7 @@ func (c *Cmp) Eval(row []Value) Value {
 }
 
 // WireSize implements Expr.
-func (c *Cmp) WireSize() int { return 2 + c.L.WireSize() + c.R.WireSize() }
+func (c *Cmp) WireSize() int { return wire.Size(c) }
 
 func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
 
@@ -98,7 +98,7 @@ type And struct{ L, R Expr }
 func (a *And) Eval(row []Value) Value { return Truthy(a.L.Eval(row)) && Truthy(a.R.Eval(row)) }
 
 // WireSize implements Expr.
-func (a *And) WireSize() int { return 1 + a.L.WireSize() + a.R.WireSize() }
+func (a *And) WireSize() int { return wire.Size(a) }
 
 func (a *And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
 
@@ -109,7 +109,7 @@ type Or struct{ L, R Expr }
 func (o *Or) Eval(row []Value) Value { return Truthy(o.L.Eval(row)) || Truthy(o.R.Eval(row)) }
 
 // WireSize implements Expr.
-func (o *Or) WireSize() int { return 1 + o.L.WireSize() + o.R.WireSize() }
+func (o *Or) WireSize() int { return wire.Size(o) }
 
 func (o *Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 
@@ -120,7 +120,7 @@ type Not struct{ E Expr }
 func (n *Not) Eval(row []Value) Value { return !Truthy(n.E.Eval(row)) }
 
 // WireSize implements Expr.
-func (n *Not) WireSize() int { return 1 + n.E.WireSize() }
+func (n *Not) WireSize() int { return wire.Size(n) }
 
 func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.E) }
 
@@ -192,7 +192,7 @@ func (a *Arith) Eval(row []Value) Value {
 }
 
 // WireSize implements Expr.
-func (a *Arith) WireSize() int { return 2 + a.L.WireSize() + a.R.WireSize() }
+func (a *Arith) WireSize() int { return wire.Size(a) }
 
 func (a *Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
 
@@ -218,13 +218,7 @@ func (c *Call) Eval(row []Value) Value {
 }
 
 // WireSize implements Expr.
-func (c *Call) WireSize() int {
-	n := env.StringSize(c.Name) + 1
-	for _, a := range c.Args {
-		n += a.WireSize()
-	}
-	return n
-}
+func (c *Call) WireSize() int { return wire.Size(c) }
 
 func (c *Call) String() string {
 	s := c.Name + "("

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -62,6 +63,29 @@ func TestNegativeTuplePadRejected(t *testing.T) {
 	}
 }
 
+// Regression: a frame may not declare more pad than a frame can carry.
+// The pad is charged (storage quotas, the statistics catalog's Bytes,
+// Concat's pad sum) but never sent, so a 20-byte frame declaring 1<<62
+// used to empty a namespace through quota eviction.
+func TestOversizedTuplePadRejected(t *testing.T) {
+	craft := func(pad int64) []byte {
+		b, err := wire.Marshal(&Tuple{Rel: "r", Vals: []Value{int64(1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.AppendVarint(b[:len(b)-1], pad) // the final byte is Pad's varint
+	}
+	for _, pad := range []int64{wire.MaxPad + 1, 1 << 62} {
+		if _, err := wire.Unmarshal(craft(pad)); err == nil {
+			t.Errorf("tuple declaring %d pad bytes accepted", pad)
+		}
+	}
+	m, err := wire.Unmarshal(craft(wire.MaxPad))
+	if err != nil || m.(*Tuple).Pad != wire.MaxPad {
+		t.Fatalf("tuple declaring the largest legal pad: %v, %v", m, err)
+	}
+}
+
 // bigResultFrame is a representative 32-tuple result frame with
 // repeated relation and string values, as a real query produces.
 // Values stick to small ints (the runtime boxes [0,256) for free) and
@@ -96,16 +120,17 @@ var raceEnabled bool
 // frame — so the gate also pins the required ≥5x reduction.
 func TestResultFrameDecodeAllocs(t *testing.T) {
 	b := bigResultFrame(t)
-	var dec wire.Decoder
+	var dec wire.Codec
+	var m env.Message
 	dec.SetIntern(wire.NewIntern(0))
 	// Warm the intern table and the frame pool outside the measurement.
 	dec.Reset(b)
-	if m := dec.Message(); m != nil {
+	if dec.Message(&m); m != nil {
 		m.(*resultMsg).Recycle()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		dec.Reset(b)
-		m := dec.Message()
+		dec.Message(&m)
 		if dec.Err() != nil {
 			t.Fatal(dec.Err())
 		}
@@ -128,9 +153,8 @@ func TestResultFrameDecodeAllocs(t *testing.T) {
 
 // TestResultFrameEncodeAllocs gates the writer-side path: appending a
 // frame to a reused scratch buffer (what realnet's batch writer does)
-// costs at most one fixed allocation — the Encoder header escapes
-// through the registry's indirect encode call — regardless of tuple
-// count. The old path Marshal-ed every frame: a fresh buffer plus its
+// costs no allocation (wire.Append runs a pooled Codec) regardless of
+// tuple count. The old path Marshal-ed every frame: a fresh buffer plus its
 // growth copies, O(frame size) per send.
 func TestResultFrameEncodeAllocs(t *testing.T) {
 	b := bigResultFrame(t)
@@ -146,8 +170,17 @@ func TestResultFrameEncodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("encode into reused buffer: %.1f allocs, want <= 1", allocs)
+	if allocs > 0 {
+		t.Fatalf("encode into reused buffer: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestResultFrameWireSizeAllocs: the simulator sizes every frame it
+// sends, so counting must allocate nothing however many tuples ride.
+func TestResultFrameWireSizeAllocs(t *testing.T) {
+	rm := benchFrame(64)
+	if allocs := testing.AllocsPerRun(200, func() { rm.WireSize() }); allocs != 0 {
+		t.Fatalf("WireSize of a 64-tuple frame: %.1f allocs, want 0", allocs)
 	}
 }
 
@@ -155,13 +188,14 @@ func TestResultFrameEncodeAllocs(t *testing.T) {
 // persistent interned decoder filling pooled frame shells.
 func BenchmarkResultFrameDecode(b *testing.B) {
 	frame := bigResultFrame(b)
-	var dec wire.Decoder
+	var dec wire.Codec
+	var m env.Message
 	dec.SetIntern(wire.NewIntern(0))
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))
 	for i := 0; i < b.N; i++ {
 		dec.Reset(frame)
-		m := dec.Message()
+		dec.Message(&m)
 		if dec.Err() != nil {
 			b.Fatal(dec.Err())
 		}

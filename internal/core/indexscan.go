@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
-	"pier/internal/env"
 	"pier/internal/trace"
+	"pier/internal/wire"
 )
 
 // IndexRangeScan is the index access path of a single-table plan: scan
@@ -31,7 +31,7 @@ func (s *IndexRangeScan) String() string {
 }
 
 // WireSize implements env.Message so the spec can ride inside plans.
-func (s *IndexRangeScan) WireSize() int { return env.StringSize(s.Index) + 20 }
+func (s *IndexRangeScan) WireSize() int { return wire.Size(s) }
 
 // IndexRanger is the engine's hook into the PHT index subsystem
 // (implemented by index.Manager; core cannot import it). RangeScan

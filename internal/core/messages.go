@@ -6,6 +6,7 @@ import (
 	"pier/internal/core/bloom"
 	"pier/internal/env"
 	"pier/internal/trace"
+	"pier/internal/wire"
 )
 
 // queryMsg is the multicast payload that disseminates a query to every
@@ -21,7 +22,7 @@ type queryMsg struct {
 }
 
 // WireSize implements env.Message.
-func (m *queryMsg) WireSize() int { return 9 + env.AddrSize + m.Plan.WireSize() }
+func (m *queryMsg) WireSize() int { return wire.Size(m) }
 
 // resultMsg delivers output tuples directly to the query initiator.
 // For traced queries the executor's drained span buffer (and the count
@@ -37,19 +38,13 @@ type resultMsg struct {
 }
 
 // WireSize implements env.Message.
-func (m *resultMsg) WireSize() int {
-	n := env.HeaderSize + 12
-	for _, t := range m.Tuples {
-		n += t.WireSize()
-	}
-	for i := range m.Spans {
-		n += 1 + m.Spans[i].WireSize()
-	}
-	if m.SpanDrops > 0 || len(m.Spans) > 0 {
-		n += 5
-	}
-	return n
-}
+func (m *resultMsg) WireSize() int { return wire.Size(m) }
+
+// ResultFrameOverhead is the WireSize of a result frame of query id
+// before any tuple is added: what the result channel spends per frame.
+// The experiments multiply it by the frames shipped to take result
+// delivery out of a strategy's traffic (Figure 4).
+func ResultFrameOverhead(id uint64) int { return (&resultMsg{ID: id}).WireSize() }
 
 // resultMsgPool recycles result frames — the highest-volume message in
 // the system. Executors take frames from it in flushResults and the
@@ -89,7 +84,7 @@ type sideTuple struct {
 }
 
 // WireSize implements env.Message.
-func (m *sideTuple) WireSize() int { return 1 + m.T.WireSize() }
+func (m *sideTuple) WireSize() int { return wire.Size(m) }
 
 // miniTuple is the semi-join rewrite's projection: just the base
 // resourceID and the join key (§4.2).
@@ -100,9 +95,7 @@ type miniTuple struct {
 }
 
 // WireSize implements env.Message.
-func (m *miniTuple) WireSize() int {
-	return 1 + env.StringSize(m.RID) + env.StringSize(m.Key)
-}
+func (m *miniTuple) WireSize() int { return wire.Size(m) }
 
 // bloomPut carries one node's local Bloom filter to the per-table
 // collector namespace.
@@ -112,7 +105,7 @@ type bloomPut struct {
 }
 
 // WireSize implements env.Message.
-func (m *bloomPut) WireSize() int { return 1 + m.F.WireSize() }
+func (m *bloomPut) WireSize() int { return wire.Size(m) }
 
 // bloomDist is the multicast payload redistributing the OR-ed filter of
 // one table to the nodes holding the opposite table.
@@ -123,7 +116,7 @@ type bloomDist struct {
 }
 
 // WireSize implements env.Message.
-func (m *bloomDist) WireSize() int { return 9 + m.F.WireSize() }
+func (m *bloomDist) WireSize() int { return wire.Size(m) }
 
 // cancelMsg is the multicast payload that tears a query down before its
 // TTL: every node stops the query's executor — window timers, partial-
@@ -134,9 +127,8 @@ type cancelMsg struct {
 	ID uint64
 }
 
-// WireSize implements env.Message. Like queryMsg, it rides inside the
-// multicast envelope, which already charges the transport header.
-func (m *cancelMsg) WireSize() int { return 8 }
+// WireSize implements env.Message.
+func (m *cancelMsg) WireSize() int { return wire.Size(m) }
 
 // creditMsg is the result channel's flow-control grant, sent from the
 // query initiator to one executor. Limit is absolute and cumulative —
@@ -150,7 +142,7 @@ type creditMsg struct {
 }
 
 // WireSize implements env.Message.
-func (m *creditMsg) WireSize() int { return env.HeaderSize + 16 }
+func (m *creditMsg) WireSize() int { return wire.Size(m) }
 
 // partialAgg is one node's partial aggregation state for one group (and
 // window, for continuous queries), put into the aggregation namespace.
@@ -161,13 +153,4 @@ type partialAgg struct {
 }
 
 // WireSize implements env.Message.
-func (m *partialAgg) WireSize() int {
-	n := 4
-	for _, v := range m.Group {
-		n += ValueSize(v)
-	}
-	for _, s := range m.States {
-		n += s.WireSize()
-	}
-	return n
-}
+func (m *partialAgg) WireSize() int { return wire.Size(m) }

@@ -3,7 +3,7 @@ package core
 import (
 	"time"
 
-	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // Strategy selects one of the paper's four distributed equi-join
@@ -233,27 +233,5 @@ type errPlan string
 
 func (e errPlan) Error() string { return "pier: invalid plan: " + string(e) }
 
-// WireSize estimates the plan's encoded size for the query multicast.
-func (p *Plan) WireSize() int {
-	n := 65
-	for _, tr := range p.Tables {
-		n += env.StringSize(tr.NS) + 4*(len(tr.Project)+len(tr.JoinCols)) + 8
-		if tr.Filter != nil {
-			n += tr.Filter.WireSize()
-		}
-		if tr.IndexScan != nil {
-			n += tr.IndexScan.WireSize()
-		}
-	}
-	if p.PostFilter != nil {
-		n += p.PostFilter.WireSize()
-	}
-	if p.Having != nil {
-		n += p.Having.WireSize()
-	}
-	for _, e := range p.Output {
-		n += e.WireSize()
-	}
-	n += 4 * (len(p.GroupBy) + 2*len(p.Aggs))
-	return n
-}
+// WireSize implements env.Message.
+func (p *Plan) WireSize() int { return wire.Size(p) }

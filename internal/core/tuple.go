@@ -10,7 +10,7 @@ import (
 	"strconv"
 	"strings"
 
-	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // Value is a column value: int64, float64, string, bool, or nil.
@@ -27,13 +27,7 @@ type Tuple struct {
 }
 
 // WireSize implements env.Message.
-func (t *Tuple) WireSize() int {
-	n := env.StringSize(t.Rel) + 2 + t.Pad
-	for _, v := range t.Vals {
-		n += ValueSize(v)
-	}
-	return n
-}
+func (t *Tuple) WireSize() int { return wire.Size(t) }
 
 // Clone returns a deep-enough copy (values are immutable scalars).
 func (t *Tuple) Clone() *Tuple {
@@ -81,24 +75,6 @@ func (t *Tuple) String() string {
 		parts[i] = ValueString(v)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// ValueSize is the encoded size of a value on the wire.
-func ValueSize(v Value) int {
-	switch v := v.(type) {
-	case nil:
-		return 1
-	case bool:
-		return 2
-	case int64:
-		return 9
-	case float64:
-		return 9
-	case string:
-		return 1 + env.StringSize(v)
-	default:
-		return 16
-	}
 }
 
 // ValueString renders a value canonically; resourceIDs for rehashed

@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"time"
 
+	"pier/internal/env"
 	"pier/internal/wire"
 )
 
@@ -82,11 +83,12 @@ func MeasureTuplePath(tuplesPerFrame, frames int, pooled bool) (TuplePathCost, e
 			scratch, err = wire.Append(scratch[:0], rm)
 			return err
 		}
-		var dec wire.Decoder
+		var dec wire.Codec
 		dec.SetIntern(wire.NewIntern(0))
 		decode = func() error {
+			var m env.Message
 			dec.Reset(b)
-			m := dec.Message()
+			dec.Message(&m)
 			if err := dec.Err(); err != nil {
 				return err
 			}

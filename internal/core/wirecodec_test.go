@@ -36,8 +36,8 @@ func randFilter(r *rand.Rand) *bloom.Filter {
 
 func randAggState(r *rand.Rand) *AggState {
 	s := &AggState{
-		Count: int64(r.Intn(1000)),
-		SumI:  wiretest.SmallInt(r),
+		Count: wiretest.Int64(r),
+		SumI:  wiretest.Int64(r),
 		Float: r.Intn(2) == 0,
 	}
 	if s.Float {
@@ -54,7 +54,7 @@ func randAggState(r *rand.Rand) *AggState {
 func randExpr(r *rand.Rand, depth int) Expr {
 	if depth <= 0 {
 		if r.Intn(2) == 0 {
-			return &Col{Idx: r.Intn(16)}
+			return &Col{Idx: int(wiretest.Int64(r))}
 		}
 		return &Const{V: wiretest.Value(r)}
 	}
@@ -85,10 +85,10 @@ func randExpr(r *rand.Rand, depth int) Expr {
 func randPlan(r *rand.Rand) *Plan {
 	p := &Plan{
 		Strategy:    Strategy(r.Intn(4)),
-		TTL:         time.Duration(r.Int31()),
-		BloomWait:   time.Duration(r.Int31()),
-		AggWait:     time.Duration(r.Int31()),
-		BloomBits:   r.Intn(1 << 16),
+		TTL:         time.Duration(wiretest.Int64(r)),
+		BloomWait:   time.Duration(wiretest.Int64(r)),
+		AggWait:     time.Duration(wiretest.Int64(r)),
+		BloomBits:   int(wiretest.Int64(r)),
 		BloomHashes: r.Intn(8),
 	}
 	nt := 1 + r.Intn(2)
@@ -133,14 +133,14 @@ func randPlan(r *rand.Rand) *Plan {
 			p.Output[i] = randExpr(r, 1)
 		}
 	}
-	p.ComputeNodes = r.Intn(64)
+	p.ComputeNodes = int(wiretest.Int64(r))
 	p.AggFanout = r.Intn(8)
 	p.AutoStrategy = r.Intn(2) == 0
 	p.AutoAccess = r.Intn(2) == 0
 	p.Trace = r.Intn(2) == 0
 	if r.Intn(4) == 0 {
 		p.Continuous = true
-		p.Every = time.Duration(1 + r.Int31())
+		p.Every = time.Duration(1 + wiretest.Uint64(r)>>1)
 		p.Windows = r.Intn(10)
 	}
 	return p
@@ -158,17 +158,15 @@ func drainResultMsgPool() {
 }
 
 // TestWireRoundTrip is the codec property test for every message type
-// the query processor registers: random instances survive
-// decode(encode(m)) bit-exactly and obey the documented size relation
-// to WireSize().
+// the query processor registers (see wiretest.RoundTrip).
 func TestWireRoundTrip(t *testing.T) {
 	drainResultMsgPool()
-	wiretest.RoundTrip(t, 1, 200, []wiretest.Gen{
+	wiretest.RoundTrip(t, 1, 200, 1, 31, "4365a87792733f46", []wiretest.Gen{
 		{Name: "queryMsg", Make: func(r *rand.Rand) env.Message {
-			return &queryMsg{ID: r.Uint64(), Initiator: wiretest.ShortAddr(r), Trace: r.Intn(2) == 0, Plan: randPlan(r)}
+			return &queryMsg{ID: r.Uint64(), Initiator: wiretest.Addr(r), Trace: r.Intn(2) == 0, Plan: randPlan(r)}
 		}},
 		{Name: "resultMsg", Make: func(r *rand.Rand) env.Message {
-			m := &resultMsg{ID: r.Uint64(), Window: r.Intn(100)}
+			m := &resultMsg{ID: r.Uint64(), Window: int(wiretest.Int64(r))}
 			if n := r.Intn(5); n > 0 {
 				m.Tuples = make([]*Tuple, n)
 				for i := range m.Tuples {
@@ -180,14 +178,14 @@ func TestWireRoundTrip(t *testing.T) {
 				for i := range m.Spans {
 					m.Spans[i] = trace.Span{
 						Stage: trace.Stage(r.Intn(trace.NumStages)),
-						Node:  wiretest.ShortAddr(r),
-						Start: int64(r.Int31()),
-						Dur:   time.Duration(r.Int31()),
+						Node:  wiretest.Addr(r),
+						Start: wiretest.Int64(r),
+						Dur:   time.Duration(wiretest.Uint64(r) >> 1),
 						Note:  wiretest.Str(r, 12),
-						Seq:   uint32(r.Intn(1 << 10)),
+						Seq:   r.Uint32(),
 					}
 				}
-				m.SpanDrops = uint64(r.Intn(16))
+				m.SpanDrops = wiretest.Uint64(r)
 			}
 			return m
 		}},
@@ -204,7 +202,7 @@ func TestWireRoundTrip(t *testing.T) {
 			return &bloomDist{ID: r.Uint64(), Side: r.Intn(2), F: randFilter(r)}
 		}},
 		{Name: "partialAgg", Make: func(r *rand.Rand) env.Message {
-			m := &partialAgg{Window: r.Intn(100)}
+			m := &partialAgg{Window: int(wiretest.Int64(r))}
 			if n := r.Intn(3); n > 0 {
 				m.Group = make([]Value, n)
 				for i := range m.Group {
@@ -223,13 +221,16 @@ func TestWireRoundTrip(t *testing.T) {
 			return &cancelMsg{ID: r.Uint64()}
 		}},
 		{Name: "creditMsg", Make: func(r *rand.Rand) env.Message {
-			return &creditMsg{ID: r.Uint64(), Limit: int64(r.Uint64() >> 1)}
+			return &creditMsg{ID: wiretest.Uint64(r), Limit: int64(wiretest.Uint64(r) >> 1)}
 		}},
 		{Name: "Tuple", Make: func(r *rand.Rand) env.Message { return randTuple(r) }},
 		{Name: "Plan", Make: func(r *rand.Rand) env.Message { return randPlan(r) }},
 		{Name: "AggState", Make: func(r *rand.Rand) env.Message { return randAggState(r) }},
 		{Name: "Filter", Make: func(r *rand.Rand) env.Message { return randFilter(r) }},
-		{Name: "Expr", Make: func(r *rand.Rand) env.Message { return randExpr(r, 3) }},
+		{Name: "Expr", Make: func(r *rand.Rand) env.Message { return randExpr(r, r.Intn(4)) }},
+		{Name: "IndexRangeScan", Make: func(r *rand.Rand) env.Message {
+			return &IndexRangeScan{Index: wiretest.Str(r, 8), Lo: r.Uint64(), Hi: r.Uint64()}
+		}},
 	})
 }
 

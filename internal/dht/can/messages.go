@@ -1,22 +1,9 @@
 package can
 
-import "pier/internal/env"
-
-func zonesWireSize(zs []Zone) int {
-	n := 2
-	for _, z := range zs {
-		n += 2*8*z.Dims() + 2
-	}
-	return n
-}
-
-func nbrsWireSize(m map[env.Addr][]Zone) int {
-	n := 2
-	for _, zs := range m {
-		n += env.AddrSize + zonesWireSize(zs)
-	}
-	return n
-}
+import (
+	"pier/internal/env"
+	"pier/internal/wire"
+)
 
 // lookupMsg is routed greedily toward Point; the owner replies directly
 // to Origin.
@@ -27,9 +14,7 @@ type lookupMsg struct {
 	Hops   uint16
 }
 
-func (m *lookupMsg) WireSize() int {
-	return env.HeaderSize + 4*len(m.Point) + env.AddrSize + 10
-}
+func (m *lookupMsg) WireSize() int { return wire.Size(m) }
 
 // lookupReply is sent by the owner of the looked-up point directly to the
 // origin; the sender address is the answer.
@@ -38,7 +23,7 @@ type lookupReply struct {
 	Hops  uint16
 }
 
-func (m *lookupReply) WireSize() int { return env.HeaderSize + 10 }
+func (m *lookupReply) WireSize() int { return wire.Size(m) }
 
 // joinReq is routed to the owner of Point, who splits its zone and hands
 // the half containing Point to Joiner.
@@ -48,9 +33,7 @@ type joinReq struct {
 	Hops   uint16
 }
 
-func (m *joinReq) WireSize() int {
-	return env.HeaderSize + 4*len(m.Point) + env.AddrSize + 2
-}
+func (m *joinReq) WireSize() int { return wire.Size(m) }
 
 // joinReply carries the new node's zone and a snapshot of the splitter's
 // neighborhood so the joiner can build its routing table.
@@ -59,9 +42,7 @@ type joinReply struct {
 	Neighbors map[env.Addr][]Zone
 }
 
-func (m *joinReply) WireSize() int {
-	return env.HeaderSize + zonesWireSize([]Zone{m.Zone}) + nbrsWireSize(m.Neighbors)
-}
+func (m *joinReply) WireSize() int { return wire.Size(m) }
 
 // neighborUpdate doubles as the keepalive: it advertises the sender's
 // zones and (for deterministic takeover) the sender's own neighbor table.
@@ -70,9 +51,7 @@ type neighborUpdate struct {
 	Nbrs  map[env.Addr][]Zone
 }
 
-func (m *neighborUpdate) WireSize() int {
-	return env.HeaderSize + zonesWireSize(m.Zones) + nbrsWireSize(m.Nbrs)
-}
+func (m *neighborUpdate) WireSize() int { return wire.Size(m) }
 
 // takeoverNotice announces that the sender has adopted the zones of a
 // failed or departed node.
@@ -81,9 +60,7 @@ type takeoverNotice struct {
 	Zones []Zone // the sender's full zone set after the takeover
 }
 
-func (m *takeoverNotice) WireSize() int {
-	return env.HeaderSize + env.AddrSize + zonesWireSize(m.Zones)
-}
+func (m *takeoverNotice) WireSize() int { return wire.Size(m) }
 
 // leaveNotice hands the sender's zones to the receiver on graceful
 // departure; Nbrs lets the receiver stitch the neighborhood together.
@@ -92,6 +69,4 @@ type leaveNotice struct {
 	Nbrs  map[env.Addr][]Zone
 }
 
-func (m *leaveNotice) WireSize() int {
-	return env.HeaderSize + zonesWireSize(m.Zones) + nbrsWireSize(m.Nbrs)
-}
+func (m *leaveNotice) WireSize() int { return wire.Size(m) }

@@ -1,12 +1,10 @@
 package can
 
-// Binary wire codecs for the CAN control protocol (message types in
-// messages.go). Neighbor maps are encoded with sorted keys so the
+// Wire descriptions of the CAN control protocol (message types in
+// messages.go). Neighbor maps are written with sorted keys so the
 // encoding is deterministic.
 
 import (
-	"sort"
-
 	"pier/internal/env"
 	"pier/internal/wire"
 )
@@ -22,173 +20,92 @@ const (
 )
 
 func init() {
-	wire.Register(tagLookupMsg, &lookupMsg{},
-		func(e *wire.Encoder, m env.Message) {
-			l := m.(*lookupMsg)
-			encodePoint(e, l.Point)
-			e.Addr(l.Origin)
-			e.Uvarint(l.Nonce)
-			e.Uvarint(uint64(l.Hops))
-		},
-		func(d *wire.Decoder) env.Message {
-			return &lookupMsg{
-				Point:  decodePoint(d),
-				Origin: d.Addr(),
-				Nonce:  d.Uvarint(),
-				Hops:   uint16(d.Uvarint()),
-			}
-		})
+	wire.Register(tagLookupMsg, func(c *wire.Codec, l *lookupMsg) {
+		wire.Slice(c, &l.Point, 1, wire.Unsigned[uint32])
+		c.Addr(&l.Origin)
+		c.Uvarint(&l.Nonce)
+		wire.Unsigned(c, &l.Hops)
+	})
 
-	wire.Register(tagLookupReply, &lookupReply{},
-		func(e *wire.Encoder, m env.Message) {
-			l := m.(*lookupReply)
-			e.Uvarint(l.Nonce)
-			e.Uvarint(uint64(l.Hops))
-		},
-		func(d *wire.Decoder) env.Message {
-			return &lookupReply{Nonce: d.Uvarint(), Hops: uint16(d.Uvarint())}
-		})
+	wire.Register(tagLookupReply, func(c *wire.Codec, l *lookupReply) {
+		c.Uvarint(&l.Nonce)
+		wire.Unsigned(c, &l.Hops)
+	})
 
-	wire.Register(tagJoinReq, &joinReq{},
-		func(e *wire.Encoder, m env.Message) {
-			j := m.(*joinReq)
-			encodePoint(e, j.Point)
-			e.Addr(j.Joiner)
-			e.Uvarint(uint64(j.Hops))
-		},
-		func(d *wire.Decoder) env.Message {
-			return &joinReq{
-				Point:  decodePoint(d),
-				Joiner: d.Addr(),
-				Hops:   uint16(d.Uvarint()),
-			}
-		})
+	wire.Register(tagJoinReq, func(c *wire.Codec, j *joinReq) {
+		wire.Slice(c, &j.Point, 1, wire.Unsigned[uint32])
+		c.Addr(&j.Joiner)
+		wire.Unsigned(c, &j.Hops)
+	})
 
-	wire.Register(tagJoinReply, &joinReply{},
-		func(e *wire.Encoder, m env.Message) {
-			j := m.(*joinReply)
-			encodeZone(e, j.Zone)
-			encodeNbrs(e, j.Neighbors)
-		},
-		func(d *wire.Decoder) env.Message {
-			return &joinReply{Zone: decodeZone(d), Neighbors: decodeNbrs(d)}
-		})
+	wire.Register(tagJoinReply, func(c *wire.Codec, j *joinReply) {
+		zoneFields(c, &j.Zone)
+		nbrsField(c, &j.Neighbors)
+	})
 
-	wire.Register(tagNeighborUpdate, &neighborUpdate{},
-		func(e *wire.Encoder, m env.Message) {
-			u := m.(*neighborUpdate)
-			encodeZones(e, u.Zones)
-			encodeNbrs(e, u.Nbrs)
-		},
-		func(d *wire.Decoder) env.Message {
-			return &neighborUpdate{Zones: decodeZones(d), Nbrs: decodeNbrs(d)}
-		})
+	wire.Register(tagNeighborUpdate, func(c *wire.Codec, u *neighborUpdate) {
+		zonesField(c, &u.Zones)
+		nbrsField(c, &u.Nbrs)
+	})
 
-	wire.Register(tagTakeoverNotice, &takeoverNotice{},
-		func(e *wire.Encoder, m env.Message) {
-			t := m.(*takeoverNotice)
-			e.Addr(t.Dead)
-			encodeZones(e, t.Zones)
-		},
-		func(d *wire.Decoder) env.Message {
-			return &takeoverNotice{Dead: d.Addr(), Zones: decodeZones(d)}
-		})
+	wire.Register(tagTakeoverNotice, func(c *wire.Codec, t *takeoverNotice) {
+		c.Addr(&t.Dead)
+		zonesField(c, &t.Zones)
+	})
 
-	wire.Register(tagLeaveNotice, &leaveNotice{},
-		func(e *wire.Encoder, m env.Message) {
-			l := m.(*leaveNotice)
-			encodeZones(e, l.Zones)
-			encodeNbrs(e, l.Nbrs)
-		},
-		func(d *wire.Decoder) env.Message {
-			return &leaveNotice{Zones: decodeZones(d), Nbrs: decodeNbrs(d)}
-		})
+	wire.Register(tagLeaveNotice, func(c *wire.Codec, l *leaveNotice) {
+		zonesField(c, &l.Zones)
+		nbrsField(c, &l.Nbrs)
+	})
 }
 
-func encodePoint(e *wire.Encoder, p []uint32) {
-	e.Len(len(p))
-	for _, c := range p {
-		e.Uvarint(uint64(c))
-	}
-}
-
-func decodePoint(d *wire.Decoder) []uint32 {
-	n := d.Len()
-	if n == 0 {
-		return nil
-	}
-	p := make([]uint32, 0, wire.SliceCap(n))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p = append(p, uint32(d.Uvarint()))
-	}
-	return p
-}
-
-func encodeZone(e *wire.Encoder, z Zone) {
-	e.Len(z.Dims())
-	for i := range z.Lo {
-		e.Uvarint(z.Lo[i])
-		e.Uvarint(z.Hi[i])
-	}
-	e.Int(z.Depth)
-}
-
-func decodeZone(d *wire.Decoder) Zone {
-	n := d.LenMin(2) // each dimension carries at least lo+hi
-	z := Zone{}
-	if n > 0 {
+func zoneFields(c *wire.Codec, z *Zone) {
+	n := c.Len(len(z.Lo), 2) // each dimension carries at least lo+hi
+	if c.Decoding() && n > 0 {
 		z.Lo = make([]uint64, 0, wire.SliceCap(n))
 		z.Hi = make([]uint64, 0, wire.SliceCap(n))
-		for i := 0; i < n && d.Err() == nil; i++ {
-			z.Lo = append(z.Lo, d.Uvarint())
-			z.Hi = append(z.Hi, d.Uvarint())
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			z.Lo, z.Hi = append(z.Lo, 0), append(z.Hi, 0)
+		}
+		c.Uvarint(&z.Lo[i])
+		c.Uvarint(&z.Hi[i])
+	}
+	c.Int(&z.Depth)
+}
+
+// zonesField is a zone list: every zone carries at least a dims count
+// and a depth.
+func zonesField(c *wire.Codec, zs *[]Zone) { wire.Slice(c, zs, 2, zoneFields) }
+
+// nbrsField is a neighbor map. Only writing walks it in sorted key
+// order: a sum does not care, and neighborUpdate is most of what an idle
+// overlay sends, so counting must neither allocate nor sort.
+func nbrsField(c *wire.Codec, m *map[env.Addr][]Zone) {
+	n := c.Len(len(*m), 2) // addr length prefix + zones count, minimum
+	switch {
+	case c.Decoding():
+		if n > 0 {
+			*m = make(map[env.Addr][]Zone, wire.SliceCap(n))
+		}
+		for i := 0; i < n && c.Err() == nil; i++ {
+			var a env.Addr
+			var zs []Zone
+			c.Addr(&a)
+			zonesField(c, &zs)
+			(*m)[a] = zs
+		}
+	case c.Counting():
+		for a, zs := range *m {
+			c.Addr(&a)
+			zonesField(c, &zs)
+		}
+	default:
+		for _, a := range env.SortedKeys(*m) {
+			zs := (*m)[a]
+			c.Addr(&a)
+			zonesField(c, &zs)
 		}
 	}
-	z.Depth = d.Int()
-	return z
-}
-
-func encodeZones(e *wire.Encoder, zs []Zone) {
-	e.Len(len(zs))
-	for _, z := range zs {
-		encodeZone(e, z)
-	}
-}
-
-func decodeZones(d *wire.Decoder) []Zone {
-	n := d.LenMin(2) // every zone carries at least a dims count + depth
-	if n == 0 {
-		return nil
-	}
-	zs := make([]Zone, 0, wire.SliceCap(n))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		zs = append(zs, decodeZone(d))
-	}
-	return zs
-}
-
-func encodeNbrs(e *wire.Encoder, m map[env.Addr][]Zone) {
-	addrs := make([]env.Addr, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.Len(len(addrs))
-	for _, a := range addrs {
-		e.Addr(a)
-		encodeZones(e, m[a])
-	}
-}
-
-func decodeNbrs(d *wire.Decoder) map[env.Addr][]Zone {
-	n := d.LenMin(2) // addr length prefix + zones count, minimum
-	if n == 0 {
-		return nil
-	}
-	m := make(map[env.Addr][]Zone, wire.SliceCap(n))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		a := d.Addr()
-		m[a] = decodeZones(d)
-	}
-	return m
 }

@@ -54,28 +54,42 @@ func randNbrs(r *rand.Rand, dims int) map[env.Addr][]Zone {
 	}
 	m := make(map[env.Addr][]Zone, n)
 	for i := 0; i < n; i++ {
-		m[env.Addr(wiretest.Str(r, 7))] = randZones(r, dims)
+		m[wiretest.Addr(r)] = randZones(r, dims)
 	}
 	return m
 }
 
+// TestNeighborUpdateWireSizeAllocs: neighborUpdate is most of what an
+// idle overlay sends and the simulator sizes every send, so counting one
+// — neighbor map included — must neither allocate nor sort.
+func TestNeighborUpdateWireSizeAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	u := &neighborUpdate{Zones: randZones(r, 2), Nbrs: map[env.Addr][]Zone{}}
+	for len(u.Nbrs) < 8 {
+		u.Nbrs[wiretest.Addr(r)] = randZones(r, 2)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { u.WireSize() }); allocs != 0 {
+		t.Fatalf("WireSize of a neighborUpdate with 8 neighbors: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 11, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 11, 300, 48, 63, "e4da30085fe7cff1", []wiretest.Gen{
 		{Name: "lookupMsg", Make: func(r *rand.Rand) env.Message {
 			return &lookupMsg{
 				Point:  randPoint(r),
-				Origin: wiretest.ShortAddr(r),
-				Nonce:  r.Uint64(),
+				Origin: wiretest.Addr(r),
+				Nonce:  wiretest.Uint64(r),
 				Hops:   uint16(r.Intn(1 << 16)),
 			}
 		}},
 		{Name: "lookupReply", Make: func(r *rand.Rand) env.Message {
-			return &lookupReply{Nonce: r.Uint64(), Hops: uint16(r.Intn(1 << 16))}
+			return &lookupReply{Nonce: wiretest.Uint64(r), Hops: uint16(r.Intn(1 << 16))}
 		}},
 		{Name: "joinReq", Make: func(r *rand.Rand) env.Message {
 			return &joinReq{
 				Point:  randPoint(r),
-				Joiner: wiretest.ShortAddr(r),
+				Joiner: wiretest.Addr(r),
 				Hops:   uint16(r.Intn(1 << 16)),
 			}
 		}},
@@ -88,7 +102,7 @@ func TestWireRoundTrip(t *testing.T) {
 			return &neighborUpdate{Zones: randZones(r, dims), Nbrs: randNbrs(r, dims)}
 		}},
 		{Name: "takeoverNotice", Make: func(r *rand.Rand) env.Message {
-			return &takeoverNotice{Dead: wiretest.ShortAddr(r), Zones: randZones(r, 2)}
+			return &takeoverNotice{Dead: wiretest.Addr(r), Zones: randZones(r, 2)}
 		}},
 		{Name: "leaveNotice", Make: func(r *rand.Rand) env.Message {
 			return &leaveNotice{Zones: randZones(r, 2), Nbrs: randNbrs(r, 2)}

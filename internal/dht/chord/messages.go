@@ -1,6 +1,9 @@
 package chord
 
-import "pier/internal/env"
+import (
+	"pier/internal/env"
+	"pier/internal/wire"
+)
 
 // findSuccMsg is routed around the ring toward successor(ID).
 type findSuccMsg struct {
@@ -10,7 +13,7 @@ type findSuccMsg struct {
 	Hops   uint16
 }
 
-func (m *findSuccMsg) WireSize() int { return env.HeaderSize + 8 + env.AddrSize + 10 }
+func (m *findSuccMsg) WireSize() int { return wire.Size(m) }
 
 // findSuccReply answers a findSuccMsg directly to the origin.
 type findSuccReply struct {
@@ -19,7 +22,7 @@ type findSuccReply struct {
 	Hops  uint16
 }
 
-func (m *findSuccReply) WireSize() int { return env.HeaderSize + 8 + env.AddrSize + 2 }
+func (m *findSuccReply) WireSize() int { return wire.Size(m) }
 
 // getPredMsg asks a node for its predecessor and successor list.
 type getPredMsg struct {
@@ -27,7 +30,7 @@ type getPredMsg struct {
 	Nonce  uint64
 }
 
-func (m *getPredMsg) WireSize() int { return env.HeaderSize + env.AddrSize + 8 }
+func (m *getPredMsg) WireSize() int { return wire.Size(m) }
 
 type getPredReply struct {
 	Nonce     uint64
@@ -37,26 +40,24 @@ type getPredReply struct {
 	SuccAddrs []env.Addr
 }
 
-func (m *getPredReply) WireSize() int {
-	return env.HeaderSize + 17 + env.AddrSize*(1+len(m.SuccAddrs))
-}
+func (m *getPredReply) WireSize() int { return wire.Size(m) }
 
 // notifyMsg tells the receiver the sender believes it is the receiver's
 // predecessor.
 type notifyMsg struct{ ID uint64 }
 
-func (m *notifyMsg) WireSize() int { return env.HeaderSize + 8 }
+func (m *notifyMsg) WireSize() int { return wire.Size(m) }
 
 type pingMsg struct {
 	Origin env.Addr
 	Nonce  uint64
 }
 
-func (m *pingMsg) WireSize() int { return env.HeaderSize + env.AddrSize + 8 }
+func (m *pingMsg) WireSize() int { return wire.Size(m) }
 
 type pongMsg struct{ Nonce uint64 }
 
-func (m *pongMsg) WireSize() int { return env.HeaderSize + 8 }
+func (m *pongMsg) WireSize() int { return wire.Size(m) }
 
 // leaveMsg patches the ring around a gracefully departing node.
 type leaveMsg struct {
@@ -66,4 +67,4 @@ type leaveMsg struct {
 	PredID   uint64
 }
 
-func (m *leaveMsg) WireSize() int { return env.HeaderSize + 2*(env.AddrSize+8) }
+func (m *leaveMsg) WireSize() int { return wire.Size(m) }

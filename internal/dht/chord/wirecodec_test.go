@@ -9,57 +9,57 @@ import (
 )
 
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 13, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 13, 300, 64, 79, "9e471eb241682dd5", []wiretest.Gen{
 		{Name: "findSuccMsg", Make: func(r *rand.Rand) env.Message {
 			return &findSuccMsg{
-				ID:     r.Uint64(),
-				Origin: wiretest.ShortAddr(r),
-				Nonce:  r.Uint64(),
+				ID:     wiretest.Uint64(r),
+				Origin: wiretest.Addr(r),
+				Nonce:  wiretest.Uint64(r),
 				Hops:   uint16(r.Intn(1 << 16)),
 			}
 		}},
 		{Name: "findSuccReply", Make: func(r *rand.Rand) env.Message {
 			return &findSuccReply{
-				Nonce: r.Uint64(),
-				Owner: wiretest.ShortAddr(r),
+				Nonce: wiretest.Uint64(r),
+				Owner: wiretest.Addr(r),
 				Hops:  uint16(r.Intn(1 << 16)),
 			}
 		}},
 		{Name: "getPredMsg", Make: func(r *rand.Rand) env.Message {
-			return &getPredMsg{Origin: wiretest.ShortAddr(r), Nonce: r.Uint64()}
+			return &getPredMsg{Origin: wiretest.Addr(r), Nonce: wiretest.Uint64(r)}
 		}},
 		{Name: "getPredReply", Make: func(r *rand.Rand) env.Message {
 			g := &getPredReply{
-				Nonce:   r.Uint64(),
+				Nonce:   wiretest.Uint64(r),
 				HasPred: r.Intn(2) == 0,
-				PredID:  r.Uint64(),
+				PredID:  wiretest.Uint64(r),
 			}
 			if g.HasPred {
-				g.PredAddr = wiretest.ShortAddr(r)
+				g.PredAddr = wiretest.Addr(r)
 			}
 			if n := r.Intn(5); n > 0 {
 				g.SuccAddrs = make([]env.Addr, n)
 				for i := range g.SuccAddrs {
-					g.SuccAddrs[i] = wiretest.ShortAddr(r)
+					g.SuccAddrs[i] = wiretest.Addr(r)
 				}
 			}
 			return g
 		}},
 		{Name: "notifyMsg", Make: func(r *rand.Rand) env.Message {
-			return &notifyMsg{ID: r.Uint64()}
+			return &notifyMsg{ID: wiretest.Uint64(r)}
 		}},
 		{Name: "pingMsg", Make: func(r *rand.Rand) env.Message {
-			return &pingMsg{Origin: wiretest.ShortAddr(r), Nonce: r.Uint64()}
+			return &pingMsg{Origin: wiretest.Addr(r), Nonce: wiretest.Uint64(r)}
 		}},
 		{Name: "pongMsg", Make: func(r *rand.Rand) env.Message {
-			return &pongMsg{Nonce: r.Uint64()}
+			return &pongMsg{Nonce: wiretest.Uint64(r)}
 		}},
 		{Name: "leaveMsg", Make: func(r *rand.Rand) env.Message {
 			return &leaveMsg{
-				SuccAddr: wiretest.ShortAddr(r),
-				SuccID:   r.Uint64(),
-				PredAddr: wiretest.ShortAddr(r),
-				PredID:   r.Uint64(),
+				SuccAddr: wiretest.Addr(r),
+				SuccID:   wiretest.Uint64(r),
+				PredAddr: wiretest.Addr(r),
+				PredID:   wiretest.Uint64(r),
 			}
 		}},
 	})

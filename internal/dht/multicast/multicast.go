@@ -13,6 +13,7 @@ import (
 
 	"pier/internal/dht"
 	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // FloodMsg carries one multicast payload hop-by-hop over neighbor links.
@@ -24,9 +25,7 @@ type FloodMsg struct {
 }
 
 // WireSize implements env.Message.
-func (m *FloodMsg) WireSize() int {
-	return env.HeaderSize + env.AddrSize + 8 + 4*len(m.Hint) + m.Payload.WireSize()
-}
+func (m *FloodMsg) WireSize() int { return wire.Size(m) }
 
 // Flooder implements multicast for one node.
 type Flooder struct {

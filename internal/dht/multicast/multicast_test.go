@@ -141,7 +141,9 @@ func TestFloodSurvivesDeadNodes(t *testing.T) {
 
 func TestWireSizeIncludesPayloadAndHint(t *testing.T) {
 	m := &FloodMsg{Origin: "sim:0", Seq: 1, Hint: []uint32{1, 2, 3, 4}, Payload: &note{}}
-	if m.WireSize() <= 100+16 {
-		t.Fatalf("WireSize = %d, too small", m.WireSize())
+	// Tag, origin, seq, four one-byte hints behind their count, and the
+	// untagged payload at its literal size.
+	if want := 1 + (1 + 5) + 1 + (1 + 4) + 100; m.WireSize() != want {
+		t.Fatalf("WireSize = %d, want %d", m.WireSize(), want)
 	}
 }

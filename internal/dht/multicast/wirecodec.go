@@ -1,41 +1,18 @@
 package multicast
 
-// Binary wire codec for the flood envelope; the payload is any
-// registered message type, encoded recursively.
+// Wire description of the flood envelope; the payload is any registered
+// message type, coded recursively.
 
-import (
-	"pier/internal/env"
-	"pier/internal/wire"
-)
+import "pier/internal/wire"
 
 const tagFloodMsg byte = 80
 
 func init() {
-	wire.Register(tagFloodMsg, &FloodMsg{},
-		func(e *wire.Encoder, m env.Message) {
-			f := m.(*FloodMsg)
-			e.Addr(f.Origin)
-			e.Uvarint(f.Seq)
-			e.Len(len(f.Hint))
-			for _, h := range f.Hint {
-				e.Uvarint(uint64(h))
-			}
-			e.Message(f.Payload)
-		},
-		func(d *wire.Decoder) env.Message {
-			f := &FloodMsg{Origin: d.Addr(), Seq: d.Uvarint()}
-			if n := d.Len(); n > 0 {
-				f.Hint = make([]uint32, 0, wire.SliceCap(n))
-				for i := 0; i < n && d.Err() == nil; i++ {
-					f.Hint = append(f.Hint, uint32(d.Uvarint()))
-				}
-			}
-			f.Payload = d.Message()
-			if f.Payload == nil && d.Err() == nil {
-				// Every flood carries a payload; WireSize and delivery
-				// dereference it.
-				d.Fail("missing required flood payload")
-			}
-			return f
-		})
+	wire.Register(tagFloodMsg, func(c *wire.Codec, f *FloodMsg) {
+		c.Addr(&f.Origin)
+		c.Uvarint(&f.Seq)
+		wire.Slice(c, &f.Hint, 1, wire.Unsigned[uint32])
+		// Every flood carries a payload; delivery dereferences it.
+		wire.Required(c, &f.Payload)
+	})
 }

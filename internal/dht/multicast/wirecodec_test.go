@@ -13,20 +13,18 @@ import (
 // carries; their codecs are tested in their owning packages.
 type floodPayload struct{ S string }
 
-func (p *floodPayload) WireSize() int { return env.StringSize(p.S) }
+func (p *floodPayload) WireSize() int { return wire.Size(p) }
 
 func init() {
-	wire.Register(204, &floodPayload{},
-		func(e *wire.Encoder, m env.Message) { e.String(m.(*floodPayload).S) },
-		func(d *wire.Decoder) env.Message { return &floodPayload{S: d.String()} })
+	wire.Register(204, func(c *wire.Codec, p *floodPayload) { c.String(&p.S) })
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 17, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 17, 300, 80, 89, "f188a3e977d12c5c", []wiretest.Gen{
 		{Name: "FloodMsg", Make: func(r *rand.Rand) env.Message {
 			f := &FloodMsg{
-				Origin:  wiretest.ShortAddr(r),
-				Seq:     r.Uint64(),
+				Origin:  wiretest.Addr(r),
+				Seq:     wiretest.Uint64(r),
 				Payload: &floodPayload{S: wiretest.Str(r, 24)},
 			}
 			if n := r.Intn(4); n > 0 {

@@ -5,6 +5,7 @@ import (
 
 	"pier/internal/dht/storage"
 	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // putMsg carries one item directly to the owner found by a lookup.
@@ -15,7 +16,7 @@ type putMsg struct {
 	Attempt uint8
 }
 
-func (m *putMsg) WireSize() int { return env.HeaderSize + m.Item.WireSize() + 1 }
+func (m *putMsg) WireSize() int { return wire.Size(m) }
 
 // maxRetryAfter caps the backoff an owner may impose on a publisher —
 // a clamp against hostile or buggy frames, mirroring the decoder's
@@ -34,9 +35,7 @@ type putThrottleMsg struct {
 	RetryAfter time.Duration
 }
 
-func (m *putThrottleMsg) WireSize() int {
-	return env.HeaderSize + m.Item.WireSize() + 1 + 8
-}
+func (m *putThrottleMsg) WireSize() int { return wire.Size(m) }
 
 // getMsg asks the owner for all items under (NS, RID).
 type getMsg struct {
@@ -46,9 +45,7 @@ type getMsg struct {
 	Forwarded bool
 }
 
-func (m *getMsg) WireSize() int {
-	return env.HeaderSize + env.StringSize(m.NS) + env.StringSize(m.RID) + 8 + env.AddrSize + 1
-}
+func (m *getMsg) WireSize() int { return wire.Size(m) }
 
 // getReply answers a getMsg directly to the origin.
 type getReply struct {
@@ -56,13 +53,7 @@ type getReply struct {
 	Items []*storage.Item
 }
 
-func (m *getReply) WireSize() int {
-	n := env.HeaderSize + 8
-	for _, it := range m.Items {
-		n += it.WireSize()
-	}
-	return n
-}
+func (m *getReply) WireSize() int { return wire.Size(m) }
 
 // transferMsg hands items to their new owner after a location-map
 // change.
@@ -70,13 +61,7 @@ type transferMsg struct {
 	Items []*storage.Item
 }
 
-func (m *transferMsg) WireSize() int {
-	n := env.HeaderSize
-	for _, it := range m.Items {
-		n += it.WireSize()
-	}
-	return n
-}
+func (m *transferMsg) WireSize() int { return wire.Size(m) }
 
 // nsPayload tags a multicast payload with its namespace.
 type nsPayload struct {
@@ -84,4 +69,4 @@ type nsPayload struct {
 	Payload env.Message
 }
 
-func (m *nsPayload) WireSize() int { return env.StringSize(m.NS) + m.Payload.WireSize() }
+func (m *nsPayload) WireSize() int { return wire.Size(m) }

@@ -14,17 +14,18 @@ import (
 
 	"pier/internal/dht/storage"
 	"pier/internal/env"
+	"pier/internal/simnet"
 	"pier/internal/wire"
 	"pier/internal/wire/wiretest"
 )
 
 func TestPutThrottleWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 5, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 5, 300, tagPutThrottleMsg, 47, "81082c75e362fefc", []wiretest.Gen{
 		{Name: "putThrottleMsg", Make: func(r *rand.Rand) env.Message {
 			return &putThrottleMsg{
 				Item:       randItem(r),
 				Attempt:    uint8(r.Intn(maxPutAttempt)),
-				RetryAfter: time.Duration(r.Intn(int(maxRetryAfter))),
+				RetryAfter: time.Duration(wiretest.Uint64(r) >> 1),
 			}
 		}},
 		{Name: "putMsg with attempt", Make: func(r *rand.Rand) env.Message {
@@ -69,9 +70,10 @@ func TestPutThrottleHostileFramesRejected(t *testing.T) {
 }
 
 // throttleTestQuota fits two of this suite's 64-byte-payload items
-// under namespace "hot" with a single-character resourceID.
+// under namespace "hot" with a single-character resourceID and an
+// expiry as wide as the simulator's clock encodes.
 func throttleTestQuota() int64 {
-	it := &storage.Item{Namespace: "hot", ResourceID: "k", InstanceID: 0, Payload: &payload{}}
+	it := &storage.Item{Namespace: "hot", ResourceID: "k", InstanceID: 0, Payload: &payload{}, Expires: simnet.Epoch.Add(time.Hour)}
 	return 2 * int64(it.WireSize())
 }
 

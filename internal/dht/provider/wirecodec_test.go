@@ -15,23 +15,21 @@ import (
 // tested in their owning packages.
 type provPayload struct{ N int64 }
 
-func (p *provPayload) WireSize() int { return 8 }
+func (p *provPayload) WireSize() int { return wire.Size(p) }
 
 func init() {
-	wire.Register(203, &provPayload{},
-		func(e *wire.Encoder, m env.Message) { e.Varint(m.(*provPayload).N) },
-		func(d *wire.Decoder) env.Message { return &provPayload{N: d.Varint()} })
+	wire.Register(203, func(c *wire.Codec, p *provPayload) { c.Varint(&p.N) })
 }
 
 func randItem(r *rand.Rand) *storage.Item {
 	it := &storage.Item{
 		Namespace:  wiretest.Str(r, 10),
 		ResourceID: wiretest.Str(r, 10),
-		InstanceID: wiretest.SmallInt(r),
-		Payload:    &provPayload{N: wiretest.SmallInt(r)},
+		InstanceID: wiretest.Int64(r),
+		Payload:    &provPayload{N: wiretest.Int64(r)},
 	}
 	if r.Intn(2) == 0 {
-		it.Expires = time.Unix(int64(r.Int31()), 0)
+		it.Expires = time.Unix(0, wiretest.Int64(r))
 	}
 	return it
 }
@@ -65,8 +63,18 @@ func TestNilRequiredFieldsRejected(t *testing.T) {
 	}
 }
 
+// TestPutMsgWireSizeAllocs: the simulator sizes every put it sends.
+func TestPutMsgWireSizeAllocs(t *testing.T) {
+	m := &putMsg{Item: randItem(rand.New(rand.NewSource(1)))}
+	if allocs := testing.AllocsPerRun(200, func() { m.WireSize() }); allocs != 0 {
+		t.Fatalf("WireSize of a putMsg: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestWireRoundTrip covers the provider's tags below putThrottleMsg,
+// which TestPutThrottleWireRoundTrip owns.
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 5, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 5, 300, tagPutMsg, tagPutThrottleMsg-1, "f48a998d79390538", []wiretest.Gen{
 		{Name: "putMsg", Make: func(r *rand.Rand) env.Message {
 			return &putMsg{Item: randItem(r)}
 		}},
@@ -74,19 +82,19 @@ func TestWireRoundTrip(t *testing.T) {
 			return &getMsg{
 				NS:        wiretest.Str(r, 10),
 				RID:       wiretest.Str(r, 10),
-				Nonce:     r.Uint64(),
-				Origin:    wiretest.ShortAddr(r),
+				Nonce:     wiretest.Uint64(r),
+				Origin:    wiretest.Addr(r),
 				Forwarded: r.Intn(2) == 0,
 			}
 		}},
 		{Name: "getReply", Make: func(r *rand.Rand) env.Message {
-			return &getReply{Nonce: r.Uint64(), Items: randItems(r)}
+			return &getReply{Nonce: wiretest.Uint64(r), Items: randItems(r)}
 		}},
 		{Name: "transferMsg", Make: func(r *rand.Rand) env.Message {
 			return &transferMsg{Items: randItems(r)}
 		}},
 		{Name: "nsPayload", Make: func(r *rand.Rand) env.Message {
-			return &nsPayload{NS: wiretest.Str(r, 10), Payload: &provPayload{N: wiretest.SmallInt(r)}}
+			return &nsPayload{NS: wiretest.Str(r, 10), Payload: &provPayload{N: wiretest.Int64(r)}}
 		}},
 	})
 }

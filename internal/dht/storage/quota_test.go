@@ -14,14 +14,19 @@ func newTestBounded(cfg QuotaConfig) (*Manager, *clock) {
 	return m, c
 }
 
+// probeExpiry gives a size probe the encoded width of the expiries the
+// tests store (an hour to a hundred hours past the test clock's epoch: a
+// seven-byte varint; an immortal item's zero flag is one byte).
+var probeExpiry = time.Unix(0, 0).Add(time.Hour)
+
 func sizedItem(ns, rid string, iid int64, size int, exp time.Time) *Item {
 	return &Item{Namespace: ns, ResourceID: rid, InstanceID: iid, Payload: payload{size}, Expires: exp}
 }
 
 func TestBoundedEvictsExpiredFirst(t *testing.T) {
-	// All rids are 4 chars so every item has identical WireSize and the
-	// quota fits exactly three of them.
-	probe := sizedItem("r", "xxxx", 0, 10, time.Time{})
+	// All rids are 4 chars so the live items have identical WireSize and
+	// the quota fits exactly three of them.
+	probe := sizedItem("r", "xxxx", 0, 10, probeExpiry)
 	quota := int64(3 * probe.WireSize())
 	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "dead", 1, 10, c.t.Add(time.Minute)))
@@ -40,7 +45,7 @@ func TestBoundedEvictsExpiredFirst(t *testing.T) {
 }
 
 func TestBoundedEvictsNearestToExpiry(t *testing.T) {
-	probe := sizedItem("r", "xxxx", 0, 10, time.Time{})
+	probe := sizedItem("r", "xxxx", 0, 10, probeExpiry)
 	quota := int64(2 * probe.WireSize())
 	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "far0", 1, 10, c.t.Add(10*time.Hour)))
@@ -91,7 +96,7 @@ func TestBoundedExpiringEvictedBeforeImmortal(t *testing.T) {
 }
 
 func TestBoundedIncomingItemCanBeDropped(t *testing.T) {
-	probe := sizedItem("r", "x", 0, 10, time.Time{})
+	probe := sizedItem("r", "x", 0, 10, probeExpiry)
 	quota := int64(2 * probe.WireSize())
 	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": quota}})
 	b.Store(sizedItem("r", "a", 1, 10, c.t.Add(10*time.Hour)))
@@ -139,7 +144,7 @@ func TestBoundedNeverExceedsQuota(t *testing.T) {
 }
 
 func TestBoundedOverHighWater(t *testing.T) {
-	probe := sizedItem("r", "x", 0, 80, time.Time{})
+	probe := sizedItem("r", "x", 0, 80, probeExpiry)
 	one := int64(probe.WireSize())
 	b, c := newTestBounded(QuotaConfig{Quotas: map[string]int64{"r": 4 * one}})
 	if b.OverHighWater("r") {

@@ -166,7 +166,7 @@ func TestConformanceEvictionInsideScanCallback(t *testing.T) {
 	// the scan evict the nearest-to-expiry items, which are the ones the
 	// scan has not reached yet. With a spill log they go to disk and the
 	// scan still owes each of them its visit.
-	sz := int64(spillItem("t", "r00", 1, 8, time.Time{}).WireSize())
+	sz := int64(spillItem("t", "r00", 1, 8, time.Unix(0, 0).Add(time.Minute)).WireSize())
 	forEachStoreWith(t, QuotaConfig{DefaultQuota: 10 * sz}, func(t *testing.T, s *Manager, c *clock) {
 		const n = 10
 		for i := 0; i < n; i++ {
@@ -211,7 +211,7 @@ func TestSpillScanSkipsItemsRemovedFromEitherTier(t *testing.T) {
 	// A removal from inside the callback must be honoured whether the
 	// item was in memory or on disk.
 	c := &clock{t: time.Unix(0, 0)}
-	sz := int64(spillItem("t", "a", 1, 8, time.Time{}).WireSize())
+	sz := int64(spillItem("t", "a", 1, 8, c.t.Add(time.Minute)).WireSize())
 	sp := openTest(t, c, QuotaConfig{DefaultQuota: 3 * sz}, t.TempDir())
 	for i, rid := range []string{"a", "b", "c", "d", "e", "f"} {
 		sp.Store(spillItem("t", rid, 1, 8, c.t.Add(time.Duration(i+1)*time.Minute)))

@@ -33,7 +33,7 @@ func onDisk(s *Manager, ns, rid string, iid int64) bool {
 // smallQuota returns a quota fitting exactly n items of the given pad
 // whose resourceIDs are ridLen characters long.
 func smallQuota(n, pad, ridLen int) int64 {
-	return int64(n * spillItem("f", strings.Repeat("0", ridLen), 0, pad, time.Time{}).WireSize())
+	return int64(n * spillItem("f", strings.Repeat("0", ridLen), 0, pad, probeExpiry).WireSize())
 }
 
 func TestSpillOverflowsToDiskAndMerges(t *testing.T) {
@@ -145,7 +145,7 @@ func TestSpillRestartReloadsAndDropsExpired(t *testing.T) {
 	if got := s2.Retrieve("f", "livs"); len(got) != 1 || got[0].InstanceID != 2 {
 		t.Fatalf("surviving spilled item not reloaded: %v", got)
 	}
-	if p, ok := got0(s2.Retrieve("f", "livs")); ok && p.Payload.WireSize() != 4+40 {
+	if p, ok := got0(s2.Retrieve("f", "livs")); ok && p.Payload.WireSize() != 1+1+40 { // tag, length, bytes
 		t.Fatalf("payload lost on reload: %+v", p)
 	}
 	if got := s2.Retrieve("f", "dies"); len(got) != 0 {

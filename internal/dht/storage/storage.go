@@ -23,6 +23,7 @@ import (
 
 	"pier/internal/dht"
 	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // Item is one stored object, named by the paper's
@@ -43,13 +44,7 @@ func (it *Item) Key() dht.Key { return dht.KeyOf(it.Namespace, it.ResourceID) }
 
 // WireSize implements env.Message so items can ride in put/get/transfer
 // messages.
-func (it *Item) WireSize() int {
-	n := env.StringSize(it.Namespace) + env.StringSize(it.ResourceID) + 16
-	if it.Payload != nil {
-		n += it.Payload.WireSize()
-	}
-	return n
-}
+func (it *Item) WireSize() int { return wire.Size(it) }
 
 // Manager is the per-node soft-state store (§3.2.2–§3.2.3): items carry
 // lifetimes, a re-Store of the same (namespace, resourceID, instanceID)

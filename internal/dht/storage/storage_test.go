@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"pier/internal/env"
 )
 
 type payload struct{ size int }
@@ -188,7 +186,9 @@ func TestItemKeyMatchesNamingScheme(t *testing.T) {
 
 func TestWireSize(t *testing.T) {
 	it := &Item{Namespace: "ns", ResourceID: "rid", InstanceID: 1, Payload: payload{100}}
-	want := env.StringSize("ns") + env.StringSize("rid") + 16 + 100
+	// tag, two length-prefixed strings, instanceID, zero-expiry flag, and
+	// the untagged payload at its own literal size.
+	want := 1 + (1 + 2) + (1 + 3) + 1 + 1 + 100
 	if it.WireSize() != want {
 		t.Fatalf("WireSize = %d, want %d", it.WireSize(), want)
 	}

@@ -1,48 +1,19 @@
 package storage
 
-// Binary wire codec for Item, which rides inside the provider's put,
+// Wire description of Item, which rides inside the provider's put,
 // get-reply, and transfer messages. The nested payload is any registered
-// message type, encoded recursively.
+// message type, coded recursively.
 
-import (
-	"pier/internal/env"
-	"pier/internal/wire"
-)
+import "pier/internal/wire"
 
 const tagItem byte = 32
 
 func init() {
-	wire.Register(tagItem, &Item{},
-		func(e *wire.Encoder, m env.Message) {
-			it := m.(*Item)
-			e.String(it.Namespace)
-			e.String(it.ResourceID)
-			e.Varint(it.InstanceID)
-			e.Time(it.Expires)
-			e.Message(it.Payload)
-		},
-		func(d *wire.Decoder) env.Message {
-			return &Item{
-				Namespace:  d.String(),
-				ResourceID: d.String(),
-				InstanceID: d.Varint(),
-				Expires:    d.Time(),
-				Payload:    d.Message(),
-			}
-		})
-}
-
-// ItemField decodes a nested *Item written with Encoder.Message (for the
-// provider's codecs); nil stays nil.
-func ItemField(d *wire.Decoder) *Item {
-	m := d.Message()
-	if m == nil {
-		return nil
-	}
-	it, ok := m.(*Item)
-	if !ok {
-		d.Fail("message is not a storage item")
-		return nil
-	}
-	return it
+	wire.Register(tagItem, func(c *wire.Codec, it *Item) {
+		c.String(&it.Namespace)
+		c.String(&it.ResourceID)
+		c.Varint(&it.InstanceID)
+		c.Time(&it.Expires)
+		c.Message(&it.Payload)
+	})
 }

@@ -15,22 +15,20 @@ import (
 // their owning packages.
 type itemPayload struct{ S string }
 
-func (p *itemPayload) WireSize() int { return env.StringSize(p.S) }
+func (p *itemPayload) WireSize() int { return wire.Size(p) }
 
 func init() {
-	wire.Register(202, &itemPayload{},
-		func(e *wire.Encoder, m env.Message) { e.String(m.(*itemPayload).S) },
-		func(d *wire.Decoder) env.Message { return &itemPayload{S: d.String()} })
+	wire.Register(202, func(c *wire.Codec, p *itemPayload) { c.String(&p.S) })
 }
 
 func randItem(r *rand.Rand) *Item {
 	it := &Item{
 		Namespace:  wiretest.Str(r, 12),
 		ResourceID: wiretest.Str(r, 12),
-		InstanceID: wiretest.SmallInt(r),
+		InstanceID: wiretest.Int64(r),
 	}
 	if r.Intn(4) > 0 {
-		it.Expires = time.Unix(0, int64(r.Int31())*1000)
+		it.Expires = time.Unix(0, wiretest.Int64(r))
 	}
 	if r.Intn(4) > 0 {
 		it.Payload = &itemPayload{S: wiretest.Str(r, 20)}
@@ -39,7 +37,7 @@ func randItem(r *rand.Rand) *Item {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 3, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 3, 300, 32, 32, "92ecd7730f6a70f1", []wiretest.Gen{
 		{Name: "Item", Make: func(r *rand.Rand) env.Message { return randItem(r) }},
 	})
 }

@@ -27,9 +27,12 @@ type Addr string
 const NilAddr Addr = ""
 
 // Message is anything that can be sent between nodes. WireSize reports the
-// number of bytes the message occupies on the wire; the simulator charges
-// this size against the receiver's inbound link (§5.2: congestion is
-// modeled at the last hop).
+// number of bytes the message occupies on the wire: for a type registered
+// with package wire, exactly what the codec writes plus the pad the
+// message declares (wire.Size — the description that encodes the message
+// also counts it); for a message with no wire tag, a literal. The
+// simulator charges HeaderSize plus this size against the receiver's
+// inbound link (§5.2: congestion is modeled at the last hop).
 type Message interface {
 	WireSize() int
 }

@@ -18,15 +18,6 @@ func TestHandlerFunc(t *testing.T) {
 	}
 }
 
-func TestStringSize(t *testing.T) {
-	if StringSize("") != 4 {
-		t.Errorf("empty string size = %d", StringSize(""))
-	}
-	if StringSize("abc") != 7 {
-		t.Errorf("StringSize(abc) = %d", StringSize("abc"))
-	}
-}
-
 func TestNilAddrIsZero(t *testing.T) {
 	var a Addr
 	if a != NilAddr {

@@ -1,33 +1,9 @@
 package env
 
-// Wire-size helpers. The simulator does not serialize messages (it passes
-// pointers), so message types compute a representative on-the-wire size
-// instead. The constants approximate a compact binary encoding plus a
-// small per-message header, in the spirit of the paper's accounting of
-// "aggregate network traffic" (Figure 4).
-//
-// The real transport's binary codec (pier/internal/wire) is kept
-// comparable to this model: its property tests assert that a message's
-// encoded form never exceeds WireSize() + HeaderSize (for addresses
-// within AddrSize and int32-range integers), so simulated traffic
-// accounting and real frames stay in the same regime. WireSize remains
-// the charging model — it includes pad bytes and a fixed header the
-// codec does not literally send.
-
-const (
-	// HeaderSize is charged once per message: source/destination
-	// addresses, message kind, and framing.
-	HeaderSize = 32
-
-	// AddrSize approximates an encoded node address (IPv4 + port + tag).
-	AddrSize = 8
-
-	// KeySize is the size of a DHT key on the wire (SHA-1).
-	KeySize = 20
-
-	// IntSize is the size of an encoded integer value.
-	IntSize = 8
-)
-
-// StringSize returns the encoded size of a string (length prefix + bytes).
-func StringSize(s string) int { return 4 + len(s) }
+// HeaderSize is what the simulator charges per send for everything below
+// the codec: TCP/IP headers and the transport's frame (length prefix,
+// sender address). NodeEnv.Send adds it, once, to the message's
+// WireSize(), which is exactly the bytes package wire writes plus the
+// message's declared pad — so simulated traffic ("aggregate network
+// traffic", Figure 4) and real frames are measured by the same ruler.
+const HeaderSize = 32

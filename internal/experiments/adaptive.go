@@ -231,10 +231,10 @@ func RunAdaptiveCase(cfg AdaptiveConfig, w AdaptiveWorkload, fixed core.Strategy
 	sn.Net.ResetStats()
 	start := sn.Net.Now()
 	var arrivals []time.Duration
-	resultBytes := 0
+	frames, tupleBytes := resultFrames(sn), 0
 	id, err := sn.Nodes[0].Query(plan, func(t *core.Tuple, _ int) {
 		arrivals = append(arrivals, sn.Net.Now().Sub(start))
-		resultBytes += t.WireSize() + 44
+		tupleBytes += t.WireSize()
 	})
 	if err != nil {
 		panic(err)
@@ -252,7 +252,7 @@ func RunAdaptiveCase(cfg AdaptiveConfig, w AdaptiveWorkload, fixed core.Strategy
 	if len(arrivals) > 0 {
 		res.TimeToLast = arrivals[len(arrivals)-1]
 	}
-	res.StrategyMB = float64(sn.Net.Totals().Bytes-int64(resultBytes)) / 1e6
+	res.StrategyMB = float64(sn.Net.Totals().Bytes-resultBytes(sn, id, frames, tupleBytes)) / 1e6
 	return res
 }
 

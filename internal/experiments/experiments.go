@@ -17,6 +17,7 @@ import (
 
 	"pier"
 	"pier/internal/core"
+	"pier/internal/env"
 	"pier/internal/topology"
 	"pier/internal/workload"
 )
@@ -110,10 +111,10 @@ func RunJoin(cfg JoinConfig) JoinResult {
 	sn.Net.ResetStats()
 	start := sn.Net.Now()
 	var arrivals []time.Duration
-	resultBytes := 0
+	frames, tupleBytes := resultFrames(sn), 0
 	id, err := sn.Nodes[0].Query(plan, func(t *core.Tuple, _ int) {
 		arrivals = append(arrivals, sn.Net.Now().Sub(start))
-		resultBytes += t.WireSize() + 44 // per-result message overhead
+		tupleBytes += t.WireSize()
 	})
 	if err != nil {
 		panic(err)
@@ -137,10 +138,27 @@ func RunJoin(cfg JoinConfig) JoinResult {
 	}
 	stats := sn.Net.Totals()
 	res.TrafficMB = float64(stats.Bytes) / 1e6
-	res.StrategyMB = float64(stats.Bytes-int64(resultBytes)) / 1e6
+	res.StrategyMB = float64(stats.Bytes-resultBytes(sn, id, frames, tupleBytes)) / 1e6
 	res.MaxInMB = float64(sn.Net.MaxInbound()) / 1e6
 	res.AvgHops = avgCANHops(sn)
 	return res
+}
+
+// resultFrames counts the result frames every node has shipped so far.
+func resultFrames(sn *pier.SimNetwork) (n uint64) {
+	for _, nd := range sn.Nodes {
+		n += nd.QueryStats().ResultBatches
+	}
+	return n
+}
+
+// resultBytes is what delivering query id's results cost on the
+// simulated wire: the tuples the initiator received, plus an empty result
+// frame and the per-send header for each frame shipped since the
+// resultFrames reading taken before the query.
+func resultBytes(sn *pier.SimNetwork, id uint64, framesBefore uint64, tupleBytes int) int64 {
+	perFrame := env.HeaderSize + core.ResultFrameOverhead(id)
+	return int64(tupleBytes) + int64(resultFrames(sn)-framesBefore)*int64(perFrame)
 }
 
 // bloomBitsFor sizes a filter at ~10 bits per expected key (≈1% false

@@ -95,9 +95,7 @@ type Def struct {
 
 // WireSize implements env.Message (definitions ride in DHT puts and the
 // announce multicast).
-func (d *Def) WireSize() int {
-	return env.StringSize(d.Name) + env.StringSize(d.Table) + env.StringSize(d.Col) + 3
-}
+func (d *Def) WireSize() int { return wire.Size(d) }
 
 // Validate rejects definitions the resourceID scheme cannot represent.
 func (d *Def) Validate() error {
@@ -130,20 +128,14 @@ type Entry struct {
 }
 
 // WireSize implements env.Message.
-func (e *Entry) WireSize() int {
-	n := env.StringSize(e.RID) + 18
-	if e.T != nil {
-		n += e.T.WireSize()
-	}
-	return n
-}
+func (e *Entry) WireSize() int { return wire.Size(e) }
 
 // Marker records that a trie node has been split; its presence (under
 // instanceID markerIID) makes the node interior.
 type Marker struct{}
 
 // WireSize implements env.Message.
-func (m *Marker) WireSize() int { return 1 }
+func (m *Marker) WireSize() int { return wire.Size(m) }
 
 // Config controls one node's index agent.
 type Config struct {

@@ -15,7 +15,7 @@ func randTuple(r *rand.Rand) *core.Tuple {
 	for i, n := 0, r.Intn(5); i < n; i++ {
 		switch r.Intn(4) {
 		case 0:
-			t.Vals = append(t.Vals, int64(r.Int31()))
+			t.Vals = append(t.Vals, wiretest.Int64(r))
 		case 1:
 			t.Vals = append(t.Vals, r.Float64())
 		case 2:
@@ -28,9 +28,9 @@ func randTuple(r *rand.Rand) *core.Tuple {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 31, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 31, 300, 110, 119, "82af1a61f08af3ba", []wiretest.Gen{
 		{Name: "Entry", Make: func(r *rand.Rand) env.Message {
-			return &Entry{K: r.Uint64(), RID: wiretest.Str(r, 10), IID: int64(r.Int31()), T: randTuple(r)}
+			return &Entry{K: r.Uint64(), RID: wiretest.Str(r, 10), IID: wiretest.Int64(r), T: randTuple(r)}
 		}},
 		{Name: "Marker", Make: func(r *rand.Rand) env.Message { return &Marker{} }},
 		{Name: "Def", Make: func(r *rand.Rand) env.Message {

@@ -134,10 +134,8 @@ func TestTrailingBytesInFrameDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	e := wire.NewEncoder(nil)
-	e.Addr("x")
-	e.Message(&echoMsg{N: 1})
-	payload := append(e.Bytes(), 0xEE) // valid frame + one stray byte
+	payload, _ := wire.Append([]byte{1, 'x'}, &echoMsg{N: 1}) // sender address, message
+	payload = append(payload, 0xEE)                           // valid frame + one stray byte
 	frame := binary.AppendUvarint(nil, uint64(len(payload)))
 	frame = append(frame, payload...)
 	if _, err := conn.Write(frame); err != nil {
@@ -166,11 +164,9 @@ func TestCorruptCountDoesNotBalloonMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	e := wire.NewEncoder(nil)
-	e.Addr("x")
-	e.Byte(52)           // can.neighborUpdate tag (linked via the can import)
-	e.Uvarint(200 << 20) // hostile zone count, far beyond the payload
-	payload := e.Bytes()
+	payload := []byte{1, 'x'}                        // sender address
+	payload = append(payload, 52)                    // can.neighborUpdate tag (linked via the can import)
+	payload = binary.AppendUvarint(payload, 200<<20) // hostile zone count, far beyond the payload
 	frame := binary.AppendUvarint(nil, uint64(len(payload)))
 	frame = append(frame, payload...)
 	if _, err := conn.Write(frame); err != nil {

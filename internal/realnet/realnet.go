@@ -357,9 +357,9 @@ func newBinaryWriter(conn net.Conn, max int) *binaryWriter {
 // could not be encoded or is oversized, which is dropped without
 // touching the stream.
 func (w *binaryWriter) appendFrame(f *frame) bool {
-	e := wire.NewEncoder((*w.scratchp)[:0])
-	e.Addr(f.From)
-	e.Message(f.Msg)
+	e := wire.Writer((*w.scratchp)[:0])
+	e.Addr(&f.From)
+	e.Message(&f.Msg)
 	payload := e.Bytes()
 	*w.scratchp = shrink(payload) // recycle the buffer for the next frame
 	if e.Err() != nil {
@@ -517,7 +517,7 @@ type binaryReader struct {
 	// dec persists across frames so its intern table accumulates the
 	// connection's repeated strings (relation names, namespaces,
 	// addresses) and decodes them allocation-free.
-	dec wire.Decoder
+	dec wire.Codec
 }
 
 func newBinaryReader(conn net.Conn, max int) *binaryReader {
@@ -554,8 +554,9 @@ func (r *binaryReader) readFrame() (*frame, int, error) {
 	}
 	d := &r.dec
 	d.Reset(buf)
-	f := &frame{From: d.Addr()}
-	f.Msg = d.Message()
+	f := &frame{}
+	d.Addr(&f.From)
+	d.Message(&f.Msg)
 	if err := d.Err(); err != nil {
 		return nil, 0, err
 	}

@@ -12,12 +12,10 @@ import (
 
 type echoMsg struct{ N int }
 
-func (m *echoMsg) WireSize() int { return 16 }
+func (m *echoMsg) WireSize() int { return wire.Size(m) }
 
 func init() {
-	wire.Register(201, &echoMsg{},
-		func(e *wire.Encoder, m env.Message) { e.Int(m.(*echoMsg).N) },
-		func(d *wire.Decoder) env.Message { return &echoMsg{N: d.Int()} })
+	wire.Register(201, func(c *wire.Codec, m *echoMsg) { c.Int(&m.N) })
 }
 
 func TestFrameRoundTrip(t *testing.T) {

@@ -22,21 +22,14 @@ type renewMsg struct {
 	RID, Key string
 }
 
-func (m *renewMsg) WireSize() int {
-	return 1 + env.StringSize(m.RID) + env.StringSize(m.Key)
-}
+func (m *renewMsg) WireSize() int { return wire.Size(m) }
 
 func init() {
-	wire.Register(202, &renewMsg{},
-		func(e *wire.Encoder, m env.Message) {
-			t := m.(*renewMsg)
-			e.Int(t.Side)
-			e.String(t.RID)
-			e.String(t.Key)
-		},
-		func(d *wire.Decoder) env.Message {
-			return &renewMsg{Side: d.Int(), RID: d.String(), Key: d.String()}
-		})
+	wire.Register(202, func(c *wire.Codec, t *renewMsg) {
+		c.Int(&t.Side)
+		c.String(&t.RID)
+		c.String(&t.Key)
+	})
 }
 
 func benchThroughput(b *testing.B, cfg Config) {

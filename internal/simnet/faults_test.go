@@ -139,7 +139,7 @@ func TestKillReclaimsPendingEventsAndStats(t *testing.T) {
 	// Inbound traffic before the kill occupies b's stats slot.
 	a.Send(b.Addr(), testMsg{n: 0, size: 500})
 	nw.Drain()
-	if nw.Stats().InboundByNode[b.Index()] != 500 {
+	if nw.Stats().InboundByNode[b.Index()] != 500+env.HeaderSize {
 		t.Fatal("setup: no inbound bytes recorded")
 	}
 

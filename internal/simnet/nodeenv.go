@@ -101,7 +101,7 @@ func (n *NodeEnv) Send(to env.Addr, m env.Message) {
 		}
 		extra = d
 	}
-	size := m.WireSize()
+	size := env.HeaderSize + m.WireSize()
 	arrive := nw.now + int64(nw.topo.Latency(int(n.index), int(dst.index))+extra)
 	deliver := arrive
 	if bw := nw.topo.InboundBandwidth(int(dst.index)); bw > 0 {

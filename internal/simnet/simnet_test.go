@@ -44,15 +44,16 @@ func TestLatencyOnlyDelivery(t *testing.T) {
 }
 
 func TestBandwidthSerialization(t *testing.T) {
-	// 10 Mbps inbound: a 1.25 MB message serializes in exactly 1 s.
+	// 10 Mbps inbound: 1.25 MB on the link (message + the per-send
+	// header) serializes in exactly 1 s.
 	nw := New(topology.NewFullMesh(), 1)
 	a, b := nw.AddNode(), nw.AddNode()
 	var times []time.Duration
 	b.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 		times = append(times, nw.Now().Sub(Epoch))
 	}))
-	a.Send(b.Addr(), testMsg{size: 1250000})
-	a.Send(b.Addr(), testMsg{size: 1250000})
+	a.Send(b.Addr(), testMsg{size: 1250000 - env.HeaderSize})
+	a.Send(b.Addr(), testMsg{size: 1250000 - env.HeaderSize})
 	nw.Drain()
 	if len(times) != 2 {
 		t.Fatalf("got %d deliveries, want 2", len(times))
@@ -134,10 +135,11 @@ func TestStatsAccounting(t *testing.T) {
 	a.Send(b.Addr(), testMsg{size: 50})
 	nw.Drain()
 	s := nw.Stats()
-	if s.Messages != 2 || s.Bytes != 150 {
-		t.Fatalf("stats = %+v, want 2 msgs / 150 bytes", s)
+	const want = 150 + 2*env.HeaderSize // each send is charged the header once
+	if s.Messages != 2 || s.Bytes != want {
+		t.Fatalf("stats = %+v, want 2 msgs / %d bytes", s, want)
 	}
-	if s.InboundByNode[b.Index()] != 150 || s.MaxInbound() != 150 {
+	if s.InboundByNode[b.Index()] != want || s.MaxInbound() != want {
 		t.Fatalf("per-node inbound wrong: %+v", s.InboundByNode)
 	}
 	nw.ResetStats()

@@ -34,9 +34,6 @@ func NewSketch(k int) *Sketch {
 	return &Sketch{K: k}
 }
 
-// WireSize implements env.Message (sketches ride inside summaries).
-func (s *Sketch) WireSize() int { return 4 + 8*len(s.Hashes) }
-
 // Add feeds one value.
 func (s *Sketch) Add(v string) {
 	h := fnv.New64a()

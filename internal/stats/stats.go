@@ -44,6 +44,7 @@ import (
 	"pier/internal/dht/storage"
 	"pier/internal/env"
 	"pier/internal/opt"
+	"pier/internal/wire"
 )
 
 // CatalogNS is the reserved DHT namespace holding statistics summaries.
@@ -142,13 +143,7 @@ type Summary struct {
 }
 
 // WireSize implements env.Message.
-func (s *Summary) WireSize() int {
-	n := env.StringSize(s.Table) + 3*env.IntSize
-	if s.Keys != nil {
-		n += s.Keys.WireSize()
-	}
-	return n
-}
+func (s *Summary) WireSize() int { return wire.Size(s) }
 
 // Merge folds another summary into this one.
 func (s *Summary) Merge(o *Summary) {

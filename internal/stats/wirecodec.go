@@ -1,75 +1,51 @@
 package stats
 
-// Binary wire codec for the statistics catalog's summary payload — the
+// Wire description of the statistics catalog's summary payload — the
 // one message type this package puts into the DHT (it rides inside the
 // provider's put/get/transfer envelopes on real networks).
 
-import (
-	"pier/internal/env"
-	"pier/internal/wire"
-)
+import "pier/internal/wire"
 
 // Wire tag owned by package stats (see the tag table in package wire).
 const tagSummary byte = 100
 
 func init() {
-	wire.Register(tagSummary, &Summary{},
-		func(e *wire.Encoder, m env.Message) {
-			s := m.(*Summary)
-			e.String(s.Table)
-			e.Varint(s.Nodes)
-			e.Varint(s.Tuples)
-			e.Varint(s.Bytes)
-			if s.Keys == nil {
-				e.Bool(false)
-				return
+	// Summaries feed the optimizer: a frame no honest publisher can
+	// produce (negative counters, hashes out of KMV order) must fail at
+	// decode, not skew every reader's cost estimates.
+	wire.Register(tagSummary, func(c *wire.Codec, s *Summary) {
+		c.String(&s.Table)
+		c.Varint(&s.Nodes)
+		c.Varint(&s.Tuples)
+		c.Varint(&s.Bytes)
+		if c.Decoding() && (s.Nodes < 0 || s.Tuples < 0 || s.Bytes < 0) {
+			c.Fail("negative summary counter")
+		}
+		hasKeys := s.Keys != nil
+		if c.Bool(&hasKeys); !hasKeys {
+			return
+		}
+		if c.Decoding() {
+			s.Keys = new(Sketch)
+		}
+		k := s.Keys
+		c.Int(&k.K)
+		if c.Decoding() && (k.K < 1 || k.K > 1<<20) {
+			c.Fail("sketch capacity out of range")
+		}
+		// Hashes are high-entropy: fixed words beat varints.
+		c.Words(&k.Hashes)
+		if !c.Decoding() {
+			return
+		}
+		if len(k.Hashes) > k.K {
+			c.Fail("sketch holds more hashes than its capacity")
+		}
+		for i := 1; i < len(k.Hashes); i++ {
+			if k.Hashes[i] <= k.Hashes[i-1] {
+				c.Fail("sketch hashes out of order")
+				break
 			}
-			e.Bool(true)
-			e.Int(s.Keys.K)
-			e.Len(len(s.Keys.Hashes))
-			for _, h := range s.Keys.Hashes {
-				// Hashes are high-entropy: fixed words beat varints.
-				e.Fixed64(h)
-			}
-		},
-		func(d *wire.Decoder) env.Message {
-			s := &Summary{
-				Table:  d.String(),
-				Nodes:  d.Varint(),
-				Tuples: d.Varint(),
-				Bytes:  d.Varint(),
-			}
-			// Summaries feed the optimizer: a frame no honest publisher
-			// can produce (negative counters, hashes out of KMV order)
-			// must fail here, not skew every reader's cost estimates.
-			if d.Err() == nil && (s.Nodes < 0 || s.Tuples < 0 || s.Bytes < 0) {
-				d.Fail("negative summary counter")
-				return s
-			}
-			if !d.Bool() {
-				return s
-			}
-			s.Keys = &Sketch{K: d.Int()}
-			if d.Err() == nil && (s.Keys.K < 1 || s.Keys.K > 1<<20) {
-				d.Fail("sketch capacity out of range")
-				return s
-			}
-			// Fixed 8-byte words: LenMin bounds the allocation exactly.
-			if n := d.LenMin(8); n > 0 {
-				if n > s.Keys.K {
-					d.Fail("sketch holds more hashes than its capacity")
-					return s
-				}
-				s.Keys.Hashes = make([]uint64, n)
-				for i := range s.Keys.Hashes {
-					h := d.Fixed64()
-					if i > 0 && d.Err() == nil && h <= s.Keys.Hashes[i-1] {
-						d.Fail("sketch hashes out of order")
-						return s
-					}
-					s.Keys.Hashes[i] = h
-				}
-			}
-			return s
-		})
+		}
+	})
 }

@@ -18,13 +18,13 @@ func randSketch(r *rand.Rand) *Sketch {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 11, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 11, 300, 100, 109, "c4b94a3f974d1c07", []wiretest.Gen{
 		{Name: "summary", Make: func(r *rand.Rand) env.Message {
 			return &Summary{
 				Table:  wiretest.Str(r, 12),
-				Nodes:  int64(r.Intn(1000)),
-				Tuples: int64(r.Int31()),
-				Bytes:  int64(r.Int31()),
+				Nodes:  int64(wiretest.Uint64(r) >> 1),
+				Tuples: int64(wiretest.Uint64(r) >> 1),
+				Bytes:  int64(wiretest.Uint64(r) >> 1),
 				Keys:   randSketch(r),
 			}
 		}},
@@ -32,8 +32,8 @@ func TestWireRoundTrip(t *testing.T) {
 			return &Summary{
 				Table:  wiretest.Str(r, 12),
 				Nodes:  1,
-				Tuples: int64(r.Int31()),
-				Bytes:  int64(r.Int31()),
+				Tuples: int64(wiretest.Uint64(r) >> 1),
+				Bytes:  int64(wiretest.Uint64(r) >> 1),
 			}
 		}},
 	})

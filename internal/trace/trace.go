@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"pier/internal/env"
+	"pier/internal/wire"
 )
 
 // Stage classifies one span: which phase of distributed query
@@ -137,9 +138,7 @@ type Span struct {
 }
 
 // WireSize implements env.Message.
-func (s *Span) WireSize() int {
-	return 2 + env.AddrSize + 10 + 10 + 5 + env.StringSize(s.Note)
-}
+func (s *Span) WireSize() int { return wire.Size(s) }
 
 // Buffer is a bounded span accumulator, one per traced executor.
 // When full, new spans are dropped and counted — a result flood can

@@ -14,19 +14,18 @@ import (
 func randSpan(r *rand.Rand) *Span {
 	return &Span{
 		Stage: Stage(r.Intn(NumStages)),
-		Node:  wiretest.ShortAddr(r),
-		Start: int64(r.Int31()),
-		Dur:   time.Duration(r.Int31()),
+		Node:  wiretest.Addr(r),
+		Start: wiretest.Int64(r),
+		Dur:   time.Duration(wiretest.Uint64(r) >> 1),
 		Note:  wiretest.Str(r, 16),
-		Seq:   uint32(r.Intn(1 << 16)),
+		Seq:   r.Uint32(),
 	}
 }
 
 // TestSpanWireRoundTrip is the codec property test for the trace span
-// frame (tag 120): random spans survive decode(encode(m)) bit-exactly
-// and obey the WireSize relation.
+// frame (tag 120, see wiretest.RoundTrip).
 func TestSpanWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 1, 300, []wiretest.Gen{
+	wiretest.RoundTrip(t, 1, 300, 120, 129, "d877eb00aefad64b", []wiretest.Gen{
 		{Name: "Span", Make: func(r *rand.Rand) env.Message { return randSpan(r) }},
 	})
 }

@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"pier/internal/env"
+	"math"
+
 	"pier/internal/wire"
 )
 
@@ -10,44 +11,28 @@ import (
 const tagSpan byte = 120
 
 func init() {
-	wire.Register(tagSpan, &Span{},
-		func(e *wire.Encoder, m env.Message) {
-			s := m.(*Span)
-			e.Byte(byte(s.Stage))
-			e.Addr(s.Node)
-			e.Varint(s.Start)
-			e.Duration(s.Dur)
-			e.String(s.Note)
-			e.Uvarint(uint64(s.Seq))
-		},
-		func(d *wire.Decoder) env.Message {
-			s := &Span{
-				Stage: Stage(d.Byte()),
-				Node:  d.Addr(),
-				Start: d.Varint(),
-				Dur:   d.Duration(),
-				Note:  d.String(),
-			}
-			seq := d.Uvarint()
-			if d.Err() != nil {
-				return s
-			}
-			// Spans arrive over the network inside result frames; a
-			// crafted stage would index past the metrics stage array,
-			// and a negative duration would corrupt latency histograms.
-			if !s.Stage.Valid() {
-				d.Fail("span stage out of range")
-				return s
-			}
-			if s.Dur < 0 {
-				d.Fail("negative span duration")
-				return s
-			}
-			if seq > 1<<32-1 {
-				d.Fail("span sequence out of range")
-				return s
-			}
-			s.Seq = uint32(seq)
-			return s
-		})
+	wire.Register(tagSpan, func(c *wire.Codec, s *Span) {
+		c.Byte((*byte)(&s.Stage))
+		c.Addr(&s.Node)
+		c.Varint(&s.Start)
+		wire.Signed(c, &s.Dur)
+		c.String(&s.Note)
+		seq := uint64(s.Seq)
+		c.Uvarint(&seq)
+		if !c.Decoding() {
+			return
+		}
+		// Spans arrive over the network inside result frames; a
+		// crafted stage would index past the metrics stage array,
+		// and a negative duration would corrupt latency histograms.
+		switch {
+		case !s.Stage.Valid():
+			c.Fail("span stage out of range")
+		case s.Dur < 0:
+			c.Fail("negative span duration")
+		case seq > math.MaxUint32:
+			c.Fail("span sequence out of range")
+		}
+		s.Seq = uint32(seq)
+	})
 }

@@ -53,7 +53,10 @@ func fuzzSeedMessages() []env.Message {
 // FuzzDecode throws arbitrary bytes at the frame decoder. Any input may
 // be rejected, but none may panic; and anything the decoder accepts
 // must re-encode and decode again cleanly (the transport forwards
-// decoded messages, so a decode-only-once message would wedge it).
+// decoded messages, so a decode-only-once message would wedge it) and
+// must size honestly: WireSize() — what storage quotas and the
+// statistics catalog charge a received message — neither panics nor
+// departs from the re-encoding's length plus the declared pad.
 func FuzzDecode(f *testing.F) {
 	for _, m := range fuzzSeedMessages() {
 		b, err := wire.Marshal(m)
@@ -78,6 +81,13 @@ func FuzzDecode(f *testing.F) {
 		throttle = binary.AppendVarint(throttle, int64(2*time.Second)) // retry-after
 		f.Add(throttle)
 	}
+	// A 20-byte tuple declaring a pad no frame could carry (rejected
+	// above wire.MaxPad), and one declaring the largest legal pad.
+	if tupleBytes, err := wire.Marshal(&core.Tuple{Rel: "R", Vals: []core.Value{int64(7)}}); err == nil {
+		head := tupleBytes[:len(tupleBytes)-1] // the final byte is Pad's varint
+		f.Add(binary.AppendVarint(append([]byte(nil), head...), 1<<62))
+		f.Add(binary.AppendVarint(append([]byte(nil), head...), wire.MaxPad))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := wire.Unmarshal(b)
 		if err != nil {
@@ -92,6 +102,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if _, err := wire.Unmarshal(b2); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v\nframe %x", err, b2)
+		}
+		if size, want := m.WireSize(), len(b2)+wire.PadSize(m); size != want {
+			t.Fatalf("WireSize() = %d, want %d re-encoded + %d pad bytes\nframe %x", size, len(b2), wire.PadSize(m), b)
 		}
 	})
 }

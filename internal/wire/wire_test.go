@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -23,37 +24,21 @@ type testMsg struct {
 	Sub env.Message
 }
 
-func (m *testMsg) WireSize() int { return 64 }
+func (m *testMsg) WireSize() int { return Size(m) }
 
 func init() {
-	Register(255, &testMsg{},
-		func(e *Encoder, m env.Message) {
-			t := m.(*testMsg)
-			e.Uvarint(t.U)
-			e.Varint(t.I)
-			e.Float64(t.F)
-			e.Fixed64(t.W)
-			e.Bool(t.B)
-			e.String(t.S)
-			e.Time(t.T)
-			e.Duration(t.D)
-			e.Value(t.V)
-			e.Message(t.Sub)
-		},
-		func(d *Decoder) env.Message {
-			return &testMsg{
-				U:   d.Uvarint(),
-				I:   d.Varint(),
-				F:   d.Float64(),
-				W:   d.Fixed64(),
-				B:   d.Bool(),
-				S:   d.String(),
-				T:   d.Time(),
-				D:   d.Duration(),
-				V:   d.Value(),
-				Sub: d.Message(),
-			}
-		})
+	Register(255, func(c *Codec, t *testMsg) {
+		c.Uvarint(&t.U)
+		c.Varint(&t.I)
+		c.Float64(&t.F)
+		c.Fixed64(&t.W)
+		c.Bool(&t.B)
+		c.String(&t.S)
+		c.Time(&t.T)
+		Signed(c, &t.D)
+		c.Value(&t.V)
+		c.Message(&t.Sub)
+	})
 }
 
 func roundTrip(t *testing.T, m env.Message) env.Message {
@@ -65,6 +50,9 @@ func roundTrip(t *testing.T, m env.Message) env.Message {
 	got, err := Unmarshal(b)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
+	}
+	if size := m.WireSize(); size != len(b) {
+		t.Fatalf("WireSize() = %d, encoded %d bytes", size, len(b))
 	}
 	return got
 }
@@ -126,7 +114,21 @@ func TestUnregisteredTypeFailsEncode(t *testing.T) {
 
 type unregisteredMsg struct{}
 
-func (unregisteredMsg) WireSize() int { return 0 }
+func (unregisteredMsg) WireSize() int { return 17 }
+
+// otherMsg is a second registrable type that stays unregistered.
+type otherMsg struct{}
+
+func (*otherMsg) WireSize() int { return 0 }
+
+// TestCountingChargesUnregisteredLiteral: a message with no wire tag
+// nested in a registered one is charged its own literal WireSize().
+func TestCountingChargesUnregisteredLiteral(t *testing.T) {
+	bare := (&testMsg{}).WireSize()
+	if got := (&testMsg{Sub: unregisteredMsg{}}).WireSize(); got != bare-1+17 {
+		t.Fatalf("WireSize with unregistered payload = %d, want %d", got, bare-1+17)
+	}
+}
 
 func TestUnknownTagFailsDecode(t *testing.T) {
 	if _, err := Unmarshal([]byte{99}); err == nil {
@@ -155,15 +157,10 @@ func TestTruncationIsAnErrorNotAPanic(t *testing.T) {
 
 func TestCorruptLengthDoesNotAllocate(t *testing.T) {
 	// A huge string length must fail the Len guard instead of allocating.
-	e := Encoder{}
-	e.Byte(255)                    // testMsg tag
-	e.Uvarint(0)                   // U
-	e.Varint(0)                    // I
-	e.Float64(0)                   // F
-	e.Fixed64(0)                   // W
-	e.Bool(false)                  // B
-	e.Uvarint(math.MaxUint32 << 8) // corrupt string length
-	if _, err := Unmarshal(e.Bytes()); err == nil {
+	b, _ := Marshal(&testMsg{})
+	b = b[:1+1+1+8+8+1]                            // tag, U, I, F, W, B
+	b = binary.AppendUvarint(b, math.MaxUint32<<8) // corrupt string length
+	if _, err := Unmarshal(b); err == nil {
 		t.Fatal("corrupt length accepted")
 	}
 }
@@ -194,8 +191,10 @@ func TestDeepNestingFailsInsteadOfOverflowing(t *testing.T) {
 }
 
 func TestBadValueTag(t *testing.T) {
-	d := NewDecoder([]byte{42})
-	d.Value()
+	var d Codec
+	d.Reset([]byte{42})
+	var v any
+	d.Value(&v)
 	if d.Err() == nil {
 		t.Fatal("unknown value tag accepted")
 	}
@@ -211,11 +210,9 @@ func TestRegisterCollisionsPanic(t *testing.T) {
 		}()
 		f()
 	}
-	nop := func(*Encoder, env.Message) {}
-	dec := func(*Decoder) env.Message { return nil }
-	mustPanic("tag 0", func() { Register(0, &testMsg{}, nop, dec) })
-	mustPanic("dup tag", func() { Register(255, unregisteredMsg{}, nop, dec) })
-	mustPanic("dup type", func() { Register(254, &testMsg{}, nop, dec) })
+	mustPanic("tag 0", func() { Register(0, func(*Codec, *testMsg) {}) })
+	mustPanic("dup tag", func() { Register(255, func(*Codec, *otherMsg) {}) })
+	mustPanic("dup type", func() { Register(254, func(*Codec, *testMsg) {}) })
 }
 
 func TestRegisteredEnumerates(t *testing.T) {

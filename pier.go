@@ -174,16 +174,20 @@ func buildNode(e interface {
 	eng.SetIndexRanger(idx)
 	idx.Start()
 	n := &Node{env: e, router: rt, provider: prov, engine: eng, stats: cat, indexes: idx, started: e.Now()}
-	e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
-		if rt.HandleMessage(from, m) {
-			return
-		}
-		if prov.HandleMessage(from, m) {
-			return
-		}
-		eng.HandleMessage(from, m)
-	}))
+	e.SetHandler(env.HandlerFunc(n.handle))
 	return n
+}
+
+// handle is the message dispatch chain: router, then provider, then
+// engine.
+func (n *Node) handle(from env.Addr, m env.Message) {
+	if n.router.HandleMessage(from, m) {
+		return
+	}
+	if n.provider.HandleMessage(from, m) {
+		return
+	}
+	n.engine.HandleMessage(from, m)
 }
 
 // Addr returns the node's address.

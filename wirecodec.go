@@ -1,10 +1,9 @@
 package pier
 
-// Binary wire codec for the catalog's schema payload (the only message
+// Wire description of the catalog's schema payload (the only message
 // type owned by the root package).
 
 import (
-	"pier/internal/env"
 	"pier/internal/sql"
 	"pier/internal/wire"
 )
@@ -12,35 +11,12 @@ import (
 const tagSchemaPayload byte = 90
 
 func init() {
-	wire.Register(tagSchemaPayload, &schemaPayload{},
-		func(e *wire.Encoder, m env.Message) {
-			s := m.(*schemaPayload)
-			e.Len(len(s.Cols))
-			for _, c := range s.Cols {
-				e.String(c)
-			}
-			e.String(s.Key)
-			e.Len(len(s.Indexes))
-			for _, ix := range s.Indexes {
-				e.String(ix.Name)
-				e.String(ix.Col)
-			}
-		},
-		func(d *wire.Decoder) env.Message {
-			s := &schemaPayload{}
-			if n := d.Len(); n > 0 {
-				s.Cols = make([]string, 0, wire.SliceCap(n))
-				for i := 0; i < n && d.Err() == nil; i++ {
-					s.Cols = append(s.Cols, d.String())
-				}
-			}
-			s.Key = d.String()
-			if n := d.Len(); n > 0 {
-				s.Indexes = make([]sql.Index, 0, wire.SliceCap(n))
-				for i := 0; i < n && d.Err() == nil; i++ {
-					s.Indexes = append(s.Indexes, sql.Index{Name: d.String(), Col: d.String()})
-				}
-			}
-			return s
+	wire.Register(tagSchemaPayload, func(c *wire.Codec, s *schemaPayload) {
+		wire.Slice(c, &s.Cols, 1, (*wire.Codec).String)
+		c.String(&s.Key)
+		wire.Slice(c, &s.Indexes, 1, func(c *wire.Codec, ix *sql.Index) {
+			c.String(&ix.Name)
+			c.String(&ix.Col)
 		})
+	})
 }
