@@ -104,6 +104,21 @@ func TestGenerateQueriesDeterministicAndMixed(t *testing.T) {
 	}
 }
 
+// pinned asserts a seed-1 scenario's trace fingerprint: the invariants
+// say the run was acceptable, the fingerprint says it was this run. A
+// protocol change re-pins it once, with the reason; a change that claims
+// to move no message must leave it alone. History: adb972f4eb05e276 /
+// 6008701874361665 / e146488c90c4967f (chaos / rangechaos / flood) since
+// PR 20; re-pinned in PR 21 because CAN keepalives became bare digests,
+// which moved keepalive bytes and so delivery order behind the 10 Mbps
+// inbound links.
+func pinned(t *testing.T, rep *Report, want uint64) {
+	t.Helper()
+	if rep.TraceHash != want {
+		t.Errorf("trace fingerprint %016x, want %016x: the seed-1 run changed", rep.TraceHash, want)
+	}
+}
+
 // TestChaosPinnedSeed is the acceptance scenario: ≥64 nodes under
 // churn, one partition window, and 1% link loss, running the full
 // query mix. Every invariant must hold — including the replay
@@ -115,6 +130,7 @@ func TestChaosPinnedSeed(t *testing.T) {
 	}
 	rep := Run(Default(1))
 	rep.Print(os.Stderr)
+	pinned(t, rep, 0xea95feb279f93115)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}
@@ -179,6 +195,7 @@ func TestChaosFloodPinnedSeed(t *testing.T) {
 	}
 	rep := Run(DefaultFlood(1))
 	rep.Print(os.Stderr)
+	pinned(t, rep, 0x7c81efbe7bcdabd3)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}
@@ -205,16 +222,17 @@ func TestChaosFloodPinnedSeed(t *testing.T) {
 	// What the retired BENCH_0.json flood record gated for seed 1, at
 	// its 25% budget. Both numbers replay exactly per seed: the bounded
 	// run keeps 144 flood results (floor 108) and the faulted run moves
-	// 37 246 224 simulated bytes (ceiling 46 500 000). Re-pinned once, in
-	// PR 20, when the simulator began charging what the codec writes:
-	// 128 kept (floor 96) and 60 810 444 bytes (ceiling 76 000 000) under
-	// the hand-kept size model before it.
+	// 6 810 892 simulated bytes (ceiling 8 500 000). Re-pinned twice: in
+	// PR 20, when the simulator began charging what the codec writes
+	// (128 kept and 60 810 444 bytes under the hand-kept size model
+	// before it), and in PR 21, when keepalives stopped carrying the
+	// neighbor table (37 246 224 bytes, ceiling 46 500 000, before it).
 	t.Logf("flood kept %d of %d oracle results; faulted run moved %d bytes", f.Matched, f.OracleLive, rep.Stats.Bytes)
 	if f.Matched < 108 {
 		t.Errorf("bounded run kept %d flood results, want >= 108", f.Matched)
 	}
-	if rep.Stats.Bytes > 46_500_000 {
-		t.Errorf("faulted run moved %d bytes, want <= 46500000", rep.Stats.Bytes)
+	if rep.Stats.Bytes > 8_500_000 {
+		t.Errorf("faulted run moved %d bytes, want <= 8500000", rep.Stats.Bytes)
 	}
 	if len(rep.PerQueryRecall) != rep.Cfg.Queries+1 {
 		t.Errorf("recall recorded for %d queries, want %d (mix + flood scan)",

@@ -20,6 +20,7 @@ func TestChaosRangePinnedSeed(t *testing.T) {
 	cfg := DefaultRange(1)
 	rep := Run(cfg)
 	rep.Print(os.Stderr)
+	pinned(t, rep, 0xc96e55759fc10889)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}

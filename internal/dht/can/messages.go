@@ -44,11 +44,17 @@ type joinReply struct {
 
 func (m *joinReply) WireSize() int { return wire.Size(m) }
 
-// neighborUpdate doubles as the keepalive: it advertises the sender's
-// zones and (for deterministic takeover) the sender's own neighbor table.
+// neighborUpdate is the maintenance message; what it carries is its form:
+//
+//	full   Zones Nbrs Digest  the sender's table, to all neighbors on the first tick
+//	                          after it changed and to one that pulled
+//	bare   Digest             every other tick's keepalive: "alive, table unchanged"
+//	pull   (nothing)          answers a bare whose Digest the receiver does not hold
+//	zones  Zones              a zone change told at once; the table follows on the tick
 type neighborUpdate struct {
-	Zones []Zone
-	Nbrs  map[env.Addr][]Zone
+	Zones  []Zone
+	Nbrs   map[env.Addr][]Zone
+	Digest uint64 // of Zones+Nbrs, by Router.table; never 0 when set
 }
 
 func (m *neighborUpdate) WireSize() int { return wire.Size(m) }

@@ -2,7 +2,7 @@ package can
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"pier/internal/dht"
@@ -56,9 +56,11 @@ func DefaultConfig() Config {
 type neighborInfo struct {
 	zones     []Zone
 	lastHeard time.Time
-	// nbrs is the neighbor's own advertised neighbor table, used to pick
-	// the takeover claimant deterministically when it fails.
-	nbrs map[env.Addr][]Zone
+	// nbrs is the neighbor's own neighbor table as of its last full
+	// update, used to pick the takeover claimant deterministically when
+	// it fails; digest is the digest that update carried (0: none yet).
+	nbrs   map[env.Addr][]Zone
+	digest uint64
 }
 
 // Router is a CAN node's routing layer. It implements dht.Router.
@@ -69,6 +71,9 @@ type Router struct {
 	joined    bool
 	zones     []Zone
 	neighbors map[env.Addr]*neighborInfo
+	// pushed is the digest of the table last sent in full to every
+	// neighbor; a keepalive tick whose digest equals it goes out bare.
+	pushed uint64
 
 	locChange []func()
 
@@ -102,17 +107,7 @@ outer:
 	r.zones = keep
 }
 
-func sameZone(a, b Zone) bool {
-	if a.Dims() != b.Dims() {
-		return false
-	}
-	for i := range a.Lo {
-		if a.Lo[i] != b.Lo[i] || a.Hi[i] != b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
+func sameZone(a, b Zone) bool { return slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi) }
 
 type pendingLookup struct {
 	cb    func(env.Addr)
@@ -122,28 +117,24 @@ type pendingLookup struct {
 // New creates a CAN router bound to the node environment. Call Join to
 // enter (or create) a network.
 func New(e env.Env, cfg Config) *Router {
-	if cfg.Dims <= 0 {
-		cfg.Dims = 4
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 512
-	}
-	if cfg.KeepaliveInterval <= 0 {
-		cfg.KeepaliveInterval = 5 * time.Second
-	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = 15 * time.Second
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = 30 * time.Second
-	}
-	if cfg.JoinRetry <= 0 {
-		cfg.JoinRetry = 20 * time.Second
-	}
+	def := DefaultConfig()
+	orDefault(&cfg.Dims, def.Dims)
+	orDefault(&cfg.MaxHops, def.MaxHops)
+	orDefault(&cfg.KeepaliveInterval, def.KeepaliveInterval)
+	orDefault(&cfg.FailTimeout, def.FailTimeout)
+	orDefault(&cfg.LookupTimeout, def.LookupTimeout)
+	orDefault(&cfg.JoinRetry, def.JoinRetry)
 	return &Router{
 		env:       e,
 		cfg:       cfg,
 		neighbors: make(map[env.Addr]*neighborInfo),
+	}
+}
+
+// orDefault replaces an unset (non-positive) setting with its default.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
 }
 
@@ -167,11 +158,7 @@ func (r *Router) EstimateNodes() int {
 	if v <= 0 || v > 1 {
 		return 1
 	}
-	n := int(1/v + 0.5)
-	if n < 1 {
-		return 1
-	}
-	return n
+	return int(1/v + 0.5)
 }
 
 // Ready implements dht.Router.
@@ -190,14 +177,7 @@ func (r *Router) ownsPoint(p []uint32) bool {
 }
 
 // Neighbors implements dht.Router.
-func (r *Router) Neighbors() []env.Addr {
-	out := make([]env.Addr, 0, len(r.neighbors))
-	for a := range r.neighbors {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (r *Router) Neighbors() []env.Addr { return env.SortedKeys(r.neighbors) }
 
 // OnLocationMapChange implements dht.Router.
 func (r *Router) OnLocationMapChange(f func()) { r.locChange = append(r.locChange, f) }
@@ -400,10 +380,7 @@ func (r *Router) onJoinReq(from env.Addr, m *joinReq) {
 	r.zones[zi] = keep
 
 	// Snapshot for the joiner: our neighbors plus ourselves (post-split).
-	snapshot := make(map[env.Addr][]Zone, len(r.neighbors)+1)
-	for a, ni := range r.neighbors {
-		snapshot[a] = ni.zones
-	}
+	snapshot := r.neighborSummary()
 	snapshot[r.env.Addr()] = cloneZones(r.zones)
 	r.env.Send(m.Joiner, &joinReply{Zone: give, Neighbors: snapshot})
 
@@ -445,29 +422,44 @@ func (r *Router) onNeighborUpdate(from env.Addr, m *neighborUpdate) {
 	if !r.joined {
 		return
 	}
+	ni, known := r.neighbors[from]
+	if len(m.Zones) == 0 && m.Digest == 0 {
+		// A pull. Strangers get no table for the asking, and a pull is not
+		// a liveness message: it says nothing of the sender's view of us.
+		if known {
+			_, digest := r.table()
+			r.env.Send(from, r.update(digest))
+		}
+		return
+	}
+	if len(m.Zones) == 0 {
+		// A bare keepalive. If we do not hold the table it names (the full
+		// update was lost, or we never learned of the sender), pull.
+		if known {
+			ni.lastHeard = r.env.Now()
+		}
+		if !known || ni.digest != m.Digest {
+			r.env.Send(from, &neighborUpdate{})
+		}
+		return
+	}
 	if !AnyAdjacent(r.zones, m.Zones) {
-		if _, known := r.neighbors[from]; known {
+		if known {
 			delete(r.neighbors, from)
 			// One-shot reply so the peer re-evaluates adjacency against
 			// our current zones and prunes us too. The peer only replies
 			// in turn if it still knows us, so this cannot loop.
-			r.env.Send(from, &neighborUpdate{Zones: cloneZones(r.zones)})
+			r.env.Send(from, r.update(0))
 		}
 		return
 	}
-	ni, known := r.neighbors[from]
-	if !known {
-		ni = &neighborInfo{}
-		r.neighbors[from] = ni
-	}
-	ni.zones = m.Zones
-	ni.lastHeard = r.env.Now()
+	ni = r.heard(from, m.Zones)
 	if m.Nbrs != nil {
-		ni.nbrs = m.Nbrs
+		ni.nbrs, ni.digest = m.Nbrs, m.Digest
 	}
 	if !known {
 		// Introduce ourselves so the link is symmetric.
-		r.env.Send(from, &neighborUpdate{Zones: cloneZones(r.zones)})
+		r.env.Send(from, r.update(0))
 	}
 }
 
@@ -484,14 +476,19 @@ func (r *Router) onTakeover(from env.Addr, m *takeoverNotice) {
 		r.fireLocChange()
 	}
 	if AnyAdjacent(r.zones, m.Zones) {
-		ni, ok := r.neighbors[from]
-		if !ok {
-			ni = &neighborInfo{}
-			r.neighbors[from] = ni
-		}
-		ni.zones = m.Zones
-		ni.lastHeard = r.env.Now()
+		r.heard(from, m.Zones)
 	}
+}
+
+// heard records the zones a (possibly new) neighbor just advertised.
+func (r *Router) heard(from env.Addr, zones []Zone) *neighborInfo {
+	ni := r.neighbors[from]
+	if ni == nil {
+		ni = &neighborInfo{}
+		r.neighbors[from] = ni
+	}
+	ni.zones, ni.lastHeard = zones, r.env.Now()
+	return ni
 }
 
 func (r *Router) onLeave(from env.Addr, m *leaveNotice) {
@@ -514,10 +511,7 @@ func (r *Router) adoptZones(dead env.Addr, zones []Zone, deadNbrs map[env.Addr][
 			r.neighbors[a] = &neighborInfo{zones: zs, lastHeard: r.env.Now()}
 		}
 	}
-	notice := &takeoverNotice{Dead: dead, Zones: cloneZones(r.zones)}
-	for _, a := range r.Neighbors() {
-		r.env.Send(a, notice)
-	}
+	r.sendAll(r.Neighbors(), &takeoverNotice{Dead: dead, Zones: cloneZones(r.zones)})
 	r.fireLocChange()
 }
 
@@ -537,14 +531,62 @@ func (r *Router) neighborSummary() map[env.Addr][]Zone {
 	return m
 }
 
-// broadcastUpdate sends our zone set to every neighbor, in sorted
-// address order — broadcast order must be deterministic for seeded
-// simulations to replay (the fault layer's loss rolls are consumed per
-// send).
-func (r *Router) broadcastUpdate() {
-	u := &neighborUpdate{Zones: cloneZones(r.zones)}
-	for _, a := range r.Neighbors() {
-		r.env.Send(a, u)
+// update builds every neighborUpdate that has a body: our zones and,
+// under a digest, the neighbor table that digest was computed over.
+func (r *Router) update(digest uint64) *neighborUpdate {
+	u := &neighborUpdate{Zones: cloneZones(r.zones), Digest: digest}
+	if digest != 0 {
+		u.Nbrs = r.neighborSummary()
+	}
+	return u
+}
+
+// table walks the neighbor map once for what a tick needs: the addresses
+// in send order (sorted, so seeded simulations replay) and the digest of
+// the table a full update would carry now — our zones plus, summed so map
+// order cannot matter, each neighbor's address and zones. Recomputed per
+// tick, not bumped per mutation: no mutation is missed, and a restart
+// under the old address cannot match the previous life's table by
+// accident. Never 0, which receivers keep for "no table held".
+func (r *Router) table() (addrs []env.Addr, digest uint64) {
+	addrs = make([]env.Addr, 0, len(r.neighbors))
+	digest = mixZones(0, r.zones)
+	for a, ni := range r.neighbors {
+		addrs = append(addrs, a)
+		e := mixZones(0, ni.zones)
+		for i := 0; i < len(a); i++ {
+			e = mix(e, uint64(a[i]))
+		}
+		digest += e
+	}
+	slices.Sort(addrs)
+	return addrs, digest | 1
+}
+
+func mixZones(h uint64, zs []Zone) uint64 {
+	for _, z := range zs {
+		for i := range z.Lo {
+			h = mix(mix(h, z.Lo[i]), z.Hi[i])
+		}
+	}
+	return mix(h, uint64(len(zs)))
+}
+
+// mix folds a word into h; the shift brings the high bits, where zone
+// coordinates (multiples of large powers of two) differ, back down.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// broadcastUpdate sends our zone set to every neighbor in sorted address
+// order: seeded simulations replay only if send order is deterministic
+// (the fault layer's loss rolls are consumed per send).
+func (r *Router) broadcastUpdate() { r.sendAll(r.Neighbors(), r.update(0)) }
+
+func (r *Router) sendAll(to []env.Addr, m env.Message) {
+	for _, a := range to {
+		r.env.Send(a, m)
 	}
 }
 
@@ -555,20 +597,22 @@ func (r *Router) startMaintenance() {
 		return
 	}
 	r.stopMaint = env.Every(r.env, r.cfg.KeepaliveInterval, func() {
-		r.sendKeepalives()
-		r.detectFailures()
+		addrs, digest := r.table()
+		r.sendKeepalives(addrs, digest)
+		r.detectFailures(addrs)
 	})
 }
 
-func (r *Router) sendKeepalives() {
-	if len(r.neighbors) == 0 {
-		return
+// sendKeepalives tells every neighbor we are alive and which table we
+// advertise: by digest alone unless it changed since all were last sent
+// it. One that missed that update pulls (onNeighborUpdate).
+func (r *Router) sendKeepalives(addrs []env.Addr, digest uint64) {
+	u := &neighborUpdate{Digest: digest}
+	if digest != r.pushed {
+		r.pushed = digest
+		u = r.update(digest)
 	}
-	summary := r.neighborSummary()
-	u := &neighborUpdate{Zones: cloneZones(r.zones), Nbrs: summary}
-	for _, a := range r.Neighbors() {
-		r.env.Send(a, u)
-	}
+	r.sendAll(addrs, u)
 }
 
 // detectFailures declares neighbors silent for FailTimeout dead and runs
@@ -577,26 +621,19 @@ func (r *Router) sendKeepalives() {
 // Every neighbor evaluates the same rule on the dead node's last
 // advertised neighbor table, so the claimant is chosen without a
 // coordination round.
-func (r *Router) detectFailures() {
+func (r *Router) detectFailures(addrs []env.Addr) {
 	now := r.env.Now()
-	var deads []env.Addr
-	for a, ni := range r.neighbors {
-		if now.Sub(ni.lastHeard) > r.cfg.FailTimeout {
-			deads = append(deads, a)
-		}
-	}
-	// Takeovers send messages; process the dead in a deterministic order.
-	sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-	for _, dead := range deads {
+	// Takeovers send messages: process the dead in addrs' sorted order.
+	for _, dead := range addrs {
 		deadInfo, ok := r.neighbors[dead]
-		if !ok {
+		if !ok || now.Sub(deadInfo.lastHeard) <= r.cfg.FailTimeout {
 			continue
 		}
 		delete(r.neighbors, dead)
 
 		// Pick the claimant from the dead node's *advertised* neighbor
-		// table only: every surviving neighbor received (approximately)
-		// the same table in the dead node's last keepalive, so they all
+		// table only: every surviving neighbor holds (approximately) the
+		// same table, the dead node's last full update, so they all
 		// compute the same claimant. Using locally-known volumes instead
 		// would let two nodes each believe they are smallest.
 		self := r.env.Addr()
@@ -616,21 +653,17 @@ func (r *Router) detectFailures() {
 			}
 		}
 		if claimant == env.NilAddr {
-			// No advertised table (the node died before its first
-			// keepalive carried one). Fall back to claiming ourselves;
+			// No advertised table (the node died before its first full
+			// update reached us). Fall back to claiming ourselves;
 			// duplicate claims are reconciled via takeoverNotice.
 			claimant = self
 		}
 		if claimant == self {
-			nbrs := deadInfo.nbrs
-			if nbrs == nil {
-				nbrs = map[env.Addr][]Zone{}
-			}
 			if r.adopted == nil {
 				r.adopted = make(map[env.Addr][]Zone)
 			}
 			r.adopted[dead] = cloneZones(deadInfo.zones)
-			r.adoptZones(dead, deadInfo.zones, nbrs)
+			r.adoptZones(dead, deadInfo.zones, deadInfo.nbrs)
 		}
 	}
 }

@@ -16,21 +16,42 @@ type testNet struct {
 	nw      *simnet.Network
 	envs    []*simnet.NodeEnv
 	routers []*Router
+	// tap, when set, sees every message node `to` is about to handle.
+	tap func(to int, from env.Addr, m env.Message)
 }
 
 func newTestNet(t *testing.T, n int, cfg Config) *testNet {
 	t.Helper()
 	tn := &testNet{nw: simnet.New(topology.NewFullMeshInfinite(), 7)}
 	for i := 0; i < n; i++ {
-		e := tn.nw.AddNode()
-		r := New(e, cfg)
-		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
-			r.HandleMessage(from, m)
-		}))
-		tn.envs = append(tn.envs, e)
-		tn.routers = append(tn.routers, r)
+		tn.add(cfg)
 	}
 	return tn
+}
+
+// add attaches one more node with an unjoined router.
+func (tn *testNet) add(cfg Config) (*simnet.NodeEnv, *Router) {
+	e := tn.nw.AddNode()
+	tn.envs = append(tn.envs, e)
+	tn.routers = append(tn.routers, nil)
+	return e, tn.restart(e.Index(), cfg)
+}
+
+// restart gives node i a fresh router under its old address; the old
+// one hears nothing more, as after a crash.
+func (tn *testNet) restart(i int, cfg Config) *Router {
+	if old := tn.routers[i]; old != nil && old.stopMaint != nil {
+		old.stopMaint()
+	}
+	r := New(tn.envs[i], cfg)
+	tn.envs[i].SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
+		if tn.tap != nil {
+			tn.tap(i, from, m)
+		}
+		r.HandleMessage(from, m)
+	}))
+	tn.routers[i] = r
+	return r
 }
 
 // joinAll performs protocol joins sequentially through node 0.
@@ -262,11 +283,7 @@ func TestJoinAfterFailureHeals(t *testing.T) {
 	tn.nw.Kill(2)
 	tn.nw.RunFor(60 * time.Second)
 	// A replacement node joins through node 0.
-	e := tn.nw.AddNode()
-	r := New(e, cfg)
-	e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) { r.HandleMessage(from, m) }))
-	tn.envs = append(tn.envs, e)
-	tn.routers = append(tn.routers, r)
+	e, r := tn.add(cfg)
 	landmark := tn.envs[0].Addr()
 	e.Post(func() { r.Join(landmark) })
 	tn.nw.RunFor(2 * time.Minute)

@@ -46,6 +46,10 @@ func init() {
 	wire.Register(tagNeighborUpdate, func(c *wire.Codec, u *neighborUpdate) {
 		zonesField(c, &u.Zones)
 		nbrsField(c, &u.Nbrs)
+		c.Fixed64(&u.Digest)
+		if c.Decoding() && len(u.Zones) == 0 && len(u.Nbrs) > 0 {
+			c.Fail("can: neighbor table without zones")
+		}
 	})
 
 	wire.Register(tagTakeoverNotice, func(c *wire.Codec, t *takeoverNotice) {

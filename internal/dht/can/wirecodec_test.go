@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pier/internal/env"
+	"pier/internal/wire"
 	"pier/internal/wire/wiretest"
 )
 
@@ -73,8 +74,24 @@ func TestNeighborUpdateWireSizeAllocs(t *testing.T) {
 	}
 }
 
+// TestNeighborTableNeedsZones: a table with no zones is a form no router
+// sends (messages.go lists the four), so the decoder refuses it.
+func TestNeighborTableNeedsZones(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	b, err := wire.Marshal(&neighborUpdate{Nbrs: map[env.Addr][]Zone{"a:1": randZones(r, 2)}, Digest: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := wire.Unmarshal(b); err == nil {
+		t.Fatalf("decoded a neighbor table without zones: %#v", m)
+	}
+}
+
+// The corpus hash was e4da30085fe7cff1 until neighborUpdate gained its
+// trailing Digest word and the bare and pull generators (the one format
+// break of the digest keepalive; no spill log holds a CAN message).
 func TestWireRoundTrip(t *testing.T) {
-	wiretest.RoundTrip(t, 11, 300, 48, 63, "e4da30085fe7cff1", []wiretest.Gen{
+	wiretest.RoundTrip(t, 11, 300, 48, 63, "74bd767e14a639b0", []wiretest.Gen{
 		{Name: "lookupMsg", Make: func(r *rand.Rand) env.Message {
 			return &lookupMsg{
 				Point:  randPoint(r),
@@ -99,8 +116,12 @@ func TestWireRoundTrip(t *testing.T) {
 		}},
 		{Name: "neighborUpdate", Make: func(r *rand.Rand) env.Message {
 			dims := 1 + r.Intn(3)
-			return &neighborUpdate{Zones: randZones(r, dims), Nbrs: randNbrs(r, dims)}
+			return &neighborUpdate{Zones: randZones(r, dims), Nbrs: randNbrs(r, dims), Digest: r.Uint64()}
 		}},
+		{Name: "neighborUpdate/bare", Make: func(r *rand.Rand) env.Message {
+			return &neighborUpdate{Digest: r.Uint64() | 1}
+		}},
+		{Name: "neighborUpdate/pull", Make: func(*rand.Rand) env.Message { return &neighborUpdate{} }},
 		{Name: "takeoverNotice", Make: func(r *rand.Rand) env.Message {
 			return &takeoverNotice{Dead: wiretest.Addr(r), Zones: randZones(r, 2)}
 		}},

@@ -29,13 +29,17 @@ func (m *FloodMsg) WireSize() int { return wire.Size(m) }
 
 // Flooder implements multicast for one node.
 type Flooder struct {
-	env      env.Env
-	rt       dht.Router
-	robust   bool
-	seq      uint64
-	seen     map[seenKey]time.Time
-	handlers map[int]func(origin env.Addr, payload env.Message)
-	nextID   int
+	env    env.Env
+	rt     dht.Router
+	robust bool
+	seq    uint64
+	// seen and old suppress duplicates: floods are recorded in seen,
+	// which every ten minutes becomes old while the previous old — floods
+	// ten to twenty minutes stale — is dropped whole. Nothing is scanned.
+	seen, old map[seenKey]struct{}
+	rotated   time.Time
+	// handlers is in registration order; unsubscribing clears the slot.
+	handlers []func(origin env.Addr, payload env.Message)
 }
 
 type seenKey struct {
@@ -45,12 +49,7 @@ type seenKey struct {
 
 // New creates a flooder over the node's router.
 func New(e env.Env, rt dht.Router) *Flooder {
-	return &Flooder{
-		env:      e,
-		rt:       rt,
-		seen:     make(map[seenKey]time.Time),
-		handlers: make(map[int]func(env.Addr, env.Message)),
-	}
+	return &Flooder{env: e, rt: rt, seen: make(map[seenKey]struct{}), rotated: e.Now()}
 }
 
 // SetRobust switches between directed flooding (false, the efficient
@@ -62,10 +61,9 @@ func (f *Flooder) SetRobust(r bool) { f.robust = r }
 // function. The callback also fires for this node's own multicasts — a
 // multicast reaches all nodes including the sender.
 func (f *Flooder) OnDeliver(fn func(origin env.Addr, payload env.Message)) (unsubscribe func()) {
-	id := f.nextID
-	f.nextID++
-	f.handlers[id] = fn
-	return func() { delete(f.handlers, id) }
+	id := len(f.handlers)
+	f.handlers = append(f.handlers, fn)
+	return func() { f.handlers[id] = nil }
 }
 
 // Multicast delivers payload to every reachable node in the overlay.
@@ -75,7 +73,7 @@ func (f *Flooder) Multicast(payload env.Message) {
 	if mr, ok := f.rt.(dht.MulticastRouter); ok {
 		m.Hint = mr.MulticastHint()
 	}
-	f.seen[seenKey{m.Origin, m.Seq}] = f.env.Now()
+	f.remember(seenKey{m.Origin, m.Seq})
 	f.deliver(m)
 	f.forward(m, env.NilAddr)
 }
@@ -90,8 +88,10 @@ func (f *Flooder) HandleMessage(from env.Addr, m env.Message) bool {
 	if _, dup := f.seen[k]; dup {
 		return true
 	}
-	f.seen[k] = f.env.Now()
-	f.gc()
+	if _, dup := f.old[k]; dup {
+		return true
+	}
+	f.remember(k)
 	f.deliver(fm)
 	f.forward(fm, from)
 	return true
@@ -99,9 +99,10 @@ func (f *Flooder) HandleMessage(from env.Addr, m env.Message) bool {
 
 func (f *Flooder) deliver(m *FloodMsg) {
 	// Handlers may send; invoke them in registration order so delivery
-	// side effects are deterministic.
-	for _, id := range env.SortedKeys(f.handlers) {
-		if fn, ok := f.handlers[id]; ok {
+	// side effects are deterministic. One registered during the delivery
+	// waits for the next; one removed during it is skipped.
+	for i, n := 0, len(f.handlers); i < n; i++ {
+		if fn := f.handlers[i]; fn != nil {
 			fn(m.Origin, m.Payload)
 		}
 	}
@@ -121,15 +122,10 @@ func (f *Flooder) forward(m *FloodMsg, from env.Addr) {
 	}
 }
 
-// gc bounds the duplicate-suppression table.
-func (f *Flooder) gc() {
-	if len(f.seen) < 8192 {
-		return
+// remember records a flood as seen, retiring a generation every ten minutes.
+func (f *Flooder) remember(k seenKey) {
+	if now := f.env.Now(); now.Sub(f.rotated) > 10*time.Minute {
+		f.old, f.seen, f.rotated = f.seen, make(map[seenKey]struct{}), now
 	}
-	cutoff := f.env.Now().Add(-10 * time.Minute)
-	for k, at := range f.seen {
-		if at.Before(cutoff) {
-			delete(f.seen, k)
-		}
-	}
+	f.seen[k] = struct{}{}
 }

@@ -3,6 +3,7 @@ package multicast
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"pier/internal/dht/can"
 	"pier/internal/env"
@@ -145,5 +146,103 @@ func TestWireSizeIncludesPayloadAndHint(t *testing.T) {
 	// untagged payload at its literal size.
 	if want := 1 + (1 + 5) + 1 + (1 + 4) + 100; m.WireSize() != want {
 		t.Fatalf("WireSize = %d, want %d", m.WireSize(), want)
+	}
+}
+
+// lone builds a flooder on a one-node overlay: floods handed to it are
+// delivered and forwarded to nobody.
+func lone(t *testing.T) (*simnet.Network, *Flooder, *int) {
+	t.Helper()
+	nw := simnet.New(topology.NewFullMeshInfinite(), 1)
+	e := nw.AddNode()
+	r := can.New(e, can.DefaultConfig())
+	r.Join(env.NilAddr)
+	f := New(e, r)
+	delivered := new(int)
+	f.OnDeliver(func(env.Addr, env.Message) { *delivered++ })
+	return nw, f, delivered
+}
+
+// TestSeenTableCostsTheSamePerFloodAtAnySize: the duplicate table used
+// to be rescanned in full by every new flood once it held 8 192 entries
+// younger than ten minutes. 3 x 8 192 floods inside one simulated minute
+// must all be remembered, and the third batch must cost what the first
+// did (it cost over a thousand times more).
+func TestSeenTableCostsTheSamePerFloodAtAnySize(t *testing.T) {
+	nw, f, delivered := lone(t)
+	const batch = 8192
+	var took [3]time.Duration
+	for b := range took {
+		t0 := time.Now()
+		for i := 0; i < batch; i++ {
+			f.HandleMessage("peer:1", &FloodMsg{Origin: "peer:2", Seq: uint64(b*batch + i), Payload: &note{}})
+		}
+		took[b] = time.Since(t0)
+		nw.RunFor(20 * time.Second)
+	}
+	if *delivered != 3*batch || len(f.seen) != 3*batch || f.old != nil {
+		t.Fatalf("delivered %d, remembered %d (+%d retired), want %d remembered in one generation", *delivered, len(f.seen), len(f.old), 3*batch)
+	}
+	f.HandleMessage("peer:1", &FloodMsg{Origin: "peer:2", Seq: 7, Payload: &note{}})
+	if *delivered != 3*batch {
+		t.Fatal("a duplicate was delivered")
+	}
+	t.Logf("batches of %d floods took %v", batch, took)
+	if took[2] > 20*took[0]+50*time.Millisecond {
+		t.Errorf("the third batch of %d floods took %v against the first's %v: the table is being rescanned", batch, took[2], took[0])
+	}
+}
+
+// TestSeenFloodsExpire: a flood is remembered for at least ten minutes
+// and forgotten within twenty, whole generations at a time.
+func TestSeenFloodsExpire(t *testing.T) {
+	nw, f, delivered := lone(t)
+	flood := func(seq uint64) {
+		f.HandleMessage("peer:1", &FloodMsg{Origin: "peer:2", Seq: seq, Payload: &note{}})
+	}
+	flood(1)
+	nw.RunFor(9 * time.Minute)
+	flood(1)
+	if *delivered != 1 {
+		t.Fatal("a duplicate nine minutes later was delivered")
+	}
+	nw.RunFor(2 * time.Minute)
+	flood(2) // retires the first generation
+	flood(1)
+	if *delivered != 2 || len(f.old) != 1 {
+		t.Fatalf("delivered %d with %d retired entries, want flood 1 still suppressed from the retired generation", *delivered, len(f.old))
+	}
+	nw.RunFor(11 * time.Minute)
+	flood(3) // drops it
+	if len(f.seen)+len(f.old) != 2 {
+		t.Fatalf("%d floods remembered 22 minutes on, want 2: the first must be gone", len(f.seen)+len(f.old))
+	}
+	flood(1)
+	if *delivered != 4 {
+		t.Fatal("a flood forgotten after twenty minutes was still suppressed")
+	}
+}
+
+// TestHandlerRemovedMidDeliveryIsSkipped: handlers run in registration
+// order; one unsubscribed by an earlier handler of the same delivery no
+// longer runs, and one registered during a delivery waits for the next.
+func TestHandlerRemovedMidDeliveryIsSkipped(t *testing.T) {
+	_, f, _ := lone(t)
+	var order []string
+	var unsubC func()
+	f.OnDeliver(func(env.Addr, env.Message) {
+		order = append(order, "a")
+		if unsubC != nil {
+			unsubC()
+			unsubC = nil
+			f.OnDeliver(func(env.Addr, env.Message) { order = append(order, "d") })
+		}
+	})
+	f.OnDeliver(func(env.Addr, env.Message) { order = append(order, "b") })
+	unsubC = f.OnDeliver(func(env.Addr, env.Message) { order = append(order, "c") })
+	f.Multicast(&note{})
+	f.Multicast(&note{})
+	if got := fmt.Sprint(order); got != "[a b a b d]" {
+		t.Fatalf("delivery order %s, want [a b a b d]", got)
 	}
 }

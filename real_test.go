@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pier/internal/core"
+	"pier/internal/dht/can"
 	"pier/internal/dht/storage"
 	"pier/internal/env"
 	"pier/internal/workload"
@@ -390,5 +391,49 @@ func TestRealNetLoopbackScan(t *testing.T) {
 	defer mu.Unlock()
 	if received < expected {
 		t.Fatalf("loopback scan delivered %d/%d tuples", received, expected)
+	}
+}
+
+// TestRealNetKeepalivesAndTakeover runs CAN maintenance over real TCP:
+// the table (full update) and then bare digests must survive the codec
+// and the transport — a keepalive the decoder refused would cost the
+// connection — and when a node dies its neighbors must agree, from the
+// table it sent them, on who adopts its zones.
+func TestRealNetKeepalivesAndTakeover(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CANConfig.Maintenance = true
+	opts.CANConfig.KeepaliveInterval = 40 * time.Millisecond
+	opts.CANConfig.FailTimeout = 400 * time.Millisecond
+	nodes := startClusterOpts(t, 5, opts)
+	covered := func(live []*RealNode) float64 {
+		vol := 0.0
+		for _, nd := range live {
+			done := make(chan float64, 1)
+			nd.Do(func() { done <- can.TotalVolume(nd.Router().(*can.Router).Zones()) })
+			vol += <-done
+		}
+		return vol
+	}
+	time.Sleep(400 * time.Millisecond) // ~10 ticks: one full update, then bare digests
+	if v := covered(nodes); v < 0.999999 || v > 1.000001 {
+		t.Fatalf("five live nodes cover %v of the space after ten keepalive rounds, want 1", v)
+	}
+	for _, nd := range nodes {
+		if s, ok := nd.TransportStats(); ok && s.Drops != 0 {
+			t.Fatalf("transport dropped %d frames while idle", s.Drops)
+		}
+	}
+	nodes[2].Close()
+	live := append(append([]*RealNode{}, nodes[:2]...), nodes[3:]...)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v := covered(live)
+		if v > 0.999999 && v < 1.000001 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("survivors cover %v of the space 10 s after a node died, want 1", v)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
