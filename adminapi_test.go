@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pier/internal/dht/storage"
 )
 
 // TestAdminHandlerOverRealNode drives the full admin plane against a
@@ -36,18 +38,20 @@ func TestAdminHandlerOverRealNode(t *testing.T) {
 	}
 
 	// Publish retries until the schema's catalog entry lands (the
-	// registration put is async).
-	publish := func(body string) {
+	// registration put is async). It returns when the successful
+	// attempt was sent and when it was answered.
+	publish := func(body string) (sent, answered time.Time) {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
+			sent = time.Now()
 			resp, err := post("/api/publish", body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				return
+				return sent, time.Now()
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("publish never succeeded: last status %d", resp.StatusCode)
@@ -55,9 +59,38 @@ func TestAdminHandlerOverRealNode(t *testing.T) {
 			time.Sleep(100 * time.Millisecond)
 		}
 	}
-	publish(`{"table":"fish","values":["salmon",7]}`)
+	// expiresOf reads a fish row's expiry from whichever node's store
+	// holds it, polling until the async put lands.
+	expiresOf := func(rid string) time.Time {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var items []*storage.Item
+			for _, nd := range nodes {
+				nd.Do(func() { items = append(items, nd.Provider().Store().Retrieve("fish", rid)...) })
+			}
+			if len(items) == 1 {
+				return items[0].Expires
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("fish/%s is stored %d times", rid, len(items))
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	// A publish's lifetime starts while its HTTP request is in flight.
+	checkLifetime := func(rid string, sent, answered time.Time, lifetime time.Duration) {
+		t.Helper()
+		exp := expiresOf(rid)
+		if exp.Before(sent.Add(lifetime)) || exp.After(answered.Add(lifetime)) {
+			t.Errorf("fish/%s expires at %v, want %v after its publish at %v", rid, exp, lifetime, sent)
+		}
+	}
+	sent, answered := publish(`{"table":"fish","values":["salmon",7]}`)
 	publish(`{"table":"fish","values":["tuna",140]}`)
 	publish(`{"table":"fish","values":["cod",9]}`)
+	// No lifetime_ms: the admin plane's default, not an immortal row.
+	checkLifetime("salmon", sent, answered, 10*time.Minute)
 
 	// Query over HTTP until all three rows come back (puts are async).
 	type result struct {
@@ -111,6 +144,10 @@ func TestAdminHandlerOverRealNode(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+
+	// An explicit lifetime_ms is the row's lifetime.
+	sent, answered = publish(`{"table":"fish","values":["eel",3],"lifetime_ms":2000}`)
+	checkLifetime("eel", sent, answered, 2*time.Second)
 
 	// After the streams closed their queries, none should linger.
 	var queries struct {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -76,51 +77,34 @@ const (
 // rather than by the request; handlers answer it with 503.
 var ErrUnavailable = errors.New("admin: deployment unavailable")
 
-// Limits bound what one HTTP request may ask of the node.
-type Limits struct {
-	// MaxWait caps how long POST /api/queries collects results
-	// (default 60s); DefaultWait applies when the request names none
-	// (default 5s).
-	MaxWait     time.Duration
-	DefaultWait time.Duration
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// RowBuffer is the per-stream result buffer between the node's
+// Bounds on what one HTTP request may ask of the node, and what it gets
+// when it names nothing.
+const (
+	// maxWait caps how long POST /api/queries collects results;
+	// defaultWait applies when the request names none.
+	maxWait     = 60 * time.Second
+	defaultWait = 5 * time.Second
+	// maxBodyBytes caps request bodies.
+	maxBodyBytes = 1 << 20
+	// rowBuffer is the per-stream result buffer between the node's
 	// event loop and the HTTP writer; rows beyond it are dropped and
-	// counted in the stream trailer (default 4096).
-	RowBuffer int
-}
-
-func (l Limits) withDefaults() Limits {
-	if l.MaxWait <= 0 {
-		l.MaxWait = 60 * time.Second
-	}
-	if l.DefaultWait <= 0 {
-		l.DefaultWait = 5 * time.Second
-	}
-	if l.MaxBodyBytes <= 0 {
-		l.MaxBodyBytes = 1 << 20
-	}
-	if l.RowBuffer <= 0 {
-		l.RowBuffer = 4096
-	}
-	return l
-}
+	// counted in the stream trailer.
+	rowBuffer = 4096
+	// defaultLifetime is the soft-state lifetime of a row published
+	// without lifetime_ms: soft state that nobody renews must die.
+	defaultLifetime = 10 * time.Minute
+)
 
 // Server is the embeddable admin-plane handler. It is a plain
 // http.Handler: mount it on any mux or serve it directly.
 type Server struct {
 	b   Backend
-	lim Limits
 	mux *http.ServeMux
 }
 
-// New builds the admin handler over a backend with default Limits.
-func New(b Backend) *Server { return NewWithLimits(b, Limits{}) }
-
-// NewWithLimits builds the admin handler with explicit request bounds.
-func NewWithLimits(b Backend, lim Limits) *Server {
-	s := &Server{b: b, lim: lim.withDefaults(), mux: http.NewServeMux()}
+// New builds the admin handler over a backend.
+func New(b Backend) *Server {
+	s := &Server{b: b, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /api/status", s.handleStatus)
 	s.mux.HandleFunc("GET /api/routing", s.handleRouting)
 	s.mux.HandleFunc("GET /api/softstate", s.handleSoftState)
@@ -168,7 +152,7 @@ func backendStatus(err error) int {
 // decodeBody parses a bounded JSON request body into v, rejecting
 // trailing garbage.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.lim.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
@@ -310,12 +294,12 @@ func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing sql")
 		return
 	}
-	wait := s.lim.DefaultWait
+	wait := defaultWait
 	if req.WaitMS > 0 {
 		wait = time.Duration(req.WaitMS) * time.Millisecond
 	}
-	if wait > s.lim.MaxWait {
-		wait = s.lim.MaxWait
+	if wait > maxWait {
+		wait = maxWait
 	}
 	if req.Limit < 0 {
 		writeError(w, http.StatusBadRequest, "limit must be non-negative")
@@ -323,18 +307,14 @@ func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The row channel decouples the node's event loop from the HTTP
-	// writer: each never blocks, overflow is dropped and reported.
-	rows := make(chan Row, s.lim.RowBuffer)
-	dropped := 0
-	var droppedCh = make(chan struct{}, 1)
+	// writer: each never blocks, overflow is dropped and counted.
+	rows := make(chan Row, rowBuffer)
+	var dropped atomic.Int64
 	each := func(row Row) {
 		select {
 		case rows <- row:
 		default:
-			select {
-			case droppedCh <- struct{}{}:
-			default:
-			}
+			dropped.Add(1)
 		}
 	}
 	id, kind, err := s.b.RunSQL(req.SQL, each)
@@ -347,10 +327,9 @@ func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if kind == SQLExplain {
-		s.answerExplain(w, r, id, wait, rows, droppedCh)
+		s.answerExplain(w, r, id, wait, rows, &dropped)
 		return
 	}
-	defer s.b.Cancel(id)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -373,42 +352,33 @@ stream:
 		select {
 		case row := <-rows:
 			if err := enc.Encode(row); err != nil {
-				return // client gone
+				break stream // client gone
 			}
 			flush()
 			n++
 			if req.Limit > 0 && n >= req.Limit {
 				break stream
 			}
-		case <-droppedCh:
-			dropped++
 		case <-deadline.C:
 			break stream
 		case <-r.Context().Done():
-			return
+			break stream
 		}
 	}
-	// Rows that raced the deadline into the channel count as dropped:
-	// the stream is over.
-	for {
-		select {
-		case <-rows:
-			dropped++
-		case <-droppedCh:
-			dropped++
-		default:
-			_ = enc.Encode(streamTrailer{Rows: n, Dropped: dropped})
-			flush()
-			return
-		}
-	}
+	// Cancel before counting, so that no row arrives after the trailer;
+	// rows still buffered count as dropped: the stream is over.
+	s.b.Cancel(id)
+	dropped.Add(int64(len(rows)))
+	_ = enc.Encode(streamTrailer{Rows: n, Dropped: int(dropped.Load())})
+	flush()
 }
 
 // answerExplain finishes an EXPLAIN TRACE request: let the traced
-// query run for the wait window (counting but not streaming its rows),
-// cancel it — which closes the collector and retains the complete
-// trace — then answer with the assembled trace as one JSON document.
-func (s *Server) answerExplain(w http.ResponseWriter, r *http.Request, id uint64, wait time.Duration, rows chan Row, droppedCh chan struct{}) {
+// query run for the wait window (counting but not streaming its rows,
+// overflowed ones included), cancel it — which closes the collector
+// and retains the complete trace — then answer with the assembled
+// trace as one JSON document.
+func (s *Server) answerExplain(w http.ResponseWriter, r *http.Request, id uint64, wait time.Duration, rows chan Row, dropped *atomic.Int64) {
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	n := 0
@@ -417,7 +387,6 @@ collect:
 		select {
 		case <-rows:
 			n++
-		case <-droppedCh:
 		case <-deadline.C:
 			break collect
 		case <-r.Context().Done():
@@ -426,6 +395,7 @@ collect:
 		}
 	}
 	s.b.Cancel(id)
+	n += len(rows) + int(dropped.Load())
 	tr, ok := s.b.Trace(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "query %d left no trace", id)
@@ -465,8 +435,8 @@ type publishRequest struct {
 	// order (numbers, strings, bools).
 	Table  string `json:"table"`
 	Values []any  `json:"values"`
-	// LifetimeMS bounds the soft-state lifetime (0 uses the node's
-	// default).
+	// LifetimeMS bounds the soft-state lifetime (0 or absent uses
+	// defaultLifetime, 10 minutes).
 	LifetimeMS int `json:"lifetime_ms"`
 }
 
@@ -483,7 +453,11 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "lifetime_ms must be non-negative")
 		return
 	}
-	rid, err := s.b.Publish(req.Table, req.Values, time.Duration(req.LifetimeMS)*time.Millisecond)
+	lifetime := defaultLifetime
+	if req.LifetimeMS > 0 {
+		lifetime = time.Duration(req.LifetimeMS) * time.Millisecond
+	}
+	rid, err := s.b.Publish(req.Table, req.Values, lifetime)
 	if err != nil {
 		writeError(w, backendStatus(err), "%v", err)
 		return

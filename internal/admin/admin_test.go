@@ -338,6 +338,53 @@ func TestRunQueryLimitStopsStream(t *testing.T) {
 	}
 }
 
+// TestRunQueryCountsEveryOverflow: rows past the stream buffer are
+// dropped one by one, so the trailer's rows + dropped is every row the
+// query emitted, and EXPLAIN TRACE's row count includes them too.
+func TestRunQueryCountsEveryOverflow(t *testing.T) {
+	f := newFakeBackend()
+	for i := 0; i < rowBuffer+50; i++ {
+		f.rows = append(f.rows, Row{Values: []any{float64(i)}})
+	}
+	f.trace = sampleTrace()
+	srv := newTestServer(t, f)
+	post := func(body string) []byte {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	lines := strings.Split(strings.TrimSpace(string(post(`{"sql":"SELECT x FROM T","wait_ms":200}`))), "\n")
+	var tr streamTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil {
+		t.Fatalf("trailer line: %q", lines[len(lines)-1])
+	}
+	if streamed := len(lines) - 2; tr.Rows != streamed {
+		t.Errorf("trailer rows = %d, stream carried %d", tr.Rows, streamed)
+	}
+	if tr.Rows+tr.Dropped != len(f.rows) || tr.Dropped < 50 {
+		t.Errorf("trailer rows=%d dropped=%d, want a sum of %d with at least 50 dropped", tr.Rows, tr.Dropped, len(f.rows))
+	}
+
+	var explain struct {
+		Rows int `json:"rows"`
+	}
+	if err := json.Unmarshal(post(`{"sql":"EXPLAIN TRACE SELECT x FROM T","wait_ms":50}`), &explain); err != nil {
+		t.Fatal(err)
+	}
+	if explain.Rows != len(f.rows) {
+		t.Errorf("EXPLAIN TRACE rows = %d, want %d", explain.Rows, len(f.rows))
+	}
+}
+
 func TestRunQueryDDL(t *testing.T) {
 	srv := newTestServer(t, newFakeBackend())
 	resp, err := http.Post(srv.URL+"/api/queries", "application/json",

@@ -8,8 +8,8 @@
 // the serializable Snapshot contract and a small Backend interface, and
 // the root package adapts its Session implementations (simulated and
 // real nodes) onto Backend. Handlers never touch node internals — every
-// read goes through one Snapshot() call, so the REST surface, the
-// /metrics exporter, and the daemon shell all serve the same struct.
+// read goes through one Snapshot() call, so the REST views and the
+// /metrics exporter all serve the same struct.
 package admin
 
 import (
@@ -20,8 +20,8 @@ import (
 
 // Snapshot aggregates one node's observable state at a point in time.
 // It is the single serializable struct behind GET /api/status, the
-// /metrics exporter, and the pier-node shell's info/stats commands;
-// field names (via the JSON tags) are the REST contract.
+// other GET views and the /metrics exporter; field names (via the JSON
+// tags) are the REST contract.
 type Snapshot struct {
 	// Addr is the node's transport address.
 	Addr string `json:"addr"`

@@ -709,7 +709,8 @@ func (eng *Engine) OpenCollectors() int {
 }
 
 // QueryInfo describes one query alive on this node, as surfaced by the
-// admin plane (GET /api/queries) and the daemon shell.
+// admin plane (GET /api/queries) and walked by pier-node's graceful
+// drain.
 type QueryInfo struct {
 	// ID is the query id (Cancel's argument).
 	ID uint64

@@ -7,9 +7,8 @@ import (
 )
 
 // Re-exported operational-state types. Snapshot is the one serializable
-// struct behind the admin plane's GET /api/status, the /metrics
-// exporter, and the pier-node shell's info/stats commands; QueryInfo
-// describes one live query.
+// struct behind the admin plane's GET views and its /metrics exporter;
+// QueryInfo describes one live query.
 type (
 	// Snapshot aggregates one node's observable state (see
 	// Node.Snapshot).
@@ -36,8 +35,8 @@ type (
 // per namespace, index definitions and reader counters, live-query
 // gauges, and the engine and transport counter families. It replaces
 // ad-hoc walks over Router()/Provider()/Stats()/QueryStats()/
-// TransportStats() with a single consistent read; the admin plane and
-// the daemon shell both serve exactly this struct.
+// TransportStats() with a single consistent read; every admin-plane
+// view and /metrics serve exactly this struct.
 func (n *Node) Snapshot() Snapshot {
 	now := n.env.Now()
 	snap := Snapshot{
