@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -93,6 +94,8 @@ const (
 	// defaultLifetime is the soft-state lifetime of a row published
 	// without lifetime_ms: soft state that nobody renews must die.
 	defaultLifetime = 10 * time.Minute
+	// maxLifetimeMS is the largest lifetime_ms a time.Duration holds.
+	maxLifetimeMS = math.MaxInt64 / int64(time.Millisecond)
 )
 
 // Server is the embeddable admin-plane handler. It is a plain
@@ -296,10 +299,9 @@ func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	wait := defaultWait
 	if req.WaitMS > 0 {
-		wait = time.Duration(req.WaitMS) * time.Millisecond
-	}
-	if wait > maxWait {
-		wait = maxWait
+		// Clamp in milliseconds: a huge wait_ms would overflow the
+		// Duration multiply and end the stream at once.
+		wait = time.Duration(min(req.WaitMS, int(maxWait/time.Millisecond))) * time.Millisecond
 	}
 	if req.Limit < 0 {
 		writeError(w, http.StatusBadRequest, "limit must be non-negative")
@@ -449,8 +451,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "table and values are required")
 		return
 	}
-	if req.LifetimeMS < 0 {
-		writeError(w, http.StatusBadRequest, "lifetime_ms must be non-negative")
+	// Past maxLifetimeMS the Duration multiply wraps negative, which
+	// storage would read as "never expires".
+	if req.LifetimeMS < 0 || int64(req.LifetimeMS) > maxLifetimeMS {
+		writeError(w, http.StatusBadRequest, "lifetime_ms must be between 0 and %d", maxLifetimeMS)
 		return
 	}
 	lifetime := defaultLifetime

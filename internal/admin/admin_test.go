@@ -27,6 +27,7 @@ type fakeBackend struct {
 	cancelled []uint64
 	liveIDs   map[uint64]bool
 	rows      []Row
+	lateRows  []Row // emitted 50 ms after RunSQL returns
 	sqlErr    error
 	left      bool
 	published []string
@@ -94,6 +95,13 @@ func (f *fakeBackend) RunSQL(src string, each func(Row)) (uint64, SQLKind, error
 	}
 	for _, r := range f.rows {
 		each(r)
+	}
+	if late := f.lateRows; len(late) > 0 {
+		time.AfterFunc(50*time.Millisecond, func() {
+			for _, r := range late {
+				each(r)
+			}
+		})
 	}
 	if strings.HasPrefix(up, "EXPLAIN") {
 		return 43, SQLExplain, nil
@@ -385,6 +393,27 @@ func TestRunQueryCountsEveryOverflow(t *testing.T) {
 	}
 }
 
+// TestRunQueryHugeWaitStillStreams: a wait_ms whose Duration would
+// overflow is clamped to the server cap, so rows arriving after the
+// request still stream instead of the stream ending at once.
+func TestRunQueryHugeWaitStillStreams(t *testing.T) {
+	f := newFakeBackend()
+	f.lateRows = []Row{{Values: []any{"a"}}, {Values: []any{"b"}}}
+	srv := newTestServer(t, f)
+	resp, err := http.Post(srv.URL+"/api/queries", "application/json",
+		strings.NewReader(`{"sql":"SELECT x FROM T","wait_ms":10000000000000,"limit":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var tr streamTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil || tr.Rows != 2 {
+		t.Fatalf("huge wait_ms streamed %q, want both late rows", body)
+	}
+}
+
 func TestRunQueryDDL(t *testing.T) {
 	srv := newTestServer(t, newFakeBackend())
 	resp, err := http.Post(srv.URL+"/api/queries", "application/json",
@@ -426,6 +455,8 @@ func TestHostileInputsNever5xx(t *testing.T) {
 		{"/api/publish", `{"table":"","values":[1]}`},
 		{"/api/publish", `{"table":"T","values":[]}`},
 		{"/api/publish", `{"table":"T","values":[1],"lifetime_ms":-5}`},
+		// 1e13 ms wraps a Duration negative: stored without expiry.
+		{"/api/publish", `{"table":"T","values":[1],"lifetime_ms":10000000000000}`},
 		{"/api/publish", `{"table":"missing","values":[1]}`},
 	}
 	for _, c := range cases {

@@ -399,7 +399,6 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		// the recall gap is exactly the cost of the quota. Backoffs are
 		// deterministic (no jitter), keeping the replay hash stable.
 		opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{FloodNS: cfg.FloodQuota}}
-		opts.ProviderConfig.ThrottleRetries = 2
 		opts.ProviderConfig.ThrottleDelay = 2 * time.Second
 	}
 	if cfg.StatsInterval > 0 {

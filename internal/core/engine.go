@@ -25,11 +25,8 @@ const QueryNS = "pier.query"
 // tuples back to the query initiator; like the Bloom filter geometry,
 // they should be configured identically on every node of a deployment
 // (a mixed deployment stays correct but flow-controls suboptimally).
+// New resolves a zero field to its DefaultConfig value.
 type Config struct {
-	// AggFlushInterval is how often dirty partial aggregates are
-	// re-put while a join or stream keeps feeding them.
-	AggFlushInterval time.Duration
-
 	// ResultBatch is the executor-side result buffer's size trigger:
 	// once this many output tuples accumulate for the initiator they
 	// are flushed as one resultMsg frame. 0 picks the default (32);
@@ -64,12 +61,6 @@ type Config struct {
 	// order. Real nodes default to GOMAXPROCS (see pier.StartNode).
 	DispatchShards int
 
-	// TraceSample is the probability that a query whose plan did not
-	// request tracing gets traced anyway (0 disables sampling; plans
-	// with Trace set are always traced). The sampling draw consumes
-	// the engine's RNG only when TraceSample > 0, so enabling the
-	// tracing subsystem without sampling perturbs nothing.
-	TraceSample float64
 	// TraceBuf bounds each traced executor's span buffer: once full,
 	// further spans are dropped and counted, so a result flood can
 	// never grow tracing state without bound. 0 picks the default
@@ -81,16 +72,22 @@ type Config struct {
 	TraceRetain int
 }
 
-// DefaultConfig returns the engine defaults.
+// DefaultConfig returns the engine defaults, the one table New resolves
+// zero fields from.
 func DefaultConfig() Config {
 	return Config{
-		AggFlushInterval:    time.Second,
 		ResultBatch:         32,
 		ResultFlushInterval: 200 * time.Millisecond,
 		ResultCredit:        128,
 		CreditRefresh:       5 * time.Second,
+		TraceBuf:            256,
+		TraceRetain:         16,
 	}
 }
+
+// aggFlushInterval is how often dirty partial aggregates are re-put
+// while a join or stream keeps feeding them.
+const aggFlushInterval = time.Second
 
 // QueryStats counts engine-level result-channel and robustness events,
 // in the style of env.LinkStats: monotone uint64 counters, snapshotted
@@ -276,36 +273,24 @@ const cancelMemo = 128
 // New creates the engine and hooks it into the provider's multicast
 // delivery. The caller routes non-DHT messages through HandleMessage.
 func New(e env.Env, prov *provider.Provider, cfg Config) *Engine {
-	if cfg.AggFlushInterval <= 0 {
-		cfg.AggFlushInterval = time.Second
-	}
+	def := DefaultConfig()
 	if cfg.ResultBatch == 0 {
-		cfg.ResultBatch = 32
+		cfg.ResultBatch = def.ResultBatch
 	}
 	if cfg.ResultBatch < 1 {
 		cfg.ResultBatch = 1
 	}
-	if cfg.ResultFlushInterval <= 0 {
-		cfg.ResultFlushInterval = 200 * time.Millisecond
-	}
 	if cfg.ResultCredit == 0 {
-		cfg.ResultCredit = 128
+		cfg.ResultCredit = def.ResultCredit
 	}
 	if cfg.ResultCredit < 0 {
 		cfg.ResultCredit = 0 // negative: flow control explicitly off
 	}
-	if cfg.CreditRefresh <= 0 {
-		cfg.CreditRefresh = 5 * time.Second
-	}
-	if cfg.DispatchShards < 1 {
-		cfg.DispatchShards = 1
-	}
-	if cfg.TraceBuf <= 0 {
-		cfg.TraceBuf = 256
-	}
-	if cfg.TraceRetain <= 0 {
-		cfg.TraceRetain = 16
-	}
+	env.OrDefault(&cfg.ResultFlushInterval, def.ResultFlushInterval)
+	env.OrDefault(&cfg.CreditRefresh, def.CreditRefresh)
+	env.OrDefault(&cfg.DispatchShards, 1)
+	env.OrDefault(&cfg.TraceBuf, def.TraceBuf)
+	env.OrDefault(&cfg.TraceRetain, def.TraceRetain)
 	h := sha1.Sum([]byte(e.Addr()))
 	// The maps (execs, collectors, cancelled, traces) and the latency
 	// histograms are all allocated lazily at first insert/observe: on
@@ -354,21 +339,13 @@ func (eng *Engine) Run(p *Plan, onResult ResultFunc) (uint64, error) {
 		return 0, err
 	}
 	id := eng.env.Rand().Uint64()
-	// Sampling policy: an explicit Plan.Trace always traces; otherwise
-	// TraceSample decides probabilistically. The RNG is only consumed
-	// when sampling is actually configured, so deployments that never
-	// enable it keep their exact deterministic schedules.
-	traced := p.Trace
-	if !traced && eng.cfg.TraceSample > 0 {
-		traced = eng.env.Rand().Float64() < eng.cfg.TraceSample
-	}
 	c := &collector{
 		fn:     onResult,
 		plan:   p,
 		counts: make(map[int]int),
 		start:  eng.env.Now(),
 		credit: make(map[env.Addr]*senderCredit),
-		traced: traced,
+		traced: p.Trace,
 	}
 	eng.putCollector(id, c)
 	// The distributed execution dies at the TTL; drop the collector (and
@@ -382,7 +359,7 @@ func (eng *Engine) Run(p *Plan, onResult ResultFunc) (uint64, error) {
 		eng.runIndexQuery(id, p)
 		return id, nil
 	}
-	eng.prov.Multicast(QueryNS, &queryMsg{ID: id, Initiator: eng.env.Addr(), Trace: traced, Plan: p})
+	eng.prov.Multicast(QueryNS, &queryMsg{ID: id, Initiator: eng.env.Addr(), Trace: p.Trace, Plan: p})
 	return id, nil
 }
 

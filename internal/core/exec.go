@@ -931,7 +931,7 @@ func (ex *exec) ensureFlusher() {
 	if ex.flushStop != nil {
 		return
 	}
-	ex.flushStop = env.Every(ex.eng.env, ex.eng.cfg.AggFlushInterval, ex.flushPartials)
+	ex.flushStop = env.Every(ex.eng.env, aggFlushInterval, ex.flushPartials)
 }
 
 // stateLifetime bounds the query's temporary DHT state. One-shot

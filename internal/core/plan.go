@@ -173,11 +173,10 @@ type Plan struct {
 	// a reason).
 	AutoAccess bool
 
-	// Trace requests distributed tracing for this query: the
-	// initiator's sampling decision propagates in the query multicast
-	// and every executor records span events (see internal/trace).
-	// EXPLAIN TRACE and the admin plane's trace flag set it; the
-	// engine's TraceSample policy may also sample untraced plans in.
+	// Trace requests distributed tracing for this query: the flag
+	// propagates in the query multicast and every executor records
+	// span events (see internal/trace). EXPLAIN TRACE and the admin
+	// plane's trace flag set it.
 	Trace bool
 }
 

@@ -32,26 +32,27 @@ type Config struct {
 	// LookupTimeout bounds how long a Lookup waits before reporting
 	// failure with env.NilAddr.
 	LookupTimeout time.Duration
-
-	// JoinRetry is how long a joiner waits for a join reply before
-	// retrying with a fresh random point.
-	JoinRetry time.Duration
-
-	// MaxHops caps greedy routing to break transient loops.
-	MaxHops int
 }
 
-// DefaultConfig returns the paper's simulation configuration.
+// DefaultConfig returns the paper's simulation configuration; New
+// resolves a zero field to its value here.
 func DefaultConfig() Config {
 	return Config{
 		Dims:              4,
 		KeepaliveInterval: 5 * time.Second,
 		FailTimeout:       15 * time.Second,
 		LookupTimeout:     30 * time.Second,
-		JoinRetry:         20 * time.Second,
-		MaxHops:           512,
 	}
 }
+
+// Fixed protocol parameters.
+const (
+	// joinRetry is how long a joiner waits for a join reply before
+	// retrying with a fresh random point.
+	joinRetry = 20 * time.Second
+	// maxHops caps greedy routing to break transient loops.
+	maxHops = 512
+)
 
 type neighborInfo struct {
 	zones     []Zone
@@ -118,23 +119,14 @@ type pendingLookup struct {
 // enter (or create) a network.
 func New(e env.Env, cfg Config) *Router {
 	def := DefaultConfig()
-	orDefault(&cfg.Dims, def.Dims)
-	orDefault(&cfg.MaxHops, def.MaxHops)
-	orDefault(&cfg.KeepaliveInterval, def.KeepaliveInterval)
-	orDefault(&cfg.FailTimeout, def.FailTimeout)
-	orDefault(&cfg.LookupTimeout, def.LookupTimeout)
-	orDefault(&cfg.JoinRetry, def.JoinRetry)
+	env.OrDefault(&cfg.Dims, def.Dims)
+	env.OrDefault(&cfg.KeepaliveInterval, def.KeepaliveInterval)
+	env.OrDefault(&cfg.FailTimeout, def.FailTimeout)
+	env.OrDefault(&cfg.LookupTimeout, def.LookupTimeout)
 	return &Router{
 		env:       e,
 		cfg:       cfg,
 		neighbors: make(map[env.Addr]*neighborInfo),
-	}
-}
-
-// orDefault replaces an unset (non-positive) setting with its default.
-func orDefault[T int | time.Duration](v *T, def T) {
-	if *v <= 0 {
-		*v = def
 	}
 }
 
@@ -205,7 +197,7 @@ func (r *Router) Join(landmark env.Addr) {
 func (r *Router) sendJoin(landmark env.Addr) {
 	p := r.randomPoint()
 	r.env.Send(landmark, &joinReq{Point: p, Joiner: r.env.Addr()})
-	r.joinTimer = r.env.After(r.cfg.JoinRetry, func() {
+	r.joinTimer = r.env.After(joinRetry, func() {
 		if !r.joined {
 			r.sendJoin(landmark)
 		}
@@ -331,7 +323,7 @@ func (r *Router) onLookup(from env.Addr, m *lookupMsg) {
 		return
 	}
 	m.Hops++
-	if int(m.Hops) > r.cfg.MaxHops {
+	if int(m.Hops) > maxHops {
 		return
 	}
 	r.forward(m.Point, m, from)
@@ -354,7 +346,7 @@ func (r *Router) onJoinReq(from env.Addr, m *joinReq) {
 	}
 	if !r.ownsPoint(m.Point) {
 		m.Hops++
-		if int(m.Hops) > r.cfg.MaxHops {
+		if int(m.Hops) > maxHops {
 			return
 		}
 		r.forward(m.Point, m, from)

@@ -15,30 +15,27 @@ import (
 	"pier/internal/env"
 )
 
-// Config controls a Chord router.
+// Config controls a Chord router. The zero value is a router without
+// maintenance, the static experiments' setting.
 type Config struct {
 	// Maintenance enables stabilize / fix-fingers / check-predecessor.
 	Maintenance bool
-	// StabilizeInterval is the period of the maintenance tasks.
-	StabilizeInterval time.Duration
-	// SuccessorListLen is the length of the successor list kept for
-	// fault tolerance.
-	SuccessorListLen int
-	// LookupTimeout bounds Lookup latency before failure is reported.
-	LookupTimeout time.Duration
-	// MaxHops caps routing to break loops during instability.
-	MaxHops int
 }
 
-// DefaultConfig mirrors the CAN defaults where applicable.
-func DefaultConfig() Config {
-	return Config{
-		StabilizeInterval: 3 * time.Second,
-		SuccessorListLen:  8,
-		LookupTimeout:     30 * time.Second,
-		MaxHops:           512,
-	}
-}
+// Fixed protocol parameters, mirroring the CAN defaults where
+// applicable.
+const (
+	// stabilizeInterval is the period of the maintenance tasks (and the
+	// join-retry and stabilize-probe timeout).
+	stabilizeInterval = 3 * time.Second
+	// successorListLen is the length of the successor list kept for
+	// fault tolerance.
+	successorListLen = 8
+	// lookupTimeout bounds Lookup latency before failure is reported.
+	lookupTimeout = 30 * time.Second
+	// maxHops caps routing to break loops during instability.
+	maxHops = 512
+)
 
 // IDOf maps a node address onto the identifier circle.
 func IDOf(a env.Addr) uint64 {
@@ -97,18 +94,6 @@ type pendingLookup struct {
 
 // New creates a Chord router bound to the node environment.
 func New(e env.Env, cfg Config) *Router {
-	if cfg.StabilizeInterval <= 0 {
-		cfg.StabilizeInterval = 3 * time.Second
-	}
-	if cfg.SuccessorListLen <= 0 {
-		cfg.SuccessorListLen = 8
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = 30 * time.Second
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 512
-	}
 	return &Router{
 		env:     e,
 		cfg:     cfg,
@@ -222,7 +207,7 @@ func (r *Router) Join(landmark env.Addr) {
 		cb: func(owner env.Addr) {
 			if owner == env.NilAddr {
 				// Retry the join lookup.
-				r.env.After(r.cfg.StabilizeInterval, func() { r.Join(landmark) })
+				r.env.After(stabilizeInterval, func() { r.Join(landmark) })
 				return
 			}
 			r.joined = true
@@ -230,7 +215,7 @@ func (r *Router) Join(landmark env.Addr) {
 			r.startMaintenance()
 			r.stabilize()
 		},
-		timer: r.env.After(r.cfg.LookupTimeout, func() { r.expire(n) }),
+		timer: r.env.After(lookupTimeout, func() { r.expire(n) }),
 	}
 	r.env.Send(landmark, &findSuccMsg{ID: r.id, Origin: r.env.Addr(), Nonce: n})
 }
@@ -280,7 +265,7 @@ func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 	}
 	r.pending[n] = &pendingLookup{
 		cb:    cb,
-		timer: r.env.After(r.cfg.LookupTimeout, func() { r.expire(n) }),
+		timer: r.env.After(lookupTimeout, func() { r.expire(n) }),
 	}
 	r.routeFindSucc(&findSuccMsg{ID: id, Origin: r.env.Addr(), Nonce: n})
 }
@@ -304,7 +289,7 @@ func (r *Router) routeFindSucc(m *findSuccMsg) {
 		return
 	}
 	m.Hops++
-	if int(m.Hops) > r.cfg.MaxHops {
+	if int(m.Hops) > maxHops {
 		return
 	}
 	next := r.closestPreceding(m.ID)

@@ -56,7 +56,7 @@ func TestBetween(t *testing.T) {
 }
 
 func TestBootstrapRingExactOwnership(t *testing.T) {
-	tn := newTestNet(t, 50, DefaultConfig())
+	tn := newTestNet(t, 50, Config{})
 	Bootstrap(tn.routers)
 	for trial := 0; trial < 200; trial++ {
 		k := dht.KeyOf("t", fmt.Sprint(trial))
@@ -73,7 +73,7 @@ func TestBootstrapRingExactOwnership(t *testing.T) {
 }
 
 func TestBootstrapLookupAgreesWithOwns(t *testing.T) {
-	tn := newTestNet(t, 64, DefaultConfig())
+	tn := newTestNet(t, 64, Config{})
 	Bootstrap(tn.routers)
 	for trial := 0; trial < 50; trial++ {
 		k := dht.KeyOf("x", fmt.Sprint(trial))
@@ -94,7 +94,7 @@ func TestBootstrapLookupAgreesWithOwns(t *testing.T) {
 }
 
 func TestLookupHopsLogarithmic(t *testing.T) {
-	tn := newTestNet(t, 256, DefaultConfig())
+	tn := newTestNet(t, 256, Config{})
 	Bootstrap(tn.routers)
 	src := tn.routers[0]
 	n := 0
@@ -115,8 +115,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 }
 
 func TestProtocolJoinStabilizes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Maintenance = true
+	cfg := Config{Maintenance: true}
 	tn := newTestNet(t, 8, cfg)
 	tn.routers[0].Join(env.NilAddr)
 	for i := 1; i < 8; i++ {
@@ -143,8 +142,7 @@ func TestProtocolJoinStabilizes(t *testing.T) {
 }
 
 func TestGracefulLeavePatchesRing(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Maintenance = true
+	cfg := Config{Maintenance: true}
 	tn := newTestNet(t, 6, cfg)
 	Bootstrap(tn.routers)
 	leaver := tn.routers[2]
@@ -166,8 +164,7 @@ func TestGracefulLeavePatchesRing(t *testing.T) {
 }
 
 func TestFailureFailover(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Maintenance = true
+	cfg := Config{Maintenance: true}
 	tn := newTestNet(t, 8, cfg)
 	Bootstrap(tn.routers)
 	tn.nw.RunFor(10 * time.Second)
@@ -200,7 +197,7 @@ func TestIDOfDeterministic(t *testing.T) {
 // ring size, not 1; larger rings estimate from successor density.
 func TestEstimateNodesSmallAndLargeRings(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
-		tn := newTestNet(t, n, DefaultConfig())
+		tn := newTestNet(t, n, Config{})
 		Bootstrap(tn.routers)
 		for i, r := range tn.routers {
 			if got := r.EstimateNodes(); got != n {
@@ -212,7 +209,7 @@ func TestEstimateNodesSmallAndLargeRings(t *testing.T) {
 	// assert the median across the ring lands within 2x of the truth
 	// and every node at least knows it is not alone.
 	const n = 64
-	tn := newTestNet(t, n, DefaultConfig())
+	tn := newTestNet(t, n, Config{})
 	Bootstrap(tn.routers)
 	ests := make([]int, 0, n)
 	for i, r := range tn.routers {

@@ -12,7 +12,7 @@ func (r *Router) startMaintenance() {
 	if !r.cfg.Maintenance || r.stopMaint != nil {
 		return
 	}
-	r.stopMaint = env.Every(r.env, r.cfg.StabilizeInterval, func() {
+	r.stopMaint = env.Every(r.env, stabilizeInterval, func() {
 		r.stabilize()
 		r.fixFinger()
 		r.checkPredecessor()
@@ -45,7 +45,7 @@ func (r *Router) stabilize() {
 	}
 	r.pending[n] = &pendingLookup{
 		cb:    func(env.Addr) {},
-		timer: r.env.After(r.cfg.StabilizeInterval, func() { r.succTimeout(n) }),
+		timer: r.env.After(stabilizeInterval, func() { r.succTimeout(n) }),
 	}
 	r.stabNonce = n
 	r.env.Send(succ.addr, &getPredMsg{Origin: r.env.Addr(), Nonce: n})
@@ -93,7 +93,7 @@ func (r *Router) onGetPredReply(m *getPredReply) {
 			continue
 		}
 		list = append(list, entry{a, IDOf(a)})
-		if len(list) >= r.cfg.SuccessorListLen {
+		if len(list) >= successorListLen {
 			break
 		}
 	}
@@ -114,7 +114,7 @@ func (r *Router) fixFinger() {
 				r.fingers[i] = entry{owner, IDOf(owner)}
 			}
 		},
-		timer: r.env.After(r.cfg.LookupTimeout, func() { r.expire(n) }),
+		timer: r.env.After(lookupTimeout, func() { r.expire(n) }),
 	}
 	r.routeFindSucc(&findSuccMsg{ID: target, Origin: r.env.Addr(), Nonce: n})
 }
@@ -172,10 +172,10 @@ func Bootstrap(routers []*Router) {
 		r.pred = entry{routers[prev].env.Addr(), routers[prev].id}
 		r.hasPred = n > 1
 		r.succs = r.succs[:0]
-		for k := 1; k <= r.cfg.SuccessorListLen && k < n+1; k++ {
+		for k := 1; k <= successorListLen && k < n+1; k++ {
 			s := idx[(pos+k)%n]
 			r.succs = append(r.succs, entry{routers[s].env.Addr(), routers[s].id})
-			if len(r.succs) >= r.cfg.SuccessorListLen {
+			if len(r.succs) >= successorListLen {
 				break
 			}
 		}

@@ -23,7 +23,7 @@ func TestFloodOverChordReachesAll(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		e := nw.AddNode()
-		r := chord.New(e, chord.DefaultConfig())
+		r := chord.New(e, chord.Config{})
 		f := New(e, r)
 		f.OnDeliver(func(env.Addr, env.Message) { got[i]++ })
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {

@@ -20,7 +20,8 @@ import (
 	"pier/internal/env"
 )
 
-// Config controls one provider instance.
+// Config controls one provider instance. New resolves a zero duration
+// to its DefaultConfig value.
 type Config struct {
 	// GetTimeout bounds how long a get waits for the owner's reply
 	// before delivering an empty result (soft-state best effort).
@@ -30,9 +31,6 @@ type Config struct {
 	// lifetime. When off, expired items are filtered lazily on access —
 	// useful for static experiments that must quiesce.
 	ActiveExpiry bool
-
-	// HandoffDelay batches item handoffs after a location-map change.
-	HandoffDelay time.Duration
 
 	// RobustMulticast disables directed-flood pruning in favor of full
 	// neighbor flooding. Directed flooding delivers ~one copy per node
@@ -46,7 +44,7 @@ type Config struct {
 	// losses; retries just shorten the outage window.
 	PutRetries int
 
-	// PutRetryDelay spaces the retries.
+	// PutRetryDelay spaces the retries. Default 2s.
 	PutRetryDelay time.Duration
 
 	// Quota bounds the local store with per-namespace byte quotas and
@@ -58,27 +56,32 @@ type Config struct {
 	// New. When set it is used as it is and Quota is ignored.
 	Store *storage.Manager
 
-	// ThrottleRetries bounds how many times a put may bounce off an
-	// over-quota owner before it is stored anyway (the final attempt
-	// always admits — eviction, not refusal, enforces the budget, so
-	// renews keep soft state alive under sustained pressure).
-	// 0 means 2.
-	ThrottleRetries int
-
 	// ThrottleDelay is the base backoff a throttled publisher waits
 	// before resending; attempt k waits (k+1)×ThrottleDelay. The
 	// backoff is deterministic (no jitter) so seeded simulations
-	// replay bit-for-bit. 0 means 2s.
+	// replay bit-for-bit. Default 2s.
 	ThrottleDelay time.Duration
 }
 
-// DefaultConfig returns sensible defaults.
+// DefaultConfig returns the provider defaults.
 func DefaultConfig() Config {
 	return Config{
-		GetTimeout:   30 * time.Second,
-		HandoffDelay: 100 * time.Millisecond,
+		GetTimeout:    30 * time.Second,
+		PutRetryDelay: 2 * time.Second,
+		ThrottleDelay: 2 * time.Second,
 	}
 }
+
+const (
+	// handoffDelay batches item handoffs after a location-map change.
+	handoffDelay = 100 * time.Millisecond
+
+	// maxBounces is how many times a put may bounce off an over-quota
+	// owner before it is stored anyway (the final attempt always admits
+	// — eviction, not refusal, enforces the budget, so renews keep soft
+	// state alive under sustained pressure).
+	maxBounces = 2
+)
 
 // Provider is the per-node provider layer.
 type Provider struct {
@@ -113,18 +116,10 @@ type pendingGet struct {
 // New wires a provider over the node's router. The caller routes
 // incoming messages through HandleMessage.
 func New(e env.Env, rt dht.Router, cfg Config) *Provider {
-	if cfg.GetTimeout <= 0 {
-		cfg.GetTimeout = 30 * time.Second
-	}
-	if cfg.HandoffDelay <= 0 {
-		cfg.HandoffDelay = 100 * time.Millisecond
-	}
-	if cfg.ThrottleRetries <= 0 {
-		cfg.ThrottleRetries = 2
-	}
-	if cfg.ThrottleDelay <= 0 {
-		cfg.ThrottleDelay = 2 * time.Second
-	}
+	def := DefaultConfig()
+	env.OrDefault(&cfg.GetTimeout, def.GetTimeout)
+	env.OrDefault(&cfg.PutRetryDelay, def.PutRetryDelay)
+	env.OrDefault(&cfg.ThrottleDelay, def.ThrottleDelay)
 	st := cfg.Store
 	if st == nil {
 		st, _ = storage.Open(e.Now, cfg.Quota, "") // no spill log: nothing that can fail
@@ -211,7 +206,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 	if p.rt.Owns(k) {
 		// Local stores self-throttle with the same bounded backoff a
 		// remote owner would impose, then admit unconditionally.
-		if attempt < p.maxBounces() && p.store.OverHighWater(it.Namespace) {
+		if attempt < maxBounces && p.store.OverHighWater(it.Namespace) {
 			p.putsDelayed++
 			p.env.After(p.throttleBackoff(attempt), func() { p.putItem(it, retries, attempt+1) })
 			return
@@ -225,26 +220,12 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 			// times; past that, the producer's next renew restores the
 			// item (soft state, §3.2.3).
 			if retries > 0 {
-				delay := p.cfg.PutRetryDelay
-				if delay <= 0 {
-					delay = 2 * time.Second
-				}
-				p.env.After(delay, func() { p.putItem(it, retries-1, attempt) })
+				p.env.After(p.cfg.PutRetryDelay, func() { p.putItem(it, retries-1, attempt) })
 			}
 			return
 		}
 		p.env.Send(owner, &putMsg{Item: it, Attempt: attempt})
 	})
-}
-
-// maxBounces is how many times a put may be throttled before it is
-// admitted regardless of pressure.
-func (p *Provider) maxBounces() uint8 {
-	r := p.cfg.ThrottleRetries
-	if r > 60 {
-		r = 60 // putMsg.Attempt caps at the codec's validation bound
-	}
-	return uint8(r)
 }
 
 // throttleBackoff spaces throttle retries: deterministic linear
@@ -433,7 +414,7 @@ func (p *Provider) HandleMessage(from env.Addr, m env.Message) bool {
 // alive under sustained pressure.
 func (p *Provider) onPut(from env.Addr, m *putMsg) {
 	ns := m.Item.Namespace
-	if m.Attempt < p.maxBounces() && p.store.OverHighWater(ns) {
+	if m.Attempt < maxBounces && p.store.OverHighWater(ns) {
 		p.putsThrottled++
 		p.env.Send(from, &putThrottleMsg{
 			Item:       m.Item,
@@ -516,7 +497,7 @@ func (p *Provider) scheduleHandoff() {
 		return
 	}
 	p.handoffQueued = true
-	p.env.After(p.cfg.HandoffDelay, func() {
+	p.env.After(handoffDelay, func() {
 		p.handoffQueued = false
 		if !p.rt.Ready() {
 			return

@@ -139,6 +139,16 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return ks
 }
 
+// OrDefault replaces an unset (non-positive) setting with its default.
+// Node components' constructors resolve their Config with it, so each
+// default is written once: in the package's DefaultConfig, or in New
+// where there is none.
+func OrDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 // Every schedules f to run repeatedly with period d, starting after d.
 // The returned stop function cancels future runs.
 func Every(e Env, d time.Duration, f func()) (stop func()) {

@@ -35,7 +35,7 @@
 //     a marker is lost to a crash;
 //   - when a leaf overflows SplitThreshold, its owner puts a marker at
 //     the leaf's own prefix and relocates each entry one level down by
-//     its next key bit; when a leaf underflows MergeThreshold and its
+//     its next key bit; when a leaf underflows mergeThreshold and its
 //     sibling subtree is empty, its owner relocates the entries to the
 //     parent and tombstones the parent's marker (a zero-lifetime
 //     re-put), shrinking the trie again.
@@ -137,7 +137,11 @@ type Marker struct{}
 // WireSize implements env.Message.
 func (m *Marker) WireSize() int { return wire.Size(m) }
 
-// Config controls one node's index agent.
+// Config controls one node's index agent. New resolves a zero field to
+// its default; Manager.Config reports the resolved values. The rest
+// follows from Interval: markers live 3×Interval and the publisher's
+// marker cache holds for Interval (3 minutes and 30 seconds when the
+// loop is off).
 type Config struct {
 	// Interval is the maintenance period: how often the node splits
 	// overflowing local leaves, merges underflowing ones, relocates
@@ -149,69 +153,19 @@ type Config struct {
 	// splits (default 16).
 	SplitThreshold int
 
-	// MergeThreshold is the leaf occupancy at or below which the owner
-	// tries to merge with an empty sibling (default 4).
-	MergeThreshold int
-
 	// MaxDepth bounds trie depth — leaves at MaxDepth never split, so
 	// heavily duplicated keys degrade into one fat leaf instead of an
-	// unbounded chain (default 24, of the 64 encoded key bits).
+	// unbounded chain (default 24, of the 64 encoded key bits; a value
+	// past 64 also means 24).
 	MaxDepth int
-
-	// MarkerLifetime bounds interior markers between renewals; zero
-	// defaults to 3×Interval (or 3 minutes when the loop is off) so a
-	// subtree survives two missed ticks.
-	MarkerLifetime time.Duration
-
-	// CacheTTL bounds the publisher-side marker cache that lets inserts
-	// skip re-probing known-interior prefixes; zero defaults to
-	// Interval (or 30 seconds when the loop is off).
-	CacheTTL time.Duration
 }
 
 // Enabled reports whether the maintenance loop should run.
 func (c Config) Enabled() bool { return c.Interval > 0 }
 
-func (c Config) splitThreshold() int {
-	if c.SplitThreshold > 0 {
-		return c.SplitThreshold
-	}
-	return 16
-}
-
-func (c Config) mergeThreshold() int {
-	if c.MergeThreshold > 0 {
-		return c.MergeThreshold
-	}
-	return 4
-}
-
-func (c Config) maxDepth() int {
-	if c.MaxDepth > 0 && c.MaxDepth <= wire.OrderedKeyBits {
-		return c.MaxDepth
-	}
-	return 24
-}
-
-func (c Config) markerLifetime() time.Duration {
-	if c.MarkerLifetime > 0 {
-		return c.MarkerLifetime
-	}
-	if c.Interval > 0 {
-		return 3 * c.Interval
-	}
-	return 3 * time.Minute
-}
-
-func (c Config) cacheTTL() time.Duration {
-	if c.CacheTTL > 0 {
-		return c.CacheTTL
-	}
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 30 * time.Second
-}
+// mergeThreshold is the leaf occupancy at or below which the owner
+// tries to merge with an empty sibling.
+const mergeThreshold = 4
 
 // Manager is one node's index agent: definition registry (announce
 // listener, DHT fetch-through, creator-side renewal), publisher-side
@@ -222,6 +176,14 @@ type Manager struct {
 	env  env.Env
 	prov *provider.Provider
 	cfg  Config
+
+	// markerLifetime bounds interior markers between renewals, so a
+	// subtree survives two missed ticks. cacheTTL bounds the
+	// publisher-side marker cache that lets inserts skip re-probing
+	// known-interior prefixes (and the definition fetch's negative
+	// cache). New derives both from cfg.Interval.
+	markerLifetime time.Duration
+	cacheTTL       time.Duration
 
 	stop func()
 
@@ -252,9 +214,16 @@ type Manager struct {
 // New builds an index agent over the node's provider and subscribes it
 // to definition announces. Call Start to run the maintenance loop.
 func New(e env.Env, prov *provider.Provider, cfg Config) *Manager {
+	env.OrDefault(&cfg.SplitThreshold, 16)
+	if cfg.MaxDepth <= 0 || cfg.MaxDepth > wire.OrderedKeyBits {
+		cfg.MaxDepth = 24
+	}
 	// All seven bookkeeping maps stay nil until first insert: a node
 	// that neither creates nor hears about an index pays nothing.
-	m := &Manager{env: e, prov: prov, cfg: cfg}
+	m := &Manager{env: e, prov: prov, cfg: cfg, markerLifetime: 3 * time.Minute, cacheTTL: 30 * time.Second}
+	if cfg.Enabled() {
+		m.markerLifetime, m.cacheTTL = 3*cfg.Interval, cfg.Interval
+	}
 	prov.OnMulticast(func(origin env.Addr, ns string, payload env.Message) {
 		if ns != AnnounceNS {
 			return
@@ -458,12 +427,12 @@ func (m *Manager) refreshDefs() {
 }
 
 // fetchDefs resolves a table's index definitions from the DHT, with an
-// in-flight guard and a negative cache one CacheTTL long.
+// in-flight guard and a negative cache one cacheTTL long.
 func (m *Manager) fetchDefs(table string) {
 	if m.fetching[table] {
 		return
 	}
-	if at, ok := m.lastFetch[table]; ok && m.env.Now().Sub(at) < m.cfg.cacheTTL() {
+	if at, ok := m.lastFetch[table]; ok && m.env.Now().Sub(at) < m.cacheTTL {
 		return
 	}
 	m.setFetching(table)
@@ -489,7 +458,7 @@ func (m *Manager) Insert(def Def, rid string, iid int64, t *core.Tuple, lifetime
 }
 
 func (m *Manager) place(name string, k uint64, e *Entry, lifetime time.Duration, depth int) {
-	max := m.cfg.maxDepth()
+	max := m.cfg.MaxDepth
 	for depth < max && m.markerFresh(nodeRID(name, k, depth)) {
 		depth++
 	}
@@ -514,7 +483,7 @@ func (m *Manager) putEntry(rid string, e *Entry, lifetime time.Duration) {
 
 func (m *Manager) markerFresh(rid string) bool {
 	at, ok := m.markerSeen[rid]
-	return ok && m.env.Now().Sub(at) < m.cfg.cacheTTL()
+	return ok && m.env.Now().Sub(at) < m.cacheTTL
 }
 
 func (m *Manager) sawMarker(rid string) {

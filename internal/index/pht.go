@@ -69,15 +69,15 @@ func (m *Manager) Tick() {
 			// Bare interior node. Its renewal is the duty of the leaf
 			// owners below it; an interior node nothing renews is an
 			// orphan and ages out — that is the merge-by-expiry path.
-		case len(g.entries) > m.cfg.splitThreshold() && depth < m.cfg.maxDepth():
+		case len(g.entries) > m.cfg.SplitThreshold && depth < m.cfg.MaxDepth:
 			// Overflowing leaf: become interior, push the entries down.
-			m.prov.Put(NS, rid, markerIID, &Marker{}, m.cfg.markerLifetime())
+			m.prov.Put(NS, rid, markerIID, &Marker{}, m.markerLifetime)
 			m.sawMarker(rid)
 			m.pushDown(rid, g.entries, depth)
 			m.renewChain(name, bits, renewed)
 		default:
 			m.renewChain(name, bits, renewed)
-			if depth > 0 && len(g.entries) <= m.cfg.mergeThreshold() {
+			if depth > 0 && len(g.entries) <= mergeThreshold {
 				m.tryMerge(name, bits, g.entries)
 			}
 		}
@@ -121,7 +121,7 @@ func (m *Manager) renewChain(name, bits string, renewed map[string]bool) {
 			continue
 		}
 		renewed[rid] = true
-		m.prov.Put(NS, rid, markerIID, &Marker{}, m.cfg.markerLifetime())
+		m.prov.Put(NS, rid, markerIID, &Marker{}, m.markerLifetime)
 	}
 }
 

@@ -33,7 +33,7 @@ func (m *Manager) RangeScan(name string, lo, hi uint64, each func(rid string, ii
 			done(visited)
 		}
 	}
-	max := m.cfg.maxDepth()
+	max := m.cfg.MaxDepth
 	var visit func(bits string)
 	visit = func(bits string) {
 		visited++

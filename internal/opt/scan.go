@@ -14,11 +14,6 @@ import (
 // question, priced here with the same DHT-aware terms as the join
 // models in this package.
 
-// DefaultLeafCapacity is the assumed PHT leaf occupancy when the
-// caller does not know the index's split threshold (index.Config's
-// default).
-const DefaultLeafCapacity = 16
-
 // ScanEstimate is the predicted cost of one access path.
 type ScanEstimate struct {
 	// Index is true for the index-traversal path.
@@ -46,8 +41,8 @@ func (e ScanEstimate) String() string {
 // ChooseScan decides index scan vs full scan for a single-table plan.
 // t carries the table's cardinality and the predicate's selectivity
 // (t.Selectivity, as sampled by the statistics catalog); leafCapacity
-// is the index's split threshold (DefaultLeafCapacity when zero). It
-// returns the winner by messages sent, plus both estimates.
+// is the index's split threshold. It returns the winner by messages
+// sent, plus both estimates.
 //
 // The shapes: a full scan costs one multicast copy per node — flat in
 // selectivity, linear in n. An index scan costs one get (lookup hops +
@@ -61,9 +56,6 @@ func (e ScanEstimate) String() string {
 func ChooseScan(t TableStats, net NetStats, leafCapacity int) (useIndex bool, index, full ScanEstimate) {
 	t = t.norm()
 	net = net.norm()
-	if leafCapacity <= 0 {
-		leafCapacity = DefaultLeafCapacity
-	}
 
 	matching := t.Tuples * t.Selectivity
 	leaves := math.Ceil(matching / float64(leafCapacity))

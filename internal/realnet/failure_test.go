@@ -269,19 +269,26 @@ func TestDialFailureCountsAsDrop(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces sends a burst and checks the writer folded many
-// frames into few writes, and that the counters reconcile end-to-end.
+// TestBatchingCoalesces queues a burst and checks the writer folded it
+// into one write, and that the counters reconcile end-to-end. The burst
+// fills the peer's outbox before its writer goroutine starts, so the
+// writer finds every frame already queued whatever the scheduler does.
 func TestBatchingCoalesces(t *testing.T) {
 	const burst = 400
-	cfg := Config{MaxBatchDelay: 2 * time.Millisecond, OutboxLen: burst}
-	a := listen(t, cfg, 1)
-	b := listen(t, cfg, 2)
+	a := listen(t, Config{}, 1)
+	b := listen(t, Config{}, 2)
 	var got atomic.Int64
 	b.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
+	p := &peer{out: make(chan *frame, burst), dead: make(chan struct{})}
+	a.mu.Lock()
+	a.peers[b.Addr()] = p
+	a.mu.Unlock()
 	for i := 0; i < burst; i++ {
 		a.Send(b.Addr(), &echoMsg{N: i})
 	}
+	a.wg.Add(1)
+	go a.writer(b.Addr(), p)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		s := a.Stats()
@@ -294,8 +301,8 @@ func TestBatchingCoalesces(t *testing.T) {
 	if s.FramesSent+s.Drops != burst {
 		t.Fatalf("FramesSent %d + Drops %d != burst %d", s.FramesSent, s.Drops, burst)
 	}
-	if s.BatchesSent == 0 || s.BatchesSent >= s.FramesSent/2 {
-		t.Fatalf("no coalescing: %d frames in %d batches", s.FramesSent, s.BatchesSent)
+	if s.FramesSent != burst || s.BatchesSent != 1 {
+		t.Fatalf("no coalescing: %d frames in %d batches, want %d in 1", s.FramesSent, s.BatchesSent, burst)
 	}
 	rs := b.Stats()
 	if rs.FramesRecv != s.FramesSent || rs.BytesRecv != s.BytesSent {

@@ -8,10 +8,10 @@
 // a uvarint length prefix, the sender's address, and one tagged message.
 // The per-peer writer goroutine coalesces its outbound queue into
 // batches — it keeps draining the queue into one buffer and issues a
-// single write when the queue goes empty, the batch reaches
-// MaxBatchBytes, or MaxBatchDelay elapses — so a burst of small
-// soft-state messages (renews, miniTuples, partial aggregates) costs one
-// syscall instead of one per frame.
+// single write when the queue goes empty or the batch reaches
+// MaxBatchBytes — so a burst of small soft-state messages (renews,
+// miniTuples, partial aggregates) costs one syscall instead of one per
+// frame.
 //
 // Each node owns one listener, one event-loop goroutine that serializes
 // all node logic, and one writer goroutine per peer connection. Sends
@@ -38,8 +38,7 @@ import (
 )
 
 // Config tunes the transport. The zero value gives the production
-// defaults: batching with a 64 KiB flush threshold and no added delay,
-// 16 MiB frame cap.
+// defaults: batching with a 64 KiB flush threshold, 16 MiB frame cap.
 type Config struct {
 	// MaxFrameBytes rejects inbound frames larger than this; the
 	// connection carrying one is dropped. Default 16 MiB.
@@ -48,13 +47,6 @@ type Config struct {
 	// MaxBatchBytes flushes the write batch once it holds at least this
 	// many bytes (1 gives a write per frame). Default 64 KiB.
 	MaxBatchBytes int
-
-	// MaxBatchDelay, when positive, lets the writer wait up to this long
-	// after the first frame of a batch for more traffic before flushing
-	// a batch smaller than MaxBatchBytes. Zero (the default) flushes as
-	// soon as the outbound queue drains — coalescing without added
-	// latency.
-	MaxBatchDelay time.Duration
 
 	// OutboxLen is the per-peer outbound queue; sends beyond it drop.
 	// Default 1024.
@@ -458,8 +450,8 @@ func (n *Node) writer(to env.Addr, p *peer) {
 }
 
 // fillBatch encodes f and keeps draining the queue until the batch is
-// full, the queue is empty (plus the optional MaxBatchDelay grace), or
-// the node shuts down. It reports how many frames entered the batch.
+// full or the queue is empty — coalescing without added latency. It
+// reports how many frames entered the batch.
 func (n *Node) fillBatch(fw *binaryWriter, f *frame, p *peer) (frames int) {
 	appendOne := func(f *frame) {
 		ok := fw.appendFrame(f)
@@ -477,33 +469,12 @@ func (n *Node) fillBatch(fw *binaryWriter, f *frame, p *peer) (frames int) {
 		}
 	}
 	appendOne(f)
-	var deadline <-chan time.Time
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for fw.buffered() < n.cfg.MaxBatchBytes {
 		select {
 		case f2 := <-p.out:
 			appendOne(f2)
 		default:
-			if n.cfg.MaxBatchDelay <= 0 {
-				return frames
-			}
-			if timer == nil {
-				timer = time.NewTimer(n.cfg.MaxBatchDelay)
-				deadline = timer.C
-			}
-			select {
-			case f2 := <-p.out:
-				appendOne(f2)
-			case <-deadline:
-				return frames
-			case <-n.done:
-				return frames
-			}
+			return frames
 		}
 	}
 	return frames

@@ -54,7 +54,9 @@ const CatalogNS = "pier.stats"
 // resourceIDs (the same separator the aggregation hierarchy uses).
 const bucketSep = "\x1e"
 
-// Config controls one node's catalog agent.
+// Config controls one node's catalog agent. The rest follows from it:
+// published summaries live 3×Interval and fetched ones are cached for
+// Interval (3 minutes and 1 minute when the loop is off).
 type Config struct {
 	// Interval is the refresh period: how often the node samples its
 	// local store, republishes summaries, combines rollup buckets it
@@ -62,69 +64,26 @@ type Config struct {
 	// loop (the catalog then only answers from explicit refreshes).
 	Interval time.Duration
 
-	// Lifetime bounds published summaries; zero defaults to 3×Interval
-	// so a node must miss several refreshes before its contribution
-	// ages out.
-	Lifetime time.Duration
-
 	// Fanout spreads each table's node summaries over this many rollup
 	// buckets, whose owners forward one merged summary to the table's
 	// root key. Zero publishes directly to the root (fine up to a few
 	// hundred nodes; the hierarchy caps the root's inbound load beyond
 	// that).
 	Fanout int
-
-	// SketchK is the distinct-key sketch capacity (DefaultSketchK when
-	// zero).
-	SketchK int
-
-	// SampleLimit caps how many local tuples a choose-time selectivity
-	// sample evaluates per table. Default 256.
-	SampleLimit int
-
-	// Objective is what automatic strategy choice minimizes (default
-	// MinTraffic, the paper's wide-area concern).
-	Objective opt.Objective
-
-	// CacheTTL bounds how long a fetched TableStats entry answers
-	// lookups before it must be re-fetched; zero defaults to Interval
-	// (or a minute if the loop is disabled).
-	CacheTTL time.Duration
 }
 
 // Enabled reports whether the maintenance loop should run.
 func (c Config) Enabled() bool { return c.Interval > 0 }
 
-// lifetime is the effective published-summary lifetime: the explicit
-// setting, 3× the refresh interval, or a 3-minute floor when the loop
-// is disabled (explicit-refresh mode) — never zero, which storage
-// would treat as immortal.
-func (c Config) lifetime() time.Duration {
-	if c.Lifetime > 0 {
-		return c.Lifetime
-	}
-	if c.Interval > 0 {
-		return 3 * c.Interval
-	}
-	return 3 * time.Minute
-}
+const (
+	// sampleLimit caps how many local tuples a choose-time selectivity
+	// sample evaluates per table.
+	sampleLimit = 256
 
-func (c Config) cacheTTL() time.Duration {
-	if c.CacheTTL > 0 {
-		return c.CacheTTL
-	}
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return time.Minute
-}
-
-func (c Config) sampleLimit() int {
-	if c.SampleLimit > 0 {
-		return c.SampleLimit
-	}
-	return 256
-}
+	// objective is what automatic strategy choice minimizes: traffic,
+	// the paper's wide-area concern.
+	objective = opt.MinTraffic
+)
 
 // Summary is one (partial) statistics record for a table: a leaf holds
 // one node's local view; rollup and lookup merge leaves into a
@@ -225,6 +184,14 @@ type Catalog struct {
 	prov *provider.Provider
 	cfg  Config
 
+	// lifetime bounds published summaries, so a node must miss several
+	// refreshes before its contribution ages out; never zero, which
+	// storage would treat as immortal. cacheTTL bounds how long a
+	// fetched TableStats entry answers lookups. New derives both from
+	// cfg.Interval.
+	lifetime time.Duration
+	cacheTTL time.Duration
+
 	nodeIID int64
 	stop    func()
 
@@ -248,12 +215,18 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Catalog {
 	h := sha1.Sum([]byte("stats:" + string(e.Addr())))
 	// The cache/fetching/match maps are allocated lazily at first
 	// insert: nodes that never plan a query keep them nil.
-	return &Catalog{
-		env:     e,
-		prov:    prov,
-		cfg:     cfg,
-		nodeIID: int64(binary.BigEndian.Uint64(h[:8]) >> 1),
+	c := &Catalog{
+		env:      e,
+		prov:     prov,
+		cfg:      cfg,
+		lifetime: 3 * time.Minute,
+		cacheTTL: time.Minute,
+		nodeIID:  int64(binary.BigEndian.Uint64(h[:8]) >> 1),
 	}
+	if cfg.Enabled() {
+		c.lifetime, c.cacheTTL = 3*cfg.Interval, cfg.Interval
+	}
+	return c
 }
 
 // Config returns the agent's configuration.
@@ -296,7 +269,6 @@ func (c *Catalog) Refresh() {
 // publishLocal summarizes every measurable local namespace and puts the
 // summaries into the catalog namespace.
 func (c *Catalog) publishLocal() {
-	lifetime := c.cfg.lifetime()
 	for _, ns := range c.prov.Store().Namespaces() {
 		if !Measurable(ns) {
 			continue
@@ -309,13 +281,13 @@ func (c *Catalog) publishLocal() {
 		if f := c.cfg.Fanout; f > 0 {
 			rid = ns + bucketSep + strconv.FormatInt(c.nodeIID%int64(f), 10)
 		}
-		c.prov.Put(CatalogNS, rid, c.nodeIID, sum, lifetime)
+		c.prov.Put(CatalogNS, rid, c.nodeIID, sum, c.lifetime)
 	}
 }
 
 // localSummary scans one namespace's local items.
 func (c *Catalog) localSummary(ns string) *Summary {
-	sum := &Summary{Table: ns, Nodes: 1, Keys: NewSketch(c.cfg.SketchK)}
+	sum := &Summary{Table: ns, Nodes: 1, Keys: NewSketch(DefaultSketchK)}
 	c.prov.Scan(ns, func(it *storage.Item) bool {
 		sum.Tuples++
 		if it.Payload != nil {
@@ -335,7 +307,6 @@ func (c *Catalog) combineBuckets() {
 	if c.cfg.Fanout <= 0 {
 		return
 	}
-	lifetime := c.cfg.lifetime()
 	combined := map[string]*Summary{}
 	c.prov.Scan(CatalogNS, func(it *storage.Item) bool {
 		sum, ok := it.Payload.(*Summary)
@@ -355,7 +326,7 @@ func (c *Catalog) combineBuckets() {
 		root := rid[:strings.Index(rid, bucketSep)]
 		// A stable per-bucket instanceID keeps distinct buckets (and
 		// re-combines) from colliding at the root.
-		c.prov.Put(CatalogNS, root, ridIID(rid), combined[rid], lifetime)
+		c.prov.Put(CatalogNS, root, ridIID(rid), combined[rid], c.lifetime)
 	}
 }
 
@@ -413,7 +384,7 @@ func (c *Catalog) Fetch(table string, cb func(ts opt.TableStats, ok bool)) {
 // Cached returns the table's statistics if a fresh fetch is in cache.
 func (c *Catalog) Cached(table string) (opt.TableStats, bool) {
 	e, ok := c.cache[table]
-	if !ok || c.env.Now().Sub(e.at) > c.cfg.cacheTTL() {
+	if !ok || c.env.Now().Sub(e.at) > c.cacheTTL {
 		return opt.TableStats{}, false
 	}
 	return e.stats, true
@@ -516,7 +487,6 @@ func (c *Catalog) sampleSelectivityOK(tr core.TableRef) (sel float64, sampled bo
 	if tr.Filter == nil {
 		return 1, true
 	}
-	limit := c.cfg.sampleLimit()
 	seen, passed := 0, 0
 	c.prov.Scan(tr.NS, func(it *storage.Item) bool {
 		t, ok := it.Payload.(*core.Tuple)
@@ -527,7 +497,7 @@ func (c *Catalog) sampleSelectivityOK(tr core.TableRef) (sel float64, sampled bo
 		if core.Truthy(tr.Filter.Eval(t.Vals)) {
 			passed++
 		}
-		return seen < limit
+		return seen < sampleLimit
 	})
 	if seen == 0 {
 		return 1, false // no local sample: assume nothing
@@ -593,7 +563,7 @@ func (c *Catalog) ChooseStrategy(p *core.Plan) (core.Strategy, []opt.Estimate, b
 	if p.BloomWait > 0 {
 		net.BloomWait = p.BloomWait
 	}
-	_, ests := opt.Choose(j, net, c.cfg.Objective)
+	_, ests := opt.Choose(j, net, objective)
 	for _, e := range ests {
 		if !e.Feasible {
 			continue
@@ -611,10 +581,10 @@ func (c *Catalog) ChooseStrategy(p *core.Plan) (core.Strategy, []opt.Estimate, b
 // index-scan candidate should actually use the index, by pricing both
 // access paths (opt.ChooseScan) with the cached table cardinality and
 // a local selectivity sample of the plan's filter. leafCapacity is the
-// index's split threshold (opt.DefaultLeafCapacity when zero). ok is
-// false while the catalog cannot answer (no index candidate, or the
-// table missing from the cache — an async Fetch is kicked off so the
-// next query finds it warm); the caller then keeps the plan as is.
+// index's split threshold. ok is false while the catalog cannot answer
+// (no index candidate, or the table missing from the cache — an async
+// Fetch is kicked off so the next query finds it warm); the caller then
+// keeps the plan as is.
 func (c *Catalog) ChooseAccess(p *core.Plan, leafCapacity int) (useIndex bool, ok bool) {
 	if len(p.Tables) != 1 || p.Tables[0].IndexScan == nil {
 		return false, false

@@ -98,13 +98,18 @@ const (
 	Chord
 )
 
-// Options configures the per-node stack.
+// Options configures the per-node stack. It holds only the values some
+// caller sets; every other protocol parameter (hop caps, retry and
+// handoff delays, sketch and sample sizes, soft-state lifetimes derived
+// from a refresh interval) is a constant of its package. A zero field
+// means the package default.
 type Options struct {
 	// DHT picks the routing layer; default CAN.
 	DHT DHTKind
 	// CANConfig configures CAN routers.
 	CANConfig can.Config
-	// ChordConfig configures Chord routers.
+	// ChordConfig configures Chord routers: whether they run
+	// stabilization.
 	ChordConfig chord.Config
 	// ProviderConfig configures the provider layer.
 	ProviderConfig provider.Config
@@ -134,7 +139,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		CANConfig:      can.DefaultConfig(),
-		ChordConfig:    chord.DefaultConfig(),
 		ProviderConfig: provider.DefaultConfig(),
 		EngineConfig:   core.DefaultConfig(),
 	}
@@ -299,8 +303,7 @@ func (n *Node) Cancel(id uint64) bool { return n.engine.Cancel(id) }
 // this node: partial (Finished == 0) while the query is live, complete
 // and retained for the last few queries after Cancel closes it. ok is
 // false for unknown, untraced, or evicted ids. A query is traced when
-// its plan sets Trace — EXPLAIN TRACE and the admin plane do — or when
-// the engine's TraceSample policy samples it in.
+// its plan sets Trace, as EXPLAIN TRACE and the admin plane do.
 func (n *Node) Trace(id uint64) (*QueryTrace, bool) { return n.engine.Trace(id) }
 
 // Leave departs the overlay gracefully: the node's zone and its stored
