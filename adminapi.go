@@ -46,20 +46,7 @@ type adminBackend struct {
 
 func (b *adminBackend) Snapshot() admin.Snapshot { return b.s.Snapshot() }
 
-func (b *adminBackend) Queries() []admin.QueryInfo {
-	var out []admin.QueryInfo
-	for _, q := range b.s.LiveQueries() {
-		out = append(out, admin.QueryInfo{
-			ID:         q.ID,
-			Initiator:  q.Initiator,
-			Executor:   q.Executor,
-			Tables:     q.Tables,
-			Continuous: q.Continuous,
-			Started:    q.Started,
-		})
-	}
-	return out
-}
+func (b *adminBackend) Queries() []QueryInfo { return b.s.LiveQueries() }
 
 func (b *adminBackend) Cancel(id uint64) bool { return b.s.Cancel(id) }
 
@@ -130,32 +117,7 @@ func (b *adminBackend) RunSQL(src string, each func(admin.Row)) (uint64, admin.S
 	}
 }
 
-// Trace adapts the Session's trace surface to the admin DTOs.
-func (b *adminBackend) Trace(id uint64) (admin.QueryTrace, bool) {
-	tr, ok := b.s.Trace(id)
-	if !ok {
-		return admin.QueryTrace{}, false
-	}
-	out := admin.QueryTrace{
-		ID:       tr.QueryID,
-		Root:     string(tr.Root),
-		Started:  tr.Started,
-		Finished: tr.Finished,
-		Drops:    tr.Drops,
-		Rendered: tr.RenderString(),
-	}
-	for _, s := range tr.Spans {
-		out.Spans = append(out.Spans, admin.TraceSpan{
-			Stage: s.Stage.String(),
-			Node:  string(s.Node),
-			Start: s.Start,
-			DurNS: int64(s.Dur),
-			Note:  s.Note,
-			Seq:   s.Seq,
-		})
-	}
-	return out, true
-}
+func (b *adminBackend) Trace(id uint64) (*QueryTrace, bool) { return b.s.Trace(id) }
 
 func (b *adminBackend) RegisterTable(name, key string, cols []string) error {
 	t := SQLTable{Name: name, Cols: cols, Key: key}

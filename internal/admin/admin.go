@@ -9,6 +9,11 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"pier/internal/core"
+	"pier/internal/dht/provider"
+	"pier/internal/index"
+	"pier/internal/trace"
 )
 
 // Backend is the node surface the admin plane serves. The public pier
@@ -25,7 +30,7 @@ type Backend interface {
 	Snapshot() Snapshot
 
 	// Queries lists the queries currently alive on the node.
-	Queries() []QueryInfo
+	Queries() []core.QueryInfo
 
 	// RunSQL runs one SQL statement against the deployment's DHT
 	// catalog. DDL (CREATE INDEX) completes before returning, with
@@ -45,7 +50,7 @@ type Backend interface {
 	// node: live (partial) while the query runs, retained for a while
 	// after it closes. ok is false when the query is unknown, untraced,
 	// or evicted.
-	Trace(id uint64) (tr QueryTrace, ok bool)
+	Trace(id uint64) (tr *trace.Trace, ok bool)
 
 	// RegisterTable publishes a table schema into the DHT catalog.
 	RegisterTable(name, key string, cols []string) error
@@ -195,10 +200,10 @@ func (s *Server) handleRouting(w http.ResponseWriter, r *http.Request) {
 
 // softStateView is the GET /api/softstate projection of the snapshot.
 type softStateView struct {
-	StoredItems int              `json:"stored_items"`
-	StoredBytes int64            `json:"stored_bytes"`
-	Namespaces  []NamespaceCount `json:"namespaces"`
-	Storage     StorageStats     `json:"storage"`
+	StoredItems int                   `json:"stored_items"`
+	StoredBytes int64                 `json:"stored_bytes"`
+	Namespaces  []NamespaceCount      `json:"namespaces"`
+	Storage     provider.StorageStats `json:"storage"`
 }
 
 func (s *Server) handleSoftState(w http.ResponseWriter, r *http.Request) {
@@ -213,7 +218,7 @@ func (s *Server) handleSoftState(w http.ResponseWriter, r *http.Request) {
 
 // indexesView is the GET /api/indexes projection of the snapshot.
 type indexesView struct {
-	Indexes []IndexInfo `json:"indexes"`
+	Indexes []index.Def `json:"indexes"`
 	Scans   int64       `json:"scans"`
 	Visits  int64       `json:"visits"`
 }
@@ -225,7 +230,7 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 
 // queriesView wraps the live-query listing.
 type queriesView struct {
-	Queries []QueryInfo `json:"queries"`
+	Queries []core.QueryInfo `json:"queries"`
 }
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
@@ -258,7 +263,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no trace for query %d on this node (untraced, unknown, or evicted)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	writeJSON(w, http.StatusOK, traceView{tr, tr.RenderString()})
+}
+
+// traceView is the REST form of an assembled trace: the trace itself
+// plus its rendered tree (the EXPLAIN TRACE text), so curl users need
+// no client-side formatter.
+type traceView struct {
+	*trace.Trace
+	Rendered string `json:"rendered"`
 }
 
 // runQueryRequest is the POST /api/queries body.
@@ -403,7 +416,7 @@ collect:
 		writeError(w, http.StatusNotFound, "query %d left no trace", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rows": n, "trace": tr})
+	writeJSON(w, http.StatusOK, map[string]any{"rows": n, "trace": traceView{tr, tr.RenderString()}})
 }
 
 // registerTableRequest is the POST /api/tables body.

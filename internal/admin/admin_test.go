@@ -10,20 +10,26 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pier/internal/core"
+	"pier/internal/dht/provider"
+	"pier/internal/dht/storage"
 	"pier/internal/env"
+	"pier/internal/index"
+	"pier/internal/trace"
 )
 
 // fakeBackend is an in-memory Backend for handler tests.
 type fakeBackend struct {
 	mu        sync.Mutex
 	snap      Snapshot
-	queries   []QueryInfo
+	queries   []core.QueryInfo
 	cancelled []uint64
 	liveIDs   map[uint64]bool
 	rows      []Row
@@ -31,7 +37,7 @@ type fakeBackend struct {
 	sqlErr    error
 	left      bool
 	published []string
-	trace     *QueryTrace
+	trace     *trace.Trace
 }
 
 func newFakeBackend() *fakeBackend {
@@ -48,24 +54,27 @@ func newFakeBackend() *fakeBackend {
 			SoftState:     []NamespaceCount{{Namespace: "R", Items: 4, Bytes: 2048}, {Namespace: `we"ird\ns`, Items: 1, Bytes: 512}},
 			StoredItems:   5,
 			StoredBytes:   2560,
-			Storage: StorageStats{
-				ItemsEvicted: 6, BytesEvicted: 3072,
-				ItemsSpilled: 2, BytesSpilled: 1024, SpilledLiveItems: 1,
-				PutsThrottled: 9, PutsDelayed: 8, PutsDropped: 3,
+			Storage: provider.StorageStats{
+				Stats: storage.Stats{
+					ItemsEvicted: 6, BytesEvicted: 3072,
+					ItemsSpilled: 2, BytesSpilled: 1024, SpilledLive: 1,
+					PutsDropped: 3,
+				},
+				PutsThrottled: 9, PutsDelayed: 8,
 			},
-			Indexes:           []IndexInfo{{Name: "r_num1", Table: "R", Col: "num1"}},
+			Indexes:           []index.Def{{Name: "r_num1", Table: "R", Col: "num1", ColIdx: 1}},
 			IndexScans:        7,
 			IndexVisits:       21,
 			CachedStatsTables: 2,
 			ActiveExecs:       1,
 			OpenCollectors:    1,
-			Query: QueryChannelStats{
+			Query: core.QueryStats{
 				ResultBatches: 10, ResultTuples: 100, CreditGrants: 5, CreditStalls: 1, BloomFallbacks: 0,
 			},
 			Transport: &env.LinkStats{FramesSent: 40, BatchesSent: 30, BytesSent: 9000, FramesRecv: 38, BytesRecv: 8800, Drops: 2},
 		},
 		liveIDs: map[uint64]bool{42: true, math.MaxUint64: true},
-		queries: []QueryInfo{
+		queries: []core.QueryInfo{
 			{ID: math.MaxUint64, Initiator: true, Tables: []string{"R", "S"}, Started: time.Unix(1700000100, 0)},
 		},
 	}
@@ -77,10 +86,10 @@ func (f *fakeBackend) Snapshot() Snapshot {
 	return f.snap
 }
 
-func (f *fakeBackend) Queries() []QueryInfo {
+func (f *fakeBackend) Queries() []core.QueryInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]QueryInfo(nil), f.queries...)
+	return append([]core.QueryInfo(nil), f.queries...)
 }
 
 func (f *fakeBackend) RunSQL(src string, each func(Row)) (uint64, SQLKind, error) {
@@ -109,13 +118,13 @@ func (f *fakeBackend) RunSQL(src string, each func(Row)) (uint64, SQLKind, error
 	return 42, SQLQuery, nil
 }
 
-func (f *fakeBackend) Trace(id uint64) (QueryTrace, bool) {
+func (f *fakeBackend) Trace(id uint64) (*trace.Trace, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.trace == nil || f.trace.ID != id {
-		return QueryTrace{}, false
+	if f.trace == nil || f.trace.QueryID != id {
+		return nil, false
 	}
-	return *f.trace, true
+	return f.trace, true
 }
 
 func (f *fakeBackend) Cancel(id uint64) bool {
@@ -243,7 +252,7 @@ func TestQueryIDsSurviveJSON(t *testing.T) {
 		t.Fatalf("query listing must carry string ids, got %s", body)
 	}
 	var view struct {
-		Queries []QueryInfo `json:"queries"`
+		Queries []core.QueryInfo `json:"queries"`
 	}
 	if err := json.Unmarshal(body, &view); err != nil {
 		t.Fatal(err)
@@ -527,19 +536,28 @@ func TestLeave(t *testing.T) {
 	}
 }
 
-func sampleTrace() *QueryTrace {
-	return &QueryTrace{
-		ID:       43,
+func sampleTrace() *trace.Trace {
+	return &trace.Trace{
+		QueryID:  43,
 		Root:     "127.0.0.1:7001",
 		Started:  1000,
 		Finished: 9000,
-		Spans: []TraceSpan{
-			{Stage: "collect", Node: "127.0.0.1:7001", Start: 1000, DurNS: 8000},
-			{Stage: "multicast", Node: "127.0.0.1:7002", Start: 2000, Note: "query arrived: R"},
-			{Stage: "result_flush", Node: "127.0.0.1:7002", Start: 5000, DurNS: 100, Seq: 1},
+		Spans: []trace.Span{
+			{Stage: trace.StageCollect, Node: "127.0.0.1:7001", Start: 1000, Dur: 8000},
+			{Stage: trace.StageMulticast, Node: "127.0.0.1:7002", Start: 2000, Note: "query arrived: R"},
+			{Stage: trace.StageResultFlush, Node: "127.0.0.1:7002", Start: 5000, Dur: 100, Seq: 1},
 		},
-		Rendered: "trace query=2b ...",
 	}
+}
+
+// restTrace is what a REST client reads of a served trace.
+type restTrace struct {
+	ID    string `json:"id"`
+	Spans []struct {
+		Stage string `json:"stage"`
+		DurNS int64  `json:"duration_ns"`
+	} `json:"spans"`
+	Rendered string `json:"rendered"`
 }
 
 // TestTraceEndpoint: GET /api/queries/{id}/trace serves the assembled
@@ -549,13 +567,16 @@ func TestTraceEndpoint(t *testing.T) {
 	f.trace = sampleTrace()
 	srv := newTestServer(t, f)
 
-	var got QueryTrace
+	var got restTrace
 	resp := getJSON(t, srv.URL+"/api/queries/43/trace", &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status = %d", resp.StatusCode)
 	}
-	if got.ID != 43 || len(got.Spans) != 3 || got.Spans[1].Stage != "multicast" {
+	if got.ID != "43" || len(got.Spans) != 3 || got.Spans[1].Stage != "multicast" || got.Spans[0].DurNS != 8000 {
 		t.Fatalf("trace mismatch: %+v", got)
+	}
+	if !strings.HasPrefix(got.Rendered, "trace query=2b ") {
+		t.Fatalf("trace rendered as %q", got.Rendered)
 	}
 	if resp := getJSON(t, srv.URL+"/api/queries/41/trace", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown trace = %d, want 404", resp.StatusCode)
@@ -589,13 +610,13 @@ func TestExplainTraceAnswersTrace(t *testing.T) {
 		t.Fatalf("content type = %q, want plain JSON", ct)
 	}
 	var out struct {
-		Rows  int        `json:"rows"`
-		Trace QueryTrace `json:"trace"`
+		Rows  int       `json:"rows"`
+		Trace restTrace `json:"trace"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows != 2 || out.Trace.ID != 43 || len(out.Trace.Spans) != 3 {
+	if out.Rows != 2 || out.Trace.ID != "43" || len(out.Trace.Spans) != 3 {
 		t.Fatalf("explain answer: %+v", out)
 	}
 	if out.Trace.Rendered == "" {
@@ -714,11 +735,11 @@ func TestMetricsHistograms(t *testing.T) {
 	f := newFakeBackend()
 	f.snap.Histograms = []HistogramData{
 		{Name: "pier_query_duration_seconds", Help: "End-to-end query duration.",
-			Bounds: []float64{0.01, 0.1, 1}, Counts: []uint64{2, 1, 0, 1}, Sum: 3.52, Count: 4},
+			HistogramSnapshot: trace.HistogramSnapshot{Bounds: []float64{0.01, 0.1, 1}, Counts: []uint64{2, 1, 0, 1}, Sum: 3.52, Count: 4}},
 		{Name: "pier_trace_span_duration_seconds", Help: "Span durations by stage.", Stage: "multicast",
-			Bounds: []float64{0.01}, Counts: []uint64{3, 0}, Sum: 0.003, Count: 3},
+			HistogramSnapshot: trace.HistogramSnapshot{Bounds: []float64{0.01}, Counts: []uint64{3, 0}, Sum: 0.003, Count: 3}},
 		{Name: "pier_trace_span_duration_seconds", Stage: "executor",
-			Bounds: []float64{0.01}, Counts: []uint64{1, 1}, Sum: 1.001, Count: 2},
+			HistogramSnapshot: trace.HistogramSnapshot{Bounds: []float64{0.01}, Counts: []uint64{1, 1}, Sum: 1.001, Count: 2}},
 	}
 	var buf bytes.Buffer
 	WriteMetrics(&buf, f.Snapshot())
@@ -818,5 +839,87 @@ func TestMethodRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /api/status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestCounterCensus walks every exported field of the node's counter
+// families — core.QueryStats, provider.StorageStats (its embedded store
+// counters flattened) and env.LinkStats — and marks one at a time. Each
+// must have a JSON tag, carry the mark in its family's object of GET
+// /api/status, and move a pier_* sample of /metrics. A counter added to
+// one of these structs reaches /api/status with no further edit; this
+// test is what demands its /metrics line.
+func TestCounterCensus(t *testing.T) {
+	families := []struct {
+		typ reflect.Type
+		key string // the family's object in GET /api/status
+		of  func(*Snapshot) reflect.Value
+	}{
+		{reflect.TypeFor[core.QueryStats](), "query_channel", func(s *Snapshot) reflect.Value { return reflect.ValueOf(&s.Query).Elem() }},
+		{reflect.TypeFor[provider.StorageStats](), "storage", func(s *Snapshot) reflect.Value { return reflect.ValueOf(&s.Storage).Elem() }},
+		{reflect.TypeFor[env.LinkStats](), "transport", func(s *Snapshot) reflect.Value { return reflect.ValueOf(s.Transport).Elem() }},
+	}
+	const mark = 424242
+	f := newFakeBackend()
+	srv := newTestServer(t, f)
+	for _, fam := range families {
+		typ := fam.typ
+		if served := fam.of(&Snapshot{Transport: &env.LinkStats{}}).Type(); served != typ {
+			t.Fatalf("GET /api/status %q serves a %s, not the product's %s", fam.key, served, typ)
+		}
+		for _, sf := range reflect.VisibleFields(typ) {
+			if sf.Anonymous || !sf.IsExported() {
+				continue
+			}
+			field := typ.String() + "." + sf.Name
+			key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			if key == "" || key == "-" {
+				t.Errorf("%s has no JSON tag: a counter's REST name is written at its source", field)
+				continue
+			}
+
+			f.mu.Lock()
+			f.snap = Snapshot{Transport: &env.LinkStats{}}
+			v := fam.of(&f.snap).FieldByIndex(sf.Index)
+			switch v.Kind() {
+			case reflect.Int, reflect.Int64:
+				v.SetInt(mark)
+			case reflect.Uint32, reflect.Uint64:
+				v.SetUint(mark)
+			case reflect.Map: // per-namespace counters
+				m := reflect.MakeMap(v.Type())
+				m.SetMapIndex(reflect.ValueOf("census"), reflect.ValueOf(mark).Convert(v.Type().Elem()))
+				v.Set(m)
+			default:
+				f.mu.Unlock()
+				t.Fatalf("%s: the census cannot mark a %s", field, v.Kind())
+			}
+			want, _ := json.Marshal(v.Interface())
+			f.mu.Unlock()
+
+			var status map[string]json.RawMessage
+			getJSON(t, srv.URL+"/api/status", &status)
+			var family map[string]json.RawMessage
+			if err := json.Unmarshal(status[fam.key], &family); err != nil {
+				t.Fatalf("GET /api/status %q: %v", fam.key, err)
+			}
+			if got, ok := family[key]; !ok || !bytes.Equal(got, want) {
+				t.Errorf("%s: GET /api/status %s.%s = %s, want %s", field, fam.key, key, got, want)
+			}
+
+			resp, err := http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			found := false
+			for series, val := range parseMetrics(t, string(raw)) {
+				found = found || (strings.HasPrefix(series, "pier_") && val == mark)
+			}
+			if !found {
+				t.Errorf("%s has no pier_* sample in /metrics: a new counter needs a /metrics line in WriteMetrics", field)
+			}
+		}
 	}
 }

@@ -5,14 +5,16 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"pier/internal/env"
 )
 
 // WriteMetrics renders a Snapshot in the Prometheus text exposition
 // format (version 0.0.4): every counter family the node collects —
-// transport link counters, the query result channel, index traversal —
-// plus the operational gauges (soft state per namespace, overlay
-// estimates, live-query counts). Families appear in a fixed order so
-// scrapes diff cleanly.
+// transport link counters, the query result channel and its tracing,
+// storage pressure, index traversal — plus the operational gauges (soft
+// state per namespace, overlay estimates, live-query counts). Families
+// appear in a fixed order so scrapes diff cleanly.
 func WriteMetrics(w io.Writer, s Snapshot) {
 	m := &metricsWriter{w: w}
 
@@ -40,10 +42,14 @@ func WriteMetrics(w io.Writer, s Snapshot) {
 	m.counter("pier_storage_evicted_bytes_total", "Bytes evicted to hold storage quotas.", float64(s.Storage.BytesEvicted))
 	m.counter("pier_storage_spilled_items_total", "Evicted items diverted to the disk-spill tier.", float64(s.Storage.ItemsSpilled))
 	m.counter("pier_storage_spilled_bytes_total", "Bytes diverted to the disk-spill tier.", float64(s.Storage.BytesSpilled))
-	m.gauge("pier_storage_spilled_live_items", "Live items currently resident in the disk-spill tier.", float64(s.Storage.SpilledLiveItems))
+	m.gauge("pier_storage_spilled_live_items", "Live items currently resident in the disk-spill tier.", float64(s.Storage.SpilledLive))
 	m.counter("pier_storage_puts_throttled_total", "Puts this node bounced with a throttle message (over-quota namespace).", float64(s.Storage.PutsThrottled))
 	m.counter("pier_storage_puts_delayed_total", "Puts this node deferred after a throttle (including self-throttles).", float64(s.Storage.PutsDelayed))
 	m.counter("pier_storage_puts_dropped_total", "Stores whose incoming item was its own eviction victim.", float64(s.Storage.PutsDropped))
+	m.typ("pier_storage_evictions_by_namespace_total", "Items evicted to hold storage quotas, per namespace.", "counter")
+	for _, ns := range env.SortedKeys(s.Storage.EvictedByNS) {
+		m.sample(fmt.Sprintf(`pier_storage_evictions_by_namespace_total{namespace="%s"}`, escapeLabel(ns)), float64(s.Storage.EvictedByNS[ns]))
+	}
 
 	m.gauge("pier_catalog_cached_tables", "Tables with fresh summaries in the statistics catalog's reader cache.", float64(s.CachedStatsTables))
 
@@ -59,6 +65,8 @@ func WriteMetrics(w io.Writer, s Snapshot) {
 	m.counter("pier_query_credit_grants_total", "Flow-control credit grants issued by collectors on this node.", float64(s.Query.CreditGrants))
 	m.counter("pier_query_credit_stalls_total", "Executor flushes stalled on an exhausted credit window.", float64(s.Query.CreditStalls))
 	m.counter("pier_query_bloom_fallbacks_total", "Bloom-join combines degraded by mismatched filter geometry.", float64(s.Query.BloomFallbacks))
+	m.counter("pier_query_trace_spans_total", "Trace spans absorbed by collectors on this node.", float64(s.Query.TraceSpans))
+	m.counter("pier_query_trace_span_drops_total", "Trace spans reported lost to full span buffers.", float64(s.Query.TraceSpanDrops))
 
 	m.histograms(s.Histograms)
 

@@ -93,29 +93,31 @@ const aggFlushInterval = time.Second
 // in the style of env.LinkStats: monotone uint64 counters, snapshotted
 // through Engine.QueryStats. Sender-side counters (batches, tuples,
 // stalls) increment on the node running the executor; collector-side
-// counters (grants) on the query initiator.
+// counters (grants) on the query initiator. The JSON names are part of
+// the admin plane's REST contract (GET /api/status serves this struct
+// as "query_channel").
 type QueryStats struct {
 	// ResultBatches counts result frames shipped to initiators;
 	// ResultTuples counts the tuples they carried.
 	// ResultTuples/ResultBatches is the result channel's coalescing
 	// factor (per-tuple delivery pins it at 1).
-	ResultBatches uint64
-	ResultTuples  uint64
+	ResultBatches uint64 `json:"result_batches"`
+	ResultTuples  uint64 `json:"result_tuples"`
 	// CreditGrants counts creditMsg grants issued by collectors on
 	// this node.
-	CreditGrants uint64
+	CreditGrants uint64 `json:"credit_grants"`
 	// CreditStalls counts executor stall episodes: a flush found
 	// buffered results but an exhausted credit window.
-	CreditStalls uint64
+	CreditStalls uint64 `json:"credit_stalls"`
 	// BloomFallbacks counts Bloom-join filter combines degraded to a
 	// saturated (accept-all) filter because a peer's filter arrived
 	// with mismatched geometry and could not be OR-ed.
-	BloomFallbacks uint64
+	BloomFallbacks uint64 `json:"bloom_fallbacks"`
 	// TraceSpans counts spans absorbed by collectors on this node;
 	// TraceSpanDrops counts spans reported lost to full buffers
 	// (executor-side or collector-side).
-	TraceSpans     uint64
-	TraceSpanDrops uint64
+	TraceSpans     uint64 `json:"trace_spans"`
+	TraceSpanDrops uint64 `json:"trace_span_drops"`
 }
 
 // queryCounters is the engine's live counter set behind QueryStats.
@@ -689,22 +691,24 @@ func (eng *Engine) OpenCollectors() int {
 // admin plane (GET /api/queries) and walked by pier-node's graceful
 // drain.
 type QueryInfo struct {
-	// ID is the query id (Cancel's argument).
-	ID uint64
+	// ID is the query id (Cancel's argument). It serializes as a
+	// decimal string: ids are full uint64s, beyond what JSON consumers
+	// can hold in a float64.
+	ID uint64 `json:"id,string"`
 	// Initiator is true when this node runs the query's collector —
 	// the only role Cancel can tear down network-wide from here.
-	Initiator bool
+	Initiator bool `json:"initiator"`
 	// Executor is true when this node runs one of the query's
 	// executors (every participating node does, the initiator
 	// included).
-	Executor bool
+	Executor bool `json:"executor"`
 	// Tables names the plan's input relations.
-	Tables []string
+	Tables []string `json:"tables"`
 	// Continuous marks a windowed continuous query.
-	Continuous bool
+	Continuous bool `json:"continuous"`
 	// Started is when this node first saw the query (collector
 	// registration or executor start, whichever exists).
-	Started time.Time
+	Started time.Time `json:"started"`
 }
 
 // LiveQueries lists the queries currently alive on this node — one

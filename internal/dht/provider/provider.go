@@ -145,15 +145,16 @@ func New(e env.Env, rt dht.Router, cfg Config) *Provider {
 func (p *Provider) Store() *storage.Manager { return p.store }
 
 // StorageStats are the provider's soft-state pressure counters: the
-// store's eviction/spill totals plus the put-path throttle counts.
+// store's eviction/spill totals plus the put-path throttle counts. In
+// JSON the embedded store counters flatten beside the two below.
 type StorageStats struct {
 	storage.Stats
 	// PutsThrottled counts puts this node answered with a throttle
 	// message instead of storing (owner side).
-	PutsThrottled int64
+	PutsThrottled int64 `json:"puts_throttled"`
 	// PutsDelayed counts puts this node deferred after receiving a
 	// throttle, or self-throttled on a local store (publisher side).
-	PutsDelayed int64
+	PutsDelayed int64 `json:"puts_delayed"`
 }
 
 // StorageStats reports the node's storage pressure counters.

@@ -78,27 +78,28 @@ type Usage struct {
 }
 
 // Stats counts what a store under a quota has forgotten or displaced.
-// Without a quota nothing is ever evicted and every field is zero.
+// Without a quota nothing is ever evicted and every field is zero. The
+// JSON names are part of the admin plane's REST contract.
 type Stats struct {
 	// ItemsEvicted counts items evicted to enforce a quota (not
 	// counting normal lifetime expiry).
-	ItemsEvicted int64
+	ItemsEvicted int64 `json:"items_evicted"`
 	// BytesEvicted is the WireSize sum of evicted items.
-	BytesEvicted int64
+	BytesEvicted int64 `json:"bytes_evicted"`
 	// ItemsSpilled counts evictions that were written to the spill log
 	// instead of discarded.
-	ItemsSpilled int64
+	ItemsSpilled int64 `json:"items_spilled"`
 	// BytesSpilled is the WireSize sum of spilled items.
-	BytesSpilled int64
+	BytesSpilled int64 `json:"bytes_spilled"`
 	// PutsDropped counts stores whose incoming item itself was the
 	// eviction victim.
-	PutsDropped int64
+	PutsDropped int64 `json:"puts_dropped"`
 	// SpilledLive is the current number of items resident on disk (a
 	// gauge, unlike the cumulative counters above).
-	SpilledLive int
+	SpilledLive int `json:"spilled_live_items"`
 	// EvictedByNS maps namespace -> items evicted from it (fresh copy
-	// per call).
-	EvictedByNS map[string]int64
+	// per call; nil without a quota).
+	EvictedByNS map[string]int64 `json:"evicted_by_namespace"`
 }
 
 // space is one namespace's items, kept so that a scan is a walk and

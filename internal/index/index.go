@@ -80,17 +80,18 @@ const AnnounceNS = "pier.index"
 const markerIID = 1
 
 // Def describes one index: a name (unique across the deployment), the
-// table it covers, and the indexed column.
+// table it covers, and the indexed column. The admin plane serves it
+// under these JSON names.
 type Def struct {
 	// Name identifies the index; trie-node resourceIDs are
 	// "<Name>|<prefix>", so names must not contain '|'.
-	Name string
+	Name string `json:"name"`
 	// Table is the indexed relation's namespace.
-	Table string
+	Table string `json:"table"`
 	// Col is the indexed column's name (for planners and humans).
-	Col string
+	Col string `json:"col"`
 	// ColIdx is the indexed column's position in the base tuple.
-	ColIdx int
+	ColIdx int `json:"col_idx"`
 }
 
 // WireSize implements env.Message (definitions ride in DHT puts and the

@@ -58,10 +58,10 @@ func (h *Histogram) Count() uint64 {
 // per-bucket (not cumulative) counts. Counts has len(Bounds)+1
 // entries; the last is the overflow (+Inf) bucket.
 type HistogramSnapshot struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
+	Bounds []float64 `json:"bounds"`
+	Counts []uint64  `json:"counts"`
+	Sum    float64   `json:"sum"`
+	Count  uint64    `json:"count"`
 }
 
 // Snapshot copies the histogram's current state.

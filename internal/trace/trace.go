@@ -105,6 +105,10 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
+// MarshalText serializes a stage by name, so JSON carries "multicast"
+// rather than a number.
+func (s Stage) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // StageNames lists every stage name in stage order, for metrics
 // enumeration.
 func StageNames() []string {
@@ -118,23 +122,24 @@ func StageNames() []string {
 // Start is the deployment clock's UnixNano at the beginning of the
 // interval — an int64 rather than a time.Time so spans compare and
 // encode exactly (the simulator's virtual clock round-trips
-// bit-for-bit). Dur is zero for instantaneous events.
+// bit-for-bit). Dur is zero for instantaneous events. The JSON names
+// are the admin plane's trace contract.
 type Span struct {
 	// Stage classifies the event.
-	Stage Stage
+	Stage Stage `json:"stage"`
 	// Node is the recording node's address.
-	Node env.Addr
+	Node env.Addr `json:"node"`
 	// Start is the interval's start on the deployment clock, in
 	// nanoseconds since the epoch.
-	Start int64
+	Start int64 `json:"start_unix_nano"`
 	// Dur is the interval's length (0 for point events).
-	Dur time.Duration
+	Dur time.Duration `json:"duration_ns"`
 	// Note carries a short human-readable detail: tuple counts, the
 	// namespace scanned, the key fetched.
-	Note string
+	Note string `json:"note,omitempty"`
 	// Seq orders spans recorded by the same node at the same instant
 	// (common under the simulator's virtual clock).
-	Seq uint32
+	Seq uint32 `json:"seq"`
 }
 
 // WireSize implements env.Message.
@@ -203,21 +208,23 @@ func (b *Buffer) Drain() ([]Span, uint64) {
 
 // Trace is the initiator-assembled view of one traced query: every
 // span shipped home by participating executors plus the collector's
-// own spans, in causal (timestamp) order.
+// own spans, in causal (timestamp) order. The admin plane serves it
+// under these JSON names.
 type Trace struct {
-	// QueryID is the query the spans belong to.
-	QueryID uint64
+	// QueryID is the query the spans belong to; a decimal string in
+	// JSON, like every query id.
+	QueryID uint64 `json:"id,string"`
 	// Root is the initiator's address.
-	Root env.Addr
+	Root env.Addr `json:"root"`
 	// Started and Finished bound the query on the deployment clock
 	// (UnixNano); Finished is zero while the query is still live.
-	Started  int64
-	Finished int64
+	Started  int64 `json:"started_unix_nano"`
+	Finished int64 `json:"finished_unix_nano"`
 	// Spans holds every recorded span, sorted by Sort.
-	Spans []Span
+	Spans []Span `json:"spans"`
 	// Drops counts spans lost to full buffers network-wide: nonzero
 	// means the trace is a bounded sample, not the complete event log.
-	Drops uint64
+	Drops uint64 `json:"dropped_spans"`
 }
 
 // Sort orders spans causally: by start time, then recording node,

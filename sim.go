@@ -9,7 +9,6 @@ import (
 	"pier/internal/dht/can"
 	"pier/internal/dht/chord"
 	"pier/internal/dht/storage"
-	"pier/internal/env"
 	"pier/internal/simnet"
 	"pier/internal/topology"
 )
@@ -180,5 +179,3 @@ func (sn *SimNetwork) Collect(i int, p *Plan, want int, limit time.Duration) ([]
 	sn.RunUntil(limit, func() bool { return want > 0 && len(tuples) >= want })
 	return tuples, times, nil
 }
-
-var _ = env.NilAddr

@@ -3,12 +3,12 @@ package pier
 import (
 	"pier/internal/admin"
 	"pier/internal/core"
-	"pier/internal/trace"
 )
 
 // Re-exported operational-state types. Snapshot is the one serializable
 // struct behind the admin plane's GET views and its /metrics exporter;
-// QueryInfo describes one live query.
+// QueryInfo describes one live query. The counter families inside a
+// Snapshot are the node's own QueryStats, StorageStats and LinkStats.
 type (
 	// Snapshot aggregates one node's observable state (see
 	// Node.Snapshot).
@@ -16,11 +16,6 @@ type (
 	// NamespaceCount is one namespace's soft-state summary inside a
 	// Snapshot.
 	NamespaceCount = admin.NamespaceCount
-	// IndexInfo describes one PHT index definition inside a Snapshot.
-	IndexInfo = admin.IndexInfo
-	// QueryChannelStats is the Snapshot form of the engine's
-	// result-channel counters (QueryStats with JSON names).
-	QueryChannelStats = admin.QueryChannelStats
 	// QueryInfo describes one query alive on a node (see
 	// Node.LiveQueries).
 	QueryInfo = core.QueryInfo
@@ -63,32 +58,13 @@ func (n *Node) Snapshot() Snapshot {
 	}
 	snap.StoredItems = store.TotalLen()
 	snap.StoredBytes = usage.Bytes
-	ss := n.StorageStats()
-	snap.Storage = admin.StorageStats{
-		ItemsEvicted:     ss.ItemsEvicted,
-		BytesEvicted:     ss.BytesEvicted,
-		ItemsSpilled:     ss.ItemsSpilled,
-		BytesSpilled:     ss.BytesSpilled,
-		SpilledLiveItems: ss.SpilledLive,
-		PutsThrottled:    ss.PutsThrottled,
-		PutsDelayed:      ss.PutsDelayed,
-		PutsDropped:      ss.PutsDropped,
-	}
-	for _, d := range n.indexes.AllDefs() {
-		snap.Indexes = append(snap.Indexes, IndexInfo{Name: d.Name, Table: d.Table, Col: d.Col})
-	}
+	snap.Storage = n.StorageStats()
+	snap.Indexes = n.indexes.AllDefs()
 	snap.IndexScans, snap.IndexVisits = n.indexes.Stats()
 	snap.CachedStatsTables = len(n.stats.CachedTables())
 	snap.ActiveExecs = n.engine.ActiveExecs()
 	snap.OpenCollectors = n.engine.OpenCollectors()
-	qs := n.engine.QueryStats()
-	snap.Query = QueryChannelStats{
-		ResultBatches:  qs.ResultBatches,
-		ResultTuples:   qs.ResultTuples,
-		CreditGrants:   qs.CreditGrants,
-		CreditStalls:   qs.CreditStalls,
-		BloomFallbacks: qs.BloomFallbacks,
-	}
+	snap.Query = n.engine.QueryStats()
 	snap.Histograms = histogramData(n.engine)
 	if ls, ok := n.TransportStats(); ok {
 		snap.Transport = &ls
@@ -96,24 +72,21 @@ func (n *Node) Snapshot() Snapshot {
 	return snap
 }
 
-// histogramData snapshots the engine's latency distributions into the
-// admin plane's histogram DTOs: end-to-end query duration, result-flush
-// latency, and span durations per trace stage (every stage is emitted,
-// observed or not, so the /metrics families are stable across scrapes).
+// histogramData names the engine's latency distributions for /metrics:
+// end-to-end query duration, result-flush latency, and span durations
+// per trace stage (every stage is emitted, observed or not, so the
+// /metrics families are stable across scrapes).
 func histogramData(eng *core.Engine) []HistogramData {
-	hist := func(name, help, stage string, s trace.HistogramSnapshot) HistogramData {
-		return HistogramData{Name: name, Help: help, Stage: stage,
-			Bounds: s.Bounds, Counts: s.Counts, Sum: s.Sum, Count: s.Count}
-	}
 	out := []HistogramData{
-		hist("pier_query_duration_seconds",
-			"End-to-end duration of queries initiated on this node.", "", eng.QueryDurations()),
-		hist("pier_result_flush_latency_seconds",
-			"Executor latency from first buffered tuple to its result frame.", "", eng.FlushLatencies()),
+		{Name: "pier_query_duration_seconds", Help: "End-to-end duration of queries initiated on this node.",
+			HistogramSnapshot: eng.QueryDurations()},
+		{Name: "pier_result_flush_latency_seconds", Help: "Executor latency from first buffered tuple to its result frame.",
+			HistogramSnapshot: eng.FlushLatencies()},
 	}
 	for _, ns := range eng.SpanDurations() {
-		out = append(out, hist("pier_trace_span_duration_seconds",
-			"Durations of trace spans recorded on this node, by pipeline stage.", ns.Name, ns.Hist))
+		out = append(out, HistogramData{Name: "pier_trace_span_duration_seconds",
+			Help: "Durations of trace spans recorded on this node, by pipeline stage.", Stage: ns.Name,
+			HistogramSnapshot: ns.Hist})
 	}
 	return out
 }
