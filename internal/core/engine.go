@@ -886,12 +886,7 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 		eng.execs[m.ID] = ex
 		eng.mu.Unlock()
 		ex.start()
-		eng.env.After(m.Plan.TTL, func() {
-			ex.stop()
-			eng.mu.Lock()
-			delete(eng.execs, m.ID)
-			eng.mu.Unlock()
-		})
+		ex.timer(m.Plan.TTL, func() { eng.endExec(m.ID, ex) })
 	case *bloomDist:
 		eng.mu.Lock()
 		ex := eng.execs[m.ID]
@@ -901,18 +896,23 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 		}
 	case *cancelMsg:
 		eng.rememberCancelled(m.ID)
-		// The TTL timer scheduled at query arrival will fire later and
-		// find the exec gone; exec.stop is idempotent either way.
 		eng.mu.Lock()
 		ex := eng.execs[m.ID]
 		eng.mu.Unlock()
 		if ex != nil {
-			ex.stop()
-			eng.mu.Lock()
-			delete(eng.execs, m.ID)
-			eng.mu.Unlock()
+			eng.endExec(m.ID, ex)
 		}
 	}
+}
+
+// endExec ends an executor, on cancel or at its TTL: stop releases
+// everything the executor holds, its own TTL timer included, and the
+// engine forgets it.
+func (eng *Engine) endExec(id uint64, ex *exec) {
+	ex.stop()
+	eng.mu.Lock()
+	delete(eng.execs, id)
+	eng.mu.Unlock()
 }
 
 // rememberCancelled records a cancelled query id so a late or re-flooded

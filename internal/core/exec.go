@@ -3,10 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,8 +38,7 @@ type exec struct {
 	// probing node, not once per pair.
 	fetchCache [2]map[string]*fetchEntry
 
-	partials  map[groupKey]*partialGroup
-	dirty     []*partialGroup // fed since the last flushPartials
+	groups    groupSet // drained of dirty groups by flushPartials
 	flushStop func()
 
 	// Result channel state: output tuples accumulate in resBuf and are
@@ -88,20 +84,6 @@ type fetchEntry struct {
 	waiters []func([]*Tuple)
 }
 
-// groupKey names one group of one window in an executor's partials.
-type groupKey struct {
-	window int
-	gkey   string
-}
-
-type partialGroup struct {
-	window int
-	group  []Value
-	states []*AggState
-	rid    string // "<window>|<group key>", the resourceID flushPartials puts under
-	dirty  bool
-}
-
 func newExec(eng *Engine, m *queryMsg) *exec {
 	var spans *trace.Buffer
 	if m.Trace {
@@ -116,7 +98,6 @@ func newExec(eng *Engine, m *queryMsg) *exec {
 		nq:        fmt.Sprintf("q%x", m.ID),
 		aggNS:     fmt.Sprintf("q%x.agg", m.ID),
 		startAt:   eng.env.Now(),
-		partials:  make(map[groupKey]*partialGroup),
 		// The bootstrap credit window is implicit: the initiator's
 		// ledger assumes every sender starts with one ResultCredit
 		// window, so no registration round-trip is needed before the
@@ -163,17 +144,17 @@ func (ex *exec) start() {
 	} else {
 		switch p.Strategy {
 		case SymmetricHash:
-			ex.registerPairProbe()
+			registerProbe(ex, ex.pairSide)
 			ex.rehashScan(0, nil)
 			ex.rehashScan(1, nil)
 		case FetchMatches:
 			ex.startFetchMatches()
 		case SymmetricSemiJoin:
-			ex.registerMiniProbe()
+			registerProbe(ex, ex.pairMini)
 			ex.miniScan(0)
 			ex.miniScan(1)
 		case BloomJoin:
-			ex.registerPairProbe()
+			registerProbe(ex, ex.pairSide)
 			ex.startBloom()
 		}
 	}
@@ -186,9 +167,11 @@ func (ex *exec) start() {
 	}
 }
 
-// stop tears the executor down. It is idempotent — the cancel
-// multicast and the TTL timer can both reach a live exec — and the
-// stop-flush of the result buffer therefore runs exactly once.
+// stop is the executor's only exit, reached through Engine.endExec on
+// cancel or at the TTL. It ends every subscription and timer the
+// executor holds, the TTL timer included, so once the engine forgets
+// the exec only DHT gets still in flight reference it; and it ships
+// what the result and span buffers still hold, exactly once.
 func (ex *exec) stop() {
 	if ex.stopped {
 		return
@@ -243,8 +226,6 @@ func (ex *exec) timer(d time.Duration, f func()) {
 	ex.timers = append(ex.timers, t)
 }
 
-func (ex *exec) pass(e Expr, row []Value) bool { return e == nil || Truthy(e.Eval(row)) }
-
 func (ex *exec) window() int {
 	if !ex.plan.Continuous {
 		return 0
@@ -252,48 +233,27 @@ func (ex *exec) window() int {
 	return int(ex.eng.env.Now().Sub(ex.startAt) / ex.plan.Every)
 }
 
-// joined handles one concatenated row produced by any join strategy.
-func (ex *exec) joined(row *Tuple) {
-	if !ex.pass(ex.plan.PostFilter, row.Vals) {
+// onRow takes one row produced here — a base tuple of a single-table
+// plan or a concatenated row of any join strategy — through the plan's
+// row pipeline, into a group or the result channel.
+func (ex *exec) onRow(row *Tuple) {
+	w := ex.window()
+	if out := ex.plan.pipe(&ex.groups, w, row); out != nil {
+		ex.emit(out, w)
 		return
 	}
-	if len(ex.plan.Aggs) > 0 {
-		ex.aggFeed(row, ex.window())
-		return
+	// Joins and streams keep feeding groups; flush them periodically.
+	if len(ex.groups.dirty) > 0 && (len(ex.plan.Tables) == 2 || ex.plan.Continuous) {
+		ex.ensureFlusher()
 	}
-	ex.emitRow(row, ex.window())
-}
-
-// emitRow applies the output expressions and hands the tuple to the
-// result channel for delivery to the query initiator.
-func (ex *exec) emitRow(row *Tuple, window int) {
-	out := row
-	if len(ex.plan.Output) > 0 {
-		vals := make([]Value, len(ex.plan.Output))
-		for i, e := range ex.plan.Output {
-			vals[i] = e.Eval(row.Vals)
-		}
-		out = &Tuple{Rel: "result", Vals: vals, Pad: row.Pad}
-	}
-	ex.emit(out, window)
 }
 
 // emit routes one output tuple into the per-initiator result buffer.
-// With batching and flow control both disabled the tuple ships
-// immediately in its own frame (the per-tuple baseline the incast
-// experiment measures against).
+// With ResultBatch 1 and flow control off every tuple flushes at once
+// in its own frame (the per-tuple baseline the incast experiment
+// measures against).
 func (ex *exec) emit(t *Tuple, window int) {
 	cfg := &ex.eng.cfg
-	if cfg.ResultBatch <= 1 && cfg.ResultCredit <= 0 {
-		ex.eng.qstats.resultBatches.Add(1)
-		ex.eng.qstats.resultTuples.Add(1)
-		rm := getResultMsg()
-		rm.ID = ex.id
-		rm.Window = window
-		rm.Tuples = append(rm.Tuples, t)
-		ex.eng.env.Send(ex.initiator, rm)
-		return
-	}
 	ex.resMu.Lock()
 	if len(ex.resBuf) == 0 {
 		ex.resFirstBuf = ex.eng.env.Now()
@@ -472,28 +432,12 @@ func (ex *exec) onCredit(limit int64) {
 // --- single-table plans -------------------------------------------------
 
 func (ex *exec) startSingle() {
-	tbl := ex.plan.Tables[0]
-	t0 := ex.eng.env.Now()
-	matched := 0
-	process := func(t *Tuple) {
-		matched++
-		if !ex.pass(tbl.Filter, t.Vals) {
-			return
-		}
-		proj := t.Project(tbl.Project)
-		if len(ex.plan.Aggs) > 0 {
-			ex.aggFeed(proj, ex.window())
-			return
-		}
-		if ex.pass(ex.plan.PostFilter, proj.Vals) {
-			ex.emitRow(proj, ex.window())
-		}
-	}
+	tbl := &ex.plan.Tables[0]
 	if ex.plan.Continuous {
 		// Continuous query: consume the stream of arrivals (§7).
 		unsub := ex.eng.prov.OnNewData(tbl.NS, func(it *storage.Item) {
-			if t, ok := it.Payload.(*Tuple); ok {
-				process(t)
+			if row := tbl.baseRow(it.Payload); row != nil {
+				ex.onRow(row)
 			}
 		})
 		ex.unsubs = append(ex.unsubs, unsub)
@@ -501,14 +445,17 @@ func (ex *exec) startSingle() {
 	}
 	// One-shot: local snapshot at query arrival (dilated-reachable
 	// snapshot semantics, §3.3.1).
+	t0 := ex.eng.env.Now()
+	scanned := 0
 	ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
-		if t, ok := it.Payload.(*Tuple); ok {
-			process(t)
+		scanned++
+		if row := tbl.baseRow(it.Payload); row != nil {
+			ex.onRow(row)
 		}
 		return true
 	})
 	if ex.spans != nil {
-		ex.span(trace.StageScan, t0, ex.eng.env.Now().Sub(t0), fmt.Sprintf("%s: %d scanned", tbl.NS, matched))
+		ex.span(trace.StageScan, t0, ex.eng.env.Now().Sub(t0), fmt.Sprintf("%s: %d scanned", tbl.NS, scanned))
 	}
 	if len(ex.plan.Aggs) > 0 {
 		ex.flushPartials()
@@ -521,18 +468,14 @@ func (ex *exec) startSingle() {
 // the concatenated join attribute values. A non-nil Bloom filter prunes
 // the rehash (§4.2).
 func (ex *exec) rehashScan(side int, f *bloom.Filter) {
-	tbl := ex.plan.Tables[side]
+	tbl := &ex.plan.Tables[side]
 	t0 := ex.eng.env.Now()
 	puts := 0
 	ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
-		t, ok := it.Payload.(*Tuple)
-		if !ok {
+		proj := tbl.baseRow(it.Payload)
+		if proj == nil {
 			return true
 		}
-		if !ex.pass(tbl.Filter, t.Vals) {
-			return true
-		}
-		proj := t.Project(tbl.Project)
 		key := JoinKeyString(proj, tbl.JoinCols)
 		if f != nil && !f.Test(key) {
 			return true
@@ -571,28 +514,21 @@ func (ex *exec) sameJoinKey(a, b *sideTuple) bool {
 	return ka == kb
 }
 
-// registerPairProbe probes NQ on every arrival: the new tuple joins with
-// all previously stored tuples of the opposite table, so every matching
-// pair is produced exactly once ("interleaving building and probing of
-// hash tables on each input relation", §4.1).
+// registerProbe probes NQ on every arrival of a T: the new item pairs
+// with all previously stored items of the opposite table, so every
+// matching pair is produced exactly once ("interleaving building and
+// probing of hash tables on each input relation", §4.1). The symmetric
+// hash and Bloom joins probe sideTuples (pairSide), the semi-join
+// rewrite miniTuples (pairMini).
 //
-// Rehashed tuples from nodes that received the query multicast early can
+// Rehashed items from nodes that received the query multicast early can
 // land here before this node's own copy of the query arrives; a catch-up
-// pass pairs those pre-existing items among themselves.
-func (ex *exec) registerPairProbe() {
-	pairSide := func(st *sideTuple, other *storage.Item) {
-		ot, ok := other.Payload.(*sideTuple)
-		if !ok || ot.Side == st.Side || !ex.sameJoinKey(st, ot) {
-			return
-		}
-		if st.Side == 0 {
-			ex.joined(Concat(st.T, ot.T))
-		} else {
-			ex.joined(Concat(ot.T, st.T))
-		}
-	}
+// pass pairs each unordered pair of those pre-existing items exactly
+// once. New arrivals pair against all stored items, these included,
+// through the probe, so no pair is produced twice.
+func registerProbe[T env.Message](ex *exec, pair func(mine T, other *storage.Item)) {
 	unsub := ex.eng.prov.OnNewData(ex.nq, func(it *storage.Item) {
-		st, ok := it.Payload.(*sideTuple)
+		mine, ok := it.Payload.(T)
 		if !ok {
 			return
 		}
@@ -600,44 +536,42 @@ func (ex *exec) registerPairProbe() {
 		ex.eng.prov.Get(ex.nq, it.ResourceID, func(items []*storage.Item) {
 			for _, other := range items {
 				if other != it {
-					pairSide(st, other)
+					pair(mine, other)
 				}
 			}
 		})
 	})
 	ex.unsubs = append(ex.unsubs, unsub)
-	ex.catchupPairs(func(a, b *storage.Item) {
-		if st, ok := a.Payload.(*sideTuple); ok {
-			pairSide(st, b)
-		}
-	})
-}
-
-// catchupPairs pairs every unordered pair of items already sitting in NQ
-// when the query instantiates, exactly once. New arrivals pair against
-// all stored items (including these) through the newData probe, so no
-// pair is produced twice.
-func (ex *exec) catchupPairs(pair func(a, b *storage.Item)) {
+	// The scan runs in (resourceID, instanceID) order, so the items
+	// sharing a resourceID are adjacent.
 	var pre []*storage.Item
 	ex.eng.prov.Scan(ex.nq, func(it *storage.Item) bool {
 		pre = append(pre, it)
 		return true
 	})
-	if len(pre) < 2 {
-		return
-	}
-	sort.Slice(pre, func(i, j int) bool {
-		if pre[i].ResourceID != pre[j].ResourceID {
-			return pre[i].ResourceID < pre[j].ResourceID
+	for i, first := 0, 0; i < len(pre); i++ {
+		if pre[i].ResourceID != pre[first].ResourceID {
+			first = i
 		}
-		return pre[i].InstanceID < pre[j].InstanceID
-	})
-	for i := 1; i < len(pre); i++ {
-		for j := 0; j < i; j++ {
-			if pre[i].ResourceID == pre[j].ResourceID {
-				pair(pre[i], pre[j])
+		if mine, ok := pre[i].Payload.(T); ok {
+			for _, other := range pre[first:i] {
+				pair(mine, other)
 			}
 		}
+	}
+}
+
+// pairSide joins a rehashed tuple with a stored one of the opposite
+// table.
+func (ex *exec) pairSide(st *sideTuple, other *storage.Item) {
+	ot, ok := other.Payload.(*sideTuple)
+	if !ok || ot.Side == st.Side || !ex.sameJoinKey(st, ot) {
+		return
+	}
+	if st.Side == 0 {
+		ex.onRow(Concat(st.T, ot.T))
+	} else {
+		ex.onRow(Concat(ot.T, st.T))
 	}
 }
 
@@ -648,16 +582,12 @@ func (ex *exec) catchupPairs(pair func(a, b *storage.Item)) {
 // join attribute. Selections on the inner table cannot be pushed into
 // the DHT, so they run after the fetch, at this node.
 func (ex *exec) startFetchMatches() {
-	t0, t1 := ex.plan.Tables[0], ex.plan.Tables[1]
+	t0, t1 := &ex.plan.Tables[0], &ex.plan.Tables[1]
 	ex.eng.prov.Scan(t0.NS, func(it *storage.Item) bool {
-		t, ok := it.Payload.(*Tuple)
-		if !ok {
+		proj0 := t0.baseRow(it.Payload)
+		if proj0 == nil {
 			return true
 		}
-		if !ex.pass(t0.Filter, t.Vals) {
-			return true
-		}
-		proj0 := t.Project(t0.Project)
 		key := JoinKeyString(proj0, t0.JoinCols)
 		issued := ex.eng.env.Now()
 		ex.eng.prov.Get(t1.NS, key, func(items []*storage.Item) {
@@ -669,14 +599,9 @@ func (ex *exec) startFetchMatches() {
 					fmt.Sprintf("%s/%s: %d items", t1.NS, key, len(items)))
 			}
 			for _, sit := range items {
-				s, ok := sit.Payload.(*Tuple)
-				if !ok {
-					continue
+				if proj1 := t1.baseRow(sit.Payload); proj1 != nil {
+					ex.onRow(Concat(proj0, proj1))
 				}
-				if !ex.pass(t1.Filter, s.Vals) {
-					continue
-				}
-				ex.joined(Concat(proj0, s.Project(t1.Project)))
 			}
 		})
 		return true
@@ -687,16 +612,12 @@ func (ex *exec) startFetchMatches() {
 
 // miniScan rehashes only (resourceID, join key) projections.
 func (ex *exec) miniScan(side int) {
-	tbl := ex.plan.Tables[side]
+	tbl := &ex.plan.Tables[side]
 	ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
-		t, ok := it.Payload.(*Tuple)
-		if !ok {
+		proj := tbl.baseRow(it.Payload)
+		if proj == nil {
 			return true
 		}
-		if !ex.pass(tbl.Filter, t.Vals) {
-			return true
-		}
-		proj := t.Project(tbl.Project)
 		key := JoinKeyString(proj, tbl.JoinCols)
 		mini := &miniTuple{Side: side, RID: ValueString(proj.At(tbl.RIDCol)), Key: key}
 		ex.eng.prov.Put(ex.nq, ex.rehashRID(key), ex.eng.env.Rand().Int63(), mini, ex.plan.TTL)
@@ -704,40 +625,19 @@ func (ex *exec) miniScan(side int) {
 	})
 }
 
-// registerMiniProbe joins the projections, then fetches the matching
-// base tuples of both tables in parallel ("we issue the two joins'
-// fetches in parallel since we know both fetches will succeed", §4.2).
-func (ex *exec) registerMiniProbe() {
-	pairMini := func(mt *miniTuple, other *storage.Item) {
-		om, ok := other.Payload.(*miniTuple)
-		if !ok || om.Side == mt.Side || om.Key != mt.Key {
-			return
-		}
-		if mt.Side == 0 {
-			ex.pairFetch(mt, om)
-		} else {
-			ex.pairFetch(om, mt)
-		}
+// pairMini joins two projections, then fetches the matching base
+// tuples of both tables in parallel ("we issue the two joins' fetches
+// in parallel since we know both fetches will succeed", §4.2).
+func (ex *exec) pairMini(mt *miniTuple, other *storage.Item) {
+	om, ok := other.Payload.(*miniTuple)
+	if !ok || om.Side == mt.Side || om.Key != mt.Key {
+		return
 	}
-	unsub := ex.eng.prov.OnNewData(ex.nq, func(it *storage.Item) {
-		mt, ok := it.Payload.(*miniTuple)
-		if !ok {
-			return
-		}
-		ex.eng.prov.Get(ex.nq, it.ResourceID, func(items []*storage.Item) {
-			for _, other := range items {
-				if other != it {
-					pairMini(mt, other)
-				}
-			}
-		})
-	})
-	ex.unsubs = append(ex.unsubs, unsub)
-	ex.catchupPairs(func(a, b *storage.Item) {
-		if mt, ok := a.Payload.(*miniTuple); ok {
-			pairMini(mt, b)
-		}
-	})
+	if mt.Side == 0 {
+		ex.pairFetch(mt, om)
+	} else {
+		ex.pairFetch(om, mt)
+	}
 }
 
 func (ex *exec) pairFetch(m0, m1 *miniTuple) {
@@ -751,7 +651,7 @@ func (ex *exec) pairFetch(m0, m1 *miniTuple) {
 		// Cross product recreates the appropriate number of duplicates.
 		for _, r := range rs {
 			for _, s := range ss {
-				ex.joined(Concat(r, s))
+				ex.onRow(Concat(r, s))
 			}
 		}
 	}
@@ -778,7 +678,7 @@ func (ex *exec) fetchSide(side int, rid string, out *[]*Tuple, done func()) {
 	}
 	fe = &fetchEntry{}
 	ex.fetchCache[side][rid] = fe
-	tbl := ex.plan.Tables[side]
+	tbl := &ex.plan.Tables[side]
 	issued := ex.eng.env.Now()
 	ex.eng.prov.Get(tbl.NS, rid, func(items []*storage.Item) {
 		if ex.spans != nil && !ex.stopped {
@@ -786,14 +686,9 @@ func (ex *exec) fetchSide(side int, rid string, out *[]*Tuple, done func()) {
 				fmt.Sprintf("%s/%s: %d items", tbl.NS, rid, len(items)))
 		}
 		for _, it := range items {
-			t, ok := it.Payload.(*Tuple)
-			if !ok {
-				continue
+			if proj := tbl.baseRow(it.Payload); proj != nil {
+				fe.tuples = append(fe.tuples, proj)
 			}
-			if !ex.pass(tbl.Filter, t.Vals) {
-				continue
-			}
-			fe.tuples = append(fe.tuples, t.Project(tbl.Project))
 		}
 		fe.done = true
 		deliver(fe.tuples)
@@ -815,20 +710,14 @@ func (ex *exec) startBloom() {
 		// is harmless — only the collector holds items.
 		ex.timer(p.BloomWait, func() { ex.emitBloom(side) })
 
-		tbl := p.Tables[side]
+		tbl := &p.Tables[side]
 		f := bloom.New(p.BloomBits, p.BloomHashes)
 		count := 0
 		ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
-			t, ok := it.Payload.(*Tuple)
-			if !ok {
-				return true
+			if proj := tbl.baseRow(it.Payload); proj != nil {
+				f.Add(JoinKeyString(proj, tbl.JoinCols))
+				count++
 			}
-			if !ex.pass(tbl.Filter, t.Vals) {
-				return true
-			}
-			proj := t.Project(tbl.Project)
-			f.Add(JoinKeyString(proj, tbl.JoinCols))
-			count++
 			return true
 		})
 		if count > 0 {
@@ -897,36 +786,6 @@ func (ex *exec) onBloomDist(m *bloomDist) {
 
 // --- grouping and aggregation ---------------------------------------------
 
-func (ex *exec) aggFeed(row *Tuple, w int) {
-	p := ex.plan
-	key := groupKey{window: w, gkey: JoinKeyString(row, p.GroupBy)}
-	pg, ok := ex.partials[key]
-	if !ok {
-		group := make([]Value, len(p.GroupBy))
-		for i, c := range p.GroupBy {
-			group[i] = row.At(c)
-		}
-		states := make([]*AggState, len(p.Aggs))
-		for i := range states {
-			states[i] = &AggState{}
-		}
-		pg = &partialGroup{window: w, group: group, states: states, rid: strconv.Itoa(w) + "|" + key.gkey}
-		ex.partials[key] = pg
-	}
-	for i, a := range p.Aggs {
-		// At returns nil for COUNT(*)'s -1 and for hostile indexes alike.
-		pg.states[i].Update(row.At(a.Col))
-	}
-	if !pg.dirty {
-		pg.dirty = true
-		ex.dirty = append(ex.dirty, pg)
-	}
-	// Joins and streams keep feeding groups; flush periodically.
-	if len(p.Tables) == 2 || p.Continuous {
-		ex.ensureFlusher()
-	}
-}
-
 func (ex *exec) ensureFlusher() {
 	if ex.flushStop != nil {
 		return
@@ -955,8 +814,8 @@ func (ex *exec) stateLifetime() time.Duration {
 // per-node instanceID makes the put a replace, so repeated flushes of a
 // monotonically growing state are idempotent at the collector.
 func (ex *exec) flushPartials() {
-	dirty := ex.dirty
-	ex.dirty = nil
+	dirty := ex.groups.dirty
+	ex.groups.dirty = nil
 	slices.SortFunc(dirty, func(a, b *partialGroup) int { return cmp.Compare(a.rid, b.rid) })
 	for _, pg := range dirty {
 		pg.dirty = false
@@ -976,6 +835,43 @@ func (ex *exec) flushPartials() {
 	}
 }
 
+// mergePartials is the collectors' one read of the aggregation
+// namespace: it merges the partials of window w stored here into one
+// group per resourceID, taking the level-1 ones ("<group>\x1e<bucket>",
+// see combineLevel1) when level1 is set and the root ones otherwise.
+// The scan visits items in (resourceID, instanceID) order, so the
+// partials of one resourceID are adjacent and the groups come out
+// sorted by resourceID.
+func (ex *exec) mergePartials(w int, level1 bool) []*partialGroup {
+	var out []*partialGroup
+	ex.eng.prov.Scan(ex.aggNS, func(it *storage.Item) bool {
+		pa, ok := it.Payload.(*partialAgg)
+		if !ok || pa.Window != w {
+			return true
+		}
+		if ex.plan.AggFanout > 0 && strings.ContainsRune(it.ResourceID, 0x1e) != level1 {
+			return true // the other level's partial
+		}
+		var pg *partialGroup
+		if n := len(out); n > 0 && out[n-1].rid == it.ResourceID {
+			pg = out[n-1]
+		} else {
+			// Sized by the plan's aggregate list, not the stored partial:
+			// partials arrive via DHT puts, so their shape is untrusted.
+			pg = ex.plan.newGroup(w, pa.Group, it.ResourceID)
+			out = append(out, pg)
+		}
+		for i, s := range pa.States {
+			if i >= len(pg.states) || s == nil {
+				break
+			}
+			pg.states[i].Merge(s)
+		}
+		return true
+	})
+	return out
+}
+
 // combineLevel1 runs at intermediate aggregation sites: merge the
 // partials of each "<group>\x1e<bucket>" rid stored here (the 0x1e
 // record separator keeps bucket suffixes unambiguous — group keys can
@@ -983,55 +879,13 @@ func (ex *exec) flushPartials() {
 // group root. TestLevel1RidFormat pins the separator so codec and
 // storage assumptions cannot drift apart silently.
 func (ex *exec) combineLevel1(w int) {
-	type comb struct {
-		base   string
-		window int
-		group  []Value
-		states []*AggState
-	}
-	combined := map[string]*comb{}
-	ex.eng.prov.Scan(ex.aggNS, func(it *storage.Item) bool {
-		pa, ok := it.Payload.(*partialAgg)
-		if !ok || pa.Window != w {
-			return true
-		}
-		hash := strings.LastIndexByte(it.ResourceID, 0x1e)
-		if hash < 0 {
-			return true // root-level partial, not ours to combine
-		}
-		c, ok := combined[it.ResourceID]
-		if !ok {
-			// Size by the plan's aggregate list, not the stored partial:
-			// partials arrive via DHT puts, so their shape is untrusted.
-			states := make([]*AggState, len(ex.plan.Aggs))
-			for i := range states {
-				states[i] = &AggState{}
-			}
-			c = &comb{base: it.ResourceID[:hash], window: pa.Window, group: pa.Group, states: states}
-			combined[it.ResourceID] = c
-		}
-		for i, s := range pa.States {
-			if i >= len(c.states) || s == nil {
-				break
-			}
-			c.states[i].Merge(s)
-		}
-		return true
-	})
-	for _, rid := range env.SortedKeys(combined) {
-		c := combined[rid]
+	for _, pg := range ex.mergePartials(w, true) {
 		// Stable per-bucket iid so distinct intermediate sites (and
 		// re-combines) never collide at the root.
-		ex.eng.prov.Put(ex.aggNS, c.base, ridIID(rid),
-			&partialAgg{Window: c.window, Group: c.group, States: c.states}, ex.stateLifetime())
+		root := pg.rid[:strings.LastIndexByte(pg.rid, 0x1e)]
+		ex.eng.prov.Put(ex.aggNS, root, StableIID(pg.rid),
+			&partialAgg{Window: w, Group: pg.group, States: pg.states}, ex.stateLifetime())
 	}
-}
-
-// ridIID derives a stable instanceID from a resourceID.
-func ridIID(rid string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(rid))
-	return int64(h.Sum64() >> 1)
 }
 
 func (ex *exec) scheduleAggEmit() {
@@ -1057,72 +911,19 @@ func (ex *exec) scheduleAggEmit() {
 }
 
 // emitGroups runs at group collectors: merge the partials of window w
-// stored locally, apply HAVING and the output expressions, and ship the
-// groups to the initiator.
+// stored locally and ship the finished groups to the initiator.
 func (ex *exec) emitGroups(w int) {
-	type combined struct {
-		group  []Value
-		states []*AggState
-	}
-	groups := make(map[string]*combined)
-	order := []string{}
-	ex.eng.prov.Scan(ex.aggNS, func(it *storage.Item) bool {
-		pa, ok := it.Payload.(*partialAgg)
-		if !ok || pa.Window != w {
-			return true
-		}
-		if ex.plan.AggFanout > 0 && strings.ContainsRune(it.ResourceID, 0x1e) {
-			return true // level-1 partial: combined by combineLevel1
-		}
-		cg, ok := groups[it.ResourceID]
-		if !ok {
-			// Size by the plan's aggregate list, not the stored partial:
-			// partials arrive via DHT puts, so their shape is untrusted.
-			states := make([]*AggState, len(ex.plan.Aggs))
-			for i := range states {
-				states[i] = &AggState{}
-			}
-			cg = &combined{group: pa.Group, states: states}
-			groups[it.ResourceID] = cg
-			order = append(order, it.ResourceID)
-		}
-		for i, s := range pa.States {
-			if i >= len(cg.states) || s == nil {
-				break
-			}
-			cg.states[i].Merge(s)
-		}
-		return true
-	})
+	groups := ex.mergePartials(w, false)
 	if len(groups) == 0 {
 		return
-	}
-	var out []*Tuple
-	for _, rid := range order {
-		cg := groups[rid]
-		row := make([]Value, 0, len(cg.group)+len(cg.states))
-		row = append(row, cg.group...)
-		for i, s := range cg.states {
-			row = append(row, s.Final(ex.plan.Aggs[i].Kind))
-		}
-		if ex.plan.Having != nil && !Truthy(ex.plan.Having.Eval(row)) {
-			continue
-		}
-		t := &Tuple{Rel: "group", Vals: row}
-		if len(ex.plan.Output) > 0 {
-			vals := make([]Value, len(ex.plan.Output))
-			for i, e := range ex.plan.Output {
-				vals[i] = e.Eval(row)
-			}
-			t = &Tuple{Rel: "group", Vals: vals}
-		}
-		out = append(out, t)
 	}
 	// The window's groups are complete: feed them through the result
 	// channel and flush now rather than waiting out the interval (a
 	// credit-stalled remainder stays buffered and retries).
-	for _, t := range out {
-		ex.emit(t, w)
+	for _, pg := range groups {
+		if t := ex.plan.finish(pg); t != nil {
+			ex.emit(t, w)
+		}
 	}
 	ex.flushResults(false)
 }

@@ -63,14 +63,14 @@ func TestSameJoinKeyOnlyCheckedWhenBucketed(t *testing.T) {
 }
 
 func TestRidIIDStable(t *testing.T) {
-	if ridIID("x") != ridIID("x") {
-		t.Fatal("ridIID not deterministic")
+	if StableIID("x") != StableIID("x") {
+		t.Fatal("StableIID not deterministic")
 	}
-	if ridIID("x") == ridIID("y") {
-		t.Fatal("ridIID collides on trivial inputs")
+	if StableIID("x") == StableIID("y") {
+		t.Fatal("StableIID collides on trivial inputs")
 	}
-	if ridIID("x") < 0 {
-		t.Fatal("ridIID must be non-negative (storage convention)")
+	if StableIID("x") < 0 {
+		t.Fatal("StableIID must be non-negative (storage convention)")
 	}
 }
 

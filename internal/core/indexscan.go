@@ -56,19 +56,19 @@ func (eng *Engine) indexRunnable(p *Plan) bool {
 }
 
 // runIndexQuery executes a single-table plan entirely from the
-// initiator: traverse the PHT, re-check the residual filter on each
-// fetched tuple, and feed the results (or locally combined aggregates)
-// straight into this node's own collector. No query multicast is sent
-// and no remote executor is instantiated — the whole point of the
-// index: the query contacts O(matching leaves) nodes instead of all n.
+// initiator: traverse the PHT, run each fetched tuple through the
+// plan's row pipeline, and feed the results (or locally combined
+// groups) straight into this node's own collector. No query multicast
+// is sent and no remote executor is instantiated — the whole point of
+// the index: the query contacts O(matching leaves) nodes instead of
+// all n.
 func (eng *Engine) runIndexQuery(id uint64, p *Plan) {
-	tbl := p.Tables[0]
+	tbl := &p.Tables[0]
 	is := tbl.IndexScan
 	t0 := eng.env.Now()
 	seen := make(map[string]bool)
-	groups := make(map[string]*partialGroup)
-	var order []string
-	deliver := func(ts []*Tuple) {
+	var groups groupSet
+	deliver := func(ts ...*Tuple) {
 		if len(ts) > 0 {
 			eng.HandleMessage(eng.env.Addr(), &resultMsg{ID: id, Window: 0, Tuples: ts})
 		}
@@ -83,43 +83,11 @@ func (eng *Engine) runIndexQuery(id uint64, p *Plan) {
 			seen[key] = true
 			// The index range over-approximates; the untouched Filter is
 			// the exact predicate.
-			if tbl.Filter != nil && !Truthy(tbl.Filter.Eval(t.Vals)) {
-				return
-			}
-			proj := t.Project(tbl.Project)
-			if len(p.Aggs) > 0 {
-				gkey := JoinKeyString(proj, p.GroupBy)
-				pg, ok := groups[gkey]
-				if !ok {
-					group := make([]Value, len(p.GroupBy))
-					for i, c := range p.GroupBy {
-						group[i] = proj.At(c)
-					}
-					states := make([]*AggState, len(p.Aggs))
-					for i := range states {
-						states[i] = &AggState{}
-					}
-					pg = &partialGroup{group: group, states: states}
-					groups[gkey] = pg
-					order = append(order, gkey)
+			if row := tbl.baseRow(t); row != nil {
+				if out := p.pipe(&groups, 0, row); out != nil {
+					deliver(out)
 				}
-				for i, a := range p.Aggs {
-					pg.states[i].Update(proj.At(a.Col))
-				}
-				return
 			}
-			if p.PostFilter != nil && !Truthy(p.PostFilter.Eval(proj.Vals)) {
-				return
-			}
-			out := proj
-			if len(p.Output) > 0 {
-				vals := make([]Value, len(p.Output))
-				for i, e := range p.Output {
-					vals[i] = e.Eval(proj.Vals)
-				}
-				out = &Tuple{Rel: "result", Vals: vals, Pad: proj.Pad}
-			}
-			deliver([]*Tuple{out})
 		},
 		func(contacted int) {
 			eng.mu.Lock()
@@ -136,32 +104,14 @@ func (eng *Engine) runIndexQuery(id uint64, p *Plan) {
 					})
 				}
 			}
-			if len(p.Aggs) == 0 {
-				return
-			}
-			// Traversal complete: finalize the locally combined groups.
+			// Traversal complete: the locally combined groups are final.
 			var out []*Tuple
-			for _, gkey := range order {
-				pg := groups[gkey]
-				row := make([]Value, 0, len(pg.group)+len(pg.states))
-				row = append(row, pg.group...)
-				for i, s := range pg.states {
-					row = append(row, s.Final(p.Aggs[i].Kind))
+			for _, pg := range groups.dirty {
+				if t := p.finish(pg); t != nil {
+					out = append(out, t)
 				}
-				if p.Having != nil && !Truthy(p.Having.Eval(row)) {
-					continue
-				}
-				t := &Tuple{Rel: "group", Vals: row}
-				if len(p.Output) > 0 {
-					vals := make([]Value, len(p.Output))
-					for i, e := range p.Output {
-						vals[i] = e.Eval(row)
-					}
-					t = &Tuple{Rel: "group", Vals: vals}
-				}
-				out = append(out, t)
 			}
-			deliver(out)
+			deliver(out...)
 		})
 }
 

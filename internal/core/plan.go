@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"pier/internal/env"
 	"pier/internal/wire"
 )
 
@@ -234,3 +235,58 @@ func (e errPlan) Error() string { return "pier: invalid plan: " + string(e) }
 
 // WireSize implements env.Message.
 func (p *Plan) WireSize() int { return wire.Size(p) }
+
+// --- the row pipeline -------------------------------------------------------
+//
+// Every access path runs a plan's rows through the same helpers: the
+// executors' scans, fetches and join probes, and the initiator's index
+// walk. A path supplies only where rows come from and where results go.
+
+// baseRow is the check every read of a stored base tuple makes: the
+// payload is a tuple, it passes the table's Filter, and it is
+// projected. It returns nil for a payload that fails. It stays small
+// enough to inline into scan callbacks; filterProject does the work.
+func (tbl *TableRef) baseRow(payload env.Message) *Tuple {
+	if t, ok := payload.(*Tuple); ok {
+		return tbl.filterProject(t)
+	}
+	return nil
+}
+
+// filterProject is baseRow past the type check.
+func (tbl *TableRef) filterProject(t *Tuple) *Tuple {
+	if tbl.Filter != nil && !Truthy(tbl.Filter.Eval(t.Vals)) {
+		return nil
+	}
+	return t.Project(tbl.Project)
+}
+
+// pipe takes one produced row the rest of the way: PostFilter, then
+// the group it feeds in gs for window w (aggregate plans, see feed) or
+// the result row Output makes of it, which pipe returns. It returns nil
+// for a row PostFilter drops or a group absorbs.
+func (p *Plan) pipe(gs *groupSet, w int, row *Tuple) *Tuple {
+	if !pass(p.PostFilter, row.Vals) {
+		return nil
+	}
+	if len(p.Aggs) > 0 {
+		p.feed(gs, w, row)
+		return nil
+	}
+	if len(p.Output) == 0 {
+		return row
+	}
+	return &Tuple{Rel: "result", Vals: evalAll(p.Output, row.Vals), Pad: row.Pad}
+}
+
+// pass reports whether row satisfies e; a nil predicate accepts all.
+func pass(e Expr, row []Value) bool { return e == nil || Truthy(e.Eval(row)) }
+
+// evalAll evaluates each expression over row.
+func evalAll(es []Expr, row []Value) []Value {
+	vals := make([]Value, len(es))
+	for i, e := range es {
+		vals[i] = e.Eval(row)
+	}
+	return vals
+}

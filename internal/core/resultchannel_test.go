@@ -365,7 +365,7 @@ func TestLevel1RidFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := newExec(eng, &queryMsg{ID: 7, Initiator: "sim:0", Plan: plan})
-	ex.aggFeed(&Tuple{Rel: "T", Vals: []Value{int64(1), "g1"}}, 0)
+	ex.onRow(&Tuple{Rel: "T", Vals: []Value{int64(1), "g1"}})
 	ex.flushPartials()
 	h.net.RunFor(time.Second)
 

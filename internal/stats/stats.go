@@ -33,7 +33,6 @@ package stats
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"time"
@@ -326,15 +325,8 @@ func (c *Catalog) combineBuckets() {
 		root := rid[:strings.Index(rid, bucketSep)]
 		// A stable per-bucket instanceID keeps distinct buckets (and
 		// re-combines) from colliding at the root.
-		c.prov.Put(CatalogNS, root, ridIID(rid), combined[rid], c.lifetime)
+		c.prov.Put(CatalogNS, root, core.StableIID(rid), combined[rid], c.lifetime)
 	}
-}
-
-// ridIID derives a stable instanceID from a bucket resourceID.
-func ridIID(rid string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(rid))
-	return int64(h.Sum64() >> 1)
 }
 
 // Fetch resolves a table's merged statistics from the DHT, fills the
