@@ -126,7 +126,7 @@ var scenarios = []scenario{
 		return p.print(fig4, fig5)
 	}},
 	{"fig6", "Figure 6 — recall under churn", false, func(p params) error {
-		return p.print(experiments.Recall(experiments.DefaultRecall(p.full)))
+		return p.print(experiments.ChurnMatrix(experiments.Figure6(p.full)))
 	}},
 	{"fig7", "Figure 7 — scalability, transit-stub topology", false, func(p params) error {
 		cfg := experiments.DefaultScalability(p.full)

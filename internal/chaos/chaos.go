@@ -1,8 +1,8 @@
 // Package chaos is the deterministic fault-injection harness for
 // simulated PIER deployments. A Config describes a scenario — node
 // churn (crashes and graceful leaves with rejoin), partition windows,
-// link-loss bursts, and a randomized query workload — all derived from
-// one seed. Run executes the scenario three ways:
+// link-loss bursts, and a randomized query workload or the paper's
+// query — all derived from one seed. Run executes the scenario three ways:
 //
 //   - a fault-free oracle run (the same seed, workload, and timing with
 //     every fault disabled), giving the reference result set of each
@@ -89,6 +89,14 @@ type Config struct {
 	// results for QueryEvery (also the query TTL).
 	Queries    int
 	QueryEvery time.Duration
+
+	// PaperQuery replaces the generated mix with the paper's query run
+	// Queries times: the §5.1 join under symmetric hash at
+	// selectivities 0.5 / 0.5 / 0.5, never cancelled early, the
+	// workload of Figure 6. Every run has the same true answer, so the
+	// pooled Recall is the per-query mean, and an extra invariant holds
+	// the oracle to workload.ReferenceJoin.
+	PaperQuery bool
 
 	// RecallFloor is the invariant threshold for total recall against
 	// the oracle run.
@@ -185,6 +193,24 @@ func (c Config) indexInterval() time.Duration {
 		return c.StatsInterval
 	}
 	return 30 * time.Second
+}
+
+// tables generates the scenario's workload relations.
+func (c Config) tables() *workload.Tables {
+	return workload.Generate(workload.Config{STuples: c.STuples, Seed: c.Seed + 3, PadBytes: 64})
+}
+
+// querySpecs is the scenario's query sequence: the paper's query
+// repeated, or the generated mix.
+func (c Config) querySpecs() []QuerySpec {
+	if !c.PaperQuery {
+		return GenerateQueriesMix(c.Queries, c.Seed, c.RangeQueries)
+	}
+	specs := make([]QuerySpec, c.Queries)
+	for i := range specs {
+		specs[i] = paperJoin
+	}
+	return specs
 }
 
 // Default is the pinned reference scenario the acceptance criteria and
@@ -308,6 +334,10 @@ func Run(cfg Config) *Report {
 		Detail: fmt.Sprintf("%.1f%% of %d oracle results (floor %.1f%%)", 100*rep.Recall, total, 100*cfg.RecallFloor),
 	})
 
+	if cfg.PaperQuery {
+		rep.Invariants = append(rep.Invariants, checkReference(cfg, oracle.queries))
+	}
+
 	if cfg.PublishFlood > 0 && len(oracle.queries) == len(faulted.queries) && len(faulted.queries) > 0 {
 		// The flood scan is the last query of both runs. The bounded run
 		// may only be missing oracle results it evicted or dropped (plus
@@ -365,7 +395,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 	opts.DHT = cfg.DHT
 	opts.CANConfig.Maintenance = true
 	opts.ChordConfig.Maintenance = true
-	// Tuned like the Figure 6 runs: dissemination must survive
+	// Tuned for churn, Figure 6 included: dissemination must survive
 	// not-yet-detected failures, and lookups time out inside the 15 s
 	// failure-detection window instead of stalling queries.
 	opts.ProviderConfig.RobustMulticast = true
@@ -414,7 +444,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 	// The driver (node 0) stands in for the paper's data wrappers: it
 	// loads every tuple and renews each on the refresh period with a
 	// per-tuple phase, restoring items lost to failed storage nodes.
-	tables := workload.Generate(workload.Config{STuples: cfg.STuples, Seed: cfg.Seed + 3, PadBytes: 64})
+	tables := cfg.tables()
 	lifetime := 2 * cfg.RefreshPeriod
 	type pub struct {
 		ns, rid string
@@ -519,7 +549,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 
 	sn.RunFor(cfg.Warmup)
 
-	for _, spec := range GenerateQueriesMix(cfg.Queries, cfg.Seed, cfg.RangeQueries) {
+	for _, spec := range cfg.querySpecs() {
 		spec := spec
 		out := queryOutcome{spec: spec, keys: map[string]bool{}}
 		plan := spec.Plan(cfg.STuples, cfg.QueryEvery)
@@ -731,6 +761,31 @@ func liveNonDriver(sn *pier.SimNetwork) []int {
 		}
 	}
 	return out
+}
+
+// checkReference holds the oracle to the paper query's true answer:
+// every fault-free run of paperJoin must return exactly the pairs of
+// workload.ReferenceJoin, so recall is a fraction of that answer and
+// not of a second run of the same engine.
+func checkReference(cfg Config, oracle []queryOutcome) Invariant {
+	want := map[string]bool{}
+	c1, c2, c3 := workload.Constants(paperJoin.SelR, paperJoin.SelS, paperJoin.SelF)
+	for _, p := range cfg.tables().ReferenceJoin(c1, c2, c3) {
+		want[paperJoin.Key(&core.Tuple{Vals: []core.Value{p[0], p[1]}}, 0)] = true
+	}
+	pass, got := len(oracle) == cfg.Queries, 0
+	for _, q := range oracle {
+		got += len(q.keys)
+		pass = pass && len(q.keys) == len(want)
+		for k := range q.keys {
+			pass = pass && want[k]
+		}
+	}
+	return Invariant{
+		Name:   "oracle-matches-reference",
+		Pass:   pass,
+		Detail: fmt.Sprintf("%d oracle results over %d queries; %d reference pairs each", got, len(oracle), len(want)),
+	}
 }
 
 // checkCatalog asserts the statistics catalog re-converged after the

@@ -86,7 +86,7 @@ func TestScheduleWindowValidation(t *testing.T) {
 }
 
 func TestGenerateQueriesDeterministicAndMixed(t *testing.T) {
-	a, b := GenerateQueries(16, 7), GenerateQueries(16, 7)
+	a, b := GenerateQueriesMix(16, 7, false), GenerateQueriesMix(16, 7, false)
 	kinds := map[QueryKind]int{}
 	for i := range a {
 		if a[i] != b[i] {
@@ -99,7 +99,7 @@ func TestGenerateQueriesDeterministicAndMixed(t *testing.T) {
 			t.Errorf("no %v queries in a 16-query mix", k)
 		}
 	}
-	if c := GenerateQueries(16, 8); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] && c[3] == a[3] {
+	if c := GenerateQueriesMix(16, 8, false); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] && c[3] == a[3] {
 		t.Error("different seeds produced the same prefix")
 	}
 }

@@ -49,7 +49,7 @@ func TestChaosRangePinnedSeed(t *testing.T) {
 }
 
 func TestGenerateQueriesMixRangeFlag(t *testing.T) {
-	base := GenerateQueries(16, 8)
+	base := GenerateQueriesMix(16, 8, false)
 	mixed := GenerateQueriesMix(16, 8, true)
 	for i := range base {
 		if base[i].Kind == QRange {

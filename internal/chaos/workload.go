@@ -75,18 +75,17 @@ func (q QuerySpec) Recallable() bool {
 	return q.Kind == QSelect || q.Kind == QJoin || q.Kind == QAggregate || q.Kind == QRange
 }
 
-// GenerateQueries derives n query specs from a seed: a deterministic
-// mix of scans, joins across all four strategies, grouped aggregates,
-// and continuous queries.
-func GenerateQueries(n int, seed int64) []QuerySpec {
-	return GenerateQueriesMix(n, seed, false)
-}
+// paperJoin is the query of the paper's evaluation (§5.1): the R ⋈ S
+// join under the symmetric hash strategy at selectivities 0.5 / 0.5 /
+// 0.5, left to its TTL.
+var paperJoin = QuerySpec{Kind: QJoin, Strategy: core.SymmetricHash, SelR: 0.5, SelS: 0.5, SelF: 0.5}
 
-// GenerateQueriesMix is GenerateQueries with an optional range-query
-// flavor: when withRange is true, every other scan slot becomes an
-// index-backed range query (the scenario must have created the index).
-// The mix is a separate entry point so pinned-seed scenarios that
-// predate the index keep their exact traces.
+// GenerateQueriesMix derives n query specs from a seed: a deterministic
+// mix of scans, joins across all four strategies, grouped aggregates,
+// and continuous queries. When withRange is true, every other scan slot
+// becomes an index-backed range query (the scenario must have created
+// the index); the other slots are the same specs either way, so
+// pinned-seed scenarios that predate the index keep their exact traces.
 func GenerateQueriesMix(n int, seed int64, withRange bool) []QuerySpec {
 	rng := rand.New(rand.NewSource(seed ^ 0x9127c3a5))
 	sels := []float64{0.3, 0.5, 0.7}

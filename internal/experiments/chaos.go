@@ -7,43 +7,67 @@ import (
 	"pier/internal/chaos"
 )
 
-// ChurnMatrixConfig drives the chaos-harness successor of the Figure 6
-// experiment: where the paper only fails nodes, the harness also
-// rejoins a fresh identity per departure (constant population, like a
-// real long-lived deployment), mixes graceful leaves among the
-// crashes, and measures recall for the full generated query mix
-// against a fault-free oracle run of the same seed.
+// ChurnMatrixConfig drives a recall-under-churn matrix through the
+// chaos harness: Scenario is run once per refresh period and churn
+// rate. Every departure is followed by a fresh identity rejoining
+// (constant population, §5.6), and recall is measured against a
+// fault-free oracle run of the same seed.
 type ChurnMatrixConfig struct {
-	Nodes          int
-	STuples        int
-	Queries        int
-	QueryEvery     time.Duration
+	// Scenario fixes everything but RefreshPeriod and CrashesPerMin,
+	// which each cell sets.
+	Scenario       chaos.Config
 	RefreshPeriods []time.Duration
 	// ChurnRates are departures/minute (each followed by a rejoin).
-	ChurnRates   []float64
-	GracefulFrac float64
-	BaseLoss     float64
-	Seed         int64
+	ChurnRates []float64
 }
 
-// DefaultChurnMatrix returns the scaled default; full widens to the
-// paper's churn range at 4096-node population shape.
-func DefaultChurnMatrix(full bool) ChurnMatrixConfig {
+// Figure6 is the paper's Figure 6 (§5.6): the §5.1 join under crashes
+// only, with no link loss (paper: n=4096, 15 s failure detection).
+// full restores the paper's population and failure rates.
+func Figure6(full bool) ChurnMatrixConfig {
 	cfg := ChurnMatrixConfig{
-		Nodes:          64,
-		STuples:        80,
-		Queries:        4,
-		QueryEvery:     45 * time.Second,
+		Scenario: chaos.Config{
+			Nodes:      96,
+			Seed:       5,
+			STuples:    150,
+			Queries:    4,
+			QueryEvery: 45 * time.Second,
+			PaperQuery: true,
+		},
 		RefreshPeriods: []time.Duration{30 * time.Second, 60 * time.Second, 150 * time.Second},
 		ChurnRates:     []float64{0, 3, 6},
-		GracefulFrac:   0.3,
-		BaseLoss:       0.01,
-		Seed:           11,
 	}
 	if full {
-		cfg.Nodes = 1024
-		cfg.STuples = 400
-		cfg.Queries = 8
+		cfg.Scenario.Nodes = 4096
+		cfg.Scenario.STuples = 2000
+		cfg.RefreshPeriods = append(cfg.RefreshPeriods, 225*time.Second)
+		cfg.ChurnRates = []float64{0, 60, 120, 240}
+	}
+	return cfg
+}
+
+// DefaultChurnMatrix is the harness's successor of Figure 6: where the
+// paper only fails nodes, it mixes graceful leaves among the crashes,
+// adds 1% link loss, and measures the full generated query mix. full
+// widens to the paper's churn range at 1024 nodes.
+func DefaultChurnMatrix(full bool) ChurnMatrixConfig {
+	cfg := ChurnMatrixConfig{
+		Scenario: chaos.Config{
+			Nodes:        64,
+			Seed:         11,
+			GracefulFrac: 0.3,
+			BaseLoss:     0.01,
+			STuples:      80,
+			Queries:      4,
+			QueryEvery:   45 * time.Second,
+		},
+		RefreshPeriods: []time.Duration{30 * time.Second, 60 * time.Second, 150 * time.Second},
+		ChurnRates:     []float64{0, 3, 6},
+	}
+	if full {
+		cfg.Scenario.Nodes = 1024
+		cfg.Scenario.STuples = 400
+		cfg.Scenario.Queries = 8
 		cfg.ChurnRates = []float64{0, 6, 12, 24}
 		cfg.RefreshPeriods = append(cfg.RefreshPeriods, 225*time.Second)
 	}
@@ -58,25 +82,40 @@ func DefaultChurnMatrix(full bool) ChurnMatrixConfig {
 // a 100k network.
 func XLChurnMatrix(seed int64) ChurnMatrixConfig {
 	return ChurnMatrixConfig{
-		Nodes:          100_000,
-		STuples:        300,
-		Queries:        2,
-		QueryEvery:     30 * time.Second,
+		Scenario: chaos.Config{
+			Nodes:        100_000,
+			Seed:         seed,
+			GracefulFrac: 0.3,
+			BaseLoss:     0.01,
+			STuples:      300,
+			Queries:      2,
+			QueryEvery:   30 * time.Second,
+		},
 		RefreshPeriods: []time.Duration{45 * time.Second},
 		ChurnRates:     []float64{60},
-		GracefulFrac:   0.3,
-		BaseLoss:       0.01,
-		Seed:           seed,
 	}
 }
 
-// ChurnMatrix runs the recall-under-churn matrix through the chaos
-// harness and reports average recall percentages, plus whether every
-// scenario kept its invariants.
+// cell runs the matrix point at one refresh period and churn rate.
+func (c ChurnMatrixConfig) cell(refresh time.Duration, rate float64) *chaos.Report {
+	s := c.Scenario
+	s.RefreshPeriod, s.CrashesPerMin = refresh, rate
+	return chaos.Run(s)
+}
+
+// ChurnMatrix runs the matrix and reports average recall percentages,
+// plus whether every scenario kept its invariants. The matrix reports
+// recall; it does not gate on it.
 func ChurnMatrix(cfg ChurnMatrixConfig) *Table {
+	s := cfg.Scenario
+	title := "Chaos churn matrix: recall (%) vs churn with rejoin"
+	if s.PaperQuery {
+		title = "Figure 6: average recall (%) of the §5.1 join vs failure rate"
+	}
 	t := &Table{
-		Title: fmt.Sprintf("Chaos churn matrix: recall (%%) vs churn with rejoin, n=%d, 1%% loss", cfg.Nodes),
-		Note:  "rows: departures/min (30% graceful, each followed by a rejoin); columns: refresh period; * marks an invariant violation",
+		Title: fmt.Sprintf("%s, n=%d, %.3g%% loss", title, s.Nodes, 100*s.BaseLoss),
+		Note: fmt.Sprintf("rows: departures/min (%.3g%% graceful, each followed by a rejoin); columns: refresh period; * marks an invariant violation",
+			100*s.GracefulFrac),
 	}
 	t.Headers = []string{"departures/min"}
 	for _, rp := range cfg.RefreshPeriods {
@@ -85,18 +124,7 @@ func ChurnMatrix(cfg ChurnMatrixConfig) *Table {
 	for _, rate := range cfg.ChurnRates {
 		row := []string{fmt.Sprintf("%.0f", rate)}
 		for _, rp := range cfg.RefreshPeriods {
-			rep := chaos.Run(chaos.Config{
-				Nodes:         cfg.Nodes,
-				Seed:          cfg.Seed,
-				CrashesPerMin: rate,
-				GracefulFrac:  cfg.GracefulFrac,
-				BaseLoss:      cfg.BaseLoss,
-				STuples:       cfg.STuples,
-				RefreshPeriod: rp,
-				Queries:       cfg.Queries,
-				QueryEvery:    cfg.QueryEvery,
-				RecallFloor:   0, // the matrix reports recall; it does not gate on it
-			})
+			rep := cfg.cell(rp, rate)
 			cell := fmt.Sprintf("%.1f", 100*rep.Recall)
 			if !rep.AllPass() {
 				cell += "*"

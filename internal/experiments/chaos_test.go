@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pier/internal/chaos"
 )
 
 // TestChurnMatrixSmoke runs a tiny matrix end to end: recall must be
@@ -15,15 +17,17 @@ func TestChurnMatrixSmoke(t *testing.T) {
 		t.Skip("chaos matrix is slow")
 	}
 	cfg := ChurnMatrixConfig{
-		Nodes:          32,
-		STuples:        50,
-		Queries:        2,
-		QueryEvery:     45 * time.Second,
+		Scenario: chaos.Config{
+			Nodes:        32,
+			Seed:         11,
+			GracefulFrac: 0.3,
+			BaseLoss:     0.01,
+			STuples:      50,
+			Queries:      2,
+			QueryEvery:   45 * time.Second,
+		},
 		RefreshPeriods: []time.Duration{45 * time.Second},
 		ChurnRates:     []float64{0, 8},
-		GracefulFrac:   0.3,
-		BaseLoss:       0.01,
-		Seed:           11,
 	}
 	tbl := ChurnMatrix(cfg)
 	if len(tbl.Rows) != 2 || len(tbl.Rows[0]) != 2 {

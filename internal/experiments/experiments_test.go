@@ -82,19 +82,38 @@ func TestFetchMatchesTrafficFlatAcrossSelectivity(t *testing.T) {
 	}
 }
 
+// TestRecallDropsWithFailuresAndRecoversWithRefresh runs two Figure 6
+// cells through the chaos harness. Every invariant must hold in both,
+// including oracle-matches-reference, which makes the recall a fraction
+// of the join's true answer.
 func TestRecallDropsWithFailuresAndRecoversWithRefresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn run")
 	}
-	cfg := DefaultRecall(false)
-	cfg.Nodes = 48
-	cfg.STuples = 80
-	cfg.Queries = 2
-	healthy := recallRun(cfg, 60*time.Second, 0)
+	cfg := Figure6(false)
+	cfg.Scenario.Nodes = 48
+	cfg.Scenario.STuples = 80
+	cfg.Scenario.Queries = 2
+	run := func(rate float64) float64 {
+		rep := cfg.cell(60*time.Second, rate)
+		for _, iv := range rep.Failed() {
+			t.Errorf("%.0f failures/min: invariant %s failed: %s", rate, iv.Name, iv.Detail)
+		}
+		found := false
+		for _, iv := range rep.Invariants {
+			found = found || iv.Name == "oracle-matches-reference"
+		}
+		if !found {
+			t.Errorf("%.0f failures/min: no oracle-matches-reference invariant", rate)
+		}
+		return rep.Recall
+	}
+	healthy := run(0)
 	if healthy < 0.99 {
 		t.Fatalf("recall without failures = %.3f, want ~1", healthy)
 	}
-	churn := recallRun(cfg, 60*time.Second, 8)
+	churn := run(8)
+	t.Logf("recall %.1f%% without failures, %.1f%% at 8 failures/min", 100*healthy, 100*churn)
 	if churn > healthy+1e-9 {
 		t.Fatalf("churn recall %.3f should not exceed healthy %.3f", churn, healthy)
 	}
