@@ -2,9 +2,9 @@ package can
 
 import (
 	"math/rand"
+	"slices"
 
 	"pier/internal/dht"
-	"pier/internal/env"
 )
 
 // SpaceMap is an oracle over a bootstrapped CAN: a binary tree of zone
@@ -70,25 +70,25 @@ func Bootstrap(routers []*Router, seed int64) *SpaceMap {
 		leaves = append(leaves, lo, hi)
 	}
 
-	// Collect final leaves per node and build neighbor tables.
-	zones := make([][]Zone, len(routers))
+	// Every node owns exactly one final leaf: a join splits one leaf and
+	// hands each half to one owner.
+	now := routers[0].env.Now()
 	finals := leaves[:0]
 	for _, l := range leaves {
 		if l.lo == nil {
 			finals = append(finals, l)
-			zones[l.owner] = append(zones[l.owner], l.zone)
+			r := routers[l.owner]
+			r.zones, r.joined = []Zone{l.zone.Clone()}, true
 		}
 	}
-	// Find adjacent leaf pairs by searching the split tree instead of
-	// testing all O(n²) leaf pairs (5×10⁹ Adjacent calls at n=100k).
+	// Find each leaf's adjacent leaves by searching the split tree instead
+	// of testing all O(n²) leaf pairs (5×10⁹ Adjacent calls at n=100k).
 	// An internal node's zone is a superset of every leaf below it, so
 	// a subtree can contain a neighbor of q only if its box overlaps or
 	// abuts q's span in every dimension — the same per-dimension test
 	// Adjacent applies, relaxed to the ancestor box. Each query visits
 	// the O(depth) path plus the leaves touching q's faces, making the
 	// whole pass O(n·(log n + neighbors)).
-	type nbr struct{ a, b int }
-	adj := make(map[nbr]bool)
 	couldTouch := func(box, q Zone) bool {
 		for i := range q.Lo {
 			if !overlap1(box.Lo[i], box.Hi[i], q.Lo[i], q.Hi[i]) &&
@@ -98,8 +98,10 @@ func Bootstrap(routers []*Router, seed int64) *SpaceMap {
 		}
 		return true
 	}
+	var found []neighborInfo
 	stack := make([]*treeNode, 0, 64)
 	for _, q := range finals {
+		found = found[:0]
 		stack = append(stack[:0], sm.root)
 		for len(stack) > 0 {
 			nd := stack[len(stack)-1]
@@ -109,28 +111,15 @@ func Bootstrap(routers []*Router, seed int64) *SpaceMap {
 			}
 			if nd.lo != nil {
 				stack = append(stack, nd.lo, nd.hi)
-				continue
+			} else if nd.owner != q.owner && Adjacent(nd.zone, q.zone) {
+				nb := routers[nd.owner]
+				found = append(found, neighborInfo{addr: nb.env.Addr(), zones: nb.zones, lastHeard: now})
 			}
-			if nd.owner == q.owner || !Adjacent(nd.zone, q.zone) {
-				continue
-			}
-			x, y := nd.owner, q.owner
-			if x > y {
-				x, y = y, x
-			}
-			adj[nbr{x, y}] = true
 		}
-	}
-	now := routers[0].env.Now()
-	for i, r := range routers {
-		r.zones = cloneZones(zones[i])
-		r.joined = true
-		r.neighbors = make(map[env.Addr]*neighborInfo)
-	}
-	for e := range adj {
-		ra, rb := routers[e.a], routers[e.b]
-		ra.neighbors[rb.env.Addr()] = &neighborInfo{zones: rb.zones, lastHeard: now}
-		rb.neighbors[ra.env.Addr()] = &neighborInfo{zones: ra.zones, lastHeard: now}
+		// One allocation per table, sized to it: append's doubling slack
+		// would be a per-node cost at scale.
+		slices.SortFunc(found, byAddr)
+		routers[q.owner].neighbors = slices.Clone(found)
 	}
 	for _, r := range routers {
 		r.startMaintenance()

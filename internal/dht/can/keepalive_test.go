@@ -14,16 +14,11 @@ func maintained() Config {
 	return cfg
 }
 
-func digestOf(r *Router) uint64 {
-	_, d := r.table()
-	return d
-}
-
 // holdsTableOf reports whether n's view of neighbor x is x's current
 // zones and the table x last pushed.
 func holdsTableOf(n, x *Router) bool {
-	ni := n.neighbors[x.env.Addr()]
-	return ni != nil && ni.digest == x.pushed && x.pushed == digestOf(x) &&
+	ni := n.neighbor(x.env.Addr())
+	return ni != nil && ni.digest == x.pushed && x.pushed == x.digest() &&
 		reflect.DeepEqual(ni.zones, x.zones) && reflect.DeepEqual(ni.nbrs, x.neighborSummary())
 }
 
@@ -68,7 +63,7 @@ func TestQuietOverlaySendsOnlyDigests(t *testing.T) {
 		t.Errorf("mean keepalive is %.1f bytes with header, want <= 48", mean)
 	}
 	for i, r := range tn.routers {
-		for a := range r.neighbors {
+		for _, a := range r.Neighbors() {
 			if !holdsTableOf(tn.routers[addrIndex(t, a)], r) {
 				t.Fatalf("node %s does not hold node %d's table", a, i)
 			}
@@ -111,14 +106,14 @@ func TestLostPushIsPulled(t *testing.T) {
 		}
 	}
 	b := tn.routers[dst]
-	old := b.neighbors[a.env.Addr()].digest
+	old := b.neighbor(a.env.Addr()).digest
 
 	// The 15 s tick pushes the new table; the copy for b is lost.
 	tn.nw.SetLinkFault(src, dst, 1, 0)
 	tn.nw.RunFor(1500 * time.Millisecond) // 15.5 s
 	tn.nw.ClearLinkFault(src, dst)
-	if a.pushed == old || b.neighbors[a.env.Addr()].digest != old {
-		t.Fatalf("setup: a pushed %x (old %x), b holds %x", a.pushed, old, b.neighbors[a.env.Addr()].digest)
+	if held := b.neighbor(a.env.Addr()).digest; a.pushed == old || held != old {
+		t.Fatalf("setup: a pushed %x (old %x), b holds %x", a.pushed, old, held)
 	}
 	var pulls, replies int
 	tn.tap = func(to int, from env.Addr, m env.Message) {
@@ -166,7 +161,7 @@ func TestStrangersGetNoTable(t *testing.T) {
 	if len(got) != 1 || len(got[0].Zones) != 0 || got[0].Nbrs != nil || got[0].Digest != 0 {
 		t.Fatalf("a stranger's bare keepalive was answered with %+v, want one pull", got)
 	}
-	if _, known := tn.routers[3].neighbors[stranger.Addr()]; known {
+	if tn.routers[3].neighbor(stranger.Addr()) != nil {
 		t.Fatal("a bare keepalive made its sender a neighbor")
 	}
 }
@@ -193,10 +188,10 @@ func TestTakeoverAfterUnpushedChange(t *testing.T) {
 		tn.nw.RunFor(time.Second)
 		allHold := true
 		for _, a := range v.Neighbors() {
-			ni := tn.routers[addrIndex(t, a)].neighbors[vaddr]
+			ni := tn.routers[addrIndex(t, a)].neighbor(vaddr)
 			allHold = allHold && ni != nil && ni.nbrs != nil
 		}
-		if allHold && digestOf(v) != v.pushed {
+		if allHold && v.digest() != v.pushed {
 			break
 		}
 		if !allHold {
@@ -247,8 +242,8 @@ func TestRejoinUnderOldAddress(t *testing.T) {
 	}
 	tn.nw.RunFor(2 * time.Minute)
 	for i, n := range tn.routers {
-		_, nKnows := n.neighbors[tn.envs[x].Addr()]
-		_, xKnows := r.neighbors[tn.envs[i].Addr()]
+		nKnows := n.neighbor(tn.envs[x].Addr()) != nil
+		xKnows := r.neighbor(tn.envs[i].Addr()) != nil
 		if nKnows != xKnows {
 			t.Errorf("node %d knows the new life: %v; the new life knows it: %v", i, nKnows, xKnows)
 		}

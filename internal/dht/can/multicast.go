@@ -1,8 +1,6 @@
 package can
 
 import (
-	"sort"
-
 	"pier/internal/dht"
 	"pier/internal/env"
 )
@@ -49,8 +47,8 @@ func (r *Router) MulticastForward(from env.Addr, hint []uint32) []env.Addr {
 	arrivalDim := r.cfg.Dims // above every real dimension: origin case
 	arrivalDir := 0
 	if from != env.NilAddr {
-		ni, ok := r.neighbors[from]
-		if !ok || len(ni.zones) != 1 {
+		ni := r.neighbor(from)
+		if ni == nil || len(ni.zones) != 1 {
 			return r.Neighbors()
 		}
 		d, dir, ok := abutment(ni.zones[0], self)
@@ -60,13 +58,16 @@ func (r *Router) MulticastForward(from env.Addr, hint []uint32) []env.Addr {
 		arrivalDim, arrivalDir = d, dir
 	}
 
+	// The flooder sends to these in order: table order keeps it
+	// deterministic.
 	var out []env.Addr
-	for a, ni := range r.neighbors {
-		if a == from {
+	for i := range r.neighbors {
+		ni := &r.neighbors[i]
+		if ni.addr == from {
 			continue
 		}
 		if len(ni.zones) != 1 {
-			out = append(out, a) // odd-shaped neighbor: be safe
+			out = append(out, ni.addr) // odd-shaped neighbor: be safe
 			continue
 		}
 		d, dir, ok := abutment(self, ni.zones[0])
@@ -79,10 +80,8 @@ func (r *Router) MulticastForward(from env.Addr, hint []uint32) []env.Addr {
 		if pastHalfway(hint[d], self, ni.zones[0], d, dir) {
 			continue
 		}
-		out = append(out, a)
+		out = append(out, ni.addr)
 	}
-	// The flooder sends to these in order; keep it deterministic.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

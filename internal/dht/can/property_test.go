@@ -152,8 +152,8 @@ func TestBootstrapNeighborsMatchBruteForce(t *testing.T) {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					want := AnyAdjacent(routers[i].zones, routers[j].zones)
-					_, gotIJ := routers[i].neighbors[routers[j].env.Addr()]
-					_, gotJI := routers[j].neighbors[routers[i].env.Addr()]
+					gotIJ := routers[i].neighbor(routers[j].env.Addr()) != nil
+					gotJI := routers[j].neighbor(routers[i].env.Addr()) != nil
 					if gotIJ != want || gotJI != want {
 						t.Fatalf("seed=%d n=%d pair (%d,%d): adjacency %v but tables say %v/%v",
 							seed, n, i, j, want, gotIJ, gotJI)

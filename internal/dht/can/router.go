@@ -3,6 +3,8 @@ package can
 import (
 	"math"
 	"slices"
+	"sort"
+	"strings"
 	"time"
 
 	"pier/internal/dht"
@@ -54,7 +56,9 @@ const (
 	maxHops = 512
 )
 
+// neighborInfo is one entry of a router's neighbor table.
 type neighborInfo struct {
+	addr      env.Addr
 	zones     []Zone
 	lastHeard time.Time
 	// nbrs is the neighbor's own neighbor table as of its last full
@@ -69,9 +73,11 @@ type Router struct {
 	env env.Env
 	cfg Config
 
-	joined    bool
-	zones     []Zone
-	neighbors map[env.Addr]*neighborInfo
+	joined bool
+	zones  []Zone
+	// neighbors is strictly sorted by addr: walks that send or break ties
+	// go in address order, so seeded simulations replay.
+	neighbors []neighborInfo
 	// pushed is the digest of the table last sent in full to every
 	// neighbor; a keepalive tick whose digest equals it goes out bare.
 	pushed uint64
@@ -123,11 +129,7 @@ func New(e env.Env, cfg Config) *Router {
 	env.OrDefault(&cfg.KeepaliveInterval, def.KeepaliveInterval)
 	env.OrDefault(&cfg.FailTimeout, def.FailTimeout)
 	env.OrDefault(&cfg.LookupTimeout, def.LookupTimeout)
-	return &Router{
-		env:       e,
-		cfg:       cfg,
-		neighbors: make(map[env.Addr]*neighborInfo),
-	}
+	return &Router{env: e, cfg: cfg}
 }
 
 // Dims returns the configured dimensionality.
@@ -169,7 +171,45 @@ func (r *Router) ownsPoint(p []uint32) bool {
 }
 
 // Neighbors implements dht.Router.
-func (r *Router) Neighbors() []env.Addr { return env.SortedKeys(r.neighbors) }
+func (r *Router) Neighbors() []env.Addr {
+	out := make([]env.Addr, len(r.neighbors))
+	for i := range r.neighbors {
+		out[i] = r.neighbors[i].addr
+	}
+	return out
+}
+
+// find binary-searches the neighbor table for a: its index, or the
+// index it would be inserted at.
+func (r *Router) find(a env.Addr) (int, bool) {
+	i := sort.Search(len(r.neighbors), func(i int) bool { return r.neighbors[i].addr >= a })
+	return i, i < len(r.neighbors) && r.neighbors[i].addr == a
+}
+
+// neighbor returns a's entry, or nil. The pointer is valid until the
+// table's next insert or delete.
+func (r *Router) neighbor(a env.Addr) *neighborInfo {
+	if i, ok := r.find(a); ok {
+		return &r.neighbors[i]
+	}
+	return nil
+}
+
+// slot returns a's entry, first inserting an empty one in address order
+// if a is not a neighbor yet.
+func (r *Router) slot(a env.Addr) *neighborInfo {
+	i, ok := r.find(a)
+	if !ok {
+		r.neighbors = slices.Insert(r.neighbors, i, neighborInfo{addr: a})
+	}
+	return &r.neighbors[i]
+}
+
+func (r *Router) dropNeighbor(a env.Addr) {
+	if i, ok := r.find(a); ok {
+		r.neighbors = slices.Delete(r.neighbors, i, i+1)
+	}
+}
 
 // OnLocationMapChange implements dht.Router.
 func (r *Router) OnLocationMapChange(f func()) { r.locChange = append(r.locChange, f) }
@@ -224,7 +264,7 @@ func (r *Router) Leave() env.Addr {
 	}
 	r.joined = false
 	r.zones = nil
-	r.neighbors = make(map[env.Addr]*neighborInfo)
+	r.neighbors = nil
 	if r.stopMaint != nil {
 		r.stopMaint()
 		r.stopMaint = nil
@@ -236,10 +276,9 @@ func (r *Router) Leave() env.Addr {
 func (r *Router) smallestNeighbor() (env.Addr, bool) {
 	best := env.NilAddr
 	bestVol := math.Inf(1)
-	for a, ni := range r.neighbors {
-		v := TotalVolume(ni.zones)
-		if v < bestVol || (v == bestVol && a < best) {
-			best, bestVol = a, v
+	for i := range r.neighbors {
+		if v := TotalVolume(r.neighbors[i].zones); v < bestVol {
+			best, bestVol = r.neighbors[i].addr, v
 		}
 	}
 	return best, best != env.NilAddr
@@ -270,17 +309,18 @@ func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 }
 
 // forward greedily sends m toward the owner of point p, skipping the
-// neighbor the message arrived from when possible.
+// neighbor the message arrived from when possible. Ties go to the lowest
+// address: the first in table order.
 func (r *Router) forward(p []uint32, m env.Message, exclude env.Addr) bool {
 	best := env.NilAddr
 	bestDist := math.Inf(1)
-	for a, ni := range r.neighbors {
-		if a == exclude {
+	for i := range r.neighbors {
+		ni := &r.neighbors[i]
+		if ni.addr == exclude {
 			continue
 		}
-		d := MinDistanceSq(ni.zones, p)
-		if d < bestDist || (d == bestDist && a < best) {
-			best, bestDist = a, d
+		if d := MinDistanceSq(ni.zones, p); d < bestDist {
+			best, bestDist = ni.addr, d
 		}
 	}
 	if best == env.NilAddr && exclude != env.NilAddr {
@@ -381,7 +421,7 @@ func (r *Router) onJoinReq(from env.Addr, m *joinReq) {
 	r.broadcastUpdate()
 	// The joiner becomes a neighbor; prune neighbors that are no longer
 	// adjacent to our shrunken zone set.
-	r.neighbors[m.Joiner] = &neighborInfo{zones: []Zone{give}, lastHeard: r.env.Now()}
+	*r.slot(m.Joiner) = neighborInfo{addr: m.Joiner, zones: []Zone{give}, lastHeard: r.env.Now()}
 	r.pruneNeighbors()
 	r.fireLocChange()
 }
@@ -396,15 +436,13 @@ func (r *Router) onJoinReply(from env.Addr, m *joinReply) {
 	}
 	r.joined = true
 	r.zones = []Zone{m.Zone}
-	r.neighbors = make(map[env.Addr]*neighborInfo)
+	r.neighbors = nil
 	for a, zs := range m.Neighbors {
-		if a == r.env.Addr() {
-			continue
-		}
-		if AnyAdjacent(r.zones, zs) {
-			r.neighbors[a] = &neighborInfo{zones: zs, lastHeard: r.env.Now()}
+		if a != r.env.Addr() && AnyAdjacent(r.zones, zs) {
+			r.neighbors = append(r.neighbors, neighborInfo{addr: a, zones: zs, lastHeard: r.env.Now()})
 		}
 	}
+	slices.SortFunc(r.neighbors, byAddr)
 	r.broadcastUpdate()
 	r.startMaintenance()
 	r.fireLocChange()
@@ -414,13 +452,13 @@ func (r *Router) onNeighborUpdate(from env.Addr, m *neighborUpdate) {
 	if !r.joined {
 		return
 	}
-	ni, known := r.neighbors[from]
+	ni := r.neighbor(from)
+	known := ni != nil
 	if len(m.Zones) == 0 && m.Digest == 0 {
 		// A pull. Strangers get no table for the asking, and a pull is not
 		// a liveness message: it says nothing of the sender's view of us.
 		if known {
-			_, digest := r.table()
-			r.env.Send(from, r.update(digest))
+			r.env.Send(from, r.update(r.digest()))
 		}
 		return
 	}
@@ -437,7 +475,7 @@ func (r *Router) onNeighborUpdate(from env.Addr, m *neighborUpdate) {
 	}
 	if !AnyAdjacent(r.zones, m.Zones) {
 		if known {
-			delete(r.neighbors, from)
+			r.dropNeighbor(from)
 			// One-shot reply so the peer re-evaluates adjacency against
 			// our current zones and prunes us too. The peer only replies
 			// in turn if it still knows us, so this cannot loop.
@@ -459,7 +497,7 @@ func (r *Router) onTakeover(from env.Addr, m *takeoverNotice) {
 	if !r.joined {
 		return
 	}
-	delete(r.neighbors, m.Dead)
+	r.dropNeighbor(m.Dead)
 	// Reconcile duplicate claims: if we also adopted this dead node's
 	// zones, the lower address keeps them.
 	if mine, ok := r.adopted[m.Dead]; ok && from < r.env.Addr() {
@@ -474,11 +512,7 @@ func (r *Router) onTakeover(from env.Addr, m *takeoverNotice) {
 
 // heard records the zones a (possibly new) neighbor just advertised.
 func (r *Router) heard(from env.Addr, zones []Zone) *neighborInfo {
-	ni := r.neighbors[from]
-	if ni == nil {
-		ni = &neighborInfo{}
-		r.neighbors[from] = ni
-	}
+	ni := r.slot(from)
 	ni.zones, ni.lastHeard = zones, r.env.Now()
 	return ni
 }
@@ -494,31 +528,29 @@ func (r *Router) onLeave(from env.Addr, m *leaveNotice) {
 // neighborhood.
 func (r *Router) adoptZones(dead env.Addr, zones []Zone, deadNbrs map[env.Addr][]Zone) {
 	r.zones = append(r.zones, cloneZones(zones)...)
-	delete(r.neighbors, dead)
+	r.dropNeighbor(dead)
 	for a, zs := range deadNbrs {
 		if a == r.env.Addr() || a == dead {
 			continue
 		}
-		if _, ok := r.neighbors[a]; !ok && AnyAdjacent(r.zones, zs) {
-			r.neighbors[a] = &neighborInfo{zones: zs, lastHeard: r.env.Now()}
+		if i, ok := r.find(a); !ok && AnyAdjacent(r.zones, zs) {
+			r.neighbors = slices.Insert(r.neighbors, i, neighborInfo{addr: a, zones: zs, lastHeard: r.env.Now()})
 		}
 	}
-	r.sendAll(r.Neighbors(), &takeoverNotice{Dead: dead, Zones: cloneZones(r.zones)})
+	r.sendAll(&takeoverNotice{Dead: dead, Zones: cloneZones(r.zones)})
 	r.fireLocChange()
 }
 
 func (r *Router) pruneNeighbors() {
-	for a, ni := range r.neighbors {
-		if !AnyAdjacent(r.zones, ni.zones) {
-			delete(r.neighbors, a)
-		}
-	}
+	r.neighbors = slices.DeleteFunc(r.neighbors, func(ni neighborInfo) bool { return !AnyAdjacent(r.zones, ni.zones) })
 }
+
+func byAddr(a, b neighborInfo) int { return strings.Compare(string(a.addr), string(b.addr)) }
 
 func (r *Router) neighborSummary() map[env.Addr][]Zone {
 	m := make(map[env.Addr][]Zone, len(r.neighbors))
-	for a, ni := range r.neighbors {
-		m[a] = ni.zones
+	for _, ni := range r.neighbors {
+		m[ni.addr] = ni.zones
 	}
 	return m
 }
@@ -533,26 +565,23 @@ func (r *Router) update(digest uint64) *neighborUpdate {
 	return u
 }
 
-// table walks the neighbor map once for what a tick needs: the addresses
-// in send order (sorted, so seeded simulations replay) and the digest of
-// the table a full update would carry now — our zones plus, summed so map
-// order cannot matter, each neighbor's address and zones. Recomputed per
-// tick, not bumped per mutation: no mutation is missed, and a restart
-// under the old address cannot match the previous life's table by
-// accident. Never 0, which receivers keep for "no table held".
-func (r *Router) table() (addrs []env.Addr, digest uint64) {
-	addrs = make([]env.Addr, 0, len(r.neighbors))
-	digest = mixZones(0, r.zones)
-	for a, ni := range r.neighbors {
-		addrs = append(addrs, a)
+// digest is the digest of the table a full update would carry now: our
+// zones plus, summed so the wire map's order cannot matter, each
+// neighbor's address and zones. Recomputed per tick, not bumped per
+// mutation: no mutation is missed, and a restart under the old address
+// cannot match the previous life's table by accident. Never 0, which
+// receivers keep for "no table held".
+func (r *Router) digest() uint64 {
+	digest := mixZones(0, r.zones)
+	for i := range r.neighbors {
+		ni := &r.neighbors[i]
 		e := mixZones(0, ni.zones)
-		for i := 0; i < len(a); i++ {
-			e = mix(e, uint64(a[i]))
+		for j := 0; j < len(ni.addr); j++ {
+			e = mix(e, uint64(ni.addr[j]))
 		}
 		digest += e
 	}
-	slices.Sort(addrs)
-	return addrs, digest | 1
+	return digest | 1
 }
 
 func mixZones(h uint64, zs []Zone) uint64 {
@@ -571,14 +600,13 @@ func mix(h, v uint64) uint64 {
 	return h ^ h>>32
 }
 
-// broadcastUpdate sends our zone set to every neighbor in sorted address
-// order: seeded simulations replay only if send order is deterministic
-// (the fault layer's loss rolls are consumed per send).
-func (r *Router) broadcastUpdate() { r.sendAll(r.Neighbors(), r.update(0)) }
+// broadcastUpdate sends our zone set to every neighbor.
+func (r *Router) broadcastUpdate() { r.sendAll(r.update(0)) }
 
-func (r *Router) sendAll(to []env.Addr, m env.Message) {
-	for _, a := range to {
-		r.env.Send(a, m)
+// sendAll sends m to every neighbor in address order.
+func (r *Router) sendAll(m env.Message) {
+	for i := range r.neighbors {
+		r.env.Send(r.neighbors[i].addr, m)
 	}
 }
 
@@ -589,22 +617,22 @@ func (r *Router) startMaintenance() {
 		return
 	}
 	r.stopMaint = env.Every(r.env, r.cfg.KeepaliveInterval, func() {
-		addrs, digest := r.table()
-		r.sendKeepalives(addrs, digest)
-		r.detectFailures(addrs)
+		r.sendKeepalives()
+		r.detectFailures()
 	})
 }
 
 // sendKeepalives tells every neighbor we are alive and which table we
 // advertise: by digest alone unless it changed since all were last sent
 // it. One that missed that update pulls (onNeighborUpdate).
-func (r *Router) sendKeepalives(addrs []env.Addr, digest uint64) {
+func (r *Router) sendKeepalives() {
+	digest := r.digest()
 	u := &neighborUpdate{Digest: digest}
 	if digest != r.pushed {
 		r.pushed = digest
 		u = r.update(digest)
 	}
-	r.sendAll(addrs, u)
+	r.sendAll(u)
 }
 
 // detectFailures declares neighbors silent for FailTimeout dead and runs
@@ -613,15 +641,19 @@ func (r *Router) sendKeepalives(addrs []env.Addr, digest uint64) {
 // Every neighbor evaluates the same rule on the dead node's last
 // advertised neighbor table, so the claimant is chosen without a
 // coordination round.
-func (r *Router) detectFailures(addrs []env.Addr) {
+func (r *Router) detectFailures() {
 	now := r.env.Now()
-	// Takeovers send messages: process the dead in addrs' sorted order.
-	for _, dead := range addrs {
-		deadInfo, ok := r.neighbors[dead]
-		if !ok || now.Sub(deadInfo.lastHeard) <= r.cfg.FailTimeout {
-			continue
+	// Copies, in address order (takeovers send messages): the deletes
+	// and inserts below move the table's entries.
+	var silent []neighborInfo
+	for i := range r.neighbors {
+		if now.Sub(r.neighbors[i].lastHeard) > r.cfg.FailTimeout {
+			silent = append(silent, r.neighbors[i])
 		}
-		delete(r.neighbors, dead)
+	}
+	for _, deadInfo := range silent {
+		dead := deadInfo.addr
+		r.dropNeighbor(dead)
 
 		// Pick the claimant from the dead node's *advertised* neighbor
 		// table only: every surviving neighbor holds (approximately) the
@@ -636,7 +668,7 @@ func (r *Router) detectFailures(addrs []env.Addr) {
 				continue
 			}
 			// Skip candidates we ourselves believe have failed.
-			if cni, known := r.neighbors[ca]; known && now.Sub(cni.lastHeard) > r.cfg.FailTimeout {
+			if cni := r.neighbor(ca); cni != nil && now.Sub(cni.lastHeard) > r.cfg.FailTimeout {
 				continue
 			}
 			v := TotalVolume(czs)

@@ -2,6 +2,7 @@ package can
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -292,3 +293,41 @@ func TestJoinAfterFailureHeals(t *testing.T) {
 	}
 	tn.checkInvariants(t)
 }
+
+// sinkEnv discards sends, so a benchmark of a routing step times the
+// next-hop choice and not the network.
+type sinkEnv struct{ env.Env }
+
+func (sinkEnv) Send(env.Addr, env.Message) {}
+
+// BenchmarkCANForward measures one greedy routing hop: the next-hop
+// choice over a 20-entry neighbor table, twice the mean of sim-scale's
+// 9 000-node CAN (9.9). One op is one forward toward a random point.
+func BenchmarkCANForward(b *testing.B) {
+	nw := simnet.New(topology.NewFullMeshInfinite(), 1)
+	routers := make([]*Router, 2048)
+	for i := range routers {
+		routers[i] = New(nw.AddNode(), DefaultConfig())
+	}
+	Bootstrap(routers, 1)
+	var r *Router
+	for _, x := range routers {
+		if r == nil || abs(len(x.neighbors)-20) < abs(len(r.neighbors)-20) {
+			r = x
+		}
+	}
+	r.env = sinkEnv{r.env}
+	rng := rand.New(rand.NewSource(1))
+	points := make([][]uint32, 1024)
+	for i := range points {
+		points[i] = []uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
+	}
+	m := &lookupMsg{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.forward(points[i%len(points)], m, env.NilAddr)
+	}
+	b.ReportMetric(float64(len(r.neighbors)), "neighbors")
+}
+
+func abs(x int) int { return max(x, -x) }

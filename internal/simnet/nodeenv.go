@@ -118,14 +118,17 @@ func (n *NodeEnv) Send(to env.Addr, m env.Message) {
 // simAddr renders node i's simulator address.
 func simAddr(i int) env.Addr { return env.Addr("sim:" + strconv.Itoa(i)) }
 
-// lookupAddr resolves a "sim:<i>" address to the node.
+// lookupAddr resolves a "sim:<i>" address to the node. Only simAddr's
+// own spelling resolves: "sim:05", "sim:+5" or "sim:-0" would parse to
+// a node, but a second spelling of a node's address would let
+// address-keyed tables hold that node twice.
 func (nw *Network) lookupAddr(a env.Addr) (*NodeEnv, bool) {
-	s := string(a)
-	if !strings.HasPrefix(s, "sim:") {
+	s, ok := strings.CutPrefix(string(a), "sim:")
+	if !ok {
 		return nil, false
 	}
-	i, err := strconv.Atoi(s[4:])
-	if err != nil || i < 0 || i >= len(nw.nodes) {
+	i, err := strconv.Atoi(s)
+	if err != nil || i < 0 || i >= len(nw.nodes) || nw.nodes[i].addr != a {
 		return nil, false
 	}
 	return nw.nodes[i], true

@@ -7,7 +7,7 @@
 // the network and the CPU and memory utilizations"; congestion occurs
 // at the last hop).
 //
-// All node logic runs on the caller's goroutine inside Step/Run, so a
+// All node logic runs on the caller's goroutine inside Run, so a
 // seeded simulation is fully deterministic — including the fault layer:
 // link loss, extra delay, and partitions (SetLoss, SetLinkFault,
 // Partition) draw from a dedicated RNG derived from the network seed,
@@ -21,6 +21,7 @@
 package simnet
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -264,15 +265,7 @@ func (nw *Network) Totals() Stats {
 
 // MaxInbound returns the largest per-node inbound byte count without
 // copying the slice.
-func (nw *Network) MaxInbound() int64 {
-	var max int64
-	for _, b := range nw.stats.InboundByNode {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
+func (nw *Network) MaxInbound() int64 { return nw.stats.MaxInbound() }
 
 // InboundOf returns node i's inbound byte count.
 func (nw *Network) InboundOf(i int) int64 { return nw.stats.InboundByNode[i] }
@@ -286,31 +279,37 @@ func (nw *Network) ResetStats() {
 	nw.stats.LostLoss, nw.stats.LostPartition, nw.stats.DeliveredToDead = 0, 0, 0
 }
 
-// Step processes the next live event. It returns false when no live
-// events remain.
-func (nw *Network) Step() bool {
-	r, ok := nw.peek()
-	if !ok {
-		return false
+// run processes live events in (at, seq) order until the queue is
+// empty, the next event falls after deadline (nanoseconds since Epoch),
+// or cont, when non-nil, returns false (checked before every event). It
+// returns the number of events processed.
+func (nw *Network) run(deadline int64, cont func() bool) int {
+	n := 0
+	for cont == nil || cont() {
+		r, ok := nw.peek()
+		if !ok || r.at > deadline {
+			break
+		}
+		if r.at < nw.now {
+			panic("simnet: time went backwards")
+		}
+		nw.popHead()
+		ev := &nw.events[r.idx]
+		node := nw.nodes[ev.node]
+		node.pendingEvents--
+		nw.live--
+		fn, from, msg, size, nodeIdx := ev.fn, ev.from, ev.msg, ev.size, ev.node
+		if msg != nil {
+			node.pendingMsgs--
+		}
+		// Free the slot before dispatch: handlers frequently schedule new
+		// events, and the copied fields above are all dispatch needs.
+		nw.freeSlot(r.idx)
+		nw.now = r.at
+		nw.dispatch(nodeIdx, fn, from, msg, size)
+		n++
 	}
-	if r.at < nw.now {
-		panic("simnet: time went backwards")
-	}
-	nw.popHead()
-	ev := &nw.events[r.idx]
-	node := nw.nodes[ev.node]
-	node.pendingEvents--
-	nw.live--
-	fn, from, msg, size, nodeIdx := ev.fn, ev.from, ev.msg, ev.size, ev.node
-	if msg != nil {
-		node.pendingMsgs--
-	}
-	// Free the slot before dispatch: handlers frequently schedule new
-	// events, and the copied fields above are all dispatch needs.
-	nw.freeSlot(r.idx)
-	nw.now = r.at
-	nw.dispatch(nodeIdx, fn, from, msg, size)
-	return true
+	return n
 }
 
 // Run processes events until the queue is empty or virtual time would
@@ -318,16 +317,7 @@ func (nw *Network) Step() bool {
 // (idle time passes too). It returns the number of events processed.
 func (nw *Network) Run(deadline time.Time) int {
 	drel := deadline.Sub(Epoch).Nanoseconds()
-	n := 0
-	for {
-		r, ok := nw.peek()
-		if !ok || r.at > drel {
-			break
-		}
-		if nw.Step() {
-			n++
-		}
-	}
+	n := nw.run(drel, nil)
 	if nw.now < drel {
 		nw.now = drel
 	}
@@ -338,33 +328,16 @@ func (nw *Network) Run(deadline time.Time) int {
 func (nw *Network) RunFor(d time.Duration) int { return nw.Run(nw.Now().Add(d)) }
 
 // RunWhile processes events until the queue empties, the deadline passes,
-// or cont() returns false (checked after every event). Unlike Run it
+// or cont() returns false (checked before every event). Unlike Run it
 // leaves the clock at the last processed event when stopped early.
 func (nw *Network) RunWhile(deadline time.Time, cont func() bool) int {
-	drel := deadline.Sub(Epoch).Nanoseconds()
-	n := 0
-	for cont() {
-		r, ok := nw.peek()
-		if !ok || r.at > drel {
-			break
-		}
-		if nw.Step() {
-			n++
-		}
-	}
-	return n
+	return nw.run(deadline.Sub(Epoch).Nanoseconds(), cont)
 }
 
 // Drain runs until the event queue is completely empty. Periodic node
 // activities (keepalives, renewals) must be stopped first or Drain will
 // not terminate; experiments normally use Run with a deadline instead.
-func (nw *Network) Drain() int {
-	n := 0
-	for nw.Step() {
-		n++
-	}
-	return n
-}
+func (nw *Network) Drain() int { return nw.run(math.MaxInt64, nil) }
 
 // Pending returns the number of live queued events. Canceled
 // placeholders awaiting lazy reclamation are not counted; the same live
