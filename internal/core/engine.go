@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pier/internal/dht/provider"
@@ -51,15 +49,6 @@ type Config struct {
 	// its own so the channel throttles under loss instead of
 	// deadlocking. 0 picks the default (5s).
 	CreditRefresh time.Duration
-
-	// DispatchShards is how many per-query-keyed worker shards the
-	// engine spreads result and credit message processing across. All
-	// messages of one query run on one shard in FIFO order; different
-	// queries drain concurrently. 0 or 1 processes everything inline
-	// on the transport event loop — the simulator's mode, since its
-	// determinism contract requires execution order to equal delivery
-	// order. Real nodes default to GOMAXPROCS (see pier.StartNode).
-	DispatchShards int
 
 	// TraceBuf bounds each traced executor's span buffer: once full,
 	// further spans are dropped and counted, so a result flood can
@@ -120,20 +109,6 @@ type QueryStats struct {
 	TraceSpanDrops uint64 `json:"trace_span_drops"`
 }
 
-// queryCounters is the engine's live counter set behind QueryStats.
-// The fields are atomics because dispatch shards increment them off
-// the event loop; Engine.QueryStats snapshots them into the plain
-// exported struct.
-type queryCounters struct {
-	resultBatches  atomic.Uint64
-	resultTuples   atomic.Uint64
-	creditGrants   atomic.Uint64
-	creditStalls   atomic.Uint64
-	bloomFallbacks atomic.Uint64
-	traceSpans     atomic.Uint64
-	traceSpanDrops atomic.Uint64
-}
-
 // ResultFunc receives one output tuple at the query initiator. window is
 // 0 for one-shot queries and the window index for continuous ones.
 type ResultFunc func(t *Tuple, window int)
@@ -150,14 +125,6 @@ type Observer func(p *Plan, window, count int)
 // different nodes interleave — a late window-w straggler can arrive
 // after window w+1 opened.
 type collector struct {
-	// mu guards the mutable fields (counts, maxW, closed, credit,
-	// tuples, and the span accumulator): the query's dispatch shard
-	// mutates them as frames arrive while the event loop closes,
-	// cancels, or reads the collector. fn, plan, start, local, and
-	// traced are set before the collector is published and never
-	// change; contacted is written and read on the event loop only.
-	mu sync.Mutex
-
 	fn     ResultFunc
 	plan   *Plan
 	counts map[int]int
@@ -223,25 +190,23 @@ func (c *collector) allowedWindow(now time.Time) int {
 
 // Engine is the per-node PIER query processor. One instance runs on
 // every participating node; any node can initiate queries.
+//
+// The engine is confined to its node's event loop, on real nodes as in
+// the simulator: every entry point — messages, multicasts, timers and
+// the application calls a RealNode marshals through Do — runs there,
+// one at a time, so nothing in the engine takes a lock, and result
+// callbacks run on the loop in arrival order.
 type Engine struct {
 	env  env.Env
 	prov *provider.Provider
 	cfg  Config
 
-	// mu guards the execs and collectors maps: dispatch shards look
-	// queries up while the event loop registers and removes them.
-	// Entries' own state has finer-grained locks (collector.mu,
-	// exec.resMu); everything outside the result channel still runs
-	// exclusively on the event loop.
-	mu sync.Mutex
-
 	execs      map[uint64]*exec
 	collectors map[uint64]*collector
-	dispatch   *dispatcher
 	obs        Observer
 	ranger     IndexRanger
 	nodeIID    int64
-	qstats     queryCounters
+	qstats     QueryStats
 
 	// cancelled remembers recently cancelled query ids (bounded FIFO):
 	// the cancel and query multicasts are independent best-effort
@@ -259,11 +224,10 @@ type Engine struct {
 	// Latency histograms, observed for every query (tracing not
 	// required): end-to-end query duration at collector close, result
 	// flush latency at the executors, and per-stage span durations as
-	// traced spans reach collectors. All are allocated lazily behind
-	// histMu — a simulated node that never runs a query pays nothing
-	// for them (the full set is ~2.5KB, the single largest fixed cost
-	// per node at 100k-node scale).
-	histMu    sync.Mutex
+	// traced spans reach collectors. All are allocated lazily — a
+	// simulated node that never runs a query pays nothing for them (the
+	// full set is ~2.5KB, the single largest fixed cost per node at
+	// 100k-node scale).
 	hQueryDur *trace.Histogram
 	hFlushLat *trace.Histogram
 	hSpanDur  []*trace.Histogram
@@ -290,7 +254,6 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Engine {
 	}
 	env.OrDefault(&cfg.ResultFlushInterval, def.ResultFlushInterval)
 	env.OrDefault(&cfg.CreditRefresh, def.CreditRefresh)
-	env.OrDefault(&cfg.DispatchShards, 1)
 	env.OrDefault(&cfg.TraceBuf, def.TraceBuf)
 	env.OrDefault(&cfg.TraceRetain, def.TraceRetain)
 	h := sha1.Sum([]byte(e.Addr()))
@@ -304,31 +267,15 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Engine {
 		cfg:     cfg,
 		nodeIID: int64(binary.BigEndian.Uint64(h[:8]) >> 1),
 	}
-	eng.dispatch = newDispatcher(eng, cfg.DispatchShards)
 	prov.OnMulticast(eng.onMulticast)
 	return eng
 }
-
-// Close stops the dispatch shards, running whatever work is still
-// queued first. Single-shard (inline) engines have no goroutines and
-// Close is a no-op for them, so simulator nodes need not call it.
-func (eng *Engine) Close() { eng.dispatch.close() }
 
 // Provider returns the provider the engine runs over.
 func (eng *Engine) Provider() *provider.Provider { return eng.prov }
 
 // QueryStats snapshots the engine's result-channel counters.
-func (eng *Engine) QueryStats() QueryStats {
-	return QueryStats{
-		ResultBatches:  eng.qstats.resultBatches.Load(),
-		ResultTuples:   eng.qstats.resultTuples.Load(),
-		CreditGrants:   eng.qstats.creditGrants.Load(),
-		CreditStalls:   eng.qstats.creditStalls.Load(),
-		BloomFallbacks: eng.qstats.bloomFallbacks.Load(),
-		TraceSpans:     eng.qstats.traceSpans.Load(),
-		TraceSpanDrops: eng.qstats.traceSpanDrops.Load(),
-	}
-}
+func (eng *Engine) QueryStats() QueryStats { return eng.qstats }
 
 // SetObserver registers the cardinality-feedback sink for queries
 // initiated on this node (nil disables).
@@ -373,9 +320,7 @@ func (eng *Engine) Run(p *Plan, onResult ResultFunc) (uint64, error) {
 // existed here (false lets the admin plane answer 404 instead of
 // silently acking an unknown id).
 func (eng *Engine) Cancel(id uint64) bool {
-	eng.mu.Lock()
 	c, ok := eng.collectors[id]
-	eng.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -392,51 +337,39 @@ func (eng *Engine) Cancel(id uint64) bool {
 // putCollector registers a query's collector, allocating the map on
 // first use.
 func (eng *Engine) putCollector(id uint64, c *collector) {
-	eng.mu.Lock()
 	if eng.collectors == nil {
 		eng.collectors = make(map[uint64]*collector)
 	}
 	eng.collectors[id] = c
-	eng.mu.Unlock()
 }
 
 // closeCollector reports every still-open window to the observer,
 // observes the query's end-to-end duration, retains the assembled
 // trace (traced queries), and forgets the query.
 func (eng *Engine) closeCollector(id uint64) {
-	eng.mu.Lock()
 	c, ok := eng.collectors[id]
-	if ok {
-		delete(eng.collectors, id)
-	}
-	eng.mu.Unlock()
 	if !ok {
 		return
 	}
+	delete(eng.collectors, id)
 	c.ttl.Stop()
 	now := eng.env.Now()
-	c.mu.Lock()
-	reports := c.gatherWindowsLocked(c.maxW + 1)
-	c.mu.Unlock()
-	eng.deliverReports(c.plan, reports)
+	eng.closeWindows(c, c.maxW+1)
 	eng.queryDurHist().Observe(now.Sub(c.start).Seconds())
 	if c.traced {
-		c.mu.Lock()
-		eng.recordCollectorSpanLocked(c, trace.Span{
+		eng.recordCollectorSpan(c, trace.Span{
 			Stage: trace.StageCollect,
 			Start: c.start.UnixNano(),
 			Dur:   now.Sub(c.start),
 			Note:  fmt.Sprintf("%d tuples from %d senders", c.tuples, len(c.credit)),
 		})
-		tr := eng.assembleTraceLocked(id, c, now.UnixNano())
-		c.mu.Unlock()
-		eng.retainTrace(id, tr)
+		eng.retainTrace(id, eng.assembleTrace(id, c, now.UnixNano()))
 	}
 }
 
-// assembleTraceLocked builds the causally ordered trace of a traced
-// query from the collector's accumulated spans. The caller holds c.mu.
-func (eng *Engine) assembleTraceLocked(id uint64, c *collector, finished int64) *trace.Trace {
+// assembleTrace builds the causally ordered trace of a traced query
+// from the collector's accumulated spans.
+func (eng *Engine) assembleTrace(id uint64, c *collector, finished int64) *trace.Trace {
 	tr := &trace.Trace{
 		QueryID:  id,
 		Root:     eng.env.Addr(),
@@ -470,17 +403,11 @@ func (eng *Engine) retainTrace(id uint64, tr *trace.Trace) {
 // retained trace of a finished one. ok is false for unknown ids and
 // for queries that were not traced.
 func (eng *Engine) Trace(id uint64) (*trace.Trace, bool) {
-	eng.mu.Lock()
-	c, live := eng.collectors[id]
-	eng.mu.Unlock()
-	if live {
+	if c, live := eng.collectors[id]; live {
 		if !c.traced {
 			return nil, false
 		}
-		c.mu.Lock()
-		tr := eng.assembleTraceLocked(id, c, 0)
-		c.mu.Unlock()
-		return tr, true
+		return eng.assembleTrace(id, c, 0), true
 	}
 	if tr, ok := eng.traces[id]; ok {
 		return tr, true
@@ -491,111 +418,71 @@ func (eng *Engine) Trace(id uint64) (*trace.Trace, bool) {
 // recordCollectorSpan records one initiator-side span into the
 // collector's bounded accumulator and its stage histogram.
 func (eng *Engine) recordCollectorSpan(c *collector, s trace.Span) {
-	c.mu.Lock()
-	eng.recordCollectorSpanLocked(c, s)
-	c.mu.Unlock()
-}
-
-// recordCollectorSpanLocked is recordCollectorSpan with c.mu held.
-func (eng *Engine) recordCollectorSpanLocked(c *collector, s trace.Span) {
 	s.Node = eng.env.Addr()
 	s.Seq = c.spanSeq
 	c.spanSeq++
-	eng.spanDurHist(s.Stage).Observe(s.Dur.Seconds())
-	eng.qstats.traceSpans.Add(1)
-	if len(c.spans) >= collectorSpanCap {
-		c.spanDrops++
-		eng.qstats.traceSpanDrops.Add(1)
-		return
-	}
-	c.spans = append(c.spans, s)
+	eng.absorbSpans(c, []trace.Span{s}, 0)
 }
 
-// absorbSpansLocked folds one result frame's piggybacked spans into
-// the collector, bounded by collectorSpanCap, and observes their
-// stage histograms. The caller holds c.mu.
-func (eng *Engine) absorbSpansLocked(c *collector, spans []trace.Span, drops uint64) {
+// absorbSpans folds spans — a result frame's piggybacked ones, or one
+// of the collector's own — into the collector, bounded by
+// collectorSpanCap, and observes their stage histograms.
+func (eng *Engine) absorbSpans(c *collector, spans []trace.Span, drops uint64) {
 	c.spanDrops += drops
-	eng.qstats.traceSpanDrops.Add(drops)
+	eng.qstats.TraceSpanDrops += drops
 	for _, s := range spans {
 		if !s.Stage.Valid() || s.Dur < 0 {
 			continue // simulator paths skip the wire codec's validation
 		}
 		eng.spanDurHist(s.Stage).Observe(s.Dur.Seconds())
-		eng.qstats.traceSpans.Add(1)
+		eng.qstats.TraceSpans++
 		if len(c.spans) >= collectorSpanCap {
 			c.spanDrops++
-			eng.qstats.traceSpanDrops.Add(1)
+			eng.qstats.TraceSpanDrops++
 			continue
 		}
 		c.spans = append(c.spans, s)
 	}
 }
 
-// queryDurHist returns the end-to-end query duration histogram,
-// allocating it on first use.
-func (eng *Engine) queryDurHist() *trace.Histogram {
-	eng.histMu.Lock()
-	if eng.hQueryDur == nil {
-		eng.hQueryDur = trace.NewHistogram(nil)
+// lazyHist returns *h, allocating it on first use.
+func lazyHist(h **trace.Histogram) *trace.Histogram {
+	if *h == nil {
+		*h = trace.NewHistogram(nil)
 	}
-	h := eng.hQueryDur
-	eng.histMu.Unlock()
-	return h
+	return *h
 }
 
-// flushLatHist returns the result flush latency histogram, allocating
-// it on first use. Dispatch shards and the event loop both observe it.
-func (eng *Engine) flushLatHist() *trace.Histogram {
-	eng.histMu.Lock()
-	if eng.hFlushLat == nil {
-		eng.hFlushLat = trace.NewHistogram(nil)
-	}
-	h := eng.hFlushLat
-	eng.histMu.Unlock()
-	return h
-}
+// queryDurHist returns the end-to-end query duration histogram.
+func (eng *Engine) queryDurHist() *trace.Histogram { return lazyHist(&eng.hQueryDur) }
 
-// spanDurHist returns the duration histogram of one trace stage,
-// allocating the slice and the stage's histogram on first use.
+// flushLatHist returns the result flush latency histogram.
+func (eng *Engine) flushLatHist() *trace.Histogram { return lazyHist(&eng.hFlushLat) }
+
+// spanDurHist returns the duration histogram of one trace stage.
 func (eng *Engine) spanDurHist(stage trace.Stage) *trace.Histogram {
-	eng.histMu.Lock()
 	if eng.hSpanDur == nil {
 		eng.hSpanDur = make([]*trace.Histogram, trace.NumStages)
 	}
-	h := eng.hSpanDur[stage]
+	return lazyHist(&eng.hSpanDur[stage])
+}
+
+// snapshot copies h, rendering a never-observed (nil) histogram empty.
+func snapshot(h *trace.Histogram) trace.HistogramSnapshot {
 	if h == nil {
 		h = trace.NewHistogram(nil)
-		eng.hSpanDur[stage] = h
 	}
-	eng.histMu.Unlock()
-	return h
+	return h.Snapshot()
 }
 
 // QueryDurations snapshots the end-to-end query duration histogram
 // (observed at collector close for every query initiated here).
-func (eng *Engine) QueryDurations() trace.HistogramSnapshot {
-	eng.histMu.Lock()
-	h := eng.hQueryDur
-	eng.histMu.Unlock()
-	if h == nil {
-		return trace.NewHistogram(nil).Snapshot()
-	}
-	return h.Snapshot()
-}
+func (eng *Engine) QueryDurations() trace.HistogramSnapshot { return snapshot(eng.hQueryDur) }
 
 // FlushLatencies snapshots the result flush latency histogram
 // (observed at this node's executors: first tuple buffered to frame
 // shipped).
-func (eng *Engine) FlushLatencies() trace.HistogramSnapshot {
-	eng.histMu.Lock()
-	h := eng.hFlushLat
-	eng.histMu.Unlock()
-	if h == nil {
-		return trace.NewHistogram(nil).Snapshot()
-	}
-	return h.Snapshot()
-}
+func (eng *Engine) FlushLatencies() trace.HistogramSnapshot { return snapshot(eng.hFlushLat) }
 
 // SpanDurations snapshots the per-stage span duration histograms, in
 // stage order (observed as traced spans reach this node's collectors).
@@ -603,31 +490,21 @@ func (eng *Engine) FlushLatencies() trace.HistogramSnapshot {
 // export always carries the full stage set.
 func (eng *Engine) SpanDurations() []trace.NamedSnapshot {
 	names := trace.StageNames()
-	hists := make([]*trace.Histogram, len(names))
-	eng.histMu.Lock()
-	copy(hists, eng.hSpanDur)
-	eng.histMu.Unlock()
 	out := make([]trace.NamedSnapshot, len(names))
 	for i, name := range names {
-		if hists[i] == nil {
-			out[i] = trace.NamedSnapshot{Name: name, Hist: trace.NewHistogram(nil).Snapshot()}
-			continue
+		var h *trace.Histogram
+		if eng.hSpanDur != nil {
+			h = eng.hSpanDur[i]
 		}
-		out[i] = trace.NamedSnapshot{Name: name, Hist: hists[i].Snapshot()}
+		out[i] = trace.NamedSnapshot{Name: name, Hist: snapshot(h)}
 	}
 	return out
 }
 
-// windowReport is one closed window's observed cardinality, queued
-// for the observer.
-type windowReport struct {
-	w, n int
-}
-
-// gatherWindowsLocked closes every counted window below the given
-// bound, exactly once each, and returns their cardinalities in window
-// order for delivery to the observer. The caller holds c.mu.
-func (c *collector) gatherWindowsLocked(before int) []windowReport {
+// closeWindows closes every counted window below the given bound,
+// exactly once each, and reports their cardinalities to the observer
+// in window order.
+func (eng *Engine) closeWindows(c *collector, before int) {
 	if before > c.closed {
 		c.closed = before
 	}
@@ -638,55 +515,23 @@ func (c *collector) gatherWindowsLocked(before int) []windowReport {
 		}
 	}
 	sort.Ints(ws)
-	var out []windowReport
 	for _, w := range ws {
 		n := c.counts[w]
 		delete(c.counts, w)
-		if n > 0 {
-			out = append(out, windowReport{w: w, n: n})
+		if n > 0 && eng.obs != nil {
+			eng.obs(c.plan, w, n)
 		}
 	}
-	return out
-}
-
-// deliverReports feeds gathered window cardinalities to the observer.
-// The statistics catalog behind the observer is event-loop-confined,
-// so sharded dispatch Posts the reports back to the loop; inline
-// dispatch calls straight through, preserving the simulator's exact
-// pre-sharding execution order.
-func (eng *Engine) deliverReports(p *Plan, reports []windowReport) {
-	if eng.obs == nil || len(reports) == 0 {
-		return
-	}
-	if eng.dispatch.inline() {
-		for _, r := range reports {
-			eng.obs(p, r.w, r.n)
-		}
-		return
-	}
-	eng.env.Post(func() {
-		for _, r := range reports {
-			eng.obs(p, r.w, r.n)
-		}
-	})
 }
 
 // ActiveExecs returns the number of query executors currently running
 // on this node. The chaos harness's termination invariant asserts it
 // reaches zero once every query's TTL has passed.
-func (eng *Engine) ActiveExecs() int {
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	return len(eng.execs)
-}
+func (eng *Engine) ActiveExecs() int { return len(eng.execs) }
 
 // OpenCollectors returns the number of queries initiated on this node
 // whose collectors are still registered (not yet cancelled or expired).
-func (eng *Engine) OpenCollectors() int {
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	return len(eng.collectors)
-}
+func (eng *Engine) OpenCollectors() int { return len(eng.collectors) }
 
 // QueryInfo describes one query alive on this node, as surfaced by the
 // admin plane (GET /api/queries) and walked by pier-node's graceful
@@ -716,8 +561,6 @@ type QueryInfo struct {
 // entry per id, merging the collector and executor roles — sorted by
 // id for deterministic output.
 func (eng *Engine) LiveQueries() []QueryInfo {
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
 	infos := make(map[uint64]*QueryInfo)
 	at := func(id uint64) *QueryInfo {
 		qi := infos[id]
@@ -755,17 +598,23 @@ func (eng *Engine) LiveQueries() []QueryInfo {
 }
 
 // HandleMessage consumes engine messages (results at the initiator,
-// credit grants at executors), returning false for anything else. The
-// two result-channel messages are not processed here but handed to the
-// query's dispatch shard; with one shard that is an inline call and
-// this behaves exactly as it reads.
+// credit grants at executors), returning false for anything else.
+// Inbound result frames are owned by the engine on every delivery path
+// — decoded from the wire, loopback self-send, or simulator pointer
+// delivery — so once onResult has consumed one it goes back to the
+// frame pool.
 func (eng *Engine) HandleMessage(from env.Addr, m env.Message) bool {
 	switch msg := m.(type) {
 	case *resultMsg:
-		eng.dispatch.enqueue(task{from: from, rm: msg})
+		eng.onResult(from, msg)
+		msg.Recycle()
 		return true
 	case *creditMsg:
-		eng.dispatch.enqueue(task{from: from, cm: msg})
+		// Grants for queries whose executor already stopped (TTL,
+		// cancel) are simply stale; drop them.
+		if ex := eng.execs[msg.ID]; ex != nil {
+			ex.onCredit(msg.Limit)
+		}
 		return true
 	}
 	return false
@@ -773,44 +622,33 @@ func (eng *Engine) HandleMessage(from env.Addr, m env.Message) bool {
 
 // onResult is the initiator side of the result channel: count the
 // window, drain the tuples into the application callback, and
-// replenish the sender's credit. It runs on the query's dispatch
-// shard; the application callback is invoked outside the collector
-// lock (per-shard FIFO already serializes it per query) so a callback
-// that re-enters the engine cannot deadlock.
+// replenish the sender's credit.
 func (eng *Engine) onResult(from env.Addr, rm *resultMsg) {
-	eng.mu.Lock()
 	c, ok := eng.collectors[rm.ID]
-	eng.mu.Unlock()
 	if !ok {
 		return
 	}
-	now := eng.env.Now()
-	c.mu.Lock()
 	// The window index arrived over the network. Clamp it to what the
 	// plan's Every and the elapsed time allow: a crafted (or buggy)
-	// huge window would otherwise jump c.maxW, and gatherWindows would
+	// huge window would otherwise jump c.maxW, and closeWindows would
 	// permanently close every real window's observer accounting — and
 	// skew the stats catalog's cardinality feedback.
-	if rm.Window < 0 || rm.Window > c.allowedWindow(now) {
-		c.mu.Unlock()
+	if rm.Window < 0 || rm.Window > c.allowedWindow(eng.env.Now()) {
 		return
 	}
 	if rm.Window >= c.closed {
 		c.counts[rm.Window] += len(rm.Tuples)
 	}
-	var reports []windowReport
+	c.tuples += uint64(len(rm.Tuples))
+	if c.traced && (len(rm.Spans) > 0 || rm.SpanDrops > 0) {
+		eng.absorbSpans(c, rm.Spans, rm.SpanDrops)
+	}
 	if rm.Window > c.maxW {
 		c.maxW = rm.Window
 		// Windows more than one behind the watermark are closed;
 		// the one-window grace absorbs cross-node stragglers.
-		reports = c.gatherWindowsLocked(c.maxW - 1)
+		eng.closeWindows(c, c.maxW-1)
 	}
-	c.tuples += uint64(len(rm.Tuples))
-	if c.traced && (len(rm.Spans) > 0 || rm.SpanDrops > 0) {
-		eng.absorbSpansLocked(c, rm.Spans, rm.SpanDrops)
-	}
-	c.mu.Unlock()
-	eng.deliverReports(c.plan, reports)
 	for _, t := range rm.Tuples {
 		c.fn(t, rm.Window)
 	}
@@ -829,32 +667,27 @@ func (eng *Engine) replenishCredit(c *collector, id uint64, from env.Addr, n int
 	if w <= 0 || c.local {
 		return
 	}
-	c.mu.Lock()
 	sc := c.credit[from]
 	if sc == nil {
 		sc = &senderCredit{granted: w}
 		c.credit[from] = sc
 	}
 	sc.received += int64(n)
-	// <= rather than <: with a 1-tuple window w/2 is 0, and headroom
-	// can never drop below it — strictly-less would then never grant
+	// Grant at half a window of headroom or less, not strictly less:
+	// with a 1-tuple window w/2 is 0, headroom never drops below it,
 	// and the sender would trickle one tuple per CreditRefresh.
-	grant := int64(0)
-	if sc.granted-sc.received <= w/2 {
-		sc.granted = sc.received + w
-		grant = sc.granted
+	if sc.granted-sc.received > w/2 {
+		return
 	}
-	c.mu.Unlock()
-	if grant > 0 {
-		eng.qstats.creditGrants.Add(1)
-		eng.env.Send(from, &creditMsg{ID: id, Limit: grant})
-		if c.traced {
-			eng.recordCollectorSpan(c, trace.Span{
-				Stage: trace.StageCreditGrant,
-				Start: eng.env.Now().UnixNano(),
-				Note:  fmt.Sprintf("%s limit=%d", from, grant),
-			})
-		}
+	sc.granted = sc.received + w
+	eng.qstats.CreditGrants++
+	eng.env.Send(from, &creditMsg{ID: id, Limit: sc.granted})
+	if c.traced {
+		eng.recordCollectorSpan(c, trace.Span{
+			Stage: trace.StageCreditGrant,
+			Start: eng.env.Now().UnixNano(),
+			Note:  fmt.Sprintf("%s limit=%d", from, sc.granted),
+		})
 	}
 }
 
@@ -864,13 +697,7 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 	}
 	switch m := payload.(type) {
 	case *queryMsg:
-		eng.mu.Lock()
-		_, running := eng.execs[m.ID]
-		eng.mu.Unlock()
-		if running {
-			return
-		}
-		if eng.cancelled[m.ID] {
+		if _, running := eng.execs[m.ID]; running || eng.cancelled[m.ID] {
 			return
 		}
 		// The plan arrived over the network; a crafted or corrupt one
@@ -880,27 +707,19 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 			return
 		}
 		ex := newExec(eng, m)
-		eng.mu.Lock()
 		if eng.execs == nil {
 			eng.execs = make(map[uint64]*exec)
 		}
 		eng.execs[m.ID] = ex
-		eng.mu.Unlock()
 		ex.start()
 		ex.timer(m.Plan.TTL, func() { eng.endExec(m.ID, ex) })
 	case *bloomDist:
-		eng.mu.Lock()
-		ex := eng.execs[m.ID]
-		eng.mu.Unlock()
-		if ex != nil {
+		if ex := eng.execs[m.ID]; ex != nil {
 			ex.onBloomDist(m)
 		}
 	case *cancelMsg:
 		eng.rememberCancelled(m.ID)
-		eng.mu.Lock()
-		ex := eng.execs[m.ID]
-		eng.mu.Unlock()
-		eng.endExec(m.ID, ex)
+		eng.endExec(m.ID, eng.execs[m.ID])
 	}
 }
 
@@ -913,9 +732,7 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 func (eng *Engine) endExec(id uint64, ex *exec) {
 	if ex != nil {
 		ex.stop()
-		eng.mu.Lock()
 		delete(eng.execs, id)
-		eng.mu.Unlock()
 	}
 	for _, ns := range tempNamespaces(id) {
 		eng.prov.Drop(ns)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"pier/internal/core/bloom"
@@ -45,12 +44,6 @@ type exec struct {
 	// short timer) under a credit window, instead of one unicast frame
 	// per tuple — the per-tuple incast melts the initiator's link once
 	// n nodes answer a selective query at once.
-	//
-	// resMu guards all of it: operators emit on the event loop while
-	// credit grants arrive on the query's dispatch shard and resume
-	// the flush from there. With inline dispatch (the simulator) the
-	// lock is uncontended and free of ordering effects.
-	resMu    sync.Mutex
 	resBuf   []resultItem
 	resHead  int       // resBuf[:resHead] has shipped; the buffer is resBuf[resHead:]
 	resSent  int64     // result tuples shipped so far
@@ -200,17 +193,11 @@ func (ex *exec) stop() {
 	// the credit window. The burst is bounded by the buffer contents,
 	// and a cancelled or expired query's collector is usually already
 	// closed — the frames then drop at the initiator.
-	ex.resMu.Lock()
-	if ex.resFlush != nil {
-		ex.resFlush.Stop()
-		ex.resFlush = nil
-	}
 	if ex.resStall != nil {
 		ex.resStall.Stop()
 		ex.resStall = nil
 	}
-	ex.flushResultsLocked(true)
-	ex.resMu.Unlock()
+	ex.flushResults(true)
 	// Spans recorded since the last result frame (or by an executor
 	// that produced no results at all) would die with the exec; ship
 	// them in one final zero-tuple frame. Best effort — a cancelled
@@ -263,44 +250,32 @@ func (ex *exec) onRow(row *Tuple) {
 // measures against).
 func (ex *exec) emit(t *Tuple, window int) {
 	cfg := &ex.eng.cfg
-	ex.resMu.Lock()
 	if len(ex.resBuf) == 0 {
 		ex.resFirstBuf = ex.eng.env.Now()
 	}
 	ex.resBuf = append(ex.resBuf, resultItem{w: window, t: t})
 	if len(ex.resBuf)-ex.resHead >= cfg.ResultBatch {
-		ex.flushResultsLocked(false)
-		ex.resMu.Unlock()
+		ex.flushResults(false)
 		return
 	}
 	if ex.resFlush == nil {
 		ex.resFlush = ex.eng.env.After(cfg.ResultFlushInterval, func() {
-			ex.resMu.Lock()
 			ex.resFlush = nil
 			if !ex.stopped {
-				ex.flushResultsLocked(false)
+				ex.flushResults(false)
 			}
-			ex.resMu.Unlock()
 		})
 	}
-	ex.resMu.Unlock()
 }
 
-// flushResults is flushResultsLocked for callers not holding resMu.
-func (ex *exec) flushResults(force bool) {
-	ex.resMu.Lock()
-	ex.flushResultsLocked(force)
-	ex.resMu.Unlock()
-}
-
-// flushResultsLocked ships buffered result tuples to the initiator in
+// flushResults ships buffered result tuples to the initiator in
 // frames of at most ResultBatch tuples, one window per frame, stopping
 // when the credit window is exhausted (unless force — the stop-flush).
 // Frames come from the shared pool and their Tuples slices reuse
 // recycled capacity; the buffer keeps its backing array across flush
 // cycles so a steady result stream stops allocating once warm. A flush
 // costs O(tuples shipped) however many stay buffered behind a stall.
-func (ex *exec) flushResultsLocked(force bool) {
+func (ex *exec) flushResults(force bool) {
 	if ex.resFlush != nil {
 		ex.resFlush.Stop()
 		ex.resFlush = nil
@@ -316,7 +291,7 @@ func (ex *exec) flushResultsLocked(force bool) {
 			avail := ex.resLimit - ex.resSent
 			if avail <= 0 {
 				ex.shippedResBuf(start)
-				ex.stallResultsLocked()
+				ex.stallResults()
 				return
 			}
 			if int64(n) > avail {
@@ -337,8 +312,8 @@ func (ex *exec) flushResultsLocked(force bool) {
 		}
 		start += k
 		ex.resSent += int64(k)
-		ex.eng.qstats.resultBatches.Add(1)
-		ex.eng.qstats.resultTuples.Add(uint64(k))
+		ex.eng.qstats.ResultBatches++
+		ex.eng.qstats.ResultTuples += uint64(k)
 		if !ex.resFirstBuf.IsZero() {
 			// One observation per flush episode: oldest buffered tuple
 			// to first frame on the wire.
@@ -383,34 +358,31 @@ func (ex *exec) shippedResBuf(n int) {
 	ex.resBuf = ex.resBuf[:0]
 }
 
-// stallResultsLocked arms the credit stall-refresh: if no grant
-// arrives within CreditRefresh — the grant was lost, the in-flight
-// frames were, or the initiator is gone — the executor re-opens one
-// window on its own and retries. Under sustained loss the channel
-// degrades to one window per refresh period per sender instead of
-// deadlocking; the chaos harness's termination invariant leans on
-// this. The caller holds resMu.
-func (ex *exec) stallResultsLocked() {
+// stallResults arms the credit stall-refresh: if no grant arrives
+// within CreditRefresh — the grant was lost, the in-flight frames were,
+// or the initiator is gone — the executor re-opens one window on its
+// own and retries. Under sustained loss the channel degrades to one
+// window per refresh period per sender instead of deadlocking; the
+// chaos harness's termination invariant leans on this.
+func (ex *exec) stallResults() {
 	if ex.resStall != nil {
 		return
 	}
-	ex.eng.qstats.creditStalls.Add(1)
+	ex.eng.qstats.CreditStalls++
 	ex.stallStart = ex.eng.env.Now()
 	ex.resStall = ex.eng.env.After(ex.eng.cfg.CreditRefresh, func() {
-		ex.resMu.Lock()
 		ex.resStall = nil
 		if !ex.stopped {
-			ex.endStallLocked("self-refresh")
+			ex.endStall("self-refresh")
 			ex.resLimit = ex.resSent + int64(ex.eng.cfg.ResultCredit)
-			ex.flushResultsLocked(false)
+			ex.flushResults(false)
 		}
-		ex.resMu.Unlock()
 	})
 }
 
-// endStallLocked closes the current credit-stall episode with a span
+// endStall closes the current credit-stall episode with a span
 // recording how long the flush waited before how it resumed.
-func (ex *exec) endStallLocked(how string) {
+func (ex *exec) endStall(how string) {
 	if ex.stallStart.IsZero() {
 		return
 	}
@@ -420,11 +392,8 @@ func (ex *exec) endStallLocked(how string) {
 
 // onCredit applies a collector grant. Limits are cumulative, so stale
 // or reordered grants (and anything below a stall self-refresh) are
-// simply ignored. It runs on the query's dispatch shard, concurrent
-// with the event loop's emits.
+// simply ignored.
 func (ex *exec) onCredit(limit int64) {
-	ex.resMu.Lock()
-	defer ex.resMu.Unlock()
 	if limit <= ex.resLimit {
 		return
 	}
@@ -433,8 +402,8 @@ func (ex *exec) onCredit(limit int64) {
 		// We were stalled on this credit; resume immediately.
 		ex.resStall.Stop()
 		ex.resStall = nil
-		ex.endStallLocked("grant")
-		ex.flushResultsLocked(false)
+		ex.endStall("grant")
+		ex.flushResults(false)
 	}
 }
 
@@ -766,7 +735,7 @@ func (ex *exec) emitBloom(side int) {
 		return
 	}
 	if mismatch {
-		ex.eng.qstats.bloomFallbacks.Add(1)
+		ex.eng.qstats.BloomFallbacks++
 		comb = bloom.New(p.BloomBits, p.BloomHashes)
 		comb.Saturate()
 	}

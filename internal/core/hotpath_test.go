@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,8 +225,7 @@ func BenchmarkResultFrameEncode(b *testing.B) {
 // channel in isolation: Send recycles outbound frames like the real
 // transport's writer, After returns an inert timer.
 type sinkEnv struct {
-	frames atomic.Uint64
-	tuples atomic.Uint64
+	frames, tuples uint64
 }
 
 type sinkTimer struct{}
@@ -243,8 +241,8 @@ func (s *sinkEnv) Rand() *rand.Rand {
 func (s *sinkEnv) After(d time.Duration, f func()) env.Timer { return sinkTimer{} }
 func (s *sinkEnv) Send(to env.Addr, m env.Message) {
 	if rm, ok := m.(*resultMsg); ok {
-		s.frames.Add(1)
-		s.tuples.Add(uint64(len(rm.Tuples)))
+		s.frames++
+		s.tuples += uint64(len(rm.Tuples))
 	}
 	if rec, ok := m.(env.Recycler); ok {
 		rec.Recycle()
@@ -257,7 +255,6 @@ func (s *sinkEnv) Send(to env.Addr, m env.Message) {
 func flushExec(cfg Config) (*exec, *sinkEnv) {
 	se := &sinkEnv{}
 	eng := &Engine{env: se, cfg: cfg, hFlushLat: trace.NewHistogram(nil)}
-	eng.dispatch = newDispatcher(eng, 1)
 	ex := &exec{
 		eng:       eng,
 		id:        9,
@@ -292,7 +289,7 @@ func TestResultFlushAllocs(t *testing.T) {
 	if perBatch := allocs; perBatch > 3 {
 		t.Fatalf("flush cycle of %d tuples: %.1f allocs, want <= 3", cfg.ResultBatch, perBatch)
 	}
-	if se.frames.Load() == 0 || se.tuples.Load() == 0 {
+	if se.frames == 0 || se.tuples == 0 {
 		t.Fatal("sink saw no frames — flush path not exercised")
 	}
 }

@@ -90,10 +90,7 @@ func (eng *Engine) runIndexQuery(id uint64, p *Plan) {
 			}
 		},
 		func(contacted int) {
-			eng.mu.Lock()
-			c, ok := eng.collectors[id]
-			eng.mu.Unlock()
-			if ok {
+			if c, ok := eng.collectors[id]; ok {
 				c.contacted = contacted
 				if c.traced {
 					eng.recordCollectorSpan(c, trace.Span{
@@ -121,9 +118,7 @@ func (eng *Engine) runIndexQuery(id uint64, p *Plan) {
 // Experiment harnesses compare this against the overlay size a full
 // scan multicasts to.
 func (eng *Engine) IndexContacts(id uint64) (int, bool) {
-	eng.mu.Lock()
 	c, ok := eng.collectors[id]
-	eng.mu.Unlock()
 	if !ok {
 		return 0, false
 	}

@@ -80,6 +80,26 @@ func scanPlan(ns string, ttl time.Duration) *Plan {
 	return &Plan{Tables: []TableRef{{NS: ns, RIDCol: 0}}, TTL: ttl}
 }
 
+// TestResultCallbackRunsOnCaller pins the engine's threading contract:
+// HandleMessage runs the result callback before it returns, on the
+// caller — the node's event loop — so delivery order is execution
+// order on every node, simulated or real.
+func TestResultCallbackRunsOnCaller(t *testing.T) {
+	h := newHarness(1, 5, DefaultConfig())
+	ran := false
+	id, err := h.engines[0].Run(scanPlan("T", time.Hour), func(*Tuple, int) { ran = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := getResultMsg()
+	rm.ID = id
+	rm.Tuples = append(rm.Tuples, &Tuple{Rel: "T", Vals: []Value{int64(0)}})
+	h.engines[0].HandleMessage("sim:1", rm)
+	if !ran {
+		t.Fatal("HandleMessage returned before the result callback ran")
+	}
+}
+
 func TestLateResultAfterTTLCloseIgnored(t *testing.T) {
 	h := newHarness(2, 91, DefaultConfig())
 	h.load("T", "1", 1, &Tuple{Rel: "T", Vals: []Value{int64(1)}})
@@ -490,8 +510,6 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 	if ex == nil {
 		t.Fatal("sender's executor is gone before the TTL")
 	}
-	ex.resMu.Lock()
-	defer ex.resMu.Unlock()
 	if ex.resBuf != nil || ex.resHead != 0 {
 		t.Fatalf("drained buffer kept: len %d cap %d head %d", len(ex.resBuf), cap(ex.resBuf), ex.resHead)
 	}
@@ -514,7 +532,7 @@ func BenchmarkStalledDrain(b *testing.B) {
 				for k := 0; k < n; k++ {
 					ex.emit(tup, 0)
 				}
-				for limit := int64(2 * cfg.ResultCredit); se.tuples.Load() < uint64(n); limit += int64(cfg.ResultCredit) {
+				for limit := int64(2 * cfg.ResultCredit); se.tuples < uint64(n); limit += int64(cfg.ResultCredit) {
 					ex.onCredit(limit)
 				}
 				if len(ex.resBuf) != 0 {

@@ -51,13 +51,11 @@ func (it *Item) WireSize() int { return wire.Size(it) }
 // is a renew, and unrenewed items expire.
 //
 // Locking contract: a Manager is NOT internally synchronized. It is
-// confined to its node's event loop — every call site (provider
-// puts/gets/handoff, index maintenance, stats refresh) runs as an event
-// on that loop. The engine's sharded result dispatch
-// (internal/core/dispatch.go) processes only result and credit frames
-// on its shards and never touches storage, so event-loop confinement
-// holds even with DispatchShards > 1. Cross-thread access must go
-// through the node's event queue (e.g. Session.Do on real nodes).
+// confined to its node's event loop, like every layer of the node
+// stack — every call site (provider puts/gets/handoff, the query
+// engine, index maintenance, stats refresh) runs as an event on that
+// loop, on real nodes as in the simulator. Cross-thread access must go
+// through the node's event queue (e.g. RealNode.Do).
 type Manager struct {
 	now    func() time.Time
 	spaces map[string]*space

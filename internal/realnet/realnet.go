@@ -92,7 +92,6 @@ type Node struct {
 	inbox   chan func()
 	handler env.Handler
 	rng     *rand.Rand
-	rngMu   sync.Mutex
 
 	mu       sync.Mutex
 	peers    map[env.Addr]*peer
@@ -164,8 +163,8 @@ func (n *Node) Addr() env.Addr { return n.addr }
 // Now implements env.Env.
 func (n *Node) Now() time.Time { return time.Now() }
 
-// Rand implements env.Env. Unlike the simulator, callbacks can race with
-// the application goroutine, so access is serialized.
+// Rand implements env.Env. Like every env call, it is confined to the
+// event loop: the *rand.Rand is not safe for concurrent use.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
 // Stats returns a snapshot of the transport counters.

@@ -1,15 +1,11 @@
 package trace
 
-import "sync"
-
 // Histogram is a small fixed-bucket latency histogram in the
 // Prometheus mold: cumulative bucket rendering is left to the
 // exposition layer; this type just counts observations per bound.
-// Observations and snapshots are goroutine-safe: the engine's
-// dispatch shards observe flush and span latencies off the event
-// loop, so the histogram serializes internally.
+// Like the engine that owns it, it is confined to one node's event
+// loop.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64 // sorted upper bounds; counts has one extra +Inf slot
 	counts []uint64
 	sum    float64
@@ -40,19 +36,13 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.mu.Lock()
 	h.counts[i]++
 	h.sum += v
 	h.count++
-	h.mu.Unlock()
 }
 
 // Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() uint64 { return h.count }
 
 // HistogramSnapshot is an immutable copy of a histogram's state, in
 // per-bucket (not cumulative) counts. Counts has len(Bounds)+1
@@ -66,8 +56,6 @@ type HistogramSnapshot struct {
 
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: append([]uint64(nil), h.counts...),

@@ -24,7 +24,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"pier/internal/env"
@@ -148,11 +147,9 @@ func (s *Span) WireSize() int { return wire.Size(s) }
 // Buffer is a bounded span accumulator, one per traced executor.
 // When full, new spans are dropped and counted — a result flood can
 // never grow the buffer past its bound; the drop count travels with
-// the spans so the initiator knows the trace is partial. It is
-// goroutine-safe: the executor records spans from the event loop
-// while a dispatch shard may be draining them into a result frame.
+// the spans so the initiator knows the trace is partial. Like the
+// executor that owns it, it is confined to one node's event loop.
 type Buffer struct {
-	mu    sync.Mutex
 	cap   int
 	seq   uint32
 	spans []Span
@@ -170,8 +167,6 @@ func NewBuffer(capacity int) *Buffer {
 // Add records a span, assigning its sequence number; full buffers
 // count a drop instead.
 func (b *Buffer) Add(s Span) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	s.Seq = b.seq
 	b.seq++
 	if len(b.spans) >= b.cap {
@@ -182,25 +177,15 @@ func (b *Buffer) Add(s Span) {
 }
 
 // Len returns the number of buffered spans.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.spans)
-}
+func (b *Buffer) Len() int { return len(b.spans) }
 
 // Drops returns the number of spans dropped so far.
-func (b *Buffer) Drops() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.drops
-}
+func (b *Buffer) Drops() uint64 { return b.drops }
 
 // Drain returns the buffered spans and the drop count accumulated
 // since the last drain, and resets both. The returned slice is owned
 // by the caller.
 func (b *Buffer) Drain() ([]Span, uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	spans, drops := b.spans, b.drops
 	b.spans, b.drops = nil, 0
 	return spans, drops

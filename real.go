@@ -3,7 +3,6 @@ package pier
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"pier/internal/dht/storage"
@@ -39,12 +38,6 @@ var ErrJoinTimeout = errors.New("pier: join timed out")
 // is for stabilized simulation experiments.
 func StartNode(addr string, landmark env.Addr, seed int64, opts Options) (*RealNode, error) {
 	opts.ProviderConfig.RobustMulticast = true
-	if opts.EngineConfig.DispatchShards == 0 {
-		// Real nodes spread result-channel processing across the
-		// cores; the simulator keeps the single-shard inline mode its
-		// determinism depends on.
-		opts.EngineConfig.DispatchShards = runtime.GOMAXPROCS(0)
-	}
 	tr, err := realnet.Listen(addr, seed)
 	if err != nil {
 		return nil, err
@@ -99,13 +92,11 @@ func (rn *RealNode) WaitJoin(timeout time.Duration) error {
 		rn.Addr(), rn.landmark, timeout, ErrJoinTimeout)
 }
 
-// Close shuts the transport down, then stops the engine's dispatch
-// shards (transport first, so no new work arrives while they drain)
-// and closes the store's spill log if it has one (after the transport,
-// so no event-loop callback can touch the log mid-close).
+// Close shuts the transport down, then closes the store's spill log if
+// it has one (after the transport, so no event-loop callback can touch
+// the log mid-close).
 func (rn *RealNode) Close() {
 	rn.transport.Close()
-	rn.engine.Close()
 	_ = rn.provider.Store().Close() // soft state: nothing to do about a failed close
 }
 

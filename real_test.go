@@ -313,8 +313,11 @@ func TestRealNodeFreesExpiredSoftState(t *testing.T) {
 // credit window over real sockets — the only tier-1 test that does: two
 // loopback TCP nodes, 400 tuples of S spread across them, and a
 // 50%-selective scan whose every matching tuple must reach the
-// initiator through the pooled, sharded result path. (benchmark/'s
-// tcp-scan measures the same path at 150k tuples, outside tier-1.)
+// initiator through the pooled result path. (benchmark/'s tcp-scan
+// measures the same path at 150k tuples, outside tier-1.) It also holds
+// Session's threading rule in place: result callbacks run on the
+// initiator's event loop, so the count needs no lock as long as it is
+// read only inside Do, and none runs once Cancel has returned.
 func TestRealNetLoopbackScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP deployment")
@@ -366,31 +369,29 @@ func TestRealNetLoopbackScan(t *testing.T) {
 		TTL:    10 * time.Minute,
 	}
 
-	var mu sync.Mutex
-	received := 0
-	id, err := nodes[0].Query(plan, func(*core.Tuple, int) {
-		mu.Lock()
-		received++
-		mu.Unlock()
-	})
+	received := 0 // written by the callback, read only inside nodes[0].Do
+	id, err := nodes[0].Query(plan, func(*core.Tuple, int) { received++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nodes[0].Cancel(id)
+	count := func() (n int) {
+		nodes[0].Do(func() { n = received })
+		return n
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		cnt := received
-		mu.Unlock()
-		if cnt >= expected {
-			break
-		}
+	for count() < expected && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if received < expected {
-		t.Fatalf("loopback scan delivered %d/%d tuples", received, expected)
+	n := count()
+	if n < expected {
+		t.Fatalf("loopback scan delivered %d/%d tuples", n, expected)
+	}
+	if !nodes[0].Cancel(id) {
+		t.Fatal("Cancel found no live query")
+	}
+	time.Sleep(200 * time.Millisecond)
+	if late := count() - n; late != 0 {
+		t.Fatalf("%d result callbacks ran after the scan completed and Cancel returned", late)
 	}
 }
 
