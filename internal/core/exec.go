@@ -212,14 +212,9 @@ func (ex *exec) stop() {
 	}
 }
 
-// timer schedules f, suppressed after stop.
+// timer schedules f; stop cancels it.
 func (ex *exec) timer(d time.Duration, f func()) {
-	t := ex.eng.env.After(d, func() {
-		if !ex.stopped {
-			f()
-		}
-	})
-	ex.timers = append(ex.timers, t)
+	ex.timers = append(ex.timers, ex.eng.env.After(d, f))
 }
 
 func (ex *exec) window() int {
@@ -261,9 +256,7 @@ func (ex *exec) emit(t *Tuple, window int) {
 	if ex.resFlush == nil {
 		ex.resFlush = ex.eng.env.After(cfg.ResultFlushInterval, func() {
 			ex.resFlush = nil
-			if !ex.stopped {
-				ex.flushResults(false)
-			}
+			ex.flushResults(false)
 		})
 	}
 }
@@ -372,11 +365,9 @@ func (ex *exec) stallResults() {
 	ex.stallStart = ex.eng.env.Now()
 	ex.resStall = ex.eng.env.After(ex.eng.cfg.CreditRefresh, func() {
 		ex.resStall = nil
-		if !ex.stopped {
-			ex.endStall("self-refresh")
-			ex.resLimit = ex.resSent + int64(ex.eng.cfg.ResultCredit)
-			ex.flushResults(false)
-		}
+		ex.endStall("self-refresh")
+		ex.resLimit = ex.resSent + int64(ex.eng.cfg.ResultCredit)
+		ex.flushResults(false)
 	})
 }
 
@@ -425,19 +416,44 @@ func (ex *exec) startSingle() {
 	// snapshot semantics, §3.3.1).
 	t0 := ex.eng.env.Now()
 	scanned := 0
-	ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
+	ex.scan(tbl.NS, func(it *storage.Item) {
 		scanned++
 		if row := tbl.baseRow(it.Payload); row != nil {
 			ex.onRow(row)
 		}
-		return true
+	}, func() {
+		if ex.spans != nil {
+			ex.span(trace.StageScan, t0, ex.eng.env.Now().Sub(t0), fmt.Sprintf("%s: %d scanned", tbl.NS, scanned))
+		}
+		if len(ex.plan.Aggs) > 0 {
+			ex.flushPartials()
+		}
 	})
-	if ex.spans != nil {
-		ex.span(trace.StageScan, t0, ex.eng.env.Now().Sub(t0), fmt.Sprintf("%s: %d scanned", tbl.NS, scanned))
+}
+
+// scanSlice is how many resourceIDs of a base table an executor's scan
+// visits in one event-loop turn; between slices the loop serves result
+// frames, credit grants and client calls.
+const scanSlice = 4096
+
+// scan is every executor scan of a base table: f gets its local items,
+// a slice a turn, then done runs (if set). A slice that finds the
+// executor stopped does nothing. One slice's worth finishes in place.
+func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
+	c := ex.eng.prov.Store().Cursor(ns)
+	visit := func(it *storage.Item) bool { f(it); return true }
+	var step func()
+	step = func() {
+		if ex.stopped {
+			return
+		}
+		if c.Next(scanSlice, visit) {
+			ex.eng.env.Post(step)
+		} else if done != nil {
+			done()
+		}
 	}
-	if len(ex.plan.Aggs) > 0 {
-		ex.flushPartials()
-	}
+	step()
 }
 
 // --- symmetric hash join (§4.1) -----------------------------------------
@@ -449,22 +465,22 @@ func (ex *exec) rehashScan(side int, f *bloom.Filter) {
 	tbl := &ex.plan.Tables[side]
 	t0 := ex.eng.env.Now()
 	puts := 0
-	ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
+	ex.scan(tbl.NS, func(it *storage.Item) {
 		proj := tbl.baseRow(it.Payload)
 		if proj == nil {
-			return true
+			return
 		}
 		key := JoinKeyString(proj, tbl.JoinCols)
 		if f != nil && !f.Test(key) {
-			return true
+			return
 		}
 		puts++
 		ex.eng.prov.Put(ex.ns[nsRehash], ex.rehashRID(key), ex.eng.env.Rand().Int63(), &sideTuple{Side: side, T: proj}, ex.plan.TTL)
-		return true
+	}, func() {
+		if ex.spans != nil {
+			ex.span(trace.StageRehash, t0, ex.eng.env.Now().Sub(t0), fmt.Sprintf("%s: %d puts", tbl.NS, puts))
+		}
 	})
-	if ex.spans != nil {
-		ex.span(trace.StageRehash, t0, ex.eng.env.Now().Sub(t0), fmt.Sprintf("%s: %d puts", tbl.NS, puts))
-	}
 }
 
 // rehashRID maps a join key to its NQ resourceID. With ComputeNodes set,
@@ -561,10 +577,10 @@ func (ex *exec) pairSide(st *sideTuple, other *storage.Item) {
 // the DHT, so they run after the fetch, at this node.
 func (ex *exec) startFetchMatches() {
 	t0, t1 := &ex.plan.Tables[0], &ex.plan.Tables[1]
-	ex.eng.prov.Scan(t0.NS, func(it *storage.Item) bool {
+	ex.scan(t0.NS, func(it *storage.Item) {
 		proj0 := t0.baseRow(it.Payload)
 		if proj0 == nil {
-			return true
+			return
 		}
 		key := JoinKeyString(proj0, t0.JoinCols)
 		issued := ex.eng.env.Now()
@@ -582,8 +598,7 @@ func (ex *exec) startFetchMatches() {
 				}
 			}
 		})
-		return true
-	})
+	}, nil)
 }
 
 // --- symmetric semi-join rewrite (§4.2) ----------------------------------
@@ -591,16 +606,15 @@ func (ex *exec) startFetchMatches() {
 // miniScan rehashes only (resourceID, join key) projections.
 func (ex *exec) miniScan(side int) {
 	tbl := &ex.plan.Tables[side]
-	ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
+	ex.scan(tbl.NS, func(it *storage.Item) {
 		proj := tbl.baseRow(it.Payload)
 		if proj == nil {
-			return true
+			return
 		}
 		key := JoinKeyString(proj, tbl.JoinCols)
 		mini := &miniTuple{Side: side, RID: ValueString(proj.At(tbl.RIDCol)), Key: key}
 		ex.eng.prov.Put(ex.ns[nsRehash], ex.rehashRID(key), ex.eng.env.Rand().Int63(), mini, ex.plan.TTL)
-		return true
-	})
+	}, nil)
 }
 
 // pairMini joins two projections, then fetches the matching base
@@ -691,16 +705,16 @@ func (ex *exec) startBloom() {
 		tbl := &p.Tables[side]
 		f := bloom.New(p.BloomBits, p.BloomHashes)
 		count := 0
-		ex.eng.prov.Scan(tbl.NS, func(it *storage.Item) bool {
+		ex.scan(tbl.NS, func(it *storage.Item) {
 			if proj := tbl.baseRow(it.Payload); proj != nil {
 				f.Add(JoinKeyString(proj, tbl.JoinCols))
 				count++
 			}
-			return true
+		}, func() {
+			if count > 0 {
+				ex.eng.prov.Put(ex.ns[nsBloom0+side], "or", ex.eng.nodeIID, &bloomPut{Side: side, F: f}, p.TTL)
+			}
 		})
-		if count > 0 {
-			ex.eng.prov.Put(ex.ns[nsBloom0+side], "or", ex.eng.nodeIID, &bloomPut{Side: side, F: f}, p.TTL)
-		}
 	}
 }
 

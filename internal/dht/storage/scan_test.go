@@ -2,8 +2,9 @@ package storage
 
 // The scan contract (Manager.Scan's doc comment): what a callback may
 // do to the store it is scanning and what the scan then visits, checked
-// against all three configurations; the allocation gates that keep a
-// steady-state scan a plain walk; and the scan benchmark.
+// against all three configurations, also across the pauses of a Cursor;
+// the allocation gates that keep a steady-state scan a plain walk; and
+// the scan benchmark.
 
 import (
 	"fmt"
@@ -292,6 +293,89 @@ func TestConformanceScanUnderChurn(t *testing.T) {
 		}
 	})
 }
+
+// next runs one slice of a cursor and returns what it visited as
+// "rid/iid", and whether it reported more to visit.
+func next(cur *Cursor, n int) ([]string, bool) {
+	var got []string
+	more := cur.Next(n, func(it *Item) bool {
+		got = append(got, fmt.Sprintf("%s/%d", it.ResourceID, it.InstanceID))
+		return true
+	})
+	return got, more
+}
+
+func TestConformanceCursorAcrossPauses(t *testing.T) {
+	forEachStore(t, func(t *testing.T, s *Manager, c *clock) {
+		exp := c.t.Add(time.Hour)
+		for _, rid := range []string{"a", "b", "c", "d", "e", "g", "h"} {
+			s.Store(item("t", rid, 1, exp))
+		}
+		s.Store(item("t", "f", 1, c.t.Add(time.Minute)))
+		cur := s.Cursor("t")
+		got, more := next(&cur, 2)
+		wantIDs(t, "first slice", got, "a/1", "b/1")
+		if !more {
+			t.Fatal("the first slice reported nothing left")
+		}
+		// Between slices, everything a node's loop may do meanwhile.
+		s.Remove("t", "a", 1)           // already visited: no effect
+		s.Remove("t", "c", 1)           // removed before its turn: not visited
+		s.Store(item("t", "c", 1, exp)) // stored again: a new resourceID now
+		renewed := item("t", "d", 1, exp.Add(time.Hour))
+		s.Store(renewed)                 // replaced: visited as its replacement
+		s.Store(item("t", "e", 2, exp))  // a new instance: may or may not be visited
+		s.Store(item("t", "bb", 1, exp)) // new resourceIDs: not visited
+		s.Store(item("t", "z", 1, exp))
+		c.t = c.t.Add(2 * time.Minute) // f expires before its turn
+		var visited *Item
+		more = cur.Next(1, func(it *Item) bool { visited = it; return true })
+		if visited != renewed || !more {
+			t.Fatalf("second slice visited %+v (more %v), want the replacement of d/1", visited, more)
+		}
+		got, more = next(&cur, 100)
+		if fmt.Sprint(got) != fmt.Sprint([]string{"e/1", "e/2", "g/1", "h/1"}) &&
+			fmt.Sprint(got) != fmt.Sprint([]string{"e/1", "g/1", "h/1"}) {
+			t.Fatalf("last slice visited %v, want e/1 [e/2] g/1 h/1", got)
+		}
+		if more {
+			t.Fatal("the last slice reported more to visit")
+		}
+		if got, more := next(&cur, 100); len(got) != 0 || more {
+			t.Fatalf("a finished cursor visited %v (more %v)", got, more)
+		}
+		wantIDs(t, "the next scan", scanIDs(s, "t", nil),
+			"b/1", "bb/1", "c/1", "d/1", "e/1", "e/2", "g/1", "h/1", "z/1")
+
+		// A namespace dropped between slices has nothing left to visit,
+		// even once it holds the same resourceIDs again.
+		cur = s.Cursor("t")
+		wantIDs(t, "before the drop", must(next(&cur, 1)), "b/1")
+		s.Drop("t")
+		s.Store(item("t", "c", 1, exp))
+		s.Store(item("t", "d", 1, exp))
+		if got, more := next(&cur, 100); len(got) != 0 || more {
+			t.Fatalf("after a drop the cursor visited %v (more %v)", got, more)
+		}
+
+		// A slice that ends on the last resourceID still holding items
+		// says that nothing is left.
+		s.Store(item("t", "e", 1, exp))
+		cur = s.Cursor("t")
+		s.Remove("t", "e", 1)
+		if got, more := next(&cur, 2); fmt.Sprint(got) != "[c/1 d/1]" || more {
+			t.Fatalf("visited %v (more %v), want [c/1 d/1] and nothing left", got, more)
+		}
+		// A cursor over a namespace that does not exist is finished.
+		cur = s.Cursor("none")
+		if got, more := next(&cur, 1); len(got) != 0 || more {
+			t.Fatalf("an empty namespace's cursor visited %v (more %v)", got, more)
+		}
+	})
+}
+
+// must drops the second result of next.
+func must(got []string, _ bool) []string { return got }
 
 func TestNeverScannedNamespaceDropsEmptiedSlots(t *testing.T) {
 	// A namespace that is written and expired but never scanned (every

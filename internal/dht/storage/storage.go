@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"container/heap"
 	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -412,35 +413,65 @@ func (m *Manager) unlinkAt(sp *space, sl *slot, i int) {
 // is not visited, and one stored as a new instance of an existing
 // resourceID may or may not be.
 func (m *Manager) Scan(namespace string, f func(*Item) bool) {
-	m.scanSpace(m.spaces[namespace], f)
+	c := m.Cursor(namespace)
+	c.Next(math.MaxInt, f)
 }
 
 // ScanAll iterates every live item across namespaces in sorted order
 // (used for handoff after a location-map change).
 func (m *Manager) ScanAll(f func(*Item) bool) {
+	more := true
+	g := func(it *Item) bool { more = f(it); return more }
 	for _, ns := range m.Namespaces() {
-		if !m.scanSpace(m.spaces[ns], f) {
+		c := m.Cursor(ns)
+		c.Next(math.MaxInt, g)
+		if !more {
 			return
 		}
 	}
 }
 
-// scanSpace iterates one namespace's live items in sorted order under
-// the re-entrancy contract of Scan, reporting false if f stopped it
-// early.
-func (m *Manager) scanSpace(sp *space, f func(*Item) bool) bool {
-	if sp == nil {
-		return true
+// Cursor is a Scan that can pause between resourceIDs, under Scan's
+// contract across the pauses too: it walks the order published when it
+// was made, so an item removed (or expired, or dropped) before its turn
+// is skipped, a replaced one is visited as its replacement, and a
+// resourceID stored since is not visited.
+type Cursor struct {
+	m     *Manager
+	order []*slot
+	at    int // the next slot to visit
+}
+
+// Cursor returns a cursor before the namespace's first item.
+func (m *Manager) Cursor(namespace string) Cursor {
+	c := Cursor{m: m}
+	if sp := m.spaces[namespace]; sp != nil {
+		if len(sp.fresh) > 0 {
+			sp.merge()
+		}
+		c.order = sp.order
 	}
-	if len(sp.fresh) > 0 {
-		sp.merge()
-	}
-	now := m.now()
-	for _, sl := range sp.order {
+	return c
+}
+
+// Next visits the live items of up to n more resourceIDs and reports
+// whether any remain: it pauses on the next resourceID still holding
+// items. A false from f ends the walk.
+func (c *Cursor) Next(n int, f func(*Item) bool) bool {
+	now := c.m.now()
+	for ; c.at < len(c.order); c.at++ {
+		sl := c.order[c.at]
+		if len(sl.insts) == 0 {
+			continue
+		}
+		if n--; n < 0 {
+			return true
+		}
 		for i := 0; i < len(sl.insts); {
 			it := sl.insts[i]
 			if !it.expired(now) {
-				if v := m.load(it); v != nil && !f(v) {
+				if v := c.m.load(it); v != nil && !f(v) {
+					c.at = len(c.order)
 					return false
 				}
 			}
@@ -453,7 +484,7 @@ func (m *Manager) scanSpace(sp *space, f func(*Item) bool) bool {
 			}
 		}
 	}
-	return true
+	return false
 }
 
 // Namespaces lists the namespaces with at least one item, sorted.

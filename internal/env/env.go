@@ -50,7 +50,10 @@ type Recycler interface {
 
 // Timer is a cancellable pending callback.
 type Timer interface {
-	// Stop cancels the timer. It is a no-op if the timer already fired.
+	// Stop cancels the timer. It is final on both transports: once Stop
+	// has returned on the node's event loop the callback never runs,
+	// even if the timer was already due. It is a no-op if the callback
+	// already ran.
 	Stop()
 }
 
@@ -68,8 +71,11 @@ type Env interface {
 	After(d time.Duration, f func()) Timer
 
 	// Post schedules f to run on this node's event loop as soon as
-	// possible. It is the only safe way for outside goroutines (e.g. an
-	// application thread in real deployment) to touch node state.
+	// possible, after the work already due there. It is the only safe
+	// way for outside goroutines (e.g. an application thread in real
+	// deployment) to touch node state. Post never blocks, whoever calls
+	// it — the loop itself included; on a real node only the readers of
+	// inbound connections ever wait for the loop.
 	Post(f func())
 
 	// Send delivers m to the node at addr asynchronously. Sends are
@@ -150,15 +156,12 @@ func OrDefault[T int | time.Duration](v *T, def T) {
 }
 
 // Every schedules f to run repeatedly with period d, starting after d.
-// The returned stop function cancels future runs.
+// The returned stop function cancels future runs, also from inside f.
 func Every(e Env, d time.Duration, f func()) (stop func()) {
 	stopped := false
 	var t Timer
 	var run func()
 	run = func() {
-		if stopped {
-			return
-		}
 		f()
 		if !stopped {
 			t = e.After(d, run)
@@ -167,8 +170,6 @@ func Every(e Env, d time.Duration, f func()) (stop func()) {
 	t = e.After(d, run)
 	return func() {
 		stopped = true
-		if t != nil {
-			t.Stop()
-		}
+		t.Stop()
 	}
 }

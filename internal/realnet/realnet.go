@@ -14,10 +14,11 @@
 // frame.
 //
 // Each node owns one listener, one event-loop goroutine that serializes
-// all node logic, and one writer goroutine per peer connection. Sends
-// are fire-and-forget: connection errors, full outbound queues, and
-// malformed or oversized inbound frames drop messages (or connections),
-// exactly the behavior the soft-state design tolerates.
+// all node logic, and one writer goroutine per peer connection. Only the
+// connection readers ever wait for the loop, so backpressure lands on
+// TCP. Sends are fire-and-forget: connection errors, full outbound
+// queues, and malformed or oversized inbound frames drop messages (or
+// connections), exactly the behavior the soft-state design tolerates.
 package realnet
 
 import (
@@ -52,7 +53,8 @@ type Config struct {
 	// Default 1024.
 	OutboxLen int
 
-	// InboxLen is the event-loop queue. Default 4096.
+	// InboxLen bounds the inbound frames waiting for the event loop;
+	// connection readers block beyond it. Default 4096.
 	InboxLen int
 }
 
@@ -89,9 +91,16 @@ type Node struct {
 	addr    env.Addr
 	cfg     Config
 	ln      net.Listener
-	inbox   chan func()
 	handler env.Handler
 	rng     *rand.Rand
+
+	// posted is the event loop's one FIFO, and wake (capacity 1) says
+	// it is not empty. A connection reader first takes one of the
+	// InboxLen slots, which the loop frees as it runs the frame.
+	postMu sync.Mutex
+	posted []func()
+	wake   chan struct{}
+	slots  chan struct{}
 
 	mu       sync.Mutex
 	peers    map[env.Addr]*peer
@@ -140,7 +149,8 @@ func ListenConfig(addr string, seed int64, cfg Config) (*Node, error) {
 		addr:     env.Addr(ln.Addr().String()),
 		cfg:      cfg,
 		ln:       ln,
-		inbox:    make(chan func(), cfg.InboxLen),
+		wake:     make(chan struct{}, 1),
+		slots:    make(chan struct{}, cfg.InboxLen),
 		rng:      rand.New(rand.NewSource(seed)),
 		peers:    make(map[env.Addr]*peer),
 		accepted: make(map[net.Conn]bool),
@@ -185,21 +195,37 @@ func (n *Node) Stats() Stats {
 func (n *Node) LinkStats() env.LinkStats { return n.Stats() }
 
 // After implements env.Env: the callback is posted to the node's event
-// loop.
+// loop, where a Stop made before it runs still cancels it.
 func (n *Node) After(d time.Duration, f func()) env.Timer {
-	t := time.AfterFunc(d, func() { n.Post(f) })
-	return realTimer{t}
+	t := &realTimer{}
+	t.t = time.AfterFunc(d, func() {
+		n.Post(func() {
+			if !t.stopped.Load() {
+				f()
+			}
+		})
+	})
+	return t
 }
 
-type realTimer struct{ t *time.Timer }
+type realTimer struct {
+	t       *time.Timer
+	stopped atomic.Bool
+}
 
-func (t realTimer) Stop() { t.t.Stop() }
+func (t *realTimer) Stop() {
+	t.stopped.Store(true)
+	t.t.Stop()
+}
 
-// Post implements env.Env.
+// Post implements env.Env: it never blocks, on the loop or off it.
 func (n *Node) Post(f func()) {
+	n.postMu.Lock()
+	n.posted = append(n.posted, f)
+	n.postMu.Unlock()
 	select {
-	case n.inbox <- f:
-	case <-n.done:
+	case n.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 }
 
@@ -582,7 +608,13 @@ func (n *Node) reader(conn net.Conn) {
 		}
 		n.framesRecv.Add(1)
 		n.bytesRecv.Add(uint64(bytes))
+		select {
+		case n.slots <- struct{}{}:
+		case <-n.done:
+			return
+		}
 		n.Post(func() {
+			<-n.slots
 			if n.handler != nil {
 				n.handler.HandleMessage(f.From, f.Msg)
 			}
@@ -590,24 +622,34 @@ func (n *Node) reader(conn net.Conn) {
 	}
 }
 
+// loop runs the FIFO in arrival order: what a run posts — a scan's next
+// slice — comes after every frame that was queued before it.
 func (n *Node) loop() {
 	defer n.wg.Done()
+	var ran []func()
 	for {
 		select {
-		case f := <-n.inbox:
-			f()
+		case <-n.wake:
+			ran = n.run(ran)
 		case <-n.done:
-			// Drain whatever is already queued, then exit.
-			for {
-				select {
-				case f := <-n.inbox:
-					f()
-				default:
-					return
-				}
-			}
+			n.run(ran) // what is already queued, then exit
+			return
 		}
 	}
+}
+
+// run runs what has been posted so far and returns it emptied, for
+// reuse; what it posts waits for the next wake-up.
+func (n *Node) run(ran []func()) []func() {
+	clear(ran)
+	n.postMu.Lock()
+	fifo := n.posted
+	n.posted = ran[:0]
+	n.postMu.Unlock()
+	for _, f := range fifo {
+		f()
+	}
+	return fifo
 }
 
 // Close shuts the node down: listener, connections, event loop.

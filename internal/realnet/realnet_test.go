@@ -176,3 +176,99 @@ func TestSendToUnreachableAddressDoesNotBlock(t *testing.T) {
 		t.Fatal("send blocked too long on unreachable peer")
 	}
 }
+
+// TestLoopNeverBlocksOnItself: work the event loop hands itself — a
+// Post, a self-send — must not wait for room in the inbox, or a loop
+// that fills it deadlocks on its own queue.
+func TestLoopNeverBlocksOnItself(t *testing.T) {
+	a, err := ListenConfig("127.0.0.1:0", 1, Config{InboxLen: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	posts, sends := 0, 0 // touched on the loop only
+	a.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { sends++ }))
+	returned := make(chan struct{})
+	go func() {
+		a.Do(func() {
+			for i := 0; i < 100; i++ {
+				a.Post(func() { posts++ })
+				a.Send(a.Addr(), &echoMsg{N: i})
+			}
+		})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do never returned: the loop blocked posting to itself")
+	}
+	a.Do(func() {
+		if posts != 100 || sends != 100 {
+			t.Errorf("ran %d posts and %d self-sends, want 100 each", posts, sends)
+		}
+	})
+}
+
+// TestStopIsFinal: a timer that fired while the loop was busy has its
+// callback queued; a Stop made on the loop before it runs still cancels
+// it, as in the simulator.
+func TestStopIsFinal(t *testing.T) {
+	a, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ran := false // touched on the loop only
+	a.Do(func() {
+		tm := a.After(time.Millisecond, func() { ran = true })
+		time.Sleep(20 * time.Millisecond) // the fire is queued behind this
+		tm.Stop()
+	})
+	time.Sleep(20 * time.Millisecond)
+	a.Do(func() {
+		if ran {
+			t.Error("a timer stopped on the loop ran its callback")
+		}
+	})
+}
+
+// TestPostKeepsEachPostersOrder: goroutines posting at once, the loop
+// among them, each see their work run in the order they posted it.
+func TestPostKeepsEachPostersOrder(t *testing.T) {
+	a, err := ListenConfig("127.0.0.1:0", 1, Config{InboxLen: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	const posters, posts = 8, 200
+	var next [posters + 1]int // touched on the loop only
+	post := func(p int) {
+		for i := 0; i < posts; i++ {
+			i := i
+			a.Post(func() {
+				if next[p] != i {
+					t.Errorf("poster %d: post %d ran as number %d", p, i, next[p])
+				}
+				next[p]++
+			})
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			post(p)
+		}(p)
+	}
+	a.Do(func() { post(posters) })
+	wg.Wait()
+	a.Do(func() {
+		for p, n := range next {
+			if n != posts {
+				t.Errorf("poster %d: %d of %d posts ran", p, n, posts)
+			}
+		}
+	})
+}

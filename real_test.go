@@ -311,10 +311,12 @@ func TestRealNodeFreesExpiredSoftState(t *testing.T) {
 
 // TestRealNetLoopbackScan streams a multi-frame result set through the
 // credit window over real sockets — the only tier-1 test that does: two
-// loopback TCP nodes, 400 tuples of S spread across them, and a
-// 50%-selective scan whose every matching tuple must reach the
-// initiator through the pooled result path. (benchmark/'s tcp-scan
-// measures the same path at 150k tuples, outside tier-1.) It also holds
+// loopback TCP nodes, 12 288 tuples of S spread across them (more than
+// one 4 096-row scan slice each, so every executor yields its loop
+// between slices), and a 50%-selective scan whose every matching tuple
+// must reach the initiator through the pooled result path.
+// (benchmark/'s tcp-scan measures the same path at 150k tuples, outside
+// tier-1.) It also holds
 // Session's threading rule in place: result callbacks run on the
 // initiator's event loop, so the count needs no lock as long as it is
 // read only inside Do, and none runs once Cancel has returned.
@@ -329,7 +331,7 @@ func TestRealNetLoopbackScan(t *testing.T) {
 	// datagram network would — so load in chunks, letting the store
 	// absorb each one before issuing the next, and wait for the whole
 	// load before querying.
-	tables := workload.Generate(workload.Config{STuples: 400, Seed: 40, PadBytes: 64})
+	tables := workload.Generate(workload.Config{STuples: 12_288, Seed: 40, PadBytes: 64})
 	loadDeadline := time.Now().Add(30 * time.Second)
 	const chunk = 256
 	for off := 0; off < len(tables.S); off += chunk {
@@ -346,6 +348,13 @@ func TestRealNetLoopbackScan(t *testing.T) {
 				break
 			}
 			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	for _, nd := range nodes {
+		held := 0
+		nd.Do(func() { held = nd.Provider().Store().Len("S") })
+		if held <= 4096 {
+			t.Fatalf("node %s holds %d tuples of S: not more than one scan slice", nd.Addr(), held)
 		}
 	}
 
