@@ -75,7 +75,7 @@ type Env interface {
 	// way for outside goroutines (e.g. an application thread in real
 	// deployment) to touch node state. Post never blocks, whoever calls
 	// it — the loop itself included; on a real node only the readers of
-	// inbound connections ever wait for the loop.
+	// inbound connections ever wait for room in the loop's queue.
 	Post(f func())
 
 	// Send delivers m to the node at addr asynchronously. Sends are

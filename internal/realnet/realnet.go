@@ -15,10 +15,11 @@
 //
 // Each node owns one listener, one event-loop goroutine that serializes
 // all node logic, and one writer goroutine per peer connection. Only the
-// connection readers ever wait for the loop, so backpressure lands on
-// TCP. Sends are fire-and-forget: connection errors, full outbound
-// queues, and malformed or oversized inbound frames drop messages (or
-// connections), exactly the behavior the soft-state design tolerates.
+// connection readers ever wait for room in the loop's queue, so
+// backpressure lands on TCP. Sends are fire-and-forget: connection
+// errors, full outbound queues, and malformed or oversized inbound
+// frames drop messages (or connections), exactly the behavior the
+// soft-state design tolerates.
 package realnet
 
 import (
