@@ -438,7 +438,8 @@ const scanSlice = 4096
 
 // scan is every executor scan of a base table: f gets its local items,
 // a slice a turn, then done runs (if set). A slice that finds the
-// executor stopped does nothing. One slice's worth finishes in place.
+// executor stopped does nothing. A table that fits in one slice is
+// scanned, and done run, before scan returns.
 func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
 	c := ex.eng.prov.Store().Cursor(ns)
 	visit := func(it *storage.Item) bool { f(it); return true }
