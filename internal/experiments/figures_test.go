@@ -1,0 +1,78 @@
+package experiments
+
+import (
+	"bytes"
+	"hash/fnv"
+	"testing"
+	"time"
+)
+
+// TestFiguresUnchanged pins every table the experiments measure on the
+// simulated clock, at small n: the FNV-64 hash of each table's printed
+// form (the trace demo's report for TraceDemo). A change that claims
+// to leave the engine's behaviour alone — a refactor, a deletion, a
+// query rebuilt from SQL text instead of by hand — must leave every
+// hash here as it was. A change that means to move a figure updates
+// the hash it moves and says why.
+//
+// SimScale and Figure 8 (Cluster) are not here: both measure wall
+// clock (events per second, loopback TCP arrival times), so their
+// tables differ from run to run.
+func TestFiguresUnchanged(t *testing.T) {
+	text := func(tbls ...*Table) string {
+		var b bytes.Buffer
+		for _, tbl := range tbls {
+			tbl.Print(&b)
+		}
+		return b.String()
+	}
+	fig3 := ScalabilityConfig{Sizes: []int{2, 8, 32}, ComputeSeries: []int{1, 0}, SPerNode: 2, Seed: 1}
+	fig7 := fig3
+	fig7.TransitStub = true
+	cases := []struct {
+		name string
+		run  func() string
+		want uint64
+	}{
+		{"fig3", func() string { return text(Scalability(fig3)) }, 0xe5b8a3acc360a95a},
+		{"fig45", func() string {
+			return text(Selectivity(SelectivityConfig{Nodes: 16, STuples: 40, Selectivities: []float64{0.5, 1}, Seed: 21}))
+		}, 0x51229879f452dcb5},
+		{"fig7", func() string { return text(Scalability(fig7)) }, 0x7cfdc8001f7c02a9},
+		{"table4", func() string { return text(Table4(Table4Config{Nodes: 32, STuples: 32, Runs: 1, Seed: 11})) }, 0x1aa5ffd73c12a0d2},
+		{"s53", func() string {
+			return text(CentralizedVsDistributed(CentralizedConfig{Nodes: 32, STuples: 40, Computes: []int{1, 0}, Seed: 31}))
+		}, 0x5d86347813f5d176},
+		{"strategies", func() string { return text(StrategyTraffic(16, 40, 1)) }, 0x6e3665c8dd19a38a},
+		{"chordvscan", func() string { return text(ChordVsCAN(16, 40, 1)) }, 0x938121c1cbc712a3},
+		{"hieragg", func() string { return text(HierarchicalAgg(16, 64, []int{0, 4}, 1)) }, 0xee0926acacd77fb1},
+		{"candims", func() string { return text(CANDims(32, []int{2, 4}, 50, 1)) }, 0xa0b31882b2005094},
+		{"incast", func() string {
+			_, tbl := Incast(IncastConfig{Nodes: 16, STuples: 200, Seed: 47}.Norm())
+			return text(tbl)
+		}, 0xc18e0548b94c8dcd},
+		{"adaptive", func() string {
+			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23, Limit: 4 * time.Hour, StatsInterval: 30 * time.Second})
+			return text(tbl)
+		}, 0x554a526f149244e0},
+		{"range", func() string {
+			_, tbl := RangeSelectivity(RangeSelConfig{Nodes: 16, Tuples: 300, Selectivities: []float64{0.01, 0.2}, Seed: 41})
+			return text(tbl)
+		}, 0xce8933e55c6cc149},
+		{"tracedemo", func() string {
+			s, err := TraceDemo(1, false)
+			if err != nil {
+				t.Fatalf("TraceDemo: %v", err)
+			}
+			return s
+		}, 0x4ceb8e57af8317f5},
+	}
+	for _, tc := range cases {
+		out := tc.run()
+		h := fnv.New64a()
+		h.Write([]byte(out))
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: table hash %#016x, want %#016x; the table now reads:\n%s", tc.name, got, tc.want, out)
+		}
+	}
+}
