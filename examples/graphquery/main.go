@@ -50,17 +50,7 @@ func main() {
 		for i, f := range frontier {
 			sn.Load(fns, f, int64(i), &pier.Tuple{Rel: fns, Vals: []pier.Value{f}}, 10*time.Minute)
 		}
-		// frontier ⋈ links on addr = src, via Fetch Matches: the links
-		// table is already hashed on the join attribute (§4.1).
-		plan := &pier.Plan{
-			Tables: []pier.TableRef{
-				{NS: fns, JoinCols: []int{0}, RIDCol: 0},
-				{NS: "links", JoinCols: []int{0}, RIDCol: 0},
-			},
-			Strategy: pier.FetchMatches,
-			Output:   []core.Expr{&core.Col{Idx: 2}}, // links.dst
-		}
-		rows, _, err := sn.Collect(0, plan, 0, 2*time.Minute)
+		rows, _, err := sn.Collect(0, reachPlan(fns), 0, 2*time.Minute)
 		if err != nil {
 			panic(err)
 		}
@@ -80,5 +70,19 @@ func main() {
 		fmt.Println("the whole overlay is reachable — the CAN neighbor graph is connected")
 	} else {
 		fmt.Printf("reached %d of %d nodes within 4 hops\n", len(visited), n)
+	}
+}
+
+// reachPlan is one round of the reachability join: frontier ⋈ links
+// on addr = src, via Fetch Matches, since the links table is already
+// hashed on the join attribute (§4.1).
+func reachPlan(frontier string) *pier.Plan {
+	return &pier.Plan{
+		Tables: []pier.TableRef{
+			{NS: frontier, JoinCols: []int{0}, RIDCol: 0},
+			{NS: "links", JoinCols: []int{0}, RIDCol: 0},
+		},
+		Strategy: pier.FetchMatches,
+		Output:   []core.Expr{&core.Col{Idx: 2}}, // links.dst
 	}
 }

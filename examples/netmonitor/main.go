@@ -24,18 +24,7 @@ import (
 func main() {
 	sn := pier.NewSimNetwork(32, topology.NewFullMesh(), 3, pier.DefaultOptions())
 
-	// The continuous plan: per-source packet and byte counts per
-	// 10-second window, three windows.
-	plan := &pier.Plan{
-		Tables:     []pier.TableRef{{NS: "packets"}},
-		GroupBy:    []int{0}, // src
-		Aggs:       []pier.Aggregate{{Kind: pier.Count, Col: -1}, {Kind: pier.Sum, Col: 2}},
-		Continuous: true,
-		Every:      10 * time.Second,
-		Windows:    3,
-		AggWait:    4 * time.Second,
-		TTL:        2 * time.Minute,
-	}
+	plan := monitorPlan()
 
 	type row struct {
 		src   string
@@ -89,4 +78,19 @@ func main() {
 		}
 	}
 	fmt.Println("note: 10.0.0.9 should spike in window 1 — the monitoring signal")
+}
+
+// monitorPlan is the continuous plan: per-source packet and byte
+// counts per 10-second window, three windows.
+func monitorPlan() *pier.Plan {
+	return &pier.Plan{
+		Tables:     []pier.TableRef{{NS: "packets"}},
+		GroupBy:    []int{0}, // src
+		Aggs:       []pier.Aggregate{{Kind: pier.Count, Col: -1}, {Kind: pier.Sum, Col: 2}},
+		Continuous: true,
+		Every:      10 * time.Second,
+		Windows:    3,
+		AggWait:    4 * time.Second,
+		TTL:        2 * time.Minute,
+	}
 }

@@ -552,7 +552,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 	for _, spec := range cfg.querySpecs() {
 		spec := spec
 		out := queryOutcome{spec: spec, keys: map[string]bool{}}
-		plan := spec.Plan(cfg.STuples, cfg.QueryEvery)
+		plan := spec.Plan(cfg.QueryEvery)
 		if cfg.TraceQueries {
 			plan.Trace = true
 		}
@@ -574,11 +574,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		// keys feed the flood-recall-vs-evicted comparison and fold into
 		// the replay fingerprint like every other query's.
 		out := queryOutcome{spec: QuerySpec{Kind: QFlood}, keys: map[string]bool{}}
-		plan := &core.Plan{
-			Tables: []core.TableRef{{NS: FloodNS, RIDCol: 0}},
-			Output: []core.Expr{&core.Col{Idx: 0}},
-			TTL:    cfg.QueryEvery,
-		}
+		plan := out.spec.Plan(cfg.QueryEvery)
 		if cfg.TraceQueries {
 			plan.Trace = true
 		}

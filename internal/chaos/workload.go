@@ -123,9 +123,10 @@ func GenerateQueriesMix(n int, seed int64, withRange bool) []QuerySpec {
 	return specs
 }
 
-// Plan lowers the spec to an executable plan over the workload tables.
-// window is the per-query result-collection window (the plan's TTL).
-func (q QuerySpec) Plan(sTuples int, window time.Duration) *core.Plan {
+// Plan lowers the spec to an executable plan over the workload tables
+// (the flood namespace for QFlood). window is the per-query
+// result-collection window (the plan's TTL).
+func (q QuerySpec) Plan(window time.Duration) *core.Plan {
 	c1, c2, c3 := workload.Constants(q.SelR, q.SelS, q.SelF)
 	var p *core.Plan
 	switch q.Kind {
@@ -178,6 +179,11 @@ func (q QuerySpec) Plan(sTuples int, window time.Duration) *core.Plan {
 				},
 			}},
 			Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
+		}
+	case QFlood:
+		p = &core.Plan{
+			Tables: []core.TableRef{{NS: FloodNS, RIDCol: 0}},
+			Output: []core.Expr{&core.Col{Idx: 0}},
 		}
 	}
 	p.TTL = window

@@ -141,13 +141,7 @@ func hierAggRun(nodes, rows, fanout int, seed int64) (maxIn, total float64, dur 
 		sn.Load("m", fmt.Sprint(i), int64(i), &core.Tuple{Rel: "m", Vals: []core.Value{"g", int64(1)}}, 0)
 	}
 	sn.Net.ResetStats()
-	plan := &core.Plan{
-		Tables:    []core.TableRef{{NS: "m"}},
-		GroupBy:   []int{0},
-		Aggs:      []core.Aggregate{{Kind: core.Count, Col: -1}, {Kind: core.Sum, Col: 1}},
-		AggWait:   10 * time.Second,
-		AggFanout: fanout,
-	}
+	plan := hierAggPlan(fanout)
 	start := sn.Net.Now()
 	var done time.Time
 	id, err := sn.Nodes[0].Query(plan, func(*core.Tuple, int) { done = sn.Net.Now() })
@@ -157,6 +151,17 @@ func hierAggRun(nodes, rows, fanout int, seed int64) (maxIn, total float64, dur 
 	defer sn.Nodes[0].Cancel(id)
 	sn.RunFor(time.Minute)
 	return float64(sn.Net.MaxInbound()), float64(sn.Net.Totals().Bytes), done.Sub(start)
+}
+
+// hierAggPlan is the ablation's global COUNT/SUM over m.
+func hierAggPlan(fanout int) *core.Plan {
+	return &core.Plan{
+		Tables:    []core.TableRef{{NS: "m"}},
+		GroupBy:   []int{0},
+		Aggs:      []core.Aggregate{{Kind: core.Count, Col: -1}, {Kind: core.Sum, Col: 1}},
+		AggWait:   10 * time.Second,
+		AggFanout: fanout,
+	}
 }
 
 // StrategyTraffic compares the four strategies' traffic and latency at

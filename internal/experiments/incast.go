@@ -156,15 +156,7 @@ func runIncast(cfg IncastConfig, batched bool) IncastRun {
 		}
 	}
 
-	plan := &core.Plan{
-		Tables: []core.TableRef{{
-			NS:     "S",
-			Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
-			RIDCol: workload.SPkey,
-		}},
-		Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
-		TTL:    10 * time.Minute,
-	}
+	plan := incastPlan(c2)
 
 	sn.Net.ResetStats()
 	start := sn.Net.Now()
@@ -193,4 +185,17 @@ func runIncast(cfg IncastConfig, batched bool) IncastRun {
 	}
 	run.InitiatorInMB = float64(sn.Net.InboundOf(0)) / 1e6
 	return run
+}
+
+// incastPlan is the incast query: the S scan with num2 > c2.
+func incastPlan(c2 int64) *core.Plan {
+	return &core.Plan{
+		Tables: []core.TableRef{{
+			NS:     "S",
+			Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
+			RIDCol: workload.SPkey,
+		}},
+		Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
+		TTL:    10 * time.Minute,
+	}
 }

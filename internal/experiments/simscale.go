@@ -142,9 +142,8 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 	for i := 0; i < rows; i++ {
 		sn.Load("u", fmt.Sprint(i), int64(i), &core.Tuple{Rel: "u", Vals: []core.Value{int64(i)}}, 0)
 	}
-	plan := &core.Plan{Tables: []core.TableRef{{NS: "u"}}, TTL: 2 * time.Minute}
 	got := 0
-	id, err := sn.QueryFrom(0, plan, func(*core.Tuple, int) { got++ })
+	id, err := sn.QueryFrom(0, simScalePlan(), func(*core.Tuple, int) { got++ })
 	if err != nil {
 		panic(fmt.Sprintf("simscale: scan rejected: %v", err))
 	}
@@ -173,4 +172,9 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 		over = append(over, fmt.Errorf("overlay scan returned %d/%d rows", got, rows))
 	}
 	return tbl, errors.Join(over...)
+}
+
+// simScalePlan is the overlay bucket's route pass: a scan of all of u.
+func simScalePlan() *core.Plan {
+	return &core.Plan{Tables: []core.TableRef{{NS: "u"}}, TTL: 2 * time.Minute}
 }

@@ -1,5 +1,7 @@
 package sql
 
+import "time"
+
 // AST node types for the supported SELECT subset.
 
 // Node is any expression node.
@@ -82,6 +84,15 @@ type Stmt struct {
 	GroupBy  []*ColRef
 	Having   Node
 	Strategy string // optional USING STRATEGY '<name>' extension
+	// Every (EVERY '<dur>') makes the query continuous, in tumbling
+	// windows of that length; Windows (WINDOWS <n>) stops it after n
+	// windows, and 0 runs it until its TTL.
+	Every   time.Duration
+	Windows int
+	// Wait (WAIT '<dur>') is the gather wait: how long group collectors
+	// gather partials (an aggregate) or Bloom collectors gather filters
+	// (a join).
+	Wait time.Duration
 }
 
 // CreateIndexStmt is a parsed CREATE INDEX name ON table (col)

@@ -44,6 +44,19 @@ func TestPlannerEdgeCases(t *testing.T) {
 		{"trailing garbage", `SELECT pkey FROM S banana extra`, "trailing input"},
 		{"unterminated string", `SELECT 'oops FROM S`, "unterminated string"},
 		{"aggregate in where", `SELECT pkey FROM S WHERE count(pkey) > 1`, "not allowed here"},
+		{"EVERY without duration", `SELECT count(*) FROM S EVERY`, "EVERY expects"},
+		{"EVERY unquoted", `SELECT count(*) FROM S EVERY 10`, "EVERY expects"},
+		{"EVERY not a duration", `SELECT count(*) FROM S EVERY 'soon'`, "EVERY expects"},
+		{"EVERY zero", `SELECT count(*) FROM S EVERY '0s'`, "EVERY expects"},
+		{"EVERY negative", `SELECT count(*) FROM S EVERY '-1s'`, "EVERY expects"},
+		{"WINDOWS zero", `SELECT count(*) FROM S EVERY '1s' WINDOWS 0`, "WINDOWS expects"},
+		{"WINDOWS fraction", `SELECT count(*) FROM S EVERY '1s' WINDOWS 2.5`, "WINDOWS expects"},
+		{"WINDOWS quoted", `SELECT count(*) FROM S EVERY '1s' WINDOWS '3'`, "WINDOWS expects"},
+		{"WINDOWS without EVERY", `SELECT count(*) FROM S WINDOWS 3`, "trailing input"},
+		{"WAIT before EVERY", `SELECT count(*) FROM S WAIT '1s' EVERY '1s'`, "trailing input"},
+		{"WAIT without duration", `SELECT count(*) FROM S WAIT`, "WAIT expects"},
+		{"WAIT on a plain select", `SELECT pkey FROM S WAIT '1s'`, "WAIT needs an aggregate or a join"},
+		{"EVERY on a join", `SELECT R.pkey FROM R, S WHERE R.num1 = S.pkey EVERY '1s'`, "single table"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -36,7 +36,7 @@ var keywords = map[string]bool{
 	"HAVING": true, "AS": true, "AND": true, "OR": true, "NOT": true,
 	"TRUE": true, "FALSE": true, "NULL": true, "USING": true, "STRATEGY": true,
 	"IN": true, "CREATE": true, "INDEX": true, "ON": true,
-	"EXPLAIN": true, "TRACE": true,
+	"EXPLAIN": true, "TRACE": true, "EVERY": true, "WINDOWS": true, "WAIT": true,
 }
 
 type lexer struct {

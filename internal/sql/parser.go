@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Parse parses one SELECT statement.
@@ -223,7 +224,38 @@ func (p *parser) parseSelect() (*Stmt, error) {
 		}
 		st.Strategy = strings.ToLower(t.text)
 	}
+	if p.acceptKeyword("EVERY") {
+		var err error
+		if st.Every, err = p.expectDuration("EVERY"); err != nil {
+			return nil, err
+		}
+		if p.acceptKeyword("WINDOWS") {
+			t := p.next()
+			n, err := strconv.Atoi(t.text)
+			if t.kind != tokNumber || err != nil || n <= 0 {
+				return nil, p.errf("WINDOWS expects a positive integer, found %q", t.text)
+			}
+			st.Windows = n
+		}
+	}
+	if p.acceptKeyword("WAIT") {
+		var err error
+		if st.Wait, err = p.expectDuration("WAIT"); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
+}
+
+// expectDuration reads the quoted Go duration that follows clause, as
+// in EVERY '10s'; it must be positive.
+func (p *parser) expectDuration(clause string) (time.Duration, error) {
+	t := p.next()
+	d, err := time.ParseDuration(t.text)
+	if t.kind != tokString || err != nil || d <= 0 {
+		return 0, p.errf("%s expects a positive quoted duration like '10s', found %q", clause, t.text)
+	}
+	return d, nil
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {

@@ -64,6 +64,16 @@ func Plan(src string, cat Catalog) (*core.Plan, error) {
 	}
 }
 
+// MustPlan is Plan for SQL text fixed in the program, such as an
+// experiment's query: it panics if src does not plan against cat.
+func MustPlan(src string, cat Catalog) *core.Plan {
+	p, err := Plan(src, cat)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // ToPlan lowers a parsed statement against the catalog.
 func ToPlan(st *Stmt, cat Catalog) (*core.Plan, error) {
 	pl := &planner{st: st, cat: cat}
@@ -159,6 +169,20 @@ func (p *planner) lower() (*core.Plan, error) {
 		// stands wherever no catalog answers.
 		plan.AutoStrategy = true
 	}
+	if p.st.Every > 0 {
+		plan.Continuous, plan.Every, plan.Windows = true, p.st.Every, p.st.Windows
+	}
+	if w := p.st.Wait; w > 0 {
+		if len(plan.Aggs) == 0 && len(plan.Tables) == 1 {
+			return nil, fmt.Errorf("sql: WAIT needs an aggregate or a join")
+		}
+		if len(plan.Aggs) > 0 {
+			plan.AggWait = w
+		}
+		if len(plan.Tables) == 2 {
+			plan.BloomWait = w
+		}
+	}
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -228,7 +252,25 @@ func (p *planner) lowerProjection(plan *core.Plan) error {
 		}
 		plan.Having = e
 	}
+	// A select list that is exactly the group columns, then the
+	// aggregates, is the row a group emits anyway.
+	if identity(plan.Output, len(plan.GroupBy)+len(plan.Aggs)) {
+		plan.Output = nil
+	}
 	return nil
+}
+
+// identity reports whether out is n columns, column i in place i.
+func identity(out []core.Expr, n int) bool {
+	if len(out) != n {
+		return false
+	}
+	for i, e := range out {
+		if c, ok := e.(*core.Col); !ok || c.Idx != i {
+			return false
+		}
+	}
+	return true
 }
 
 type aggRef struct {

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"pier/internal/core"
+	"pier/internal/sql"
 )
 
 // Column layout of R: pkey, num1 (join column), num2, num3. The pad is
@@ -45,6 +46,13 @@ const (
 	JSNum2
 	JSNum3
 )
+
+// Catalog describes R and S to the SQL planner, in the column layouts
+// above, each keyed on pkey.
+var Catalog = sql.Catalog{
+	"R": {Name: "R", Cols: []string{"pkey", "num1", "num2", "num3"}, Key: "pkey"},
+	"S": {Name: "S", Cols: []string{"pkey", "num2", "num3"}, Key: "pkey"},
+}
 
 // NumRange is the domain of num2/num3: uniform integers in [0, NumRange).
 const NumRange = 100
