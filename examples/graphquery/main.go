@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"pier"
-	"pier/internal/core"
 	"pier/internal/topology"
 )
 
@@ -77,12 +76,14 @@ func main() {
 // on addr = src, via Fetch Matches, since the links table is already
 // hashed on the join attribute (§4.1).
 func reachPlan(frontier string) *pier.Plan {
-	return &pier.Plan{
-		Tables: []pier.TableRef{
-			{NS: frontier, JoinCols: []int{0}, RIDCol: 0},
-			{NS: "links", JoinCols: []int{0}, RIDCol: 0},
-		},
-		Strategy: pier.FetchMatches,
-		Output:   []core.Expr{&core.Col{Idx: 2}}, // links.dst
+	plan, err := pier.ParseSQL(fmt.Sprintf(`
+		SELECT links.dst FROM %[1]s, links WHERE %[1]s.addr = links.src
+		USING STRATEGY 'fetch matches'`, frontier), pier.Catalog{
+		frontier: {Name: frontier, Cols: []string{"addr"}, Key: "addr"},
+		"links":  {Name: "links", Cols: []string{"src", "dst"}, Key: "src"},
+	})
+	if err != nil {
+		panic(err)
 	}
+	return plan
 }

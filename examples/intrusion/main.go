@@ -49,9 +49,9 @@ func main() {
 		SELECT I.fingerprint, count(*) AS cnt
 		FROM intrusions AS I
 		GROUP BY I.fingerprint
-		HAVING cnt > 10`, cat)
+		HAVING cnt > 10
+		WAIT '5s'`, cat)
 	must(err)
-	q2.AggWait = 5 * time.Second
 	rows, _, err = sn.Collect(0, q2, 0, 2*time.Minute)
 	must(err)
 	fmt.Println("== widespread attack fingerprints (count > 10) ==")
@@ -65,9 +65,9 @@ func main() {
 		FROM intrusions AS I, reputation AS R
 		WHERE R.address = I.address
 		GROUP BY I.fingerprint
-		HAVING wcnt > 10`, cat)
+		HAVING wcnt > 10
+		WAIT '8s'`, cat)
 	must(err)
-	q3.AggWait = 8 * time.Second
 	rows, _, err = sn.Collect(0, q3, 0, 2*time.Minute)
 	must(err)
 	fmt.Println("== reputation-weighted fingerprints (wcnt > 10) ==")

@@ -80,17 +80,17 @@ func main() {
 	fmt.Println("note: 10.0.0.9 should spike in window 1 — the monitoring signal")
 }
 
-// monitorPlan is the continuous plan: per-source packet and byte
-// counts per 10-second window, three windows.
+// monitorPlan is the continuous query: per-source packet and byte
+// counts per 10-second window, three windows. The packets are
+// published under their source, so src is the table's key.
 func monitorPlan() *pier.Plan {
-	return &pier.Plan{
-		Tables:     []pier.TableRef{{NS: "packets"}},
-		GroupBy:    []int{0}, // src
-		Aggs:       []pier.Aggregate{{Kind: pier.Count, Col: -1}, {Kind: pier.Sum, Col: 2}},
-		Continuous: true,
-		Every:      10 * time.Second,
-		Windows:    3,
-		AggWait:    4 * time.Second,
-		TTL:        2 * time.Minute,
+	plan, err := pier.ParseSQL(`
+		SELECT src, count(*), sum(size) FROM packets GROUP BY src
+		EVERY '10s' WINDOWS 3 WAIT '4s'`,
+		pier.Catalog{"packets": {Name: "packets", Cols: []string{"src", "port", "size"}, Key: "src"}})
+	if err != nil {
+		panic(err)
 	}
+	plan.TTL = 2 * time.Minute
+	return plan
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"pier/internal/core"
-	"pier/internal/wire"
+	"pier/internal/sql"
 	"pier/internal/workload"
 )
 
@@ -123,68 +123,45 @@ func GenerateQueriesMix(n int, seed int64, withRange bool) []QuerySpec {
 	return specs
 }
 
+// catalog describes the scenario's tables to the planner: the
+// workload's R and S, and the flood namespace, one integer column.
+var catalog = sql.Catalog{
+	"R":     workload.Catalog["R"],
+	"S":     workload.Catalog["S"],
+	FloodNS: {Name: FloodNS, Cols: []string{"seq"}, Key: "seq"},
+}
+
+// rangeCatalog adds the S.num2 index of a RangeQueries scenario. Only
+// QRange plans against it, so every other scan stays a full scan.
+var rangeCatalog = sql.Catalog{"S": {Name: "S", Cols: workload.Catalog["S"].Cols, Key: "pkey",
+	Indexes: []sql.Index{{Name: RangeIndexName, Col: "num2"}}}}
+
 // Plan lowers the spec to an executable plan over the workload tables
 // (the flood namespace for QFlood). window is the per-query
 // result-collection window (the plan's TTL).
 func (q QuerySpec) Plan(window time.Duration) *core.Plan {
 	c1, c2, c3 := workload.Constants(q.SelR, q.SelS, q.SelF)
+	scan := fmt.Sprintf("SELECT pkey, num2 FROM S WHERE num2 > %d", c2)
 	var p *core.Plan
 	switch q.Kind {
 	case QJoin:
 		p = workload.JoinPlan(q.Strategy, c1, c2, c3)
 		p.BloomBits = 1 << 14
-		p.BloomWait = 5 * time.Second
 	case QSelect:
-		p = &core.Plan{
-			Tables: []core.TableRef{{
-				NS:     "S",
-				Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
-				RIDCol: workload.SPkey,
-			}},
-			Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
-		}
+		p = sql.MustPlan(scan, catalog)
 	case QAggregate:
-		p = &core.Plan{
-			Tables: []core.TableRef{{
-				NS:     "S",
-				Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
-				RIDCol: workload.SPkey,
-			}},
-			GroupBy: []int{workload.SNum3},
-			Aggs:    []core.Aggregate{{Kind: core.Count, Col: -1}, {Kind: core.Sum, Col: workload.SNum2}},
-			AggWait: 8 * time.Second,
-		}
+		p = sql.MustPlan(fmt.Sprintf("SELECT num3, count(*), sum(num2) FROM S WHERE num2 > %d GROUP BY num3 WAIT '8s'", c2), catalog)
 	case QContinuous:
-		p = &core.Plan{
-			Tables:     []core.TableRef{{NS: "S", RIDCol: workload.SPkey}},
-			Aggs:       []core.Aggregate{{Kind: core.Count, Col: -1}},
-			Continuous: true,
-			Every:      10 * time.Second,
-			AggWait:    5 * time.Second,
-		}
+		p = sql.MustPlan("SELECT count(*) FROM S EVERY '10s' WAIT '5s'", catalog)
 	case QRange:
-		// The QSelect predicate, served through the PHT instead of a
-		// multicast full scan. The encoded bound is inclusive (the
-		// encoding is non-strictly monotone); the Filter is the exact
-		// residual, as in planner-attached index scans.
-		p = &core.Plan{
-			Tables: []core.TableRef{{
-				NS:     "S",
-				Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
-				RIDCol: workload.SPkey,
-				IndexScan: &core.IndexRangeScan{
-					Index: RangeIndexName,
-					Lo:    wire.OrderedKey(c2),
-					Hi:    wire.OrderedMax,
-				},
-			}},
-			Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
-		}
+		// The QSelect scan, served through the PHT instead of a
+		// multicast full scan: the planner attaches the index over
+		// num2 > c2 (Filter stays the exact residual), and the scenario
+		// forces that access path.
+		p = sql.MustPlan(scan, rangeCatalog)
+		p.AutoAccess = false
 	case QFlood:
-		p = &core.Plan{
-			Tables: []core.TableRef{{NS: FloodNS, RIDCol: 0}},
-			Output: []core.Expr{&core.Col{Idx: 0}},
-		}
+		p = sql.MustPlan("SELECT seq FROM "+FloodNS, catalog)
 	}
 	p.TTL = window
 	return p

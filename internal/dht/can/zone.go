@@ -172,8 +172,11 @@ func TotalVolume(zones []Zone) float64 {
 }
 
 // AnyAdjacent reports whether any pair across the two zone sets is
-// adjacent, or any zone of one set contains a point owned by the other —
-// used to decide whether two multi-zone nodes are neighbors.
+// adjacent — used to decide whether two multi-zone nodes are
+// neighbors. Overlap is not adjacency: two sets whose zones only
+// overlap (two owners of one zone) are not neighbors. That is why two
+// owners of one zone drop each other in onNeighborUpdate's
+// !AnyAdjacent branch and never reconcile.
 func AnyAdjacent(a, b []Zone) bool {
 	for _, za := range a {
 		for _, zb := range b {

@@ -11,6 +11,7 @@ import (
 	"pier/internal/dht/can"
 	"pier/internal/env"
 	"pier/internal/simnet"
+	"pier/internal/sql"
 	"pier/internal/topology"
 )
 
@@ -153,15 +154,14 @@ func hierAggRun(nodes, rows, fanout int, seed int64) (maxIn, total float64, dur 
 	return float64(sn.Net.MaxInbound()), float64(sn.Net.Totals().Bytes), done.Sub(start)
 }
 
-// hierAggPlan is the ablation's global COUNT/SUM over m.
+// hierAggPlan is the ablation's global COUNT/SUM over m, whose rows
+// are ("g", 1). Their resourceIDs are row numbers; the catalog keys m
+// on grp only because nothing here reads the key column.
 func hierAggPlan(fanout int) *core.Plan {
-	return &core.Plan{
-		Tables:    []core.TableRef{{NS: "m"}},
-		GroupBy:   []int{0},
-		Aggs:      []core.Aggregate{{Kind: core.Count, Col: -1}, {Kind: core.Sum, Col: 1}},
-		AggWait:   10 * time.Second,
-		AggFanout: fanout,
-	}
+	p := sql.MustPlan("SELECT grp, count(*), sum(v) FROM m GROUP BY grp WAIT '10s'",
+		sql.Catalog{"m": {Name: "m", Cols: []string{"grp", "v"}, Key: "grp"}})
+	p.AggFanout = fanout
+	return p
 }
 
 // StrategyTraffic compares the four strategies' traffic and latency at

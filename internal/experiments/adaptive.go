@@ -18,6 +18,7 @@ import (
 	"pier"
 	"pier/internal/core"
 	"pier/internal/opt"
+	"pier/internal/sql"
 	"pier/internal/topology"
 	"pier/internal/workload"
 )
@@ -143,20 +144,19 @@ func buildSelective(cfg AdaptiveConfig) ([]*core.Tuple, []*core.Tuple, *core.Pla
 	return R, S, plan, countJoinOnCol1(R, S, c)
 }
 
-// joinOnCol1 builds the shared plan shape of the custom workloads:
-// equi-join on column 1, `num2 > c` selections on column 2 of both
-// sides, emitting both primary keys.
+// colCatalog describes the custom workloads' R and S: a primary key,
+// the join column k and the selection column num.
+var colCatalog = sql.Catalog{
+	"R": {Name: "R", Cols: []string{"pkey", "k", "num"}, Key: "pkey"},
+	"S": {Name: "S", Cols: []string{"pkey", "k", "num"}, Key: "pkey"},
+}
+
+// joinOnCol1 plans the shared query of the custom workloads: an
+// equi-join on k with `num > c` on both sides, emitting both primary
+// keys.
 func joinOnCol1(c int64) *core.Plan {
-	filter := func() core.Expr {
-		return &core.Cmp{Op: core.GT, L: &core.Col{Idx: 2}, R: &core.Const{V: c}}
-	}
-	return &core.Plan{
-		Tables: []core.TableRef{
-			{NS: "R", Filter: filter(), JoinCols: []int{1}, RIDCol: 0},
-			{NS: "S", Filter: filter(), JoinCols: []int{1}, RIDCol: 0},
-		},
-		Output: []core.Expr{&core.Col{Idx: 0}, &core.Col{Idx: 3}},
-	}
+	return sql.MustPlan(fmt.Sprintf(`SELECT R.pkey, S.pkey FROM R, S
+		WHERE R.k = S.k AND R.num > %d AND S.num > %[1]d USING STRATEGY 'symmetric hash'`, c), colCatalog)
 }
 
 // countJoinOnCol1 computes the exact expected result count.

@@ -18,6 +18,7 @@ import (
 	"pier"
 	"pier/internal/core"
 	"pier/internal/env"
+	"pier/internal/sql"
 	"pier/internal/topology"
 	"pier/internal/workload"
 )
@@ -98,9 +99,9 @@ func RunJoin(cfg JoinConfig) JoinResult {
 	c1, c2, c3 := workload.Constants(0.5, cfg.SelS, 0.5)
 	expected := tables.ReferenceJoin(c1, c2, c3)
 
-	plan := workload.JoinPlan(cfg.Strategy, c1, c2, c3)
+	plan := sql.MustPlan(fmt.Sprintf("%s WAIT '%v'", workload.JoinSQL(cfg.Strategy, c1, c2, c3), cfg.BloomWait),
+		workload.Catalog)
 	plan.ComputeNodes = cfg.ComputeNodes
-	plan.BloomWait = cfg.BloomWait
 	plan.TTL = cfg.Limit
 	// Size Bloom filters for the scaled data (the paper's "small
 	// temporary namespace"): ~10 bits per distinct join key. R's join

@@ -19,6 +19,7 @@ import (
 
 	"pier"
 	"pier/internal/core"
+	"pier/internal/sql"
 	"pier/internal/topology"
 	"pier/internal/workload"
 )
@@ -187,15 +188,7 @@ func runIncast(cfg IncastConfig, batched bool) IncastRun {
 	return run
 }
 
-// incastPlan is the incast query: the S scan with num2 > c2.
+// incastPlan is the incast query, a scan of S with num2 > c2.
 func incastPlan(c2 int64) *core.Plan {
-	return &core.Plan{
-		Tables: []core.TableRef{{
-			NS:     "S",
-			Filter: &core.Cmp{Op: core.GT, L: &core.Col{Idx: workload.SNum2}, R: &core.Const{V: c2}},
-			RIDCol: workload.SPkey,
-		}},
-		Output: []core.Expr{&core.Col{Idx: workload.SPkey}, &core.Col{Idx: workload.SNum2}},
-		TTL:    10 * time.Minute,
-	}
+	return sql.MustPlan(fmt.Sprintf("SELECT pkey, num2 FROM S WHERE num2 > %d", c2), workload.Catalog)
 }

@@ -33,6 +33,8 @@ func TestPlannedShapes(t *testing.T) {
 	}
 	// The §5.1 join: SELECT R.pkey, S.pkey FROM R, S WHERE R.num1 =
 	// S.pkey AND R.num2 > c1 AND S.num2 > c2 AND f(R.num3, S.num3) > c3.
+	// The joined row is R's four columns, then S's three.
+	const jRPkey, jRNum3, jSPkey, jSNum3 = 0, 3, 4, 6
 	paperJoin := func(s core.Strategy, c1, c2, c3 int64) *core.Plan {
 		return &core.Plan{
 			Tables: []core.TableRef{
@@ -42,10 +44,10 @@ func TestPlannedShapes(t *testing.T) {
 			Strategy: s,
 			PostFilter: &core.Cmp{
 				Op: core.GT,
-				L:  &core.Call{Name: "f", Args: cols(workload.JRNum3, workload.JSNum3)},
+				L:  &core.Call{Name: "f", Args: cols(jRNum3, jSNum3)},
 				R:  &core.Const{V: c3},
 			},
-			Output: cols(workload.JRPkey, workload.JSPkey),
+			Output: cols(jRPkey, jSPkey),
 		}
 	}
 	// SELECT pkey, num2 FROM S WHERE num2 > c.

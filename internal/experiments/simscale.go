@@ -20,6 +20,7 @@ import (
 	"pier/internal/core"
 	"pier/internal/env"
 	"pier/internal/simnet"
+	"pier/internal/sql"
 	"pier/internal/topology"
 )
 
@@ -143,7 +144,7 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 		sn.Load("u", fmt.Sprint(i), int64(i), &core.Tuple{Rel: "u", Vals: []core.Value{int64(i)}}, 0)
 	}
 	got := 0
-	id, err := sn.QueryFrom(0, simScalePlan(), func(*core.Tuple, int) { got++ })
+	id, err := sn.Nodes[0].Query(simScalePlan(), func(*core.Tuple, int) { got++ })
 	if err != nil {
 		panic(fmt.Sprintf("simscale: scan rejected: %v", err))
 	}
@@ -176,5 +177,7 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 
 // simScalePlan is the overlay bucket's route pass: a scan of all of u.
 func simScalePlan() *core.Plan {
-	return &core.Plan{Tables: []core.TableRef{{NS: "u"}}, TTL: 2 * time.Minute}
+	p := sql.MustPlan("SELECT * FROM u", sql.Catalog{"u": {Name: "u", Cols: []string{"id"}, Key: "id"}})
+	p.TTL = 2 * time.Minute
+	return p
 }

@@ -34,10 +34,6 @@ func TraceDemo(seed int64, full bool) (string, error) {
 	for i, s := range tables.S {
 		sn.Load("S", core.ValueString(s.Vals[workload.SPkey]), int64(i), s, 0)
 	}
-	cat := pier.Catalog{
-		"R": {Name: "R", Cols: []string{"pkey", "num1", "num2", "num3"}, Key: "pkey"},
-		"S": {Name: "S", Cols: []string{"pkey", "num2", "num3"}, Key: "pkey"},
-	}
 	c1, c2, c3 := workload.Constants(0.5, 0.5, 0.5)
 	want := tables.ReferenceJoin(c1, c2, c3)
 
@@ -46,7 +42,7 @@ func TraceDemo(seed int64, full bool) (string, error) {
 		FROM R, S
 		WHERE R.num1 = S.pkey AND R.num2 > %d AND S.num2 > %d
 		  AND f(R.num3, S.num3) > %d`, c1, c2, c3)
-	plan, err := pier.ParseSQL(src, cat)
+	plan, err := pier.ParseSQL(src, workload.Catalog)
 	if err != nil {
 		return "", err
 	}

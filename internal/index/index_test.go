@@ -192,7 +192,7 @@ func TestDefCacheAgesOutWithDeadCreator(t *testing.T) {
 		t.Fatalf("announce did not reach node 3")
 	}
 
-	sn.Crash(0) // the creator stops renewing the definition
+	sn.Kill(0) // the creator stops renewing the definition
 	sn.RunFor(2 * time.Minute)
 	for i := 1; i < len(sn.Nodes); i++ {
 		if !sn.Alive(i) {

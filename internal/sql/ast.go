@@ -90,8 +90,8 @@ type Stmt struct {
 	Every   time.Duration
 	Windows int
 	// Wait (WAIT '<dur>') is the gather wait: how long group collectors
-	// gather partials (an aggregate) or Bloom collectors gather filters
-	// (a join).
+	// gather partials (an aggregate) or, in a join without aggregates,
+	// Bloom collectors gather filters.
 	Wait time.Duration
 }
 

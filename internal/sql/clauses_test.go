@@ -36,6 +36,14 @@ func TestPlanEveryWindowsWait(t *testing.T) {
 		t.Fatalf("bloomwait=%v aggwait=%v continuous=%v", p.BloomWait, p.AggWait, p.Continuous)
 	}
 
+	p, err = Plan(`SELECT R.pkey, count(*) FROM R, S WHERE R.num1 = S.pkey GROUP BY R.pkey USING STRATEGY bloom WAIT '7s'`, testCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.AggWait != 7*time.Second || p.BloomWait != 5*time.Second {
+		t.Fatalf("aggregate over a join: aggwait=%v bloomwait=%v", p.AggWait, p.BloomWait)
+	}
+
 	p, err = Plan(`SELECT pkey FROM S`, testCat)
 	if err != nil {
 		t.Fatal(err)

@@ -172,16 +172,16 @@ func (p *planner) lower() (*core.Plan, error) {
 	if p.st.Every > 0 {
 		plan.Continuous, plan.Every, plan.Windows = true, p.st.Every, p.st.Windows
 	}
-	if w := p.st.Wait; w > 0 {
-		if len(plan.Aggs) == 0 && len(plan.Tables) == 1 {
-			return nil, fmt.Errorf("sql: WAIT needs an aggregate or a join")
-		}
-		if len(plan.Aggs) > 0 {
-			plan.AggWait = w
-		}
-		if len(plan.Tables) == 2 {
-			plan.BloomWait = w
-		}
+	// WAIT is the gather wait of the query's last gather: the group
+	// collectors of an aggregate, else a join's Bloom collectors.
+	switch w := p.st.Wait; {
+	case w == 0:
+	case len(plan.Aggs) > 0:
+		plan.AggWait = w
+	case len(plan.Tables) == 2:
+		plan.BloomWait = w
+	default:
+		return nil, fmt.Errorf("sql: WAIT needs an aggregate or a join")
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 
 	"pier/internal/core"
@@ -34,17 +35,6 @@ const (
 	SPkey = iota
 	SNum2
 	SNum3
-)
-
-// Columns of the concatenated (R ++ S) join row.
-const (
-	JRPkey = iota
-	JRNum1
-	JRNum2
-	JRNum3
-	JSPkey
-	JSNum2
-	JSNum3
 )
 
 // Catalog describes R and S to the SQL planner, in the column layouts
@@ -156,33 +146,18 @@ func Constants(selR, selS, selF float64) (c1, c2, c3 int64) {
 	return conv(selR), conv(selS), conv(selF)
 }
 
-// JoinPlan builds the §5.1 query plan for a strategy with the given
-// predicate constants.
+// JoinSQL is the §5.1 query (the package comment's SELECT; the pad
+// rides on R's tuple body) under a strategy, with the given predicate
+// constants.
+func JoinSQL(strategy core.Strategy, c1, c2, c3 int64) string {
+	return fmt.Sprintf(`SELECT R.pkey, S.pkey FROM R, S
+		WHERE R.num1 = S.pkey AND R.num2 > %d AND S.num2 > %d AND f(R.num3, S.num3) > %d
+		USING STRATEGY '%v'`, c1, c2, c3, strategy)
+}
+
+// JoinPlan plans JoinSQL against Catalog.
 func JoinPlan(strategy core.Strategy, c1, c2, c3 int64) *core.Plan {
-	return &core.Plan{
-		Tables: []core.TableRef{
-			{
-				NS:       "R",
-				Filter:   &core.Cmp{Op: core.GT, L: &core.Col{Idx: RNum2}, R: &core.Const{V: c1}},
-				JoinCols: []int{RNum1},
-				RIDCol:   RPkey,
-			},
-			{
-				NS:       "S",
-				Filter:   &core.Cmp{Op: core.GT, L: &core.Col{Idx: SNum2}, R: &core.Const{V: c2}},
-				JoinCols: []int{SPkey},
-				RIDCol:   SPkey,
-			},
-		},
-		Strategy: strategy,
-		PostFilter: &core.Cmp{
-			Op: core.GT,
-			L:  &core.Call{Name: "f", Args: []core.Expr{&core.Col{Idx: JRNum3}, &core.Col{Idx: JSNum3}}},
-			R:  &core.Const{V: c3},
-		},
-		// SELECT R.pkey, S.pkey, R.pad — the pad rides on the tuple body.
-		Output: []core.Expr{&core.Col{Idx: JRPkey}, &core.Col{Idx: JSPkey}},
-	}
+	return sql.MustPlan(JoinSQL(strategy, c1, c2, c3), Catalog)
 }
 
 // ReferenceJoin computes the exact expected result set with a local

@@ -83,17 +83,13 @@ func (sn *SimNetwork) Leave(i int) {
 	sn.Net.Kill(i)
 }
 
-// Crash fails node i abruptly: its tuples are lost and messages to it
-// are dropped (§5.6). Alias of Kill, named for the chaos vocabulary.
-func (sn *SimNetwork) Crash(i int) { sn.Net.Kill(i) }
-
 // Restart models a node that crashes and comes back: the process at
 // index i dies and a fresh identity rejoins through the landmark —
 // rejoining nodes get new addresses and empty stores, exactly like a
 // new participant (DHT identities are not durable). It returns the new
 // node's index.
 func (sn *SimNetwork) Restart(i, landmark int) int {
-	sn.Crash(i)
+	sn.Kill(i)
 	return sn.Join(landmark)
 }
 
@@ -155,11 +151,6 @@ func (sn *SimNetwork) Kill(i int) { sn.Net.Kill(i) }
 
 // Alive reports whether node i is up.
 func (sn *SimNetwork) Alive(i int) bool { return sn.Net.Alive(i) }
-
-// QueryFrom runs a plan from node i. See Node.Query.
-func (sn *SimNetwork) QueryFrom(i int, p *Plan, fn ResultFunc) (uint64, error) {
-	return sn.Nodes[i].Query(p, fn)
-}
 
 // Collect runs a plan from node i, drives the simulation until either
 // want results arrived (want > 0) or no further progress is possible
