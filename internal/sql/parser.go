@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -278,34 +279,30 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 // Expression grammar: OR > AND > NOT > comparison > additive >
 // multiplicative > unary > primary.
 
-func (p *parser) parseOr() (Node, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
+func (p *parser) parseOr() (Node, error)  { return p.parseChain(p.parseAnd, "OR") }
+func (p *parser) parseAnd() (Node, error) { return p.parseChain(p.parseNot, "AND") }
+func (p *parser) parseAdd() (Node, error) { return p.parseChain(p.parseMul, "+", "-") }
+func (p *parser) parseMul() (Node, error) { return p.parseChain(p.parseUnary, "*", "/", "%") }
 
-func (p *parser) parseAnd() (Node, error) {
-	l, err := p.parseNot()
+// parseChain parses a left-associative chain of next joined by any of
+// ops (keywords or symbols).
+func (p *parser) parseChain(next func() (Node, error), ops ...string) (Node, error) {
+	l, err := next()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKeyword("AND") {
-		r, err := p.parseNot()
+	for {
+		t := p.peek()
+		if (t.kind != tokKeyword && t.kind != tokSymbol) || !slices.Contains(ops, t.text) {
+			return l, nil
+		}
+		p.i++
+		r, err := next()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinOp{Op: "AND", L: l, R: r}
+		l = &BinOp{Op: t.text, L: l, R: r}
 	}
-	return l, nil
 }
 
 func (p *parser) parseNot() (Node, error) {
@@ -388,44 +385,6 @@ func (p *parser) parseInList(l Node) (Node, error) {
 		if !p.acceptSymbol(",") {
 			return nil, p.errf("expected , or ) in IN list")
 		}
-	}
-}
-
-func (p *parser) parseAdd() (Node, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != tokSymbol || (t.text != "+" && t.text != "-") {
-			return l, nil
-		}
-		p.i++
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: t.text, L: l, R: r}
-	}
-}
-
-func (p *parser) parseMul() (Node, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != tokSymbol || (t.text != "*" && t.text != "/" && t.text != "%") {
-			return l, nil
-		}
-		p.i++
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: t.text, L: l, R: r}
 	}
 }
 

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pier/internal/core"
@@ -49,19 +50,16 @@ func Plan(src string, cat Catalog) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl := &planner{cat: cat}
 	switch s := st.(type) {
 	case *Stmt:
-		return ToPlan(s, cat)
+		pl.st = s
 	case *ExplainStmt:
-		p, err := ToPlan(s.Select, cat)
-		if err != nil {
-			return nil, err
-		}
-		p.Trace = true
-		return p, nil
+		pl.st, pl.trace = s.Select, true
 	default:
 		return nil, fmt.Errorf("sql: expected a SELECT statement")
 	}
+	return pl.lower()
 }
 
 // MustPlan is Plan for SQL text fixed in the program, such as an
@@ -74,15 +72,10 @@ func MustPlan(src string, cat Catalog) *core.Plan {
 	return p
 }
 
-// ToPlan lowers a parsed statement against the catalog.
-func ToPlan(st *Stmt, cat Catalog) (*core.Plan, error) {
-	pl := &planner{st: st, cat: cat}
-	return pl.lower()
-}
-
 type planner struct {
-	st  *Stmt
-	cat Catalog
+	st    *Stmt
+	cat   Catalog
+	trace bool // EXPLAIN TRACE
 
 	tables  []Table  // resolved FROM tables
 	aliases []string // FROM aliases, same order
@@ -93,6 +86,7 @@ func (p *planner) lower() (*core.Plan, error) {
 	if len(p.st.From) == 0 {
 		return nil, fmt.Errorf("sql: no FROM tables")
 	}
+	plan := &core.Plan{Trace: p.trace}
 	off := 0
 	for _, ti := range p.st.From {
 		tb, ok := p.cat[ti.Name]
@@ -103,27 +97,20 @@ func (p *planner) lower() (*core.Plan, error) {
 		p.aliases = append(p.aliases, ti.Alias)
 		p.offsets = append(p.offsets, off)
 		off += len(tb.Cols)
-	}
-
-	plan := &core.Plan{}
-	for i, tb := range p.tables {
-		tr := core.TableRef{NS: tb.Name, RIDCol: -1}
-		if k := tb.Col(tb.Key); k >= 0 {
-			tr.RIDCol = k
-		}
-		plan.Tables = append(plan.Tables, tr)
-		_ = i
+		// The key column is the base resourceID; -1 when there is none.
+		plan.Tables = append(plan.Tables, core.TableRef{NS: tb.Name, RIDCol: tb.Col(tb.Key)})
 	}
 
 	// WHERE: split conjuncts into per-table filters, equi-join pairs,
 	// and cross-table residue (evaluated post-join, like the workload's
 	// f(R.num3, S.num3) predicate).
-	var post []core.Expr
 	for _, c := range conjuncts(p.st.Where) {
 		refs, err := p.tablesReferenced(c)
 		if err != nil {
 			return nil, err
 		}
+		// refs == 1, or an unqualified single-table predicate.
+		dst, res := &plan.Tables[0].Filter, p.localResolver(0)
 		switch {
 		case len(p.tables) == 2 && refs == 3:
 			if l, r, ok := p.asJoinPair(c); ok {
@@ -131,26 +118,16 @@ func (p *planner) lower() (*core.Plan, error) {
 				plan.Tables[1].JoinCols = append(plan.Tables[1].JoinCols, r)
 				continue
 			}
-			e, err := p.toExpr(c, p.concatResolver())
-			if err != nil {
-				return nil, err
-			}
-			post = append(post, e)
+			dst, res = &plan.PostFilter, p.concatResolver()
 		case refs == 2 && len(p.tables) == 2:
-			e, err := p.toExpr(c, p.localResolver(1))
-			if err != nil {
-				return nil, err
-			}
-			plan.Tables[1].Filter = andExpr(plan.Tables[1].Filter, e)
-		default: // refs == 1 or unqualified single-table
-			e, err := p.toExpr(c, p.localResolver(0))
-			if err != nil {
-				return nil, err
-			}
-			plan.Tables[0].Filter = andExpr(plan.Tables[0].Filter, e)
+			dst, res = &plan.Tables[1].Filter, p.localResolver(1)
 		}
+		e, err := p.toExpr(c, res)
+		if err != nil {
+			return nil, err
+		}
+		*dst = andExpr(*dst, e)
 	}
-	plan.PostFilter = andAll(post)
 	p.attachIndexScan(plan)
 
 	if err := p.lowerProjection(plan); err != nil {
@@ -224,9 +201,7 @@ func (p *planner) lowerProjection(plan *core.Plan) error {
 		}
 		plan.GroupBy = append(plan.GroupBy, idx)
 	}
-	for _, a := range aggs {
-		plan.Aggs = append(plan.Aggs, a.spec)
-	}
+	plan.Aggs = aggs
 	// SELECT and HAVING see groupCols ++ aggResults; aliases defined in
 	// SELECT are visible in HAVING (the paper's "HAVING cnt > 10").
 	aliasDefs := map[string]Node{}
@@ -254,74 +229,64 @@ func (p *planner) lowerProjection(plan *core.Plan) error {
 	}
 	// A select list that is exactly the group columns, then the
 	// aggregates, is the row a group emits anyway.
-	if identity(plan.Output, len(plan.GroupBy)+len(plan.Aggs)) {
+	identity := len(plan.Output) == len(plan.GroupBy)+len(aggs)
+	for i, e := range plan.Output {
+		c, ok := e.(*core.Col)
+		identity = identity && ok && c.Idx == i
+	}
+	if identity {
 		plan.Output = nil
 	}
 	return nil
-}
-
-// identity reports whether out is n columns, column i in place i.
-func identity(out []core.Expr, n int) bool {
-	if len(out) != n {
-		return false
-	}
-	for i, e := range out {
-		if c, ok := e.(*core.Col); !ok || c.Idx != i {
-			return false
-		}
-	}
-	return true
-}
-
-type aggRef struct {
-	call *FuncCall
-	spec core.Aggregate
 }
 
 var aggKinds = map[string]core.AggKind{
 	"count": core.Count, "sum": core.Sum, "avg": core.Avg, "min": core.Min, "max": core.Max,
 }
 
+// aggOf resolves an aggregate call to its kind and argument column
+// (-1 for count(*)); isAgg is false for any other call.
+func (p *planner) aggOf(n *FuncCall) (a core.Aggregate, isAgg bool, err error) {
+	kind, isAgg := aggKinds[n.Name]
+	a = core.Aggregate{Kind: kind, Col: -1}
+	switch {
+	case !isAgg:
+		return a, false, nil
+	case n.Star && kind != core.Count:
+		return a, true, fmt.Errorf("sql: only count(*) may use *")
+	case n.Star:
+		return a, true, nil
+	case len(n.Args) != 1:
+		return a, true, fmt.Errorf("sql: %s takes one column argument", n.Name)
+	}
+	cr, ok := n.Args[0].(*ColRef)
+	if !ok {
+		return a, true, fmt.Errorf("sql: %s argument must be a column", n.Name)
+	}
+	a.Col, err = p.concatResolver()(cr)
+	return a, true, err
+}
+
 // collectAggregates finds aggregate calls in SELECT and HAVING,
 // deduplicated by (kind, column).
-func (p *planner) collectAggregates() ([]aggRef, error) {
-	var out []aggRef
+func (p *planner) collectAggregates() ([]core.Aggregate, error) {
+	var out []core.Aggregate
 	var collect func(n Node) error
 	collect = func(n Node) error {
 		switch n := n.(type) {
 		case *FuncCall:
-			kind, isAgg := aggKinds[n.Name]
-			if !isAgg {
-				for _, a := range n.Args {
-					if err := collect(a); err != nil {
-						return err
-					}
+			a, isAgg, err := p.aggOf(n)
+			if err != nil || isAgg {
+				if err == nil && !slices.Contains(out, a) {
+					out = append(out, a)
 				}
-				return nil
+				return err
 			}
-			col := -1
-			if !n.Star {
-				if len(n.Args) != 1 {
-					return fmt.Errorf("sql: %s takes one column argument", n.Name)
-				}
-				cr, ok := n.Args[0].(*ColRef)
-				if !ok {
-					return fmt.Errorf("sql: %s argument must be a column", n.Name)
-				}
-				idx, err := p.concatResolver()(cr)
-				if err != nil {
+			for _, arg := range n.Args {
+				if err := collect(arg); err != nil {
 					return err
 				}
-				col = idx
-			} else if kind != core.Count {
-				return fmt.Errorf("sql: only count(*) may use *")
 			}
-			for _, a := range out {
-				if a.spec.Kind == kind && a.spec.Col == col {
-					return nil
-				}
-			}
-			out = append(out, aggRef{call: n, spec: core.Aggregate{Kind: kind, Col: col}})
 			return nil
 		case *BinOp:
 			if err := collect(n.L); err != nil {
@@ -353,25 +318,16 @@ func (p *planner) collectAggregates() ([]aggRef, error) {
 // toAggExpr rewrites an expression over the aggregation output row:
 // group columns map to their position, aggregate calls to their slot,
 // and aliases expand to their definitions.
-func (p *planner) toAggExpr(n Node, aggs []aggRef, aliases map[string]Node) (core.Expr, error) {
+func (p *planner) toAggExpr(n Node, aggs []core.Aggregate, aliases map[string]Node) (core.Expr, error) {
 	switch n := n.(type) {
 	case *FuncCall:
-		if kind, isAgg := aggKinds[n.Name]; isAgg {
-			col := -1
-			if !n.Star {
-				cr, _ := n.Args[0].(*ColRef)
-				idx, err := p.concatResolver()(cr)
-				if err != nil {
-					return nil, err
-				}
-				col = idx
-			}
-			_ = kind
-			for j, a := range aggs {
-				argCol := a.spec.Col
-				if a.spec.Kind == aggKinds[n.Name] && argCol == col {
-					return &core.Col{Idx: len(p.st.GroupBy) + j}, nil
-				}
+		a, isAgg, err := p.aggOf(n)
+		if err != nil {
+			return nil, err
+		}
+		if isAgg {
+			if j := slices.Index(aggs, a); j >= 0 {
+				return &core.Col{Idx: len(p.st.GroupBy) + j}, nil
 			}
 			return nil, fmt.Errorf("sql: aggregate %s not collected", n.Name)
 		}
@@ -550,18 +506,14 @@ func flipCmp(op core.CmpOp) core.CmpOp {
 func literalValue(n Node) (core.Value, bool) {
 	switch n := n.(type) {
 	case *NumLit:
-		if n.IsFloat {
-			v := n.Float
-			if n.Neg {
-				v = -v
-			}
-			return v, true
-		}
-		v := n.Int
+		sign := int64(1)
 		if n.Neg {
-			v = -v
+			sign = -1
 		}
-		return v, true
+		if n.IsFloat {
+			return float64(sign) * n.Float, true
+		}
+		return sign * n.Int, true
 	case *StrLit:
 		return n.S, true
 	case *BoolLit:
@@ -638,9 +590,8 @@ func (p *planner) asJoinPair(n Node) (left, right int, ok bool) {
 		return 0, 0, false
 	}
 	if lt == 1 {
-		lt, li, ri = rt, ri, li
+		li, ri = ri, li
 	}
-	_ = lt
 	return li, ri, true
 }
 
@@ -791,25 +742,18 @@ func andExpr(a, b core.Expr) core.Expr {
 	return &core.And{L: a, R: b}
 }
 
-func andAll(es []core.Expr) core.Expr {
-	var out core.Expr
-	for _, e := range es {
-		out = andExpr(out, e)
+// strategyByName looks up a USING STRATEGY name, spaces and dashes
+// dropped.
+func strategyByName(name string) (core.Strategy, error) {
+	if s, ok := strategies[strings.NewReplacer(" ", "", "-", "").Replace(name)]; ok {
+		return s, nil
 	}
-	return out
+	return 0, fmt.Errorf("sql: unknown join strategy %q", name)
 }
 
-func strategyByName(name string) (core.Strategy, error) {
-	switch strings.ReplaceAll(strings.ReplaceAll(name, " ", ""), "-", "") {
-	case "symmetrichash", "symhash":
-		return core.SymmetricHash, nil
-	case "fetchmatches", "fetch":
-		return core.FetchMatches, nil
-	case "symmetricsemijoin", "semijoin":
-		return core.SymmetricSemiJoin, nil
-	case "bloom", "bloomfilter", "bloomjoin":
-		return core.BloomJoin, nil
-	default:
-		return 0, fmt.Errorf("sql: unknown join strategy %q", name)
-	}
+var strategies = map[string]core.Strategy{
+	"symmetrichash": core.SymmetricHash, "symhash": core.SymmetricHash,
+	"fetchmatches": core.FetchMatches, "fetch": core.FetchMatches,
+	"symmetricsemijoin": core.SymmetricSemiJoin, "semijoin": core.SymmetricSemiJoin,
+	"bloom": core.BloomJoin, "bloomfilter": core.BloomJoin, "bloomjoin": core.BloomJoin,
 }

@@ -3,9 +3,10 @@
 #
 # Launches three pier-node daemons over real TCP on loopback, drives
 # them entirely through the HTTP admin plane (register a schema,
-# publish rows, run a SQL query across the fleet, build a range index
-# and query through it, run an EXPLAIN TRACE query and re-fetch its
-# distributed trace by id), asserts a clean
+# publish rows, run a SQL query across the fleet, stream a continuous
+# GROUP BY for three windows, build a range index and query through
+# it, run an EXPLAIN TRACE query and re-fetch its distributed trace by
+# id), asserts a clean
 # /metrics scrape with the transport / query-channel / catalog counter
 # families and the latency histogram families, and finally exercises
 # graceful SIGTERM shutdown with a live query draining.
@@ -103,6 +104,26 @@ done
 [ "$rows" -ge 3 ] || fail "query over HTTP returned $rows/3 rows: $out"
 printf '%s\n' "$out" | tail -n 1 | grep -q '"dropped":0' || fail "stream dropped rows: $out"
 echo "ok: SQL over HTTP returned $rows rows across the fleet"
+
+# A continuous GROUP BY over REST (§2.1's monitoring, §7's windowed
+# streams): node 3 asks for per-name counts every second for three
+# windows while nodes 1 and 2 keep publishing (sizes above the range
+# query's cutoff below). A continuous query aggregates arrivals, so the
+# stream must carry rows of at least three distinct windows.
+CQ="SELECT name, count(*) FROM fish GROUP BY name EVERY '1s' WINDOWS 3 WAIT '500ms'"
+$CURL -X POST "http://127.0.0.1:$A3/api/queries" \
+  -d "{\"sql\":\"$CQ\",\"wait_ms\":6000}" > "$DIR/continuous.out" &
+CQPID=$!
+sleep 0.3
+for i in $(seq 1 20); do
+  publish $A1 "{\"table\":\"fish\",\"values\":[\"perch$((i % 3))\",$((100 + i))]}"
+  publish $A2 "{\"table\":\"fish\",\"values\":[\"pike$((i % 2))\",$((100 + i))]}"
+  sleep 0.2
+done
+wait "$CQPID" || fail "continuous query request failed: $(cat "$DIR/continuous.out")"
+windows=$(grep -o '"window":[0-9]*' "$DIR/continuous.out" | sort -u | wc -l)
+[ "$windows" -ge 3 ] || fail "continuous GROUP BY streamed $windows/3 windows: $(cat "$DIR/continuous.out")"
+echo "ok: continuous GROUP BY over REST streamed $windows windows"
 
 # A PHT range index over REST: CREATE INDEX on node 1, then a range
 # SELECT there must return exactly the rows under the cutoff (the index
