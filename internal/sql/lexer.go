@@ -4,8 +4,8 @@
 // core.Plan. The paper defers "declarative query parsing and
 // optimization" to future work (§3.3, §7); this package provides the
 // parsing layer that would sit above the existing query processor,
-// enough to express all of §2.1's intrusion-detection queries and the
-// §5.1 workload query.
+// enough to express all of §2.1's intrusion-detection queries, the
+// §5.1 workload query, and windowed continuous queries (§7).
 package sql
 
 import (

@@ -13,8 +13,10 @@ type Catalog = sql.Catalog
 // lowers it to an executable Plan. The paper lists declarative query
 // parsing as future work layered above the query processor (§3.3); this
 // front end covers all of §2.1's example queries, including joins,
-// GROUP BY / HAVING with aliases, and an optional
-// `USING STRATEGY '<name>'` clause to pick the join algorithm.
+// GROUP BY / HAVING with aliases, and optional trailing clauses:
+// `USING STRATEGY '<name>'` picks the join algorithm, `EVERY '<dur>'
+// [WINDOWS <n>]` makes the query continuous (§7), and `WAIT '<dur>'`
+// sets its gather wait (AggWait, or BloomWait for a join).
 //
 // Sargable predicates (col ⊙ literal conjuncts, any of the six
 // comparison operators in either orientation) on columns the catalog
