@@ -276,11 +276,14 @@ func (p *planner) collectAggregates() ([]core.Aggregate, error) {
 		switch n := n.(type) {
 		case *FuncCall:
 			a, isAgg, err := p.aggOf(n)
-			if err != nil || isAgg {
-				if err == nil && !slices.Contains(out, a) {
+			switch {
+			case err != nil:
+				return err
+			case isAgg:
+				if !slices.Contains(out, a) {
 					out = append(out, a)
 				}
-				return err
+				return nil
 			}
 			for _, arg := range n.Args {
 				if err := collect(arg); err != nil {
@@ -506,14 +509,18 @@ func flipCmp(op core.CmpOp) core.CmpOp {
 func literalValue(n Node) (core.Value, bool) {
 	switch n := n.(type) {
 	case *NumLit:
-		sign := int64(1)
-		if n.Neg {
-			sign = -1
-		}
 		if n.IsFloat {
-			return float64(sign) * n.Float, true
+			v := n.Float
+			if n.Neg {
+				v = -v
+			}
+			return v, true
 		}
-		return sign * n.Int, true
+		v := n.Int
+		if n.Neg {
+			v = -v
+		}
+		return v, true
 	case *StrLit:
 		return n.S, true
 	case *BoolLit:
@@ -742,18 +749,17 @@ func andExpr(a, b core.Expr) core.Expr {
 	return &core.And{L: a, R: b}
 }
 
-// strategyByName looks up a USING STRATEGY name, spaces and dashes
-// dropped.
 func strategyByName(name string) (core.Strategy, error) {
-	if s, ok := strategies[strings.NewReplacer(" ", "", "-", "").Replace(name)]; ok {
-		return s, nil
+	switch strings.ReplaceAll(strings.ReplaceAll(name, " ", ""), "-", "") {
+	case "symmetrichash", "symhash":
+		return core.SymmetricHash, nil
+	case "fetchmatches", "fetch":
+		return core.FetchMatches, nil
+	case "symmetricsemijoin", "semijoin":
+		return core.SymmetricSemiJoin, nil
+	case "bloom", "bloomfilter", "bloomjoin":
+		return core.BloomJoin, nil
+	default:
+		return 0, fmt.Errorf("sql: unknown join strategy %q", name)
 	}
-	return 0, fmt.Errorf("sql: unknown join strategy %q", name)
-}
-
-var strategies = map[string]core.Strategy{
-	"symmetrichash": core.SymmetricHash, "symhash": core.SymmetricHash,
-	"fetchmatches": core.FetchMatches, "fetch": core.FetchMatches,
-	"symmetricsemijoin": core.SymmetricSemiJoin, "semijoin": core.SymmetricSemiJoin,
-	"bloom": core.BloomJoin, "bloomfilter": core.BloomJoin, "bloomjoin": core.BloomJoin,
 }
