@@ -123,10 +123,10 @@ func GenerateQueriesMix(n int, seed int64, withRange bool) []QuerySpec {
 	return specs
 }
 
-// catalog describes the scenario's tables to the planner: the
-// workload's R and S, and the flood namespace, one integer column.
+// catalog describes the scans' tables to the planner: the workload's
+// S, and the flood namespace, one integer column. Joins plan through
+// workload.JoinPlan.
 var catalog = sql.Catalog{
-	"R":     workload.Catalog["R"],
 	"S":     workload.Catalog["S"],
 	FloodNS: {Name: FloodNS, Cols: []string{"seq"}, Key: "seq"},
 }
