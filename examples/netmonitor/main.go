@@ -81,8 +81,8 @@ func main() {
 }
 
 // monitorPlan is the continuous query: per-source packet and byte
-// counts per 10-second window, three windows. The packets are
-// published under their source, so src is the table's key.
+// counts per 10-second window, three windows. src is the key column:
+// each packet's resourceID is its source and a sequence number.
 func monitorPlan() *pier.Plan {
 	plan, err := pier.ParseSQL(`
 		SELECT src, count(*), sum(size) FROM packets GROUP BY src
