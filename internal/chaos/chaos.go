@@ -143,7 +143,8 @@ type Config struct {
 	// deterministic schedule (a forced Plan.Trace draws no sampling
 	// randomness), and an extra invariant requires every accepted
 	// query to leave a finished, non-empty retained trace on the
-	// driver.
+	// driver. The driver retains its last 16 traces, so a traced
+	// scenario runs at most 16 queries, the flood scan included.
 	TraceQueries bool
 
 	// VerifyReplay re-runs the faulted scenario and asserts the trace
@@ -396,13 +397,8 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 	opts.CANConfig.Maintenance = true
 	opts.ChordConfig.Maintenance = true
 	// Tuned for churn, Figure 6 included: dissemination must survive
-	// not-yet-detected failures, and lookups time out inside the 15 s
-	// failure-detection window instead of stalling queries.
+	// not-yet-detected failures.
 	opts.ProviderConfig.RobustMulticast = true
-	opts.ProviderConfig.PutRetries = 3
-	opts.ProviderConfig.PutRetryDelay = 3 * time.Second
-	opts.CANConfig.LookupTimeout = 8 * time.Second
-	opts.ProviderConfig.GetTimeout = 10 * time.Second
 	// Result channel: pin the batching/credit geometry (rather than
 	// inheriting engine defaults) so pinned-seed traces don't shift if
 	// defaults move. The credit window is deliberately tiny — the
@@ -417,10 +413,8 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 	opts.EngineConfig.ResultCredit = 6
 	opts.EngineConfig.CreditRefresh = 4 * time.Second
 	if cfg.TraceQueries {
-		// Pin the tracing geometry like the channel's, and retain one
-		// trace per generated query for the end-of-run invariant.
+		// Pin the tracing geometry like the channel's.
 		opts.EngineConfig.TraceBuf = 128
-		opts.EngineConfig.TraceRetain = cfg.Queries + 1
 	}
 	if cfg.PublishFlood > 0 && !faultless {
 		// Only the faulted run is bounded: the oracle's unbounded stores
@@ -428,7 +422,6 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		// the recall gap is exactly the cost of the quota. Backoffs are
 		// deterministic (no jitter), keeping the replay hash stable.
 		opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{FloodNS: cfg.FloodQuota}}
-		opts.ProviderConfig.ThrottleDelay = 2 * time.Second
 	}
 	if cfg.StatsInterval > 0 {
 		opts.Stats.Interval = cfg.StatsInterval

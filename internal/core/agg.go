@@ -177,12 +177,11 @@ func (p *Plan) finish(pg *partialGroup) *Tuple {
 	return &Tuple{Rel: "group", Vals: row}
 }
 
-// StableIID derives a stable instanceID from a name. Rollup sites — the
-// engine's level-1 aggregation combiners and the statistics catalog's
-// bucket owners — put their combined partial under it, so distinct
-// sites (and re-combines) never collide at the root; the index agent
-// puts each definition under its index name's, so a re-announce
-// replaces it.
+// StableIID derives a stable instanceID from a name. The engine's
+// level-1 aggregation combiners put their combined partial under it,
+// so distinct sites (and re-combines) never collide at the root; the
+// index agent puts each definition under its index name's, so a
+// re-announce replaces it.
 func StableIID(rid string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(rid))

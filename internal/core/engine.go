@@ -55,10 +55,6 @@ type Config struct {
 	// never grow tracing state without bound. 0 picks the default
 	// (256).
 	TraceBuf int
-	// TraceRetain is how many finished traces an initiator retains
-	// for retrieval (EXPLAIN TRACE, the admin trace endpoint) after
-	// their queries close. 0 picks the default (16).
-	TraceRetain int
 }
 
 // DefaultConfig returns the engine defaults, the one table New resolves
@@ -70,9 +66,13 @@ func DefaultConfig() Config {
 		ResultCredit:        128,
 		CreditRefresh:       5 * time.Second,
 		TraceBuf:            256,
-		TraceRetain:         16,
 	}
 }
+
+// traceRetain is how many finished traces an initiator retains for
+// retrieval (EXPLAIN TRACE, the admin trace endpoint) after their
+// queries close.
+const traceRetain = 16
 
 // aggFlushInterval is how often dirty partial aggregates are re-put
 // while a join or stream keeps feeding them.
@@ -217,7 +217,7 @@ type Engine struct {
 	cancelOrder []uint64
 
 	// traces retains assembled traces of finished queries initiated
-	// here (bounded FIFO of cfg.TraceRetain).
+	// here (bounded FIFO of traceRetain).
 	traces     map[uint64]*trace.Trace
 	traceOrder []uint64
 
@@ -255,7 +255,6 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Engine {
 	env.OrDefault(&cfg.ResultFlushInterval, def.ResultFlushInterval)
 	env.OrDefault(&cfg.CreditRefresh, def.CreditRefresh)
 	env.OrDefault(&cfg.TraceBuf, def.TraceBuf)
-	env.OrDefault(&cfg.TraceRetain, def.TraceRetain)
 	h := sha1.Sum([]byte(e.Addr()))
 	// The maps (execs, collectors, cancelled, traces) and the latency
 	// histograms are all allocated lazily at first insert/observe: on
@@ -383,14 +382,14 @@ func (eng *Engine) assembleTrace(id uint64, c *collector, finished int64) *trace
 }
 
 // retainTrace keeps a finished trace retrievable, evicting the oldest
-// past the TraceRetain bound.
+// past the traceRetain bound.
 func (eng *Engine) retainTrace(id uint64, tr *trace.Trace) {
 	if eng.traces == nil {
 		eng.traces = make(map[uint64]*trace.Trace)
 	}
 	if _, ok := eng.traces[id]; !ok {
 		eng.traceOrder = append(eng.traceOrder, id)
-		if len(eng.traceOrder) > eng.cfg.TraceRetain {
+		if len(eng.traceOrder) > traceRetain {
 			delete(eng.traces, eng.traceOrder[0])
 			eng.traceOrder = eng.traceOrder[1:]
 		}

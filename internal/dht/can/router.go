@@ -30,10 +30,6 @@ type Config struct {
 	// FailTimeout is how long a neighbor must stay silent before it is
 	// declared failed; the paper assumes 15 seconds (§5.6).
 	FailTimeout time.Duration
-
-	// LookupTimeout bounds how long a Lookup waits before reporting
-	// failure with env.NilAddr.
-	LookupTimeout time.Duration
 }
 
 // DefaultConfig returns the paper's simulation configuration; New
@@ -43,7 +39,6 @@ func DefaultConfig() Config {
 		Dims:              4,
 		KeepaliveInterval: 5 * time.Second,
 		FailTimeout:       15 * time.Second,
-		LookupTimeout:     30 * time.Second,
 	}
 }
 
@@ -54,6 +49,12 @@ const (
 	joinRetry = 20 * time.Second
 	// maxHops caps greedy routing to break transient loops.
 	maxHops = 512
+	// lookupTimeout bounds how long a Lookup waits before reporting
+	// failure with env.NilAddr. It expires inside the 15 s
+	// failure-detection window (§5.6), so a lookup lost at a crashed
+	// node fails fast enough for its caller to retry instead of
+	// stalling a query.
+	lookupTimeout = 8 * time.Second
 )
 
 // neighborInfo is one entry of a router's neighbor table.
@@ -128,7 +129,6 @@ func New(e env.Env, cfg Config) *Router {
 	env.OrDefault(&cfg.Dims, def.Dims)
 	env.OrDefault(&cfg.KeepaliveInterval, def.KeepaliveInterval)
 	env.OrDefault(&cfg.FailTimeout, def.FailTimeout)
-	env.OrDefault(&cfg.LookupTimeout, def.LookupTimeout)
 	return &Router{env: e, cfg: cfg}
 }
 
@@ -295,7 +295,7 @@ func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 	r.nonce++
 	n := r.nonce
 	pl := &pendingLookup{cb: cb}
-	pl.timer = r.env.After(r.cfg.LookupTimeout, func() {
+	pl.timer = r.env.After(lookupTimeout, func() {
 		if _, ok := r.pending[n]; ok {
 			delete(r.pending, n)
 			cb(env.NilAddr)

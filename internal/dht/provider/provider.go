@@ -23,10 +23,6 @@ import (
 // Config controls one provider instance. New resolves a zero duration
 // to its DefaultConfig value.
 type Config struct {
-	// GetTimeout bounds how long a get waits for the owner's reply
-	// before delivering an empty result (soft-state best effort).
-	GetTimeout time.Duration
-
 	// Deprecated: ActiveExpiry is ignored, because every provider deletes
 	// items at their lifetime. It stays until no caller sets it.
 	ActiveExpiry bool
@@ -36,15 +32,6 @@ type Config struct {
 	// but loses the subtree behind a not-yet-detected failed node;
 	// churn-heavy deployments (Figure 6) trade bandwidth for coverage.
 	RobustMulticast bool
-
-	// PutRetries is how many times a put is retried when its lookup
-	// cannot resolve an owner (e.g. the route crossed a failed,
-	// not-yet-recovered zone). Soft state tolerates the remaining
-	// losses; retries just shorten the outage window.
-	PutRetries int
-
-	// PutRetryDelay spaces the retries. Default 2s.
-	PutRetryDelay time.Duration
 
 	// Quota bounds the local store with per-namespace byte quotas and
 	// eviction. The zero value leaves it unbounded.
@@ -65,13 +52,26 @@ type Config struct {
 // DefaultConfig returns the provider defaults.
 func DefaultConfig() Config {
 	return Config{
-		GetTimeout:    30 * time.Second,
-		PutRetryDelay: 2 * time.Second,
 		ThrottleDelay: 2 * time.Second,
 	}
 }
 
 const (
+	// getTimeout bounds how long a get waits for the owner's reply
+	// before delivering an empty result (soft-state best effort).
+	getTimeout = 10 * time.Second
+
+	// putRetries is how many times a put is retried when its lookup
+	// cannot resolve an owner (e.g. the route crossed a failed,
+	// not-yet-recovered zone), and putRetryDelay spaces the retries.
+	// Three retries 3 s apart, each behind a lookup of up to 8 s, span
+	// more than the 15 s failure-detection window, so a put issued as
+	// its owner crashes lands on the zone's adopter. Soft state
+	// tolerates the remaining losses; retries just shorten the outage
+	// window.
+	putRetries    = 3
+	putRetryDelay = 3 * time.Second
+
 	// handoffDelay batches item handoffs after a location-map change.
 	handoffDelay = 100 * time.Millisecond
 
@@ -116,8 +116,6 @@ type pendingGet struct {
 // incoming messages through HandleMessage.
 func New(e env.Env, rt dht.Router, cfg Config) *Provider {
 	def := DefaultConfig()
-	env.OrDefault(&cfg.GetTimeout, def.GetTimeout)
-	env.OrDefault(&cfg.PutRetryDelay, def.PutRetryDelay)
 	env.OrDefault(&cfg.ThrottleDelay, def.ThrottleDelay)
 	st := cfg.Store
 	if st == nil {
@@ -185,7 +183,7 @@ func (p *Provider) Put(ns, rid string, iid int64, payload env.Message, lifetime 
 	if lifetime > 0 {
 		it.Expires = p.env.Now().Add(lifetime)
 	}
-	p.putItem(it, p.cfg.PutRetries, 0)
+	p.putItem(it, putRetries, 0)
 }
 
 func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
@@ -220,7 +218,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 			// times; past that, the producer's next renew restores the
 			// item (soft state, §3.2.3).
 			if retries > 0 {
-				p.env.After(p.cfg.PutRetryDelay, func() { p.putItem(it, retries-1, attempt) })
+				p.env.After(putRetryDelay, func() { p.putItem(it, retries-1, attempt) })
 			}
 			return
 		}
@@ -244,7 +242,7 @@ func (p *Provider) Renew(ns, rid string, iid int64, payload env.Message, lifetim
 
 // Get fetches the items stored under (namespace, resourceID). If the key
 // maps locally the callback runs synchronously (§3.2.1 footnote 3);
-// otherwise cb receives the owner's reply, or nil after GetTimeout.
+// otherwise cb receives the owner's reply, or nil after getTimeout.
 func (p *Provider) Get(ns, rid string, cb func(items []*storage.Item)) {
 	k := dht.KeyOf(ns, rid)
 	if p.rt.Owns(k) {
@@ -259,7 +257,7 @@ func (p *Provider) Get(ns, rid string, cb func(items []*storage.Item)) {
 		p.nonce++
 		n := p.nonce
 		pg := &pendingGet{cb: cb}
-		pg.timer = p.env.After(p.cfg.GetTimeout, func() {
+		pg.timer = p.env.After(getTimeout, func() {
 			if _, ok := p.pendingGets[n]; ok {
 				delete(p.pendingGets, n)
 				cb(nil)
@@ -448,7 +446,7 @@ func (p *Provider) onThrottle(m *putThrottleMsg) {
 		p.throttledUntil[m.Item.Namespace] = until
 	}
 	p.putsDelayed++
-	p.env.After(ra, func() { p.putItem(m.Item, p.cfg.PutRetries, m.Attempt) })
+	p.env.After(ra, func() { p.putItem(m.Item, putRetries, m.Attempt) })
 }
 
 func (p *Provider) onGet(m *getMsg) {

@@ -10,7 +10,7 @@ import (
 // the K smallest 64-bit hashes of the values fed to it. The k-th
 // smallest hash of n distinct uniform values sits near k/n of the hash
 // space, so n ≈ (K-1) / (kth / 2^64). KMV sketches merge by set union
-// (keeping the K smallest), which is exactly what the catalog's rollup
+// (keeping the K smallest), which is exactly what the catalog's lookup
 // needs: per-node sketches combine into a table-wide distinct-key
 // estimate without double-counting keys stored on several nodes.
 type Sketch struct {

@@ -11,11 +11,6 @@
 //     the DHT, as soft state with a lifetime a few refresh intervals
 //     long — stale nodes simply age out, exactly like any other PIER
 //     data;
-//   - summaries roll up hierarchically: with Fanout > 0 each node
-//     publishes into one of Fanout per-table buckets, and the bucket
-//     owners merge their bucket into a single summary at the table's
-//     root key, bounding the root's inbound load (the same idea as the
-//     engine's AggFanout hierarchy);
 //   - readers Get the root key and merge what they find into live
 //     opt.TableStats, cached per table;
 //   - a deployment probe estimates the overlay size from routing-layer
@@ -49,26 +44,15 @@ import (
 // CatalogNS is the reserved DHT namespace holding statistics summaries.
 const CatalogNS = "pier.stats"
 
-// bucketSep separates the table name from the rollup bucket in leaf
-// resourceIDs (the same separator the aggregation hierarchy uses).
-const bucketSep = "\x1e"
-
 // Config controls one node's catalog agent. The rest follows from it:
 // published summaries live 3×Interval and fetched ones are cached for
 // Interval (3 minutes and 1 minute when the loop is off).
 type Config struct {
 	// Interval is the refresh period: how often the node samples its
-	// local store, republishes summaries, combines rollup buckets it
-	// owns, and re-probes the network. Zero disables the maintenance
-	// loop (the catalog then only answers from explicit refreshes).
+	// local store, republishes summaries, and re-probes the network.
+	// Zero disables the maintenance loop (the catalog then only answers
+	// from explicit refreshes).
 	Interval time.Duration
-
-	// Fanout spreads each table's node summaries over this many rollup
-	// buckets, whose owners forward one merged summary to the table's
-	// root key. Zero publishes directly to the root (fine up to a few
-	// hundred nodes; the hierarchy caps the root's inbound load beyond
-	// that).
-	Fanout int
 }
 
 // Enabled reports whether the maintenance loop should run.
@@ -85,8 +69,8 @@ const (
 )
 
 // Summary is one (partial) statistics record for a table: a leaf holds
-// one node's local view; rollup and lookup merge leaves into a
-// table-wide view.
+// one node's local view; a lookup merges leaves into a table-wide
+// view.
 type Summary struct {
 	// Table is the namespace the summary describes.
 	Table string
@@ -175,9 +159,8 @@ type cacheEntry struct {
 }
 
 // Catalog is one node's statistics agent: publisher of the node's local
-// summaries, combiner for rollup buckets the node owns, reader cache,
-// deployment probe, and feedback sink. Like all node state it runs on
-// the node's single-threaded event loop.
+// summaries, reader cache, deployment probe, and feedback sink. Like
+// all node state it runs on the node's single-threaded event loop.
 type Catalog struct {
 	env  env.Env
 	prov *provider.Provider
@@ -253,12 +236,11 @@ func (c *Catalog) Stop() {
 func (c *Catalog) Running() bool { return c.stop != nil }
 
 // Refresh runs one maintenance tick immediately: publish local
-// summaries, combine owned rollup buckets, re-probe the deployment,
-// and re-fetch cached tables. Tests and operators can call it directly
-// to warm the catalog without waiting for the loop.
+// summaries, re-probe the deployment, and re-fetch cached tables.
+// Tests and operators can call it directly to warm the catalog
+// without waiting for the loop.
 func (c *Catalog) Refresh() {
 	c.publishLocal()
-	c.combineBuckets()
 	c.probeHop()
 	for _, table := range env.SortedKeys(c.cache) {
 		c.Fetch(table, nil)
@@ -276,11 +258,7 @@ func (c *Catalog) publishLocal() {
 		if sum.Tuples == 0 {
 			continue
 		}
-		rid := ns
-		if f := c.cfg.Fanout; f > 0 {
-			rid = ns + bucketSep + strconv.FormatInt(c.nodeIID%int64(f), 10)
-		}
-		c.prov.Put(CatalogNS, rid, c.nodeIID, sum, c.lifetime)
+		c.prov.Put(CatalogNS, ns, c.nodeIID, sum, c.lifetime)
 	}
 }
 
@@ -296,37 +274,6 @@ func (c *Catalog) localSummary(ns string) *Summary {
 		return true
 	})
 	return sum
-}
-
-// combineBuckets runs the rollup role: merge the leaf summaries of
-// every bucket key this node stores and forward one combined summary
-// per bucket to the table's root key. Running it everywhere is
-// harmless — only bucket owners hold leaf items.
-func (c *Catalog) combineBuckets() {
-	if c.cfg.Fanout <= 0 {
-		return
-	}
-	combined := map[string]*Summary{}
-	c.prov.Scan(CatalogNS, func(it *storage.Item) bool {
-		sum, ok := it.Payload.(*Summary)
-		if !ok || !strings.Contains(it.ResourceID, bucketSep) {
-			return true
-		}
-		if cur, ok := combined[it.ResourceID]; ok {
-			cur.Merge(sum)
-		} else {
-			cp := *sum
-			cp.Keys = sum.Keys.Clone()
-			combined[it.ResourceID] = &cp
-		}
-		return true
-	})
-	for _, rid := range env.SortedKeys(combined) {
-		root := rid[:strings.Index(rid, bucketSep)]
-		// A stable per-bucket instanceID keeps distinct buckets (and
-		// re-combines) from colliding at the root.
-		c.prov.Put(CatalogNS, root, core.StableIID(rid), combined[rid], c.lifetime)
-	}
 }
 
 // Fetch resolves a table's merged statistics from the DHT, fills the

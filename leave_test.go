@@ -74,3 +74,28 @@ func TestCrashLosesDataUntilRenewed(t *testing.T) {
 		t.Fatalf("crash should lose exactly the victim's %d items; %d survive", held, got)
 	}
 }
+
+// TestPutSurvivesOwnerCrash runs the settings every real node runs:
+// the package defaults with overlay maintenance on. A put issued just
+// as its key's owner crashes must still land, on the node that adopts
+// the zone, without the producer renewing it: the put's lookup times
+// out inside the failure-detection window and the put is retried past
+// it.
+func TestPutSurvivesOwnerCrash(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CANConfig.Maintenance = true
+	sn := NewSimNetwork(16, topology.NewFullMesh(), 97, opts)
+	sn.RunFor(time.Minute) // a few keepalive rounds: every neighbor table is full
+	const ns, rid = "t", "k"
+	owner := sn.Owner(ns, rid)
+	putter, getter := (owner+1)%16, (owner+2)%16
+	sn.Kill(owner)
+	sn.Nodes[putter].Provider().Put(ns, rid, 1, &Tuple{Rel: ns, Vals: []Value{int64(1)}}, 10*time.Minute)
+	sn.RunFor(time.Minute)
+	var got []*storage.Item
+	sn.Nodes[getter].Provider().Get(ns, rid, func(items []*storage.Item) { got = items })
+	sn.RunFor(30 * time.Second)
+	if len(got) != 1 {
+		t.Fatalf("a get 60 s after a put issued as the owner crashed found %d items, want 1", len(got))
+	}
+}

@@ -214,8 +214,7 @@ func (n *Node) Engine() *core.Engine { return n.engine }
 func (n *Node) Stats() *stats.Catalog { return n.stats }
 
 // RefreshStats runs one catalog maintenance tick immediately: sample
-// local tables, publish summaries, combine owned rollup buckets, and
-// re-probe the deployment. Useful to warm a catalog without waiting for
+// local tables, publish summaries, and re-probe the deployment. Useful to warm a catalog without waiting for
 // the periodic loop.
 func (n *Node) RefreshStats() { n.stats.Refresh() }
 

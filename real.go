@@ -32,11 +32,15 @@ var ErrJoinTimeout = errors.New("pier: join timed out")
 // and joins the overlay through landmark; pass env.NilAddr ("") to
 // start a new network.
 //
-// Real deployments churn: nodes join and leave while queries run, and
-// directed-flood pruning assumes stabilized neighbor state. Real nodes
-// therefore always use robust (full) flooding; the directed optimization
-// is for stabilized simulation experiments.
+// Real deployments churn: nodes join, leave and crash while queries
+// run. Real nodes therefore always run overlay maintenance, so they
+// detect a crashed peer and take over its zones, and always use robust
+// (full) flooding, because directed-flood pruning assumes stabilized
+// neighbor state. Turning either off is for static simulation
+// experiments, whose overlay must quiesce.
 func StartNode(addr string, landmark env.Addr, seed int64, opts Options) (*RealNode, error) {
+	opts.CANConfig.Maintenance = true
+	opts.ChordConfig.Maintenance = true
 	opts.ProviderConfig.RobustMulticast = true
 	tr, err := realnet.Listen(addr, seed)
 	if err != nil {

@@ -408,10 +408,10 @@ func TestRealNetLoopbackScan(t *testing.T) {
 // the table (full update) and then bare digests must survive the codec
 // and the transport — a keepalive the decoder refused would cost the
 // connection — and when a node dies its neighbors must agree, from the
-// table it sent them, on who adopts its zones.
+// table it sent them, on who adopts its zones. Maintenance is
+// StartNode's own setting: the options only shorten its clock.
 func TestRealNetKeepalivesAndTakeover(t *testing.T) {
 	opts := DefaultOptions()
-	opts.CANConfig.Maintenance = true
 	opts.CANConfig.KeepaliveInterval = 40 * time.Millisecond
 	opts.CANConfig.FailTimeout = 400 * time.Millisecond
 	nodes := startClusterOpts(t, 5, opts)
