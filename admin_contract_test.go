@@ -75,6 +75,8 @@ GET /api/indexes .indexes[].name string
 GET /api/indexes .indexes[].table string
 GET /api/indexes .scans number
 GET /api/indexes .visits number
+GET /api/indexes .visits_ahead number
+GET /api/indexes .visits_wasted number
 GET /api/queries . object
 GET /api/queries .queries array
 GET /api/queries .queries[] object
@@ -135,6 +137,8 @@ GET /api/status .histograms[].sum number
 GET /api/status .hop_latency_ms number
 GET /api/status .index_scans number
 GET /api/status .index_visits number
+GET /api/status .index_visits_ahead number
+GET /api/status .index_visits_wasted number
 GET /api/status .indexes array
 GET /api/status .indexes[] object
 GET /api/status .indexes[].col string

@@ -221,11 +221,14 @@ type indexesView struct {
 	Indexes []index.Def `json:"indexes"`
 	Scans   int64       `json:"scans"`
 	Visits  int64       `json:"visits"`
+	Ahead   int64       `json:"visits_ahead"`
+	Wasted  int64       `json:"visits_wasted"`
 }
 
 func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 	snap := s.b.Snapshot()
-	writeJSON(w, http.StatusOK, indexesView{Indexes: snap.Indexes, Scans: snap.IndexScans, Visits: snap.IndexVisits})
+	writeJSON(w, http.StatusOK, indexesView{Indexes: snap.Indexes, Scans: snap.IndexScans,
+		Visits: snap.IndexVisits, Ahead: snap.IndexVisitsAhead, Wasted: snap.IndexVisitsWasted})
 }
 
 // queriesView wraps the live-query listing.

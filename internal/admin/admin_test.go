@@ -65,6 +65,8 @@ func newFakeBackend() *fakeBackend {
 			Indexes:           []index.Def{{Name: "r_num1", Table: "R", Col: "num1", ColIdx: 1}},
 			IndexScans:        7,
 			IndexVisits:       21,
+			IndexVisitsAhead:  12,
+			IndexVisitsWasted: 2,
 			CachedStatsTables: 2,
 			ActiveExecs:       1,
 			OpenCollectors:    1,
@@ -232,7 +234,8 @@ func TestRoutingSoftStateIndexViews(t *testing.T) {
 
 	var idx map[string]any
 	getJSON(t, srv.URL+"/api/indexes", &idx)
-	if idx["scans"].(float64) != 7 || idx["visits"].(float64) != 21 {
+	if idx["scans"].(float64) != 7 || idx["visits"].(float64) != 21 ||
+		idx["visits_ahead"].(float64) != 12 || idx["visits_wasted"].(float64) != 2 {
 		t.Fatalf("indexes view: %v", idx)
 	}
 }
@@ -690,6 +693,8 @@ func TestMetricsScrape(t *testing.T) {
 		"pier_catalog_cached_tables":          2,
 		"pier_index_scans_total":              7,
 		"pier_index_visits_total":             21,
+		"pier_index_visits_ahead_total":       12,
+		"pier_index_visits_wasted_total":      2,
 		"pier_queries_active_executors":       1,
 		"pier_query_result_batches_total":     10,
 		"pier_query_result_tuples_total":      100,

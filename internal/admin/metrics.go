@@ -56,6 +56,8 @@ func WriteMetrics(w io.Writer, s Snapshot) {
 	m.gauge("pier_index_defs", "PHT index definitions known to this node's agent.", float64(len(s.Indexes)))
 	m.counter("pier_index_scans_total", "PHT range scans started by this node's reader.", float64(s.IndexScans))
 	m.counter("pier_index_visits_total", "Trie nodes visited by this node's PHT reader.", float64(s.IndexVisits))
+	m.counter("pier_index_visits_ahead_total", "Trie-node visits the PHT reader issued from its marker cache before the parent answered.", float64(s.IndexVisitsAhead))
+	m.counter("pier_index_visits_wasted_total", "Ahead visits whose parent answered without an interior marker.", float64(s.IndexVisitsWasted))
 
 	m.gauge("pier_queries_active_executors", "Query executors currently running on this node.", float64(s.ActiveExecs))
 	m.gauge("pier_queries_open_collectors", "Queries initiated on this node with live collectors.", float64(s.OpenCollectors))

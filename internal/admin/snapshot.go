@@ -63,10 +63,12 @@ type Snapshot struct {
 	Storage provider.StorageStats `json:"storage"`
 
 	// Indexes lists the PHT index definitions this node's agent knows;
-	// IndexScans/IndexVisits are the reader's traversal counters.
-	Indexes     []index.Def `json:"indexes"`
-	IndexScans  int64       `json:"index_scans"`
-	IndexVisits int64       `json:"index_visits"`
+	// the rest are the reader's traversal counters (index.Manager.Stats).
+	Indexes           []index.Def `json:"indexes"`
+	IndexScans        int64       `json:"index_scans"`
+	IndexVisits       int64       `json:"index_visits"`
+	IndexVisitsAhead  int64       `json:"index_visits_ahead"`
+	IndexVisitsWasted int64       `json:"index_visits_wasted"`
 
 	// CachedStatsTables counts tables with fresh summaries in the
 	// statistics catalog's reader cache.

@@ -55,10 +55,14 @@ func TestFiguresUnchanged(t *testing.T) {
 			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23, Limit: 4 * time.Hour, StatsInterval: 30 * time.Second})
 			return text(tbl)
 		}, 0x554a526f149244e0},
+		// The second row's walk starts with the first row's markers
+		// cached and asks for the whole frontier in one round: its idx
+		// t(s) fell 8.11 -> 3.30, and the 10 s marker renewals fall in
+		// other windows of the MB columns.
 		{"range", func() string {
 			_, tbl := RangeSelectivity(RangeSelConfig{Nodes: 16, Tuples: 300, Selectivities: []float64{0.01, 0.2}, Seed: 41})
 			return text(tbl)
-		}, 0xce8933e55c6cc149},
+		}, 0xb4ef37cd6113b175},
 		{"tracedemo", func() string {
 			s, err := TraceDemo(1, false)
 			if err != nil {

@@ -19,7 +19,9 @@
 // encoded keys start with its prefix; an *interior* node holds a
 // Marker item recording that the prefix has been split. Because a
 // contiguous key range maps to a contiguous span of leaves, a range
-// query visits O(matching leaves) DHT keys instead of all n nodes.
+// query visits O(matching leaves) DHT keys instead of all n nodes, and
+// when the querier's marker cache is warm it asks for all of them in
+// one round.
 //
 // # Soft state, splits, and merges
 //
@@ -140,9 +142,9 @@ func (m *Marker) WireSize() int { return wire.Size(m) }
 
 // Config controls one node's index agent. New resolves a zero field to
 // its default; Manager.Config reports the resolved values. The rest
-// follows from Interval: markers live 3×Interval and the publisher's
-// marker cache holds for Interval (3 minutes and 30 seconds when the
-// loop is off).
+// follows from Interval: markers live 3×Interval and the node's marker
+// cache holds for Interval (3 minutes and 30 seconds when the loop is
+// off).
 type Config struct {
 	// Interval is the maintenance period: how often the node splits
 	// overflowing local leaves, merges underflowing ones, relocates
@@ -179,10 +181,10 @@ type Manager struct {
 	cfg  Config
 
 	// markerLifetime bounds interior markers between renewals, so a
-	// subtree survives two missed ticks. cacheTTL bounds the
-	// publisher-side marker cache that lets inserts skip re-probing
-	// known-interior prefixes (and the definition fetch's negative
-	// cache). New derives both from cfg.Interval.
+	// subtree survives two missed ticks. cacheTTL bounds the marker
+	// cache that lets inserts skip re-probing known-interior prefixes
+	// and range walks ask for their children early (and the definition
+	// fetch's negative cache). New derives both from cfg.Interval.
 	markerLifetime time.Duration
 	cacheTTL       time.Duration
 
@@ -205,11 +207,15 @@ type Manager struct {
 	createdLife map[string]time.Duration
 
 	// markerSeen caches trie prefixes recently observed interior, so an
-	// insert walk descends through them without a probe per level.
+	// insert walk descends through them without a probe per level and a
+	// range walk asks for their children early. Tick ages it.
 	markerSeen map[string]time.Time
 
-	scans  int64
-	visits int64
+	// Range walks started and the trie nodes they fetched; of those,
+	// the gets issued from markerSeen before their parent answered
+	// (ahead) and the ones whose parent then answered without a marker
+	// (wasted).
+	scans, visits, ahead, wasted int64
 }
 
 // New builds an index agent over the node's provider and subscribes it
@@ -257,13 +263,12 @@ func (m *Manager) Stop() {
 	}
 }
 
-// Running reports whether the maintenance loop is active.
-func (m *Manager) Running() bool { return m.stop != nil }
-
-// Stats reports cumulative reader-side counters: range scans started
-// and trie nodes visited across them. Experiment harnesses diff them
-// around a query to count the nodes an index scan contacted.
-func (m *Manager) Stats() (scans, visits int64) { return m.scans, m.visits }
+// Stats reports the cumulative reader-side counters (see Manager).
+// Experiment harnesses diff them around a query to count the nodes an
+// index scan contacted.
+func (m *Manager) Stats() (scans, visits, ahead, wasted int64) {
+	return m.scans, m.visits, m.ahead, m.wasted
+}
 
 // Create announces a new index deployment-wide: the definition is
 // stored in the DHT (under DefNS, renewed by this node's tick for

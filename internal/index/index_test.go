@@ -71,10 +71,9 @@ func countIndexItems(sn *pier.SimNetwork) (entries, markers int) {
 	return entries, markers
 }
 
-// rangeQuery runs num < hi through the SQL planner (which attaches the
-// index scan) and returns the received pkeys plus the trie nodes the
-// traversal contacted.
-func rangeQuery(t *testing.T, sn *pier.SimNetwork, hi int64, forceIndex bool) (got map[int64]bool, contacted int) {
+// rangePlan plans num < hi through the SQL planner, which attaches the
+// index scan.
+func rangePlan(t *testing.T, hi int64, forceIndex bool) *pier.Plan {
 	t.Helper()
 	src := fmt.Sprintf("SELECT pkey FROM T WHERE num < %d", hi)
 	plan, err := pier.ParseSQL(src, pier.Catalog{"T": testSchema})
@@ -88,6 +87,14 @@ func rangeQuery(t *testing.T, sn *pier.SimNetwork, hi int64, forceIndex bool) (g
 		plan.AutoAccess = false // bypass the catalog's access choice
 	}
 	plan.TTL = 5 * time.Minute
+	return plan
+}
+
+// rangeQuery runs num < hi from node 0 and returns the received pkeys
+// plus the trie nodes the traversal contacted.
+func rangeQuery(t *testing.T, sn *pier.SimNetwork, hi int64, forceIndex bool) (got map[int64]bool, contacted int) {
+	t.Helper()
+	plan := rangePlan(t, hi, forceIndex)
 	got = map[int64]bool{}
 	id, err := sn.Nodes[0].Query(plan, func(tp *core.Tuple, _ int) {
 		got[tp.Vals[0].(int64)] = true
@@ -99,6 +106,61 @@ func rangeQuery(t *testing.T, sn *pier.SimNetwork, hi int64, forceIndex bool) (g
 	contacted, _ = sn.Nodes[0].Engine().IndexContacts(id)
 	sn.Nodes[0].Cancel(id)
 	return got, contacted
+}
+
+// walkRange runs num < hi through the index from node i and drives the
+// simulation only until the traversal has finished. It returns the
+// received pkeys, the trie nodes contacted, and the simulated time from
+// submit to the last row.
+func walkRange(t *testing.T, sn *pier.SimNetwork, i int, hi int64) (got map[int64]bool, contacted int, last time.Duration) {
+	t.Helper()
+	got = map[int64]bool{}
+	start := sn.Net.Now()
+	id, err := sn.Nodes[i].Query(rangePlan(t, hi, true), func(tp *core.Tuple, _ int) {
+		got[tp.Vals[0].(int64)] = true
+		last = sn.Net.Now().Sub(start)
+	})
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if !sn.RunUntil(time.Minute, func() bool {
+		contacted, _ = sn.Nodes[i].Engine().IndexContacts(id)
+		return contacted > 0
+	}) {
+		t.Fatalf("num < %d: traversal did not finish within a minute", hi)
+	}
+	sn.Nodes[i].Cancel(id)
+	return got, contacted, last
+}
+
+// sameRows fails the test unless got holds exactly the pkeys of want.
+func sameRows(t *testing.T, what string, got, want map[int64]bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d rows, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("%s: missing pkey %d", what, k)
+		}
+	}
+}
+
+// liveRows returns the pkeys of the base tuples stored on live nodes.
+func liveRows(sn *pier.SimNetwork) map[int64]bool {
+	rows := map[int64]bool{}
+	for i, n := range sn.Nodes {
+		if !sn.Alive(i) {
+			continue
+		}
+		n.Provider().Scan("T", func(it *storage.Item) bool {
+			if tp, ok := it.Payload.(*core.Tuple); ok {
+				rows[tp.Vals[0].(int64)] = true
+			}
+			return true
+		})
+	}
+	return rows
 }
 
 func expectRange(hi int64) map[int64]bool {
@@ -124,15 +186,7 @@ func TestIndexBuildsAndAnswersRangeQueries(t *testing.T) {
 
 	for _, hi := range []int64{50_000, 400_000, 999_999} {
 		got, contacted := rangeQuery(t, sn, hi, true)
-		want := expectRange(hi)
-		if len(got) != len(want) {
-			t.Fatalf("num < %d: got %d rows, want %d", hi, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("num < %d: missing pkey %d", hi, k)
-			}
-		}
+		sameRows(t, fmt.Sprintf("num < %d", hi), got, expectRange(hi))
 		if contacted == 0 {
 			t.Fatalf("num < %d: traversal reported no contacted trie nodes", hi)
 		}
@@ -142,6 +196,34 @@ func TestIndexBuildsAndAnswersRangeQueries(t *testing.T) {
 	_, contacted := rangeQuery(t, sn, 50_000, true)
 	if _, markers := countIndexItems(sn); contacted >= markers {
 		t.Fatalf("selective range contacted %d trie nodes of %d markers — no pruning", contacted, markers)
+	}
+}
+
+// TestWarmRangeWalkTakesOneRound: a querier that has just walked a
+// range holds the trie's interior in its marker cache, so the same walk
+// asks for every trie node of the range at once instead of one level
+// per round trip. The reply still decides what is read, so the rows and
+// the nodes contacted stay the same.
+func TestWarmRangeWalkTakesOneRound(t *testing.T) {
+	sn := buildIndexed(t, 0)
+	const hi = 400_000
+	want := expectRange(hi)
+	cold, coldContacts, coldLast := walkRange(t, sn, 0, hi)
+	_, visits0, ahead0, wasted0 := sn.Nodes[0].Indexes().Stats()
+	warm, warmContacts, warmLast := walkRange(t, sn, 0, hi)
+	_, visits1, ahead1, wasted1 := sn.Nodes[0].Indexes().Stats()
+	sameRows(t, "cold walk", cold, want)
+	sameRows(t, "warm walk", warm, want)
+	if coldContacts != warmContacts {
+		t.Fatalf("warm walk contacted %d trie nodes, cold walk %d", warmContacts, coldContacts)
+	}
+	if warmLast*3 > coldLast {
+		t.Fatalf("warm walk's last row after %v, cold walk's after %v: want at most a third", warmLast, coldLast)
+	}
+	// Every node but the root was asked for ahead of its parent's reply,
+	// and none of those gets was wasted.
+	if ahead, visits := ahead1-ahead0, visits1-visits0; ahead != visits-1 || wasted1 != wasted0 {
+		t.Fatalf("warm walk: %d of %d visits ahead, %d wasted", ahead, visits, wasted1-wasted0)
 	}
 }
 
@@ -216,14 +298,36 @@ func TestIndexShrinksWhenDataExpires(t *testing.T) {
 
 	// Keep renewing only the 20 smallest pkeys; everything else — base
 	// tuples and index entries alike — ages out, and the trie must
-	// merge/expire back toward a small tree.
+	// merge/expire back toward a small tree. Node 0 walks the whole
+	// range twice per maintenance period throughout, so its marker cache
+	// stays warm while the interior it caches merges away under it; each
+	// answer must hold exactly the base tuples live during the walk.
 	keep := 20
+	_, _, ahead0, _ := sn.Nodes[0].Indexes().Stats()
 	for phase := 0; phase < 14; phase++ {
 		for i := 0; i < keep; i++ {
 			tp := &pier.Tuple{Rel: "T", Vals: []pier.Value{int64(i), num(i)}}
 			sn.Nodes[0].Renew("T", fmt.Sprint(i), int64(i), tp, lifetime)
 		}
-		sn.RunFor(time.Minute)
+		for step := 0; step < 12; step++ {
+			sn.RunFor(5 * time.Second)
+			before := liveRows(sn)
+			got, _, _ := walkRange(t, sn, 0, 1_000_000)
+			after := liveRows(sn)
+			for k := range got {
+				if !before[k] {
+					t.Fatalf("phase %d step %d: warm walk returned pkey %d, expired before the walk", phase, step, k)
+				}
+			}
+			for k := range after {
+				if !got[k] {
+					t.Fatalf("phase %d step %d: warm walk lost live pkey %d (got %d of %d rows)", phase, step, k, len(got), len(after))
+				}
+			}
+		}
+	}
+	if _, _, ahead, _ := sn.Nodes[0].Indexes().Stats(); ahead == ahead0 {
+		t.Fatalf("the querier's walks never used its marker cache")
 	}
 
 	entries, markers := countIndexItems(sn)

@@ -22,10 +22,15 @@ import (
 const tombstoneLifetime = time.Nanosecond
 
 // Tick runs one maintenance pass over the locally stored trie nodes:
-// renew created definitions, split and heal, then merge. Tests and the
-// experiment harnesses call it directly to settle a freshly built
-// index without waiting for the loop.
+// age the marker cache, renew created definitions, split and heal,
+// then merge. Tests and the experiment harnesses call it directly to
+// settle a freshly built index without waiting for the loop.
 func (m *Manager) Tick() {
+	for rid := range m.markerSeen {
+		if !m.markerFresh(rid) {
+			delete(m.markerSeen, rid)
+		}
+	}
 	for _, name := range env.SortedKeys(m.created) {
 		def := m.created[name]
 		m.prov.Put(DefNS, def.Table, core.StableIID(def.Name), &def, m.createdLife[name])

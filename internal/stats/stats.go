@@ -232,9 +232,6 @@ func (c *Catalog) Stop() {
 	}
 }
 
-// Running reports whether the maintenance loop is active.
-func (c *Catalog) Running() bool { return c.stop != nil }
-
 // Refresh runs one maintenance tick immediately: publish local
 // summaries, re-probe the deployment, and re-fetch cached tables.
 // Tests and operators can call it directly to warm the catalog

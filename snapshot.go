@@ -60,7 +60,7 @@ func (n *Node) Snapshot() Snapshot {
 	snap.StoredBytes = usage.Bytes
 	snap.Storage = n.StorageStats()
 	snap.Indexes = n.indexes.AllDefs()
-	snap.IndexScans, snap.IndexVisits = n.indexes.Stats()
+	snap.IndexScans, snap.IndexVisits, snap.IndexVisitsAhead, snap.IndexVisitsWasted = n.indexes.Stats()
 	snap.CachedStatsTables = len(n.stats.CachedTables())
 	snap.ActiveExecs = n.engine.ActiveExecs()
 	snap.OpenCollectors = n.engine.OpenCollectors()
