@@ -35,6 +35,14 @@ func TestFiguresUnchanged(t *testing.T) {
 		want uint64
 	}{
 		{"fig3", func() string { return text(Scalability(fig3)) }, 0xe5b8a3acc360a95a},
+		// Figure 6 runs the chaos harness: the faulted run against its
+		// oracle, one refresh column, a calm and a churned row.
+		{"fig6", func() string {
+			cfg := Figure6(false)
+			cfg.Scenario.Nodes, cfg.Scenario.STuples, cfg.Scenario.Queries = 24, 30, 2
+			cfg.RefreshPeriods, cfg.ChurnRates = cfg.RefreshPeriods[:1], []float64{0, 6}
+			return text(ChurnMatrix(cfg))
+		}, 0x0bc032a069b9f09d},
 		{"fig45", func() string {
 			return text(Selectivity(SelectivityConfig{Nodes: 16, STuples: 40, Selectivities: []float64{0.5, 1}, Seed: 21}))
 		}, 0x51229879f452dcb5},
