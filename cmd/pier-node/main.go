@@ -54,6 +54,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stderr, sigs))
 }
 
+// defaultStats is -stats's default, and the index maintenance period
+// when -stats 0 turns the catalog loop off.
+const defaultStats = 10 * time.Second
+
 // run is main with its inputs and outputs as parameters; it returns
 // the exit code: 0 after -h or a graceful shutdown on a signal from
 // sigs, 1 when the node cannot start or serve, 2 on a usage error.
@@ -63,8 +67,8 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 	listen := fs.String("listen", "127.0.0.1:0", "address to listen on")
 	join := fs.String("join", "", "landmark node to join through (empty = new network)")
 	adminAddr := fs.String("admin", "", "HTTP admin/metrics listen address (empty = admin plane off)")
-	statsEvery := fs.Duration("stats", 10*time.Second,
-		"statistics-catalog refresh interval (0 disables the maintenance loop)")
+	statsEvery := fs.Duration("stats", defaultStats,
+		"statistics-catalog refresh and index maintenance interval (0 disables the catalog loop; indexes then tick every 10s)")
 	joinTimeout := fs.Duration("join-timeout", 15*time.Second, "how long to wait for the overlay join")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second,
 		"how long graceful shutdown waits for in-flight admin requests")
@@ -96,6 +100,12 @@ func run(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 
 	opts := pier.DefaultOptions()
 	opts.Stats.Interval = *statsEvery
+	// Without its maintenance tick an index never splits, so every range
+	// walk would read one trie node: the index loop always runs.
+	opts.Index.Interval = defaultStats
+	if *statsEvery > 0 {
+		opts.Index.Interval = *statsEvery
+	}
 	if *quota > 0 {
 		opts.ProviderConfig.Quota = storage.QuotaConfig{DefaultQuota: *quota}
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -79,7 +81,10 @@ func TestHelpListsTheFlags(t *testing.T) {
 
 // TestLifecycle runs the daemon in process on loopback: the admin plane
 // reports ready, takes a schema, a row and a SELECT over HTTP, and a
-// SIGTERM drains it to exit 0.
+// SIGTERM drains it to exit 0. On the way, an index over 65 rows gets
+// its first maintenance tick although -stats 0 turns the catalog loop
+// off (a cold catalog keeps the index the planner attached), so a range
+// SELECT walks below the trie's root.
 func TestLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts a TCP node")
@@ -88,7 +93,7 @@ func TestLifecycle(t *testing.T) {
 	sigs := make(chan os.Signal, 1)
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run([]string{"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-drain-timeout", "2s"}, &stderr, sigs)
+		exit <- run([]string{"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-stats", "0", "-drain-timeout", "2s"}, &stderr, sigs)
 	}()
 
 	urlRE := regexp.MustCompile(`msg="admin plane listening" url=(\S+)`)
@@ -139,6 +144,28 @@ func TestLifecycle(t *testing.T) {
 	until("publish", post("/api/publish", `{"table":"fish","values":["salmon",7]}`), status200)
 	until("select", post("/api/queries", `{"sql":"SELECT name, size FROM fish","wait_ms":300}`),
 		func(code int, body string) bool { return code == http.StatusOK && strings.Contains(body, `"salmon"`) })
+
+	until("create index", post("/api/queries", `{"sql":"CREATE INDEX fish_size ON fish (size)"}`), status200)
+	for i := 0; i < 64; i++ {
+		until("publish", post("/api/publish", fmt.Sprintf(`{"table":"fish","values":["f%d",%d]}`, i, 100+i)), status200)
+	}
+	// Each try runs the range SELECT, then reads the walk counters.
+	walk := func() (*http.Response, error) {
+		resp, err := post("/api/queries", `{"sql":"SELECT name, size FROM fish WHERE size < 104","wait_ms":300}`)()
+		if err != nil {
+			return nil, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return http.Get(base + "/api/status")
+	}
+	until("range walk below the root", walk, func(code int, body string) bool {
+		var st struct {
+			Scans  int64 `json:"index_scans"`
+			Visits int64 `json:"index_visits"`
+		}
+		return code == http.StatusOK && json.Unmarshal([]byte(body), &st) == nil && st.Scans > 0 && st.Visits > st.Scans
+	})
 
 	sigs <- syscall.SIGTERM
 	select {

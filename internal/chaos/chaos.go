@@ -63,9 +63,6 @@ type Config struct {
 	Seed  int64
 	DHT   pier.DHTKind
 
-	// Warmup runs before any fault or query.
-	Warmup time.Duration
-
 	// CrashesPerMin is the churn rate during the active phase. Each
 	// departure is followed by a fresh identity rejoining through the
 	// driver, keeping the population constant (§5.6 fails nodes at a
@@ -107,34 +104,26 @@ type Config struct {
 	StatsInterval time.Duration
 
 	// RangeQueries creates a PHT index over S.num2 before the warmup
-	// (with per-node trie maintenance on IndexInterval) and swaps
-	// index-backed range queries into the generated mix, so index
-	// lookups, entry renewal, and split/merge healing run under the
-	// same faults — and the same recall comparison — as everything
-	// else.
+	// (with per-node trie maintenance every StatsInterval, or 30 s when
+	// that is off) and swaps index-backed range queries into the
+	// generated mix, so index lookups, entry renewal, and split/merge
+	// healing run under the same faults — and the same recall
+	// comparison — as everything else.
 	RangeQueries bool
-
-	// IndexInterval is the trie maintenance period of RangeQueries
-	// scenarios; zero follows StatsInterval (or 30s when that is off).
-	IndexInterval time.Duration
 
 	// PublishFlood publishes this many extra padded tuples into the hot
 	// namespace FloodNS over the first half of the active phase — a few
 	// hot resource keys, unique instance ids, no renewal — modeling a
 	// misbehaving or misconfigured publisher. The faulted run bounds
-	// FloodNS to FloodQuota bytes per node (the oracle stays unbounded),
-	// so every flood result the bounded run loses is attributable to
-	// eviction: the storage-within-budget invariant probes every live
-	// node's occupancy through the run, flood-backpressure-engaged
-	// requires the put-throttle protocol to have fired, and
-	// flood-recall-vs-evicted bounds the oracle results missing from the
-	// bounded run by the eviction and drop counters. Zero disables the
-	// flood.
+	// FloodNS to floodQuota bytes per node (the oracle stays
+	// unbounded), so every flood result the bounded run loses is
+	// attributable to eviction: the storage-within-budget invariant
+	// probes every live node's occupancy through the run,
+	// flood-backpressure-engaged requires the put-throttle protocol to
+	// have fired, and flood-recall-vs-evicted bounds the oracle results
+	// missing from the bounded run by the eviction and drop counters.
+	// Zero disables the flood.
 	PublishFlood int
-
-	// FloodQuota is the faulted run's per-node byte quota for FloodNS;
-	// zero with PublishFlood set defaults to 4 KiB.
-	FloodQuota int64
 
 	// TraceQueries forces distributed tracing on every generated
 	// query, so span recording, piggybacked delivery, and trace
@@ -152,13 +141,17 @@ type Config struct {
 	VerifyReplay bool
 }
 
+// warmup runs before any fault or query; floodQuota is the faulted
+// run's per-node byte quota for FloodNS.
+const (
+	warmup           = 30 * time.Second
+	floodQuota int64 = 4 << 10
+)
+
 // Norm fills defaults.
 func (c Config) Norm() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 64
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 30 * time.Second
 	}
 	if c.STuples == 0 {
 		c.STuples = 100
@@ -172,9 +165,6 @@ func (c Config) Norm() Config {
 	if c.QueryEvery == 0 {
 		c.QueryEvery = time.Minute
 	}
-	if c.PublishFlood > 0 && c.FloodQuota == 0 {
-		c.FloodQuota = 4 << 10
-	}
 	return c
 }
 
@@ -184,12 +174,8 @@ func (c Config) Duration() time.Duration {
 	return time.Duration(c.Queries) * c.QueryEvery
 }
 
-// indexInterval is the effective trie maintenance period of a
-// RangeQueries scenario.
+// indexInterval is the trie maintenance period of a RangeQueries scenario.
 func (c Config) indexInterval() time.Duration {
-	if c.IndexInterval > 0 {
-		return c.IndexInterval
-	}
 	if c.StatsInterval > 0 {
 		return c.StatsInterval
 	}
@@ -250,7 +236,6 @@ func DefaultFlood(seed int64) Config {
 		RecallFloor:   0.9,
 		StatsInterval: time.Minute,
 		PublishFlood:  1200,
-		FloodQuota:    4 << 10,
 		VerifyReplay:  true,
 	}
 }
@@ -366,7 +351,7 @@ func Run(cfg Config) *Report {
 			Throttled:  faulted.floodThrottled,
 			Delayed:    faulted.floodDelayed,
 			PeakBytes:  faulted.budgetPeak,
-			Quota:      cfg.FloodQuota,
+			Quota:      floodQuota,
 		}
 		rep.Invariants = append(rep.Invariants, Invariant{
 			Name: "flood-recall-vs-evicted",
@@ -421,7 +406,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		// define what a node with enough memory would have answered, so
 		// the recall gap is exactly the cost of the quota. Backoffs are
 		// deterministic (no jitter), keeping the replay hash stable.
-		opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{FloodNS: cfg.FloodQuota}}
+		opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{FloodNS: floodQuota}}
 	}
 	if cfg.StatsInterval > 0 {
 		opts.Stats.Interval = cfg.StatsInterval
@@ -494,7 +479,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		spread := cfg.Duration() / 2
 		for i := 0; i < cfg.PublishFlood; i++ {
 			i := i
-			at := cfg.Warmup + time.Duration(float64(spread)*float64(i)/float64(cfg.PublishFlood))
+			at := warmup + time.Duration(float64(spread)*float64(i)/float64(cfg.PublishFlood))
 			driver.After(at, func() {
 				if teardown {
 					return
@@ -517,7 +502,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 					if got > res.budgetPeak {
 						res.budgetPeak = got
 					}
-					if got > cfg.FloodQuota {
+					if got > floodQuota {
 						res.budgetViolations++
 					}
 				}
@@ -532,7 +517,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		crng := rand.New(rand.NewSource(cfg.Seed ^ 0x11c7a05))
 		for _, ev := range BuildSchedule(cfg) {
 			ev := ev
-			driver.After(cfg.Warmup+ev.At, func() {
+			driver.After(warmup+ev.At, func() {
 				if !teardown {
 					execEvent(sn, cfg, ev, crng)
 				}
@@ -540,7 +525,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 		}
 	}
 
-	sn.RunFor(cfg.Warmup)
+	sn.RunFor(warmup)
 
 	for _, spec := range cfg.querySpecs() {
 		spec := spec
@@ -652,7 +637,7 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 				Name: "storage-within-budget",
 				Pass: res.budgetProbes > 0 && res.budgetViolations == 0,
 				Detail: fmt.Sprintf("%d probes, %d over budget, peak %d of %d bytes",
-					res.budgetProbes, res.budgetViolations, res.budgetPeak, cfg.FloodQuota),
+					res.budgetProbes, res.budgetViolations, res.budgetPeak, floodQuota),
 			},
 			Invariant{
 				Name: "flood-backpressure-engaged",

@@ -137,26 +137,19 @@ func HierarchicalAgg(nodes, rows int, fanouts []int, seed int64) *Table {
 }
 
 func hierAggRun(nodes, rows, fanout int, seed int64) (maxIn, total float64, dur time.Duration) {
-	sn := pier.NewSimNetwork(nodes, topology.NewFullMesh(), seed, pier.DefaultOptions())
-	for i := 0; i < rows; i++ {
-		sn.Load("m", fmt.Sprint(i), int64(i), &core.Tuple{Rel: "m", Vals: []core.Value{"g", int64(1)}}, 0)
+	m := make([]*core.Tuple, rows)
+	for i := range m {
+		m[i] = &core.Tuple{Rel: "m", Vals: []core.Value{"g", int64(1), int64(i)}}
 	}
-	sn.Net.ResetStats()
-	plan := hierAggPlan(fanout)
-	start := sn.Net.Now()
-	var done time.Time
-	id, err := sn.Nodes[0].Query(plan, func(*core.Tuple, int) { done = sn.Net.Now() })
-	if err != nil {
-		panic(err)
-	}
-	defer sn.Nodes[0].Cancel(id)
-	sn.RunFor(time.Minute)
-	return float64(sn.Net.MaxInbound()), float64(sn.Net.Totals().Bytes), done.Sub(start)
+	sn := deploy(nodes, topology.NewFullMesh(), seed, pier.DefaultOptions(), simTable{"m", 2, m})
+	run := measure(sn, hierAggPlan(fanout), 0, time.Minute)
+	defer sn.Nodes[0].Cancel(run.id)
+	return float64(sn.Net.MaxInbound()), float64(sn.Net.Totals().Bytes), run.last()
 }
 
 // hierAggPlan is the ablation's global COUNT/SUM over m, whose rows
-// are ("g", 1). Their resourceIDs are row numbers; the catalog keys m
-// on grp only because nothing here reads the key column.
+// are ("g", 1, i), keyed by the row number i; the catalog lists only
+// the columns the query reads.
 func hierAggPlan(fanout int) *core.Plan {
 	p := sql.MustPlan("SELECT grp, count(*), sum(v) FROM m GROUP BY grp WAIT '10s'",
 		sql.Catalog{"m": {Name: "m", Cols: []string{"grp", "v"}, Key: "grp"}})

@@ -28,15 +28,14 @@ type AdaptiveConfig struct {
 	Nodes   int
 	STuples int // |S|; |R| = 10 × |S|
 	Seed    int64
-	Limit   time.Duration
-	// StatsInterval is the catalog refresh period of the adaptive runs.
-	StatsInterval time.Duration
 }
+
+// Each run's time limit, and the adaptive runs' catalog refresh period.
+const adaptiveLimit, adaptiveStatsInterval = 4 * time.Hour, 30 * time.Second
 
 // DefaultAdaptive returns the scaled-down (or paper-scale) defaults.
 func DefaultAdaptive(full bool) AdaptiveConfig {
-	cfg := AdaptiveConfig{Nodes: 32, STuples: 150, Seed: 23,
-		Limit: 4 * time.Hour, StatsInterval: 30 * time.Second}
+	cfg := AdaptiveConfig{Nodes: 32, STuples: 150, Seed: 23}
 	if full {
 		cfg.Nodes, cfg.STuples = 128, 600
 	}
@@ -199,24 +198,18 @@ func feasibleStrategies(plan *core.Plan) []core.Strategy {
 func RunAdaptiveCase(cfg AdaptiveConfig, w AdaptiveWorkload, fixed core.Strategy, adaptive bool) AdaptiveRun {
 	opts := pier.DefaultOptions()
 	if adaptive {
-		opts.Stats.Interval = cfg.StatsInterval
+		opts.Stats.Interval = adaptiveStatsInterval
 	}
-	sn := pier.NewSimNetwork(cfg.Nodes, topology.NewFullMesh(), cfg.Seed, opts)
 	R, S, plan, expected := w.Build(cfg)
-	for i, r := range R {
-		sn.Load("R", core.ValueString(r.Vals[0]), int64(i), r, 0)
-	}
-	for i, s := range S {
-		sn.Load("S", core.ValueString(s.Vals[0]), int64(i), s, 0)
-	}
-	plan.TTL = cfg.Limit
+	sn := deploy(cfg.Nodes, topology.NewFullMesh(), cfg.Seed, opts, simTable{"R", 0, R}, simTable{"S", 0, S})
+	plan.TTL = adaptiveLimit
 
 	if adaptive {
 		plan.AutoStrategy = true
 		// One refresh tick publishes every node's summaries; then warm
 		// the initiator's cache explicitly and freeze the catalog so the
 		// measurement contains only query traffic.
-		sn.RunFor(cfg.StatsInterval + 10*time.Second)
+		sn.RunFor(adaptiveStatsInterval + 10*time.Second)
 		fetched := 0
 		sn.Nodes[0].Stats().Fetch("R", func(opt.TableStats, bool) { fetched++ })
 		sn.Nodes[0].Stats().Fetch("S", func(opt.TableStats, bool) { fetched++ })
@@ -228,32 +221,17 @@ func RunAdaptiveCase(cfg AdaptiveConfig, w AdaptiveWorkload, fixed core.Strategy
 		plan.Strategy = fixed
 	}
 
-	sn.Net.ResetStats()
-	start := sn.Net.Now()
-	var arrivals []time.Duration
-	frames, tupleBytes := resultFrames(sn), 0
-	id, err := sn.Nodes[0].Query(plan, func(t *core.Tuple, _ int) {
-		arrivals = append(arrivals, sn.Net.Now().Sub(start))
-		tupleBytes += t.WireSize()
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer sn.Nodes[0].Cancel(id)
-	sn.RunUntil(cfg.Limit, func() bool { return len(arrivals) >= expected })
+	m := measure(sn, plan, expected, adaptiveLimit)
+	defer sn.Nodes[0].Cancel(m.id)
 	sn.Net.Drain()
-
-	res := AdaptiveRun{
-		Strategy: plan.Strategy, // the catalog's pick, for adaptive runs
-		Adaptive: adaptive,
-		Received: len(arrivals),
-		Expected: expected,
+	return AdaptiveRun{
+		Strategy:   plan.Strategy, // the catalog's pick, for adaptive runs
+		Adaptive:   adaptive,
+		Received:   len(m.arrivals),
+		Expected:   expected,
+		TimeToLast: m.last(),
+		StrategyMB: float64(sn.Net.Totals().Bytes-m.deliveryBytes(sn)) / 1e6,
 	}
-	if len(arrivals) > 0 {
-		res.TimeToLast = arrivals[len(arrivals)-1]
-	}
-	res.StrategyMB = float64(sn.Net.Totals().Bytes-resultBytes(sn, id, frames, tupleBytes)) / 1e6
-	return res
 }
 
 // AdaptiveResult bundles one workload's comparison.

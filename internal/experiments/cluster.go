@@ -21,13 +21,12 @@ import (
 type ClusterConfig struct {
 	Sizes    []int
 	SPerNode int
-	Kth      int
 	Seed     int64
 }
 
 // DefaultCluster returns the scaled default.
 func DefaultCluster(full bool) ClusterConfig {
-	cfg := ClusterConfig{Sizes: []int{2, 4, 8, 16}, SPerNode: 8, Kth: 30, Seed: 77}
+	cfg := ClusterConfig{Sizes: []int{2, 4, 8, 16}, SPerNode: 8, Seed: 77}
 	if full {
 		cfg.Sizes = []int{2, 4, 8, 16, 32, 64}
 	}
@@ -98,10 +97,6 @@ func clusterRun(n int, cfg ClusterConfig) (kth time.Duration, got, want int) {
 	c1, c2, c3 := workload.Constants(0.5, 0.5, 0.5)
 	expected := tables.ReferenceJoin(c1, c2, c3)
 	want = len(expected)
-	k := cfg.Kth
-	if k > want {
-		k = want
-	}
 
 	var mu sync.Mutex
 	var arrivals []time.Duration
@@ -129,8 +124,8 @@ func clusterRun(n int, cfg ClusterConfig) (kth time.Duration, got, want int) {
 	mu.Lock()
 	defer mu.Unlock()
 	got = len(arrivals)
-	if k > 0 && got >= k {
-		kth = arrivals[k-1]
+	if got >= kthTuple {
+		kth = arrivals[kthTuple-1]
 	} else if got > 0 {
 		kth = arrivals[got-1]
 	}

@@ -17,7 +17,6 @@ import (
 
 	"pier"
 	"pier/internal/core"
-	"pier/internal/env"
 	"pier/internal/sql"
 	"pier/internal/topology"
 	"pier/internal/workload"
@@ -33,7 +32,6 @@ type JoinConfig struct {
 	PadBytes     int     // R.pad size
 	SelS         float64 // selectivity of the predicate on S (paper default 0.5)
 	ComputeNodes int     // 0 = all nodes participate in the join
-	KthTuple     int     // the K in "time to K-th tuple" (paper: 30)
 	Limit        time.Duration
 	DHT          pier.DHTKind
 	BloomWait    time.Duration
@@ -49,9 +47,6 @@ func (c JoinConfig) Norm() JoinConfig {
 	}
 	if c.PadBytes == 0 {
 		c.PadBytes = 1024 - 60
-	}
-	if c.KthTuple == 0 {
-		c.KthTuple = 30
 	}
 	if c.Limit == 0 {
 		c.Limit = 4 * time.Hour
@@ -78,26 +73,22 @@ type JoinResult struct {
 	AvgHops    float64 // average CAN lookup path length
 }
 
+// kthTuple is the K in the paper's "time to K-th result tuple".
+const kthTuple = 30
+
 // RunJoin loads the workload, runs the query from node 0, and measures
 // the paper's metrics.
 func RunJoin(cfg JoinConfig) JoinResult {
 	cfg = cfg.Norm()
 	opts := pier.DefaultOptions()
 	opts.DHT = cfg.DHT
-	sn := pier.NewSimNetwork(cfg.Nodes, cfg.Topo, cfg.Seed, opts)
-
 	tables := workload.Generate(workload.Config{STuples: cfg.STuples, Seed: cfg.Seed + 1, PadBytes: cfg.PadBytes})
-	for i, r := range tables.R {
-		sn.Load("R", core.ValueString(r.Vals[workload.RPkey]), int64(i), r, 0)
-	}
-	for i, s := range tables.S {
-		sn.Load("S", core.ValueString(s.Vals[workload.SPkey]), int64(i), s, 0)
-	}
+	sn := deploy(cfg.Nodes, cfg.Topo, cfg.Seed, opts, workloadTables(tables)...)
 
 	// The predicate on R and the post-join predicate stay at the
 	// paper's 50%; only S's selectivity is swept (Figures 4 and 5).
 	c1, c2, c3 := workload.Constants(0.5, cfg.SelS, 0.5)
-	expected := tables.ReferenceJoin(c1, c2, c3)
+	want := len(tables.ReferenceJoin(c1, c2, c3))
 
 	plan := sql.MustPlan(fmt.Sprintf("%s WAIT '%v'", workload.JoinSQL(cfg.Strategy, c1, c2, c3), cfg.BloomWait),
 		workload.Catalog)
@@ -109,57 +100,23 @@ func RunJoin(cfg JoinConfig) JoinResult {
 	// have ≈ 2×|S| distinct keys.
 	plan.BloomBits = bloomBitsFor(2 * cfg.STuples)
 
-	sn.Net.ResetStats()
-	start := sn.Net.Now()
-	var arrivals []time.Duration
-	frames, tupleBytes := resultFrames(sn), 0
-	id, err := sn.Nodes[0].Query(plan, func(t *core.Tuple, _ int) {
-		arrivals = append(arrivals, sn.Net.Now().Sub(start))
-		tupleBytes += t.WireSize()
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer sn.Nodes[0].Cancel(id)
-	want := len(expected)
-	sn.RunUntil(cfg.Limit, func() bool { return len(arrivals) >= want })
+	m := measure(sn, plan, want, cfg.Limit)
+	defer sn.Nodes[0].Cancel(m.id)
 	// Let in-flight strategy traffic (rehashes of non-matching tuples,
 	// stragglers) finish so Figure 4's byte counts are complete. All
 	// remaining events are bounded: maintenance is off in these runs.
 	sn.Net.Drain()
 
-	res := JoinResult{Cfg: cfg, Expected: want, Received: len(arrivals)}
-	if k := cfg.KthTuple; len(arrivals) >= k {
-		res.TimeToKth = arrivals[k-1]
-	} else if len(arrivals) > 0 {
-		res.TimeToKth = arrivals[len(arrivals)-1]
-	}
-	if len(arrivals) > 0 {
-		res.TimeToLast = arrivals[len(arrivals)-1]
+	res := JoinResult{Cfg: cfg, Expected: want, Received: len(m.arrivals), TimeToKth: m.last(), TimeToLast: m.last()}
+	if len(m.arrivals) >= kthTuple {
+		res.TimeToKth = m.arrivals[kthTuple-1]
 	}
 	stats := sn.Net.Totals()
 	res.TrafficMB = float64(stats.Bytes) / 1e6
-	res.StrategyMB = float64(stats.Bytes-resultBytes(sn, id, frames, tupleBytes)) / 1e6
+	res.StrategyMB = float64(stats.Bytes-m.deliveryBytes(sn)) / 1e6
 	res.MaxInMB = float64(sn.Net.MaxInbound()) / 1e6
 	res.AvgHops = avgCANHops(sn)
 	return res
-}
-
-// resultFrames counts the result frames every node has shipped so far.
-func resultFrames(sn *pier.SimNetwork) (n uint64) {
-	for _, nd := range sn.Nodes {
-		n += nd.QueryStats().ResultBatches
-	}
-	return n
-}
-
-// resultBytes is what delivering query id's results cost on the
-// simulated wire: the tuples the initiator received, plus an empty result
-// frame and the per-send header for each frame shipped since the
-// resultFrames reading taken before the query.
-func resultBytes(sn *pier.SimNetwork, id uint64, framesBefore uint64, tupleBytes int) int64 {
-	perFrame := env.HeaderSize + core.ResultFrameOverhead(id)
-	return int64(tupleBytes) + int64(resultFrames(sn)-framesBefore)*int64(perFrame)
 }
 
 // bloomBitsFor sizes a filter at ~10 bits per expected key (≈1% false

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"hash/fnv"
 	"testing"
-	"time"
 )
 
 // TestFiguresUnchanged pins every table the experiments measure on the
@@ -60,7 +59,7 @@ func TestFiguresUnchanged(t *testing.T) {
 			return text(tbl)
 		}, 0xc18e0548b94c8dcd},
 		{"adaptive", func() string {
-			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23, Limit: 4 * time.Hour, StatsInterval: 30 * time.Second})
+			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23})
 			return text(tbl)
 		}, 0x554a526f149244e0},
 		// The second row's walk starts with the first row's markers

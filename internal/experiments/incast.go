@@ -29,17 +29,12 @@ type IncastConfig struct {
 	Nodes   int
 	STuples int // |S|: the scanned relation (R is not loaded)
 	Seed    int64
-	// Sel is the scan selectivity; at 0.5 over STuples tuples the
-	// query's result cardinality is high enough that delivery, not
-	// dissemination, dominates.
-	Sel float64
-	// Batch, Credit, and FlushInterval shape the batched run's result
-	// channel (the baseline run forces per-tuple delivery with flow
-	// control off).
-	Batch         int
-	Credit        int
-	FlushInterval time.Duration
 }
+
+// incastSel is the scan selectivity: at 0.5 the query's result
+// cardinality is high enough that delivery, not dissemination,
+// dominates.
+const incastSel = 0.5
 
 // Norm fills defaults.
 func (c IncastConfig) Norm() IncastConfig {
@@ -48,18 +43,6 @@ func (c IncastConfig) Norm() IncastConfig {
 	}
 	if c.STuples == 0 {
 		c.STuples = 2000
-	}
-	if c.Sel == 0 {
-		c.Sel = 0.5
-	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.Credit == 0 {
-		c.Credit = 128
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 200 * time.Millisecond
 	}
 	return c
 }
@@ -104,7 +87,7 @@ func Incast(cfg IncastConfig) ([]IncastRun, *Table) {
 	}
 	tbl := &Table{
 		Title: fmt.Sprintf("Initiator incast: per-tuple vs batched+credit result delivery (n=%d, |S|=%d, sel=%.0f%%)",
-			cfg.Nodes, cfg.STuples, cfg.Sel*100),
+			cfg.Nodes, cfg.STuples, incastSel*100),
 		Note: fmt.Sprintf("result frames per query: %d -> %d (%.1fx reduction); recall must be unchanged",
 			baseline.Frames, batched.Frames, ratio),
 		Headers: []string{"mode", "frames", "tuples", "tuples/frame", "grants", "stalls", "recv", "expected", "init in MB", "t(s)"},
@@ -130,26 +113,18 @@ func Incast(cfg IncastConfig) ([]IncastRun, *Table) {
 }
 
 // runIncast measures one delivery mode on a fresh deployment of the
-// same seed.
+// same seed. The batched mode is the engine's default result channel.
 func runIncast(cfg IncastConfig, batched bool) IncastRun {
 	opts := pier.DefaultOptions()
-	if batched {
-		opts.EngineConfig.ResultBatch = cfg.Batch
-		opts.EngineConfig.ResultCredit = cfg.Credit
-		opts.EngineConfig.ResultFlushInterval = cfg.FlushInterval
-	} else {
+	if !batched {
 		// The pre-channel baseline: one frame per tuple, no flow
 		// control.
 		opts.EngineConfig.ResultBatch = 1
 		opts.EngineConfig.ResultCredit = -1
 	}
-	sn := pier.NewSimNetwork(cfg.Nodes, topology.NewFullMesh(), cfg.Seed, opts)
-
 	tables := workload.Generate(workload.Config{STuples: cfg.STuples, Seed: cfg.Seed + 1, PadBytes: 64})
-	for i, s := range tables.S {
-		sn.Load("S", core.ValueString(s.Vals[workload.SPkey]), int64(i), s, 0)
-	}
-	_, c2, _ := workload.Constants(0.5, cfg.Sel, 0.5)
+	sn := deploy(cfg.Nodes, topology.NewFullMesh(), cfg.Seed, opts, simTable{"S", workload.SPkey, tables.S})
+	_, c2, _ := workload.Constants(0.5, incastSel, 0.5)
 	expected := 0
 	for _, s := range tables.S {
 		if v, ok := s.Vals[workload.SNum2].(int64); ok && v > c2 {
@@ -157,26 +132,13 @@ func runIncast(cfg IncastConfig, batched bool) IncastRun {
 		}
 	}
 
-	plan := incastPlan(c2)
-
-	sn.Net.ResetStats()
-	start := sn.Net.Now()
-	received := 0
-	var last time.Duration
-	id, err := sn.Nodes[0].Query(plan, func(*core.Tuple, int) {
-		received++
-		last = sn.Net.Now().Sub(start)
-	})
-	if err != nil {
-		panic(err)
-	}
-	sn.RunUntil(5*time.Minute, func() bool { return received >= expected })
+	m := measure(sn, incastPlan(c2), expected, 5*time.Minute)
 	// Let trailing flush timers and replenishment grants settle before
 	// snapshotting counters.
-	sn.RunFor(2*cfg.FlushInterval + time.Second)
-	sn.Nodes[0].Cancel(id)
+	sn.RunFor(2*core.DefaultConfig().ResultFlushInterval + time.Second)
+	sn.Nodes[0].Cancel(m.id)
 
-	run := IncastRun{Batched: batched, Received: received, Expected: expected, TimeToLast: last}
+	run := IncastRun{Batched: batched, Received: len(m.arrivals), Expected: expected, TimeToLast: m.last()}
 	for _, n := range sn.Nodes {
 		qs := n.QueryStats()
 		run.Frames += qs.ResultBatches

@@ -68,7 +68,7 @@ type RangeSelRun struct {
 
 // RangeSelectivity runs the sweep and renders the comparison table.
 func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table) {
-	sn, vals := buildRangeDeployment(cfg)
+	sn, rows := buildRangeDeployment(cfg)
 
 	tbl := &Table{
 		Title: fmt.Sprintf("Range selectivity: PHT index scan vs multicast full scan (n=%d, |T|=%d)",
@@ -80,8 +80,8 @@ func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table) {
 	for _, sel := range cfg.Selectivities {
 		cut := int64(sel * rangeDomain)
 		expected := 0
-		for _, v := range vals {
-			if v < cut {
+		for _, row := range rows {
+			if row.Vals[1].(int64) < cut {
 				expected++
 			}
 		}
@@ -101,19 +101,16 @@ func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table) {
 }
 
 // buildRangeDeployment loads and indexes the table, returning the
-// settled network and the generated attribute values.
-func buildRangeDeployment(cfg RangeSelConfig) (*pier.SimNetwork, []int64) {
+// settled network and the generated rows.
+func buildRangeDeployment(cfg RangeSelConfig) (*pier.SimNetwork, []*core.Tuple) {
 	opts := pier.DefaultOptions()
 	opts.Index.Interval = 10 * time.Second
-	sn := pier.NewSimNetwork(cfg.Nodes, topology.NewFullMesh(), cfg.Seed, opts)
-
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	vals := make([]int64, cfg.Tuples)
-	for i := range vals {
-		vals[i] = rng.Int63n(rangeDomain)
-		t := &core.Tuple{Rel: "T", Vals: []core.Value{int64(i), vals[i]}}
-		sn.Load("T", fmt.Sprint(i), int64(i), t, 0)
+	rows := make([]*core.Tuple, cfg.Tuples)
+	for i := range rows {
+		rows[i] = &core.Tuple{Rel: "T", Vals: []core.Value{int64(i), rng.Int63n(rangeDomain)}}
 	}
+	sn := deploy(cfg.Nodes, topology.NewFullMesh(), cfg.Seed, opts, simTable{"T", 0, rows})
 	sn.Nodes[0].RegisterTable(rangeSchema, time.Hour)
 	if err := sn.Nodes[0].CreateIndex(rangeSchema, "t_num", "num", time.Hour); err != nil {
 		panic(err)
@@ -121,7 +118,7 @@ func buildRangeDeployment(cfg RangeSelConfig) (*pier.SimNetwork, []int64) {
 	// Let the backfilled trie descend its prefix chain and split below
 	// the leaf threshold (one level per maintenance tick).
 	sn.RunFor(5 * time.Minute)
-	return sn, vals
+	return sn, rows
 }
 
 // runRangeQuery measures one access path for num < cut.
@@ -137,33 +134,21 @@ func runRangeQuery(sn *pier.SimNetwork, cfg RangeSelConfig, cut int64, sel float
 	}
 	plan.TTL = 20 * time.Minute
 
-	sn.Net.ResetStats()
-	start := sn.Net.Now()
-	received := 0
-	var last time.Duration
-	node := sn.Nodes[0]
-	id, err := node.Query(plan, func(*core.Tuple, int) {
-		received++
-		last = sn.Net.Now().Sub(start)
-	})
-	if err != nil {
-		panic(err)
-	}
-	sn.RunUntil(10*time.Minute, func() bool { return received >= expected })
+	m := measure(sn, plan, expected, 10*time.Minute)
 	run := RangeSelRun{
 		Selectivity: sel,
 		Index:       useIndex,
-		Received:    received,
+		Received:    len(m.arrivals),
 		Expected:    expected,
 		TrafficMB:   float64(sn.Net.Totals().Bytes) / 1e6,
-		TimeToLast:  last,
+		TimeToLast:  m.last(),
 	}
 	if useIndex {
-		run.NodesContacted, _ = node.Engine().IndexContacts(id)
+		run.NodesContacted, _ = sn.Nodes[0].Engine().IndexContacts(m.id)
 	} else {
 		// A full scan multicasts the plan to the whole overlay.
 		run.NodesContacted = cfg.Nodes
 	}
-	node.Cancel(id)
+	sn.Nodes[0].Cancel(m.id)
 	return run
 }

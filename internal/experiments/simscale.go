@@ -35,10 +35,7 @@ type SimScaleConfig struct {
 	// and index agents per node, measured incrementally over the
 	// substrate and exercised with one network-wide multicast scan.
 	OverlayNodes int
-	// Walkers and Hops shape the raw route pass: Walkers concurrent
-	// random walks of Hops message hops each.
-	Walkers, Hops int
-	Seed          int64
+	Seed         int64
 }
 
 // DefaultSimScale returns the n=100k build-and-route configuration used
@@ -47,8 +44,6 @@ func DefaultSimScale(full bool) SimScaleConfig {
 	cfg := SimScaleConfig{
 		Nodes:        100_000,
 		OverlayNodes: 100_000,
-		Walkers:      20_000,
-		Hops:         20,
 		Seed:         1,
 	}
 	if full {
@@ -65,6 +60,10 @@ const (
 	simSubstrateBudget = 240  // bare simnet.Network + NodeEnv
 	simOverlayBudget   = 4400 // full PIER stack, incremental over the substrate
 )
+
+// The raw route pass is simWalkers concurrent random walks of simHops
+// message hops each.
+const simWalkers, simHops = 20_000, 20
 
 // walkMsg is the raw route pass's payload: a hop budget.
 type walkMsg struct{ hops int32 }
@@ -94,7 +93,7 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 
 	// Bucket 1: the simulator substrate. Build n nodes with a
 	// forwarding handler, measure the settled heap delta, then drive
-	// Walkers random walks of Hops hops and measure event throughput.
+	// the random walks and measure event throughput.
 	base := heapInUse()
 	nw := simnet.New(topology.NewFullMeshInfinite(), cfg.Seed)
 	n := cfg.Nodes
@@ -111,11 +110,10 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 	rawBytes := heapInUse() - base
 	rawPerNode := rawBytes / int64(n)
 
-	for i := 0; i < cfg.Walkers; i++ {
+	for i := 0; i < simWalkers; i++ {
 		src := nw.Node((i * 104729) % n)
-		hops := int32(cfg.Hops)
 		src.After(time.Duration(i%1000)*time.Millisecond, func() {
-			src.Send(src.Addr(), walkMsg{hops: hops})
+			src.Send(src.Addr(), walkMsg{hops: simHops})
 		})
 	}
 	start := time.Now()
@@ -135,27 +133,25 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 	// network-wide multicast scan as the route pass.
 	on := cfg.OverlayNodes
 	base = heapInUse()
-	sn := pier.NewSimNetwork(on, topology.NewFullMesh(), cfg.Seed, pier.DefaultOptions())
+	sn := deploy(on, topology.NewFullMesh(), cfg.Seed, pier.DefaultOptions())
 	overlayBytes := heapInUse() - base
 	overlayPerNode := overlayBytes / int64(on)
 
 	const rows = 200
-	for i := 0; i < rows; i++ {
-		sn.Load("u", fmt.Sprint(i), int64(i), &core.Tuple{Rel: "u", Vals: []core.Value{int64(i)}}, 0)
+	u := make([]*core.Tuple, rows)
+	for i := range u {
+		u[i] = &core.Tuple{Rel: "u", Vals: []core.Value{int64(i)}}
 	}
-	got := 0
-	id, err := sn.Nodes[0].Query(simScalePlan(), func(*core.Tuple, int) { got++ })
-	if err != nil {
-		panic(fmt.Sprintf("simscale: scan rejected: %v", err))
-	}
+	load(sn, simTable{"u", 0, u})
 	start = time.Now()
-	events = sn.Net.RunFor(90 * time.Second)
+	m := measure(sn, simScalePlan(), 0, 90*time.Second)
 	wall = time.Since(start)
-	sn.Nodes[0].Cancel(id)
-	overlayEPS := float64(events) / wall.Seconds()
+	sn.Nodes[0].Cancel(m.id)
+	got := len(m.arrivals)
+	overlayEPS := float64(m.events) / wall.Seconds()
 	tbl.Rows = append(tbl.Rows, []string{
 		"pier overlay", fmt.Sprint(on), fmt.Sprintf("%.1f", float64(overlayBytes)/1e6),
-		fmt.Sprint(overlayPerNode), fmt.Sprint(events), fmt.Sprintf("%.0f", overlayEPS),
+		fmt.Sprint(overlayPerNode), fmt.Sprint(m.events), fmt.Sprintf("%.0f", overlayEPS),
 		wall.Round(time.Millisecond).String(),
 	})
 	tbl.Note = fmt.Sprintf("overlay bytes/node are incremental over the substrate; scan returned %d/%d rows", got, rows)

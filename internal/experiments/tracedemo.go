@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pier"
-	"pier/internal/core"
 	"pier/internal/topology"
 	"pier/internal/workload"
 )
@@ -26,16 +25,10 @@ func TraceDemo(seed int64, full bool) (string, error) {
 	if full {
 		nodes, sTuples = 256, 200
 	}
-	sn := pier.NewSimNetwork(nodes, topology.NewFullMeshInfinite(), seed, pier.DefaultOptions())
 	tables := workload.Generate(workload.Config{STuples: sTuples, Seed: seed + 1})
-	for i, r := range tables.R {
-		sn.Load("R", core.ValueString(r.Vals[workload.RPkey]), int64(i), r, 0)
-	}
-	for i, s := range tables.S {
-		sn.Load("S", core.ValueString(s.Vals[workload.SPkey]), int64(i), s, 0)
-	}
+	sn := deploy(nodes, topology.NewFullMeshInfinite(), seed, pier.DefaultOptions(), workloadTables(tables)...)
 	c1, c2, c3 := workload.Constants(0.5, 0.5, 0.5)
-	want := tables.ReferenceJoin(c1, c2, c3)
+	want := len(tables.ReferenceJoin(c1, c2, c3))
 
 	src := fmt.Sprintf(`EXPLAIN TRACE
 		SELECT R.pkey, S.pkey
@@ -47,20 +40,15 @@ func TraceDemo(seed int64, full bool) (string, error) {
 		return "", err
 	}
 
-	received := 0
-	id, err := sn.Nodes[0].Query(plan, func(*core.Tuple, int) { received++ })
-	if err != nil {
-		return "", err
-	}
-	sn.RunUntil(10*time.Minute, func() bool { return received >= len(want) })
+	m := measure(sn, plan, want, 10*time.Minute)
 	// Let trailing result frames — and the span buffers they piggyback —
 	// land before the collector closes.
 	sn.RunFor(2 * time.Second)
-	sn.Nodes[0].Cancel(id)
-	tr, ok := sn.Nodes[0].Trace(id)
+	sn.Nodes[0].Cancel(m.id)
+	tr, ok := sn.Nodes[0].Trace(m.id)
 	if !ok {
-		return "", fmt.Errorf("traced query %d left no trace", id)
+		return "", fmt.Errorf("traced query %d left no trace", m.id)
 	}
 	return fmt.Sprintf("join returned %d/%d rows across %d nodes\n\n%s",
-		received, len(want), nodes, tr.RenderString()), nil
+		len(m.arrivals), want, nodes, tr.RenderString()), nil
 }
