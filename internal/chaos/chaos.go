@@ -384,23 +384,15 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 	// Tuned for churn, Figure 6 included: dissemination must survive
 	// not-yet-detected failures.
 	opts.ProviderConfig.RobustMulticast = true
-	// Result channel: pin the batching/credit geometry (rather than
-	// inheriting engine defaults) so pinned-seed traces don't shift if
-	// defaults move. The credit window is deliberately tiny — the
-	// workload spreads each query's results over all nodes, so only a
-	// window smaller than a typical per-sender share makes senders
-	// actually exhaust it; replenishment grants then flow through the
-	// loss/partition schedules, lost grants exercise the executor's
-	// stall-refresh path, and the queries-terminate invariant doubles
-	// as the channel's no-deadlock check.
+	// Result channel: a smaller batch and a deliberately tiny credit
+	// window — the workload spreads each query's results over all
+	// nodes, so only a window smaller than a typical per-sender share
+	// makes senders actually exhaust it; replenishment grants then flow
+	// through the loss/partition schedules, lost grants exercise the
+	// executor's stall-refresh path, and the queries-terminate invariant
+	// doubles as the channel's no-deadlock check.
 	opts.EngineConfig.ResultBatch = 16
-	opts.EngineConfig.ResultFlushInterval = 250 * time.Millisecond
 	opts.EngineConfig.ResultCredit = 6
-	opts.EngineConfig.CreditRefresh = 4 * time.Second
-	if cfg.TraceQueries {
-		// Pin the tracing geometry like the channel's.
-		opts.EngineConfig.TraceBuf = 128
-	}
 	if cfg.PublishFlood > 0 && !faultless {
 		// Only the faulted run is bounded: the oracle's unbounded stores
 		// define what a node with enough memory would have answered, so

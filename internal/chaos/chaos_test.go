@@ -116,7 +116,12 @@ func TestGenerateQueriesDeterministicAndMixed(t *testing.T) {
 // be dropped at its end on each node: the dropped items are no longer
 // handed off when churn moves zones, so fewer messages are sent and
 // the fault RNG draws a different sequence. Flood runs no query and
-// kept its fingerprint.
+// kept its fingerprint. 623dc0d00a51bd4e / ba220a15fac501f3 /
+// 7c81efbe7bcdabd3 (chaos / rangechaos / flood) next; all three were
+// re-pinned when the harness stopped overriding the engine's
+// result-flush interval (250 ms) and credit-refresh period (4 s): it
+// now runs at the node's own 200 ms and 5 s, so flush and stall timers
+// fire at other instants and every later fault draw shifts.
 func pinned(t *testing.T, rep *Report, want uint64) {
 	t.Helper()
 	if rep.TraceHash != want {
@@ -135,7 +140,7 @@ func TestChaosPinnedSeed(t *testing.T) {
 	}
 	rep := Run(Default(1))
 	rep.Print(os.Stderr)
-	pinned(t, rep, 0x623dc0d00a51bd4e)
+	pinned(t, rep, 0xa5daf83786f47d00)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}
@@ -200,7 +205,7 @@ func TestChaosFloodPinnedSeed(t *testing.T) {
 	}
 	rep := Run(DefaultFlood(1))
 	rep.Print(os.Stderr)
-	pinned(t, rep, 0x7c81efbe7bcdabd3)
+	pinned(t, rep, 0x28d957dcbd08f6ef)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}
