@@ -14,7 +14,6 @@ import (
 
 	"pier/internal/core"
 	"pier/internal/topology"
-	"pier/internal/workload"
 )
 
 // pumpedSession serves the admin plane over a simulated node: a call
@@ -281,32 +280,8 @@ func TestAdminContractOverSimNode(t *testing.T) {
 // TestMetricsShowTraceSpanDrops: spans lost to full trace buffers are
 // visible on a running node's /metrics, as the count its engine keeps.
 func TestMetricsShowTraceSpanDrops(t *testing.T) {
-	opts := DefaultOptions()
-	opts.EngineConfig.TraceBuf = 1
-	sn := NewSimNetwork(16, topology.NewFullMeshInfinite(), 99, opts)
-	tables := workload.Generate(workload.Config{STuples: 40, Seed: 23})
-	loadWorkload(sn, tables)
-	c1, c2, c3 := workload.Constants(0.5, 0.5, 0.5)
-	want := tables.ReferenceJoin(c1, c2, c3)
-	plan, err := ParseSQL(fmt.Sprintf(`EXPLAIN TRACE
-		SELECT R.pkey, S.pkey
-		FROM R, S
-		WHERE R.num1 = S.pkey AND R.num2 > %d AND S.num2 > %d
-		  AND f(R.num3, S.num3) > %d
-		USING STRATEGY 'fetch matches'`, c1, c2, c3), e2eCat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sn, _ := probeFlood(t)
 	node := sn.Nodes[0]
-	rows := 0
-	id, err := node.Query(plan, func(*core.Tuple, int) { rows++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sn.RunUntil(10*time.Minute, func() bool { return rows >= len(want) }) {
-		t.Fatalf("traced join returned %d/%d rows", rows, len(want))
-	}
-	node.Cancel(id)
 
 	srv := httptest.NewServer(AdminHandler(node))
 	defer srv.Close()
@@ -321,7 +296,7 @@ func TestMetricsShowTraceSpanDrops(t *testing.T) {
 		if v, ok := strings.CutPrefix(sc.Text(), series); ok {
 			drops := node.QueryStats().TraceSpanDrops
 			if v != strconv.FormatUint(drops, 10) || drops == 0 {
-				t.Fatalf("/metrics serves %s%s, engine counted %d drops under TraceBuf=1", series, v, drops)
+				t.Fatalf("/metrics serves %s%s, engine counted %d drops under a probe flood", series, v, drops)
 			}
 			return
 		}

@@ -20,6 +20,7 @@ func TestAdminHandlerOverRealNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts a TCP cluster")
 	}
+	t.Parallel()
 	nodes := startCluster(t, 3)
 	srv := httptest.NewServer(AdminHandler(nodes[0]))
 	defer srv.Close()

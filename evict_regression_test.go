@@ -17,8 +17,10 @@ import (
 
 	"pier/internal/core"
 	"pier/internal/dht/storage"
+	"pier/internal/env"
 	"pier/internal/index"
 	"pier/internal/opt"
+	"pier/internal/simnet"
 	"pier/internal/stats"
 	"pier/internal/topology"
 )
@@ -219,28 +221,22 @@ func TestEvictedStatsSummariesReconverge(t *testing.T) {
 // to the memory tier with its disk copy tombstoned, leaving exactly one
 // live copy carrying the extended lifetime.
 func TestRenewPromotesSpilledItemThroughProvider(t *testing.T) {
-	// The spill store needs the node's clock before the network exists;
-	// bind it lazily and swap in the simulated clock (the log is empty,
-	// so nothing reads the placeholder).
-	now := time.Now
-	sp, err := storage.Open(func() time.Time { return now() },
-		storage.QuotaConfig{Quotas: map[string]int64{"K": 1 << 10}}, t.TempDir())
+	// One node that starts its own overlay, over a store opened on the
+	// simulated clock before the node exists, as StartNode opens one.
+	nw := simnet.New(topology.NewFullMesh(), 93)
+	sp, err := storage.Open(nw.Now, storage.QuotaConfig{Quotas: map[string]int64{"K": 1 << 10}}, t.TempDir())
 	if err != nil {
 		t.Fatalf("storage.Open: %v", err)
 	}
-	opts := DefaultOptions()
-	opts.ProviderConfig.Store = sp
-	sn := NewSimNetwork(1, topology.NewFullMesh(), 93, opts)
-	now = sn.Net.Now
-
-	node := sn.Nodes[0]
+	node := buildNode(nw.AddNode(), DefaultOptions(), sp)
+	node.router.Join(env.NilAddr)
 	tup := func(i int) *Tuple {
 		return &Tuple{Rel: "K", Vals: []Value{int64(i)}, Pad: 80}
 	}
 	for i := 0; i < 40; i++ {
 		node.Publish("K", fmt.Sprintf("k%02d", i), int64(i), tup(i), time.Hour)
 	}
-	sn.RunFor(2 * time.Minute) // let throttled puts retry and land
+	nw.RunFor(2 * time.Minute) // let throttled puts retry and land
 
 	before := sp.Stats()
 	if before.SpilledLive == 0 {
@@ -248,9 +244,9 @@ func TestRenewPromotesSpilledItemThroughProvider(t *testing.T) {
 	}
 	// Every item shares one expiry, so victims fall in store order and
 	// k00 — the first store — is the first one spilled.
-	renewedAt := sn.Net.Now()
+	renewedAt := nw.Now()
 	node.Renew("K", "k00", 0, tup(0), 2*time.Hour)
-	sn.RunFor(time.Minute)
+	nw.RunFor(time.Minute)
 
 	after := sp.Stats()
 	promoted := (after.ItemsSpilled - before.ItemsSpilled) -

@@ -18,12 +18,12 @@ const QueryNS = "pier.query"
 
 // Config controls one engine instance.
 //
-// The result-channel fields (ResultBatch, ResultFlushInterval,
-// ResultCredit, CreditRefresh) shape how executors deliver result
-// tuples back to the query initiator; like the Bloom filter geometry,
-// they should be configured identically on every node of a deployment
-// (a mixed deployment stays correct but flow-controls suboptimally).
-// New resolves a zero field to its DefaultConfig value.
+// The result-channel fields (ResultBatch, ResultCredit) shape how
+// executors deliver result tuples back to the query initiator; like the
+// Bloom filter geometry, they should be configured identically on every
+// node of a deployment (a mixed deployment stays correct but
+// flow-controls suboptimally). New resolves a zero field to its
+// DefaultConfig value.
 type Config struct {
 	// ResultBatch is the executor-side result buffer's size trigger:
 	// once this many output tuples accumulate for the initiator they
@@ -31,10 +31,6 @@ type Config struct {
 	// 1 ships one frame per tuple (the pre-batching behavior when
 	// credit is also disabled).
 	ResultBatch int
-	// ResultFlushInterval bounds how long a buffered result tuple may
-	// wait for the size trigger before a timer flushes the buffer
-	// anyway. 0 picks the default (200ms).
-	ResultFlushInterval time.Duration
 	// ResultCredit is the per-sender credit window in tuples: an
 	// executor may have at most this many result tuples in flight
 	// (sent but not yet granted away by the initiator), so n senders
@@ -42,32 +38,34 @@ type Config struct {
 	// melting its inbound link. 0 picks the default (128); negative
 	// disables flow control entirely.
 	ResultCredit int
-	// CreditRefresh is the executor's stall-refresh period: when a
-	// sender has buffered results but an exhausted credit window and
-	// no grant arrives within this time (grant lost, initiator
-	// unreachable, frames dropped by churn), it re-opens one window on
-	// its own so the channel throttles under loss instead of
-	// deadlocking. 0 picks the default (5s).
-	CreditRefresh time.Duration
-
-	// TraceBuf bounds each traced executor's span buffer: once full,
-	// further spans are dropped and counted, so a result flood can
-	// never grow tracing state without bound. 0 picks the default
-	// (256).
-	TraceBuf int
 }
 
 // DefaultConfig returns the engine defaults, the one table New resolves
 // zero fields from.
 func DefaultConfig() Config {
 	return Config{
-		ResultBatch:         32,
-		ResultFlushInterval: 200 * time.Millisecond,
-		ResultCredit:        128,
-		CreditRefresh:       5 * time.Second,
-		TraceBuf:            256,
+		ResultBatch:  32,
+		ResultCredit: 128,
 	}
 }
+
+const (
+	// ResultFlushPeriod bounds how long a buffered result tuple may
+	// wait for the size trigger before a timer flushes the buffer
+	// anyway.
+	ResultFlushPeriod = 200 * time.Millisecond
+	// creditRefresh is the executor's stall-refresh period: when a
+	// sender has buffered results but an exhausted credit window and
+	// no grant arrives within this time (grant lost, initiator
+	// unreachable, frames dropped by churn), it re-opens one window on
+	// its own so the channel throttles under loss instead of
+	// deadlocking.
+	creditRefresh = 5 * time.Second
+	// traceBuf bounds each traced executor's span buffer: once full,
+	// further spans are dropped and counted, so a result flood can
+	// never grow tracing state without bound.
+	traceBuf = 256
+)
 
 // traceRetain is how many finished traces an initiator retains for
 // retrieval (EXPLAIN TRACE, the admin trace endpoint) after their
@@ -163,7 +161,7 @@ type collector struct {
 }
 
 // collectorSpanCap bounds the spans one collector accumulates: with n
-// executors each bounded by TraceBuf, the initiator must still bound
+// executors each bounded by traceBuf, the initiator must still bound
 // its own memory against a large or hostile deployment.
 const collectorSpanCap = 4096
 
@@ -252,9 +250,6 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Engine {
 	if cfg.ResultCredit < 0 {
 		cfg.ResultCredit = 0 // negative: flow control explicitly off
 	}
-	env.OrDefault(&cfg.ResultFlushInterval, def.ResultFlushInterval)
-	env.OrDefault(&cfg.CreditRefresh, def.CreditRefresh)
-	env.OrDefault(&cfg.TraceBuf, def.TraceBuf)
 	h := sha1.Sum([]byte(e.Addr()))
 	// The maps (execs, collectors, cancelled, traces) and the latency
 	// histograms are all allocated lazily at first insert/observe: on
@@ -674,7 +669,7 @@ func (eng *Engine) replenishCredit(c *collector, id uint64, from env.Addr, n int
 	sc.received += int64(n)
 	// Grant at half a window of headroom or less, not strictly less:
 	// with a 1-tuple window w/2 is 0, headroom never drops below it,
-	// and the sender would trickle one tuple per CreditRefresh.
+	// and the sender would trickle one tuple per creditRefresh.
 	if sc.granted-sc.received > w/2 {
 		return
 	}

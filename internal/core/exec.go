@@ -79,7 +79,7 @@ type fetchEntry struct {
 func newExec(eng *Engine, m *queryMsg) *exec {
 	var spans *trace.Buffer
 	if m.Trace {
-		spans = trace.NewBuffer(eng.cfg.TraceBuf)
+		spans = trace.NewBuffer(traceBuf)
 	}
 	return &exec{
 		spans:     spans,
@@ -254,7 +254,7 @@ func (ex *exec) emit(t *Tuple, window int) {
 		return
 	}
 	if ex.resFlush == nil {
-		ex.resFlush = ex.eng.env.After(cfg.ResultFlushInterval, func() {
+		ex.resFlush = ex.eng.env.After(ResultFlushPeriod, func() {
 			ex.resFlush = nil
 			ex.flushResults(false)
 		})
@@ -352,7 +352,7 @@ func (ex *exec) shippedResBuf(n int) {
 }
 
 // stallResults arms the credit stall-refresh: if no grant arrives
-// within CreditRefresh — the grant was lost, the in-flight frames were,
+// within creditRefresh — the grant was lost, the in-flight frames were,
 // or the initiator is gone — the executor re-opens one window on its
 // own and retries. Under sustained loss the channel degrades to one
 // window per refresh period per sender instead of deadlocking; the
@@ -363,7 +363,7 @@ func (ex *exec) stallResults() {
 	}
 	ex.eng.qstats.CreditStalls++
 	ex.stallStart = ex.eng.env.Now()
-	ex.resStall = ex.eng.env.After(ex.eng.cfg.CreditRefresh, func() {
+	ex.resStall = ex.eng.env.After(creditRefresh, func() {
 		ex.resStall = nil
 		ex.endStall("self-refresh")
 		ex.resLimit = ex.resSent + int64(ex.eng.cfg.ResultCredit)

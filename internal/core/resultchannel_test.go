@@ -35,7 +35,7 @@ func newHarness(n int, seed int64, cfg Config) *harness {
 	for i := 0; i < n; i++ {
 		e := h.net.AddNode()
 		rt := can.New(e, can.DefaultConfig())
-		prov := provider.New(e, rt, provider.DefaultConfig())
+		prov := provider.New(e, rt, provider.Config{}, nil)
 		eng := New(e, prov, cfg)
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if rt.HandleMessage(from, m) {
@@ -134,13 +134,12 @@ func TestLateResultAfterTTLCloseIgnored(t *testing.T) {
 }
 
 func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
-	// A huge batch size and a long flush interval park every scanned
-	// tuple in the executor's result buffer; cancel must flush it
-	// exactly once (stop is reachable twice: cancel multicast now, TTL
-	// timer later).
+	// A huge batch size parks every scanned tuple in the executor's
+	// result buffer until the flush timer; a cancel inside the flush
+	// interval must flush it exactly once (stop is reachable twice:
+	// cancel multicast now, TTL timer later).
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 10_000
-	cfg.ResultFlushInterval = time.Hour
 	cfg.ResultCredit = -1
 	h := newHarness(1, 92, cfg)
 	const rows = 25
@@ -151,9 +150,9 @@ func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.net.RunFor(2 * time.Second)
-	if qs := h.engines[0].QueryStats(); qs.ResultBatches != 0 {
-		t.Fatalf("buffer flushed prematurely: %d frames", qs.ResultBatches)
+	h.net.RunFor(ResultFlushPeriod / 2)
+	if qs := h.engines[0].QueryStats(); qs.ResultBatches != 0 || h.engines[0].ActiveExecs() != 1 {
+		t.Fatalf("no executor parked the scan: %d frames, %d executors", qs.ResultBatches, h.engines[0].ActiveExecs())
 	}
 	h.engines[0].Cancel(id)
 	h.net.RunFor(5 * time.Second)
@@ -210,13 +209,11 @@ func TestCancelBeforeQueryDropsState(t *testing.T) {
 func TestCreditStallRefreshSurvivesLostGrants(t *testing.T) {
 	// Node 1 holds 100 rows; every grant from the initiator (0 -> 1)
 	// is lost. The sender must exhaust its bootstrap window, stall,
-	// and make progress one self-refreshed window per CreditRefresh —
+	// and make progress one self-refreshed window per creditRefresh —
 	// delivering everything instead of deadlocking.
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 5
 	cfg.ResultCredit = 10
-	cfg.ResultFlushInterval = 100 * time.Millisecond
-	cfg.CreditRefresh = 2 * time.Second
 	h := newHarness(2, 93, cfg)
 	const rows = 100
 	for i, rid := range h.ridsOwnedBy(1, "T", rows) {
@@ -231,7 +228,7 @@ func TestCreditStallRefreshSurvivesLostGrants(t *testing.T) {
 	// creditMsg from the initiator is lost.
 	h.net.RunFor(250 * time.Millisecond)
 	h.net.SetLinkFault(0, 1, 1.0, 0)
-	h.net.RunFor(time.Minute)
+	h.net.RunFor(90 * time.Second) // 9 refreshes take 45 s
 
 	if got != rows {
 		t.Fatalf("delivered %d/%d rows with grants lost", got, rows)
@@ -251,12 +248,11 @@ func TestCreditGrantsReplenishWithoutTimerStalls(t *testing.T) {
 	// Lossless run with a window much smaller than the result set: the
 	// collector's replenishment grants must keep the sender moving and
 	// every stall must resolve via a grant, not the refresh timer —
-	// i.e. delivery finishes far faster than stalls × CreditRefresh.
+	// i.e. delivery finishes far faster than stalls × creditRefresh
+	// (19 × 5 s, over the 30 s deadline below).
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 5
 	cfg.ResultCredit = 10
-	cfg.ResultFlushInterval = 50 * time.Millisecond
-	cfg.CreditRefresh = time.Hour // a timer-resolved stall would blow the deadline below
 	h := newHarness(2, 94, cfg)
 	const rows = 200
 	for i, rid := range h.ridsOwnedBy(1, "T", rows) {
@@ -355,9 +351,7 @@ func TestBloomMismatchFallsBackToUnprunedRehash(t *testing.T) {
 	// rows. The fix degrades the combine to a saturated filter, so the
 	// join must now produce the full reference result, and count the
 	// fallback.
-	cfg := DefaultConfig()
-	cfg.ResultFlushInterval = 50 * time.Millisecond
-	h := newHarness(4, 97, cfg)
+	h := newHarness(4, 97, DefaultConfig())
 
 	// R rows join S rows on column 0, spread by the DHT hash.
 	const keys = 12
@@ -445,13 +439,11 @@ func TestLevel1RidFormat(t *testing.T) {
 func TestOneTupleCreditWindowStillGrantDriven(t *testing.T) {
 	// Degenerate window: ResultCredit=1. Every tuple exhausts the
 	// window, so delivery must be carried by replenishment grants (one
-	// round trip per tuple), never by the stall-refresh timer — the
-	// timer here is set far beyond the run's deadline.
+	// round trip per tuple), never by the stall-refresh timer — timer
+	// refreshes alone (19 × 5 s) would overrun the run's deadline.
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 4
 	cfg.ResultCredit = 1
-	cfg.ResultFlushInterval = 50 * time.Millisecond
-	cfg.CreditRefresh = time.Hour
 	h := newHarness(2, 99, cfg)
 	const rows = 20
 	for i, rid := range h.ridsOwnedBy(1, "T", rows) {
@@ -479,7 +471,6 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 64
 	cfg.ResultCredit = 64
-	cfg.CreditRefresh = time.Hour // grant-driven only
 	h := newHarness(2, 100, cfg)
 	const rows = 20_000
 	rids := h.ridsOwnedBy(1, "T", rows)

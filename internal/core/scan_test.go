@@ -50,7 +50,7 @@ func newSliceNode(t *testing.T) *sliceNode {
 	s := &sliceNode{net: simnet.New(topology.NewFullMeshInfinite(), 7)}
 	e := s.net.AddNode()
 	rt := can.New(e, can.DefaultConfig())
-	prov := provider.New(e, rt, provider.DefaultConfig())
+	prov := provider.New(e, rt, provider.Config{}, nil)
 	s.eng = core.New(e, prov, core.DefaultConfig())
 	e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 		if !rt.HandleMessage(from, m) && !prov.HandleMessage(from, m) {

@@ -195,7 +195,7 @@ func TestTakeoverAfterUnpushedChange(t *testing.T) {
 			break
 		}
 		if !allHold {
-			tn.nw.RunFor(cfg.KeepaliveInterval) // the victim's tick pushes to the newcomer
+			tn.nw.RunFor(keepaliveInterval) // the victim's tick pushes to the newcomer
 		}
 	}
 	claimants := map[env.Addr]bool{}
@@ -213,7 +213,7 @@ func TestTakeoverAfterUnpushedChange(t *testing.T) {
 }
 
 // TestRejoinUnderOldAddress restarts a node under its address within
-// FailTimeout and loses the new life's first full update: whoever still
+// failTimeout and loses the new life's first full update: whoever still
 // holds the old life's table must notice the digest differs and end up
 // with the new one.
 func TestRejoinUnderOldAddress(t *testing.T) {

@@ -23,27 +23,21 @@ type Config struct {
 	// so that simulations quiesce; the churn experiment (Figure 6) turns
 	// it on.
 	Maintenance bool
-
-	// KeepaliveInterval is how often neighbors exchange keepalives.
-	KeepaliveInterval time.Duration
-
-	// FailTimeout is how long a neighbor must stay silent before it is
-	// declared failed; the paper assumes 15 seconds (§5.6).
-	FailTimeout time.Duration
 }
 
 // DefaultConfig returns the paper's simulation configuration; New
 // resolves a zero field to its value here.
 func DefaultConfig() Config {
-	return Config{
-		Dims:              4,
-		KeepaliveInterval: 5 * time.Second,
-		FailTimeout:       15 * time.Second,
-	}
+	return Config{Dims: 4}
 }
 
 // Fixed protocol parameters.
 const (
+	// keepaliveInterval is how often neighbors exchange keepalives.
+	keepaliveInterval = 5 * time.Second
+	// failTimeout is how long a neighbor must stay silent before it is
+	// declared failed; the paper assumes 15 seconds (§5.6).
+	failTimeout = 15 * time.Second
 	// joinRetry is how long a joiner waits for a join reply before
 	// retrying with a fresh random point.
 	joinRetry = 20 * time.Second
@@ -127,8 +121,6 @@ type pendingLookup struct {
 func New(e env.Env, cfg Config) *Router {
 	def := DefaultConfig()
 	env.OrDefault(&cfg.Dims, def.Dims)
-	env.OrDefault(&cfg.KeepaliveInterval, def.KeepaliveInterval)
-	env.OrDefault(&cfg.FailTimeout, def.FailTimeout)
 	return &Router{env: e, cfg: cfg}
 }
 
@@ -616,7 +608,7 @@ func (r *Router) startMaintenance() {
 	if !r.cfg.Maintenance || r.stopMaint != nil {
 		return
 	}
-	r.stopMaint = env.Every(r.env, r.cfg.KeepaliveInterval, func() {
+	r.stopMaint = env.Every(r.env, keepaliveInterval, func() {
 		r.sendKeepalives()
 		r.detectFailures()
 	})
@@ -635,7 +627,7 @@ func (r *Router) sendKeepalives() {
 	r.sendAll(u)
 }
 
-// detectFailures declares neighbors silent for FailTimeout dead and runs
+// detectFailures declares neighbors silent for failTimeout dead and runs
 // CAN's takeover: among the dead node's neighbors, the one with the
 // smallest total zone volume (ties by address) adopts the dead zones.
 // Every neighbor evaluates the same rule on the dead node's last
@@ -647,7 +639,7 @@ func (r *Router) detectFailures() {
 	// and inserts below move the table's entries.
 	var silent []neighborInfo
 	for i := range r.neighbors {
-		if now.Sub(r.neighbors[i].lastHeard) > r.cfg.FailTimeout {
+		if now.Sub(r.neighbors[i].lastHeard) > failTimeout {
 			silent = append(silent, r.neighbors[i])
 		}
 	}
@@ -668,7 +660,7 @@ func (r *Router) detectFailures() {
 				continue
 			}
 			// Skip candidates we ourselves believe have failed.
-			if cni := r.neighbor(ca); cni != nil && now.Sub(cni.lastHeard) > r.cfg.FailTimeout {
+			if cni := r.neighbor(ca); cni != nil && now.Sub(cni.lastHeard) > failTimeout {
 				continue
 			}
 			v := TotalVolume(czs)

@@ -20,8 +20,7 @@ import (
 	"pier/internal/env"
 )
 
-// Config controls one provider instance. New resolves a zero duration
-// to its DefaultConfig value.
+// Config controls one provider instance.
 type Config struct {
 	// Deprecated: ActiveExpiry is ignored, because every provider deletes
 	// items at their lifetime. It stays until no caller sets it.
@@ -36,27 +35,15 @@ type Config struct {
 	// Quota bounds the local store with per-namespace byte quotas and
 	// eviction. The zero value leaves it unbounded.
 	Quota storage.QuotaConfig
-
-	// Store is a storage manager opened before the node exists: one
-	// with a spill log, whose opening can fail and so happens before
-	// New. When set it is used as it is and Quota is ignored.
-	Store *storage.Manager
-
-	// ThrottleDelay is the base backoff a throttled publisher waits
-	// before resending; attempt k waits (k+1)×ThrottleDelay. The
-	// backoff is deterministic (no jitter) so seeded simulations
-	// replay bit-for-bit. Default 2s.
-	ThrottleDelay time.Duration
-}
-
-// DefaultConfig returns the provider defaults.
-func DefaultConfig() Config {
-	return Config{
-		ThrottleDelay: 2 * time.Second,
-	}
 }
 
 const (
+	// throttleDelay is the base backoff a throttled publisher waits
+	// before resending; attempt k waits (k+1)×throttleDelay. The
+	// backoff is deterministic (no jitter) so seeded simulations
+	// replay bit-for-bit.
+	throttleDelay = 2 * time.Second
+
 	// getTimeout bounds how long a get waits for the owner's reply
 	// before delivering an empty result (soft-state best effort).
 	getTimeout = 10 * time.Second
@@ -88,7 +75,6 @@ type Provider struct {
 	rt    dht.Router
 	store *storage.Manager
 	flood *multicast.Flooder
-	cfg   Config
 
 	nonce       uint64
 	pendingGets map[uint64]*pendingGet
@@ -112,12 +98,12 @@ type pendingGet struct {
 	timer env.Timer
 }
 
-// New wires a provider over the node's router. The caller routes
+// New wires a provider over the node's router and store. A nil store
+// means a memory store bounded by cfg.Quota; pass one to use a store
+// opened before the node exists (one with a spill log, whose opening
+// can fail), in which case cfg.Quota is ignored. The caller routes
 // incoming messages through HandleMessage.
-func New(e env.Env, rt dht.Router, cfg Config) *Provider {
-	def := DefaultConfig()
-	env.OrDefault(&cfg.ThrottleDelay, def.ThrottleDelay)
-	st := cfg.Store
+func New(e env.Env, rt dht.Router, cfg Config, st *storage.Manager) *Provider {
 	if st == nil {
 		st, _ = storage.Open(e.Now, cfg.Quota, "") // no spill log: nothing that can fail
 	}
@@ -129,7 +115,6 @@ func New(e env.Env, rt dht.Router, cfg Config) *Provider {
 		rt:    rt,
 		store: st,
 		flood: multicast.New(e, rt),
-		cfg:   cfg,
 	}
 	p.flood.SetRobust(cfg.RobustMulticast)
 	p.flood.OnDeliver(p.deliverMulticast)
@@ -229,7 +214,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 // throttleBackoff spaces throttle retries: deterministic linear
 // backoff, no jitter, so seeded simulations replay exactly.
 func (p *Provider) throttleBackoff(attempt uint8) time.Duration {
-	return time.Duration(attempt+1) * p.cfg.ThrottleDelay
+	return time.Duration(attempt+1) * throttleDelay
 }
 
 // Renew re-puts the item with a fresh lifetime, keeping it live

@@ -31,7 +31,7 @@ func newTestNet(t *testing.T, n int, pcfg Config) *testNet {
 	for i := 0; i < n; i++ {
 		e := tn.nw.AddNode()
 		r := can.New(e, can.DefaultConfig())
-		p := New(e, r, pcfg)
+		p := New(e, r, pcfg, nil)
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if r.HandleMessage(from, m) {
 				return
@@ -47,7 +47,7 @@ func newTestNet(t *testing.T, n int, pcfg Config) *testNet {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	tn := newTestNet(t, 16, DefaultConfig())
+	tn := newTestNet(t, 16, Config{})
 	tn.envs[3].Post(func() {
 		tn.provs[3].Put("rel", "key1", 1, &payload{N: 42}, time.Hour)
 	})
@@ -75,7 +75,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestGetIsKeyBasedAndMayReturnMultiple(t *testing.T) {
-	tn := newTestNet(t, 8, DefaultConfig())
+	tn := newTestNet(t, 8, Config{})
 	tn.envs[0].Post(func() {
 		tn.provs[0].Put("rel", "k", 1, &payload{N: 1}, time.Hour)
 		tn.provs[0].Put("rel", "k", 2, &payload{N: 2}, time.Hour)
@@ -92,7 +92,7 @@ func TestGetIsKeyBasedAndMayReturnMultiple(t *testing.T) {
 }
 
 func TestLocalGetSynchronous(t *testing.T) {
-	tn := newTestNet(t, 4, DefaultConfig())
+	tn := newTestNet(t, 4, Config{})
 	// Find a key owned by node 2 and put from node 2.
 	rid := ""
 	for i := 0; ; i++ {
@@ -119,7 +119,7 @@ func TestLocalGetSynchronous(t *testing.T) {
 }
 
 func TestGetMissingKeyReturnsEmpty(t *testing.T) {
-	tn := newTestNet(t, 8, DefaultConfig())
+	tn := newTestNet(t, 8, Config{})
 	called := false
 	var got []*storage.Item
 	tn.envs[0].Post(func() {
@@ -134,7 +134,7 @@ func TestGetMissingKeyReturnsEmpty(t *testing.T) {
 }
 
 func TestSoftStateExpiryAndRenew(t *testing.T) {
-	tn := newTestNet(t, 8, DefaultConfig())
+	tn := newTestNet(t, 8, Config{})
 	tn.envs[0].Post(func() {
 		tn.provs[0].Put("rel", "dies", 1, &payload{N: 1}, 30*time.Second)
 		tn.provs[0].Put("rel", "lives", 1, &payload{N: 2}, 30*time.Second)
@@ -161,7 +161,7 @@ func TestSoftStateExpiryAndRenew(t *testing.T) {
 }
 
 func TestNewDataCallback(t *testing.T) {
-	tn := newTestNet(t, 8, DefaultConfig())
+	tn := newTestNet(t, 8, Config{})
 	owner := tn.sm.OwnerOf("rel", "kk")
 	var got []*storage.Item
 	tn.envs[owner].Post(func() {
@@ -177,7 +177,7 @@ func TestNewDataCallback(t *testing.T) {
 }
 
 func TestNewDataUnsubscribe(t *testing.T) {
-	tn := newTestNet(t, 4, DefaultConfig())
+	tn := newTestNet(t, 4, Config{})
 	count := 0
 	var unsub func()
 	tn.envs[0].Post(func() {
@@ -196,7 +196,7 @@ func TestNewDataUnsubscribe(t *testing.T) {
 }
 
 func TestMulticastReachesAllNodesOnce(t *testing.T) {
-	tn := newTestNet(t, 32, DefaultConfig())
+	tn := newTestNet(t, 32, Config{})
 	counts := make([]int, 32)
 	for i := range tn.provs {
 		i := i
@@ -221,7 +221,7 @@ func TestMulticastReachesAllNodesOnce(t *testing.T) {
 }
 
 func TestMulticastSkipsFailedNodesButReachesRest(t *testing.T) {
-	tn := newTestNet(t, 32, DefaultConfig())
+	tn := newTestNet(t, 32, Config{})
 	counts := make([]int, 32)
 	for i := range tn.provs {
 		i := i
@@ -260,7 +260,7 @@ func TestHandoffAfterJoinMovesItems(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		e := nw.AddNode()
 		r := can.New(e, can.DefaultConfig())
-		p := New(e, r, DefaultConfig())
+		p := New(e, r, Config{}, nil)
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if r.HandleMessage(from, m) {
 				return
@@ -310,7 +310,7 @@ func TestHandoffAfterJoinMovesItems(t *testing.T) {
 func TestGetAfterRemapChasesOwner(t *testing.T) {
 	// Get issued against a stale owner must still return the items via
 	// one forwarding hop (§4.1's "additional round trip").
-	tn := newTestNet(t, 8, DefaultConfig())
+	tn := newTestNet(t, 8, Config{})
 	owner := tn.sm.OwnerOf("rel", "k")
 	tn.envs[owner].Post(func() {
 		tn.provs[owner].Put("rel", "k", 1, &payload{N: 1}, time.Hour)

@@ -78,9 +78,7 @@ func throttleTestQuota() int64 {
 }
 
 func TestOverQuotaPutsAreThrottledThenAdmitted(t *testing.T) {
-	pcfg := DefaultConfig()
-	pcfg.Quota = storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
-	pcfg.ThrottleDelay = time.Second
+	pcfg := Config{Quota: storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}}
 	tn := newTestNet(t, 8, pcfg)
 
 	owner := tn.sm.OwnerOf("hot", "k")
@@ -114,9 +112,7 @@ func TestOverQuotaPutsAreThrottledThenAdmitted(t *testing.T) {
 }
 
 func TestLocalPutsSelfThrottle(t *testing.T) {
-	pcfg := DefaultConfig()
-	pcfg.Quota = storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
-	pcfg.ThrottleDelay = time.Second
+	pcfg := Config{Quota: storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}}
 	tn := newTestNet(t, 1, pcfg) // single node owns everything
 	tn.envs[0].Post(func() {
 		for i := int64(0); i < 8; i++ {
@@ -138,9 +134,7 @@ func TestLocalPutsSelfThrottle(t *testing.T) {
 
 func TestThrottleDeterministic(t *testing.T) {
 	run := func() (int64, int64, int) {
-		pcfg := DefaultConfig()
-		pcfg.Quota = storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}
-		pcfg.ThrottleDelay = time.Second
+		pcfg := Config{Quota: storage.QuotaConfig{Quotas: map[string]int64{"hot": throttleTestQuota()}}}
 		tn := newTestNet(t, 8, pcfg)
 		owner := tn.sm.OwnerOf("hot", "k")
 		pub := (owner + 1) % len(tn.provs)

@@ -34,7 +34,7 @@ func newTestTrie(t *testing.T, nodes int) *testTrie {
 	for i := 0; i < nodes; i++ {
 		e := tt.nw.AddNode()
 		r := can.New(e, can.DefaultConfig())
-		p := provider.New(e, r, provider.DefaultConfig())
+		p := provider.New(e, r, provider.Config{}, nil)
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if !r.HandleMessage(from, m) {
 				p.HandleMessage(from, m)

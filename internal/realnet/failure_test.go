@@ -17,9 +17,9 @@ import (
 	"pier/internal/wire"
 )
 
-func listen(t *testing.T, cfg Config, seed int64) *Node {
+func listen(t *testing.T, seed int64) *Node {
 	t.Helper()
-	n, err := ListenConfig("127.0.0.1:0", seed, cfg)
+	n, err := Listen("127.0.0.1:0", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func listen(t *testing.T, cfg Config, seed int64) *Node {
 // transmitting: sends must keep returning immediately and be accounted
 // as drops once the connection error surfaces.
 func TestPeerDropMidStream(t *testing.T) {
-	a := listen(t, Config{}, 1)
-	b := listen(t, Config{}, 2)
+	a := listen(t, 1)
+	b := listen(t, 2)
 	var got atomic.Int64
 	b.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -69,7 +69,7 @@ func TestPeerDropMidStream(t *testing.T) {
 // prefix promises more bytes than ever arrive: nothing may be delivered,
 // the connection must die, and the node must keep serving others.
 func TestTruncatedFrameDropsConnection(t *testing.T) {
-	n := listen(t, Config{}, 1)
+	n := listen(t, 1)
 	var got atomic.Int64
 	n.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -97,7 +97,7 @@ func TestTruncatedFrameDropsConnection(t *testing.T) {
 // TestMalformedFrameDropsConnection sends a well-framed payload whose
 // body is garbage (unknown message tag).
 func TestMalformedFrameDropsConnection(t *testing.T) {
-	n := listen(t, Config{}, 1)
+	n := listen(t, 1)
 	var got atomic.Int64
 	n.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -125,7 +125,7 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 // trailing garbage: a desynced stream must not deliver, even when a
 // prefix happens to decode.
 func TestTrailingBytesInFrameDropsConnection(t *testing.T) {
-	n := listen(t, Config{}, 1)
+	n := listen(t, 1)
 	var got atomic.Int64
 	n.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -155,7 +155,7 @@ func TestTrailingBytesInFrameDropsConnection(t *testing.T) {
 // must fail on the length guard without committing large allocations,
 // and the node must keep serving.
 func TestCorruptCountDoesNotBalloonMemory(t *testing.T) {
-	n := listen(t, Config{}, 1)
+	n := listen(t, 1)
 	var got atomic.Int64
 	n.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -181,10 +181,10 @@ func TestCorruptCountDoesNotBalloonMemory(t *testing.T) {
 	assertStillServing(t, n, &got)
 }
 
-// TestOversizedFrameRejected announces a frame beyond MaxFrameBytes:
+// TestOversizedFrameRejected announces a frame beyond maxFrameBytes:
 // the node must drop the connection without buffering the body.
 func TestOversizedFrameRejected(t *testing.T) {
-	n := listen(t, Config{MaxFrameBytes: 1 << 10}, 1)
+	n := listen(t, 1)
 	var got atomic.Int64
 	n.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -209,8 +209,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 // sender's cached connection dies, and fresh sends must reach the
 // replacement node.
 func TestReconnectAfterClose(t *testing.T) {
-	a := listen(t, Config{}, 1)
-	b := listen(t, Config{}, 2)
+	a := listen(t, 1)
+	b := listen(t, 2)
 	addr := b.Addr()
 	var gotOld atomic.Int64
 	b.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { gotOld.Add(1) }))
@@ -258,7 +258,7 @@ func TestReconnectAfterClose(t *testing.T) {
 // message and accounts for it (asynchronously — dials happen on the
 // writer goroutine, never on the Send path).
 func TestDialFailureCountsAsDrop(t *testing.T) {
-	a := listen(t, Config{}, 1)
+	a := listen(t, 1)
 	a.Send("127.0.0.1:1", &echoMsg{N: 1})
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Stats().Drops == 0 && time.Now().Before(deadline) {
@@ -275,8 +275,8 @@ func TestDialFailureCountsAsDrop(t *testing.T) {
 // writer finds every frame already queued whatever the scheduler does.
 func TestBatchingCoalesces(t *testing.T) {
 	const burst = 400
-	a := listen(t, Config{}, 1)
-	b := listen(t, Config{}, 2)
+	a := listen(t, 1)
+	b := listen(t, 2)
 	var got atomic.Int64
 	b.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 
@@ -316,8 +316,8 @@ func TestBatchingCoalesces(t *testing.T) {
 // drop, exactly one frame sent, and the encodable frame arrives on the
 // connection the unencodable one was queued for.
 func TestUnencodableMessageDropped(t *testing.T) {
-	a := listen(t, Config{}, 1)
-	b := listen(t, Config{}, 2)
+	a := listen(t, 1)
+	b := listen(t, 2)
 	var got atomic.Int64
 	b.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { got.Add(1) }))
 

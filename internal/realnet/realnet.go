@@ -9,7 +9,7 @@
 // The per-peer writer goroutine coalesces its outbound queue into
 // batches — it keeps draining the queue into one buffer and issues a
 // single write when the queue goes empty or the batch reaches
-// MaxBatchBytes — so a burst of small soft-state messages (renews,
+// maxBatchBytes — so a burst of small soft-state messages (renews,
 // miniTuples, partial aggregates) costs one syscall instead of one per
 // frame.
 //
@@ -39,41 +39,23 @@ import (
 	"pier/internal/wire"
 )
 
-// Config tunes the transport. The zero value gives the production
-// defaults: batching with a 64 KiB flush threshold, 16 MiB frame cap.
-type Config struct {
-	// MaxFrameBytes rejects inbound frames larger than this; the
-	// connection carrying one is dropped. Default 16 MiB.
-	MaxFrameBytes int
+// Transport limits.
+const (
+	// maxFrameBytes rejects inbound frames larger than this; the
+	// connection carrying one is dropped.
+	maxFrameBytes = 16 << 20
 
-	// MaxBatchBytes flushes the write batch once it holds at least this
-	// many bytes (1 gives a write per frame). Default 64 KiB.
-	MaxBatchBytes int
+	// maxBatchBytes flushes the write batch once it holds at least this
+	// many bytes.
+	maxBatchBytes = 64 << 10
 
-	// OutboxLen is the per-peer outbound queue; sends beyond it drop.
-	// Default 1024.
-	OutboxLen int
+	// outboxLen is the per-peer outbound queue; sends beyond it drop.
+	outboxLen = 1024
 
-	// InboxLen bounds the inbound frames waiting for the event loop;
-	// connection readers block beyond it. Default 4096.
-	InboxLen int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 16 << 20
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 64 << 10
-	}
-	if c.OutboxLen <= 0 {
-		c.OutboxLen = 1024
-	}
-	if c.InboxLen <= 0 {
-		c.InboxLen = 4096
-	}
-	return c
-}
+	// inboxLen bounds the inbound frames waiting for the event loop;
+	// connection readers block beyond it.
+	inboxLen = 4096
+)
 
 // Stats is a snapshot of the transport counters. It is exactly the
 // env.LinkStats shape so the layers above can read it without an
@@ -90,14 +72,13 @@ type frame struct {
 // Node implements env.Env over TCP.
 type Node struct {
 	addr    env.Addr
-	cfg     Config
 	ln      net.Listener
 	handler env.Handler
 	rng     *rand.Rand
 
 	// posted is the event loop's one FIFO, and wake (capacity 1) says
 	// it is not empty. A connection reader first takes one of the
-	// InboxLen slots, which the loop frees as it runs the frame.
+	// inboxLen slots, which the loop frees as it runs the frame.
 	postMu sync.Mutex
 	posted []func()
 	wake   chan struct{}
@@ -132,26 +113,19 @@ type peer struct {
 	conn net.Conn
 }
 
-// Listen starts a node with the default Config listening on addr (e.g.
-// "127.0.0.1:0"). The returned node's event loop runs until Close.
+// Listen starts a node listening on addr (e.g. "127.0.0.1:0"). The
+// returned node's event loop runs until Close.
 func Listen(addr string, seed int64) (*Node, error) {
-	return ListenConfig(addr, seed, Config{})
-}
-
-// ListenConfig starts a node with an explicit transport configuration.
-func ListenConfig(addr string, seed int64, cfg Config) (*Node, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		addr:     env.Addr(ln.Addr().String()),
-		cfg:      cfg,
 		ln:       ln,
 		wake:     make(chan struct{}, 1),
-		slots:    make(chan struct{}, cfg.InboxLen),
+		slots:    make(chan struct{}, inboxLen),
 		rng:      rand.New(rand.NewSource(seed)),
 		peers:    make(map[env.Addr]*peer),
 		accepted: make(map[net.Conn]bool),
@@ -301,7 +275,7 @@ func (n *Node) peer(to env.Addr) (*peer, error) {
 		return nil, errors.New("realnet: node closed")
 	default:
 	}
-	p := &peer{out: make(chan *frame, n.cfg.OutboxLen), dead: make(chan struct{})}
+	p := &peer{out: make(chan *frame, outboxLen), dead: make(chan struct{})}
 	n.peers[to] = p
 	n.wg.Add(1)
 	go n.writer(to, p)
@@ -309,7 +283,7 @@ func (n *Node) peer(to env.Addr) (*peer, error) {
 }
 
 // retainBytes caps how much buffer capacity the per-peer writer and
-// per-connection reader keep between frames: one near-MaxFrameBytes
+// per-connection reader keep between frames: one near-maxFrameBytes
 // message must not pin tens of megabytes per peer for the lifetime of a
 // connection that otherwise carries tiny soft-state traffic.
 const retainBytes = 1 << 20
@@ -449,7 +423,7 @@ func (n *Node) writer(to env.Addr, p *peer) {
 		return
 	default:
 	}
-	fw := newBinaryWriter(conn, n.cfg.MaxFrameBytes)
+	fw := newBinaryWriter(conn, maxFrameBytes)
 	defer fw.release()
 	for {
 		select {
@@ -495,7 +469,7 @@ func (n *Node) fillBatch(fw *binaryWriter, f *frame, p *peer) (frames int) {
 		}
 	}
 	appendOne(f)
-	for fw.buffered() < n.cfg.MaxBatchBytes {
+	for fw.buffered() < maxBatchBytes {
 		select {
 		case f2 := <-p.out:
 			appendOne(f2)
@@ -598,7 +572,7 @@ func (n *Node) reader(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.mu.Unlock()
 	}()
-	fr := newBinaryReader(conn, n.cfg.MaxFrameBytes)
+	fr := newBinaryReader(conn, maxFrameBytes)
 	for {
 		f, bytes, err := fr.readFrame()
 		if err != nil {

@@ -181,17 +181,18 @@ func TestSendToUnreachableAddressDoesNotBlock(t *testing.T) {
 // Post, a self-send — must not wait for room in the inbox, or a loop
 // that fills it deadlocks on its own queue.
 func TestLoopNeverBlocksOnItself(t *testing.T) {
-	a, err := ListenConfig("127.0.0.1:0", 1, Config{InboxLen: 16})
+	a, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	posts, sends := 0, 0 // touched on the loop only
+	const n = inboxLen + 100 // more than the inbox holds
+	posts, sends := 0, 0     // touched on the loop only
 	a.SetHandler(env.HandlerFunc(func(env.Addr, env.Message) { sends++ }))
 	returned := make(chan struct{})
 	go func() {
 		a.Do(func() {
-			for i := 0; i < 100; i++ {
+			for i := 0; i < n; i++ {
 				a.Post(func() { posts++ })
 				a.Send(a.Addr(), &echoMsg{N: i})
 			}
@@ -204,8 +205,8 @@ func TestLoopNeverBlocksOnItself(t *testing.T) {
 		t.Fatal("Do never returned: the loop blocked posting to itself")
 	}
 	a.Do(func() {
-		if posts != 100 || sends != 100 {
-			t.Errorf("ran %d posts and %d self-sends, want 100 each", posts, sends)
+		if posts != n || sends != n {
+			t.Errorf("ran %d posts and %d self-sends, want %d each", posts, sends, n)
 		}
 	})
 }
@@ -236,7 +237,7 @@ func TestStopIsFinal(t *testing.T) {
 // TestPostKeepsEachPostersOrder: goroutines posting at once, the loop
 // among them, each see their work run in the order they posted it.
 func TestPostKeepsEachPostersOrder(t *testing.T) {
-	a, err := ListenConfig("127.0.0.1:0", 1, Config{InboxLen: 16})
+	a, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 package realnet
 
-// Loopback throughput with and without write batching, for the small
-// soft-state messages (miniTuple-shaped renews) that dominate PIER's
-// traffic:
+// Loopback throughput of the batching writer, for the small soft-state
+// messages (miniTuple-shaped renews) that dominate PIER's traffic:
 //
 //	go test ./internal/realnet -bench BenchmarkRealnetThroughput -benchtime 100000x
 
@@ -32,16 +31,15 @@ func init() {
 	})
 }
 
-func benchThroughput(b *testing.B, cfg Config) {
-	const window = 4096
-	cfg.OutboxLen = 4 * window
-	cfg.InboxLen = 4 * window
-	src, err := ListenConfig("127.0.0.1:0", 1, cfg)
+// BenchmarkRealnetThroughput measures frames/sec on loopback TCP.
+func BenchmarkRealnetThroughput(b *testing.B) {
+	const window = outboxLen / 2
+	src, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer src.Close()
-	dst, err := ListenConfig("127.0.0.1:0", 2, cfg)
+	dst, err := Listen("127.0.0.1:0", 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,16 +89,4 @@ func waitAtLeast(b *testing.B, got *atomic.Int64, n int64) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-}
-
-// BenchmarkRealnetThroughput compares frames/sec on loopback TCP.
-// "binary/frame-per-write" is the syscall-per-frame baseline: a
-// one-byte flush threshold ends every batch after its first frame.
-func BenchmarkRealnetThroughput(b *testing.B) {
-	b.Run("binary/frame-per-write", func(b *testing.B) {
-		benchThroughput(b, Config{MaxBatchBytes: 1})
-	})
-	b.Run("binary/batched", func(b *testing.B) {
-		benchThroughput(b, Config{})
-	})
 }

@@ -79,8 +79,8 @@ import (
 	"pier/internal/env"
 )
 
-// MaxPad is the largest pad a frame may declare: realnet's default
-// MaxFrameBytes. The pad is charged but never sent, so without a bound a
+// MaxPad is the largest pad a frame may declare: realnet's frame cap,
+// maxFrameBytes. The pad is charged but never sent, so without a bound a
 // 20-byte frame could claim 1<<62 bytes of some node's storage quota.
 const MaxPad = 16 << 20
 

@@ -29,7 +29,7 @@ func settableValues(t reflect.Type) int {
 // doubles the configurations tests have to cover; a knob that only
 // ever takes one value belongs in a constant of its package.
 func TestOptionsKnobCensus(t *testing.T) {
-	const want = 22
+	const want = 15
 	if got := settableValues(reflect.TypeOf(Options{})); got != want {
 		t.Fatalf("Options has %d settable values, want %d: adding (or removing) a knob means "+
 			"editing this number in review, like CI's size ceiling", got, want)

@@ -25,6 +25,7 @@ import (
 	"pier/internal/dht/can"
 	"pier/internal/dht/chord"
 	"pier/internal/dht/provider"
+	"pier/internal/dht/storage"
 	"pier/internal/env"
 	"pier/internal/index"
 	"pier/internal/stats"
@@ -138,9 +139,8 @@ type Options struct {
 // DefaultOptions returns the paper's simulation defaults.
 func DefaultOptions() Options {
 	return Options{
-		CANConfig:      can.DefaultConfig(),
-		ProviderConfig: provider.DefaultConfig(),
-		EngineConfig:   core.DefaultConfig(),
+		CANConfig:    can.DefaultConfig(),
+		EngineConfig: core.DefaultConfig(),
 	}
 }
 
@@ -157,11 +157,12 @@ type Node struct {
 }
 
 // buildNode assembles the stack over an environment and registers the
-// message dispatch chain.
+// message dispatch chain. A nil store means a memory store bounded by
+// opts.ProviderConfig.Quota.
 func buildNode(e interface {
 	env.Env
 	SetHandler(env.Handler)
-}, opts Options) *Node {
+}, opts Options, st *storage.Manager) *Node {
 	var rt dht.Router
 	switch opts.DHT {
 	case Chord:
@@ -169,7 +170,7 @@ func buildNode(e interface {
 	default:
 		rt = can.New(e, opts.CANConfig)
 	}
-	prov := provider.New(e, rt, opts.ProviderConfig)
+	prov := provider.New(e, rt, opts.ProviderConfig, st)
 	eng := core.New(e, prov, opts.EngineConfig)
 	cat := stats.New(e, prov, opts.Stats)
 	eng.SetObserver(cat.Observe)

@@ -46,15 +46,14 @@ func StartNode(addr string, landmark env.Addr, seed int64, opts Options) (*RealN
 	if err != nil {
 		return nil, err
 	}
-	if opts.SpillDir != "" && opts.ProviderConfig.Store == nil {
-		st, err := storage.Open(tr.Now, opts.ProviderConfig.Quota, opts.SpillDir)
-		if err != nil {
+	var st *storage.Manager
+	if opts.SpillDir != "" {
+		if st, err = storage.Open(tr.Now, opts.ProviderConfig.Quota, opts.SpillDir); err != nil {
 			tr.Close()
 			return nil, err
 		}
-		opts.ProviderConfig.Store = st
 	}
-	n := buildNode(tr, opts)
+	n := buildNode(tr, opts, st)
 	rn := &RealNode{Node: n, transport: tr, landmark: landmark}
 	tr.Do(func() { n.router.Join(landmark) })
 	return rn, nil

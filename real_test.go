@@ -48,6 +48,7 @@ func startClusterOpts(t *testing.T, n int, opts Options) []*RealNode {
 }
 
 func TestRealNetPutGet(t *testing.T) {
+	t.Parallel()
 	nodes := startCluster(t, 4)
 	nodes[1].Publish("T", "k1", 1, &Tuple{Rel: "T", Vals: []Value{int64(7), "x"}}, time.Minute)
 
@@ -85,6 +86,7 @@ func TestRealNetEndToEndJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts a TCP cluster")
 	}
+	t.Parallel()
 	nodes := startCluster(t, 5)
 	tables := workload.Generate(workload.Config{STuples: 12, Seed: 31, PadBytes: 32})
 	for i, r := range tables.R {
@@ -141,6 +143,7 @@ func TestRealNetEndToEndJoin(t *testing.T) {
 }
 
 func TestRealNetMulticastQueryDissemination(t *testing.T) {
+	t.Parallel()
 	nodes := startCluster(t, 3)
 	var mu sync.Mutex
 	seen := 0
@@ -176,6 +179,7 @@ func TestRealNetMulticastQueryDissemination(t *testing.T) {
 // (frames/batches/bytes/drops) must be readable through the node-level
 // accessor — the NetStats probe and operators consume them there.
 func TestRealNodeTransportStats(t *testing.T) {
+	t.Parallel()
 	nodes := startCluster(t, 3)
 	ls, ok := nodes[0].TransportStats()
 	if !ok {
@@ -201,6 +205,7 @@ func TestRealNodeTransportStats(t *testing.T) {
 // Matches (the inner table is hashed on the join attribute) — the same
 // adaptive behavior the simnet benchmark demonstrates, deployed.
 func TestRealNetAdaptiveStrategyChoice(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	opts.Stats.Interval = 200 * time.Millisecond
 	nodes := startClusterOpts(t, 4, opts)
@@ -291,6 +296,7 @@ func TestRealNetAdaptiveStrategyChoice(t *testing.T) {
 // exits, so it must delete expired items on its own — with default
 // options, and without a read to trigger the lazy filter.
 func TestRealNodeFreesExpiredSoftState(t *testing.T) {
+	t.Parallel()
 	nd := startCluster(t, 1)[0]
 	stored := func() (n int) {
 		nd.Do(func() { n = nd.Provider().Store().TotalLen() })
@@ -324,6 +330,7 @@ func TestRealNetLoopbackScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP deployment")
 	}
+	t.Parallel()
 	nodes := startCluster(t, 2)
 
 	// Puts are asynchronous fire-and-forget sends, and the transport
@@ -409,12 +416,14 @@ func TestRealNetLoopbackScan(t *testing.T) {
 // and the transport — a keepalive the decoder refused would cost the
 // connection — and when a node dies its neighbors must agree, from the
 // table it sent them, on who adopts its zones. Maintenance is
-// StartNode's own setting: the options only shorten its clock.
+// StartNode's own setting, at the deployed clock: a keepalive every
+// 5 s, failure declared after 15 s of silence.
 func TestRealNetKeepalivesAndTakeover(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CANConfig.KeepaliveInterval = 40 * time.Millisecond
-	opts.CANConfig.FailTimeout = 400 * time.Millisecond
-	nodes := startClusterOpts(t, 5, opts)
+	// The cluster starts before the test yields to the serial tests, so
+	// its keepalive clock runs while the test waits for a parallel slot.
+	nodes := startCluster(t, 5)
+	started := time.Now()
+	t.Parallel()
 	covered := func(live []*RealNode) float64 {
 		vol := 0.0
 		for _, nd := range live {
@@ -424,26 +433,29 @@ func TestRealNetKeepalivesAndTakeover(t *testing.T) {
 		}
 		return vol
 	}
-	time.Sleep(400 * time.Millisecond) // ~10 ticks: one full update, then bare digests
+	time.Sleep(time.Until(started.Add(11 * time.Second))) // two ticks: one full update, then bare digests
 	if v := covered(nodes); v < 0.999999 || v > 1.000001 {
-		t.Fatalf("five live nodes cover %v of the space after ten keepalive rounds, want 1", v)
+		t.Fatalf("five live nodes cover %v of the space after two keepalive rounds, want 1", v)
 	}
 	for _, nd := range nodes {
 		if s, ok := nd.TransportStats(); ok && s.Drops != 0 {
 			t.Fatalf("transport dropped %d frames while idle", s.Drops)
 		}
 	}
-	nodes[2].Close()
-	live := append(append([]*RealNode{}, nodes[:2]...), nodes[3:]...)
-	deadline := time.Now().Add(10 * time.Second)
+	// The first node started ticking first, so each neighbor's first
+	// check past the timeout comes just after 15 s of silence, not up
+	// to a tick later.
+	nodes[0].Close()
+	live := nodes[1:]
+	deadline := time.Now().Add(30 * time.Second)
 	for {
 		v := covered(live)
 		if v > 0.999999 && v < 1.000001 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("survivors cover %v of the space 10 s after a node died, want 1", v)
+			t.Fatalf("survivors cover %v of the space 30 s after a node died, want 1", v)
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond)
 	}
 }

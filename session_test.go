@@ -166,6 +166,7 @@ func TestSessionConformanceReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts a TCP cluster")
 	}
+	t.Parallel()
 	nodes := startCluster(t, 3)
 	var s Session = nodes[0]
 	runSessionConformance(t, s, func(d time.Duration, cond func() bool) bool {

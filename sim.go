@@ -45,7 +45,7 @@ func NewSimNetwork(n int, topo topology.Topology, seed int64, opts Options) *Sim
 
 func (sn *SimNetwork) addNode() *Node {
 	e := sn.Net.AddNode()
-	node := buildNode(e, sn.opts)
+	node := buildNode(e, sn.opts, nil)
 	sn.Nodes = append(sn.Nodes, node)
 	switch rt := node.router.(type) {
 	case *can.Router:

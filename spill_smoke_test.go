@@ -36,10 +36,10 @@ func TestSpillSmokeRestartExpiryAndPromotion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts and restarts a TCP node")
 	}
+	t.Parallel()
 	dir := t.TempDir()
 	opts := DefaultOptions()
 	opts.ProviderConfig.Quota = storage.QuotaConfig{Quotas: map[string]int64{"K": 2 << 10}}
-	opts.ProviderConfig.ThrottleDelay = 50 * time.Millisecond
 	opts.SpillDir = dir
 
 	nd, err := StartNode("127.0.0.1:0", env.NilAddr, 1, opts)
@@ -60,7 +60,10 @@ func TestSpillSmokeRestartExpiryAndPromotion(t *testing.T) {
 	// immortal filler to blow the quota: eviction takes nearest-to-
 	// expiry first, so the batch and the control are what lands on disk.
 	const shortN = 6
-	shortLife := 6 * time.Second
+	// The batch must outlive the throttled puts (at the provider's 2 s
+	// backoff, attempts land by 2 s and 6 s) so it spills before it
+	// expires.
+	shortLife := 15 * time.Second
 	shortDeadline := time.Now().Add(shortLife)
 	for i := 0; i < shortN; i++ {
 		nd.Publish("K", fmt.Sprintf("gone%d", i), int64(i), tup(i), shortLife)
@@ -70,7 +73,7 @@ func TestSpillSmokeRestartExpiryAndPromotion(t *testing.T) {
 		nd.Publish("K", fmt.Sprintf("fill%02d", i), int64(200+i), tup(200+i), 0)
 	}
 
-	ss := waitStorage(t, nd, 5*time.Second, "expiring items never spilled",
+	ss := waitStorage(t, nd, 12*time.Second, "expiring items never spilled",
 		func(ss StorageStats) bool { return ss.SpilledLive >= shortN+1 })
 	// On a one-node deployment every put is local, so backpressure shows
 	// up as publisher-side self-throttle delays rather than wire

@@ -146,26 +146,36 @@ func TestExplainTraceJoin64(t *testing.T) {
 	checkHistogramFamily(t, mresp, "pier_query_duration_seconds")
 }
 
-// TestSpanBuffersBoundedUnderFlood pins the tracing memory bound: a
-// traced fetch-matches join records one dht_get span per probe, so a
-// tiny TraceBuf must overflow. Overflow may only drop spans (counted
-// in the assembled trace), never grow the buffer or disturb results.
-func TestSpanBuffersBoundedUnderFlood(t *testing.T) {
-	opts := DefaultOptions()
-	opts.EngineConfig.TraceBuf = 2
-	sn := NewSimNetwork(16, topology.NewFullMeshInfinite(), 99, opts)
-	tables := workload.Generate(workload.Config{STuples: 40, Seed: 23})
+// probeFlood runs a traced fetch-matches join to completion on one
+// node and returns it with the query's id. The join records one
+// dht_get span per probe; every probe is local, so all of them finish
+// before the first result frame can drain the executor's span buffer,
+// and there are more of them than the engine's 256-span buffer holds.
+// Overflow may only drop spans, never disturb results.
+func probeFlood(t *testing.T) (*SimNetwork, uint64) {
+	t.Helper()
+	sn := NewSimNetwork(1, topology.NewFullMeshInfinite(), 99, DefaultOptions())
+	tables := workload.Generate(workload.Config{STuples: 100, Seed: 23})
 	loadWorkload(sn, tables)
-	c1, c2, c3 := workload.Constants(0.5, 0.5, 0.5)
+	c1, c2, c3 := workload.Constants(0.5, 0.5, 0.1)
 	want := tables.ReferenceJoin(c1, c2, c3)
+	probes := 0
+	for _, r := range tables.R {
+		if r.Vals[workload.RNum2].(int64) > c1 {
+			probes++
+		}
+	}
+	if probes <= 256 || len(want) == 0 || len(want) >= 32 {
+		t.Fatalf("%d probes for %d rows: want more than the 256-span trace buffer, "+
+			"and fewer rows than one 32-tuple result frame", probes, len(want))
+	}
 
-	src := fmt.Sprintf(`EXPLAIN TRACE
+	plan, err := ParseSQL(fmt.Sprintf(`EXPLAIN TRACE
 		SELECT R.pkey, S.pkey
 		FROM R, S
 		WHERE R.num1 = S.pkey AND R.num2 > %d AND S.num2 > %d
 		  AND f(R.num3, S.num3) > %d
-		USING STRATEGY 'fetch matches'`, c1, c2, c3)
-	plan, err := ParseSQL(src, e2eCat)
+		USING STRATEGY 'fetch matches'`, c1, c2, c3), e2eCat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +188,26 @@ func TestSpanBuffersBoundedUnderFlood(t *testing.T) {
 		t.Fatalf("flooded traced join returned %d/%d rows", rows, len(want))
 	}
 	sn.Nodes[0].Cancel(id)
+	if rows != len(want) {
+		t.Fatalf("tracing overflow changed recall: %d != %d", rows, len(want))
+	}
+	return sn, id
+}
+
+// TestSpanBuffersBoundedUnderFlood pins the tracing memory bound: an
+// executor's spans beyond its buffer are dropped and counted in the
+// assembled trace, never kept.
+func TestSpanBuffersBoundedUnderFlood(t *testing.T) {
+	sn, id := probeFlood(t)
 	tr, ok := sn.Nodes[0].Trace(id)
 	if !ok {
 		t.Fatal("no retained trace")
 	}
 	if tr.Drops == 0 {
-		t.Fatalf("TraceBuf=2 under %d probes dropped no spans (%d kept)", len(tables.R), len(tr.Spans))
+		t.Fatalf("probe flood dropped no spans (%d kept)", len(tr.Spans))
 	}
 	if len(tr.Spans) > 4096 {
 		t.Fatalf("trace kept %d spans; collector bound breached", len(tr.Spans))
-	}
-	if rows != len(want) {
-		t.Fatalf("tracing overflow changed recall: %d != %d", rows, len(want))
 	}
 }
 
