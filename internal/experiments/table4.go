@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"pier/internal/core"
+	"pier/internal/opt"
 	"pier/internal/topology"
 )
 
@@ -29,65 +28,33 @@ func DefaultTable4(full bool) Table4Config {
 
 // Table4 reproduces "Average time to receive the last result tuple" for
 // the four strategies under propagation delay only, and appends the
-// paper's closed-form model evaluated at this network size.
+// optimizer's closed-form latency (§5.5.1's model: d=4 CAN lookups of
+// n^(1/4) hops, 100 ms per hop) evaluated at this network size.
 func Table4(cfg Table4Config) *Table {
-	strategies := []core.Strategy{core.SymmetricHash, core.FetchMatches, core.SymmetricSemiJoin, core.BloomJoin}
 	t := &Table{
 		Title:   fmt.Sprintf("Table 4: avg time to last result tuple, infinite bandwidth, n=%d", cfg.Nodes),
 		Note:    "paper (n=1024): sym-hash 3.73s, fetch-matches 3.78s, semi-join 4.47s, bloom 6.85s",
 		Headers: []string{"strategy", "measured (s)", "analytic model (s)"},
 	}
-	for _, s := range strategies {
+	const bloomWait = 4 * time.Second
+	for _, est := range opt.Estimates(opt.JoinStats{}, opt.NetStats{Nodes: cfg.Nodes, BloomWait: bloomWait}) {
 		var sum time.Duration
 		for run := 0; run < cfg.Runs; run++ {
 			res := RunJoin(JoinConfig{
 				Nodes:    cfg.Nodes,
 				Topo:     topology.NewFullMeshInfinite(),
 				Seed:     cfg.Seed + int64(run)*101,
-				Strategy: s,
+				Strategy: est.Strategy,
 				STuples:  cfg.STuples,
 				// With unlimited bandwidth the pad only affects transfer
 				// volume, not timing; keep it small to speed simulation.
 				PadBytes:  64,
-				BloomWait: 4 * time.Second,
+				BloomWait: bloomWait,
 			})
 			sum += res.TimeToLast
 		}
 		measured := sum / time.Duration(cfg.Runs)
-		t.Rows = append(t.Rows, []string{s.String(), secs(measured), secs(analyticJoinTime(s, cfg.Nodes, 4*time.Second))})
+		t.Rows = append(t.Rows, []string{est.Strategy.String(), secs(measured), secs(est.Latency)})
 	}
 	return t
-}
-
-// analyticJoinTime evaluates the paper's §5.5.1 closed-form costs with
-// d=4 CAN (lookup ≈ n^(1/4) hops), 100 ms per hop, and a measured-style
-// multicast time. The paper's terms per strategy:
-//
-//	symmetric hash:  multicast + lookup + put + result
-//	fetch matches:   multicast + lookup + 3 direct
-//	semi-join:       multicast + 2 lookups + 4 direct
-//	bloom:           2 multicasts + 2 lookups + 3 direct
-func analyticJoinTime(s core.Strategy, n int, bloomWait time.Duration) time.Duration {
-	const hop = 100 * time.Millisecond
-	lookup := time.Duration(math.Pow(float64(n), 0.25) * float64(hop))
-	multicast := multicastEstimate(n)
-	direct := hop
-	switch s {
-	case core.SymmetricHash:
-		return multicast + lookup + 2*direct
-	case core.FetchMatches:
-		return multicast + lookup + 3*direct
-	case core.SymmetricSemiJoin:
-		return multicast + 2*lookup + 4*direct
-	default: // Bloom
-		return multicast + bloomWait + multicastEstimate(n) + 2*lookup + 3*direct
-	}
-}
-
-// multicastEstimate approximates flooding depth over a d=4 CAN: roughly
-// the overlay diameter, ~(d/4)·n^(1/d) hops with some spread.
-func multicastEstimate(n int) time.Duration {
-	const hop = 100 * time.Millisecond
-	depth := math.Pow(float64(n), 0.25) * 1.5
-	return time.Duration(depth * float64(hop))
 }
