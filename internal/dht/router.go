@@ -9,9 +9,10 @@ import "pier/internal/env"
 //	leave()
 //	locationMapChange()
 //
-// plus the two introspection calls the upper layers need: Owns (is this
-// node currently responsible for key?) and Neighbors (the overlay links,
-// used by the flooding multicast).
+// plus the introspection calls the upper layers need: Owns (is this
+// node currently responsible for key?), Neighbors (the overlay links,
+// used by the flooding multicast), and the lookup and size figures the
+// statistics catalog feeds to the optimizer.
 type Router interface {
 	// Lookup asynchronously resolves the node currently responsible for
 	// k and invokes cb with its address. If the key maps locally the
@@ -47,6 +48,16 @@ type Router interface {
 	// HandleMessage gives the router a chance to consume an incoming
 	// message. It returns false if the message is not a routing message.
 	HandleMessage(from env.Addr, m env.Message) bool
+
+	// LookupStats reports how many lookups this node initiated and the
+	// total overlay hops their answers traversed (§5.5.1's analysis
+	// input).
+	LookupStats() (count, hops int64)
+
+	// EstimateNodes estimates the overlay size n from the node's own
+	// routing state (CAN zone volume, Chord successor density), without
+	// any global census.
+	EstimateNodes() int
 }
 
 // MulticastRouter is an optional Router refinement that prunes flood

@@ -133,13 +133,9 @@ func bloomBitsFor(keys int) int {
 func avgCANHops(sn *pier.SimNetwork) float64 {
 	var hops, count int64
 	for _, n := range sn.Nodes {
-		if r, ok := n.Router().(interface {
-			LookupStats() (count, hops int64)
-		}); ok {
-			c, h := r.LookupStats()
-			count += c
-			hops += h
-		}
+		c, h := n.Router().LookupStats()
+		count += c
+		hops += h
 	}
 	if count == 0 {
 		return 0

@@ -141,18 +141,6 @@ func isHex(b byte) bool {
 	return b >= '0' && b <= '9' || b >= 'a' && b <= 'f'
 }
 
-// nodeEstimator is the optional routing-layer refinement the deployment
-// probe uses: DHTs whose geometry encodes the network size (CAN zone
-// volume, Chord successor density) report an estimate of n.
-type nodeEstimator interface {
-	EstimateNodes() int
-}
-
-// lookupCounter matches the routers' LookupStats introspection.
-type lookupCounter interface {
-	LookupStats() (count, hops int64)
-}
-
 type cacheEntry struct {
 	stats opt.TableStats
 	at    time.Time
@@ -355,13 +343,11 @@ func (c *Catalog) probeHop() {
 		}
 		elapsed := c.env.Now().Sub(start)
 		hops := 1.0
-		if lc, ok := rt.(lookupCounter); ok {
-			cnt, h := lc.LookupStats()
-			if dc, dh := cnt-c.lastCnt, h-c.lastHops; dc > 0 && dh > 0 {
-				hops = float64(dh) / float64(dc)
-			}
-			c.lastCnt, c.lastHops = cnt, h
+		cnt, h := rt.LookupStats()
+		if dc, dh := cnt-c.lastCnt, h-c.lastHops; dc > 0 && dh > 0 {
+			hops = float64(dh) / float64(dc)
 		}
+		c.lastCnt, c.lastHops = cnt, h
 		per := time.Duration(float64(elapsed) / (hops + 1)) // +1: the reply hop
 		if per <= 0 {
 			return
@@ -379,17 +365,11 @@ func (c *Catalog) probeHop() {
 // real transport — the link counters. Zero fields fall back to
 // opt.NetStats.norm defaults.
 func (c *Catalog) NetStats() opt.NetStats {
-	var ns opt.NetStats
 	rt := c.prov.Router()
-	if est, ok := rt.(nodeEstimator); ok {
-		ns.Nodes = est.EstimateNodes()
+	ns := opt.NetStats{Nodes: rt.EstimateNodes(), HopLatency: c.hopEWMA}
+	if cnt, hops := rt.LookupStats(); cnt > 0 && hops > 0 {
+		ns.LookupHops = float64(hops) / float64(cnt)
 	}
-	if lc, ok := rt.(lookupCounter); ok {
-		if cnt, hops := lc.LookupStats(); cnt > 0 && hops > 0 {
-			ns.LookupHops = float64(hops) / float64(cnt)
-		}
-	}
-	ns.HopLatency = c.hopEWMA
 	return ns
 }
 
