@@ -227,7 +227,7 @@ func TestCreditStallRefreshSurvivesLostGrants(t *testing.T) {
 	// then cut the grant path for the rest of the run: every further
 	// creditMsg from the initiator is lost.
 	h.net.RunFor(250 * time.Millisecond)
-	h.net.SetLinkFault(0, 1, 1.0, 0)
+	h.net.SetLinkFault(0, 1, 1.0)
 	h.net.RunFor(90 * time.Second) // 9 refreshes take 45 s
 
 	if got != rows {

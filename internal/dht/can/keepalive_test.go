@@ -109,7 +109,7 @@ func TestLostPushIsPulled(t *testing.T) {
 	old := b.neighbor(a.env.Addr()).digest
 
 	// The 15 s tick pushes the new table; the copy for b is lost.
-	tn.nw.SetLinkFault(src, dst, 1, 0)
+	tn.nw.SetLinkFault(src, dst, 1)
 	tn.nw.RunFor(1500 * time.Millisecond) // 15.5 s
 	tn.nw.ClearLinkFault(src, dst)
 	if held := b.neighbor(a.env.Addr()).digest; a.pushed == old || held != old {
@@ -231,7 +231,7 @@ func TestRejoinUnderOldAddress(t *testing.T) {
 	}
 	// Its first tick comes 5 s after the join: lose that push everywhere.
 	for i := range tn.routers {
-		tn.nw.SetLinkFault(x, i, 1, 0)
+		tn.nw.SetLinkFault(x, i, 1)
 	}
 	tn.nw.RunFor(4 * time.Second)
 	if r.pushed == 0 || r.pushed == oldLife.pushed {

@@ -98,7 +98,7 @@ func TestLinkFaultOverridesGlobal(t *testing.T) {
 	a, b := nw.AddNode(), nw.AddNode()
 	got := collect(b)
 	nw.SetLoss(1.0)
-	nw.SetLinkFault(a.Index(), b.Index(), 0, 0) // reliable link under global loss
+	nw.SetLinkFault(a.Index(), b.Index(), 0) // reliable link under global loss
 	for i := 0; i < 10; i++ {
 		a.Send(b.Addr(), testMsg{n: i, size: 1})
 	}
@@ -111,19 +111,6 @@ func TestLinkFaultOverridesGlobal(t *testing.T) {
 	nw.Drain()
 	if len(*got) != 10 {
 		t.Fatalf("cleared override still in effect: %d delivered", len(*got))
-	}
-}
-
-func TestExtraDelayShiftsDelivery(t *testing.T) {
-	nw := New(topology.NewFullMeshInfinite(), 1)
-	a, b := nw.AddNode(), nw.AddNode()
-	var at time.Time
-	b.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) { at = nw.Now() }))
-	nw.SetExtraDelay(400 * time.Millisecond)
-	a.Send(b.Addr(), testMsg{n: 1, size: 10})
-	nw.Drain()
-	if want := Epoch.Add(500 * time.Millisecond); !at.Equal(want) {
-		t.Fatalf("delivered at %v, want %v (100ms latency + 400ms extra)", at, want)
 	}
 }
 

@@ -88,21 +88,18 @@ func (n *NodeEnv) Send(to env.Addr, m env.Message) {
 		nw.stats.Dropped++
 		return
 	}
-	var extra time.Duration
 	if dst.index != n.index {
 		if nw.Partitioned(int(n.index), int(dst.index)) {
 			nw.stats.LostPartition++
 			return
 		}
-		loss, d := nw.linkFault(int(n.index), int(dst.index))
-		if loss > 0 && nw.faultRng.Float64() < loss {
+		if loss := nw.linkLossOf(int(n.index), int(dst.index)); loss > 0 && nw.faultRng.Float64() < loss {
 			nw.stats.LostLoss++
 			return
 		}
-		extra = d
 	}
 	size := env.HeaderSize + m.WireSize()
-	arrive := nw.now + int64(nw.topo.Latency(int(n.index), int(dst.index))+extra)
+	arrive := nw.now + int64(nw.topo.Latency(int(n.index), int(dst.index)))
 	deliver := arrive
 	if bw := nw.topo.InboundBandwidth(int(dst.index)); bw > 0 {
 		start := arrive

@@ -9,9 +9,9 @@
 //
 // All node logic runs on the caller's goroutine inside Run, so a
 // seeded simulation is fully deterministic — including the fault layer:
-// link loss, extra delay, and partitions (SetLoss, SetLinkFault,
-// Partition) draw from a dedicated RNG derived from the network seed,
-// so a chaos scenario replays event-for-event from its seed.
+// link loss and partitions (SetLoss, SetLinkFault, Partition) draw from
+// a dedicated RNG derived from the network seed, so a chaos scenario
+// replays event-for-event from its seed.
 //
 // The event queue is value-typed for scale: events live in an arena
 // with a free list and are addressed by index, and the heap orders
@@ -54,17 +54,15 @@ type Network struct {
 
 	nodes []*NodeEnv
 
-	// Fault state: configured loss probability and extra delay (global
-	// and per directed link), the current partition assignment, and the
-	// dedicated fault RNG. The RNG is consumed only by sends a loss rule
-	// applies to, so fault-free simulations reproduce pre-fault traces.
-	faultSrc  env.SplitMix64
-	faultRng  *rand.Rand
-	loss      float64
-	delay     time.Duration
-	linkLoss  map[linkKey]float64
-	linkDelay map[linkKey]time.Duration
-	island    []int32 // partition island per node; all zero = no partition
+	// Fault state: configured loss probability (global and per directed
+	// link), the current partition assignment, and the dedicated fault
+	// RNG. The RNG is consumed only by sends a loss rule applies to, so
+	// fault-free simulations reproduce pre-fault traces.
+	faultSrc env.SplitMix64
+	faultRng *rand.Rand
+	loss     float64
+	linkLoss map[linkKey]float64
+	island   []int32 // partition island per node; all zero = no partition
 
 	stats Stats
 }
@@ -176,30 +174,20 @@ func (nw *Network) Alive(i int) bool { return nw.nodes[i].alive }
 // message is silently lost in transit. Self-sends are never lost.
 func (nw *Network) SetLoss(p float64) { nw.loss = p }
 
-// SetExtraDelay adds d to the propagation latency of every inter-node
-// message (e.g. a congested backbone during a fault window).
-func (nw *Network) SetExtraDelay(d time.Duration) { nw.delay = d }
-
-// SetLinkFault overrides the loss probability and extra delay of the
-// directed link src→dst, replacing the global rules on that link —
-// loss 0 makes the link reliable even under global loss. Use
-// ClearLinkFault to restore the global rules.
-func (nw *Network) SetLinkFault(src, dst int, loss float64, extraDelay time.Duration) {
-	k := linkKey{src, dst}
+// SetLinkFault overrides the loss probability of the directed link
+// src→dst, replacing the global rule on that link — loss 0 makes the
+// link reliable even under global loss. Use ClearLinkFault to restore
+// the global rule.
+func (nw *Network) SetLinkFault(src, dst int, loss float64) {
 	if nw.linkLoss == nil {
 		nw.linkLoss = make(map[linkKey]float64)
-		nw.linkDelay = make(map[linkKey]time.Duration)
 	}
-	nw.linkLoss[k] = loss
-	nw.linkDelay[k] = extraDelay
+	nw.linkLoss[linkKey{src, dst}] = loss
 }
 
-// ClearLinkFault removes the src→dst override; the global loss and
-// delay rules apply to the link again.
-func (nw *Network) ClearLinkFault(src, dst int) {
-	delete(nw.linkLoss, linkKey{src, dst})
-	delete(nw.linkDelay, linkKey{src, dst})
-}
+// ClearLinkFault removes the src→dst override; the global loss rule
+// applies to the link again.
+func (nw *Network) ClearLinkFault(src, dst int) { delete(nw.linkLoss, linkKey{src, dst}) }
 
 // Partition splits the network into islands: each listed group becomes
 // one island and every node not listed stays in the implicit island 0.
@@ -231,17 +219,13 @@ func (nw *Network) Partitioned(src, dst int) bool {
 	return nw.island[src] != nw.island[dst]
 }
 
-// linkFault resolves the effective loss probability and extra delay for
-// one directed send.
-func (nw *Network) linkFault(src, dst int) (loss float64, delay time.Duration) {
-	loss, delay = nw.loss, nw.delay
+// linkLossOf resolves the effective loss probability for one directed
+// send.
+func (nw *Network) linkLossOf(src, dst int) float64 {
 	if p, ok := nw.linkLoss[linkKey{src, dst}]; ok {
-		loss = p
+		return p
 	}
-	if d, ok := nw.linkDelay[linkKey{src, dst}]; ok {
-		delay = d
-	}
-	return loss, delay
+	return nw.loss
 }
 
 // Stats returns a snapshot of the traffic counters, including a copy of

@@ -1,7 +1,8 @@
 // Package topology provides the network models used by the simulator:
 // the paper's fully-connected topology (100 ms latency, 10 Mbps inbound
-// links, §5.2), a GT-ITM-style transit-stub topology (§5.7), and a
-// cluster topology approximating the 64-PC 1 Gbps testbed (§5.8).
+// links, §5.2) and a GT-ITM-style transit-stub topology (§5.7). The
+// cluster experiment (§5.8, Figure 8) runs real nodes over loopback TCP
+// rather than a simulated cluster.
 package topology
 
 import "time"
@@ -53,27 +54,3 @@ func (t *FullMesh) Latency(a, b int) time.Duration {
 
 // InboundBandwidth implements Topology.
 func (t *FullMesh) InboundBandwidth(int) float64 { return t.BitsPerSec }
-
-// Cluster models the paper's experimental platform for Figure 8: a shared
-// cluster of PCs on a 1 Gbps switched network with sub-millisecond
-// latency.
-type Cluster struct {
-	Delay      time.Duration
-	BitsPerSec float64
-}
-
-// NewCluster returns the Figure-8 configuration.
-func NewCluster() *Cluster {
-	return &Cluster{Delay: 200 * time.Microsecond, BitsPerSec: 1e9}
-}
-
-// Latency implements Topology.
-func (t *Cluster) Latency(a, b int) time.Duration {
-	if a == b {
-		return 0
-	}
-	return t.Delay
-}
-
-// InboundBandwidth implements Topology.
-func (t *Cluster) InboundBandwidth(int) float64 { return t.BitsPerSec }

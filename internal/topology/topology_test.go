@@ -25,16 +25,6 @@ func TestFullMeshInfinite(t *testing.T) {
 	}
 }
 
-func TestClusterDefaults(t *testing.T) {
-	c := NewCluster()
-	if c.Latency(0, 1) >= time.Millisecond {
-		t.Errorf("cluster latency %v too large", c.Latency(0, 1))
-	}
-	if c.InboundBandwidth(0) != 1e9 {
-		t.Errorf("cluster bandwidth = %v, want 1e9", c.InboundBandwidth(0))
-	}
-}
-
 func TestTransitStubSymmetryAndSelf(t *testing.T) {
 	ts := NewTransitStub(7)
 	for a := 0; a < 50; a++ {

@@ -65,10 +65,6 @@ func StartNode(addr string, landmark env.Addr, seed int64, opts Options) (*RealN
 // running on the event loop: the loop cannot wait on itself.
 func (rn *RealNode) Do(f func()) { rn.transport.Do(f) }
 
-// Landmark returns the address this node was asked to join through
-// (env.NilAddr when it started a new network).
-func (rn *RealNode) Landmark() env.Addr { return rn.landmark }
-
 // WaitReady blocks until the node has joined the overlay or the timeout
 // expires, reporting success.
 func (rn *RealNode) WaitReady(timeout time.Duration) bool {
