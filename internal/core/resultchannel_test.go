@@ -152,7 +152,7 @@ func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
 	}
 	h.net.RunFor(ResultFlushPeriod / 2)
 	if qs := h.engines[0].QueryStats(); qs.ResultBatches != 0 || h.engines[0].ActiveExecs() != 1 {
-		t.Fatalf("no executor parked the scan: %d frames, %d executors", qs.ResultBatches, h.engines[0].ActiveExecs())
+		t.Fatalf("scan not parked in the result buffer: %d frames, %d executors", qs.ResultBatches, h.engines[0].ActiveExecs())
 	}
 	h.engines[0].Cancel(id)
 	h.net.RunFor(5 * time.Second)
