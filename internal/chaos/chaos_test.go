@@ -106,22 +106,10 @@ func TestGenerateQueriesDeterministicAndMixed(t *testing.T) {
 
 // pinned asserts a seed-1 scenario's trace fingerprint: the invariants
 // say the run was acceptable, the fingerprint says it was this run. A
-// protocol change re-pins it once, with the reason; a change that claims
-// to move no message must leave it alone. History: adb972f4eb05e276 /
-// 6008701874361665 / e146488c90c4967f (chaos / rangechaos / flood) since
-// PR 20; re-pinned in PR 21 because CAN keepalives became bare digests,
-// which moved keepalive bytes and so delivery order behind the 10 Mbps
-// inbound links. ea95feb279f93115 / c96e55759fc10889 (chaos /
-// rangechaos) from PR 21; re-pinned when a query's namespaces began to
-// be dropped at its end on each node: the dropped items are no longer
-// handed off when churn moves zones, so fewer messages are sent and
-// the fault RNG draws a different sequence. Flood runs no query and
-// kept its fingerprint. 623dc0d00a51bd4e / ba220a15fac501f3 /
-// 7c81efbe7bcdabd3 (chaos / rangechaos / flood) next; all three were
-// re-pinned when the harness stopped overriding the engine's
-// result-flush interval (250 ms) and credit-refresh period (4 s): it
-// now runs at the node's own 200 ms and 5 s, so flush and stall timers
-// fire at other instants and every later fault draw shifts.
+// protocol change re-pins it once, with the reason, and EXPERIMENTS.md
+// keeps the history; a change that claims to move no message must leave
+// it alone. The harness runs the engine at its own result-flush and
+// credit-refresh constants, so the pins move with them.
 func pinned(t *testing.T, rep *Report, want uint64) {
 	t.Helper()
 	if rep.TraceHash != want {

@@ -20,6 +20,7 @@ import (
 	"pier/internal/env"
 	"pier/internal/simnet"
 	"pier/internal/topology"
+	"pier/internal/trace"
 )
 
 type harness struct {
@@ -78,6 +79,32 @@ func (h *harness) ridsOwnedBy(i int, ns string, n int) []string {
 
 func scanPlan(ns string, ttl time.Duration) *Plan {
 	return &Plan{Tables: []TableRef{{NS: ns, RIDCol: 0}}, TTL: ttl}
+}
+
+// requireGrantDriven fails unless every credit stall of the traced
+// query id ended with a collector grant: the initiator's trace must
+// hold one "grant" credit-stall span per stall episode the sender
+// counted, no "self-refresh" span, and no dropped span that could hide
+// one.
+func requireGrantDriven(t *testing.T, initiator, sender *Engine, id uint64) {
+	t.Helper()
+	tr, ok := initiator.Trace(id)
+	if !ok {
+		t.Fatal("query not traced")
+	}
+	if tr.Drops != 0 {
+		t.Fatalf("trace dropped %d spans", tr.Drops)
+	}
+	ends := map[string]uint64{}
+	for _, s := range tr.Spans {
+		if s.Stage == trace.StageCreditStall {
+			ends[s.Note]++
+		}
+	}
+	stalls := sender.QueryStats().CreditStalls
+	if stalls == 0 || ends["grant"] != stalls || len(ends) != 1 {
+		t.Fatalf("%d stall episodes ended as %v, want every one by a grant", stalls, ends)
+	}
 }
 
 // TestResultCallbackRunsOnCaller pins the engine's threading contract:
@@ -247,9 +274,7 @@ func TestCreditStallRefreshSurvivesLostGrants(t *testing.T) {
 func TestCreditGrantsReplenishWithoutTimerStalls(t *testing.T) {
 	// Lossless run with a window much smaller than the result set: the
 	// collector's replenishment grants must keep the sender moving and
-	// every stall must resolve via a grant, not the refresh timer —
-	// i.e. delivery finishes far faster than stalls × creditRefresh
-	// (19 × 5 s, over the 30 s deadline below).
+	// every stall must resolve via a grant, not the refresh timer.
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 5
 	cfg.ResultCredit = 10
@@ -258,14 +283,18 @@ func TestCreditGrantsReplenishWithoutTimerStalls(t *testing.T) {
 	for i, rid := range h.ridsOwnedBy(1, "T", rows) {
 		h.load("T", rid, int64(i), &Tuple{Rel: "T", Vals: []Value{int64(i)}})
 	}
+	plan := scanPlan("T", time.Minute)
+	plan.Trace = true
 	got := 0
-	if _, err := h.engines[0].Run(scanPlan("T", time.Minute), func(*Tuple, int) { got++ }); err != nil {
+	id, err := h.engines[0].Run(plan, func(*Tuple, int) { got++ })
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.net.RunFor(30 * time.Second)
 	if got != rows {
 		t.Fatalf("delivered %d/%d rows", got, rows)
 	}
+	requireGrantDriven(t, h.engines[0], h.engines[1], id)
 	if qs := h.engines[0].QueryStats(); qs.CreditGrants == 0 {
 		t.Fatal("collector never issued a replenishment grant")
 	}
@@ -439,8 +468,7 @@ func TestLevel1RidFormat(t *testing.T) {
 func TestOneTupleCreditWindowStillGrantDriven(t *testing.T) {
 	// Degenerate window: ResultCredit=1. Every tuple exhausts the
 	// window, so delivery must be carried by replenishment grants (one
-	// round trip per tuple), never by the stall-refresh timer — timer
-	// refreshes alone (19 × 5 s) would overrun the run's deadline.
+	// round trip per tuple), never by the stall-refresh timer.
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 4
 	cfg.ResultCredit = 1
@@ -449,14 +477,18 @@ func TestOneTupleCreditWindowStillGrantDriven(t *testing.T) {
 	for i, rid := range h.ridsOwnedBy(1, "T", rows) {
 		h.load("T", rid, int64(i), &Tuple{Rel: "T", Vals: []Value{int64(i)}})
 	}
+	plan := scanPlan("T", time.Minute)
+	plan.Trace = true
 	got := 0
-	if _, err := h.engines[0].Run(scanPlan("T", time.Minute), func(*Tuple, int) { got++ }); err != nil {
+	id, err := h.engines[0].Run(plan, func(*Tuple, int) { got++ })
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.net.RunFor(30 * time.Second)
 	if got != rows {
 		t.Fatalf("delivered %d/%d rows with a 1-tuple credit window", got, rows)
 	}
+	requireGrantDriven(t, h.engines[0], h.engines[1], id)
 	if qs := h.engines[0].QueryStats(); qs.CreditGrants < rows-1 {
 		t.Fatalf("only %d grants for %d one-tuple windows", qs.CreditGrants, rows)
 	}
@@ -465,9 +497,10 @@ func TestOneTupleCreditWindowStillGrantDriven(t *testing.T) {
 func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 	// One sender scans 20 000 rows in a single event, so all but the
 	// first window sit in its result buffer behind the credit stall and
-	// leave 64 at a time as grants arrive. Every tuple must reach the
-	// collector exactly once, in emit (scan) order, and the drained
-	// buffer's array — far past the 4096-slot keep bound — must go.
+	// leave 64 at a time as grants arrive, never by the stall-refresh
+	// timer. Every tuple must reach the collector exactly once, in emit
+	// (scan) order, and the drained buffer's array — far past the
+	// 4096-slot keep bound — must go.
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 64
 	cfg.ResultCredit = 64
@@ -478,8 +511,10 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 		h.load("T", rid, 1, &Tuple{Rel: "T", Vals: []Value{rid, int64(i)}})
 	}
 	sort.Strings(rids) // lscan order
+	plan := scanPlan("T", time.Hour)
+	plan.Trace = true
 	var got []string
-	id, err := h.engines[0].Run(scanPlan("T", time.Hour), func(tp *Tuple, _ int) {
+	id, err := h.engines[0].Run(plan, func(tp *Tuple, _ int) {
 		got = append(got, tp.Vals[0].(string))
 	})
 	if err != nil {
@@ -497,6 +532,7 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 	if qs := h.engines[1].QueryStats(); qs.ResultTuples != rows || qs.CreditStalls < rows/64/2 {
 		t.Fatalf("sender shipped %d tuples in %d stall episodes", qs.ResultTuples, qs.CreditStalls)
 	}
+	requireGrantDriven(t, h.engines[0], h.engines[1], id)
 	ex := h.engines[1].execs[id]
 	if ex == nil {
 		t.Fatal("sender's executor is gone before the TTL")
