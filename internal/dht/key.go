@@ -32,8 +32,13 @@ func KeyOf(namespace, resourceID string) Key {
 // separate hash functions, one for each CAN dimension").
 func (k Key) Point(dims int) []uint32 {
 	p := make([]uint32, dims)
+	// The key and a dimension byte, hashed from the stack: the result is
+	// the only allocation (Owns and Lookup call this on every put and get).
+	var buf [len(k) + 1]byte
+	copy(buf[:], k[:])
 	for i := range p {
-		h := sha1.Sum(append(k[:], byte(i)))
+		buf[len(k)] = byte(i)
+		h := sha1.Sum(buf[:])
 		p[i] = binary.BigEndian.Uint32(h[:4])
 	}
 	return p
