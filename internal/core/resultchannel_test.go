@@ -161,25 +161,29 @@ func TestLateResultAfterTTLCloseIgnored(t *testing.T) {
 }
 
 func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
-	// A huge batch size parks every scanned tuple in the executor's
-	// result buffer until the flush timer; a cancel inside the flush
-	// interval must flush it exactly once (stop is reachable twice:
-	// cancel multicast now, TTL timer later).
+	// A continuous query's arrivals have no local end, so with a huge
+	// batch size they park in the executor's result buffer until the
+	// flush timer; a cancel inside the flush interval must flush them
+	// exactly once (stop is reachable twice: cancel multicast now, TTL
+	// timer later).
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 10_000
 	cfg.ResultCredit = -1
 	h := newHarness(1, 92, cfg)
+	plan := scanPlan("T", time.Minute)
+	plan.Continuous, plan.Every = true, 10*time.Second
+	id, err := h.engines[0].Run(plan, func(*Tuple, int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.net.RunFor(time.Millisecond)
 	const rows = 25
 	for i := 0; i < rows; i++ {
 		h.load("T", fmt.Sprint(i), int64(i), &Tuple{Rel: "T", Vals: []Value{int64(i)}})
 	}
-	id, err := h.engines[0].Run(scanPlan("T", time.Minute), func(*Tuple, int) {})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.net.RunFor(ResultFlushPeriod / 2)
 	if qs := h.engines[0].QueryStats(); qs.ResultBatches != 0 || h.engines[0].ActiveExecs() != 1 {
-		t.Fatalf("scan not parked in the result buffer: %d frames, %d executors", qs.ResultBatches, h.engines[0].ActiveExecs())
+		t.Fatalf("arrivals not parked in the result buffer: %d frames, %d executors", qs.ResultBatches, h.engines[0].ActiveExecs())
 	}
 	h.engines[0].Cancel(id)
 	h.net.RunFor(5 * time.Second)
