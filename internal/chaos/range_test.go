@@ -20,7 +20,7 @@ func TestChaosRangePinnedSeed(t *testing.T) {
 	cfg := DefaultRange(1)
 	rep := Run(cfg)
 	rep.Print(os.Stderr)
-	pinned(t, rep, 0x4ce8e0d82b6fb56a)
+	pinned(t, rep, 0xc6d833e1c8f114be)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}

@@ -40,8 +40,9 @@ type exec struct {
 	flushStop func()
 
 	// Result channel state: output tuples accumulate in resBuf and are
-	// shipped to the initiator in batched frames (by size and by a
-	// short timer) under a credit window, instead of one unicast frame
+	// shipped to the initiator in batched frames (by size, when the
+	// executor's local output is complete, and by a short timer) under
+	// a credit window, instead of one unicast frame
 	// per tuple — the per-tuple incast melts the initiator's link once
 	// n nodes answer a selective query at once.
 	resBuf   []resultItem
@@ -427,6 +428,11 @@ func (ex *exec) startSingle() {
 		}
 		if len(ex.plan.Aggs) > 0 {
 			ex.flushPartials()
+		} else {
+			// Every row is buffered: ship them now rather than waiting
+			// out the flush period (a credit-stalled remainder still
+			// waits for its grant).
+			ex.flushResults(false)
 		}
 	})
 }
@@ -575,9 +581,18 @@ func (ex *exec) pairSide(st *sideTuple, other *storage.Item) {
 // startFetchMatches scans the outer table and issues one DHT get per
 // tuple against the inner table, which must already be hashed on the
 // join attribute. Selections on the inner table cannot be pushed into
-// the DHT, so they run after the fetch, at this node.
+// the DHT, so they run after the fetch, at this node. The local output
+// is complete once the scan is done and every get has answered (Get
+// always calls back: with the owner's reply, or nil on a timeout or a
+// failed lookup), and is flushed then.
 func (ex *exec) startFetchMatches() {
 	t0, t1 := &ex.plan.Tables[0], &ex.plan.Tables[1]
+	pending, scanned := 0, false
+	flushIfDone := func() {
+		if scanned && pending == 0 {
+			ex.flushResults(false)
+		}
+	}
 	ex.scan(t0.NS, func(it *storage.Item) {
 		proj0 := t0.baseRow(it.Payload)
 		if proj0 == nil {
@@ -585,7 +600,9 @@ func (ex *exec) startFetchMatches() {
 		}
 		key := JoinKeyString(proj0, t0.JoinCols)
 		issued := ex.eng.env.Now()
+		pending++
 		ex.eng.prov.Get(t1.NS, key, func(items []*storage.Item) {
+			pending--
 			if ex.stopped {
 				return
 			}
@@ -598,8 +615,12 @@ func (ex *exec) startFetchMatches() {
 					ex.onRow(Concat(proj0, proj1))
 				}
 			}
+			flushIfDone()
 		})
-	}, nil)
+	}, func() {
+		scanned = true
+		flushIfDone()
+	})
 }
 
 // --- symmetric semi-join rewrite (§4.2) ----------------------------------
