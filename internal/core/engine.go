@@ -50,10 +50,12 @@ func DefaultConfig() Config {
 }
 
 const (
-	// ResultFlushPeriod bounds how long a buffered result tuple may
-	// wait for the size trigger before a timer flushes the buffer
-	// anyway.
-	ResultFlushPeriod = 200 * time.Millisecond
+	// resultFlushPeriod bounds how long a buffered result tuple may
+	// wait for the size trigger, or for its executor's local output to
+	// complete, before a timer flushes the buffer anyway. Only output
+	// with no local end waits it out: rehash joins' pairs, continuous
+	// queries, and rows between a multi-slice scan's slices.
+	resultFlushPeriod = 200 * time.Millisecond
 	// creditRefresh is the executor's stall-refresh period: when a
 	// sender has buffered results but an exhausted credit window and
 	// no grant arrives within this time (grant lost, initiator

@@ -42,9 +42,9 @@ type exec struct {
 	// Result channel state: output tuples accumulate in resBuf and are
 	// shipped to the initiator in batched frames (by size, when the
 	// executor's local output is complete, and by a short timer) under
-	// a credit window, instead of one unicast frame
-	// per tuple — the per-tuple incast melts the initiator's link once
-	// n nodes answer a selective query at once.
+	// a credit window, instead of one unicast frame per tuple — the
+	// per-tuple incast melts the initiator's link once n nodes answer a
+	// selective query at once.
 	resBuf   []resultItem
 	resHead  int       // resBuf[:resHead] has shipped; the buffer is resBuf[resHead:]
 	resSent  int64     // result tuples shipped so far
@@ -255,7 +255,7 @@ func (ex *exec) emit(t *Tuple, window int) {
 		return
 	}
 	if ex.resFlush == nil {
-		ex.resFlush = ex.eng.env.After(ResultFlushPeriod, func() {
+		ex.resFlush = ex.eng.env.After(resultFlushPeriod, func() {
 			ex.resFlush = nil
 			ex.flushResults(false)
 		})

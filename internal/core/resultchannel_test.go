@@ -181,7 +181,7 @@ func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		h.load("T", fmt.Sprint(i), int64(i), &Tuple{Rel: "T", Vals: []Value{int64(i)}})
 	}
-	h.net.RunFor(ResultFlushPeriod / 2)
+	h.net.RunFor(resultFlushPeriod / 2)
 	if qs := h.engines[0].QueryStats(); qs.ResultBatches != 0 || h.engines[0].ActiveExecs() != 1 {
 		t.Fatalf("arrivals not parked in the result buffer: %d frames, %d executors", qs.ResultBatches, h.engines[0].ActiveExecs())
 	}
@@ -195,6 +195,121 @@ func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
 	h.net.RunFor(2 * time.Minute)
 	if qs := h.engines[0].QueryStats(); qs.ResultBatches != 1 {
 		t.Fatalf("result buffer flushed %d times, want exactly once", qs.ResultBatches)
+	}
+}
+
+// TestResultsLeaveAtCompletion: an executor that knows its local
+// output is complete ships it at once instead of waiting out the flush
+// period. A one-shot scan's row reaches the initiator one link latency
+// after the query reached the row's node, and neither the scan nor a
+// Fetch Matches join records a flush as long as the period. A
+// continuous query's arrivals have no local end: they still wait for
+// the timer.
+func TestResultsLeaveAtCompletion(t *testing.T) {
+	h := newHarness(16, 97, DefaultConfig())
+	latency := topology.NewFullMesh().Delay
+	rowOf := map[env.Addr]string{} // the scan row each sender holds
+	for i := 1; i < len(h.engines); i++ {
+		row := []Value{int64(i)}
+		rowOf[h.engines[i].env.Addr()] = fmt.Sprint(row)
+		h.load("T", h.ridsOwnedBy(i, "T", 1)[0], 0, &Tuple{Rel: "T", Vals: row})
+		// Fetch Matches: one outer row per node, whose key matches two
+		// inner rows stored at the key's owner.
+		rid, key := h.ridsOwnedBy(i, "R", 1)[0], fmt.Sprintf("k%d", i)
+		h.load("R", rid, 0, &Tuple{Rel: "R", Vals: []Value{rid, key}})
+		for j := int64(0); j < 2; j++ {
+			h.load("S", key, j, &Tuple{Rel: "S", Vals: []Value{key, j}})
+		}
+	}
+	senders := len(rowOf)
+	// run runs a traced snapshot query and returns when each row arrived.
+	run := func(plan *Plan) (uint64, map[string]time.Time) {
+		t.Helper()
+		plan.Trace = true
+		arrived := map[string]time.Time{}
+		id, err := h.engines[0].Run(plan, func(tp *Tuple, _ int) {
+			arrived[fmt.Sprint(tp.Vals)] = h.net.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.net.RunFor(5 * time.Second)
+		return id, arrived
+	}
+	spans := func(id uint64, st trace.Stage) []trace.Span {
+		t.Helper()
+		tr, ok := h.engines[0].Trace(id)
+		if !ok || tr.Drops != 0 {
+			t.Fatalf("query %d: traced %v, %d spans dropped", id, ok, tr.Drops)
+		}
+		var out []trace.Span
+		for _, s := range tr.Spans {
+			if s.Stage == st {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	noTimerFlush := func(what string, id uint64) {
+		t.Helper()
+		flushes := spans(id, trace.StageResultFlush)
+		if len(flushes) < senders {
+			t.Fatalf("%s: %d result flushes from %d senders", what, len(flushes), senders)
+		}
+		for _, s := range flushes {
+			if s.Dur >= resultFlushPeriod {
+				t.Errorf("%s: %s flushed %q after %v, the flush period", what, s.Node, s.Note, s.Dur)
+			}
+		}
+	}
+
+	id, arrived := run(scanPlan("T", time.Minute))
+	if len(arrived) != senders {
+		t.Fatalf("scan: %d of %d rows arrived", len(arrived), senders)
+	}
+	noTimerFlush("scan", id)
+	reached := 0
+	for _, s := range spans(id, trace.StageMulticast) {
+		row, ok := rowOf[s.Node]
+		if !ok {
+			continue
+		}
+		reached++
+		// Transmission at 10 Mbit/s, queued behind the other senders'
+		// frames, adds a few milliseconds at most.
+		if d := arrived[row].Sub(time.Unix(0, s.Start)); d < latency || d > latency+5*time.Millisecond {
+			t.Errorf("scan: row of %s reached the initiator %v after the query reached its node, want one link latency (%v)", s.Node, d, latency)
+		}
+	}
+	if reached != senders {
+		t.Fatalf("scan: query arrival traced at %d of %d senders", reached, senders)
+	}
+
+	id, arrived = run(&Plan{
+		Tables: []TableRef{
+			{NS: "R", JoinCols: []int{1}, RIDCol: 0},
+			{NS: "S", JoinCols: []int{0}, RIDCol: 0},
+		},
+		Strategy: FetchMatches,
+		TTL:      time.Minute,
+	})
+	if len(arrived) != 2*senders {
+		t.Fatalf("fetch matches: %d of %d rows arrived", len(arrived), 2*senders)
+	}
+	noTimerFlush("fetch matches", id)
+
+	plan := scanPlan("T", time.Minute)
+	plan.Continuous, plan.Every, plan.Trace = true, 10*time.Second, true
+	id, err := h.engines[0].Run(plan, func(*Tuple, int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.net.RunFor(time.Second)
+	h.load("T", "late", 0, &Tuple{Rel: "T", Vals: []Value{int64(0)}})
+	h.net.RunFor(time.Second)
+	flushes := spans(id, trace.StageResultFlush)
+	if len(flushes) != 1 || flushes[0].Dur != resultFlushPeriod {
+		t.Fatalf("continuous: result flushes %+v, want one timer flush after %v", flushes, resultFlushPeriod)
 	}
 }
 

@@ -135,7 +135,7 @@ func runIncast(cfg IncastConfig, batched bool) IncastRun {
 	m := measure(sn, incastPlan(c2), expected, 5*time.Minute)
 	// Let trailing flush timers and replenishment grants settle before
 	// snapshotting counters.
-	sn.RunFor(2*core.ResultFlushPeriod + time.Second)
+	sn.RunFor(time.Second)
 	sn.Nodes[0].Cancel(m.id)
 
 	run := IncastRun{Batched: batched, Received: len(m.arrivals), Expected: expected, TimeToLast: m.last()}
