@@ -429,9 +429,7 @@ func (ex *exec) startSingle() {
 		if len(ex.plan.Aggs) > 0 {
 			ex.flushPartials()
 		} else {
-			// Every row is buffered: ship them now rather than waiting
-			// out the flush period (a credit-stalled remainder still
-			// waits for its grant).
+			// Every row is buffered: ship them now, within credit.
 			ex.flushResults(false)
 		}
 	})

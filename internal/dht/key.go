@@ -32,8 +32,7 @@ func KeyOf(namespace, resourceID string) Key {
 // separate hash functions, one for each CAN dimension").
 func (k Key) Point(dims int) []uint32 {
 	p := make([]uint32, dims)
-	// The key and a dimension byte, hashed from the stack: the result is
-	// the only allocation (Owns and Lookup call this on every put and get).
+	// Hash from the stack: Owns and Lookup call Point on every put and get.
 	var buf [len(k) + 1]byte
 	copy(buf[:], k[:])
 	for i := range p {

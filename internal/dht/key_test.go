@@ -32,11 +32,3 @@ func TestPointAllocatesOnlyItsResult(t *testing.T) {
 		t.Fatalf("Point(4) allocates %v times per call, want 1", n)
 	}
 }
-
-func BenchmarkPoint(b *testing.B) {
-	k := KeyOf("S", "1")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Point(4)
-	}
-}
