@@ -239,8 +239,11 @@ func TestResultsLeaveAtCompletion(t *testing.T) {
 	spans := func(id uint64, st trace.Stage) []trace.Span {
 		t.Helper()
 		tr, ok := h.engines[0].Trace(id)
-		if !ok || tr.Drops != 0 {
-			t.Fatalf("query %d: traced %v, %d spans dropped", id, ok, tr.Drops)
+		if !ok {
+			t.Fatalf("query %d not traced", id)
+		}
+		if tr.Drops != 0 {
+			t.Fatalf("query %d: %d spans dropped", id, tr.Drops)
 		}
 		var out []trace.Span
 		for _, s := range tr.Spans {
