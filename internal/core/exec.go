@@ -138,11 +138,24 @@ func (ex *exec) start() {
 		ex.span(trace.StageMulticast, ex.startAt, 0, "query arrived: "+strings.Join(tables, ","))
 	}
 	t0 := ex.eng.env.Now()
+	// complete ships the result buffer once this node's local output is
+	// complete. Output that completes inside start (a scan that fits in
+	// one slice, gets answered at this node) waits for the executor span
+	// below, so the span rides that frame rather than stop's, which
+	// usually finds the initiator's collector already closed.
+	starting, completed := true, false
+	complete := func() {
+		if starting {
+			completed = true
+		} else {
+			ex.flushResults(false)
+		}
+	}
 	if len(p.Aggs) > 0 {
 		ex.scheduleAggEmit()
 	}
 	if len(p.Tables) == 1 {
-		ex.startSingle()
+		ex.startSingle(complete)
 	} else {
 		switch p.Strategy {
 		case SymmetricHash:
@@ -150,7 +163,7 @@ func (ex *exec) start() {
 			ex.rehashScan(0, nil)
 			ex.rehashScan(1, nil)
 		case FetchMatches:
-			ex.startFetchMatches()
+			ex.startFetchMatches(complete)
 		case SymmetricSemiJoin:
 			registerProbe(ex, ex.pairMini)
 			ex.miniScan(0)
@@ -166,6 +179,10 @@ func (ex *exec) start() {
 			note = p.Strategy.String()
 		}
 		ex.span(trace.StageExecutor, t0, ex.eng.env.Now().Sub(t0), note)
+	}
+	starting = false
+	if completed {
+		ex.flushResults(false)
 	}
 }
 
@@ -401,7 +418,9 @@ func (ex *exec) onCredit(limit int64) {
 
 // --- single-table plans -------------------------------------------------
 
-func (ex *exec) startSingle() {
+// startSingle runs a single-table plan; complete is called when a
+// one-shot plan without aggregates has buffered its last row.
+func (ex *exec) startSingle(complete func()) {
 	tbl := &ex.plan.Tables[0]
 	if ex.plan.Continuous {
 		// Continuous query: consume the stream of arrivals (§7).
@@ -430,7 +449,7 @@ func (ex *exec) startSingle() {
 			ex.flushPartials()
 		} else {
 			// Every row is buffered: ship them now, within credit.
-			ex.flushResults(false)
+			complete()
 		}
 	})
 }
@@ -580,15 +599,15 @@ func (ex *exec) pairSide(st *sideTuple, other *storage.Item) {
 // tuple against the inner table, which must already be hashed on the
 // join attribute. Selections on the inner table cannot be pushed into
 // the DHT, so they run after the fetch, at this node. The local output
-// is complete once the scan is done and every get has answered (Get
-// always calls back: with the owner's reply, or nil on a timeout or a
-// failed lookup), and is flushed then.
-func (ex *exec) startFetchMatches() {
+// is complete, and complete is called, once the scan is done and every
+// get has answered (Get always calls back: with the owner's reply, or
+// nil on a timeout or a failed lookup).
+func (ex *exec) startFetchMatches(complete func()) {
 	t0, t1 := &ex.plan.Tables[0], &ex.plan.Tables[1]
 	pending, scanned := 0, false
 	flushIfDone := func() {
 		if scanned && pending == 0 {
-			ex.flushResults(false)
+			complete()
 		}
 	}
 	ex.scan(t0.NS, func(it *storage.Item) {

@@ -81,6 +81,27 @@ func scanPlan(ns string, ttl time.Duration) *Plan {
 	return &Plan{Tables: []TableRef{{NS: ns, RIDCol: 0}}, TTL: ttl}
 }
 
+// tracedSpans returns the spans of stage st in the initiator's trace
+// of query id. It fails if the query left no trace, or if the trace
+// dropped spans, which could hide the ones a test looks for.
+func tracedSpans(t *testing.T, initiator *Engine, id uint64, st trace.Stage) []trace.Span {
+	t.Helper()
+	tr, ok := initiator.Trace(id)
+	if !ok {
+		t.Fatalf("query %d not traced", id)
+	}
+	if tr.Drops != 0 {
+		t.Fatalf("query %d: trace dropped %d spans", id, tr.Drops)
+	}
+	var out []trace.Span
+	for _, s := range tr.Spans {
+		if s.Stage == st {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // requireGrantDriven fails unless every credit stall of the traced
 // query id ended with a collector grant: the initiator's trace must
 // hold one "grant" credit-stall span per stall episode the sender
@@ -88,18 +109,9 @@ func scanPlan(ns string, ttl time.Duration) *Plan {
 // one.
 func requireGrantDriven(t *testing.T, initiator, sender *Engine, id uint64) {
 	t.Helper()
-	tr, ok := initiator.Trace(id)
-	if !ok {
-		t.Fatal("query not traced")
-	}
-	if tr.Drops != 0 {
-		t.Fatalf("trace dropped %d spans", tr.Drops)
-	}
 	ends := map[string]uint64{}
-	for _, s := range tr.Spans {
-		if s.Stage == trace.StageCreditStall {
-			ends[s.Note]++
-		}
+	for _, s := range tracedSpans(t, initiator, id, trace.StageCreditStall) {
+		ends[s.Note]++
 	}
 	stalls := sender.QueryStats().CreditStalls
 	if stalls == 0 || ends["grant"] != stalls || len(ends) != 1 {
@@ -208,14 +220,22 @@ func TestCancelMidStreamFlushesBufferExactlyOnce(t *testing.T) {
 func TestResultsLeaveAtCompletion(t *testing.T) {
 	h := newHarness(16, 97, DefaultConfig())
 	latency := topology.NewFullMesh().Delay
-	rowOf := map[env.Addr]string{} // the scan row each sender holds
+	// rowOf holds each sender's scan row; every sender also holds one
+	// Fetch Matches outer row.
+	rowOf := map[env.Addr]string{}
 	for i := 1; i < len(h.engines); i++ {
 		row := []Value{int64(i)}
 		rowOf[h.engines[i].env.Addr()] = fmt.Sprint(row)
 		h.load("T", h.ridsOwnedBy(i, "T", 1)[0], 0, &Tuple{Rel: "T", Vals: row})
 		// Fetch Matches: one outer row per node, whose key matches two
-		// inner rows stored at the key's owner.
-		rid, key := h.ridsOwnedBy(i, "R", 1)[0], fmt.Sprintf("k%d", i)
+		// inner rows. An even node owns its key, so its gets answer
+		// inside the executor's start; an odd node's key lives at the
+		// next node.
+		owner := i
+		if i%2 == 1 {
+			owner = (i + 1) % len(h.engines)
+		}
+		rid, key := h.ridsOwnedBy(i, "R", 1)[0], h.ridsOwnedBy(owner, "S", 2)[i%2]
 		h.load("R", rid, 0, &Tuple{Rel: "R", Vals: []Value{rid, key}})
 		for j := int64(0); j < 2; j++ {
 			h.load("S", key, j, &Tuple{Rel: "S", Vals: []Value{key, j}})
@@ -238,21 +258,11 @@ func TestResultsLeaveAtCompletion(t *testing.T) {
 	}
 	spans := func(id uint64, st trace.Stage) []trace.Span {
 		t.Helper()
-		tr, ok := h.engines[0].Trace(id)
-		if !ok {
-			t.Fatalf("query %d not traced", id)
-		}
-		if tr.Drops != 0 {
-			t.Fatalf("query %d: %d spans dropped", id, tr.Drops)
-		}
-		var out []trace.Span
-		for _, s := range tr.Spans {
-			if s.Stage == st {
-				out = append(out, s)
-			}
-		}
-		return out
+		return tracedSpans(t, h.engines[0], id, st)
 	}
+	// noTimerFlush also requires each sender's executor span in the
+	// live trace: a flush inside the executor's start must not leave
+	// that span for stop's frame, which finds the collector closed.
 	noTimerFlush := func(what string, id uint64) {
 		t.Helper()
 		flushes := spans(id, trace.StageResultFlush)
@@ -262,6 +272,15 @@ func TestResultsLeaveAtCompletion(t *testing.T) {
 		for _, s := range flushes {
 			if s.Dur >= resultFlushPeriod {
 				t.Errorf("%s: %s flushed %q after %v, the flush period", what, s.Node, s.Note, s.Dur)
+			}
+		}
+		executors := map[env.Addr]int{}
+		for _, s := range spans(id, trace.StageExecutor) {
+			executors[s.Node]++
+		}
+		for a := range rowOf {
+			if executors[a] != 1 {
+				t.Errorf("%s: %d executor spans from sender %s in the live trace, want 1", what, executors[a], a)
 			}
 		}
 	}
