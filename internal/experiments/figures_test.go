@@ -62,16 +62,17 @@ func TestFiguresUnchanged(t *testing.T) {
 			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23})
 			return text(tbl)
 		}, 0x6e1748783c82e510},
-		// The second row's walk starts with the first row's markers
-		// cached and asks for the whole frontier in one round: its idx
-		// t(s) fell 8.11 -> 3.30, and the 10 s marker renewals fall in
-		// other windows of the MB columns. Scans ship at their end:
-		// scan t(s) fell 0.2 s, so the 20% row's windows start earlier
-		// (idx) or end earlier (scan) and count other renewals.
+		// Every row is submitted half an index period after a
+		// maintenance tick, so a row's MB columns count the renewals of
+		// its own window only: scan MB fell to 0.00 (no tick inside a
+		// sub-second scan), idx MB is one tick's renewals in each row.
+		// The wait also outlasts the marker cache, so the 20% row's
+		// walk no longer inherits the 1% row's markers: its idx t(s)
+		// is the cold walk's 8.11 again (it was 3.30 warm).
 		{"range", func() string {
 			_, tbl := RangeSelectivity(RangeSelConfig{Nodes: 16, Tuples: 300, Selectivities: []float64{0.01, 0.2}, Seed: 41})
 			return text(tbl)
-		}, 0x9563ac2bf47fa339},
+		}, 0xd0221bd018d584c9},
 		{"tracedemo", func() string {
 			s, err := TraceDemo(1, false)
 			if err != nil {

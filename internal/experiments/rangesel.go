@@ -104,7 +104,7 @@ func RangeSelectivity(cfg RangeSelConfig) ([]RangeSelRun, *Table) {
 // settled network and the generated rows.
 func buildRangeDeployment(cfg RangeSelConfig) (*pier.SimNetwork, []*core.Tuple) {
 	opts := pier.DefaultOptions()
-	opts.Index.Interval = 10 * time.Second
+	opts.Index.Interval = rangeIndexInterval
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	rows := make([]*core.Tuple, cfg.Tuples)
 	for i := range rows {
@@ -121,8 +121,17 @@ func buildRangeDeployment(cfg RangeSelConfig) (*pier.SimNetwork, []*core.Tuple) 
 	return sn, rows
 }
 
-// runRangeQuery measures one access path for num < cut.
+// rangeIndexInterval is the deployment's index maintenance period.
+const rangeIndexInterval = 10 * time.Second
+
+// runRangeQuery measures one access path for num < cut. It submits
+// half an index period after the next maintenance tick: every window
+// then starts at the same phase of the renewals (and after the tick's
+// burst has landed), so a row's MB columns move only when its own
+// duration does, not when an earlier row's did.
 func runRangeQuery(sn *pier.SimNetwork, cfg RangeSelConfig, cut int64, sel float64, expected int, useIndex bool) RangeSelRun {
+	phase := time.Duration(sn.Net.Now().UnixNano()) % rangeIndexInterval
+	sn.RunFor((rangeIndexInterval*3/2 - phase) % rangeIndexInterval)
 	plan, err := pier.ParseSQL(fmt.Sprintf("SELECT pkey, num FROM T WHERE num < %d", cut),
 		pier.Catalog{"T": rangeSchema})
 	if err != nil {
