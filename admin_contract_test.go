@@ -149,7 +149,10 @@ GET /api/status .neighbors[] string
 GET /api/status .open_collectors number
 GET /api/status .overlay_nodes number
 GET /api/status .query_channel object
+GET /api/status .query_channel.bloom_complete number
 GET /api/status .query_channel.bloom_fallbacks number
+GET /api/status .query_channel.bloom_late_filters number
+GET /api/status .query_channel.bloom_overcovered number
 GET /api/status .query_channel.credit_grants number
 GET /api/status .query_channel.credit_stalls number
 GET /api/status .query_channel.result_batches number

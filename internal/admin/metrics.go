@@ -67,6 +67,9 @@ func WriteMetrics(w io.Writer, s Snapshot) {
 	m.counter("pier_query_credit_grants_total", "Flow-control credit grants issued by collectors on this node.", float64(s.Query.CreditGrants))
 	m.counter("pier_query_credit_stalls_total", "Executor flushes stalled on an exhausted credit window.", float64(s.Query.CreditStalls))
 	m.counter("pier_query_bloom_fallbacks_total", "Bloom-join combines degraded by mismatched filter geometry.", float64(s.Query.BloomFallbacks))
+	m.counter("pier_query_bloom_complete_total", "Bloom collector emissions made when the contributors' key-space shares covered the whole space.", float64(s.Query.BloomComplete))
+	m.counter("pier_query_bloom_late_filters_total", "Bloom contributions merged only by a collector's second emission.", float64(s.Query.BloomLateFilters))
+	m.counter("pier_query_bloom_overcovered_total", "Bloom collectors whose contributors' shares summed past the whole key space.", float64(s.Query.BloomOvercovered))
 	m.counter("pier_query_trace_spans_total", "Trace spans absorbed by collectors on this node.", float64(s.Query.TraceSpans))
 	m.counter("pier_query_trace_span_drops_total", "Trace spans reported lost to full span buffers.", float64(s.Query.TraceSpanDrops))
 

@@ -613,6 +613,9 @@ func runScenario(cfg Config, faultless bool) *scenarioResult {
 			res.channel.CreditGrants += qs.CreditGrants
 			res.channel.CreditStalls += qs.CreditStalls
 			res.channel.BloomFallbacks += qs.BloomFallbacks
+			res.channel.BloomComplete += qs.BloomComplete
+			res.channel.BloomLateFilters += qs.BloomLateFilters
+			res.channel.BloomOvercovered += qs.BloomOvercovered
 			if cfg.PublishFlood > 0 {
 				ss := n.StorageStats()
 				res.floodEvicted += ss.EvictedByNS[FloodNS]

@@ -128,7 +128,7 @@ func TestChaosPinnedSeed(t *testing.T) {
 	}
 	rep := Run(Default(1))
 	rep.Print(os.Stderr)
-	pinned(t, rep, 0xd875e929d480a142)
+	pinned(t, rep, 0x3d6b77168c7c6fa3)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}

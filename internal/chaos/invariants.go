@@ -105,9 +105,10 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "  recall %.1f%% (floor %.1f%%)   trace %016x   msgs=%d lost=%d+%d dropped=%d\n",
 		100*r.Recall, 100*r.Cfg.RecallFloor, r.TraceHash,
 		r.Stats.Messages, r.Stats.LostLoss, r.Stats.LostPartition, r.Stats.Dropped)
-	fmt.Fprintf(w, "  result channel: frames=%d tuples=%d grants=%d stalls=%d bloom-fallbacks=%d\n",
-		r.Channel.ResultBatches, r.Channel.ResultTuples, r.Channel.CreditGrants,
-		r.Channel.CreditStalls, r.Channel.BloomFallbacks)
+	fmt.Fprintf(w, "  result channel: frames=%d tuples=%d grants=%d stalls=%d\n",
+		r.Channel.ResultBatches, r.Channel.ResultTuples, r.Channel.CreditGrants, r.Channel.CreditStalls)
+	fmt.Fprintf(w, "  bloom collectors: complete=%d late-filters=%d overcovered=%d fallbacks=%d\n",
+		r.Channel.BloomComplete, r.Channel.BloomLateFilters, r.Channel.BloomOvercovered, r.Channel.BloomFallbacks)
 	if f := r.Flood; f != nil {
 		fmt.Fprintf(w, "  flood: %d published, kept %d of %d oracle results; evicted=%d dropped=%d throttled=%d delayed=%d peak=%d/%dB\n",
 			f.Published, f.Matched, f.OracleLive, f.Evicted, f.Dropped, f.Throttled, f.Delayed, f.PeakBytes, f.Quota)

@@ -20,7 +20,7 @@ func TestChaosRangePinnedSeed(t *testing.T) {
 	cfg := DefaultRange(1)
 	rep := Run(cfg)
 	rep.Print(os.Stderr)
-	pinned(t, rep, 0xc6d833e1c8f114be)
+	pinned(t, rep, 0x082a18dde39d6046)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"math/bits"
 
 	"pier/internal/wire"
 )
@@ -109,18 +110,17 @@ func (f *Filter) Clone() *Filter {
 
 // FillRatio returns the fraction of set bits (a saturation diagnostic).
 func (f *Filter) FillRatio() float64 {
-	set := 0
-	for _, w := range f.Bits {
-		for ; w != 0; w &= w - 1 {
-			set++
-		}
-	}
-	return float64(set) / float64(len(f.Bits)*64)
+	return float64(f.popcount()) / float64(len(f.Bits)*64)
 }
 
 // tagFilter is the wire tag owned by this package (see the tag table in
 // package wire).
 const tagFilter byte = 24
+
+// maxWords bounds a decoded filter to what a dense frame could carry
+// (wire.MaxPad is realnet's frame cap): the sparse form costs bytes per
+// set bit, not per word, so its word count is bounded by nothing else.
+const maxWords = wire.MaxPad / 8
 
 func init() {
 	wire.Register(tagFilter, func(c *wire.Codec, f *Filter) {
@@ -132,11 +132,95 @@ func init() {
 		if c.Decoding() && (f.K < 1 || f.K > 64) {
 			c.Fail("bloom filter hash count out of range")
 		}
-		c.Words(&f.Bits)
-		if c.Decoding() && len(f.Bits) == 0 {
-			c.Fail("empty bloom filter")
+		// One varint holds the word count n and the form, whichever is
+		// smaller: n<<1 is followed by the n dense words, n<<1|1 by the
+		// count of set bits and the gap before each. A per-node filter
+		// of a few keys is nearly empty, and sparse it is a few bytes.
+		form := uint64(len(f.Bits)) << 1
+		if !c.Decoding() && f.sparseSmaller() {
+			form |= 1
+		}
+		c.Uvarint(&form)
+		n := form >> 1
+		if c.Decoding() {
+			switch {
+			case n == 0:
+				c.Fail("empty bloom filter")
+			case n > maxWords:
+				c.Fail("bloom filter word count exceeds a frame")
+			}
+		}
+		if c.Err() != nil {
+			return
+		}
+		if form&1 == 0 {
+			c.FixedWords(&f.Bits, int(n))
+		} else {
+			f.sparse(c, n)
 		}
 	})
+}
+
+// gaps calls fn with the gap before each set bit in order: its distance
+// from the previous set bit, less one (the first bit's position).
+func (f *Filter) gaps(fn func(gap uint64)) {
+	next := uint64(0)
+	for i, w := range f.Bits {
+		for ; w != 0; w &= w - 1 {
+			p := uint64(i)*64 + uint64(bits.TrailingZeros64(w))
+			fn(p - next)
+			next = p + 1
+		}
+	}
+}
+
+func (f *Filter) popcount() int {
+	set := 0
+	for _, w := range f.Bits {
+		set += bits.OnesCount64(w)
+	}
+	return set
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// sparseSmaller reports whether the sparse form is the smaller one.
+func (f *Filter) sparseSmaller() bool {
+	dense, set := 8*len(f.Bits), f.popcount()
+	if set >= dense {
+		return false // every gap takes a byte at least
+	}
+	size := uvarintLen(uint64(set))
+	f.gaps(func(g uint64) { size += uvarintLen(g) })
+	return size < dense
+}
+
+// sparse codes the set bits of an n-word filter. Decoding rejects a
+// count the remaining bytes cannot hold (Len) and a position past the
+// last bit; gaps keep positions strictly increasing, so none repeats.
+func (f *Filter) sparse(c *wire.Codec, n uint64) {
+	if !c.Decoding() {
+		c.Len(f.popcount(), 1)
+		f.gaps(func(g uint64) { c.Uvarint(&g) })
+		return
+	}
+	count := c.Len(0, 1)
+	if c.Err() != nil {
+		return
+	}
+	f.Bits = make([]uint64, n)
+	limit, next := n*64, uint64(0)
+	for i := 0; i < count && c.Err() == nil; i++ {
+		var g uint64
+		c.Uvarint(&g)
+		if g >= limit-next {
+			c.Fail("bloom filter bit position out of range")
+			return
+		}
+		p := next + g
+		f.Bits[p/64] |= 1 << (p % 64)
+		next = p + 1
+	}
 }
 
 // WireSize implements env.Message for filters shipped in puts and

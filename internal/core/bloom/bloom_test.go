@@ -1,10 +1,14 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"pier/internal/wire"
 )
 
 func TestNoFalseNegativesProperty(t *testing.T) {
@@ -133,9 +137,89 @@ func TestCapacitySizing(t *testing.T) {
 	if f.K < 3 || f.K > 10 {
 		t.Fatalf("k = %d out of expected range", f.K)
 	}
-	// Tag, K, a two-byte word count, then fixed 8-byte words.
+	// Empty, the filter travels sparse: tag, K, the two-byte word count
+	// (with the form bit) and a zero count of set bits.
+	if f.WireSize() != 5 {
+		t.Fatalf("empty filter wire size %d, want 5", f.WireSize())
+	}
+	// Full, it travels dense: tag, K, the two-byte word count, then
+	// fixed 8-byte words.
+	f.Saturate()
 	if f.WireSize() != 4+len(f.Bits)*8 {
 		t.Fatal("wire size mismatch")
+	}
+}
+
+// TestWireFormIsTheSmaller: a filter travels in whichever form is
+// smaller, both forms round-trip, and the size the simulator charges is
+// the encoding's length.
+func TestWireFormIsTheSmaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, keys := range []int{0, 1, 10, 100, 1000, 20000} {
+		f := New(1<<16, 4)
+		for i := 0; i < keys; i++ {
+			f.Add(fmt.Sprint(rng.Int63()))
+		}
+		b, err := wire.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != f.WireSize() {
+			t.Fatalf("%d keys: WireSize %d, encoding %d bytes", keys, f.WireSize(), len(b))
+		}
+		dense := 4 + 8*len(f.Bits)
+		if sparse := b[2]&1 == 1; sparse != (len(b) < dense) || len(b) > dense {
+			t.Fatalf("%d keys: %d bytes (sparse %v), dense form %d bytes", keys, len(b), sparse, dense)
+		}
+		got, err := wire.Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%d keys: %v", keys, err)
+		}
+		if !reflect.DeepEqual(got, f) {
+			t.Fatalf("%d keys: round trip changed the filter", keys)
+		}
+	}
+}
+
+// sparseFrame lays out a sparse filter frame by hand: tag, K=1, the
+// word count with the form bit, the count of set bits, and the gaps.
+func sparseFrame(words, count uint64, gaps ...uint64) []byte {
+	b := []byte{tagFilter, 2}
+	b = binary.AppendUvarint(b, words<<1|1)
+	b = binary.AppendUvarint(b, count)
+	for _, g := range gaps {
+		b = binary.AppendUvarint(b, g)
+	}
+	return b
+}
+
+func TestSparseFrameDecodes(t *testing.T) {
+	m, err := wire.Unmarshal(sparseFrame(2, 2, 3, 123))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := m.(*Filter); f.Bits[0] != 1<<3 || f.Bits[1] != 1<<63 {
+		t.Fatalf("decoded bits %x", f.Bits)
+	}
+}
+
+func TestSparseRejectsWordCountPastAFrame(t *testing.T) {
+	if _, err := wire.Unmarshal(sparseFrame(maxWords+1, 0)); err == nil {
+		t.Fatal("a sparse filter larger than any dense frame was accepted")
+	}
+}
+
+func TestSparseRejectsBitOutOfRange(t *testing.T) {
+	for _, gaps := range [][]uint64{{64}, {63, 0}, {1 << 63, 1 << 63}} {
+		if _, err := wire.Unmarshal(sparseFrame(1, uint64(len(gaps)), gaps...)); err == nil {
+			t.Fatalf("gaps %v past a one-word filter accepted", gaps)
+		}
+	}
+}
+
+func TestSparseRejectsCountPastInput(t *testing.T) {
+	if _, err := wire.Unmarshal(sparseFrame(1, 3, 0, 0)); err == nil {
+		t.Fatal("a count of set bits larger than the remaining bytes was accepted")
 	}
 }
 

@@ -102,6 +102,14 @@ type QueryStats struct {
 	// saturated (accept-all) filter because a peer's filter arrived
 	// with mismatched geometry and could not be OR-ed.
 	BloomFallbacks uint64 `json:"bloom_fallbacks"`
+	// BloomComplete counts Bloom collector emissions made because the
+	// contributors' key-space shares summed to the whole space;
+	// BloomLateFilters counts contributions that only a collector's
+	// second emission merged; BloomOvercovered counts collectors whose
+	// shares summed past the whole space (zones owned twice).
+	BloomComplete    uint64 `json:"bloom_complete"`
+	BloomLateFilters uint64 `json:"bloom_late_filters"`
+	BloomOvercovered uint64 `json:"bloom_overcovered"`
 	// TraceSpans counts spans absorbed by collectors on this node;
 	// TraceSpanDrops counts spans reported lost to full buffers
 	// (executor-side or collector-side).

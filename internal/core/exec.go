@@ -3,11 +3,13 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
 
 	"pier/internal/core/bloom"
+	"pier/internal/dht"
 	"pier/internal/dht/storage"
 	"pier/internal/env"
 	"pier/internal/trace"
@@ -29,7 +31,7 @@ type exec struct {
 	timers  []env.Timer
 	stopped bool
 
-	bloomRecv [2]bool
+	bloom *[2]bloomSide // Bloom joins only
 
 	// fetchCache memoizes semi-join base-tuple fetches per (side, rid):
 	// an S tuple matched by several R projections is fetched once per
@@ -160,8 +162,8 @@ func (ex *exec) start() {
 		switch p.Strategy {
 		case SymmetricHash:
 			registerProbe(ex, ex.pairSide)
-			ex.rehashScan(0, nil)
-			ex.rehashScan(1, nil)
+			ex.rehashScan(0, nil, nil)
+			ex.rehashScan(1, nil, nil)
 		case FetchMatches:
 			ex.startFetchMatches(complete)
 		case SymmetricSemiJoin:
@@ -484,8 +486,9 @@ func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
 
 // rehashScan filters, projects, and rehashes one table into NQ, keyed by
 // the concatenated join attribute values. A non-nil Bloom filter prunes
-// the rehash (§4.2).
-func (ex *exec) rehashScan(side int, f *bloom.Filter) {
+// the rehash (§4.2), and a row that one of the earlier filters passed
+// was rehashed already.
+func (ex *exec) rehashScan(side int, f *bloom.Filter, earlier []*bloom.Filter) {
 	tbl := &ex.plan.Tables[side]
 	t0 := ex.eng.env.Now()
 	puts := 0
@@ -497,6 +500,11 @@ func (ex *exec) rehashScan(side int, f *bloom.Filter) {
 		key := JoinKeyString(proj, tbl.JoinCols)
 		if f != nil && !f.Test(key) {
 			return
+		}
+		for _, e := range earlier {
+			if e.Test(key) {
+				return
+			}
 		}
 		puts++
 		ex.eng.prov.Put(ex.ns[nsRehash], ex.rehashRID(key), ex.eng.env.Rand().Int63(), &sideTuple{Side: side, T: proj}, ex.plan.TTL)
@@ -732,14 +740,52 @@ func (ex *exec) fetchSide(side int, rid string, out *[]*Tuple, done func()) {
 
 // --- Bloom join rewrite (§4.2) -------------------------------------------
 
+// bloomRID is the one resourceID of a table's Bloom namespace: every
+// node's contribution lands at the same collector.
+const bloomRID = "or"
+
+// bloomSide is one table's Bloom state on this node. recv holds the
+// combined filters this executor has rehashed by; a collector emits at
+// most twice, so at most two. The rest is the collector's: the shares
+// heard per contributor, their 128-bit sum, and the emission rule's
+// progress.
+type bloomSide struct {
+	recv    []*bloom.Filter
+	shares  map[int64]uint64
+	hi, lo  uint64
+	emitted int  // emissions so far
+	byWait  bool // the first emission was BloomWait's
+	late    int  // contributions since the first emission
+	over    bool // counted in QueryStats.BloomOvercovered
+}
+
+// startBloom puts this node's filter of each table, with its share of
+// the key space, to the table's collector, and plays the collector
+// where it owns the collector key.
 func (ex *exec) startBloom() {
 	p := ex.plan
+	ex.bloom = new([2]bloomSide)
 	for side := range p.Tables {
 		side := side
-		// Collector role: after BloomWait, whoever stores the filters of
-		// this table ORs and multicasts them. Scheduling on every node
-		// is harmless — only the collector holds items.
-		ex.timer(p.BloomWait, func() { ex.emitBloom(side) })
+		ns := ex.ns[nsBloom0+side]
+		if ex.eng.prov.Router().Owns(dht.KeyOf(ns, bloomRID)) {
+			// Contributions can beat the query here; count them first.
+			ex.eng.prov.Scan(ns, func(it *storage.Item) bool {
+				ex.addShare(side, it)
+				return true
+			})
+			ex.unsubs = append(ex.unsubs, ex.eng.prov.OnNewData(ns, func(it *storage.Item) {
+				if ex.addShare(side, it) {
+					ex.bloomTrigger(side, false)
+				}
+			}))
+			if ex.bloom[side].covered() {
+				ex.bloomTrigger(side, false)
+			}
+		}
+		// Any node still holding filters at BloomWait emits them: only
+		// the collector normally does.
+		ex.timer(p.BloomWait, func() { ex.bloomTrigger(side, true) })
 
 		tbl := &p.Tables[side]
 		f := bloom.New(p.BloomBits, p.BloomHashes)
@@ -750,15 +796,78 @@ func (ex *exec) startBloom() {
 				count++
 			}
 		}, func() {
+			put := &bloomPut{Side: side, Share: ex.eng.prov.Router().Share()}
 			if count > 0 {
-				ex.eng.prov.Put(ex.ns[nsBloom0+side], "or", ex.eng.nodeIID, &bloomPut{Side: side, F: f}, p.TTL)
+				put.F = f
 			}
+			ex.eng.prov.Put(ns, bloomRID, ex.eng.nodeIID, put, p.TTL)
 		})
 	}
 }
 
+// addShare records one stored contribution at the collector, keyed by
+// its instanceID so that a re-put replaces its share. It reports
+// whether the item was a contribution to this side.
+func (ex *exec) addShare(side int, it *storage.Item) bool {
+	bp, ok := it.Payload.(*bloomPut)
+	if !ok || bp.Side != side {
+		return false
+	}
+	bs := &ex.bloom[side]
+	if bs.shares == nil {
+		bs.shares = make(map[int64]uint64)
+	}
+	var c uint64
+	bs.lo, c = bits.Sub64(bs.lo, bs.shares[it.InstanceID], 0)
+	bs.hi -= c
+	bs.lo, c = bits.Add64(bs.lo, bp.Share, 0)
+	bs.hi += c
+	bs.shares[it.InstanceID] = bp.Share
+	if bs.emitted > 0 {
+		bs.late++
+	}
+	if !bs.over && (bs.hi > 0 || bs.lo > dht.WholeSpace) {
+		bs.over = true
+		ex.eng.qstats.BloomOvercovered++
+	}
+	return true
+}
+
+// covered reports whether the shares heard sum to the whole space.
+func (bs *bloomSide) covered() bool { return bs.hi == 0 && bs.lo == dht.WholeSpace }
+
+// bloomTrigger applies the emission rule at one of its two triggers,
+// BloomWait (wait) or the shares summing to exactly the whole space
+// (every owner has reported): the first trigger emits, and the other
+// emits again only if contributions arrived in between. Everything
+// that arrives before BloomWait is combined, and a forged or
+// overlapping share can only make the first emission early.
+func (ex *exec) bloomTrigger(side int, wait bool) {
+	bs := &ex.bloom[side]
+	if !wait && !bs.covered() {
+		return
+	}
+	switch {
+	case bs.emitted == 0:
+		if !ex.emitBloom(side) {
+			return
+		}
+		bs.byWait = wait
+	case bs.emitted == 1 && bs.byWait != wait && bs.late > 0:
+		ex.emitBloom(side)
+		ex.eng.qstats.BloomLateFilters += uint64(bs.late)
+	default:
+		return
+	}
+	bs.emitted++
+	if !wait {
+		ex.eng.qstats.BloomComplete++
+	}
+}
+
 // emitBloom runs at the collector: OR all received filters for one table
-// and multicast the combination.
+// and multicast the combination. It reports whether it had any
+// contribution to combine.
 //
 // The combine starts from an empty filter of the plan's dimensions, so
 // every honest peer (which built its filter from the same plan) ORs in
@@ -769,7 +878,7 @@ func (ex *exec) startBloom() {
 // saturated (accept-all) filter instead: the rehash runs unpruned —
 // correct, merely unoptimized — and the event is counted in
 // QueryStats.BloomFallbacks.
-func (ex *exec) emitBloom(side int) {
+func (ex *exec) emitBloom(side int) bool {
 	p := ex.plan
 	comb := bloom.New(p.BloomBits, p.BloomHashes)
 	seen, mismatch := false, false
@@ -779,13 +888,13 @@ func (ex *exec) emitBloom(side int) {
 			return true
 		}
 		seen = true
-		if err := comb.Union(bp.F); err != nil {
+		if bp.F != nil && comb.Union(bp.F) != nil {
 			mismatch = true
 		}
 		return true
 	})
 	if !seen {
-		return
+		return false
 	}
 	if mismatch {
 		ex.eng.qstats.BloomFallbacks++
@@ -800,19 +909,24 @@ func (ex *exec) emitBloom(side int) {
 		ex.span(trace.StageBloomCollect, ex.eng.env.Now(), 0, note)
 	}
 	ex.eng.prov.Multicast(QueryNS, &bloomDist{ID: ex.id, Side: side, F: comb})
+	return true
 }
 
-// onBloomDist reacts to the OR-ed filter of table `side` by rehashing
-// the opposite table, pruned by the filter.
+// onBloomDist reacts to an OR-ed filter of table `side` by rehashing
+// the opposite table, pruned by the filter. A second filter for the
+// side rehashes only the rows that no earlier one passed, so every row
+// is rehashed at most once.
 func (ex *exec) onBloomDist(m *bloomDist) {
-	if ex.plan.Strategy != BloomJoin || m.Side < 0 || m.Side > 1 || ex.bloomRecv[m.Side] {
+	if ex.bloom == nil || m.Side < 0 || m.Side > 1 || len(ex.bloom[m.Side].recv) == 2 {
 		return
 	}
-	ex.bloomRecv[m.Side] = true
+	bs := &ex.bloom[m.Side]
+	earlier := bs.recv
+	bs.recv = append(bs.recv, m.F)
 	if ex.spans != nil {
 		ex.span(trace.StageBloomDist, ex.eng.env.Now(), 0, fmt.Sprintf("filter for side %d arrived", m.Side))
 	}
-	ex.rehashScan(1-m.Side, m.F)
+	ex.rehashScan(1-m.Side, m.F, earlier)
 }
 
 // --- grouping and aggregation ---------------------------------------------

@@ -97,11 +97,14 @@ type miniTuple struct {
 // WireSize implements env.Message.
 func (m *miniTuple) WireSize() int { return wire.Size(m) }
 
-// bloomPut carries one node's local Bloom filter to the per-table
-// collector namespace.
+// bloomPut is one node's contribution to a table's Bloom collector:
+// its share of the key space (dht.Router.Share), by which the collector
+// knows when every owner has reported, and its local filter, nil when
+// the node holds no row of the table.
 type bloomPut struct {
-	Side int
-	F    *bloom.Filter
+	Side  int
+	Share uint64
+	F     *bloom.Filter
 }
 
 // WireSize implements env.Message.

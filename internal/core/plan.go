@@ -122,8 +122,10 @@ type Plan struct {
 
 	// TTL bounds the lifetime of the query's temporary DHT state.
 	TTL time.Duration
-	// BloomWait is how long Bloom collectors gather filters before
-	// multicasting the OR.
+	// BloomWait is the Bloom collectors' fallback: a collector
+	// multicasts the OR of its filters as soon as every owner of the
+	// key space has reported, or at BloomWait if that comes first (and
+	// once more on coverage, if filters arrived in between).
 	BloomWait time.Duration
 	// AggWait is how long group collectors gather partial aggregates
 	// before emitting results.

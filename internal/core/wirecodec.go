@@ -6,6 +6,7 @@ package core
 // and WireSize().
 
 import (
+	"pier/internal/dht"
 	"pier/internal/trace"
 	"pier/internal/wire"
 )
@@ -76,7 +77,11 @@ func init() {
 
 	wire.Register(tagBloomPut, func(c *wire.Codec, b *bloomPut) {
 		sideField(c, &b.Side)
-		wire.Required(c, &b.F)
+		c.Uvarint(&b.Share)
+		if c.Decoding() && b.Share > dht.WholeSpace {
+			c.Fail("bloom share exceeds the key space")
+		}
+		wire.Optional(c, &b.F)
 	})
 
 	wire.Register(tagBloomDist, func(c *wire.Codec, b *bloomDist) {

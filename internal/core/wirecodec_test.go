@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pier/internal/core/bloom"
+	"pier/internal/dht"
 	"pier/internal/env"
 	"pier/internal/trace"
 	"pier/internal/wire"
@@ -30,6 +31,9 @@ func randFilter(r *rand.Rand) *bloom.Filter {
 	f := bloom.New(64+r.Intn(512), 1+r.Intn(6))
 	for i := 0; i < r.Intn(64); i++ {
 		f.Add(wiretest.Str(r, 10))
+	}
+	if r.Intn(4) == 0 {
+		f.Saturate() // so the dense form is always generated too
 	}
 	return f
 }
@@ -161,7 +165,7 @@ func drainResultMsgPool() {
 // the query processor registers (see wiretest.RoundTrip).
 func TestWireRoundTrip(t *testing.T) {
 	drainResultMsgPool()
-	wiretest.RoundTrip(t, 1, 200, 1, 31, "4365a87792733f46", []wiretest.Gen{
+	wiretest.RoundTrip(t, 1, 200, 1, 31, "5c4d1e56a8a9443e", []wiretest.Gen{
 		{Name: "queryMsg", Make: func(r *rand.Rand) env.Message {
 			return &queryMsg{ID: r.Uint64(), Initiator: wiretest.Addr(r), Trace: r.Intn(2) == 0, Plan: randPlan(r)}
 		}},
@@ -196,7 +200,11 @@ func TestWireRoundTrip(t *testing.T) {
 			return &miniTuple{Side: r.Intn(2), RID: wiretest.Str(r, 16), Key: wiretest.Str(r, 16)}
 		}},
 		{Name: "bloomPut", Make: func(r *rand.Rand) env.Message {
-			return &bloomPut{Side: r.Intn(2), F: randFilter(r)}
+			m := &bloomPut{Side: r.Intn(2), Share: wiretest.Uint64(r) >> 1}
+			if r.Intn(3) > 0 {
+				m.F = randFilter(r) // else a contribution without rows
+			}
+			return m
 		}},
 		{Name: "bloomDist", Make: func(r *rand.Rand) env.Message {
 			return &bloomDist{ID: r.Uint64(), Side: r.Intn(2), F: randFilter(r)}
@@ -295,6 +303,7 @@ func TestHostileFieldValuesRejected(t *testing.T) {
 	reject("bloom filter K=0", &bloomPut{Side: 0, F: &bloom.Filter{K: 0, Bits: []uint64{1}}}, nil)
 	reject("bloom filter K=2^60", &bloomPut{Side: 0, F: &bloom.Filter{K: 1 << 60, Bits: []uint64{1}}}, nil)
 	reject("bloom filter empty bits", &bloomDist{ID: 1, Side: 1, F: &bloom.Filter{K: 4}}, nil)
+	reject("bloomPut share past the whole space", &bloomPut{Side: 0, Share: dht.WholeSpace + 1}, nil)
 	reject("creditMsg negative limit", &creditMsg{ID: 1, Limit: -5}, nil)
 }
 
@@ -304,11 +313,11 @@ func TestHostileFieldValuesRejected(t *testing.T) {
 // the event loop.
 func TestNilRequiredFieldsRejected(t *testing.T) {
 	cases := map[string][]byte{
-		"queryMsg nil plan":   {tagQueryMsg, 1, 1, 'a', 0, 0},
-		"sideTuple nil tuple": {tagSideTuple, 0, 0},
-		"bloomPut nil filter": {tagBloomPut, 0, 0},
-		"not nil child":       {tagExprNot, 0},
-		"cmp nil right":       {tagExprCmp, 0, tagExprCol, 2, 0},
+		"queryMsg nil plan":    {tagQueryMsg, 1, 1, 'a', 0, 0},
+		"sideTuple nil tuple":  {tagSideTuple, 0, 0},
+		"bloomDist nil filter": {tagBloomDist, 1, 0, 0},
+		"not nil child":        {tagExprNot, 0},
+		"cmp nil right":        {tagExprCmp, 0, tagExprCol, 2, 0},
 	}
 	for name, b := range cases {
 		if _, err := wire.Unmarshal(b); err == nil {

@@ -147,6 +147,23 @@ func (r *Router) EstimateNodes() int {
 	return int(1/v + 0.5)
 }
 
+// Share implements dht.Router: the sum of 2^-Depth over the owned
+// zones. A zone too deep for the fixed point, or zones adding up past
+// the whole space, make the share unknown.
+func (r *Router) Share() uint64 {
+	if !r.Ready() {
+		return 0
+	}
+	var s uint64
+	for _, z := range r.zones {
+		if z.Depth < 0 || z.Depth > 63 || s > dht.WholeSpace-dht.WholeSpace>>z.Depth {
+			return 0
+		}
+		s += dht.WholeSpace >> z.Depth
+	}
+	return s
+}
+
 // Ready implements dht.Router.
 func (r *Router) Ready() bool { return r.joined && len(r.zones) > 0 }
 

@@ -69,6 +69,7 @@ func (tn *testNet) joinAll() {
 func (tn *testNet) checkInvariants(t *testing.T) {
 	t.Helper()
 	vol := 0.0
+	var share uint64
 	for i, r := range tn.routers {
 		if !tn.nw.Alive(i) {
 			continue
@@ -76,9 +77,14 @@ func (tn *testNet) checkInvariants(t *testing.T) {
 		for _, z := range r.Zones() {
 			vol += z.Volume()
 		}
+		share += r.Share()
 	}
 	if vol < 0.999999 || vol > 1.000001 {
 		t.Fatalf("zones cover %v of the space, want 1", vol)
+	}
+	// The exact form a Bloom collector sums: whole, not nearly.
+	if share != dht.WholeSpace {
+		t.Fatalf("key-space shares sum to %#x, want %#x", share, dht.WholeSpace)
 	}
 }
 

@@ -157,6 +157,25 @@ func (r *Router) Owns(k dht.Key) bool {
 	return between(r.pred.id, k.Ring(), r.id)
 }
 
+// Share implements dht.Router: the arc (predecessor, self] that Owns
+// answers for, measured between the two ids' top 63 bits. Each node's
+// arc ends where its successor's begins, so the arcs of a consistent
+// ring telescope to exactly dht.WholeSpace.
+func (r *Router) Share() uint64 {
+	switch {
+	case !r.joined:
+		return 0
+	case !r.hasPred:
+		if len(r.succs) == 0 || r.succs[0].id == r.id {
+			return dht.WholeSpace // alone on the ring
+		}
+		return 0
+	case r.pred.id == r.id:
+		return dht.WholeSpace
+	}
+	return (r.id>>1 - r.pred.id>>1) & (dht.WholeSpace - 1)
+}
+
 // Neighbors implements dht.Router: successor list, fingers, predecessor.
 func (r *Router) Neighbors() []env.Addr {
 	seen := map[env.Addr]bool{r.env.Addr(): true}

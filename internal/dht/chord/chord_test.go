@@ -72,6 +72,26 @@ func TestBootstrapRingExactOwnership(t *testing.T) {
 	}
 }
 
+// TestSharesSumToTheRing: the arcs the nodes own add up to exactly the
+// whole ring, alone or in company, however the ids fall; a node that
+// has not joined knows no share.
+func TestSharesSumToTheRing(t *testing.T) {
+	if New(simnet.New(topology.NewFullMeshInfinite(), 1).AddNode(), Config{}).Share() != 0 {
+		t.Fatal("an unjoined node reports a share")
+	}
+	for _, n := range []int{1, 2, 50} {
+		tn := newTestNet(t, n, Config{})
+		Bootstrap(tn.routers)
+		var sum uint64
+		for _, r := range tn.routers {
+			sum += r.Share()
+		}
+		if sum != dht.WholeSpace {
+			t.Fatalf("n=%d: shares sum to %#x, want %#x", n, sum, dht.WholeSpace)
+		}
+	}
+}
+
 func TestBootstrapLookupAgreesWithOwns(t *testing.T) {
 	tn := newTestNet(t, 64, Config{})
 	Bootstrap(tn.routers)
@@ -138,6 +158,13 @@ func TestProtocolJoinStabilizes(t *testing.T) {
 		if owners != 1 {
 			t.Fatalf("after protocol joins, key %v owned by %d nodes", k, owners)
 		}
+	}
+	var share uint64
+	for _, r := range tn.routers {
+		share += r.Share()
+	}
+	if share != dht.WholeSpace {
+		t.Fatalf("after protocol joins, shares sum to %#x, want %#x", share, dht.WholeSpace)
 	}
 }
 

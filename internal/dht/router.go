@@ -58,7 +58,18 @@ type Router interface {
 	// routing state (CAN zone volume, Chord successor density), without
 	// any global census.
 	EstimateNodes() int
+
+	// Share is this node's exact share of the key space, in units of
+	// WholeSpace: the volume of the keys Owns answers true for. 0 means
+	// unknown (not ready, or no predecessor yet). The shares of nodes
+	// that partition the space sum to exactly WholeSpace, which is how
+	// a Bloom collector knows that every owner has reported.
+	Share() uint64
 }
+
+// WholeSpace is the fixed-point value of the whole key space in
+// Router.Share: 2^63, so that any one share fits a uint64.
+const WholeSpace uint64 = 1 << 63
 
 // MulticastRouter is an optional Router refinement that prunes flood
 // forwarding using overlay geometry, in the spirit of directed flooding

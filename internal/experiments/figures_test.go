@@ -42,15 +42,22 @@ func TestFiguresUnchanged(t *testing.T) {
 			cfg.RefreshPeriods, cfg.ChurnRates = cfg.RefreshPeriods[:1], []float64{0, 6}
 			return text(ChurnMatrix(cfg))
 		}, 0x0bc032a069b9f09d},
+		// Bloom collectors emit once every owner of the key space has
+		// reported, not after the wait, and per-node filters travel
+		// sparse: fig45's Bloom times to last fell 5.31 -> 1.71/1.81 s,
+		// table4's Bloom row 5.50 -> 2.10 s measured and 5.49 -> 1.49 s
+		// modelled, strategies' Bloom 6.40 -> 1.70 s, and adaptive's
+		// Bloom rows ~6.3 -> ~1.6 s with strategy MB 0.002-0.003 lower.
+		// No adaptive pick changed.
 		{"fig45", func() string {
 			return text(Selectivity(SelectivityConfig{Nodes: 16, STuples: 40, Selectivities: []float64{0.5, 1}, Seed: 21}))
-		}, 0x2ea5ca0f139fa166},
+		}, 0xd5525994f7891397},
 		{"fig7", func() string { return text(Scalability(fig7)) }, 0x7cfdc8001f7c02a9},
-		{"table4", func() string { return text(Table4(Table4Config{Nodes: 32, STuples: 32, Runs: 1, Seed: 11})) }, 0x7a416052ed472a64},
+		{"table4", func() string { return text(Table4(Table4Config{Nodes: 32, STuples: 32, Runs: 1, Seed: 11})) }, 0xc1ec1395b1bb8c41},
 		{"s53", func() string {
 			return text(CentralizedVsDistributed(CentralizedConfig{Nodes: 32, STuples: 40, Computes: []int{1, 0}, Seed: 31}))
 		}, 0x5d86347813f5d176},
-		{"strategies", func() string { return text(StrategyTraffic(16, 40, 1)) }, 0x5be9b27a9e8b73d4},
+		{"strategies", func() string { return text(StrategyTraffic(16, 40, 1)) }, 0xc8cee2930e07e89c},
 		{"chordvscan", func() string { return text(ChordVsCAN(16, 40, 1)) }, 0x938121c1cbc712a3},
 		{"hieragg", func() string { return text(HierarchicalAgg(16, 64, []int{0, 4}, 1)) }, 0xee0926acacd77fb1},
 		{"candims", func() string { return text(CANDims(32, []int{2, 4}, 50, 1)) }, 0xa0b31882b2005094},
@@ -61,7 +68,7 @@ func TestFiguresUnchanged(t *testing.T) {
 		{"adaptive", func() string {
 			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23})
 			return text(tbl)
-		}, 0x6e1748783c82e510},
+		}, 0x0a512a3479840798},
 		// Every row is submitted half an index period after a
 		// maintenance tick, so a row's MB columns count the renewals of
 		// its own window only: scan MB fell to 0.00 (no tick inside a

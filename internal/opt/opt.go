@@ -193,33 +193,49 @@ func Estimates(j JoinStats, net NetStats) []Estimate {
 		Feasible: true,
 	})
 
-	// Bloom rewrite (§4.2): per-node filters to collectors, OR-ed
-	// filters multicast back, rehash pruned by the opposite filter.
-	filterBytes := net.BloomBits / 8
-	fpL := bloomFP(net.BloomBits, j.Right.DistinctJoinKeys*j.Right.Selectivity)
+	// Bloom rewrite (§4.2): every node puts its filter of each table
+	// to the table's collector, the OR-ed filters are multicast back,
+	// and each prunes the rehash of the opposite table. A collector
+	// emits once the last node's filter lands, one put after the last
+	// node heard the query; BloomWait only caps that.
+	keysL := j.Left.DistinctJoinKeys * j.Left.Selectivity
+	keysR := j.Right.DistinctJoinKeys * j.Right.Selectivity
+	n := float64(net.Nodes)
+	fpL := bloomFP(net.BloomBits, keysR)
 	passL := j.MatchFraction*j.Right.Selectivity + (1-j.MatchFraction*j.Right.Selectivity)*fpL
-	fpR := bloomFP(net.BloomBits, j.Left.DistinctJoinKeys*j.Left.Selectivity)
+	fpR := bloomFP(net.BloomBits, keysL)
 	passR := math.Min(1, j.MatchFraction+(1-j.MatchFraction)*fpR)
+	gather := min(lookupT+hop, net.BloomWait)
 	out = append(out, Estimate{
 		Strategy: core.BloomJoin,
 		TrafficBytes: mcastB +
-			2*float64(net.Nodes)*put(filterBytes) + // per-node filters to collectors
-			2*(mcastB+float64(net.Nodes)*filterBytes) + // OR-ed filters multicast
+			n*(put(filterBytes(net.BloomBits, keysL/n))+put(filterBytes(net.BloomBits, keysR/n))) + // per-node filters
+			2*mcastB + n*(filterBytes(net.BloomBits, keysL)+filterBytes(net.BloomBits, keysR)) + // OR-ed filters multicast
 			filteredL*passL*put(j.Left.TupleBytes) +
 			filteredR*passR*put(j.Right.TupleBytes),
-		Latency:  mcastT + net.BloomWait + mcastT + 2*lookupT + 3*hop,
+		Latency:  mcastT + gather + mcastT + lookupT + 2*hop,
 		Feasible: true,
 	})
 	return out
 }
 
-// bloomFP is the standard false-positive estimate for k=4 hashes.
+// filterBytes is a filter of keys keys on the wire: the smaller of its
+// dense words and its sparse form, about one varint gap per set bit.
+func filterBytes(bits, keys float64) float64 {
+	set := math.Min(bits, bloomK*keys)
+	sparse := set * math.Ceil(math.Log2(bits/math.Max(set, 1)+1)/7)
+	return math.Min(bits/8, sparse)
+}
+
+// bloomK is the plans' default hash count (Plan.BloomHashes).
+const bloomK = 4
+
+// bloomFP is the standard false-positive estimate for bloomK hashes.
 func bloomFP(bits, keys float64) float64 {
 	if keys <= 0 {
 		return 0
 	}
-	k := 4.0
-	return math.Pow(1-math.Exp(-k*keys/bits), k)
+	return math.Pow(1-math.Exp(-bloomK*keys/bits), bloomK)
 }
 
 // Choose returns the best feasible strategy under the objective and the

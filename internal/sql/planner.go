@@ -150,7 +150,8 @@ func (p *planner) lower() (*core.Plan, error) {
 		plan.Continuous, plan.Every, plan.Windows = true, p.st.Every, p.st.Windows
 	}
 	// WAIT is the gather wait of the query's last gather: the group
-	// collectors of an aggregate, else a join's Bloom collectors.
+	// collectors of an aggregate, else the fallback of a join's Bloom
+	// collectors (which emit earlier once the key space is covered).
 	switch w := p.st.Wait; {
 	case w == 0:
 	case len(plan.Aggs) > 0:

@@ -48,7 +48,8 @@ const (
 	// into the temporary namespace NQ.
 	StageRehash
 	// StageBloomCollect is the Bloom collector's OR-and-multicast of
-	// one table's filters after BloomWait.
+	// one table's filters: on full key-space coverage, or at the
+	// BloomWait fallback.
 	StageBloomCollect
 	// StageBloomDist is the arrival of a combined Bloom filter,
 	// triggering the pruned rehash of the opposite table.

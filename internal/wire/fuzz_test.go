@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pier/internal/core"
+	"pier/internal/core/bloom"
 	"pier/internal/dht/multicast"
 	"pier/internal/dht/storage"
 	"pier/internal/env"
@@ -26,6 +27,9 @@ func fuzzSeedMessages() []env.Message {
 	plan.TTL = time.Minute
 	plan.GroupBy = nil
 	tuple := &core.Tuple{Rel: "R", Vals: []core.Value{int64(7), "abc", 2.5, true, nil}, Pad: 64}
+	sparse, dense := bloom.New(1<<12, 4), bloom.New(256, 4)
+	sparse.Add("salmon")
+	dense.Saturate()
 	sketch := stats.NewSketch(0)
 	for _, k := range []string{"a", "b", "c", "dd"} {
 		sketch.Add(k)
@@ -46,6 +50,8 @@ func fuzzSeedMessages() []env.Message {
 		&multicast.FloodMsg{Origin: "sim:1", Seq: 9, Hint: []uint32{1, 2, 3, 4}, Payload: item},
 		&index.Entry{K: wire.OrderedKey(int64(49)), RID: "42", IID: 3, T: tuple},
 		&index.Def{Name: "r_num2", Table: "R", Col: "num2", ColIdx: 2},
+		sparse,
+		dense,
 		&trace.Span{Stage: trace.StageResultFlush, Node: "sim:2", Start: 12345, Dur: time.Millisecond, Note: "8 tuples w0", Seq: 7},
 	}
 }
@@ -80,6 +86,17 @@ func FuzzDecode(f *testing.F) {
 		throttle = append(throttle, 1)                                 // attempt
 		throttle = binary.AppendVarint(throttle, int64(2*time.Second)) // retry-after
 		f.Add(throttle)
+	}
+	// Hand-built Bloom contributions (tag 5, core's unexported
+	// bloomPut): side 1 and a quarter of the key space, with no filter
+	// (a node holding no rows) and with each filter form.
+	contribution := binary.AppendUvarint([]byte{5, 2}, 1<<61)
+	f.Add(append(append([]byte(nil), contribution...), 0))
+	for _, m := range fuzzSeedMessages() {
+		if fl, ok := m.(*bloom.Filter); ok {
+			fb, _ := wire.Marshal(fl)
+			f.Add(append(append([]byte(nil), contribution...), fb...))
+		}
 	}
 	// A 20-byte tuple declaring a pad no frame could carry (rejected
 	// above wire.MaxPad), and one declaring the largest legal pad.

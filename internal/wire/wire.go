@@ -487,16 +487,27 @@ func Slice[T any](c *Codec, s *[]T, minBytes int, elem func(*Codec, *T)) {
 // only expand. The element size is exact, so reading allocates the slice
 // at once and counting is O(1).
 func (c *Codec) Words(w *[]uint64) {
-	n := c.Len(len(*w), 8)
+	c.FixedWords(w, c.Len(len(*w), 8))
+}
+
+// FixedWords is n fixed 8-byte little-endian words whose count the
+// caller has already coded (Words, or a count sharing a varint with
+// other bits). Writing and counting take n from len(*w); reading
+// rejects an n the remaining input cannot hold before allocating.
+func (c *Codec) FixedWords(w *[]uint64, n int) {
 	switch c.mode {
 	case writing:
 		for _, x := range *w {
 			c.buf = binary.LittleEndian.AppendUint64(c.buf, x)
 		}
 	case counting:
-		c.n += 8 * n
+		c.n += 8 * len(*w)
 	default:
-		if n == 0 {
+		if c.err != nil || n == 0 {
+			return
+		}
+		if n < 0 || n > c.Remaining()/8 {
+			c.Fail(fmt.Sprintf("%d words exceed remaining %d bytes", n, c.Remaining()))
 			return
 		}
 		out := make([]uint64, n)

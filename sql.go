@@ -16,7 +16,9 @@ type Catalog = sql.Catalog
 // GROUP BY / HAVING with aliases, and optional trailing clauses:
 // `USING STRATEGY '<name>'` picks the join algorithm, `EVERY '<dur>'
 // [WINDOWS <n>]` makes the query continuous (§7), and `WAIT '<dur>'`
-// sets its gather wait (AggWait, or BloomWait for a join).
+// sets its gather wait: AggWait, or for a join BloomWait, the fallback
+// by which a Bloom collector emits if not every owner of the key space
+// has reported yet.
 //
 // Sargable predicates (col ⊙ literal conjuncts, any of the six
 // comparison operators in either orientation) on columns the catalog
