@@ -4,7 +4,6 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"pier/internal/dht/provider"
@@ -121,36 +120,27 @@ type QueryStats struct {
 // 0 for one-shot queries and the window index for continuous ones.
 type ResultFunc func(t *Tuple, window int)
 
-// Observer receives the observed result cardinality of one query window
-// at the initiator, after the window closes (next window's first result,
-// cancel, or the query's TTL). The statistics catalog registers one to
-// correct stale selectivity estimates with measured outcomes.
-type Observer func(p *Plan, window, count int)
+// Observer receives the number of result tuples a one-shot query
+// delivered at its initiator, once, when the query's collector closes
+// (cancel or TTL) having delivered at least one. Continuous queries are
+// never reported: a window's count covers only that window's arrivals.
+// The statistics catalog registers one to correct stale selectivity
+// estimates with measured outcomes.
+type Observer func(p *Plan, count int)
 
 // collector is the initiator-side state of one running query: the
-// application callback plus the per-window result counts the observer
-// is fed from. Counts are kept per window because resultMsgs from
-// different nodes interleave — a late window-w straggler can arrive
-// after window w+1 opened.
+// application callback and what the query has delivered so far.
 type collector struct {
-	fn     ResultFunc
-	plan   *Plan
-	counts map[int]int
-	maxW   int
-	// start anchors the window clamp: a resultMsg may never advance
-	// window accounting beyond what the plan's Every and the time
-	// elapsed since the query was initiated allow (a single crafted
-	// window would otherwise permanently close every real window's
-	// observer accounting).
+	fn   ResultFunc
+	plan *Plan
+	// start anchors the window clamp: a resultMsg may never carry a
+	// window beyond what the plan's Every and the time elapsed since
+	// the query was initiated allow.
 	start time.Time
 	// credit tracks, per sender, how many result tuples the
 	// application callback has drained and the cumulative limit last
 	// granted; replenishment grants flow from here.
 	credit map[env.Addr]*senderCredit
-	// closed is the lowest window not yet reported to the observer;
-	// stragglers below it still reach the application callback but are
-	// no longer counted, keeping the observer exactly-once per window.
-	closed int
 	ttl    env.Timer
 	// contacted is the trie-node count of a completed index traversal
 	// (index-scan queries only; see Engine.IndexContacts).
@@ -165,8 +155,8 @@ type collector struct {
 	spans     []trace.Span
 	spanDrops uint64
 	spanSeq   uint32
-	// tuples totals the result tuples delivered, for the collect
-	// span's note.
+	// tuples totals the result tuples delivered: the observer's count
+	// and the collect span's note.
 	tuples uint64
 }
 
@@ -295,14 +285,13 @@ func (eng *Engine) Run(p *Plan, onResult ResultFunc) (uint64, error) {
 	c := &collector{
 		fn:     onResult,
 		plan:   p,
-		counts: make(map[int]int),
 		start:  eng.env.Now(),
 		credit: make(map[env.Addr]*senderCredit),
 		traced: p.Trace,
 	}
 	eng.putCollector(id, c)
 	// The distributed execution dies at the TTL; drop the collector (and
-	// report the final window) with it.
+	// report the query's count) with it.
 	c.ttl = eng.env.After(p.TTL, func() { eng.closeCollector(id) })
 	if eng.indexRunnable(p) {
 		// Index access path: traverse the PHT from here instead of
@@ -347,7 +336,7 @@ func (eng *Engine) putCollector(id uint64, c *collector) {
 	eng.collectors[id] = c
 }
 
-// closeCollector reports every still-open window to the observer,
+// closeCollector reports a one-shot query's count to the observer,
 // observes the query's end-to-end duration, retains the assembled
 // trace (traced queries), and forgets the query.
 func (eng *Engine) closeCollector(id uint64) {
@@ -358,7 +347,9 @@ func (eng *Engine) closeCollector(id uint64) {
 	delete(eng.collectors, id)
 	c.ttl.Stop()
 	now := eng.env.Now()
-	eng.closeWindows(c, c.maxW+1)
+	if eng.obs != nil && !c.plan.Continuous && c.tuples > 0 {
+		eng.obs(c.plan, int(c.tuples))
+	}
 	eng.queryDurHist().Observe(now.Sub(c.start).Seconds())
 	if c.traced {
 		eng.recordCollectorSpan(c, trace.Span{
@@ -505,29 +496,6 @@ func (eng *Engine) SpanDurations() []trace.NamedSnapshot {
 	return out
 }
 
-// closeWindows closes every counted window below the given bound,
-// exactly once each, and reports their cardinalities to the observer
-// in window order.
-func (eng *Engine) closeWindows(c *collector, before int) {
-	if before > c.closed {
-		c.closed = before
-	}
-	var ws []int
-	for w := range c.counts {
-		if w < before {
-			ws = append(ws, w)
-		}
-	}
-	sort.Ints(ws)
-	for _, w := range ws {
-		n := c.counts[w]
-		delete(c.counts, w)
-		if n > 0 && eng.obs != nil {
-			eng.obs(c.plan, w, n)
-		}
-	}
-}
-
 // ActiveExecs returns the number of query executors currently running
 // on this node. The chaos harness's termination invariant asserts it
 // reaches zero once every query's TTL has passed.
@@ -625,8 +593,8 @@ func (eng *Engine) HandleMessage(from env.Addr, m env.Message) bool {
 }
 
 // onResult is the initiator side of the result channel: count the
-// window, drain the tuples into the application callback, and
-// replenish the sender's credit.
+// tuples, drain them into the application callback, and replenish the
+// sender's credit.
 func (eng *Engine) onResult(from env.Addr, rm *resultMsg) {
 	c, ok := eng.collectors[rm.ID]
 	if !ok {
@@ -634,24 +602,14 @@ func (eng *Engine) onResult(from env.Addr, rm *resultMsg) {
 	}
 	// The window index arrived over the network. Clamp it to what the
 	// plan's Every and the elapsed time allow: a crafted (or buggy)
-	// huge window would otherwise jump c.maxW, and closeWindows would
-	// permanently close every real window's observer accounting — and
-	// skew the stats catalog's cardinality feedback.
+	// window would otherwise reach the application as one the query
+	// never had, and its tuples would skew the count the observer gets.
 	if rm.Window < 0 || rm.Window > c.allowedWindow(eng.env.Now()) {
 		return
-	}
-	if rm.Window >= c.closed {
-		c.counts[rm.Window] += len(rm.Tuples)
 	}
 	c.tuples += uint64(len(rm.Tuples))
 	if c.traced && (len(rm.Spans) > 0 || rm.SpanDrops > 0) {
 		eng.absorbSpans(c, rm.Spans, rm.SpanDrops)
-	}
-	if rm.Window > c.maxW {
-		c.maxW = rm.Window
-		// Windows more than one behind the watermark are closed;
-		// the one-window grace absorbs cross-node stragglers.
-		eng.closeWindows(c, c.maxW-1)
 	}
 	for _, t := range rm.Tuples {
 		c.fn(t, rm.Window)

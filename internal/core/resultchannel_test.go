@@ -445,16 +445,12 @@ func TestCreditGrantsReplenishWithoutTimerStalls(t *testing.T) {
 }
 
 func TestHostileWindowCannotCloseObserverAccounting(t *testing.T) {
-	// Regression: a single resultMsg with a huge window used to jump
-	// c.maxW, and reportWindows then closed every real window's
-	// observer accounting permanently. The clamp drops windows beyond
-	// what the plan's Every and the elapsed time allow.
+	// Regression: a single resultMsg with a huge window used to close
+	// every real window's accounting permanently. The clamp drops
+	// windows beyond what the plan's Every and the elapsed time allow.
 	cfg := DefaultConfig()
 	h := newHarness(1, 95, cfg)
 	eng := h.engines[0]
-
-	reported := map[int]int{}
-	eng.SetObserver(func(_ *Plan, w, n int) { reported[w] = n })
 
 	plan := &Plan{
 		Tables:     []TableRef{{NS: "T", RIDCol: 0}},
@@ -466,7 +462,8 @@ func TestHostileWindowCannotCloseObserverAccounting(t *testing.T) {
 		TTL:        time.Minute,
 	}
 	got := 0
-	id, err := eng.Run(plan, func(*Tuple, int) { got++ })
+	windows := map[int]int{}
+	id, err := eng.Run(plan, func(_ *Tuple, w int) { got++; windows[w]++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +479,7 @@ func TestHostileWindowCannotCloseObserverAccounting(t *testing.T) {
 	}
 
 	// Arrivals across three windows; each window's aggregate must
-	// still reach the callback and the observer.
+	// still reach the callback.
 	for w := 0; w < 3; w++ {
 		h.provs[0].Put("T", fmt.Sprintf("r%d", w), int64(w), &Tuple{Rel: "T", Vals: []Value{int64(w)}}, time.Minute)
 		h.net.RunFor(10 * time.Second)
@@ -493,9 +490,76 @@ func TestHostileWindowCannotCloseObserverAccounting(t *testing.T) {
 		t.Fatal("no real results delivered after the hostile frame")
 	}
 	for w := 0; w < 3; w++ {
-		if reported[w] == 0 {
-			t.Fatalf("window %d never reported to the observer (reported: %v)", w, reported)
+		if windows[w] == 0 {
+			t.Fatalf("window %d never reached the callback (delivered: %v)", w, windows)
 		}
+	}
+}
+
+// TestObserverCountsEachOneShotJoinOnce: the observer hears of a
+// one-shot join exactly once, when its collector closes, with the
+// number of rows the application received, and never of a continuous
+// query, whose windows each cover only their own arrivals.
+func TestObserverCountsEachOneShotJoinOnce(t *testing.T) {
+	h := newHarness(16, 96, DefaultConfig())
+	for i := 0; i < 40; i++ {
+		h.load("R", fmt.Sprint(i), int64(i), &Tuple{Rel: "R", Vals: []Value{int64(i), "r"}})
+		h.load("S", fmt.Sprint(i), int64(i), &Tuple{Rel: "S", Vals: []Value{int64(i), "s"}})
+	}
+	eng := h.engines[0]
+	var counts []int
+	eng.SetObserver(func(_ *Plan, n int) { counts = append(counts, n) })
+
+	join := &Plan{
+		Tables: []TableRef{
+			{NS: "R", JoinCols: []int{0}, RIDCol: 0},
+			{NS: "S", JoinCols: []int{0}, RIDCol: 0},
+		},
+		Strategy: SymmetricHash,
+		TTL:      time.Minute,
+	}
+	rows := 0
+	id, err := eng.Run(join, func(*Tuple, int) { rows++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.net.RunFor(20 * time.Second)
+	if rows != 40 {
+		t.Fatalf("join delivered %d of 40 rows", rows)
+	}
+	if len(counts) != 0 {
+		t.Fatalf("observer called before the collector closed: %v", counts)
+	}
+	eng.Cancel(id)
+	h.net.RunFor(2 * time.Minute)
+	if len(counts) != 1 || counts[0] != rows {
+		t.Fatalf("observer calls %v, want exactly [%d]", counts, rows)
+	}
+
+	counts = nil
+	cq := &Plan{
+		Tables:     []TableRef{{NS: "T", RIDCol: 0}},
+		Continuous: true,
+		Every:      10 * time.Second,
+		Windows:    3,
+		AggWait:    2 * time.Second,
+		Aggs:       []Aggregate{{Kind: Count, Col: -1}},
+		TTL:        time.Minute,
+	}
+	windows := 0
+	if _, err := eng.Run(cq, func(*Tuple, int) { windows++ }); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 3; w++ {
+		h.provs[0].Put("T", fmt.Sprintf("r%d", w), int64(w), &Tuple{Rel: "T", Vals: []Value{int64(w)}}, time.Minute)
+		h.net.RunFor(10 * time.Second)
+	}
+	h.net.RunFor(2 * time.Minute)
+	if windows == 0 {
+		t.Fatal("continuous query delivered nothing")
+	}
+	if len(counts) != 0 {
+		t.Fatalf("observer called for a continuous query: %v", counts)
 	}
 }
 

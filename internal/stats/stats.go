@@ -525,20 +525,14 @@ func (c *Catalog) ChooseAccess(p *core.Plan, leafCapacity int) (useIndex bool, o
 
 // --- feedback ----------------------------------------------------------
 
-// Observe receives the engine's per-window observed result cardinality
-// for a query initiated on this node and folds the observed/predicted
-// ratio into the table pair's match-fraction correction. Post-join
-// predicate losses fold in too — the correction is a calibration knob
-// for the whole residual, not a clean match-rate measurement, which is
-// exactly what repeated choices need.
-func (c *Catalog) Observe(p *core.Plan, window, count int) {
+// Observe receives the engine's observed result count of a one-shot
+// query initiated on this node (core.Observer) and folds the
+// observed/predicted ratio into the table pair's match-fraction
+// correction. Post-join predicate losses fold in too — the correction
+// is a calibration knob for the whole residual, not a clean match-rate
+// measurement, which is exactly what repeated choices need.
+func (c *Catalog) Observe(p *core.Plan, count int) {
 	if p == nil || len(p.Tables) != 2 || count < 0 {
-		return
-	}
-	// A continuous window's count covers only that window's arrivals;
-	// comparing it against the full-table prediction would collapse the
-	// correction toward its floor. Only one-shot joins calibrate.
-	if p.Continuous {
 		return
 	}
 	j, ok := c.JoinStats(p)
