@@ -51,7 +51,6 @@ func TestOptimizerOrderingMatchesMeasurement(t *testing.T) {
 		Nodes:      nodes,
 		HopLatency: 100 * time.Millisecond,
 		BloomBits:  float64(bloomBitsFor(2 * sTuples)),
-		BloomWait:  5 * time.Second,
 	})
 	predicted := map[core.Strategy]float64{}
 	for _, e := range ests {

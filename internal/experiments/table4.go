@@ -37,7 +37,7 @@ func Table4(cfg Table4Config) *Table {
 		Headers: []string{"strategy", "measured (s)", "analytic model (s)"},
 	}
 	const bloomWait = 4 * time.Second
-	for _, est := range opt.Estimates(opt.JoinStats{}, opt.NetStats{Nodes: cfg.Nodes, BloomWait: bloomWait}) {
+	for _, est := range opt.Estimates(opt.JoinStats{}, opt.NetStats{Nodes: cfg.Nodes}) {
 		var sum time.Duration
 		for run := 0; run < cfg.Runs; run++ {
 			res := RunJoin(JoinConfig{

@@ -64,8 +64,6 @@ type NetStats struct {
 	// BloomBits is the per-table Bloom filter size used by the Bloom
 	// rewrite; zero uses 2^16 (the paper-scale default).
 	BloomBits float64
-	// BloomWait is the collector gather window of the Bloom rewrite.
-	BloomWait time.Duration
 }
 
 func (n NetStats) norm() NetStats {
@@ -83,9 +81,6 @@ func (n NetStats) norm() NetStats {
 	}
 	if n.BloomBits <= 0 {
 		n.BloomBits = 1 << 16
-	}
-	if n.BloomWait <= 0 {
-		n.BloomWait = 5 * time.Second
 	}
 	return n
 }
@@ -197,7 +192,7 @@ func Estimates(j JoinStats, net NetStats) []Estimate {
 	// to the table's collector, the OR-ed filters are multicast back,
 	// and each prunes the rehash of the opposite table. A collector
 	// emits once the last node's filter lands, one put after the last
-	// node heard the query; BloomWait only caps that.
+	// node heard the query.
 	keysL := j.Left.DistinctJoinKeys * j.Left.Selectivity
 	keysR := j.Right.DistinctJoinKeys * j.Right.Selectivity
 	n := float64(net.Nodes)
@@ -205,7 +200,6 @@ func Estimates(j JoinStats, net NetStats) []Estimate {
 	passL := j.MatchFraction*j.Right.Selectivity + (1-j.MatchFraction*j.Right.Selectivity)*fpL
 	fpR := bloomFP(net.BloomBits, keysL)
 	passR := math.Min(1, j.MatchFraction+(1-j.MatchFraction)*fpR)
-	gather := min(lookupT+hop, net.BloomWait)
 	out = append(out, Estimate{
 		Strategy: core.BloomJoin,
 		TrafficBytes: mcastB +
@@ -213,7 +207,7 @@ func Estimates(j JoinStats, net NetStats) []Estimate {
 			2*mcastB + n*(filterBytes(net.BloomBits, keysL)+filterBytes(net.BloomBits, keysR)) + // OR-ed filters multicast
 			filteredL*passL*put(j.Left.TupleBytes) +
 			filteredR*passR*put(j.Right.TupleBytes),
-		Latency:  mcastT + gather + mcastT + lookupT + 2*hop,
+		Latency:  mcastT + lookupT + hop + mcastT + lookupT + 2*hop,
 		Feasible: true,
 	})
 	return out

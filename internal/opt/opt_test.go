@@ -182,16 +182,17 @@ func TestChooseZeroCardinalityTables(t *testing.T) {
 }
 
 func TestChooseObjectivesDisagree(t *testing.T) {
-	// Bloom's collector gather window is pure latency but saves rehash
-	// bytes; with a long wait and highly selective matches the two
-	// objectives must pick different strategies, and each pick must be
-	// optimal under its own metric among feasible strategies.
+	// The rewrites (§4.2) spend latency to save rehash bytes: the
+	// semi-join's second round of gets, Bloom's filter gather and
+	// second multicast. With highly selective matches and no wait to
+	// lean on, the two objectives must still pick different strategies,
+	// and each pick must be optimal under its own metric among feasible
+	// strategies.
 	j := workloadStats(1000, 0.5)
 	j.Left.HashedOnJoinAttr = false
 	j.Right.HashedOnJoinAttr = false // rules fetch matches out
 	j.MatchFraction = 0.02
 	net := paperNet()
-	net.BloomWait = 2 * time.Minute
 	sTraffic, estsTraffic := Choose(j, net, MinTraffic)
 	sLatency, estsLatency := Choose(j, net, MinLatency)
 	if sTraffic == sLatency {
@@ -199,6 +200,10 @@ func TestChooseObjectivesDisagree(t *testing.T) {
 	}
 	mt := byStrategy(estsTraffic)
 	ml := byStrategy(estsLatency)
+	if ml[core.BloomJoin].Latency <= ml[core.SymmetricHash].Latency {
+		t.Errorf("bloom (%v) priced no slower than symmetric hash (%v)",
+			ml[core.BloomJoin].Latency, ml[core.SymmetricHash].Latency)
+	}
 	for s, e := range mt {
 		if e.Feasible && e.TrafficBytes < mt[sTraffic].TrafficBytes {
 			t.Errorf("MinTraffic picked %v but %v moves fewer bytes", sTraffic, s)

@@ -476,9 +476,6 @@ func (c *Catalog) ChooseStrategy(p *core.Plan) (core.Strategy, []opt.Estimate, b
 	if p.BloomBits > 0 {
 		net.BloomBits = float64(p.BloomBits)
 	}
-	if p.BloomWait > 0 {
-		net.BloomWait = p.BloomWait
-	}
 	_, ests := opt.Choose(j, net, objective)
 	for _, e := range ests {
 		if !e.Feasible {
