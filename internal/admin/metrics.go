@@ -24,8 +24,8 @@ func WriteMetrics(w io.Writer, s Snapshot) {
 
 	m.gauge("pier_overlay_nodes", "Statistics catalog's deployment-size estimate.", float64(s.OverlayNodes))
 	m.gauge("pier_overlay_neighbors", "Overlay routing-table neighbor count.", float64(len(s.Neighbors)))
-	m.gauge("pier_overlay_lookup_hops", "Probed average DHT lookup path length.", s.LookupHops)
-	m.gauge("pier_overlay_hop_latency_seconds", "Probed one-way overlay hop latency.", s.HopLatencyMS/1e3)
+	m.gauge("pier_overlay_lookup_hops", "Average path length of the DHT lookups this node initiated.", s.LookupHops)
+	m.gauge("pier_overlay_hop_latency_seconds", "One-way overlay hop latency, from the timed lookups of this node's puts and gets.", s.HopLatencyMS/1e3)
 
 	m.typ("pier_softstate_items", "Live soft-state items stored on this node, per namespace.", "gauge")
 	for _, ns := range s.SoftState {

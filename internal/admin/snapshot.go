@@ -46,7 +46,8 @@ type Snapshot struct {
 	// table's links, GET /api/routing).
 	Neighbors []string `json:"neighbors"`
 	// OverlayNodes is the statistics catalog's deployment-size
-	// estimate; HopLatency and LookupHops are its probe results.
+	// estimate; LookupHops and HopLatency are read from the lookups
+	// this node's puts and gets made (zero before the first).
 	OverlayNodes int     `json:"overlay_nodes"`
 	HopLatencyMS float64 `json:"hop_latency_ms"`
 	LookupHops   float64 `json:"lookup_hops"`

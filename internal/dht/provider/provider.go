@@ -91,6 +91,11 @@ type Provider struct {
 	putsThrottled  int64
 	putsDelayed    int64
 	throttledUntil map[string]time.Time
+
+	// lookupTime totals how long the lookups of this node's puts and
+	// gets took to resolve an owner; lookupsTimed counts them.
+	lookupTime   time.Duration
+	lookupsTimed int64
 }
 
 type pendingGet struct {
@@ -151,6 +156,19 @@ func (p *Provider) StorageStats() StorageStats {
 // Router returns the underlying routing layer.
 func (p *Provider) Router() dht.Router { return p.rt }
 
+// LookupTime reports how many lookups of this node's puts and gets
+// resolved an owner, and their total time from issue to answer. With
+// the router's LookupStats it gives the overlay's per-hop latency.
+func (p *Provider) LookupTime() (count int64, total time.Duration) {
+	return p.lookupsTimed, p.lookupTime
+}
+
+// timeLookup folds one resolved lookup issued at start into the totals.
+func (p *Provider) timeLookup(start time.Time) {
+	p.lookupTime += p.env.Now().Sub(start)
+	p.lookupsTimed++
+}
+
 // Env returns the node environment.
 func (p *Provider) Env() env.Env { return p.env }
 
@@ -197,6 +215,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 		p.StoreLocal(it)
 		return
 	}
+	start := p.env.Now()
 	p.rt.Lookup(k, func(owner env.Addr) {
 		if owner == env.NilAddr {
 			// The route crossed an unrecovered failure. Retry a few
@@ -207,6 +226,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 			}
 			return
 		}
+		p.timeLookup(start)
 		p.env.Send(owner, &putMsg{Item: it, Attempt: attempt})
 	})
 }
@@ -234,11 +254,13 @@ func (p *Provider) Get(ns, rid string, cb func(items []*storage.Item)) {
 		cb(p.store.Retrieve(ns, rid))
 		return
 	}
+	start := p.env.Now()
 	p.rt.Lookup(k, func(owner env.Addr) {
 		if owner == env.NilAddr {
 			cb(nil)
 			return
 		}
+		p.timeLookup(start)
 		p.nonce++
 		n := p.nonce
 		pg := &pendingGet{cb: cb}

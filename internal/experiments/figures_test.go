@@ -65,10 +65,14 @@ func TestFiguresUnchanged(t *testing.T) {
 			_, tbl := Incast(IncastConfig{Nodes: 16, STuples: 200, Seed: 47}.Norm())
 			return text(tbl)
 		}, 0xd2077748c263ba17},
+		// The catalog no longer probes the overlay with a lookup per
+		// refresh, so the auto rows' strategy MB lost the probe's bytes:
+		// skewed 0.095 -> 0.092, selective 0.026 -> 0.024. No pick
+		// changed.
 		{"adaptive", func() string {
 			_, tbl := Adaptive(AdaptiveConfig{Nodes: 16, STuples: 40, Seed: 23})
 			return text(tbl)
-		}, 0x0a512a3479840798},
+		}, 0x9e7234a3195dc9d7},
 		// Every row is submitted half an index period after a
 		// maintenance tick, so a row's MB columns count the renewals of
 		// its own window only: scan MB fell to 0.00 (no tick inside a

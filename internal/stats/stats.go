@@ -13,9 +13,11 @@
 //     data;
 //   - readers Get the root key and merge what they find into live
 //     opt.TableStats, cached per table;
-//   - a deployment probe estimates the overlay size from routing-layer
-//     geometry and the per-hop latency from timed lookups, completing
-//     the opt.NetStats inputs;
+//   - the deployment inputs (opt.NetStats) are read from work the node
+//     already does: the overlay size from routing-layer geometry, the
+//     path length from the router's lookup counters, and the per-hop
+//     latency from the provider's timed put and get lookups, so the
+//     catalog sends nothing of its own to measure the network;
 //   - observed query cardinalities reported by the engine feed back
 //     into per-table-pair match-fraction corrections, so estimates that
 //     start wrong converge instead of staying wrong.
@@ -28,12 +30,10 @@ package stats
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"strconv"
 	"strings"
 	"time"
 
 	"pier/internal/core"
-	"pier/internal/dht"
 	"pier/internal/dht/provider"
 	"pier/internal/dht/storage"
 	"pier/internal/env"
@@ -49,7 +49,7 @@ const CatalogNS = "pier.stats"
 // Interval (3 minutes and 1 minute when the loop is off).
 type Config struct {
 	// Interval is the refresh period: how often the node samples its
-	// local store, republishes summaries, and re-probes the network.
+	// local store, republishes summaries, and re-fetches cached tables.
 	// Zero disables the maintenance loop (the catalog then only answers
 	// from explicit refreshes).
 	Interval time.Duration
@@ -147,8 +147,9 @@ type cacheEntry struct {
 }
 
 // Catalog is one node's statistics agent: publisher of the node's local
-// summaries, reader cache, deployment probe, and feedback sink. Like
-// all node state it runs on the node's single-threaded event loop.
+// summaries, reader cache, reader of the deployment's inputs, and
+// feedback sink. Like all node state it runs on the node's
+// single-threaded event loop.
 type Catalog struct {
 	env  env.Env
 	prov *provider.Provider
@@ -171,12 +172,6 @@ type Catalog struct {
 	// match holds per-table-pair match-fraction corrections learned
 	// from observed query cardinalities ("t0\x00t1" keys).
 	match map[string]float64
-
-	// hopEWMA is the probed one-hop latency estimate.
-	hopEWMA  time.Duration
-	probing  bool
-	lastCnt  int64
-	lastHops int64
 }
 
 // New builds a catalog agent over the node's provider. Call Start to
@@ -221,12 +216,12 @@ func (c *Catalog) Stop() {
 }
 
 // Refresh runs one maintenance tick immediately: publish local
-// summaries, re-probe the deployment, and re-fetch cached tables.
+// summaries and re-fetch cached tables. A node with no local table and
+// nothing cached sends nothing.
 // Tests and operators can call it directly to warm the catalog
 // without waiting for the loop.
 func (c *Catalog) Refresh() {
 	c.publishLocal()
-	c.probeHop()
 	for _, table := range env.SortedKeys(c.cache) {
 		c.Fetch(table, nil)
 	}
@@ -326,56 +321,23 @@ func (c *Catalog) CachedTables() []string {
 	return out
 }
 
-// probeHop times one lookup of a random key and updates the hop-latency
-// estimate using the router's measured average path length.
-func (c *Catalog) probeHop() {
-	if c.probing {
-		return
-	}
-	rt := c.prov.Router()
-	k := dht.KeyOf(CatalogNS, strconv.FormatInt(c.env.Rand().Int63(), 16))
-	start := c.env.Now()
-	c.probing = true
-	rt.Lookup(k, func(owner env.Addr) {
-		c.probing = false
-		if owner == env.NilAddr {
-			return
-		}
-		elapsed := c.env.Now().Sub(start)
-		hops := 1.0
-		cnt, h := rt.LookupStats()
-		if dc, dh := cnt-c.lastCnt, h-c.lastHops; dc > 0 && dh > 0 {
-			hops = float64(dh) / float64(dc)
-		}
-		c.lastCnt, c.lastHops = cnt, h
-		per := time.Duration(float64(elapsed) / (hops + 1)) // +1: the reply hop
-		if per <= 0 {
-			return
-		}
-		if c.hopEWMA == 0 {
-			c.hopEWMA = per
-		} else {
-			c.hopEWMA = (7*c.hopEWMA + 3*per) / 10
-		}
-	})
-}
-
-// NetStats assembles the optimizer's deployment inputs from the routing
-// layer (overlay size, measured path length), the hop probe, and — on a
-// real transport — the link counters. Zero fields fall back to
-// opt.NetStats.norm defaults.
+// NetStats assembles the optimizer's deployment inputs from what the
+// node already does: the routing layer's overlay size estimate and
+// measured path length, and the provider's timed put and get lookups,
+// which give the per-hop latency. Zero fields (nothing looked up yet)
+// fall back to opt.NetStats.norm defaults.
 func (c *Catalog) NetStats() opt.NetStats {
 	rt := c.prov.Router()
-	ns := opt.NetStats{Nodes: rt.EstimateNodes(), HopLatency: c.hopEWMA}
+	ns := opt.NetStats{Nodes: rt.EstimateNodes()}
 	if cnt, hops := rt.LookupStats(); cnt > 0 && hops > 0 {
 		ns.LookupHops = float64(hops) / float64(cnt)
 	}
+	if n, total := c.prov.LookupTime(); n > 0 {
+		// A lookup takes its path plus the owner's reply hop.
+		ns.HopLatency = time.Duration(float64(total) / float64(n) / (ns.LookupHops + 1))
+	}
 	return ns
 }
-
-// HopLatency reports the probed per-hop latency estimate (zero before
-// the first probe completes).
-func (c *Catalog) HopLatency() time.Duration { return c.hopEWMA }
 
 // --- automatic strategy choice -----------------------------------------
 

@@ -119,7 +119,7 @@ type Options struct {
 	// Stats configures the self-maintaining statistics catalog. The
 	// zero value leaves the maintenance loop off (the catalog then only
 	// answers explicit refreshes); set Stats.Interval to enable
-	// periodic sampling, publication, and the deployment probe.
+	// periodic sampling and publication.
 	Stats stats.Config
 	// Index configures the Prefix Hash Tree range-index agent. The zero
 	// value leaves the trie maintenance loop off (indexes still answer
@@ -215,8 +215,8 @@ func (n *Node) Engine() *core.Engine { return n.engine }
 func (n *Node) Stats() *stats.Catalog { return n.stats }
 
 // RefreshStats runs one catalog maintenance tick immediately: sample
-// local tables, publish summaries, and re-probe the deployment. Useful to warm a catalog without waiting for
-// the periodic loop.
+// local tables, publish summaries, and re-fetch cached tables. Useful
+// to warm a catalog without waiting for the periodic loop.
 func (n *Node) RefreshStats() { n.stats.Refresh() }
 
 // StorageStats is a node's soft-state pressure counter family: quota

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"pier/internal/core"
+	"pier/internal/dht"
+	"pier/internal/dht/storage"
 	"pier/internal/opt"
 	"pier/internal/topology"
 	"pier/internal/workload"
@@ -207,6 +209,46 @@ func TestObservedCardinalityFeedback(t *testing.T) {
 	m, _ := sn.Nodes[0].Stats().MatchCorrection("R", "S")
 	if m <= 0 || m > 1 {
 		t.Fatalf("correction %v out of range", m)
+	}
+}
+
+// TestRefreshWithNothingToSayIsSilent: a catalog tick on a node that
+// stores no table and has nothing cached has nothing to publish or
+// re-fetch, so it must send nothing. The deployment inputs are read
+// from lookups the node makes anyway, never bought with a probe.
+func TestRefreshWithNothingToSayIsSilent(t *testing.T) {
+	sn := NewSimNetwork(16, topology.NewFullMesh(), 81, DefaultOptions())
+	sn.RunFor(10 * time.Second)
+	before := sn.Net.Totals().Messages
+	sn.Nodes[5].RefreshStats()
+	sn.RunFor(10 * time.Second)
+	if sent := sn.Net.Totals().Messages - before; sent != 0 {
+		t.Fatalf("an empty node's catalog refresh sent %d messages", sent)
+	}
+}
+
+// TestHopLatencyReadsRealLookups: one remote get is enough for the
+// node's snapshot to report a per-hop latency, with no catalog refresh
+// ever run: the figure comes from the get's own lookup.
+func TestHopLatencyReadsRealLookups(t *testing.T) {
+	sn := NewSimNetwork(16, topology.NewFullMesh(), 82, DefaultOptions())
+	sn.Load("T", "k", 1, &Tuple{Rel: "T", Vals: []Value{int64(1)}}, 0)
+	sn.RunFor(time.Second)
+	asker := sn.Nodes[0]
+	if asker.Router().Owns(dht.KeyOf("T", "k")) {
+		asker = sn.Nodes[1]
+	}
+	if ms := asker.Snapshot().HopLatencyMS; ms != 0 {
+		t.Fatalf("hop latency %v ms before any lookup", ms)
+	}
+	got := 0
+	asker.Provider().Get("T", "k", func(items []*storage.Item) { got = len(items) })
+	sn.RunFor(10 * time.Second)
+	if got != 1 {
+		t.Fatalf("remote get returned %d items", got)
+	}
+	if ms := asker.Snapshot().HopLatencyMS; ms <= 0 {
+		t.Fatalf("hop latency %v ms after a remote get", ms)
 	}
 }
 
