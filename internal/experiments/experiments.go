@@ -34,7 +34,6 @@ type JoinConfig struct {
 	ComputeNodes int     // 0 = all nodes participate in the join
 	Limit        time.Duration
 	DHT          pier.DHTKind
-	BloomWait    time.Duration
 }
 
 // Norm fills defaults.
@@ -50,9 +49,6 @@ func (c JoinConfig) Norm() JoinConfig {
 	}
 	if c.Limit == 0 {
 		c.Limit = 4 * time.Hour
-	}
-	if c.BloomWait == 0 {
-		c.BloomWait = 5 * time.Second
 	}
 	return c
 }
@@ -90,8 +86,7 @@ func RunJoin(cfg JoinConfig) JoinResult {
 	c1, c2, c3 := workload.Constants(0.5, cfg.SelS, 0.5)
 	want := len(tables.ReferenceJoin(c1, c2, c3))
 
-	plan := sql.MustPlan(fmt.Sprintf("%s WAIT '%v'", workload.JoinSQL(cfg.Strategy, c1, c2, c3), cfg.BloomWait),
-		workload.Catalog)
+	plan := sql.MustPlan(workload.JoinSQL(cfg.Strategy, c1, c2, c3), workload.Catalog)
 	plan.ComputeNodes = cfg.ComputeNodes
 	plan.TTL = cfg.Limit
 	// Size Bloom filters for the scaled data (the paper's "small

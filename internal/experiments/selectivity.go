@@ -59,14 +59,13 @@ func Selectivity(cfg SelectivityConfig) (fig4, fig5 *Table) {
 		row5 := []string{fmt.Sprintf("%.0f%%", sel*100)}
 		for _, s := range selStrategies {
 			res := RunJoin(JoinConfig{
-				Nodes:     cfg.Nodes,
-				Topo:      topology.NewFullMesh(),
-				Seed:      cfg.Seed,
-				Strategy:  s,
-				STuples:   cfg.STuples,
-				SelS:      sel,
-				BloomWait: 4 * time.Second,
-				Limit:     8 * time.Hour,
+				Nodes:    cfg.Nodes,
+				Topo:     topology.NewFullMesh(),
+				Seed:     cfg.Seed,
+				Strategy: s,
+				STuples:  cfg.STuples,
+				SelS:     sel,
+				Limit:    8 * time.Hour,
 			})
 			row4 = append(row4, fmt.Sprintf("%.1f", res.StrategyMB))
 			row5 = append(row5, secs(res.TimeToLast))

@@ -36,7 +36,6 @@ func Table4(cfg Table4Config) *Table {
 		Note:    "paper (n=1024): sym-hash 3.73s, fetch-matches 3.78s, semi-join 4.47s, bloom 6.85s",
 		Headers: []string{"strategy", "measured (s)", "analytic model (s)"},
 	}
-	const bloomWait = 4 * time.Second
 	for _, est := range opt.Estimates(opt.JoinStats{}, opt.NetStats{Nodes: cfg.Nodes}) {
 		var sum time.Duration
 		for run := 0; run < cfg.Runs; run++ {
@@ -48,8 +47,7 @@ func Table4(cfg Table4Config) *Table {
 				STuples:  cfg.STuples,
 				// With unlimited bandwidth the pad only affects transfer
 				// volume, not timing; keep it small to speed simulation.
-				PadBytes:  64,
-				BloomWait: bloomWait,
+				PadBytes: 64,
 			})
 			sum += res.TimeToLast
 		}
