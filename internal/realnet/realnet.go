@@ -506,7 +506,7 @@ func newBinaryReader(conn net.Conn, max int) *binaryReader {
 // buffer was private to this connection, a corruption bug now that
 // buffers are shared through a pool), and it goes back to the pool only
 // after decode has detached everything it keeps: String/Value copy or
-// intern, and StringBytes borrowers must wire.Detach anything retained.
+// intern, and StringBytes borrowers must copy anything retained.
 // Nothing in the decoded message aliases the buffer once readFrame
 // returns, so the handler downstream may run at any later time.
 func (r *binaryReader) readFrame() (*frame, int, error) {

@@ -38,7 +38,7 @@
 // of the straightforward API. StringBytes returns a sub-slice of the
 // frame buffer ("borrowed": valid only until the transport recycles the
 // buffer, which realnet does as soon as the frame's decode returns);
-// Detach copies a borrowed slice for anything retained past that point.
+// anything retained past that point must be copied.
 // SetIntern installs a bounded deduplication table that makes String
 // (and Value's string case) allocation-free for every string already
 // seen on the connection — relation names, namespaces, and addresses
@@ -575,8 +575,8 @@ func (c *Codec) Addr(a *env.Addr) { c.String((*string)(a)) }
 // the decode buffer: no copy, no allocation. The slice is valid only as
 // long as the buffer itself — for realnet frames, until the frame's
 // decode returns and the transport recycles the buffer. Decoders must
-// Detach (or string-copy) anything retained beyond that; everything
-// else in this package that returns strings already copies or interns.
+// copy anything retained beyond that; everything else in this package
+// that returns strings already copies or interns.
 func (c *Codec) StringBytes() []byte {
 	// Len(0, 1) written out: this is the decoder's innermost call.
 	if c.err != nil {
@@ -594,15 +594,6 @@ func (c *Codec) StringBytes() []byte {
 	}
 	c.off = lo + int(n)
 	return c.buf[lo:c.off:c.off]
-}
-
-// Detach copies a borrowed slice (StringBytes) into a fresh allocation
-// that is safe to retain after the frame buffer is recycled.
-func Detach(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }
 
 // Time is an instant as a zero flag plus Unix nanoseconds. The monotonic
