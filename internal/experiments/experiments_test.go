@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,32 @@ func TestFigure4Shape(t *testing.T) {
 	if traffic[core.BloomJoin] >= traffic[core.SymmetricHash] {
 		t.Fatalf("bloom traffic %.2f should undercut symmetric hash %.2f at 50%% selectivity",
 			traffic[core.BloomJoin], traffic[core.SymmetricHash])
+	}
+}
+
+// TestFigure3Flat holds Figure 3's claim on the pinned table: as the
+// network and its load grow together (|S| = 2 per node), the time to
+// the 30th result tuple stays nearly flat, because the overlay's path
+// length and not the data sets it. Over 16x more nodes and data no
+// series takes 2x longer, and over the last 4x no more than a quarter
+// longer.
+func TestFigure3Flat(t *testing.T) {
+	tbl := Scalability(fig3)
+	secs := func(row, col int) float64 {
+		v, err := strconv.ParseFloat(tbl.Rows[row][col], 64)
+		if err != nil || v <= 0 {
+			t.Fatalf("cell %q of n=%s: %v", tbl.Rows[row][col], tbl.Rows[row][0], err)
+		}
+		return v
+	}
+	first, mid, last := 0, len(tbl.Rows)-2, len(tbl.Rows)-1
+	for col := 1; col < len(tbl.Headers); col++ {
+		if r := secs(last, col) / secs(first, col); r >= 2 {
+			t.Errorf("%s: n=%s takes %.2fx as long as n=%s", tbl.Headers[col], tbl.Rows[last][0], r, tbl.Rows[first][0])
+		}
+		if r := secs(last, col) / secs(mid, col); r > 1.25 {
+			t.Errorf("%s: n=%s takes %.2fx as long as n=%s", tbl.Headers[col], tbl.Rows[last][0], r, tbl.Rows[mid][0])
+		}
 	}
 }
 
