@@ -164,8 +164,10 @@ func (p *Provider) LookupTime() (count int64, total time.Duration) {
 }
 
 // timeLookup folds one resolved lookup issued at start into the totals.
-func (p *Provider) timeLookup(start time.Time) {
-	p.lookupTime += p.env.Now().Sub(start)
+// The stamp is Unix nanoseconds, not a time.Time, so capturing it keeps
+// the Lookup callback's closure in its allocation size class.
+func (p *Provider) timeLookup(start int64) {
+	p.lookupTime += time.Duration(p.env.Now().UnixNano() - start)
 	p.lookupsTimed++
 }
 
@@ -215,7 +217,7 @@ func (p *Provider) putItem(it *storage.Item, retries int, attempt uint8) {
 		p.StoreLocal(it)
 		return
 	}
-	start := p.env.Now()
+	start := p.env.Now().UnixNano()
 	p.rt.Lookup(k, func(owner env.Addr) {
 		if owner == env.NilAddr {
 			// The route crossed an unrecovered failure. Retry a few
@@ -254,7 +256,7 @@ func (p *Provider) Get(ns, rid string, cb func(items []*storage.Item)) {
 		cb(p.store.Retrieve(ns, rid))
 		return
 	}
-	start := p.env.Now()
+	start := p.env.Now().UnixNano()
 	p.rt.Lookup(k, func(owner env.Addr) {
 		if owner == env.NilAddr {
 			cb(nil)
