@@ -90,9 +90,8 @@ type Env interface {
 
 // LinkStats is a snapshot of a transport's link counters. The real TCP
 // transport fills every field; environments without a physical link (the
-// simulator) report nothing. Operators and the statistics catalog's
-// deployment probe read these through the node-level accessor instead of
-// reaching into the transport. The JSON field names are part of the
+// simulator) report nothing. Operators read these through the
+// node-level accessor instead of reaching into the transport. The JSON field names are part of the
 // admin plane's REST contract (GET /api/status serves this struct
 // verbatim inside the node snapshot).
 type LinkStats struct {

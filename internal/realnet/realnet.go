@@ -165,8 +165,8 @@ func (n *Node) Stats() Stats {
 }
 
 // LinkStats implements env.LinkStatsProvider, exposing the transport
-// counters to the layers above (pier.Node's accessor, the statistics
-// catalog's deployment probe) without an internal/realnet import.
+// counters to the layers above (pier.Node's accessor and the admin
+// plane) without an internal/realnet import.
 func (n *Node) LinkStats() env.LinkStats { return n.Stats() }
 
 // After implements env.Env: the callback is posted to the node's event
