@@ -79,8 +79,7 @@ type Router struct {
 
 	locChange []func()
 
-	nonce     uint64
-	pending   map[uint64]*pendingLookup
+	lookups   dht.Calls[env.Addr]
 	stopMaint func()
 	joinTimer env.Timer
 
@@ -110,11 +109,6 @@ outer:
 }
 
 func sameZone(a, b Zone) bool { return slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi) }
-
-type pendingLookup struct {
-	cb    func(env.Addr)
-	timer env.Timer
-}
 
 // New creates a CAN router bound to the node environment. Call Join to
 // enter (or create) a network.
@@ -301,19 +295,7 @@ func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 		cb(r.env.Addr())
 		return
 	}
-	r.nonce++
-	n := r.nonce
-	pl := &pendingLookup{cb: cb}
-	pl.timer = r.env.After(lookupTimeout, func() {
-		if _, ok := r.pending[n]; ok {
-			delete(r.pending, n)
-			cb(env.NilAddr)
-		}
-	})
-	if r.pending == nil {
-		r.pending = make(map[uint64]*pendingLookup)
-	}
-	r.pending[n] = pl
+	n := r.lookups.Start(r.env, lookupTimeout, cb)
 	r.forward(p, &lookupMsg{Point: p, Origin: r.env.Addr(), Nonce: n}, env.NilAddr)
 }
 
@@ -379,14 +361,9 @@ func (r *Router) onLookup(from env.Addr, m *lookupMsg) {
 }
 
 func (r *Router) onLookupReply(from env.Addr, m *lookupReply) {
-	pl, ok := r.pending[m.Nonce]
-	if !ok {
-		return
+	if r.lookups.Reply(m.Nonce, from) {
+		r.LookupHops += int64(m.Hops)
 	}
-	delete(r.pending, m.Nonce)
-	pl.timer.Stop()
-	r.LookupHops += int64(m.Hops)
-	pl.cb(from)
 }
 
 func (r *Router) onJoinReq(from env.Addr, m *joinReq) {

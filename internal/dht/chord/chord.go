@@ -71,8 +71,7 @@ type Router struct {
 	nextFing int
 
 	locChange []func()
-	nonce     uint64
-	pending   map[uint64]*pendingLookup
+	calls     dht.Calls[env.Addr]
 	stopMaint func()
 
 	// stabNonce / succFails / pingPending track the in-flight
@@ -85,11 +84,6 @@ type Router struct {
 	// LookupCount and LookupHops accumulate routing statistics.
 	LookupCount int64
 	LookupHops  int64
-}
-
-type pendingLookup struct {
-	cb    func(env.Addr)
-	timer env.Timer
 }
 
 // New creates a Chord router bound to the node environment.
@@ -217,25 +211,17 @@ func (r *Router) Join(landmark env.Addr) {
 		r.fireLocChange()
 		return
 	}
-	r.nonce++
-	n := r.nonce
-	if r.pending == nil {
-		r.pending = make(map[uint64]*pendingLookup)
-	}
-	r.pending[n] = &pendingLookup{
-		cb: func(owner env.Addr) {
-			if owner == env.NilAddr {
-				// Retry the join lookup.
-				r.env.After(stabilizeInterval, func() { r.Join(landmark) })
-				return
-			}
-			r.joined = true
-			r.succs = []entry{{owner, IDOf(owner)}}
-			r.startMaintenance()
-			r.stabilize()
-		},
-		timer: r.env.After(lookupTimeout, func() { r.expire(n) }),
-	}
+	n := r.calls.Start(r.env, lookupTimeout, func(owner env.Addr) {
+		if owner == env.NilAddr {
+			// Retry the join lookup.
+			r.env.After(stabilizeInterval, func() { r.Join(landmark) })
+			return
+		}
+		r.joined = true
+		r.succs = []entry{{owner, IDOf(owner)}}
+		r.startMaintenance()
+		r.stabilize()
+	})
 	r.env.Send(landmark, &findSuccMsg{ID: r.id, Origin: r.env.Addr(), Nonce: n})
 }
 
@@ -277,23 +263,8 @@ func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 		cb(r.env.Addr())
 		return
 	}
-	r.nonce++
-	n := r.nonce
-	if r.pending == nil {
-		r.pending = make(map[uint64]*pendingLookup)
-	}
-	r.pending[n] = &pendingLookup{
-		cb:    cb,
-		timer: r.env.After(lookupTimeout, func() { r.expire(n) }),
-	}
+	n := r.calls.Start(r.env, lookupTimeout, cb)
 	r.routeFindSucc(&findSuccMsg{ID: id, Origin: r.env.Addr(), Nonce: n})
-}
-
-func (r *Router) expire(n uint64) {
-	if pl, ok := r.pending[n]; ok {
-		delete(r.pending, n)
-		pl.cb(env.NilAddr)
-	}
 }
 
 // routeFindSucc forwards a find-successor request one hop, or answers it.
@@ -343,11 +314,8 @@ func (r *Router) HandleMessage(from env.Addr, m env.Message) bool {
 	case *findSuccMsg:
 		r.routeFindSucc(msg)
 	case *findSuccReply:
-		if pl, ok := r.pending[msg.Nonce]; ok {
-			delete(r.pending, msg.Nonce)
-			pl.timer.Stop()
+		if r.calls.Reply(msg.Nonce, msg.Owner) {
 			r.LookupHops += int64(msg.Hops)
-			pl.cb(msg.Owner)
 		}
 	case *getPredMsg:
 		reply := &getPredReply{Nonce: msg.Nonce, HasPred: r.hasPred}
@@ -359,7 +327,7 @@ func (r *Router) HandleMessage(from env.Addr, m env.Message) bool {
 		}
 		r.env.Send(msg.Origin, reply)
 	case *getPredReply:
-		r.onGetPredReply(msg)
+		r.onGetPredReply(from, msg)
 	case *notifyMsg:
 		cand := entry{from, msg.ID}
 		if !r.hasPred || between(r.pred.id, cand.id, r.id-1) && cand.id != r.id {

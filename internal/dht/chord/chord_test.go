@@ -251,3 +251,20 @@ func TestEstimateNodesSmallAndLargeRings(t *testing.T) {
 		t.Fatalf("n=%d: median estimate %d, want within 2x", n, med)
 	}
 }
+
+// TestLoneNodeWithMaintenanceSurvives: the first node of a ring is its
+// own successor, so its maintenance ticks route find-finger requests to
+// itself before any other request was made; they must not need state
+// that only a stabilize probe to another node would have created.
+func TestLoneNodeWithMaintenanceSurvives(t *testing.T) {
+	tn := newTestNet(t, 1, Config{Maintenance: true})
+	r := tn.routers[0]
+	tn.envs[0].Post(func() { r.Join(env.NilAddr) })
+	tn.nw.RunFor(10 * time.Second)
+	if !r.Ready() || !r.Owns(dht.KeyOf("ns", "k")) {
+		t.Fatal("the lone node is not serving its ring")
+	}
+	if f := r.fingers[0]; f.addr != tn.envs[0].Addr() {
+		t.Fatalf("finger 0 is %q after three ticks, want the node itself", f.addr)
+	}
+}

@@ -38,29 +38,22 @@ func (r *Router) stabilize() {
 			return
 		}
 	}
-	r.nonce++
-	n := r.nonce
-	if r.pending == nil {
-		r.pending = make(map[uint64]*pendingLookup)
-	}
-	r.pending[n] = &pendingLookup{
-		cb:    func(env.Addr) {},
-		timer: r.env.After(stabilizeInterval, func() { r.succTimeout(n) }),
-	}
+	// The probe ends with the successor's address, or with none at its
+	// timeout.
+	var n uint64
+	n = r.calls.Start(r.env, stabilizeInterval, func(from env.Addr) {
+		if from == env.NilAddr && n == r.stabNonce {
+			r.succTimeout()
+		}
+	})
 	r.stabNonce = n
 	r.env.Send(succ.addr, &getPredMsg{Origin: r.env.Addr(), Nonce: n})
 }
 
-// succTimeout fires when the successor did not answer a stabilize probe:
-// fail over to the next live entry in the successor list.
-func (r *Router) succTimeout(n uint64) {
-	if _, ok := r.pending[n]; !ok {
-		return
-	}
-	delete(r.pending, n)
-	if n != r.stabNonce {
-		return
-	}
+// succTimeout runs when the successor did not answer the latest
+// stabilize probe: fail over to the next live entry in the successor
+// list.
+func (r *Router) succTimeout() {
 	r.succFails++
 	if r.succFails < 2 {
 		return
@@ -73,11 +66,8 @@ func (r *Router) succTimeout(n uint64) {
 	}
 }
 
-func (r *Router) onGetPredReply(m *getPredReply) {
-	if pl, ok := r.pending[m.Nonce]; ok {
-		pl.timer.Stop()
-		delete(r.pending, m.Nonce)
-	}
+func (r *Router) onGetPredReply(from env.Addr, m *getPredReply) {
+	r.calls.Reply(m.Nonce, from)
 	r.succFails = 0
 	if len(r.succs) == 0 {
 		return
@@ -106,16 +96,11 @@ func (r *Router) fixFinger() {
 	i := r.nextFing
 	r.nextFing = (r.nextFing + 1) % len(r.fingers)
 	target := r.id + (uint64(1) << uint(i))
-	r.nonce++
-	n := r.nonce
-	r.pending[n] = &pendingLookup{
-		cb: func(owner env.Addr) {
-			if owner != env.NilAddr {
-				r.fingers[i] = entry{owner, IDOf(owner)}
-			}
-		},
-		timer: r.env.After(lookupTimeout, func() { r.expire(n) }),
-	}
+	n := r.calls.Start(r.env, lookupTimeout, func(owner env.Addr) {
+		if owner != env.NilAddr {
+			r.fingers[i] = entry{owner, IDOf(owner)}
+		}
+	})
 	r.routeFindSucc(&findSuccMsg{ID: target, Origin: r.env.Addr(), Nonce: n})
 }
 
@@ -132,9 +117,8 @@ func (r *Router) checkPredecessor() {
 		r.fireLocChange()
 		return
 	}
-	r.nonce++
-	r.pingPending = r.nonce
-	r.env.Send(r.pred.addr, &pingMsg{Origin: r.env.Addr(), Nonce: r.nonce})
+	r.pingPending = r.calls.Nonce()
+	r.env.Send(r.pred.addr, &pingMsg{Origin: r.env.Addr(), Nonce: r.pingPending})
 }
 
 // Bootstrap wires a stable Chord ring directly: sorted identifiers,

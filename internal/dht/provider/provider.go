@@ -76,8 +76,7 @@ type Provider struct {
 	store *storage.Manager
 	flood *multicast.Flooder
 
-	nonce       uint64
-	pendingGets map[uint64]*pendingGet
+	gets dht.Calls[[]*storage.Item]
 
 	newData   map[string]map[int]func(*storage.Item)
 	nextSubID int
@@ -96,11 +95,6 @@ type Provider struct {
 	// gets took to resolve an owner; lookupsTimed counts them.
 	lookupTime   time.Duration
 	lookupsTimed int64
-}
-
-type pendingGet struct {
-	cb    func([]*storage.Item)
-	timer env.Timer
 }
 
 // New wires a provider over the node's router and store. A nil store
@@ -262,27 +256,9 @@ func (p *Provider) Get(ns, rid string, cb func(items []*storage.Item)) {
 			return
 		}
 		p.timeLookup(start)
-		p.nonce++
-		n := p.nonce
-		pg := &pendingGet{cb: cb}
-		pg.timer = p.env.After(getTimeout, func() {
-			if _, ok := p.pendingGets[n]; ok {
-				delete(p.pendingGets, n)
-				cb(nil)
-			}
-		})
-		p.putPendingGet(n, pg)
+		n := p.gets.Start(p.env, getTimeout, cb)
 		p.env.Send(owner, &getMsg{NS: ns, RID: rid, Nonce: n, Origin: p.env.Addr()})
 	})
-}
-
-// putPendingGet registers an outstanding get, allocating the map on
-// first use.
-func (p *Provider) putPendingGet(n uint64, pg *pendingGet) {
-	if p.pendingGets == nil {
-		p.pendingGets = make(map[uint64]*pendingGet)
-	}
-	p.pendingGets[n] = pg
 }
 
 // Multicast delivers payload to every node in the overlay, tagged with a
@@ -404,11 +380,7 @@ func (p *Provider) HandleMessage(from env.Addr, m env.Message) bool {
 	case *getMsg:
 		p.onGet(msg)
 	case *getReply:
-		if pg, ok := p.pendingGets[msg.Nonce]; ok {
-			delete(p.pendingGets, msg.Nonce)
-			pg.timer.Stop()
-			pg.cb(msg.Items)
-		}
+		p.gets.Reply(msg.Nonce, msg.Items)
 	case *transferMsg:
 		for _, it := range msg.Items {
 			p.StoreLocal(it)

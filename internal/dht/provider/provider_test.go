@@ -321,13 +321,7 @@ func TestGetAfterRemapChasesOwner(t *testing.T) {
 	var got []*storage.Item
 	done := false
 	tn.envs[3].Post(func() {
-		p := tn.provs[3]
-		p.nonce++
-		n := p.nonce
-		p.putPendingGet(n, &pendingGet{
-			cb:    func(items []*storage.Item) { got, done = items, true },
-			timer: tn.envs[3].After(time.Minute, func() {}),
-		})
+		n := tn.provs[3].gets.Start(tn.envs[3], time.Minute, func(items []*storage.Item) { got, done = items, true })
 		tn.envs[3].Send(tn.envs[wrong].Addr(), &getMsg{NS: "rel", RID: "k", Nonce: n, Origin: tn.envs[3].Addr()})
 	})
 	tn.nw.RunFor(2 * time.Minute)

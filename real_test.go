@@ -459,3 +459,23 @@ func TestRealNetKeepalivesAndTakeover(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 }
+
+// TestLoneChordNodeSurvivesStabilize: StartNode always runs overlay
+// maintenance, so the first node of a Chord fleet ticks alone, as its own
+// successor, until a second node joins. Two stabilize periods (3 s each)
+// must leave it serving.
+func TestLoneChordNodeSurvivesStabilize(t *testing.T) {
+	opts := DefaultOptions()
+	opts.DHT = Chord
+	nd, err := StartNode("127.0.0.1:0", env.NilAddr, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	started := time.Now()
+	t.Parallel()
+	time.Sleep(time.Until(started.Add(7 * time.Second)))
+	if !nd.WaitReady(time.Second) {
+		t.Fatal("the lone Chord node stopped serving")
+	}
+}
