@@ -24,8 +24,7 @@ func TestFloodOverChordReachesAll(t *testing.T) {
 		i := i
 		e := nw.AddNode()
 		r := chord.New(e, chord.Config{})
-		f := New(e, r)
-		f.OnDeliver(func(env.Addr, env.Message) { got[i]++ })
+		f := New(e, r, false, func(env.Addr, env.Message) { got[i]++ })
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if r.HandleMessage(from, m) {
 				return

@@ -29,17 +29,16 @@ func (m *FloodMsg) WireSize() int { return wire.Size(m) }
 
 // Flooder implements multicast for one node.
 type Flooder struct {
-	env    env.Env
-	rt     dht.Router
-	robust bool
-	seq    uint64
+	env     env.Env
+	rt      dht.Router
+	robust  bool
+	deliver func(origin env.Addr, payload env.Message)
+	seq     uint64
 	// seen and old suppress duplicates: floods are recorded in seen,
 	// which every ten minutes becomes old while the previous old — floods
 	// ten to twenty minutes stale — is dropped whole. Nothing is scanned.
 	seen, old map[seenKey]struct{}
 	rotated   time.Time
-	// handlers is in registration order; unsubscribing clears the slot.
-	handlers []func(origin env.Addr, payload env.Message)
 }
 
 type seenKey struct {
@@ -47,23 +46,12 @@ type seenKey struct {
 	seq    uint64
 }
 
-// New creates a flooder over the node's router.
-func New(e env.Env, rt dht.Router) *Flooder {
-	return &Flooder{env: e, rt: rt, seen: make(map[seenKey]struct{}), rotated: e.Now()}
-}
-
-// SetRobust switches between directed flooding (false, the efficient
-// default) and full neighbor flooding (true, redundant copies that
-// survive undetected node failures).
-func (f *Flooder) SetRobust(r bool) { f.robust = r }
-
-// OnDeliver registers a delivery callback and returns an unsubscribe
-// function. The callback also fires for this node's own multicasts — a
-// multicast reaches all nodes including the sender.
-func (f *Flooder) OnDeliver(fn func(origin env.Addr, payload env.Message)) (unsubscribe func()) {
-	id := len(f.handlers)
-	f.handlers = append(f.handlers, fn)
-	return func() { f.handlers[id] = nil }
+// New creates a flooder over the node's router that hands each flood,
+// this node's own multicasts included, to deliver once. robust selects
+// full neighbor flooding (redundant copies that survive undetected node
+// failures) over directed flooding, the efficient default.
+func New(e env.Env, rt dht.Router, robust bool, deliver func(origin env.Addr, payload env.Message)) *Flooder {
+	return &Flooder{env: e, rt: rt, robust: robust, deliver: deliver, seen: make(map[seenKey]struct{}), rotated: e.Now()}
 }
 
 // Multicast delivers payload to every reachable node in the overlay.
@@ -74,7 +62,7 @@ func (f *Flooder) Multicast(payload env.Message) {
 		m.Hint = mr.MulticastHint()
 	}
 	f.remember(seenKey{m.Origin, m.Seq})
-	f.deliver(m)
+	f.deliver(m.Origin, m.Payload)
 	f.forward(m, env.NilAddr)
 }
 
@@ -92,20 +80,9 @@ func (f *Flooder) HandleMessage(from env.Addr, m env.Message) bool {
 		return true
 	}
 	f.remember(k)
-	f.deliver(fm)
+	f.deliver(fm.Origin, fm.Payload)
 	f.forward(fm, from)
 	return true
-}
-
-func (f *Flooder) deliver(m *FloodMsg) {
-	// Handlers may send; invoke them in registration order so delivery
-	// side effects are deterministic. One registered during the delivery
-	// waits for the next; one removed during it is skipped.
-	for i, n := 0, len(f.handlers); i < n; i++ {
-		if fn := f.handlers[i]; fn != nil {
-			fn(m.Origin, m.Payload)
-		}
-	}
 }
 
 func (f *Flooder) forward(m *FloodMsg, from env.Addr) {

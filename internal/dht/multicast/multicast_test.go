@@ -30,8 +30,7 @@ func build(t *testing.T, n int) *testNet {
 		i := i
 		e := tn.nw.AddNode()
 		r := can.New(e, can.DefaultConfig())
-		f := New(e, r)
-		f.OnDeliver(func(env.Addr, env.Message) { tn.got[i]++ })
+		f := New(e, r, false, func(env.Addr, env.Message) { tn.got[i]++ })
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if r.HandleMessage(from, m) {
 				return
@@ -92,26 +91,6 @@ func TestSequentialMulticastsAllDelivered(t *testing.T) {
 	}
 }
 
-func TestUnsubscribeStopsDelivery(t *testing.T) {
-	tn := build(t, 4)
-	extra := 0
-	var unsub func()
-	tn.envs[1].Post(func() {
-		unsub = tn.flooders[1].OnDeliver(func(env.Addr, env.Message) { extra++ })
-	})
-	tn.envs[0].Post(func() { tn.flooders[0].Multicast(&note{}) })
-	tn.nw.Drain()
-	if extra != 1 {
-		t.Fatalf("second handler saw %d deliveries, want 1", extra)
-	}
-	tn.envs[1].Post(func() { unsub() })
-	tn.envs[0].Post(func() { tn.flooders[0].Multicast(&note{}) })
-	tn.nw.Drain()
-	if extra != 1 {
-		t.Fatalf("handler fired after unsubscribe (%d)", extra)
-	}
-}
-
 func TestFloodSurvivesDeadNodes(t *testing.T) {
 	tn := build(t, 64)
 	for _, dead := range []int{3, 17, 40} {
@@ -157,10 +136,8 @@ func lone(t *testing.T) (*simnet.Network, *Flooder, *int) {
 	e := nw.AddNode()
 	r := can.New(e, can.DefaultConfig())
 	r.Join(env.NilAddr)
-	f := New(e, r)
 	delivered := new(int)
-	f.OnDeliver(func(env.Addr, env.Message) { *delivered++ })
-	return nw, f, delivered
+	return nw, New(e, r, false, func(env.Addr, env.Message) { *delivered++ }), delivered
 }
 
 // TestSeenTableCostsTheSamePerFloodAtAnySize: the duplicate table used
@@ -220,29 +197,5 @@ func TestSeenFloodsExpire(t *testing.T) {
 	flood(1)
 	if *delivered != 4 {
 		t.Fatal("a flood forgotten after twenty minutes was still suppressed")
-	}
-}
-
-// TestHandlerRemovedMidDeliveryIsSkipped: handlers run in registration
-// order; one unsubscribed by an earlier handler of the same delivery no
-// longer runs, and one registered during a delivery waits for the next.
-func TestHandlerRemovedMidDeliveryIsSkipped(t *testing.T) {
-	_, f, _ := lone(t)
-	var order []string
-	var unsubC func()
-	f.OnDeliver(func(env.Addr, env.Message) {
-		order = append(order, "a")
-		if unsubC != nil {
-			unsubC()
-			unsubC = nil
-			f.OnDeliver(func(env.Addr, env.Message) { order = append(order, "d") })
-		}
-	})
-	f.OnDeliver(func(env.Addr, env.Message) { order = append(order, "b") })
-	unsubC = f.OnDeliver(func(env.Addr, env.Message) { order = append(order, "c") })
-	f.Multicast(&note{})
-	f.Multicast(&note{})
-	if got := fmt.Sprint(order); got != "[a b a b d]" {
-		t.Fatalf("delivery order %s, want [a b a b d]", got)
 	}
 }

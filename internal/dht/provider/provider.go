@@ -109,14 +109,8 @@ func New(e env.Env, rt dht.Router, cfg Config, st *storage.Manager) *Provider {
 	// The subscription and bookkeeping maps are allocated lazily at
 	// first insert; they are usually empty on an idle node and nil maps
 	// read as empty.
-	p := &Provider{
-		env:   e,
-		rt:    rt,
-		store: st,
-		flood: multicast.New(e, rt),
-	}
-	p.flood.SetRobust(cfg.RobustMulticast)
-	p.flood.OnDeliver(p.deliverMulticast)
+	p := &Provider{env: e, rt: rt, store: st}
+	p.flood = multicast.New(e, rt, cfg.RobustMulticast, p.deliverMulticast)
 	rt.OnLocationMapChange(p.scheduleHandoff)
 	return p
 }
@@ -269,7 +263,9 @@ func (p *Provider) Multicast(ns string, payload env.Message) {
 }
 
 // OnMulticast registers a handler for incoming multicasts (including
-// this node's own). It returns an unsubscribe function.
+// this node's own). It returns an unsubscribe function. Handlers run in
+// registration order; one unsubscribed during a delivery is skipped, and
+// one registered during it waits for the next.
 func (p *Provider) OnMulticast(fn func(origin env.Addr, ns string, payload env.Message)) (unsubscribe func()) {
 	id := p.nextSubID
 	p.nextSubID++

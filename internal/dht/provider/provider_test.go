@@ -329,3 +329,51 @@ func TestGetAfterRemapChasesOwner(t *testing.T) {
 		t.Fatalf("forwarded get failed: done=%v items=%v", done, got)
 	}
 }
+
+// TestMulticastUnsubscribeStopsDelivery: an unsubscribed handler sees no
+// later multicast.
+func TestMulticastUnsubscribeStopsDelivery(t *testing.T) {
+	tn := newTestNet(t, 4, Config{})
+	extra := 0
+	var unsub func()
+	tn.envs[1].Post(func() {
+		unsub = tn.provs[1].OnMulticast(func(env.Addr, string, env.Message) { extra++ })
+	})
+	tn.envs[0].Post(func() { tn.provs[0].Multicast("q", &payload{}) })
+	tn.nw.RunFor(time.Minute)
+	if extra != 1 {
+		t.Fatalf("the handler saw %d deliveries, want 1", extra)
+	}
+	tn.envs[1].Post(func() { unsub() })
+	tn.envs[0].Post(func() { tn.provs[0].Multicast("q", &payload{}) })
+	tn.nw.RunFor(time.Minute)
+	if extra != 1 {
+		t.Fatalf("the handler fired after unsubscribing (%d deliveries)", extra)
+	}
+}
+
+// TestMulticastHandlerRemovedMidDeliveryIsSkipped: handlers run in
+// registration order; one unsubscribed by an earlier handler of the same
+// delivery no longer runs, and one registered during a delivery waits
+// for the next.
+func TestMulticastHandlerRemovedMidDeliveryIsSkipped(t *testing.T) {
+	tn := newTestNet(t, 1, Config{})
+	p := tn.provs[0]
+	var order []string
+	var unsubC func()
+	p.OnMulticast(func(env.Addr, string, env.Message) {
+		order = append(order, "a")
+		if unsubC != nil {
+			unsubC()
+			unsubC = nil
+			p.OnMulticast(func(env.Addr, string, env.Message) { order = append(order, "d") })
+		}
+	})
+	p.OnMulticast(func(env.Addr, string, env.Message) { order = append(order, "b") })
+	unsubC = p.OnMulticast(func(env.Addr, string, env.Message) { order = append(order, "c") })
+	p.Multicast("q", &payload{})
+	p.Multicast("q", &payload{})
+	if got := fmt.Sprint(order); got != "[a b a b d]" {
+		t.Fatalf("delivery order %s, want [a b a b d]", got)
+	}
+}
