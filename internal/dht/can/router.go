@@ -88,8 +88,7 @@ type Router struct {
 	adopted map[env.Addr][]Zone
 
 	// Hop statistics for the evaluation (§5.5.1 analysis bench).
-	LookupCount int64
-	LookupHops  int64
+	lookupCount, lookupHops int64
 }
 
 // dropZones removes the given zones (matched by bounds) from the owned
@@ -123,7 +122,7 @@ func (r *Router) Dims() int { return r.cfg.Dims }
 
 // LookupStats reports how many lookups this node initiated and the total
 // overlay hops their answers traversed (§5.5.1's analysis input).
-func (r *Router) LookupStats() (count, hops int64) { return r.LookupCount, r.LookupHops }
+func (r *Router) LookupStats() (count, hops int64) { return r.lookupCount, r.lookupHops }
 
 // Zones returns the node's currently owned zones (normally one; more
 // after a takeover).
@@ -290,7 +289,7 @@ func (r *Router) smallestNeighbor() (env.Addr, bool) {
 // Lookup implements dht.Router.
 func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 	p := k.Point(r.cfg.Dims)
-	r.LookupCount++
+	r.lookupCount++
 	if r.ownsPoint(p) {
 		cb(r.env.Addr())
 		return
@@ -362,7 +361,7 @@ func (r *Router) onLookup(from env.Addr, m *lookupMsg) {
 
 func (r *Router) onLookupReply(from env.Addr, m *lookupReply) {
 	if r.lookups.Reply(m.Nonce, from) {
-		r.LookupHops += int64(m.Hops)
+		r.lookupHops += int64(m.Hops)
 	}
 }
 

@@ -234,7 +234,8 @@ func TestLookupHopsScaleAsRoot4(t *testing.T) {
 		n++
 	}
 	tn.nw.RunFor(10 * time.Minute)
-	avg := float64(src.LookupHops) / float64(n)
+	_, hops := src.LookupStats()
+	avg := float64(hops) / float64(n)
 	// n^(1/4) = 4 for 256 nodes; allow generous slack for greedy routing.
 	if avg < 1 || avg > 12 {
 		t.Fatalf("average hops = %.2f, want around 4", avg)

@@ -81,9 +81,8 @@ type Router struct {
 	succFails   int
 	pingPending uint64
 
-	// LookupCount and LookupHops accumulate routing statistics.
-	LookupCount int64
-	LookupHops  int64
+	// lookupCount and lookupHops accumulate routing statistics.
+	lookupCount, lookupHops int64
 }
 
 // New creates a Chord router bound to the node environment.
@@ -101,7 +100,7 @@ func (r *Router) ID() uint64 { return r.id }
 
 // LookupStats reports initiated lookups and total hops, like
 // can.Router.LookupStats.
-func (r *Router) LookupStats() (count, hops int64) { return r.LookupCount, r.LookupHops }
+func (r *Router) LookupStats() (count, hops int64) { return r.lookupCount, r.lookupHops }
 
 // EstimateNodes estimates the ring size from successor-list density:
 // the list's k entries span a ring arc of length gap, so with uniform
@@ -258,7 +257,7 @@ func (r *Router) Leave() env.Addr {
 // Lookup implements dht.Router.
 func (r *Router) Lookup(k dht.Key, cb func(env.Addr)) {
 	id := k.Ring()
-	r.LookupCount++
+	r.lookupCount++
 	if r.Owns(k) {
 		cb(r.env.Addr())
 		return
@@ -315,7 +314,7 @@ func (r *Router) HandleMessage(from env.Addr, m env.Message) bool {
 		r.routeFindSucc(msg)
 	case *findSuccReply:
 		if r.calls.Reply(msg.Nonce, msg.Owner) {
-			r.LookupHops += int64(msg.Hops)
+			r.lookupHops += int64(msg.Hops)
 		}
 	case *getPredMsg:
 		reply := &getPredReply{Nonce: msg.Nonce, HasPred: r.hasPred}

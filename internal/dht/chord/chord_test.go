@@ -127,7 +127,8 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 		n++
 	}
 	tn.nw.RunFor(10 * time.Minute)
-	avg := float64(src.LookupHops) / float64(n)
+	_, hops := src.LookupStats()
+	avg := float64(hops) / float64(n)
 	// log2(256) = 8; perfect fingers halve distance every hop.
 	if avg < 1 || avg > 10 {
 		t.Fatalf("average hops = %.2f, want around 4-8", avg)
