@@ -20,9 +20,9 @@ func TestChaosRangePinnedSeed(t *testing.T) {
 	cfg := DefaultRange(1)
 	rep := Run(cfg)
 	rep.Print(os.Stderr)
-	// Re-pinned with the base scenario when the catalog's probe lookup
-	// went.
-	pinned(t, rep, 0x40dcbe1c836b5e9c)
+	// Re-pinned with the base scenario when requests began reusing
+	// answered nonces.
+	pinned(t, rep, 0x7dc89ec1c64a354a)
 	for _, iv := range rep.Failed() {
 		t.Errorf("invariant %s failed: %s", iv.Name, iv.Detail)
 	}

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"math/bits"
 	"time"
 
 	"pier/internal/env"
@@ -12,8 +13,17 @@ import (
 // reply's value, or with T's zero value at its timeout. A reply after
 // the timeout finds nothing. The zero value is ready to use; like all
 // node state it belongs to the node's event loop.
+//
+// A request takes the smallest nonce whose request was answered, or
+// else a fresh one. Nonces travel as varints, so while fewer than 128
+// requests are in flight a request's nonce is one byte however many
+// came before it. A timed-out nonce is never reused: its reply may
+// still be on its way, and must not reach a newer request.
 type Calls[T any] struct {
-	nonce uint64
+	nonce uint64 // the last fresh nonce taken
+	// free marks the one-byte nonces (1-127) whose requests were
+	// answered: bit n%64 of word n/64.
+	free [2]uint64
 	// pending holds pointers: a map keeps its peak size after the
 	// requests end, and a slot of a pointer is half that of a call.
 	pending map[uint64]*call[T]
@@ -26,7 +36,7 @@ type call[T any] struct {
 
 // Start registers a request that done ends and returns its nonce.
 func (c *Calls[T]) Start(e env.Env, timeout time.Duration, done func(T)) uint64 {
-	n := c.Nonce()
+	n := c.reuse()
 	if c.pending == nil {
 		c.pending = make(map[uint64]*call[T])
 	}
@@ -39,19 +49,34 @@ func (c *Calls[T]) Start(e env.Env, timeout time.Duration, done func(T)) uint64 
 	return n
 }
 
-// Nonce takes a nonce for a message whose answer the caller matches
-// itself; no request ends with it.
+// reuse takes the smallest answered nonce, or else a fresh one.
+func (c *Calls[T]) reuse() uint64 {
+	for w, bs := range c.free {
+		if bs != 0 {
+			b := bits.TrailingZeros64(bs)
+			c.free[w] &^= 1 << b
+			return uint64(w*64 + b)
+		}
+	}
+	return c.Nonce()
+}
+
+// Nonce takes a fresh nonce, never reused, for a message whose answer
+// the caller matches itself; no request ends with it.
 func (c *Calls[T]) Nonce() uint64 {
 	c.nonce++
 	return c.nonce
 }
 
 // Reply ends request n with v, reporting whether it was still
-// outstanding.
+// outstanding. Its nonce is free for the next request, done's included.
 func (c *Calls[T]) Reply(n uint64, v T) bool {
 	cl, ok := c.take(n)
 	if ok {
 		cl.timer.Stop()
+		if n < 128 {
+			c.free[n/64] |= 1 << (n % 64)
+		}
 		cl.done(v)
 	}
 	return ok

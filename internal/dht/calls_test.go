@@ -70,3 +70,43 @@ func TestNoncesAreDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallestAnsweredNonceIsReused: a request takes the smallest nonce
+// whose request was answered, and a timed-out nonce never comes back, so
+// its late reply cannot reach a newer request.
+func TestSmallestAnsweredNonceIsReused(t *testing.T) {
+	nw, e := oneNode()
+	var c Calls[int]
+	nop := func(int) {}
+	var n [4]uint64
+	for i := range n {
+		n[i] = c.Start(e, time.Second, nop)
+	}
+	if n != [4]uint64{1, 2, 3, 4} {
+		t.Fatalf("first nonces %v, want 1-4", n)
+	}
+	c.Reply(3, 0)
+	c.Reply(2, 0)
+	if a, b, f := c.Start(e, time.Second, nop), c.Start(e, time.Second, nop), c.Start(e, time.Second, nop); a != 2 || b != 3 || f != 5 {
+		t.Fatalf("after answers to 3 and 2 the next nonces are %d %d %d, want 2 3 5", a, b, f)
+	}
+	nw.RunFor(2 * time.Second) // every request times out
+	for i := 0; i < 300; i++ {
+		m := c.Start(e, time.Second, nop)
+		if m <= 5 {
+			t.Fatalf("timed-out nonce %d came back", m)
+		}
+		if c.Reply(1, 0) {
+			t.Fatal("a late reply reached a newer request")
+		}
+		if !c.Reply(m, 0) {
+			t.Fatal("a reply missed its request")
+		}
+		if i > 0 && m != 6 {
+			t.Fatalf("request %d took nonce %d with 6 answered and free", i, m)
+		}
+	}
+	if c.Nonce() != 7 {
+		t.Fatal("answered requests drew fresh nonces")
+	}
+}

@@ -181,6 +181,41 @@ func TestLocalLookupSynchronous(t *testing.T) {
 	}
 }
 
+// TestLookupSizeIndependentOfHistory: a lookup's bytes do not depend on
+// how many lookups its node made before. Node 0 looks one remote key up
+// 201 times, each after the previous one answered; the owner receives
+// the last lookup at the first one's size, because its nonce is still
+// one byte. (Coordinates are varints too, so all 201 name one key.)
+func TestLookupSizeIndependentOfHistory(t *testing.T) {
+	tn := newTestNet(t, 16, DefaultConfig())
+	sm := Bootstrap(tn.routers, 5)
+	k := dht.KeyOf("t", "remote")
+	owner := sm.Owner(k)
+	if owner == 0 {
+		t.Fatal("the key maps to the looking node; pick another")
+	}
+	var sizes []int
+	tn.tap = func(to int, _ env.Addr, m env.Message) {
+		if lm, ok := m.(*lookupMsg); ok && to == owner {
+			sizes = append(sizes, lm.WireSize())
+		}
+	}
+	var next func(left int)
+	next = func(left int) {
+		if left > 0 {
+			tn.routers[0].Lookup(k, func(env.Addr) { next(left - 1) })
+		}
+	}
+	tn.envs[0].Post(func() { next(201) })
+	tn.nw.RunFor(10 * time.Minute)
+	if len(sizes) != 201 {
+		t.Fatalf("the owner received %d lookups, want 201", len(sizes))
+	}
+	if sizes[200] != sizes[0] {
+		t.Fatalf("lookup 201 is %d B against the first's %d B", sizes[200], sizes[0])
+	}
+}
+
 func TestBootstrapMatchesOracle(t *testing.T) {
 	tn := newTestNet(t, 64, DefaultConfig())
 	sm := Bootstrap(tn.routers, 99)
