@@ -55,22 +55,6 @@ func TestReplyStopsTheTimer(t *testing.T) {
 	}
 }
 
-// TestNoncesAreDistinct: requests and bare nonces never share a nonce
-// while both are in use.
-func TestNoncesAreDistinct(t *testing.T) {
-	_, e := oneNode()
-	var c Calls[int]
-	seen := map[uint64]bool{}
-	for i := 0; i < 10; i++ {
-		for _, n := range []uint64{c.Start(e, time.Second, func(int) {}), c.Nonce()} {
-			if n == 0 || seen[n] {
-				t.Fatalf("nonce %d reused while in use (or zero)", n)
-			}
-			seen[n] = true
-		}
-	}
-}
-
 // TestSmallestAnsweredNonceIsReused: a request takes the smallest nonce
 // whose request was answered, and a timed-out nonce never comes back, so
 // its late reply cannot reach a newer request.
@@ -107,6 +91,6 @@ func TestSmallestAnsweredNonceIsReused(t *testing.T) {
 		}
 	}
 	if c.Nonce() != 7 {
-		t.Fatal("answered requests drew fresh nonces")
+		t.Fatal("a bare nonce was not fresh, or answered requests drew fresh nonces")
 	}
 }
