@@ -56,20 +56,11 @@ func (sn *SimNetwork) addNode() *Node {
 	return node
 }
 
-// AddNode joins one extra node to the running network through the given
-// landmark node index (protocol join, used by churn experiments).
-func (sn *SimNetwork) AddNode(landmark int) *Node {
-	node := sn.addNode()
-	lm := sn.Nodes[landmark].Addr()
-	node.router.Join(lm)
-	return node
-}
-
-// Join is AddNode under the lifecycle vocabulary of the chaos harness:
-// a fresh node enters the overlay through the landmark. It returns the
-// new node's index.
+// Join adds a fresh node that enters the running overlay through the
+// landmark node index by the join protocol (churn experiments, the
+// chaos harness). It returns the new node's index.
 func (sn *SimNetwork) Join(landmark int) int {
-	sn.AddNode(landmark)
+	sn.addNode().router.Join(sn.Nodes[landmark].Addr())
 	return len(sn.Nodes) - 1
 }
 
@@ -104,15 +95,20 @@ func (sn *SimNetwork) Heal() { sn.Net.Heal() }
 // underlying simulated network.
 func (sn *SimNetwork) SetLoss(p float64) { sn.Net.SetLoss(p) }
 
-// Owner returns the index of the node responsible for
-// (namespace, resourceID).
+// Owner returns the index of the live node responsible for
+// (namespace, resourceID), or -1 if there is none. CAN's bootstrap
+// oracle answers in O(depth) for keys the overlay has not moved since;
+// otherwise the live routers are scanned.
 func (sn *SimNetwork) Owner(namespace, resourceID string) int {
-	if sn.canSM != nil {
-		return sn.canSM.OwnerOf(namespace, resourceID)
-	}
 	k := dht.KeyOf(namespace, resourceID)
-	for i, node := range sn.Nodes {
-		if node.router.Owns(k) {
+	owns := func(i int) bool { return sn.Net.Alive(i) && sn.Nodes[i].router.Owns(k) }
+	if sn.canSM != nil {
+		if i := sn.canSM.Owner(k); owns(i) {
+			return i
+		}
+	}
+	for i := range sn.Nodes {
+		if owns(i) {
 			return i
 		}
 	}
