@@ -55,64 +55,6 @@ func TestBetween(t *testing.T) {
 	}
 }
 
-func TestBootstrapRingExactOwnership(t *testing.T) {
-	tn := newTestNet(t, 50, Config{})
-	Bootstrap(tn.routers)
-	for trial := 0; trial < 200; trial++ {
-		k := dht.KeyOf("t", fmt.Sprint(trial))
-		owners := 0
-		for _, r := range tn.routers {
-			if r.Owns(k) {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Fatalf("key %v owned by %d nodes, want 1", k, owners)
-		}
-	}
-}
-
-// TestSharesSumToTheRing: the arcs the nodes own add up to exactly the
-// whole ring, alone or in company, however the ids fall; a node that
-// has not joined knows no share.
-func TestSharesSumToTheRing(t *testing.T) {
-	if New(simnet.New(topology.NewFullMeshInfinite(), 1).AddNode(), Config{}).Share() != 0 {
-		t.Fatal("an unjoined node reports a share")
-	}
-	for _, n := range []int{1, 2, 50} {
-		tn := newTestNet(t, n, Config{})
-		Bootstrap(tn.routers)
-		var sum uint64
-		for _, r := range tn.routers {
-			sum += r.Share()
-		}
-		if sum != dht.WholeSpace {
-			t.Fatalf("n=%d: shares sum to %#x, want %#x", n, sum, dht.WholeSpace)
-		}
-	}
-}
-
-func TestBootstrapLookupAgreesWithOwns(t *testing.T) {
-	tn := newTestNet(t, 64, Config{})
-	Bootstrap(tn.routers)
-	for trial := 0; trial < 50; trial++ {
-		k := dht.KeyOf("x", fmt.Sprint(trial))
-		var want env.Addr
-		for i, r := range tn.routers {
-			if r.Owns(k) {
-				want = tn.envs[i].Addr()
-			}
-		}
-		var got env.Addr
-		src := tn.routers[trial%64]
-		tn.envs[trial%64].Post(func() { src.Lookup(k, func(a env.Addr) { got = a }) })
-		tn.nw.RunFor(time.Minute)
-		if got != want {
-			t.Fatalf("trial %d: lookup = %v, owner = %v", trial, got, want)
-		}
-	}
-}
-
 func TestLookupHopsLogarithmic(t *testing.T) {
 	tn := newTestNet(t, 256, Config{})
 	Bootstrap(tn.routers)
@@ -132,85 +74,6 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	// log2(256) = 8; perfect fingers halve distance every hop.
 	if avg < 1 || avg > 10 {
 		t.Fatalf("average hops = %.2f, want around 4-8", avg)
-	}
-}
-
-func TestProtocolJoinStabilizes(t *testing.T) {
-	cfg := Config{Maintenance: true}
-	tn := newTestNet(t, 8, cfg)
-	tn.routers[0].Join(env.NilAddr)
-	for i := 1; i < 8; i++ {
-		r := tn.routers[i]
-		landmark := tn.envs[0].Addr()
-		tn.envs[i].Post(func() { r.Join(landmark) })
-		tn.nw.RunFor(30 * time.Second)
-	}
-	// Let stabilization converge.
-	tn.nw.RunFor(3 * time.Minute)
-	// Ring correctness: exactly one owner per key.
-	for trial := 0; trial < 100; trial++ {
-		k := dht.KeyOf("j", fmt.Sprint(trial))
-		owners := 0
-		for _, r := range tn.routers {
-			if r.Owns(k) {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Fatalf("after protocol joins, key %v owned by %d nodes", k, owners)
-		}
-	}
-	var share uint64
-	for _, r := range tn.routers {
-		share += r.Share()
-	}
-	if share != dht.WholeSpace {
-		t.Fatalf("after protocol joins, shares sum to %#x, want %#x", share, dht.WholeSpace)
-	}
-}
-
-func TestGracefulLeavePatchesRing(t *testing.T) {
-	cfg := Config{Maintenance: true}
-	tn := newTestNet(t, 6, cfg)
-	Bootstrap(tn.routers)
-	leaver := tn.routers[2]
-	tn.envs[2].Post(func() { leaver.Leave() })
-	tn.nw.Kill(2)
-	tn.nw.RunFor(2 * time.Minute)
-	for trial := 0; trial < 60; trial++ {
-		k := dht.KeyOf("l", fmt.Sprint(trial))
-		owners := 0
-		for i, r := range tn.routers {
-			if i != 2 && r.Owns(k) {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Fatalf("after leave, key %v owned by %d nodes", k, owners)
-		}
-	}
-}
-
-func TestFailureFailover(t *testing.T) {
-	cfg := Config{Maintenance: true}
-	tn := newTestNet(t, 8, cfg)
-	Bootstrap(tn.routers)
-	tn.nw.RunFor(10 * time.Second)
-	tn.nw.Kill(3)
-	tn.nw.RunFor(3 * time.Minute)
-	// Lookups must succeed, routed around the dead node.
-	ok := 0
-	for trial := 0; trial < 30; trial++ {
-		k := dht.KeyOf("f", fmt.Sprint(trial))
-		var got env.Addr
-		tn.envs[0].Post(func() { tn.routers[0].Lookup(k, func(a env.Addr) { got = a }) })
-		tn.nw.RunFor(2 * time.Minute)
-		if got != env.NilAddr && got != tn.envs[3].Addr() {
-			ok++
-		}
-	}
-	if ok < 25 {
-		t.Fatalf("only %d/30 lookups succeeded after a node failure", ok)
 	}
 }
 
