@@ -88,6 +88,24 @@ func (tn *testNet) checkInvariants(t *testing.T) {
 	}
 }
 
+func TestProtocolJoinPartitionsSpace(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 17} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			tn := newTestNet(t, n, DefaultConfig())
+			tn.joinAll()
+			tn.checkInvariants(t)
+			for i, r := range tn.routers {
+				if !r.Ready() {
+					t.Fatalf("node %d not ready after join", i)
+				}
+				if n > 1 && len(r.Neighbors()) == 0 {
+					t.Fatalf("node %d has no neighbors", i)
+				}
+			}
+		})
+	}
+}
+
 func TestNeighborSymmetryAfterJoins(t *testing.T) {
 	tn := newTestNet(t, 12, DefaultConfig())
 	tn.joinAll()
@@ -114,6 +132,38 @@ func addrIndex(t *testing.T, a env.Addr) int {
 		t.Fatalf("bad addr %q", a)
 	}
 	return i
+}
+
+func TestLookupFindsUniqueOwner(t *testing.T) {
+	tn := newTestNet(t, 16, DefaultConfig())
+	tn.joinAll()
+	for trial := 0; trial < 60; trial++ {
+		k := dht.KeyOf("ns", fmt.Sprint(trial))
+		owners := 0
+		var ownerAddr env.Addr
+		for i, r := range tn.routers {
+			if r.Owns(k) {
+				owners++
+				ownerAddr = tn.envs[i].Addr()
+			}
+		}
+		if owners != 1 {
+			t.Fatalf("key %v owned by %d nodes", k, owners)
+		}
+		var got env.Addr
+		done := false
+		r := tn.routers[5]
+		tn.envs[5].Post(func() {
+			r.Lookup(k, func(a env.Addr) { got, done = a, true })
+		})
+		tn.nw.RunFor(time.Minute)
+		if !done {
+			t.Fatalf("lookup for %v did not complete", k)
+		}
+		if got != ownerAddr {
+			t.Fatalf("lookup returned %v, owner is %v", got, ownerAddr)
+		}
+	}
 }
 
 func TestLocalLookupSynchronous(t *testing.T) {
@@ -204,6 +254,46 @@ func TestLookupHopsScaleAsRoot4(t *testing.T) {
 	// n^(1/4) = 4 for 256 nodes; allow generous slack for greedy routing.
 	if avg < 1 || avg > 12 {
 		t.Fatalf("average hops = %.2f, want around 4", avg)
+	}
+}
+
+func TestGracefulLeaveHandsOverZone(t *testing.T) {
+	tn := newTestNet(t, 8, DefaultConfig())
+	tn.joinAll()
+	leaver := tn.routers[3]
+	tn.envs[3].Post(func() { leaver.Leave() })
+	tn.nw.RunFor(time.Minute)
+	tn.nw.Kill(3) // node is gone from the network after leaving
+	tn.checkInvariants(t)
+	if leaver.Ready() {
+		t.Fatal("leaver still ready")
+	}
+}
+
+func TestFailureTakeoverRestoresCoverage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Maintenance = true
+	tn := newTestNet(t, 10, cfg)
+	tn.joinAll()
+	// Let keepalives propagate neighbor tables (needed for takeover).
+	tn.nw.RunFor(12 * time.Second)
+	tn.nw.Kill(4)
+	// Failure detection at 15s + keepalive period slack.
+	tn.nw.RunFor(90 * time.Second)
+	tn.checkInvariants(t)
+	// Lookups into the dead node's old space must now succeed.
+	ok := 0
+	for trial := 0; trial < 30; trial++ {
+		k := dht.KeyOf("y", fmt.Sprint(trial))
+		var got env.Addr
+		tn.envs[0].Post(func() { tn.routers[0].Lookup(k, func(a env.Addr) { got = a }) })
+		tn.nw.RunFor(2 * time.Minute)
+		if got != env.NilAddr && got != tn.envs[4].Addr() {
+			ok++
+		}
+	}
+	if ok < 28 {
+		t.Fatalf("only %d/30 lookups succeeded after takeover", ok)
 	}
 }
 

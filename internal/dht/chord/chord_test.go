@@ -55,6 +55,44 @@ func TestBetween(t *testing.T) {
 	}
 }
 
+func TestBootstrapRingExactOwnership(t *testing.T) {
+	tn := newTestNet(t, 50, Config{})
+	Bootstrap(tn.routers)
+	for trial := 0; trial < 200; trial++ {
+		k := dht.KeyOf("t", fmt.Sprint(trial))
+		owners := 0
+		for _, r := range tn.routers {
+			if r.Owns(k) {
+				owners++
+			}
+		}
+		if owners != 1 {
+			t.Fatalf("key %v owned by %d nodes, want 1", k, owners)
+		}
+	}
+}
+
+func TestBootstrapLookupAgreesWithOwns(t *testing.T) {
+	tn := newTestNet(t, 64, Config{})
+	Bootstrap(tn.routers)
+	for trial := 0; trial < 50; trial++ {
+		k := dht.KeyOf("x", fmt.Sprint(trial))
+		var want env.Addr
+		for i, r := range tn.routers {
+			if r.Owns(k) {
+				want = tn.envs[i].Addr()
+			}
+		}
+		var got env.Addr
+		src := tn.routers[trial%64]
+		tn.envs[trial%64].Post(func() { src.Lookup(k, func(a env.Addr) { got = a }) })
+		tn.nw.RunFor(time.Minute)
+		if got != want {
+			t.Fatalf("trial %d: lookup = %v, owner = %v", trial, got, want)
+		}
+	}
+}
+
 func TestLookupHopsLogarithmic(t *testing.T) {
 	tn := newTestNet(t, 256, Config{})
 	Bootstrap(tn.routers)

@@ -1,12 +1,79 @@
 package pier
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"pier/internal/dht/storage"
 	"pier/internal/topology"
 )
+
+func totalStored(sn *SimNetwork, ns string, skip int) int {
+	n := 0
+	for i, node := range sn.Nodes {
+		if i == skip {
+			continue
+		}
+		node.Provider().Scan(ns, func(*storage.Item) bool {
+			n++
+			return true
+		})
+	}
+	return n
+}
+
+func TestGracefulLeavePreservesData(t *testing.T) {
+	sn := NewSimNetwork(10, topology.NewFullMesh(), 95, DefaultOptions())
+	for i := 0; i < 200; i++ {
+		sn.Load("t", fmt.Sprint(i), int64(i), &Tuple{Rel: "t", Vals: []Value{int64(i)}}, 0)
+	}
+	leaver := 4
+	if sn.Nodes[leaver].Provider().Store().TotalLen() == 0 {
+		// Ensure the leaver holds something for the test to mean
+		// anything; with 200 keys over 10 nodes it always should.
+		t.Fatal("leaver holds no items; pick another seed")
+	}
+	sn.Nodes[leaver].Leave()
+	sn.RunFor(time.Minute)
+	sn.Kill(leaver) // the process is gone after leaving
+
+	if got := totalStored(sn, "t", leaver); got != 200 {
+		t.Fatalf("after graceful leave %d/200 items survive", got)
+	}
+	// And they are queryable: every item reachable through gets.
+	missing := 0
+	for i := 0; i < 200; i += 17 {
+		rid := fmt.Sprint(i)
+		var got []*storage.Item
+		sn.Nodes[0].Provider().Get("t", rid, func(items []*storage.Item) { got = items })
+		sn.RunFor(30 * time.Second)
+		if len(got) != 1 {
+			missing++
+		}
+	}
+	if missing != 0 {
+		t.Fatalf("%d sampled keys unreachable after graceful leave", missing)
+	}
+}
+
+func TestCrashLosesDataUntilRenewed(t *testing.T) {
+	// The contrast with the graceful path: a crash drops the node's
+	// items (§5.6) until producers renew them.
+	sn := NewSimNetwork(10, topology.NewFullMesh(), 96, DefaultOptions())
+	for i := 0; i < 200; i++ {
+		sn.Load("t", fmt.Sprint(i), int64(i), &Tuple{Rel: "t", Vals: []Value{int64(i)}}, 0)
+	}
+	victim := 4
+	held := sn.Nodes[victim].Provider().Store().TotalLen()
+	if held == 0 {
+		t.Fatal("victim holds nothing")
+	}
+	sn.Kill(victim)
+	if got := totalStored(sn, "t", victim); got != 200-held {
+		t.Fatalf("crash should lose exactly the victim's %d items; %d survive", held, got)
+	}
+}
 
 // TestPutSurvivesOwnerCrash runs the settings every real node runs:
 // the package defaults with overlay maintenance on. A put issued just
