@@ -59,7 +59,7 @@ func WriteMetrics(w io.Writer, s Snapshot) {
 	m.counter("pier_index_visits_ahead_total", "Trie-node visits the PHT reader issued from its marker cache before the parent answered.", float64(s.IndexVisitsAhead))
 	m.counter("pier_index_visits_wasted_total", "Ahead visits whose parent answered without an interior marker.", float64(s.IndexVisitsWasted))
 
-	m.gauge("pier_queries_active_executors", "Query executors currently running on this node.", float64(s.ActiveExecs))
+	m.gauge("pier_queries_active_executors", "Query executors with work left on this node.", float64(s.ActiveExecs))
 	m.gauge("pier_queries_open_collectors", "Queries initiated on this node with live collectors.", float64(s.OpenCollectors))
 
 	m.counter("pier_query_result_batches_total", "Result frames shipped toward query initiators.", float64(s.Query.ResultBatches))

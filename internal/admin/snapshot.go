@@ -76,7 +76,7 @@ type Snapshot struct {
 	CachedStatsTables int `json:"cached_stats_tables"`
 
 	// ActiveExecs and OpenCollectors are the engine's live-query
-	// gauges (executors running here; queries initiated here).
+	// gauges (executors with work left here; queries initiated here).
 	ActiveExecs    int `json:"active_execs"`
 	OpenCollectors int `json:"open_collectors"`
 

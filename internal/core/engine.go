@@ -4,6 +4,7 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"pier/internal/dht/provider"
@@ -206,13 +207,13 @@ type Engine struct {
 	nodeIID    int64
 	qstats     QueryStats
 
-	// cancelled remembers recently cancelled query ids (bounded FIFO):
-	// the cancel and query multicasts are independent best-effort
-	// floods, so a node can see the cancel first — or see the query
-	// again via a slower flood path — and must not start a cancelled
-	// executor that would then live to its TTL.
-	cancelled   map[uint64]bool
-	cancelOrder []uint64
+	// cancelled remembers the last cancelMemo cancelled query ids, a
+	// FIFO overwritten at cancelNext once full: the cancel and query
+	// multicasts are independent best-effort floods, so a node can see
+	// the cancel first — or see the query again via a slower flood
+	// path — and must not start a cancelled executor.
+	cancelled  []uint64
+	cancelNext int
 
 	// traces retains assembled traces of finished queries initiated
 	// here (bounded FIFO of traceRetain).
@@ -251,7 +252,7 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Engine {
 		cfg.ResultCredit = 0 // negative: flow control explicitly off
 	}
 	h := sha1.Sum([]byte(e.Addr()))
-	// The maps (execs, collectors, cancelled, traces) and the latency
+	// The maps (execs, collectors, traces), the cancel memo and the latency
 	// histograms are all allocated lazily at first insert/observe: on
 	// most simulated nodes most of them stay nil forever, and nil maps
 	// are free to read from.
@@ -496,9 +497,10 @@ func (eng *Engine) SpanDurations() []trace.NamedSnapshot {
 	return out
 }
 
-// ActiveExecs returns the number of query executors currently running
-// on this node. The chaos harness's termination invariant asserts it
-// reaches zero once every query's TTL has passed.
+// ActiveExecs returns the number of query executors with work left on
+// this node: an executor ends once it holds no work (exec.settle), or
+// at its query's cancel or TTL. The chaos harness's termination
+// invariant asserts it reaches zero once every query's TTL has passed.
 func (eng *Engine) ActiveExecs() int { return len(eng.execs) }
 
 // OpenCollectors returns the number of queries initiated on this node
@@ -517,8 +519,8 @@ type QueryInfo struct {
 	// the only role Cancel can tear down network-wide from here.
 	Initiator bool `json:"initiator"`
 	// Executor is true when this node runs one of the query's
-	// executors (every participating node does, the initiator
-	// included).
+	// executors and it has work left (every participating node starts
+	// one, the initiator included).
 	Executor bool `json:"executor"`
 	// Tables names the plan's input relations.
 	Tables []string `json:"tables"`
@@ -659,7 +661,7 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 	}
 	switch m := payload.(type) {
 	case *queryMsg:
-		if _, running := eng.execs[m.ID]; running || eng.cancelled[m.ID] {
+		if _, running := eng.execs[m.ID]; running || slices.Contains(eng.cancelled, m.ID) {
 			return
 		}
 		// The plan arrived over the network; a crafted or corrupt one
@@ -674,7 +676,9 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 		}
 		eng.execs[m.ID] = ex
 		ex.start()
-		ex.timer(m.Plan.TTL, func() { eng.endExec(m.ID, ex) })
+		if ex.settle(); !ex.stopped {
+			ex.ttl = eng.env.After(m.Plan.TTL, func() { eng.endExec(m.ID, ex) })
+		}
 	case *bloomDist:
 		if ex := eng.execs[m.ID]; ex != nil {
 			ex.onBloomDist(m)
@@ -688,32 +692,34 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 // endExec ends query id on this node, on cancel or at its executor's
 // TTL: stop releases everything the executor holds, its own TTL timer
 // included, the engine forgets it, and the query's temporary namespaces
-// are dropped from the local store. A cancel ends the query here even
-// where no executor runs (ex nil), because other nodes' rehashes can
-// arrive before the query does, or without it.
+// that this node holds are dropped from the local store. A cancel ends
+// the query here even where no executor runs (ex nil), because other
+// nodes' rehashes can arrive before the query does, or without it.
 func (eng *Engine) endExec(id uint64, ex *exec) {
 	if ex != nil {
 		ex.stop()
 		delete(eng.execs, id)
 	}
-	for _, ns := range tempNamespaces(id) {
-		eng.prov.Drop(ns)
+	var held [4]string
+	eng.prov.Store().EachNamespace(func(ns string) {
+		if k := tempSlot(ns, id); k >= 0 {
+			held[k] = ns
+		}
+	})
+	for _, ns := range held {
+		eng.prov.Drop(ns) // "" holds nothing
 	}
 }
 
 // rememberCancelled records a cancelled query id so a late or re-flooded
-// queryMsg cannot restart it, evicting the oldest past the memo bound.
+// queryMsg cannot restart it, overwriting the oldest past the memo bound.
 func (eng *Engine) rememberCancelled(id uint64) {
-	if eng.cancelled[id] {
-		return
-	}
-	if eng.cancelled == nil {
-		eng.cancelled = make(map[uint64]bool)
-	}
-	eng.cancelled[id] = true
-	eng.cancelOrder = append(eng.cancelOrder, id)
-	if len(eng.cancelOrder) > cancelMemo {
-		delete(eng.cancelled, eng.cancelOrder[0])
-		eng.cancelOrder = eng.cancelOrder[1:]
+	switch {
+	case slices.Contains(eng.cancelled, id):
+	case len(eng.cancelled) < cancelMemo:
+		eng.cancelled = append(eng.cancelled, id)
+	default:
+		eng.cancelled[eng.cancelNext] = id
+		eng.cancelNext = (eng.cancelNext + 1) % cancelMemo
 	}
 }

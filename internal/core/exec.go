@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -29,7 +30,9 @@ type exec struct {
 
 	unsubs  []func()
 	timers  []env.Timer
+	ttl     env.Timer // armed after start unless the executor ended in it
 	stopped bool
+	busy    int // unfinished scans and Fetch Matches gets
 
 	bloom *[2]bloomSide // Bloom joins only
 
@@ -84,13 +87,17 @@ func newExec(eng *Engine, m *queryMsg) *exec {
 	if m.Trace {
 		spans = trace.NewBuffer(traceBuf)
 	}
+	var ns [4]string // only joins and aggregates keep temporary state
+	if len(m.Plan.Tables) == 2 || len(m.Plan.Aggs) > 0 {
+		ns = tempNamespaces(m.ID)
+	}
 	return &exec{
 		spans:     spans,
 		eng:       eng,
 		id:        m.ID,
 		initiator: m.Initiator,
 		plan:      m.Plan,
-		ns:        tempNamespaces(m.ID),
+		ns:        ns,
 		startAt:   eng.env.Now(),
 		// The bootstrap credit window is implicit: the initiator's
 		// ledger assumes every sender starts with one ResultCredit
@@ -104,13 +111,30 @@ func newExec(eng *Engine, m *queryMsg) *exec {
 // in, indexed by nsRehash (NQ, "a new unique DHT namespace" for
 // rehashed tuples, §4.1), nsBloom0+side (a table's Bloom filters, at
 // their collector) and nsAgg (partial aggregates, at the group
-// collectors). The engine drops them all when the query ends on a node.
-func tempNamespaces(id uint64) [4]string {
+// collectors): "q<id in hex>" and tempSuffixes. The engine drops them
+// all when the query ends on a node.
+func tempNamespaces(id uint64) (ns [4]string) {
 	nq := fmt.Sprintf("q%x", id)
-	return [4]string{nq, nq + ".bloom0", nq + ".bloom1", nq + ".agg"}
+	for k, suffix := range tempSuffixes {
+		ns[k] = nq + suffix
+	}
+	return ns
 }
 
+var tempSuffixes = [4]string{"", ".bloom0", ".bloom1", ".agg"}
+
 const nsRehash, nsBloom0, nsAgg = 0, 1, 3
+
+// tempSlot reports which of query id's temporary namespaces ns is (its
+// tempNamespaces index), or -1, without allocating.
+func tempSlot(ns string, id uint64) int {
+	var buf [17]byte
+	q := strconv.AppendUint(append(buf[:0], 'q'), id, 16)
+	if !strings.HasPrefix(ns, string(q)) {
+		return -1
+	}
+	return slices.Index(tempSuffixes[:], ns[len(q):])
+}
 
 // span records one event into the traced query's bounded span buffer;
 // untraced queries make it a no-op. Callers building a note string
@@ -188,8 +212,22 @@ func (ex *exec) start() {
 	}
 }
 
-// stop is the executor's only exit, reached through Engine.endExec on
-// cancel or at the TTL. It ends every subscription and timer the
+// settle is the executor lifecycle's one check, made after start and
+// after every flush: an executor holding work — a subscription, a
+// timer, an unfinished scan or get, a buffered result or span — lives
+// on to its cancel or TTL; one holding none ends now, as nothing it
+// could still do would reach the initiator.
+func (ex *exec) settle() {
+	if ex.stopped || ex.busy > 0 || len(ex.unsubs) > 0 || len(ex.timers) > 0 || ex.flushStop != nil ||
+		ex.resHead < len(ex.resBuf) || ex.spans != nil && (ex.spans.Len() > 0 || ex.spans.Drops() > 0) {
+		return
+	}
+	ex.stop()
+	delete(ex.eng.execs, ex.id)
+}
+
+// stop ends the executor: from settle, or on cancel or at the TTL
+// through Engine.endExec. It ends every subscription and timer the
 // executor holds, the TTL timer included, so once the engine forgets
 // the exec only DHT gets still in flight reference it; and it ships
 // what the result and span buffers still hold, exactly once. The
@@ -204,6 +242,9 @@ func (ex *exec) stop() {
 	}
 	for _, t := range ex.timers {
 		t.Stop()
+	}
+	if ex.ttl != nil {
+		ex.ttl.Stop()
 	}
 	if ex.flushStop != nil {
 		ex.flushStop()
@@ -350,6 +391,7 @@ func (ex *exec) flushResults(force bool) {
 		ex.resStall.Stop()
 		ex.resStall = nil
 	}
+	ex.settle()
 }
 
 // shippedResBuf advances the buffer's head to n. Shipped slots are
@@ -468,6 +510,7 @@ const scanSlice = 4096
 func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
 	c := ex.eng.prov.Store().Cursor(ns)
 	visit := func(it *storage.Item) bool { f(it); return true }
+	ex.busy++
 	var step func()
 	step = func() {
 		if ex.stopped {
@@ -475,7 +518,10 @@ func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
 		}
 		if c.Next(scanSlice, visit) {
 			ex.eng.env.Post(step)
-		} else if done != nil {
+			return
+		}
+		ex.busy--
+		if done != nil {
 			done()
 		}
 	}
@@ -609,12 +655,11 @@ func (ex *exec) pairSide(st *sideTuple, other *storage.Item) {
 // the DHT, so they run after the fetch, at this node. The local output
 // is complete, and complete is called, once the scan is done and every
 // get has answered (Get always calls back: with the owner's reply, or
-// nil on a timeout or a failed lookup).
+// nil on a timeout or a failed lookup): when nothing is busy.
 func (ex *exec) startFetchMatches(complete func()) {
 	t0, t1 := &ex.plan.Tables[0], &ex.plan.Tables[1]
-	pending, scanned := 0, false
 	flushIfDone := func() {
-		if scanned && pending == 0 {
+		if ex.busy == 0 {
 			complete()
 		}
 	}
@@ -625,9 +670,9 @@ func (ex *exec) startFetchMatches(complete func()) {
 		}
 		key := JoinKeyString(proj0, t0.JoinCols)
 		issued := ex.eng.env.Now()
-		pending++
+		ex.busy++
 		ex.eng.prov.Get(t1.NS, key, func(items []*storage.Item) {
-			pending--
+			ex.busy--
 			if ex.stopped {
 				return
 			}
@@ -642,10 +687,7 @@ func (ex *exec) startFetchMatches(complete func()) {
 			}
 			flushIfDone()
 		})
-	}, func() {
-		scanned = true
-		flushIfDone()
-	})
+	}, flushIfDone)
 }
 
 // --- symmetric semi-join rewrite (§4.2) ----------------------------------

@@ -31,12 +31,17 @@ type harness struct {
 }
 
 func newHarness(n int, seed int64, cfg Config) *harness {
+	return newHarnessWith(n, seed, cfg, provider.Config{})
+}
+
+// newHarnessWith is newHarness with a provider configuration.
+func newHarnessWith(n int, seed int64, cfg Config, pcfg provider.Config) *harness {
 	h := &harness{net: simnet.New(topology.NewFullMesh(), seed)}
 	var routers []*can.Router
 	for i := 0; i < n; i++ {
 		e := h.net.AddNode()
 		rt := can.New(e, can.DefaultConfig())
-		prov := provider.New(e, rt, provider.Config{}, nil)
+		prov := provider.New(e, rt, pcfg, nil)
 		eng := New(e, prov, cfg)
 		e.SetHandler(env.HandlerFunc(func(from env.Addr, m env.Message) {
 			if rt.HandleMessage(from, m) {
@@ -368,8 +373,10 @@ func TestCancelBeforeQueryDropsState(t *testing.T) {
 	h.provs[0].Multicast(QueryNS, &queryMsg{ID: id, Initiator: h.engines[0].env.Addr(), Plan: scanPlan("T", time.Minute)})
 	h.net.RunFor(time.Second)
 	for i, eng := range h.engines {
-		if n := eng.ActiveExecs(); n != 0 {
-			t.Errorf("node %d started %d executors of a cancelled query", i, n)
+		// A scan ends with its last frame, so a restarted one would
+		// show only in what it shipped.
+		if n, shipped := eng.ActiveExecs(), eng.QueryStats().ResultTuples; n != 0 || shipped != 0 {
+			t.Errorf("node %d started %d executors of a cancelled query and shipped %d rows", i, n, shipped)
 		}
 	}
 }
@@ -705,7 +712,8 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 	// leave 64 at a time as grants arrive, never by the stall-refresh
 	// timer. Every tuple must reach the collector exactly once, in emit
 	// (scan) order, and the drained buffer's array — far past the
-	// 4096-slot keep bound — must go.
+	// 4096-slot keep bound — must go, with the executor once its last
+	// frame has left.
 	cfg := DefaultConfig()
 	cfg.ResultBatch = 64
 	cfg.ResultCredit = 64
@@ -725,6 +733,11 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.net.RunFor(time.Second)
+	ex := h.engines[1].execs[id]
+	if ex == nil {
+		t.Fatal("sender's executor ended with its buffer still stalled")
+	}
 	h.net.RunFor(10 * time.Minute)
 	if len(got) != rows {
 		t.Fatalf("delivered %d/%d rows", len(got), rows)
@@ -738,9 +751,8 @@ func TestStalledBufferDrainsExactlyOnceInOrder(t *testing.T) {
 		t.Fatalf("sender shipped %d tuples in %d stall episodes", qs.ResultTuples, qs.CreditStalls)
 	}
 	requireGrantDriven(t, h.engines[0], h.engines[1], id)
-	ex := h.engines[1].execs[id]
-	if ex == nil {
-		t.Fatal("sender's executor is gone before the TTL")
+	if n := h.engines[1].ActiveExecs(); n != 0 {
+		t.Fatalf("sender keeps %d executors after its last frame", n)
 	}
 	if ex.resBuf != nil || ex.resHead != 0 {
 		t.Fatalf("drained buffer kept: len %d cap %d head %d", len(ex.resBuf), cap(ex.resBuf), ex.resHead)

@@ -24,8 +24,9 @@ type Calls[T any] struct {
 	// free marks the one-byte nonces (1-127) whose requests were
 	// answered: bit n%64 of word n/64.
 	free [2]uint64
-	// pending holds pointers: a map keeps its peak size after the
-	// requests end, and a slot of a pointer is half that of a call.
+	// pending holds pointers, since a slot of a pointer is half that of
+	// a call, and is released when it empties: a map keeps its peak
+	// size after the requests end.
 	pending map[uint64]*call[T]
 }
 
@@ -85,5 +86,8 @@ func (c *Calls[T]) Reply(n uint64, v T) bool {
 func (c *Calls[T]) take(n uint64) (*call[T], bool) {
 	cl, ok := c.pending[n]
 	delete(c.pending, n)
+	if len(c.pending) == 0 {
+		c.pending = nil
+	}
 	return cl, ok
 }

@@ -40,6 +40,27 @@ func TestCallEndsOnceWhicheverComesFirst(t *testing.T) {
 	}
 }
 
+// TestTableIsReleasedWhenEmpty: a burst of requests leaves no table
+// behind, since a map keeps its peak size after its entries go.
+func TestTableIsReleasedWhenEmpty(t *testing.T) {
+	nw, e := oneNode()
+	var c Calls[int]
+	var ns []uint64
+	for i := 0; i < 200; i++ {
+		ns = append(ns, c.Start(e, time.Second, func(int) {}))
+	}
+	for _, n := range ns[:100] {
+		c.Reply(n, 1)
+	}
+	if c.pending == nil {
+		t.Fatal("the table went while requests were outstanding")
+	}
+	nw.RunFor(2 * time.Second)
+	if c.pending != nil {
+		t.Fatal("the table outlived its requests")
+	}
+}
+
 // TestReplyStopsTheTimer: an answered request leaves no timer queued.
 func TestReplyStopsTheTimer(t *testing.T) {
 	nw, e := oneNode()

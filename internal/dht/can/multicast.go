@@ -35,12 +35,12 @@ func (r *Router) MulticastHint() []uint32 {
 }
 
 // MulticastForward implements dht.MulticastRouter.
-func (r *Router) MulticastForward(from env.Addr, hint []uint32) []env.Addr {
+func (r *Router) MulticastForward(dst []env.Addr, from env.Addr, hint []uint32) []env.Addr {
 	if len(r.zones) != 1 || len(hint) != r.cfg.Dims {
 		// Multi-zone ownership (post-takeover) or missing geometry:
 		// fall back to full flooding; duplicate suppression keeps it
 		// correct.
-		return r.Neighbors()
+		return append(dst, r.Neighbors()...)
 	}
 	self := r.zones[0]
 
@@ -49,25 +49,24 @@ func (r *Router) MulticastForward(from env.Addr, hint []uint32) []env.Addr {
 	if from != env.NilAddr {
 		ni := r.neighbor(from)
 		if ni == nil || len(ni.zones) != 1 {
-			return r.Neighbors()
+			return append(dst, r.Neighbors()...)
 		}
 		d, dir, ok := abutment(ni.zones[0], self)
 		if !ok {
-			return r.Neighbors()
+			return append(dst, r.Neighbors()...)
 		}
 		arrivalDim, arrivalDir = d, dir
 	}
 
 	// The flooder sends to these in order: table order keeps it
 	// deterministic.
-	var out []env.Addr
 	for i := range r.neighbors {
 		ni := &r.neighbors[i]
 		if ni.addr == from {
 			continue
 		}
 		if len(ni.zones) != 1 {
-			out = append(out, ni.addr) // odd-shaped neighbor: be safe
+			dst = append(dst, ni.addr) // odd-shaped neighbor: be safe
 			continue
 		}
 		d, dir, ok := abutment(self, ni.zones[0])
@@ -80,9 +79,9 @@ func (r *Router) MulticastForward(from env.Addr, hint []uint32) []env.Addr {
 		if pastHalfway(hint[d], self, ni.zones[0], d, dir) {
 			continue
 		}
-		out = append(out, ni.addr)
+		dst = append(dst, ni.addr)
 	}
-	return out
+	return dst
 }
 
 // abutment returns the dimension along which zone b abuts zone a and the

@@ -9,6 +9,7 @@
 package multicast
 
 import (
+	"math/bits"
 	"time"
 
 	"pier/internal/dht"
@@ -37,13 +38,10 @@ type Flooder struct {
 	// seen and old suppress duplicates: floods are recorded in seen,
 	// which every ten minutes becomes old while the previous old — floods
 	// ten to twenty minutes stale — is dropped whole. Nothing is scanned.
-	seen, old map[seenKey]struct{}
+	seen, old fingerprints
 	rotated   time.Time
-}
-
-type seenKey struct {
-	origin env.Addr
-	seq    uint64
+	// targets is forward's buffer for the router's directed targets.
+	targets []env.Addr
 }
 
 // New creates a flooder over the node's router that hands each flood,
@@ -51,7 +49,7 @@ type seenKey struct {
 // full neighbor flooding (redundant copies that survive undetected node
 // failures) over directed flooding, the efficient default.
 func New(e env.Env, rt dht.Router, robust bool, deliver func(origin env.Addr, payload env.Message)) *Flooder {
-	return &Flooder{env: e, rt: rt, robust: robust, deliver: deliver, seen: make(map[seenKey]struct{}), rotated: e.Now()}
+	return &Flooder{env: e, rt: rt, robust: robust, deliver: deliver, rotated: e.Now()}
 }
 
 // Multicast delivers payload to every reachable node in the overlay.
@@ -61,7 +59,7 @@ func (f *Flooder) Multicast(payload env.Message) {
 	if mr, ok := f.rt.(dht.MulticastRouter); ok {
 		m.Hint = mr.MulticastHint()
 	}
-	f.remember(seenKey{m.Origin, m.Seq})
+	f.remember(fingerprint(m.Origin, m.Seq))
 	f.deliver(m.Origin, m.Payload)
 	f.forward(m, env.NilAddr)
 }
@@ -72,14 +70,11 @@ func (f *Flooder) HandleMessage(from env.Addr, m env.Message) bool {
 	if !ok {
 		return false
 	}
-	k := seenKey{fm.Origin, fm.Seq}
-	if _, dup := f.seen[k]; dup {
+	fp := fingerprint(fm.Origin, fm.Seq)
+	if f.seen.has(fp) || f.old.has(fp) {
 		return true
 	}
-	if _, dup := f.old[k]; dup {
-		return true
-	}
-	f.remember(k)
+	f.remember(fp)
 	f.deliver(fm.Origin, fm.Payload)
 	f.forward(fm, from)
 	return true
@@ -88,7 +83,8 @@ func (f *Flooder) HandleMessage(from env.Addr, m env.Message) bool {
 func (f *Flooder) forward(m *FloodMsg, from env.Addr) {
 	var targets []env.Addr
 	if mr, ok := f.rt.(dht.MulticastRouter); ok && m.Hint != nil && !f.robust {
-		targets = mr.MulticastForward(from, m.Hint)
+		f.targets = mr.MulticastForward(f.targets[:0], from, m.Hint)
+		targets = f.targets
 	} else {
 		targets = f.rt.Neighbors()
 	}
@@ -100,9 +96,61 @@ func (f *Flooder) forward(m *FloodMsg, from env.Addr) {
 }
 
 // remember records a flood as seen, retiring a generation every ten minutes.
-func (f *Flooder) remember(k seenKey) {
+func (f *Flooder) remember(fp uint64) {
 	if now := f.env.Now(); now.Sub(f.rotated) > 10*time.Minute {
-		f.old, f.seen, f.rotated = f.seen, make(map[seenKey]struct{}), now
+		f.old, f.seen, f.rotated = f.seen, fingerprints{}, now
 	}
-	f.seen[k] = struct{}{}
+	f.seen.add(fp)
+}
+
+// fingerprint hashes a flood's (Origin, Seq) to a nonzero 64-bit value,
+// the same in every process: FNV-1a over the origin, xor the sequence
+// number, then the SplitMix64 finalizer. Two floods of one origin never
+// collide; floods of different origins do with odds of about n/2^64 in
+// a set of n, and a collision hides one flood at one node — as a peer
+// forging (Origin, Seq) already can.
+func fingerprint(origin env.Addr, seq uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(origin); i++ {
+		h = (h ^ uint64(origin[i])) * 1099511628211
+	}
+	h ^= seq
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return max(h^h>>31, 1)
+}
+
+// fingerprints is one generation of the seen set: an open-addressed
+// table of nonzero fingerprints with linear probing, grown by half at
+// three quarters full, so 8-16 bytes per fingerprint once grown.
+type fingerprints struct {
+	slots []uint64 // 0 marks a free slot
+	n     int
+}
+
+// find returns fp's slot, or the free slot where it would go.
+func (s *fingerprints) find(fp uint64) int {
+	i, _ := bits.Mul64(fp, uint64(len(s.slots)))
+	for s.slots[i] != 0 && s.slots[i] != fp {
+		i = (i + 1) % uint64(len(s.slots))
+	}
+	return int(i)
+}
+
+func (s *fingerprints) has(fp uint64) bool { return s.n > 0 && s.slots[s.find(fp)] == fp }
+
+func (s *fingerprints) add(fp uint64) {
+	if 4*(s.n+1) > 3*len(s.slots) {
+		old := s.slots
+		*s = fingerprints{slots: make([]uint64, max(8, len(old)*3/2))}
+		for _, v := range old {
+			if v != 0 {
+				s.add(v)
+			}
+		}
+	}
+	if i := s.find(fp); s.slots[i] == 0 {
+		s.slots[i] = fp
+		s.n++
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pier/internal/dht"
 	"pier/internal/dht/can"
 	"pier/internal/env"
 	"pier/internal/simnet"
@@ -157,8 +158,8 @@ func TestSeenTableCostsTheSamePerFloodAtAnySize(t *testing.T) {
 		took[b] = time.Since(t0)
 		nw.RunFor(20 * time.Second)
 	}
-	if *delivered != 3*batch || len(f.seen) != 3*batch || f.old != nil {
-		t.Fatalf("delivered %d, remembered %d (+%d retired), want %d remembered in one generation", *delivered, len(f.seen), len(f.old), 3*batch)
+	if *delivered != 3*batch || f.seen.n != 3*batch || f.old.n != 0 {
+		t.Fatalf("delivered %d, remembered %d (+%d retired), want %d remembered in one generation", *delivered, f.seen.n, f.old.n, 3*batch)
 	}
 	f.HandleMessage("peer:1", &FloodMsg{Origin: "peer:2", Seq: 7, Payload: &note{}})
 	if *delivered != 3*batch {
@@ -186,16 +187,66 @@ func TestSeenFloodsExpire(t *testing.T) {
 	nw.RunFor(2 * time.Minute)
 	flood(2) // retires the first generation
 	flood(1)
-	if *delivered != 2 || len(f.old) != 1 {
-		t.Fatalf("delivered %d with %d retired entries, want flood 1 still suppressed from the retired generation", *delivered, len(f.old))
+	if *delivered != 2 || f.old.n != 1 {
+		t.Fatalf("delivered %d with %d retired entries, want flood 1 still suppressed from the retired generation", *delivered, f.old.n)
 	}
 	nw.RunFor(11 * time.Minute)
 	flood(3) // drops it
-	if len(f.seen)+len(f.old) != 2 {
-		t.Fatalf("%d floods remembered 22 minutes on, want 2: the first must be gone", len(f.seen)+len(f.old))
+	if f.seen.n+f.old.n != 2 {
+		t.Fatalf("%d floods remembered 22 minutes on, want 2: the first must be gone", f.seen.n+f.old.n)
 	}
 	flood(1)
 	if *delivered != 4 {
 		t.Fatal("a flood forgotten after twenty minutes was still suppressed")
+	}
+}
+
+// counting is a node environment whose sends are only counted.
+type counting struct {
+	env.Env
+	sent *int
+}
+
+func (c counting) Send(env.Addr, env.Message) { *c.sent++ }
+
+// TestDuplicatesAndDirectedForwardingAllocateNothing: every node handles
+// every flood of the overlay, so suppressing a duplicate and picking a
+// flood's next hops must not allocate.
+func TestDuplicatesAndDirectedForwardingAllocateNothing(t *testing.T) {
+	tn := build(t, 32)
+	rt := tn.flooders[5].rt
+	sent := new(int)
+	f := New(counting{tn.envs[5], sent}, rt, false, func(env.Addr, env.Message) {})
+	m := &FloodMsg{Origin: "elsewhere", Seq: 1, Hint: tn.flooders[0].rt.(dht.MulticastRouter).MulticastHint(), Payload: &note{}}
+	from := rt.Neighbors()[0]
+	f.HandleMessage(from, m)
+	if a := testing.AllocsPerRun(100, func() { f.HandleMessage(from, m) }); a != 0 {
+		t.Errorf("a duplicate costs %.1f allocations, want 0", a)
+	}
+	*sent = 0
+	if a := testing.AllocsPerRun(100, func() { f.forward(m, env.NilAddr) }); a != 0 {
+		t.Errorf("directed forwarding costs %.1f allocations, want 0", a)
+	}
+	if *sent == 0 {
+		t.Fatal("forwarding sent nothing")
+	}
+}
+
+// TestFingerprintsArePinned: a flood's fingerprint depends only on its
+// (Origin, Seq), so every node and every run agree on it.
+func TestFingerprintsArePinned(t *testing.T) {
+	for _, c := range []struct {
+		origin env.Addr
+		seq    uint64
+		want   uint64
+	}{
+		{"sim:0", 1, 0x9a5b1564a4d61720},
+		{"sim:0", 2, 0x96eba8f47d5237d8},
+		{"sim:8999", 1, 0x9c55188334f957c8},
+		{"127.0.0.1:7001", 1 << 40, 0x4800d6017621009c},
+	} {
+		if got := fingerprint(c.origin, c.seq); got != c.want {
+			t.Errorf("fingerprint(%q, %d) = %#x, want %#x", c.origin, c.seq, got, c.want)
+		}
 	}
 }

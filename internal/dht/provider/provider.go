@@ -12,6 +12,7 @@
 package provider
 
 import (
+	"slices"
 	"time"
 
 	"pier/internal/dht"
@@ -81,7 +82,7 @@ type Provider struct {
 	newData   map[string]map[int]func(*storage.Item)
 	nextSubID int
 
-	onMcast map[int]func(origin env.Addr, ns string, payload env.Message)
+	onMcast []*mcastHandler // in registration order
 
 	expiryTimer   env.Timer
 	expiryAt      time.Time
@@ -267,23 +268,26 @@ func (p *Provider) Multicast(ns string, payload env.Message) {
 // registration order; one unsubscribed during a delivery is skipped, and
 // one registered during it waits for the next.
 func (p *Provider) OnMulticast(fn func(origin env.Addr, ns string, payload env.Message)) (unsubscribe func()) {
-	id := p.nextSubID
-	p.nextSubID++
-	if p.onMcast == nil {
-		p.onMcast = make(map[int]func(env.Addr, string, env.Message))
+	sub := &fn // unsubscribing clears it
+	p.onMcast = append(slices.Clip(p.onMcast), sub)
+	return func() {
+		*sub = nil
+		p.onMcast = slices.DeleteFunc(slices.Clone(p.onMcast), func(s *mcastHandler) bool { return s == sub })
 	}
-	p.onMcast[id] = fn
-	return func() { delete(p.onMcast, id) }
 }
+
+type mcastHandler = func(origin env.Addr, ns string, payload env.Message)
 
 func (p *Provider) deliverMulticast(origin env.Addr, payload env.Message) {
 	np, ok := payload.(*nsPayload)
 	if !ok {
 		return
 	}
-	for _, id := range env.SortedKeys(p.onMcast) {
-		if fn, ok := p.onMcast[id]; ok {
-			fn(origin, np.NS, np.Payload)
+	// The handlers registered when the delivery began: a published
+	// slice is replaced, never written.
+	for _, fn := range p.onMcast {
+		if *fn != nil {
+			(*fn)(origin, np.NS, np.Payload)
 		}
 	}
 }

@@ -377,3 +377,20 @@ func TestMulticastHandlerRemovedMidDeliveryIsSkipped(t *testing.T) {
 		t.Fatalf("delivery order %s, want [a b a b d]", got)
 	}
 }
+
+// TestMulticastDeliveryAllocatesNothing: every node hands every flood to
+// its handlers, so the hand-off itself must not allocate.
+func TestMulticastDeliveryAllocatesNothing(t *testing.T) {
+	p := newTestNet(t, 1, Config{}).provs[0]
+	n := 0
+	for i := 0; i < 3; i++ {
+		p.OnMulticast(func(env.Addr, string, env.Message) { n++ })
+	}
+	np := &nsPayload{NS: "q", Payload: &payload{}}
+	if a := testing.AllocsPerRun(100, func() { p.deliverMulticast("sim:1", np) }); a != 0 {
+		t.Errorf("a delivery costs %.1f allocations, want 0", a)
+	}
+	if n != 3*101 {
+		t.Fatalf("%d handler calls, want %d", n, 3*101)
+	}
+}

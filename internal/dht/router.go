@@ -81,8 +81,9 @@ type MulticastRouter interface {
 	// messages originated here (CAN: the origin zone's center point).
 	MulticastHint() []uint32
 
-	// MulticastForward returns the neighbors to forward a flood message
-	// to. from is the neighbor the message arrived over (env.NilAddr at
-	// the origin); hint is the originator's MulticastHint.
-	MulticastForward(from env.Addr, hint []uint32) []env.Addr
+	// MulticastForward appends to dst the neighbors to forward a flood
+	// message to and returns the result. from is the neighbor the message
+	// arrived over (env.NilAddr at the origin); hint is the originator's
+	// MulticastHint.
+	MulticastForward(dst []env.Addr, from env.Addr, hint []uint32) []env.Addr
 }

@@ -492,6 +492,14 @@ func (m *Manager) Namespaces() []string {
 	return env.SortedKeys(m.spaces)
 }
 
+// EachNamespace calls f, which must not change the store, with each
+// namespace holding an item, in no order and without allocating.
+func (m *Manager) EachNamespace(f func(namespace string)) {
+	for ns := range m.spaces {
+		f(ns)
+	}
+}
+
 // Len returns the number of items (live or not yet swept, in memory or
 // on disk) in a namespace.
 func (m *Manager) Len(namespace string) int {

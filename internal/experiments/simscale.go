@@ -2,10 +2,11 @@ package experiments
 
 // SimScale measures the simulation core's scale budget: how many bytes
 // of heap one simulated node costs — split into the simnet+env
-// substrate and the full PIER overlay stack — and how many events per
-// second the discrete-event core sustains while routing. This is the
-// harness behind the memory-per-node budget published in EXPERIMENTS.md:
-// bytes per node are held to the two budget constants below by
+// substrate and the full PIER overlay stack — what each node keeps of
+// every query it has finished, and how many events per second the
+// discrete-event core sustains while routing. This is the harness
+// behind the memory-per-node budget published in EXPERIMENTS.md: the
+// three byte figures are held to the budget constants below by
 // TestSimHeapBudget (tier-1, n=20k) and by the CI simscale-smoke job
 // (`pier-bench -only simscale`, n=100k); events/sec is wall-clock and
 // printed for information only.
@@ -24,7 +25,7 @@ import (
 	"pier/internal/topology"
 )
 
-// SimScaleConfig sizes the two measurement buckets.
+// SimScaleConfig sizes the measurement buckets.
 type SimScaleConfig struct {
 	// Nodes is the raw simulator population: bare simnet.Network +
 	// NodeEnv with a forwarding handler, no PIER stack. This bucket is
@@ -33,7 +34,8 @@ type SimScaleConfig struct {
 	// OverlayNodes is the population for the full-stack bucket: a
 	// bootstrapped CAN deployment with provider, engine, statistics,
 	// and index agents per node, measured incrementally over the
-	// substrate and exercised with one network-wide multicast scan.
+	// substrate and exercised with one network-wide multicast scan,
+	// then with the residue bucket's scans.
 	OverlayNodes int
 	Seed         int64
 }
@@ -52,13 +54,20 @@ func DefaultSimScale(full bool) SimScaleConfig {
 	return cfg
 }
 
-// The heap budget per simulated node, in settled bytes. Both buckets
-// are independent of n (substrate 214 B/node, overlay 3 922-3 929
-// B/node from n=5k to n=100k), so one pair of constants serves the
-// 20k-node test and the 100k-node CI run, ~12% over the measurement.
+// The heap budget per simulated node, in settled bytes. The buckets
+// are independent of n (substrate 214 B/node, overlay 3 086-3 092
+// B/node and query residue 34-35 B/node per query from n=5k to
+// n=100k), so one set of constants serves the 20k-node test and the
+// 100k-node CI run, ~12% over the measurement.
 const (
 	simSubstrateBudget = 240  // bare simnet.Network + NodeEnv
-	simOverlayBudget   = 4400 // full PIER stack, incremental over the substrate
+	simOverlayBudget   = 3460 // full PIER stack, incremental over the substrate
+	simResidueBudget   = 39   // per node per finished query: the flood and cancel memos
+
+	// The residue bucket runs this many scan+cancel cycles, each to
+	// completion within simResidueRun.
+	simResidueQueries = 8
+	simResidueRun     = 10 * time.Second
 )
 
 // The raw route pass is simWalkers concurrent random walks of simHops
@@ -81,14 +90,29 @@ func heapInUse() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// SimScale runs both buckets and returns the table, plus an error
-// naming every exceeded budget: substrate or overlay bytes/node over
-// their constants, or an overlay scan that lost rows.
+// SimScale runs the three buckets and returns the table, plus an error
+// naming every exceeded budget: substrate, overlay or residue bytes/node
+// over their constants, or an overlay scan that lost rows.
 func SimScale(cfg SimScaleConfig) (*Table, error) {
 	tbl := &Table{
 		Title: fmt.Sprintf("Simulation core at scale (raw n=%d, overlay n=%d)",
 			cfg.Nodes, cfg.OverlayNodes),
 		Headers: []string{"bucket", "nodes", "heap MB", "bytes/node", "events", "events/sec", "wall"},
+	}
+	var over []error
+	// bucket records one bucket's row and holds its bytes per node (per
+	// node and query for the residue) to budget. A non-positive delta is
+	// a broken measurement, not a pass.
+	bucket := func(name string, nodes int, bytes, per, budget int64, events int, wall time.Duration) {
+		perNode := bytes / per
+		tbl.Rows = append(tbl.Rows, []string{
+			name, fmt.Sprint(nodes), fmt.Sprintf("%.1f", float64(bytes)/1e6),
+			fmt.Sprint(perNode), fmt.Sprint(events), fmt.Sprintf("%.0f", float64(events)/wall.Seconds()),
+			wall.Round(time.Millisecond).String(),
+		})
+		if perNode <= 0 || perNode > budget {
+			over = append(over, fmt.Errorf("%s costs %d B/node, want (0, %d]", name, perNode, budget))
+		}
 	}
 
 	// Bucket 1: the simulator substrate. Build n nodes with a
@@ -108,7 +132,6 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 		}))
 	}
 	rawBytes := heapInUse() - base
-	rawPerNode := rawBytes / int64(n)
 
 	for i := 0; i < simWalkers; i++ {
 		src := nw.Node((i * 104729) % n)
@@ -118,13 +141,7 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 	}
 	start := time.Now()
 	events := nw.Drain()
-	wall := time.Since(start)
-	rawEPS := float64(events) / wall.Seconds()
-	tbl.Rows = append(tbl.Rows, []string{
-		"simnet+env", fmt.Sprint(n), fmt.Sprintf("%.1f", float64(rawBytes)/1e6),
-		fmt.Sprint(rawPerNode), fmt.Sprint(events), fmt.Sprintf("%.0f", rawEPS),
-		wall.Round(time.Millisecond).String(),
-	})
+	bucket("simnet+env", n, rawBytes, int64(n), simSubstrateBudget, events, time.Since(start))
 	runtime.KeepAlive(nw)
 	nw = nil
 
@@ -135,7 +152,6 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 	base = heapInUse()
 	sn := deploy(on, topology.NewFullMesh(), cfg.Seed, pier.DefaultOptions())
 	overlayBytes := heapInUse() - base
-	overlayPerNode := overlayBytes / int64(on)
 
 	const rows = 200
 	u := make([]*core.Tuple, rows)
@@ -145,28 +161,29 @@ func SimScale(cfg SimScaleConfig) (*Table, error) {
 	load(sn, simTable{"u", 0, u})
 	start = time.Now()
 	m := measure(sn, simScalePlan(), 0, 90*time.Second)
-	wall = time.Since(start)
+	bucket("pier overlay", on, overlayBytes, int64(on), simOverlayBudget, m.events, time.Since(start))
 	sn.Nodes[0].Cancel(m.id)
 	got := len(m.arrivals)
-	overlayEPS := float64(m.events) / wall.Seconds()
-	tbl.Rows = append(tbl.Rows, []string{
-		"pier overlay", fmt.Sprint(on), fmt.Sprintf("%.1f", float64(overlayBytes)/1e6),
-		fmt.Sprint(overlayPerNode), fmt.Sprint(m.events), fmt.Sprintf("%.0f", overlayEPS),
-		wall.Round(time.Millisecond).String(),
-	})
-	tbl.Note = fmt.Sprintf("overlay bytes/node are incremental over the substrate; scan returned %d/%d rows", got, rows)
-	runtime.KeepAlive(sn)
 
-	var over []error
-	// A non-positive delta is a broken measurement, not a pass.
-	if rawPerNode <= 0 || rawPerNode > simSubstrateBudget {
-		over = append(over, fmt.Errorf("substrate costs %d B/node, want (0, %d]", rawPerNode, simSubstrateBudget))
+	// Bucket 3: the query residue, what every node keeps of each query
+	// it has finished: the two floods' fingerprints, the cancelled id.
+	// Finish the route pass's cancel, then run more scan+cancel cycles
+	// to completion.
+	sn.Net.RunFor(simResidueRun)
+	base = heapInUse()
+	start, events = time.Now(), 0
+	for k := 0; k < simResidueQueries; k++ {
+		m := measure(sn, simScalePlan(), rows, simResidueRun)
+		sn.Nodes[0].Cancel(m.id)
+		events += m.events + sn.Net.RunFor(simResidueRun)
+		got = min(got, len(m.arrivals))
 	}
-	if overlayPerNode <= 0 || overlayPerNode > simOverlayBudget {
-		over = append(over, fmt.Errorf("overlay costs %d B/node, want (0, %d]", overlayPerNode, simOverlayBudget))
-	}
+	wall := time.Since(start)
+	bucket("query residue", on, heapInUse()-base, int64(on*simResidueQueries), simResidueBudget, events, wall)
+	tbl.Note = fmt.Sprintf("overlay bytes/node are incremental over the substrate, query residue bytes/node are per finished query (%d scan+cancel cycles); the scans returned at least %d/%d rows", simResidueQueries, got, rows)
+	runtime.KeepAlive(sn)
 	if got != rows {
-		over = append(over, fmt.Errorf("overlay scan returned %d/%d rows", got, rows))
+		over = append(over, fmt.Errorf("an overlay scan returned %d/%d rows", got, rows))
 	}
 	return tbl, errors.Join(over...)
 }
