@@ -675,8 +675,7 @@ func (eng *Engine) onMulticast(origin env.Addr, ns string, payload env.Message) 
 			eng.execs = make(map[uint64]*exec)
 		}
 		eng.execs[m.ID] = ex
-		ex.start()
-		if ex.settle(); !ex.stopped {
+		if ex.start(); !ex.stopped {
 			ex.ttl = eng.env.After(m.Plan.TTL, func() { eng.endExec(m.ID, ex) })
 		}
 	case *bloomDist:

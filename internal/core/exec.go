@@ -32,7 +32,11 @@ type exec struct {
 	timers  []env.Timer
 	ttl     env.Timer // armed after start unless the executor ended in it
 	stopped bool
-	busy    int // unfinished scans and Fetch Matches gets
+	// busy counts what can still produce output here: the start itself,
+	// each unfinished scan and each unanswered Fetch Matches get, each
+	// released by one done; and each subscription, timer and partial
+	// flusher, held until stop. At zero the buffered rows ship.
+	busy int
 
 	bloom *[2]bloomSide // Bloom joins only
 
@@ -99,6 +103,7 @@ func newExec(eng *Engine, m *queryMsg) *exec {
 		plan:      m.Plan,
 		ns:        ns,
 		startAt:   eng.env.Now(),
+		busy:      1, // the start, released at its end
 		// The bootstrap credit window is implicit: the initiator's
 		// ledger assumes every sender starts with one ResultCredit
 		// window, so no registration round-trip is needed before the
@@ -164,24 +169,11 @@ func (ex *exec) start() {
 		ex.span(trace.StageMulticast, ex.startAt, 0, "query arrived: "+strings.Join(tables, ","))
 	}
 	t0 := ex.eng.env.Now()
-	// complete ships the result buffer once this node's local output is
-	// complete. Output that completes inside start (a scan that fits in
-	// one slice, gets answered at this node) waits for the executor span
-	// below, so the span rides that frame rather than stop's, which
-	// usually finds the initiator's collector already closed.
-	starting, completed := true, false
-	complete := func() {
-		if starting {
-			completed = true
-		} else {
-			ex.flushResults(false)
-		}
-	}
 	if len(p.Aggs) > 0 {
 		ex.scheduleAggEmit()
 	}
 	if len(p.Tables) == 1 {
-		ex.startSingle(complete)
+		ex.startSingle()
 	} else {
 		switch p.Strategy {
 		case SymmetricHash:
@@ -189,7 +181,7 @@ func (ex *exec) start() {
 			ex.rehashScan(0, nil, nil)
 			ex.rehashScan(1, nil, nil)
 		case FetchMatches:
-			ex.startFetchMatches(complete)
+			ex.startFetchMatches()
 		case SymmetricSemiJoin:
 			registerProbe(ex, ex.pairMini)
 			ex.miniScan(0)
@@ -206,20 +198,27 @@ func (ex *exec) start() {
 		}
 		ex.span(trace.StageExecutor, t0, ex.eng.env.Now().Sub(t0), note)
 	}
-	starting = false
-	if completed {
+	// Output complete inside start (a scan that fits in one slice, gets
+	// answered at this node) ships here, with the executor span.
+	ex.done()
+}
+
+// done releases one unit of busy. The last ships the buffered rows,
+// within credit, and that flush's settle ends the executor once they
+// have left.
+func (ex *exec) done() {
+	if ex.busy--; ex.busy == 0 && !ex.stopped {
 		ex.flushResults(false)
 	}
 }
 
-// settle is the executor lifecycle's one check, made after start and
-// after every flush: an executor holding work — a subscription, a
-// timer, an unfinished scan or get, a buffered result or span — lives
-// on to its cancel or TTL; one holding none ends now, as nothing it
-// could still do would reach the initiator.
+// settle is the executor lifecycle's one check, made after every
+// flush: an executor with work left (busy) or rows buffered lives on;
+// one with neither ends now, as nothing it could still do would reach
+// the initiator. Joins, aggregates and continuous queries hold their
+// subscriptions and timers, so they end at their cancel or TTL.
 func (ex *exec) settle() {
-	if ex.stopped || ex.busy > 0 || len(ex.unsubs) > 0 || len(ex.timers) > 0 || ex.flushStop != nil ||
-		ex.resHead < len(ex.resBuf) || ex.spans != nil && (ex.spans.Len() > 0 || ex.spans.Drops() > 0) {
+	if ex.stopped || ex.busy > 0 || ex.resHead < len(ex.resBuf) {
 		return
 	}
 	ex.stop()
@@ -229,9 +228,10 @@ func (ex *exec) settle() {
 // stop ends the executor: from settle, or on cancel or at the TTL
 // through Engine.endExec. It ends every subscription and timer the
 // executor holds, the TTL timer included, so once the engine forgets
-// the exec only DHT gets still in flight reference it; and it ships
-// what the result and span buffers still hold, exactly once. The
-// query's DHT state here is not the executor's: endExec drops it next.
+// the exec only DHT gets still in flight reference it; and its forced
+// flush ships what the result and span buffers still hold, exactly
+// once. The query's DHT state here is not the executor's: endExec
+// drops it next.
 func (ex *exec) stop() {
 	if ex.stopped {
 		return
@@ -249,33 +249,20 @@ func (ex *exec) stop() {
 	if ex.flushStop != nil {
 		ex.flushStop()
 	}
-	// Stop-flush: the executor is going away (cancel or TTL), so any
-	// tuple still buffered would be lost; ship the remainder even past
-	// the credit window. The burst is bounded by the buffer contents,
-	// and a cancelled or expired query's collector is usually already
-	// closed — the frames then drop at the initiator.
-	if ex.resStall != nil {
-		ex.resStall.Stop()
-		ex.resStall = nil
-	}
 	ex.flushResults(true)
-	// Spans recorded since the last result frame (or by an executor
-	// that produced no results at all) would die with the exec; ship
-	// them in one final zero-tuple frame. Best effort — a cancelled
-	// query's collector is often already closed.
-	if ex.spans != nil && (ex.spans.Len() > 0 || ex.spans.Drops() > 0) {
-		spans, drops := ex.spans.Drain()
-		rm := getResultMsg()
-		rm.ID = ex.id
-		rm.Window = ex.window()
-		rm.Spans, rm.SpanDrops = spans, drops
-		ex.eng.env.Send(ex.initiator, rm)
-	}
 }
 
-// timer schedules f; stop cancels it.
+// timer schedules f; it holds the executor until stop cancels it.
 func (ex *exec) timer(d time.Duration, f func()) {
 	ex.timers = append(ex.timers, ex.eng.env.After(d, f))
+	ex.busy++
+}
+
+// onNewData subscribes f to the arrivals in ns; the subscription holds
+// the executor until stop ends it.
+func (ex *exec) onNewData(ns string, f func(*storage.Item)) {
+	ex.unsubs = append(ex.unsubs, ex.eng.prov.OnNewData(ns, f))
+	ex.busy++
 }
 
 func (ex *exec) window() int {
@@ -295,8 +282,8 @@ func (ex *exec) onRow(row *Tuple) {
 		return
 	}
 	// Joins and streams keep feeding groups; flush them periodically.
-	if len(ex.groups.dirty) > 0 && (len(ex.plan.Tables) == 2 || ex.plan.Continuous) {
-		ex.ensureFlusher()
+	if len(ex.groups.dirty) > 0 && ex.flushStop == nil && (len(ex.plan.Tables) == 2 || ex.plan.Continuous) {
+		ex.startFlusher()
 	}
 }
 
@@ -324,11 +311,17 @@ func (ex *exec) emit(t *Tuple, window int) {
 
 // flushResults ships buffered result tuples to the initiator in
 // frames of at most ResultBatch tuples, one window per frame, stopping
-// when the credit window is exhausted (unless force — the stop-flush).
-// Frames come from the shared pool and their Tuples slices reuse
-// recycled capacity; the buffer keeps its backing array across flush
-// cycles so a steady result stream stops allocating once warm. A flush
-// costs O(tuples shipped) however many stay buffered behind a stall.
+// when the credit window is exhausted. Frames come from the shared pool
+// and their Tuples slices reuse recycled capacity; the buffer keeps its
+// backing array across flush cycles so a steady result stream stops
+// allocating once warm. A flush costs O(tuples shipped) however many
+// stay buffered behind a stall.
+//
+// The forced flush is stop's: the executor is going away, so it ships
+// every row left even past the credit window (a burst bounded by the
+// buffer; a cancelled query's collector may be closed and drop it), and
+// spans that no row frame carried leave in a zero-tuple last frame,
+// which is not a result batch.
 func (ex *exec) flushResults(force bool) {
 	if ex.resFlush != nil {
 		ex.resFlush.Stop()
@@ -359,7 +352,6 @@ func (ex *exec) flushResults(force bool) {
 			k++
 		}
 		rm := getResultMsg()
-		rm.ID = ex.id
 		rm.Window = w
 		for i := 0; i < k; i++ {
 			rm.Tuples = append(rm.Tuples, ex.resBuf[start+i].t)
@@ -378,20 +370,30 @@ func (ex *exec) flushResults(force bool) {
 			}
 			ex.resFirstBuf = time.Time{}
 		}
-		if ex.spans != nil && (ex.spans.Len() > 0 || ex.spans.Drops() > 0) {
-			// Piggyback the drained span buffer on the result frame:
-			// span delivery inherits the channel's batching and credit
-			// window, so tracing cannot cause its own incast.
-			rm.Spans, rm.SpanDrops = ex.spans.Drain()
-		}
-		ex.eng.env.Send(ex.initiator, rm)
+		ex.ship(rm)
 	}
 	ex.shippedResBuf(start)
 	if ex.resStall != nil {
 		ex.resStall.Stop()
 		ex.resStall = nil
 	}
+	if force && ex.spans != nil && (ex.spans.Len() > 0 || ex.spans.Drops() > 0) {
+		rm := getResultMsg()
+		rm.Window = ex.window()
+		ex.ship(rm)
+	}
 	ex.settle()
+}
+
+// ship sends frame rm to the initiator with the spans recorded since
+// the last frame: span delivery inherits the channel's batching and
+// credit window, so tracing cannot cause its own incast.
+func (ex *exec) ship(rm *resultMsg) {
+	rm.ID = ex.id
+	if ex.spans != nil {
+		rm.Spans, rm.SpanDrops = ex.spans.Drain()
+	}
+	ex.eng.env.Send(ex.initiator, rm)
 }
 
 // shippedResBuf advances the buffer's head to n. Shipped slots are
@@ -462,18 +464,16 @@ func (ex *exec) onCredit(limit int64) {
 
 // --- single-table plans -------------------------------------------------
 
-// startSingle runs a single-table plan; complete is called when a
-// one-shot plan without aggregates has buffered its last row.
-func (ex *exec) startSingle(complete func()) {
+// startSingle runs a single-table plan.
+func (ex *exec) startSingle() {
 	tbl := &ex.plan.Tables[0]
 	if ex.plan.Continuous {
 		// Continuous query: consume the stream of arrivals (§7).
-		unsub := ex.eng.prov.OnNewData(tbl.NS, func(it *storage.Item) {
+		ex.onNewData(tbl.NS, func(it *storage.Item) {
 			if row := tbl.baseRow(it.Payload); row != nil {
 				ex.onRow(row)
 			}
 		})
-		ex.unsubs = append(ex.unsubs, unsub)
 		return
 	}
 	// One-shot: local snapshot at query arrival (dilated-reachable
@@ -491,9 +491,6 @@ func (ex *exec) startSingle(complete func()) {
 		}
 		if len(ex.plan.Aggs) > 0 {
 			ex.flushPartials()
-		} else {
-			// Every row is buffered: ship them now, within credit.
-			complete()
 		}
 	})
 }
@@ -504,9 +501,10 @@ func (ex *exec) startSingle(complete func()) {
 const scanSlice = 4096
 
 // scan is every executor scan of a base table: f gets its local items,
-// a slice a turn, then done runs (if set). A slice that finds the
-// executor stopped does nothing. A table that fits in one slice is
-// scanned, and done run, before scan returns.
+// a slice a turn, then done runs (if set) and the scan releases its
+// unit of busy. A slice that finds the executor stopped does nothing. A
+// table that fits in one slice is scanned, and done run, before scan
+// returns.
 func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
 	c := ex.eng.prov.Store().Cursor(ns)
 	visit := func(it *storage.Item) bool { f(it); return true }
@@ -520,10 +518,10 @@ func (ex *exec) scan(ns string, f func(*storage.Item), done func()) {
 			ex.eng.env.Post(step)
 			return
 		}
-		ex.busy--
 		if done != nil {
 			done()
 		}
+		ex.done()
 	}
 	step()
 }
@@ -599,7 +597,7 @@ func (ex *exec) sameJoinKey(a, b *sideTuple) bool {
 // once. New arrivals pair against all stored items, these included,
 // through the probe, so no pair is produced twice.
 func registerProbe[T env.Message](ex *exec, pair func(mine T, other *storage.Item)) {
-	unsub := ex.eng.prov.OnNewData(ex.ns[nsRehash], func(it *storage.Item) {
+	ex.onNewData(ex.ns[nsRehash], func(it *storage.Item) {
 		mine, ok := it.Payload.(T)
 		if !ok {
 			return
@@ -613,7 +611,6 @@ func registerProbe[T env.Message](ex *exec, pair func(mine T, other *storage.Ite
 			}
 		})
 	})
-	ex.unsubs = append(ex.unsubs, unsub)
 	// The scan runs in (resourceID, instanceID) order, so the items
 	// sharing a resourceID are adjacent.
 	var pre []*storage.Item
@@ -652,17 +649,11 @@ func (ex *exec) pairSide(st *sideTuple, other *storage.Item) {
 // startFetchMatches scans the outer table and issues one DHT get per
 // tuple against the inner table, which must already be hashed on the
 // join attribute. Selections on the inner table cannot be pushed into
-// the DHT, so they run after the fetch, at this node. The local output
-// is complete, and complete is called, once the scan is done and every
-// get has answered (Get always calls back: with the owner's reply, or
-// nil on a timeout or a failed lookup): when nothing is busy.
-func (ex *exec) startFetchMatches(complete func()) {
+// the DHT, so they run after the fetch, at this node. Each get holds
+// the executor until it answers (Get always calls back: with the
+// owner's reply, or nil on a timeout or a failed lookup).
+func (ex *exec) startFetchMatches() {
 	t0, t1 := &ex.plan.Tables[0], &ex.plan.Tables[1]
-	flushIfDone := func() {
-		if ex.busy == 0 {
-			complete()
-		}
-	}
 	ex.scan(t0.NS, func(it *storage.Item) {
 		proj0 := t0.baseRow(it.Payload)
 		if proj0 == nil {
@@ -672,7 +663,7 @@ func (ex *exec) startFetchMatches(complete func()) {
 		issued := ex.eng.env.Now()
 		ex.busy++
 		ex.eng.prov.Get(t1.NS, key, func(items []*storage.Item) {
-			ex.busy--
+			defer ex.done()
 			if ex.stopped {
 				return
 			}
@@ -685,9 +676,8 @@ func (ex *exec) startFetchMatches(complete func()) {
 					ex.onRow(Concat(proj0, proj1))
 				}
 			}
-			flushIfDone()
 		})
-	}, flushIfDone)
+	}, nil)
 }
 
 // --- symmetric semi-join rewrite (§4.2) ----------------------------------
@@ -816,11 +806,11 @@ func (ex *exec) startBloom() {
 				ex.addShare(side, it)
 				return true
 			})
-			ex.unsubs = append(ex.unsubs, ex.eng.prov.OnNewData(ns, func(it *storage.Item) {
+			ex.onNewData(ns, func(it *storage.Item) {
 				if ex.addShare(side, it) {
 					ex.bloomTrigger(side, false)
 				}
-			}))
+			})
 			if ex.bloom[side].covered() {
 				ex.bloomTrigger(side, false)
 			}
@@ -973,11 +963,11 @@ func (ex *exec) onBloomDist(m *bloomDist) {
 
 // --- grouping and aggregation ---------------------------------------------
 
-func (ex *exec) ensureFlusher() {
-	if ex.flushStop != nil {
-		return
-	}
+// startFlusher re-puts the dirty partials every aggFlushInterval; the
+// flusher holds the executor until stop ends it.
+func (ex *exec) startFlusher() {
 	ex.flushStop = env.Every(ex.eng.env, aggFlushInterval, ex.flushPartials)
+	ex.busy++
 }
 
 // stateLifetime is the lifetime of the query's temporary DHT state. A

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"pier/internal/dht/provider"
+	"pier/internal/env"
+	"pier/internal/trace"
 )
 
 // activeExecs sums ActiveExecs over the harness's nodes.
@@ -50,9 +52,11 @@ func TestAnsweredScanEndsWithItsScan(t *testing.T) {
 }
 
 // TestWorkHoldingExecutorsEndAtCancelOrTTL: joins (a probe subscription),
-// aggregates (emit timers), continuous queries (an arrival subscription)
-// and traced executors whose spans had no result frame to ride all keep
-// their executors until the query's cancel or TTL.
+// aggregates (emit timers) and continuous queries (an arrival
+// subscription) keep their executors until the query's cancel or TTL.
+// A traced scan that matches no row holds no work: its executors end
+// with their scans, and their spans, which no row frame carried, reach
+// the open collector in each one's last frame.
 func TestWorkHoldingExecutorsEndAtCancelOrTTL(t *testing.T) {
 	plans := map[string]func() *Plan{
 		"join": func() *Plan {
@@ -87,8 +91,16 @@ func TestWorkHoldingExecutorsEndAtCancelOrTTL(t *testing.T) {
 					t.Fatal(err)
 				}
 				h.net.RunFor(30 * time.Second)
-				if got := h.activeExecs(); got != n {
-					t.Fatalf("%d executors half-way to the TTL, want one per node (%d)", got, n)
+				want := n
+				if p.Trace {
+					want = 0
+					tr, _ := h.engines[0].Trace(id)
+					if nodes := spanNodes(tr); nodes != n {
+						t.Fatalf("spans from %d nodes reached the collector before the %s, want %d", nodes, end, n)
+					}
+				}
+				if got := h.activeExecs(); got != want {
+					t.Fatalf("%d executors half-way to the TTL, want %d", got, want)
 				}
 				if end == "cancel" {
 					h.engines[0].Cancel(id)
@@ -102,6 +114,17 @@ func TestWorkHoldingExecutorsEndAtCancelOrTTL(t *testing.T) {
 			})
 		}
 	}
+}
+
+// spanNodes counts the executor nodes whose spans a trace holds.
+func spanNodes(tr *trace.Trace) int {
+	nodes := map[env.Addr]bool{}
+	for _, s := range tr.Spans {
+		if s.Node != "" {
+			nodes[s.Node] = true
+		}
+	}
+	return len(nodes)
 }
 
 // TestQueryFloodDeliveredTwiceRunsOnce: robust flooding hands each node

@@ -59,12 +59,6 @@ func (c *Calls[T]) reuse() uint64 {
 			return uint64(w*64 + b)
 		}
 	}
-	return c.Nonce()
-}
-
-// Nonce takes a fresh nonce, never reused, for a message whose answer
-// the caller matches itself; no request ends with it.
-func (c *Calls[T]) Nonce() uint64 {
 	c.nonce++
 	return c.nonce
 }

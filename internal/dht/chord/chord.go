@@ -74,12 +74,10 @@ type Router struct {
 	calls     dht.Calls[env.Addr]
 	stopMaint func()
 
-	// stabNonce / succFails / pingPending track the in-flight
-	// stabilization probe, consecutive successor failures, and the
-	// outstanding predecessor ping.
-	stabNonce   uint64
-	succFails   int
-	pingPending uint64
+	// stabNonce / succFails track the in-flight stabilization probe
+	// and consecutive successor failures.
+	stabNonce uint64
+	succFails int
 
 	// lookupCount and lookupHops accumulate routing statistics.
 	lookupCount, lookupHops int64
@@ -339,9 +337,7 @@ func (r *Router) HandleMessage(from env.Addr, m env.Message) bool {
 	case *pingMsg:
 		r.env.Send(msg.Origin, &pongMsg{Nonce: msg.Nonce})
 	case *pongMsg:
-		if r.pingPending == msg.Nonce {
-			r.pingPending = 0
-		}
+		r.calls.Reply(msg.Nonce, from)
 	case *leaveMsg:
 		r.onLeaveMsg(msg)
 	default:

@@ -104,21 +104,21 @@ func (r *Router) fixFinger() {
 	r.routeFindSucc(&findSuccMsg{ID: target, Origin: r.env.Addr(), Nonce: n})
 }
 
-// checkPredecessor pings the predecessor; an unanswered ping clears it so
-// a notify can install a live one.
+// checkPredecessor pings the predecessor; a ping unanswered for a cycle
+// clears it so a notify can install a live one, unless a leave or a
+// notify has replaced the pinged node meanwhile.
 func (r *Router) checkPredecessor() {
 	if !r.hasPred || r.pred.addr == r.env.Addr() {
 		return
 	}
-	if r.pingPending != 0 {
-		// Previous ping unanswered for a full cycle.
-		r.pingPending = 0
-		r.hasPred = false
-		r.fireLocChange()
-		return
-	}
-	r.pingPending = r.calls.Nonce()
-	r.env.Send(r.pred.addr, &pingMsg{Origin: r.env.Addr(), Nonce: r.pingPending})
+	pinged := r.pred.id
+	n := r.calls.Start(r.env, stabilizeInterval, func(from env.Addr) {
+		if from == env.NilAddr && r.hasPred && r.pred.id == pinged {
+			r.hasPred = false
+			r.fireLocChange()
+		}
+	})
+	r.env.Send(r.pred.addr, &pingMsg{Origin: r.env.Addr(), Nonce: n})
 }
 
 // Bootstrap wires a stable Chord ring directly: sorted identifiers,

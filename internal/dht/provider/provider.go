@@ -79,10 +79,8 @@ type Provider struct {
 
 	gets dht.Calls[[]*storage.Item]
 
-	newData   map[string]map[int]func(*storage.Item)
-	nextSubID int
-
-	onMcast []*mcastHandler // in registration order
+	newData map[string][]*newDataHandler // per namespace, in registration order
+	onMcast []*mcastHandler              // in registration order
 
 	expiryTimer   env.Timer
 	expiryAt      time.Time
@@ -306,26 +304,29 @@ func (p *Provider) Drop(ns string) {
 
 // OnNewData registers a callback invoked whenever a new item arrives in
 // the namespace on this node (§3.2.3). It returns an unsubscribe
-// function.
+// function. A namespace's callbacks run in registration order, and one
+// unsubscribed by an earlier callback of the same delivery is skipped.
 func (p *Provider) OnNewData(ns string, fn func(*storage.Item)) (unsubscribe func()) {
-	id := p.nextSubID
-	p.nextSubID++
-	subs, ok := p.newData[ns]
-	if !ok {
-		if p.newData == nil {
-			p.newData = make(map[string]map[int]func(*storage.Item))
-		}
-		subs = make(map[int]func(*storage.Item))
-		p.newData[ns] = subs
+	sub := &fn // unsubscribing clears it
+	if p.newData == nil {
+		p.newData = make(map[string][]*newDataHandler)
 	}
-	subs[id] = fn
+	p.newData[ns] = append(slices.Clip(p.newData[ns]), sub)
 	return func() {
-		delete(subs, id)
-		if len(subs) == 0 {
-			delete(p.newData, ns)
+		*sub = nil
+		subs := slices.DeleteFunc(slices.Clone(p.newData[ns]), func(s *newDataHandler) bool { return s == sub })
+		if len(subs) > 0 {
+			p.newData[ns] = subs
+			return
+		}
+		delete(p.newData, ns)
+		if len(p.newData) == 0 {
+			p.newData = nil // a map keeps its peak size
 		}
 	}
 }
+
+type newDataHandler = func(*storage.Item)
 
 // StoreLocal inserts an item into the local store directly, firing
 // newData callbacks. The simulation harness also uses it to bulk-load
@@ -333,10 +334,11 @@ func (p *Provider) OnNewData(ns string, fn func(*storage.Item)) (unsubscribe fun
 func (p *Provider) StoreLocal(it *storage.Item) {
 	p.store.Store(it)
 	p.scheduleExpiry()
-	subs := p.newData[it.Namespace]
-	for _, id := range env.SortedKeys(subs) {
-		if fn, ok := subs[id]; ok {
-			fn(it)
+	// The handlers registered when the store began: a published slice
+	// is replaced, never written.
+	for _, fn := range p.newData[it.Namespace] {
+		if *fn != nil {
+			(*fn)(it)
 		}
 	}
 }

@@ -195,6 +195,51 @@ func TestNewDataUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestNewDataHandlerRemovedMidDeliveryIsSkipped: a store's handlers run
+// in registration order; one unsubscribed by an earlier handler of the
+// same delivery no longer runs, and one registered during a delivery
+// waits for the next.
+func TestNewDataHandlerRemovedMidDeliveryIsSkipped(t *testing.T) {
+	p := newTestNet(t, 1, Config{}).provs[0]
+	var order []string
+	var unsubC func()
+	p.OnNewData("rel", func(*storage.Item) {
+		order = append(order, "a")
+		if unsubC != nil {
+			unsubC()
+			unsubC = nil
+			p.OnNewData("rel", func(*storage.Item) { order = append(order, "d") })
+		}
+	})
+	p.OnNewData("rel", func(*storage.Item) { order = append(order, "b") })
+	unsubC = p.OnNewData("rel", func(*storage.Item) { order = append(order, "c") })
+	p.OnNewData("other", func(*storage.Item) { order = append(order, "x") })
+	it := &storage.Item{Namespace: "rel", ResourceID: "a", InstanceID: 1, Payload: &payload{}}
+	p.StoreLocal(it)
+	p.StoreLocal(it)
+	if got := fmt.Sprint(order); got != "[a b a b d]" {
+		t.Fatalf("delivery order %s, want [a b a b d]", got)
+	}
+}
+
+// TestNewDataDeliveryAllocatesNothing: every rehashed tuple reaches its
+// join's probe through this hand-off, so it must not allocate.
+func TestNewDataDeliveryAllocatesNothing(t *testing.T) {
+	p := newTestNet(t, 1, Config{}).provs[0]
+	n := 0
+	for i := 0; i < 3; i++ {
+		p.OnNewData("rel", func(*storage.Item) { n++ })
+	}
+	it := &storage.Item{Namespace: "rel", ResourceID: "a", InstanceID: 1, Payload: &payload{}}
+	p.StoreLocal(it)
+	if a := testing.AllocsPerRun(100, func() { p.StoreLocal(it) }); a != 0 {
+		t.Errorf("a store into a subscribed namespace costs %.1f allocations, want 0", a)
+	}
+	if n != 3*102 {
+		t.Fatalf("%d handler calls, want %d", n, 3*102)
+	}
+}
+
 func TestMulticastReachesAllNodesOnce(t *testing.T) {
 	tn := newTestNet(t, 32, Config{})
 	counts := make([]int, 32)

@@ -236,7 +236,7 @@ func New(e env.Env, prov *provider.Provider, cfg Config) *Manager {
 			return
 		}
 		if d, ok := payload.(*Def); ok && d.Validate() == nil {
-			m.register(*d, true)
+			m.register(*d)
 		}
 	})
 	return m
@@ -324,12 +324,11 @@ func (m *Manager) AllDefs() []Def {
 	return out
 }
 
-// register adds a definition to the cache; backfill additionally
-// inserts entries for every base tuple of the table already stored
-// locally (with the tuple's remaining lifetime), which is what turns
-// CREATE INDEX on existing data into a distributed, per-node local
-// scan.
-func (m *Manager) register(def Def, backfill bool) {
+// register adds a definition to the cache and inserts entries for
+// every base tuple of the table already stored locally (with the
+// tuple's remaining lifetime), which is what turns CREATE INDEX on
+// existing data into a distributed, per-node local scan.
+func (m *Manager) register(def Def) {
 	m.setLastFetch(def.Table)
 	for _, d := range m.defs[def.Table] {
 		if d.Name == def.Name {
@@ -340,9 +339,6 @@ func (m *Manager) register(def Def, backfill bool) {
 		m.defs = make(map[string][]Def)
 	}
 	m.defs[def.Table] = append(m.defs[def.Table], def)
-	if !backfill {
-		return
-	}
 	now := m.env.Now()
 	type pending struct {
 		rid      string
@@ -447,7 +443,7 @@ func (m *Manager) fetchDefs(table string) {
 		m.setLastFetch(table)
 		for _, it := range items {
 			if d, ok := it.Payload.(*Def); ok && d.Validate() == nil {
-				m.register(*d, true)
+				m.register(*d)
 			}
 		}
 	})

@@ -146,6 +146,47 @@ func TestExplainTraceJoin64(t *testing.T) {
 	checkHistogramFamily(t, mresp, "pier_query_duration_seconds")
 }
 
+// TestTracedScanSpansReachTheCollector: every node runs a traced scan,
+// and most of them match none of its 20 rows. Each executor ends with
+// its scan, and its spans reach the open collector in its last frame,
+// whether or not a row frame carried them.
+func TestTracedScanSpansReachTheCollector(t *testing.T) {
+	const n, rows = 256, 20
+	sn := NewSimNetwork(n, topology.NewFullMeshInfinite(), 53, DefaultOptions())
+	for i := 0; i < rows; i++ {
+		sn.Load("S", fmt.Sprint(i), int64(i), &Tuple{Rel: "S", Vals: []Value{int64(i), int64(i), int64(i)}}, 0)
+	}
+	plan, err := ParseSQL("EXPLAIN TRACE SELECT pkey, num2 FROM S", e2eCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	id, err := sn.Nodes[0].Query(plan, func(*core.Tuple, int) { got++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn.RunFor(5 * time.Second)
+	if got != rows {
+		t.Fatalf("delivered %d/%d rows", got, rows)
+	}
+	tr, ok := sn.Nodes[0].Trace(id)
+	if !ok {
+		t.Fatal("no live trace for a traced query")
+	}
+	nodes := map[string]bool{}
+	for _, s := range tr.Spans {
+		nodes[string(s.Node)] = true
+	}
+	delete(nodes, "") // the collector's own spans
+	left := 0
+	for _, nd := range sn.Nodes {
+		left += nd.engine.ActiveExecs()
+	}
+	if len(nodes) != n || left != 0 {
+		t.Fatalf("spans from %d of %d nodes reached the collector, and %d executors are left", len(nodes), n, left)
+	}
+}
+
 // probeFlood runs a traced fetch-matches join to completion on one
 // node and returns it with the query's id. The join records one
 // dht_get span per probe; every probe is local, so all of them finish
